@@ -14,6 +14,12 @@ import functools
 import time
 from collections import Counter
 
+# Every time in the benchmark is CPU time of the whole process, in ns.  The
+# process computes on one thread (one BLAS thread, draw_many's default of one
+# job), so this is the time the work took, without the time the machine gave
+# to other processes or to its hypervisor.
+clock_ns = time.process_time_ns
+
 # (module, name, layer).  Module "" is the package namespace itself.  The
 # layer "edge" resolves to "edge.<backend>" for the backend whose run is
 # open; "edge?" marks a Kalman routine that is ragged-edge work when its
@@ -74,12 +80,12 @@ class Tracer:
     # -- recording -------------------------------------------------------
     def open(self, layer: str) -> int:
         idx = len(self.spans)
-        self.spans.append([layer, time.perf_counter_ns(), 0, self.stack[-1] if self.stack else -1])
+        self.spans.append([layer, clock_ns(), 0, self.stack[-1] if self.stack else -1])
         self.stack.append(idx)
         return idx
 
     def close(self, idx: int) -> None:
-        self.spans[idx][2] = time.perf_counter_ns()
+        self.spans[idx][2] = clock_ns()
         self.stack.pop()
 
     def count(self, name: str, k: int = 1) -> None:

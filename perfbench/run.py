@@ -1,6 +1,6 @@
 """Benchmark for mfsmooth: one workload per run, run from the repository root.
 
-    python3 perfbench/run.py --workload gibbs-small --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload gibbs-small --seed 1 --seconds 20 --trace 0
 
 Prints a readable report and, as the last line of standard output, one
 JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``:
@@ -26,6 +26,7 @@ import gc
 import json
 import math
 import platform
+import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +122,7 @@ def main(argv=None) -> int:
 
     mf = _import_package()
     import workloads
+    from calibrate import REFERENCE_MS
     from layertrace import Tracer
 
     if args.workload not in workloads.WORKLOADS:
@@ -136,8 +138,16 @@ def main(argv=None) -> int:
     print(f"# workload {args.workload}  seed {args.seed}  seconds {args.seconds:g}  trace {args.trace}")
     print(f"# env {json.dumps(env)}")
     print(f"# inputs generated in {run.input_s:.2f} s (untimed)")
+    scale = run.scale
+    kernel_ms = statistics.median(run.samples["kernel"]) * 1e3
+    print(f"# reference kernel: median {kernel_ms:.3f} ms of {len(run.samples['kernel'])} calls "
+          f"(reference {REFERENCE_MS:g} ms), speed index {scale:.4f} over the run; each time below "
+          f"is CPU time multiplied by the index of the {workloads.NEAREST} kernel calls nearest to it"
+          + (" (per-layer times: by the run's index)" if args.trace else "")
+          + f"; operations longer than {workloads.LONG_SAMPLE_S:g} s are not scaled")
+    record["kernel_ms"], record["scale"] = kernel_ms, scale
     if args.trace:
-        table = run.phase_table()
+        table = run.phase_table(scale)
         metrics = run.per_layer(table)
         record["phases"] = table
         record["spans"] = tracer.span_records()
@@ -148,6 +158,8 @@ def main(argv=None) -> int:
                 print(f"#   counts per draw: {json.dumps(row['counts'])}")
     else:
         metrics = run.end_to_end()
+        raw = run.end_to_end(scaled=False)
+        print("# unscaled CPU time: " + ", ".join(f"{k} {v:.4f} {u}" for k, (v, u) in raw.items()))
         n = len(run.samples["iter"])
         beyond = n - math.ceil(n * workloads.TAIL_PCT / 100)
         print(f"# iter_ms samples {n} ({beyond} beyond p{workloads.TAIL_PCT}); "
@@ -171,6 +183,7 @@ def main(argv=None) -> int:
     }
     record.update(result)
     record["samples"] = run.samples
+    record["stamps"] = run.stamps
     record["errors"] = run.errors
     RESULTS.mkdir(exist_ok=True)
     out = RESULTS / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"

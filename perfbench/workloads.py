@@ -17,11 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 import mfsmooth as mf
+from calibrate import SpeedIndex
+from layertrace import clock_ns
 from mfsmooth.simulate import benchmark_pattern, random_stable_params
 
 BACKENDS = ("adaptive", "blocked", "baseline")
+KERNEL_WARM = 8          # reference-kernel calls timed before the first setup
+NEAREST = 16             # kernel calls nearest in time that scale one sample
+# A sample longer than this (paper-p12's 35 s set-up) spans machine states its
+# nearest kernel calls never saw, and averages the drift by itself: unscaled.
+LONG_SAMPLE_S = 5.0
 PHASES = ("setup", "iter") + tuple(f"draw.{b}" for b in BACKENDS)
-MANY_BATCH = 4           # draws per draw_many call on the paper cell
+MANY_BATCH = 2           # draws per draw_many call on the paper cell
 TAIL_PCT = 75            # percentile reported as iter_ms.p75
 COUNT_OPS = 3            # traced primary operations the per-draw counts come from
 TOL = 1e-8               # aggregation and cross-backend tolerance
@@ -38,7 +45,7 @@ class Cell:
     sv: bool            # fresh (T, n, n) stochastic-volatility chol_cov per iteration
     setups: int         # timed fresh setups per run
     primary: str        # "gibbs": new parameters each iteration; "many": draw_many calls
-    shares: tuple       # share of --seconds for primary, adaptive, blocked, baseline
+    shares: tuple       # share of --seconds for primary, adaptive, blocked, baseline, reference kernel
 
     @property
     def n(self) -> int:
@@ -46,9 +53,9 @@ class Cell:
 
 
 WORKLOADS = {
-    "gibbs-small": Cell(18, 2, 6, 300, 297, False, 5, "gibbs", (0.7, 0.1, 0.1, 0.1)),
-    "gibbs-sv": Cell(18, 2, 6, 300, 297, True, 5, "gibbs", (0.7, 0.1, 0.1, 0.1)),
-    "paper-p12": Cell(119, 1, 12, 500, 498, False, 1, "many", (0.35, 0.1, 0.2, 0.35)),
+    "gibbs-small": Cell(18, 2, 6, 300, 297, False, 5, "gibbs", (0.66, 0.08, 0.08, 0.08, 0.1)),
+    "gibbs-sv": Cell(18, 2, 6, 300, 297, True, 5, "gibbs", (0.75, 0.05, 0.05, 0.05, 0.1)),
+    "paper-p12": Cell(119, 1, 12, 500, 498, False, 1, "many", (0.55, 0.07, 0.18, 0.1, 0.1)),
 }
 
 # traced layer -> per-layer metric name
@@ -204,6 +211,7 @@ class Run:
         self.cell = WORKLOADS[name]
         self.tracer = tracer
         self.samples: dict[str, list[float]] = defaultdict(list)
+        self.stamps: dict[str, list[float]] = defaultdict(list)   # wall-clock midpoints
         self.traced: dict[str, list[float]] = defaultdict(list)
         self.attempted = 0
         self.failed = 0
@@ -221,17 +229,27 @@ class Run:
     def _timed(self, phase: str, fn, traced: bool):
         """Run one operation; (seconds, result), or (None, None) if it raised."""
         self.attempted += 1
+        w0 = time.perf_counter()
         try:
             if traced:
                 with self.tracer.root(phase) as idx:
                     out = fn(True)
                 return self.tracer.seconds(idx), out
-            t0 = time.perf_counter()
+            t0 = clock_ns()
             out = fn(False)
-            return time.perf_counter() - t0, out
+            return (clock_ns() - t0) * 1e-9, out
         except Exception as exc:  # a failed draw is counted, and the run goes on
             self._fail(phase, f"{type(exc).__name__}: {exc}")
             return None, None
+        finally:
+            self._mid = 0.5 * (w0 + time.perf_counter())
+
+    def _record(self, phase: str, dt: float, traced: bool) -> None:
+        if traced:
+            self.traced[phase].append(dt)
+        else:
+            self.samples[phase].append(dt)
+            self.stamps[phase].append(self._mid)
 
     def _check(self, where: str, x: np.ndarray) -> bool:
         why = check_draw(x, self.inputs.values, self.cell.n_m, self.inputs.weights)
@@ -260,7 +278,10 @@ class Run:
     def execute(self) -> None:
         t0 = time.perf_counter()
         self.inputs = Inputs(self.cell, self.seed)
+        self.speed = SpeedIndex()
         self.input_s = time.perf_counter() - t0
+        for j in range(KERNEL_WARM):
+            self._time_kernel(j)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             self._caught = caught
@@ -291,6 +312,7 @@ class Run:
         kinds = {"iter": (c.shares[0], 8 if c.primary == "gibbs" else 6, primary)}
         for backend, share in zip(BACKENDS, c.shares[1:]):
             kinds[f"draw.{backend}"] = (share, 3, functools.partial(self._warm_draw, backend))
+        kinds["kernel"] = (c.shares[4], KERNEL_WARM, self._time_kernel)
         spent = dict.fromkeys(kinds, 0.0)
         done = dict.fromkeys(kinds, 0)
         start = time.perf_counter()
@@ -311,6 +333,12 @@ class Run:
             done[kind] += 1
 
     # -- operations -----------------------------------------------------
+    def _time_kernel(self, j: int) -> None:
+        """One call of the reference kernel; never traced."""
+        w0 = time.perf_counter()
+        self.samples["kernel"].append(self.speed.measure(clock_ns))
+        self.stamps["kernel"].append(0.5 * (w0 + time.perf_counter()))
+
     def _setup(self, k: int):
         """Fresh scheme, data and parameters from plain arrays to a first draw."""
         c = self.cell
@@ -328,7 +356,7 @@ class Run:
         dt, out = self._timed("setup", op, traced)
         if out is None or not self._check("setup", out[3].x):
             return None
-        (self.traced if traced else self.samples)["setup"].append(dt)
+        self._record("setup", dt, traced)
         return out[:3]
 
     def _gibbs_iteration(self, i: int) -> None:
@@ -355,7 +383,7 @@ class Run:
                 d = None
             self._prev = par
         if d is not None and self._check("iter", d.x):
-            (self.traced if traced else self.samples)["iter"].append(dt)
+            self._record("iter", dt, traced)
             if i == 0:
                 self._redraw_baseline(par, d.x, stream_rng(self.seed, "iter-draw", i))
 
@@ -384,7 +412,7 @@ class Run:
 
         dt, xs = self._timed("iter", op, traced)
         if xs is not None and all(self._check("iter", x) for x in xs):
-            (self.traced if traced else self.samples)["iter"].append(dt / MANY_BATCH)
+            self._record("iter", dt / MANY_BATCH, traced)
 
     def _warm_up(self, backend: str) -> None:
         """Untimed first draw per backend; it is the cross-backend reference."""
@@ -415,7 +443,7 @@ class Run:
             self.tracer.count("edge.pinv_fallbacks", pinv)
             self.tracer.count("edge.companion_steps", d.stats.companion_steps)
         if d is not None and self._check(phase, d.x):
-            (self.traced if traced else self.samples)[phase].append(dt)
+            self._record(phase, dt, traced)
 
     def _cross_backend(self) -> None:
         """Same-rng warm-up draws of every backend must agree within TOL."""
@@ -430,8 +458,26 @@ class Run:
     def correct(self) -> bool:
         return self.failed == 0
 
-    def end_to_end(self) -> dict:
-        s = self.samples
+    @property
+    def scale(self) -> float:
+        """The machine's speed index over the whole run."""
+        return SpeedIndex.scale(self.samples["kernel"])
+
+    def scaled(self, phase: str) -> list[float]:
+        """The untraced samples of ``phase``, each multiplied by the speed
+        index of the NEAREST kernel calls around it in time, except those
+        longer than LONG_SAMPLE_S."""
+        kernel = np.array(self.samples["kernel"])
+        stamps = np.array(self.stamps["kernel"])
+        out = []
+        for dt, t in zip(self.samples[phase], self.stamps[phase]):
+            if dt <= LONG_SAMPLE_S:
+                dt *= SpeedIndex.scale(kernel[np.argsort(np.abs(stamps - t))[:NEAREST]])
+            out.append(dt)
+        return out
+
+    def end_to_end(self, scaled: bool = True) -> dict:
+        s = {p: self.scaled(p) if scaled else self.samples[p] for p in PHASES}
         out = {"setup_s": (_median(s["setup"]), "s")}
         out["iter_ms"] = (_median(s["iter"]) * 1e3, "ms")
         out[f"iter_ms.p{TAIL_PCT}"] = (_pct(s["iter"], TAIL_PCT) * 1e3, "ms")
@@ -439,7 +485,7 @@ class Run:
             out[f"draw_ms.{backend}"] = (_median(s[f"draw.{backend}"]) * 1e3, "ms")
         return out
 
-    def phase_table(self) -> dict:
+    def phase_table(self, scale: float = 1.0) -> dict:
         """Per phase: operations, mean traced ms per draw, layer self ms per draw."""
         table = {}
         per_draw = MANY_BATCH if self.cell.primary == "many" else 1
@@ -456,10 +502,11 @@ class Run:
             for i in first:
                 counts.update(self.tracer.roots[i][2])
             cdiv = max(len(first), 1) * (per_draw if phase == "iter" else 1)
+            f = 1.0 if ops and total / len(ops) > LONG_SAMPLE_S else scale
             table[phase] = {
                 "ops": len(ops),
-                "ms": total / div * 1e3,
-                "layers_ms": {k: v / div * 1e3 for k, v in sorted(layers.items())},
+                "ms": total / div * 1e3 * f,
+                "layers_ms": {k: v / div * 1e3 * f for k, v in sorted(layers.items())},
                 "counts": {k: v / cdiv for k, v in sorted(counts.items())},
             }
         return table
