@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .model import AggregationScheme, intra_quarterly_average
 from .simsmooth import draw_latent, _rng_for
@@ -89,11 +90,22 @@ def run_grid(
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _blas_info() -> tuple[str, str]:
+    """Name and version of the BLAS numpy was built against, or ``unknown``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 or no BLAS record
+        return "unknown", "unknown"
+    return str(blas.get("name", "unknown")), str(blas.get("version", "unknown"))
+
+
 def machine_header() -> str:
     threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
+    blas, blas_version = _blas_info()
     return (
-        f"# platform={platform.platform()} machine={platform.machine()} "
-        f"python={sys.version.split()[0]} numpy={np.__version__} {threads}"
+        f"# platform={platform.platform()} machine={platform.machine()} cpus={os.cpu_count()} "
+        f"python={sys.version.split()[0]} numpy={np.__version__} scipy={scipy.__version__} "
+        f"blas={blas} blas_version={blas_version} {threads}"
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InitializationError, SingularInnovationError
@@ -31,6 +30,7 @@ __all__ = [
     "run_filter",
     "run_smoother",
     "smooth_step",
+    "solve_discrete_lyapunov",
     "stationary_companion_cov",
     "init_state",
 ]
@@ -38,6 +38,10 @@ __all__ = [
 # condition-number estimate above which the innovation covariance is
 # treated as numerically singular
 COND_LIMIT = 1e12
+
+# squarings allowed to the Lyapunov doubling iteration: 2**40 periods of
+# accumulated covariance, so a spectral radius up to about 1 - 1e-10 converges
+LYAPUNOV_MAX_SQUARINGS = 40
 
 
 @dataclass
@@ -259,24 +263,49 @@ def run_smoother(
     return out, r
 
 
+def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve ``X = A X A' + Q`` by squared-Smith doubling.
+
+    After k steps ``X`` sums ``A^i Q A^i'`` over the first ``2^k`` periods;
+    the iteration stops once the increment no longer changes ``X`` at working
+    precision.  Convergence certifies that ``A`` is stable: a non-finite
+    increment, or no convergence within ``LYAPUNOV_MAX_SQUARINGS`` squarings,
+    raises ``InitializationError`` naming the spectral radius.
+    """
+    X = np.array(Q, dtype=float)
+    Ak = A
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(LYAPUNOV_MAX_SQUARINGS):
+            inc = Ak @ X @ Ak.T
+            if not np.isfinite(inc).all():
+                break
+            X += inc
+            if np.abs(inc).max() <= eps * np.abs(X).max():
+                return X
+            Ak = Ak @ Ak
+    radius = np.abs(np.linalg.eigvals(A)).max()
+    raise InitializationError(
+        f"VAR companion is not stable (spectral radius {radius:.12g}): its "
+        f"covariance does not converge within 2**{LYAPUNOV_MAX_SQUARINGS} periods; "
+        "stationary initialization is unavailable, use diffuse-proxy"
+    )
+
+
 def stationary_companion_cov(params: VarParams, n_lags: int | None = None) -> np.ndarray:
     """Unconditional covariance of the stacked state (p+1 lag groups).
 
-    Solves the discrete Lyapunov equation of the companion form; raises if
-    the VAR is not stable.  Time-varying error covariances use the first
-    period's factor.  Cached on the parameter object: the solve is cubic in
-    n(p+1) and would otherwise dominate every draw.
+    Solves the discrete Lyapunov equation of the companion form by doubling
+    (``solve_discrete_lyapunov``), whose convergence is the stability check:
+    raises ``InitializationError`` if the VAR is not stable.  Time-varying
+    error covariances use the first period's factor.  Cached on the parameter
+    object: the solve is cubic in n(p+1) and would otherwise dominate every
+    draw.
     """
     cache = getattr(params, "_stationary_cov", None)
     if cache is not None and cache[0] == n_lags:
         return cache[1]
     F = params.companion_transition(n_lags)
-    eig = np.abs(np.linalg.eigvals(F))
-    if eig.max() >= 1.0 - 1e-10:
-        raise InitializationError(
-            f"VAR companion spectral radius {eig.max():.6f} >= 1; "
-            "stationary initialization is unavailable, use diffuse-proxy"
-        )
     Q = params.companion_noise_cov(0, n_lags)
     P = _sym(solve_discrete_lyapunov(F, Q))
     object.__setattr__(params, "_stationary_cov", (n_lags, P))

@@ -48,6 +48,9 @@ class VarParams:
     chol_cov : (n, n) or (T, n, n) array
         Lower-triangular Cholesky factor(s) of the error covariance.  A single
         matrix is replicated logically over time, never materialized per t.
+
+    The arrays are private read-only copies: results derived from them are
+    cached on the object, so they must not change after construction.
     """
 
     n_m: int
@@ -59,9 +62,9 @@ class VarParams:
 
     def __post_init__(self):
         n = self.n_m + self.n_q
-        intercept = np.asarray(self.intercept, dtype=float).reshape(n)
-        lag_coeffs = np.asarray(self.lag_coeffs, dtype=float)
-        chol_cov = np.asarray(self.chol_cov, dtype=float)
+        intercept = np.array(self.intercept, dtype=float).reshape(n)
+        lag_coeffs = np.array(self.lag_coeffs, dtype=float)
+        chol_cov = np.array(self.chol_cov, dtype=float)
         if lag_coeffs.shape != (self.p, n, n):
             raise ConfigurationError(
                 f"lag_coeffs shape {lag_coeffs.shape} != {(self.p, n, n)}"
@@ -70,16 +73,16 @@ class VarParams:
             chol_cov = chol_cov[None, :, :]
         if chol_cov.shape[1:] != (n, n):
             raise ConfigurationError(f"chol_cov trailing dims must be {(n, n)}")
-        for W in chol_cov:
-            if not np.allclose(W, np.tril(W)):
-                raise ConfigurationError("chol_cov factors must be lower-triangular")
-            if np.any(np.diag(W) <= 0):
-                raise ConfigurationError(
-                    "chol_cov factors need strictly positive diagonals"
-                )
-        object.__setattr__(self, "intercept", intercept)
-        object.__setattr__(self, "lag_coeffs", lag_coeffs)
-        object.__setattr__(self, "chol_cov", chol_cov)
+        arrays = {"intercept": intercept, "lag_coeffs": lag_coeffs, "chol_cov": chol_cov}
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise ConfigurationError(f"{name} has non-finite entries")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if not np.allclose(chol_cov, np.tril(chol_cov)):
+            raise ConfigurationError("chol_cov factors must be lower-triangular")
+        if np.any(np.diagonal(chol_cov, axis1=1, axis2=2) <= 0):
+            raise ConfigurationError("chol_cov factors need strictly positive diagonals")
 
     @property
     def n(self) -> int:
@@ -307,6 +310,7 @@ class MixedFreqData:
 def detect_pattern(values: np.ndarray, n_m: int, n_q: int, min_balanced: int = 1) -> ObservationPattern:
     """Derive the observation pattern of a data matrix.
 
+    NaN marks a missing value and infinite values are rejected.
     ``t_balanced`` is maximal; the ragged edge must be monotone
     (``U_{t-1} subset of U_t``) and at least ``min_balanced`` leading periods
     must be fully observed in the monthly block.
@@ -315,6 +319,11 @@ def detect_pattern(values: np.ndarray, n_m: int, n_q: int, min_balanced: int = 1
     T, n = values.shape
     if n != n_m + n_q:
         raise ConfigurationError(f"data has {n} columns, expected {n_m + n_q}")
+    if np.isinf(values).any():
+        t, j = np.argwhere(np.isinf(values))[0]
+        raise ConfigurationError(
+            f"data value at t={t}, column {j} is infinite; NaN marks missing values"
+        )
     obs_m = ~np.isnan(values[:, :n_m])
     obs_q = ~np.isnan(values[:, n_m:])
     full = obs_m.all(axis=1)

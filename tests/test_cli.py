@@ -1,4 +1,7 @@
+import os
+
 import numpy as np
+import scipy
 from click.testing import CliRunner
 
 from mfsmooth.cli import main
@@ -125,6 +128,10 @@ class TestBench:
         assert "OPENBLAS_NUM_THREADS=1" in header
         assert "OMP_NUM_THREADS=unset" in header
         assert "MKL_NUM_THREADS=unset" in header
+        keys = {tok.split("=", 1)[0]: tok.split("=", 1)[1] for tok in header[1:]}
+        assert keys["cpus"] == str(os.cpu_count())
+        assert keys["scipy"] == scipy.__version__
+        assert keys["blas"] and keys["blas_version"]
         assert lines[1].split(",")[:3] == ["n", "n_q", "p"]
         assert len(lines) == 5  # header comment + columns + 3 backends
         assert "adaptive/baseline=" in res.output

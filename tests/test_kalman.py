@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from mfsmooth import InitializationError, SingularInnovationError, VarParams
@@ -159,6 +162,33 @@ class TestInitState:
         params = VarParams(0, 1, 1, np.zeros(1), np.array([[[1.01]]]), np.eye(1))
         with pytest.raises(InitializationError):
             init_state(params, "stationary")
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.999])
+    def test_ar1_closed_form(self, rho):
+        params = VarParams(0, 1, 1, np.zeros(1), np.array([[[rho]]]), np.eye(1))
+        P = stationary_companion_cov(params)
+        # both lag groups of the stacked state share the variance 1/(1-rho^2)
+        var = 1.0 / (1.0 - rho**2)
+        assert_allclose(P, [[var, rho * var], [rho * var, var]], rtol=1e-12)
+
+    def test_matches_scipy_on_random_stable_var(self):
+        params = random_params(4, 2, 3, seed=7, scale=0.9)
+        P = stationary_companion_cov(params)
+        F = params.companion_transition()
+        ref = scipy.linalg.solve_discrete_lyapunov(F, params.companion_noise_cov(0))
+        assert np.max(np.abs(P - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rho", [1.0, 1.01])
+    def test_non_stable_rejected_naming_radius(self, rho):
+        params = VarParams(0, 1, 1, np.zeros(1), np.array([[[rho]]]), np.eye(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InitializationError, match=f"spectral radius {rho:.12g}\\)"):
+                stationary_companion_cov(params)
+
+    def test_second_call_returns_cached_array(self):
+        params = random_params(2, 1, 2, seed=4)
+        assert stationary_companion_cov(params) is stationary_companion_cov(params)
 
     def test_diffuse_proxy(self):
         params = random_params(2, 1, 2, seed=4)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from mfsmooth import (
     ConfigurationError,
+    MixedFreqData,
     UnsupportedPatternError,
     VarParams,
     build_aggregation,
@@ -33,6 +34,36 @@ class TestVarParams:
         W[0, 2] = 0.5
         with pytest.raises(ConfigurationError):
             VarParams(2, 1, 1, np.zeros(3), np.zeros((1, 3, 3)), W)
+
+    def test_rejects_bad_factor_in_any_period(self):
+        stack = np.tile(np.eye(3), (5, 1, 1))
+        upper = stack.copy()
+        upper[3, 0, 2] = 0.5
+        with pytest.raises(ConfigurationError, match="lower-triangular"):
+            VarParams(2, 1, 1, np.zeros(3), np.zeros((1, 3, 3)), upper)
+        singular = stack.copy()
+        singular[4, 1, 1] = 0.0
+        with pytest.raises(ConfigurationError, match="positive diagonals"):
+            VarParams(2, 1, 1, np.zeros(3), np.zeros((1, 3, 3)), singular)
+
+    @pytest.mark.parametrize("field", ["intercept", "lag_coeffs", "chol_cov"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        arrays = {
+            "intercept": np.zeros(3), "lag_coeffs": np.zeros((1, 3, 3)), "chol_cov": np.eye(3),
+        }
+        arrays[field].flat[0] = bad
+        with pytest.raises(ConfigurationError, match=f"{field} has non-finite"):
+            VarParams(2, 1, 1, **arrays)
+
+    def test_arrays_are_read_only_copies(self):
+        lags = np.full((1, 3, 3), 0.1)
+        params = VarParams(2, 1, 1, np.zeros(3), lags, np.eye(3))
+        lags[0] *= 0.5
+        assert_allclose(params.lag_coeffs, 0.1)
+        for arr in (params.intercept, params.lag_coeffs, params.chol_cov):
+            with pytest.raises(ValueError):
+                arr[0] *= 0.5
 
     def test_companion_shift_structure(self):
         params = random_params(3, 1, 3)
@@ -132,6 +163,17 @@ class TestDetectPattern:
         values[2:, 1] = np.nan
         with pytest.raises(ConfigurationError):
             detect_pattern(values, 3, 0, min_balanced=4)
+
+    @pytest.mark.parametrize("col", [1, 2])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_values_rejected(self, col, bad):
+        values = np.zeros((6, 3))
+        values[5, 0] = np.nan
+        values[4, col] = bad
+        with pytest.raises(ConfigurationError, match=f"t=4, column {col} is infinite"):
+            detect_pattern(values, 2, 1)
+        with pytest.raises(ConfigurationError, match="infinite"):
+            MixedFreqData.from_values(values, 2, 1)
 
     def test_quarterly_gaps_allowed_anywhere(self):
         values = np.zeros((6, 3))
