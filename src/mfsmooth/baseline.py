@@ -2,13 +2,16 @@
 to the full stacked (companion) formulation over the ragged edge, and a
 switch back for the final smoothing pass.
 
-The companion segment deliberately uses dense full-dimension products; the
+The reduced filter's last record is closed with a transition onto the
+stacked state (``compact_to_companion``), so the edge filter starts from the
+lifted filtered state and the edge smoother's adjoint restarts the reduced
+smoother directly (``companion_to_compact``), with no linear solve.  The
+companion segment deliberately uses dense full-dimension products; the
 other backends exist to avoid exactly that cost.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +20,7 @@ from .errors import ConfigurationError
 from .kalman import (
     FilterRecord,
     FilterState,
+    Transition,
     init_state,
     quarterly_state_index,
     run_filter,
@@ -26,11 +30,9 @@ from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams, bui
 from .systems import (
     PeriodSystem,
     SystemMatrices,
-    balanced_index,
     build_companion_system,
     build_periods,
-    build_system_matrices,
-    exog_vector,
+    build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
 )
 
 __all__ = ["RunStats", "SmoothResult", "run_baseline", "compact_to_companion", "companion_to_compact"]
@@ -111,75 +113,35 @@ def smooth_balanced(
     return SmoothResult(x, stats, res.records)
 
 
-def compact_to_companion(
-    state: FilterState,
-    params: VarParams,
-    data: MixedFreqData,
-    t_enter: int,
-) -> FilterState:
-    """Lift the filtered reduced state at t_enter-1 and predict into t_enter.
+def compact_to_companion(params: VarParams, data: MixedFreqData, t_b: int) -> Transition:
+    """Noise-free transition from the reduced state at t_b-1 onto the stacked
+    (companion) state at the same period.
 
-    Known monthly values enter with zero variance interleaved with the
-    quarterly filtered moments, then one stacked-form prediction step.
+    ``E`` places the reduced state on its quarterly positions and ``a_known``
+    holds the known monthly values at lags 0..p, which enter with zero
+    variance.  Closing the reduced filter with it makes ``run_filter`` return
+    the lifted filtered state as ``final_pred``.
     """
     n, p = params.n, params.p
-    dim = n * (p + 1)
-    a_tilde = np.zeros(dim)
-    P_tilde = np.zeros((dim, dim))
     qi = quarterly_state_index(params)
-    for lag in range(p + 1):
-        a_tilde[lag * n : lag * n + params.n_m] = data.values[t_enter - 1 - lag, : params.n_m]
-    a_tilde[qi] = state.a
-    P_tilde[np.ix_(qi, qi)] = state.P
-    F1 = params.companion_transition()
-    a = F1 @ a_tilde + params.companion_intercept()
-    P = F1 @ P_tilde @ F1.T + params.companion_noise_cov(t_enter)
-    return FilterState(a, (P + P.T) / 2.0)
+    E = np.zeros((n * (p + 1), len(qi)))
+    E[qi, np.arange(len(qi))] = 1.0
+    a_known = np.zeros((p + 1, n))
+    a_known[:, : params.n_m] = data.values[t_b - 1 - p : t_b, : params.n_m][::-1]
+    return E, a_known.reshape(-1), 0.0
 
 
-def companion_to_compact(
-    alpha_hat: np.ndarray,
-    pred: FilterState,
-    params: VarParams,
-) -> np.ndarray:
-    """Adjoint vector r that restarts the reduced smoothing recursion.
+def companion_to_compact(r: np.ndarray, params: VarParams) -> np.ndarray:
+    """Adjoint that restarts the reduced smoother at the balanced boundary.
 
-    ``alpha_hat`` is the smoothed stacked state at the first ragged period;
-    ``pred`` the reduced one-step prediction for the same period.  Solves
-    P r = (alpha_hat_q - a); a semidefinite P (exactly observed components)
-    falls back to the pseudo-inverse, which is exact because the residual
-    is zero on the deterministic directions.
+    ``r`` is the edge smoother's adjoint for the stacked state predicted at
+    t_b; the result ``F1' r`` is the adjoint for the lifted state at t_b-1,
+    onto which ``compact_to_companion`` closed the last reduced record.
     """
-    qi = quarterly_state_index(params)
-    diff = alpha_hat[qi] - pred.a
-    P = pred.P
-    try:
-        c, low = np.linalg.cholesky(P), True
-    except np.linalg.LinAlgError:
-        c = None
-    if c is not None:
-        d = np.diag(c)
-        if d.min() > 0 and (d.max() / d.min()) ** 2 < 1e12:
-            from scipy.linalg import cho_solve
-
-            return cho_solve((c, True), diff)
-    warnings.warn(
-        "reduced prediction covariance singular at the balanced boundary; "
-        "using a pseudo-inverse on its support"
-    )
-    return np.linalg.pinv(P, hermitian=True) @ diff
-
-
-def _boundary_transition(
-    params: VarParams, agg: Aggregation, data: MixedFreqData
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, SystemMatrices]:
-    """Reduced-form transition into the first ragged period (as if balanced)."""
-    t_b = data.pattern.t_balanced
-    idx = balanced_index(params.n_m, params.n_q)
-    mats = build_system_matrices(params, agg, idx, data.pattern.quarterly_rows(t_b), t_b)
-    ex = exog_vector(data.monthly(), idx.o_prev, t_b, params.p)
-    d = mats.d0 + mats.D @ ex
-    return mats.T, d, mats.HHt, mats
+    n, npp = params.n, params.n * params.p
+    out = np.zeros(npp + n)
+    out[:npp] = params.coeff_row.T @ r[:n] + r[n:]
+    return out
 
 
 def companion_periods(
@@ -222,17 +184,12 @@ def run_baseline(
 
     t_b = data.pattern.t_balanced
     periods = build_periods(params, agg, data, stop=t_b)
-    Tm, d, HHt, _ = _boundary_transition(params, agg, data)
-    res = run_filter(periods, init, final_transition=(Tm, d, HHt))
-
-    last = res.records[-1]
-    lifted = compact_to_companion(FilterState(last.a_filt, last.P_filt), params, data, t_b)
+    res = run_filter(periods, init, final_transition=compact_to_companion(params, data, t_b))
+    # the first edge period predicts through the dense companion transition
     edge = companion_periods(params, agg, data, t_b)
-    res2 = run_filter(edge, lifted, first_is_predicted=True)
-    states2, _ = run_smoother(res2.records)
-
-    r_tb = companion_to_compact(states2[0], res.final_pred, params)
-    states1, _ = run_smoother(res.records, r_init=r_tb)
+    res2 = run_filter(edge, res.final_pred)
+    states2, r_tb = run_smoother(res2.records)
+    states1, _ = run_smoother(res.records, r_init=companion_to_compact(r_tb, params))
 
     x = np.empty((data.T, params.n))
     fill_states(x, states1, periods, params.n_m)

@@ -9,21 +9,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .baseline import (
     RunStats,
     SmoothResult,
-    _boundary_transition,
     check_pattern,
+    compact_to_companion,
     companion_to_compact,
     fill_observed,
     fill_states,
     prepare,
     smooth_balanced,
 )
-from .errors import SingularInnovationError
-from .kalman import COND_LIMIT, FilterState, init_state, quarterly_state_index, run_filter, run_smoother
+from .kalman import factorize_innovation, init_state, run_filter, run_smoother
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 from .systems import build_periods
 
@@ -150,21 +149,6 @@ class BlockedRecord:
     lamqq_obs: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
 
-def _blocked_lift(state: FilterState, params: VarParams, data: MixedFreqData, t_enter: int) -> FilterState:
-    """Structured version of the reduced-to-stacked lift and prediction."""
-    n, p = params.n, params.p
-    npp = n * p
-    qi = quarterly_state_index(params)
-    a_tilde = np.zeros(n * (p + 1))
-    for lag in range(p + 1):
-        a_tilde[lag * n : lag * n + params.n_m] = data.values[t_enter - 1 - lag, : params.n_m]
-    a_tilde[qi] = state.a
-    a = np.concatenate([params.coeff_row @ a_tilde[:npp] + params.intercept, a_tilde[:npp]])
-    F1q = params.companion_transition()[:, qi]
-    P = F1q @ state.P @ F1q.T + params.companion_noise_cov(t_enter)
-    return FilterState(a, (P + P.T) / 2.0)
-
-
 def run_blocked(
     params: VarParams,
     agg: Aggregation | AggregationScheme,
@@ -182,11 +166,7 @@ def run_blocked(
     t_b = data.pattern.t_balanced
     T = data.T
     periods = build_periods(params, agg, data, stop=t_b)
-    Tm, d, HHt, _ = _boundary_transition(params, agg, data)
-    res = run_filter(periods, init, final_transition=(Tm, d, HHt))
-
-    last = res.records[-1]
-    state = _blocked_lift(FilterState(last.a_filt, last.P_filt), params, data, t_b)
+    res = run_filter(periods, init, final_transition=compact_to_companion(params, data, t_b))
 
     n, p = params.n, params.p
     npp = n * p
@@ -194,17 +174,21 @@ def run_blocked(
     coeff_row = params.coeff_row
     F1 = params.companion_transition()
     qcols = agg.quarterly_state_cols(n, params.n_m)
+    # the lifted filtered state at t_b-1; only its first np rows and columns
+    # reach the prediction
+    a_filt = res.final_pred.a
+    pf_top = res.final_pred.P[:npp, :npp]
     records: list[BlockedRecord] = []
     for t in range(t_b, T):
+        a, P = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t), ops)
+        a[:n] += params.intercept
         o_t = data.pattern.observed(t)
         q_rows = data.pattern.quarterly_rows(t)
         lamqq_obs = agg.lam_qq[q_rows]
         n_obs = len(o_t) + len(q_rows)
-        a, P = state.a, state.P
         if n_obs == 0:
             a_filt, Finv_v = a, np.zeros(0)
             pf_top = P[:npp, :npp]
-            K = np.zeros((dim, 0))
             L = F1.copy()
         else:
             F = blocked_F(P, o_t, qcols, lamqq_obs)
@@ -212,29 +196,16 @@ def run_blocked(
             M = blocked_M(P, o_t, qcols, lamqq_obs)
             y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + q_rows]])
             v = y - np.concatenate([a[o_t], lamqq_obs @ a[qcols]])
-            try:
-                cf = cho_factor(F, lower=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise SingularInnovationError(t) from exc
-            diag = np.diag(cf[0])
-            if (diag.max() / diag.min()) ** 2 > COND_LIMIT:
-                raise SingularInnovationError(t)
+            cf = (factorize_innovation(F, t), True)
             Finv_v = cho_solve(cf, v, check_finite=False)
             MFinv = cho_solve(cf, M.T, check_finite=False).T
             a_filt = a + M @ Finv_v
             pf_top = P[:npp, :npp] - MFinv[:npp] @ M[:npp].T
             pf_top = (pf_top + pf_top.T) / 2.0
-            K, L = blocked_K(MFinv, coeff_row, F1, o_t, qcols, lamqq_obs)
-        rec = BlockedRecord(t, a_filt, P, L, Finv_v, o_t, lamqq_obs)
-        records.append(rec)
-        if t < T - 1:
-            a_next, P_next = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t + 1), ops)
-            a_next[:n] += params.intercept
-            state = FilterState(a_next, P_next)
-        else:
-            rec.L = np.eye(dim)
+            _, L = blocked_K(MFinv, coeff_row, F1, o_t, qcols, lamqq_obs)
+        records.append(BlockedRecord(t, a_filt, P, L, Finv_v, o_t, lamqq_obs))
 
-    # backward pass over the ragged edge
+    # backward pass over the ragged edge; the last record's L meets r = 0
     r = np.zeros(dim)
     states2: list[np.ndarray] = [None] * len(records)  # type: ignore[list-item]
     for i in range(len(records) - 1, -1, -1):
@@ -242,8 +213,7 @@ def run_blocked(
         states2[i] = rec.a_filt + rec.P_pred @ (rec.L.T @ r)
         r = blocked_smooth_r(rec.L, r, rec.Finv_v, rec.o_t, qcols, rec.lamqq_obs)
 
-    r_tb = companion_to_compact(states2[0], res.final_pred, params)
-    states1, _ = run_smoother(res.records, r_init=r_tb)
+    states1, _ = run_smoother(res.records, r_init=companion_to_compact(r, params))
 
     x = np.empty((T, params.n))
     fill_states(x, states1, periods, params.n_m)

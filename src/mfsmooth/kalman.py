@@ -26,6 +26,7 @@ __all__ = [
     "FilterState",
     "FilterRecord",
     "FilterResult",
+    "factorize_innovation",
     "filter_step",
     "run_filter",
     "run_smoother",
@@ -76,6 +77,20 @@ class FilterRecord:
 
 def _sym(P: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2.0
+
+
+def factorize_innovation(F: np.ndarray, t: int) -> np.ndarray:
+    """Lower Cholesky factor of the innovation covariance ``F`` at period t.
+
+    Raises ``SingularInnovationError`` when ``F`` is not positive definite or
+    the squared ratio of the factor's largest to smallest diagonal entry
+    exceeds ``COND_LIMIT``.  A Fortran-ordered ``F`` is overwritten.
+    """
+    cf, info = dpotrf(F, lower=1, overwrite_a=1)
+    diag = cf.diagonal()
+    if info != 0 or (diag.max() / diag.min()) ** 2 > COND_LIMIT:
+        raise SingularInnovationError(t)
+    return cf
 
 
 def filter_step(
@@ -137,15 +152,7 @@ def filter_step(
     M = P @ Z.T + HGt
     # direct LAPACK calls with Fortran-ordered operands: this step runs once
     # per period and wrapper or copy overhead is measurable at T=500
-    F = np.asfortranarray(Z @ M + m.F_const)
-    cf, info = dpotrf(F, lower=1, overwrite_a=1)
-    if info != 0:
-        raise SingularInnovationError(
-            sys_t.t, f"innovation covariance not positive definite at t={sys_t.t}"
-        )
-    diag = cf.diagonal()
-    if (diag.max() / diag.min()) ** 2 > COND_LIMIT:
-        raise SingularInnovationError(sys_t.t)
+    cf = factorize_innovation(np.asfortranarray(Z @ M + m.F_const), sys_t.t)
     n_obs = v.shape[0]
     rhs = np.empty((n_obs, 1 + a.shape[0]), order="F")
     rhs[:, 0] = v
@@ -175,10 +182,11 @@ def filter_step(
     return FilterState(a_filt, P_filt), rec
 
 
-Transition = tuple[np.ndarray, np.ndarray, np.ndarray]  # (T, d, HHt)
+# (T, d, HHt); HHt may be the scalar 0 for a noise-free transition
+Transition = tuple[np.ndarray, np.ndarray, np.ndarray | float]
 
 
-def _predict(state: FilterState, Tm: np.ndarray, d: np.ndarray, HHt: np.ndarray) -> FilterState:
+def _predict(state: FilterState, Tm: np.ndarray, d: np.ndarray, HHt: np.ndarray | float) -> FilterState:
     a = Tm @ state.a + d
     P = _sym(Tm @ state.P @ Tm.T + HHt)
     return FilterState(a, P)
@@ -199,28 +207,25 @@ def run_filter(
     periods: list[PeriodSystem],
     init: FilterState,
     final_transition: Transition | None = None,
-    first_is_predicted: bool = False,
 ) -> FilterResult:
     """Filter a run of periods.
 
-    ``init`` is the time-0 state distribution; each period first predicts
-    through its own transition, then updates.  With ``first_is_predicted``
-    the initial state is already the prediction for the first period.  If
+    ``init`` is the state distribution before the first period; each period
+    first predicts through its own transition, then updates.  If
     ``final_transition`` is given, the last record's gain uses it and the
-    corresponding one-step-ahead prediction is returned; otherwise the run
-    terminates with ``K = 0``, ``L = I``.
+    state it maps onto is returned as ``final_pred`` (the transition may
+    change the state space, as the ragged-edge backends' lift into the
+    stacked state does); otherwise the run terminates with ``K = 0``,
+    ``L = I``.
     """
     records: list[FilterRecord] = []
     state = init
     prev: FilterRecord | None = None
-    for i, per in enumerate(periods):
-        if i == 0 and first_is_predicted:
-            pass
-        else:
-            Tm, d, _H = per.mats.T, per.d, None
-            if prev is not None:
-                _close_record(prev, Tm)
-            state = _predict(state, Tm, d, per.mats.HHt)
+    for per in periods:
+        Tm = per.mats.T
+        if prev is not None:
+            _close_record(prev, Tm)
+        state = _predict(state, Tm, per.d, per.mats.HHt)
         state, rec = filter_step(state, per)
         records.append(rec)
         prev = rec

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baseline import RunStats, SmoothResult, check_pattern, fill_observed, prepare
+from .baseline import RunStats, SmoothResult, check_pattern, companion_periods, fill_observed, prepare
 from .errors import OracleSizeError
 from .kalman import FilterState, init_state, quarterly_state_index, run_filter, run_smoother
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
-from .systems import PeriodSystem, SystemMatrices, build_companion_system
 
 __all__ = ["oracle_smooth", "oracle_joint", "JointResult"]
 
@@ -48,24 +47,7 @@ def oracle_smooth(
     dim = params.n * (params.p + 1)
     if dim > cap:
         raise OracleSizeError(f"stacked state dimension {dim} exceeds the oracle cap {cap}")
-    periods = []
-    for t in range(data.T):
-        comp = build_companion_system(params, agg, data.pattern, t)
-        mats = SystemMatrices(
-            Z=comp.Z,
-            C=np.zeros((comp.Z.shape[0], 0)),
-            G=np.zeros((comp.Z.shape[0], params.n)),
-            T=comp.transition,
-            D=np.zeros((dim, 0)),
-            H=comp.noise_chol,
-            c0=np.zeros(comp.Z.shape[0]),
-            d0=comp.intercept,
-        )
-        o_t = data.pattern.observed(t)
-        y = np.concatenate(
-            [data.values[t, o_t], data.values[t, params.n_m + data.pattern.quarterly_rows(t)]]
-        )
-        periods.append(PeriodSystem(mats, mats.c0, mats.d0, y, t))
+    periods = companion_periods(params, agg, data, 0)
     init = _companion_init(params, init_mode, kappa)
     res = run_filter(periods, init)
     states, _ = run_smoother(res.records)

@@ -10,8 +10,6 @@ counter-based bit generator, so results do not depend on scheduling.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,15 +148,6 @@ def draw_latent(
     return LatentDraw(x, backend, result.stats)
 
 
-def _thread_cap(n_jobs: int | None) -> int:
-    env = os.environ.get("MF_SMOOTH_THREADS")
-    cap = int(env) if env else None
-    jobs = n_jobs if n_jobs is not None else (cap or 1)
-    if cap is not None:
-        jobs = min(jobs, cap)
-    return max(jobs, 1)
-
-
 def draw_many(
     params: VarParams,
     agg: Aggregation | AggregationScheme,
@@ -166,25 +155,15 @@ def draw_many(
     backend: str,
     n_draws: int,
     seed: int = 0,
-    n_jobs: int | None = None,
     init_mode: str = "stationary",
     kappa: float = 1e4,
 ) -> np.ndarray:
-    """Stack of independent draws, deterministic in (seed, index) regardless
-    of execution order.  Returns an (n_draws, T, n) array."""
+    """Stack of independent draws, deterministic in (seed, index).
 
-    def one(i: int) -> np.ndarray:
-        return draw_latent(
+    Returns an (n_draws, T, n) array."""
+    out = np.empty((n_draws, data.T, params.n))
+    for i in range(n_draws):
+        out[i] = draw_latent(
             params, agg, data, backend, rng=_rng_for(seed, i), init_mode=init_mode, kappa=kappa
         ).x
-
-    jobs = _thread_cap(n_jobs)
-    out = np.empty((n_draws, data.T, params.n))
-    if jobs == 1 or n_draws <= 1:
-        for i in range(n_draws):
-            out[i] = one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for i, x in enumerate(pool.map(one, range(n_draws))):
-                out[i] = x
     return out

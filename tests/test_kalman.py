@@ -40,10 +40,10 @@ class TestFilterStep:
         assert_allclose(rec.M, [[2.0]])
         assert_allclose(rec.v / rec.Finv_v, [4.0])
         assert_allclose(state.a, [1.0])
-        # one-step prediction through the same transition
-        res = run_filter([per], FilterState(np.zeros(1), np.ones((1, 1))),
-                         final_transition=(per.mats.T, per.d, per.mats.HHt),
-                         first_is_predicted=True)
+        # from P0 = 0 the period's own prediction gives a = 0, P = 1 again;
+        # then one step through the same transition
+        res = run_filter([per], FilterState(np.zeros(1), np.zeros((1, 1))),
+                         final_transition=(per.mats.T, per.d, per.mats.HHt))
         assert_allclose(res.records[0].K, [[0.5]])
         assert_allclose(res.final_pred.a, [1.0])
         # terminal smoothing leaves the filtered mean unchanged

@@ -112,18 +112,6 @@ class TestDraws:
                                  rng=_rng_for(21, i))
             assert_array_equal(stack[i], single.x)
 
-    def test_draw_many_thread_count_invariant(self, inst):
-        serial = draw_many(inst.params, inst.scheme, inst.data, "adaptive", 6, seed=4, n_jobs=1)
-        threaded = draw_many(inst.params, inst.scheme, inst.data, "adaptive", 6, seed=4, n_jobs=4)
-        assert_array_equal(serial, threaded)
-
-    def test_thread_cap_env(self, inst, monkeypatch):
-        monkeypatch.setenv("MF_SMOOTH_THREADS", "1")
-        capped = draw_many(inst.params, inst.scheme, inst.data, "adaptive", 4, seed=4, n_jobs=8)
-        monkeypatch.delenv("MF_SMOOTH_THREADS")
-        free = draw_many(inst.params, inst.scheme, inst.data, "adaptive", 4, seed=4, n_jobs=8)
-        assert_array_equal(capped, free)
-
 
 class TestDrawDistribution:
     def test_mean_and_variance_match_joint_oracle(self):
