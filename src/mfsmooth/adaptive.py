@@ -1,17 +1,20 @@
 """Adaptive smoother: the state is augmented per period with exactly the
 currently-unobserved monthly variables, so no full stacked formulation is
-ever built.  Over the balanced sample this is identical (same code path)
-to the reduced filtering the other backends use.
+ever built.  It is ``baseline.smooth`` with no edge step: the reduced
+filtering the other backends use over the balanced sample runs on through
+the ragged edge.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .baseline import RunStats, SmoothResult, check_pattern, fill_observed, fill_states, prepare, smooth_balanced
-from .kalman import init_state, run_filter, run_smoother
+from .baseline import SmoothResult, smooth
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
-from .systems import build_periods
+
+# looked up here by perfbench/layertrace.py's SPANS table; ``baseline.smooth``
+# calls them through baseline
+from .baseline import fill_observed, fill_states, prepare  # noqa: F401
+from .kalman import init_state, run_filter, run_smoother  # noqa: F401
+from .systems import build_periods  # noqa: F401
 
 __all__ = ["run_adaptive", "mult_count", "conventional_mult_count"]
 
@@ -34,18 +37,4 @@ def run_adaptive(
     init_mode: str = "stationary",
     kappa: float = 1e4,
 ) -> SmoothResult:
-    agg = prepare(params, agg)
-    check_pattern(params, data)
-    init = init_state(params, init_mode, kappa)
-    if data.pattern.balanced:
-        return smooth_balanced(params, agg, data, init)
-
-    periods = build_periods(params, agg, data)
-    res = run_filter(periods, init)
-    states, _ = run_smoother(res.records)
-    x = np.empty((data.T, params.n))
-    fill_states(x, states, periods, params.n_m)
-    fill_observed(x, data)
-    t_b = data.pattern.t_balanced
-    stats = RunStats(compact_steps=t_b, adaptive_steps=data.T - t_b)
-    return SmoothResult(x, stats, res.records)
+    return smooth(params, agg, data, init_mode, kappa)

@@ -1,31 +1,21 @@
-"""Reference smoother: reduced filtering for the balanced sample, a switch
-to the full stacked (companion) formulation over the ragged edge, and a
-switch back for the final smoothing pass.
+"""The smoothing routine all backends share, and the reference edge step.
 
-The reduced filter's last record is closed with a transition onto the
-stacked state (``compact_to_companion``), so the edge filter starts from the
-lifted filtered state and the edge smoother's adjoint restarts the reduced
-smoother directly (``companion_to_compact``), with no linear solve.  The
-companion segment deliberately uses dense full-dimension products; the
-other backends exist to avoid exactly that cost.
+``smooth`` runs the reduced (quarterly-stack) filter and smoother over the
+balanced sample; the backends differ only in the ragged-edge step they pass
+it.  The reference step, ``dense_edge``, deliberately uses dense
+full-dimension companion products; the other backends exist to avoid
+exactly that cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .kalman import (
-    FilterRecord,
-    FilterState,
-    Transition,
-    init_state,
-    quarterly_state_index,
-    run_filter,
-    run_smoother,
-)
+from .kalman import FilterState, Transition, init_state, quarterly_state_index, run_filter, run_smoother
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams, build_aggregation
 from .systems import (
     PeriodSystem,
@@ -35,7 +25,8 @@ from .systems import (
     build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
 )
 
-__all__ = ["RunStats", "SmoothResult", "run_baseline", "compact_to_companion", "companion_to_compact"]
+__all__ = ["RunStats", "SmoothResult", "smooth", "dense_edge", "run_baseline",
+           "compact_to_companion", "companion_to_compact"]
 
 
 @dataclass
@@ -51,7 +42,6 @@ class RunStats:
 class SmoothResult:
     x_hat: np.ndarray                     # (T, n) smoothed latent matrix
     stats: RunStats
-    records: list[FilterRecord] = field(default=None, repr=False)  # type: ignore[assignment]
 
 
 def prepare(params: VarParams, agg: Aggregation | AggregationScheme) -> Aggregation:
@@ -90,27 +80,6 @@ def fill_states(x: np.ndarray, states: list[np.ndarray], periods: list[PeriodSys
 def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
     mask = ~np.isnan(data.values[:, : data.n_m])
     x[:, : data.n_m][mask] = data.values[:, : data.n_m][mask]
-
-
-def smooth_balanced(
-    params: VarParams,
-    agg: Aggregation,
-    data: MixedFreqData,
-    init: FilterState,
-) -> SmoothResult:
-    """Reduced-form filtering and smoothing over a fully balanced sample.
-
-    This is the single code path all backends share when there is no ragged
-    edge.
-    """
-    periods = build_periods(params, agg, data)
-    res = run_filter(periods, init)
-    states, _ = run_smoother(res.records)
-    x = np.empty((data.T, params.n))
-    fill_states(x, states, periods, params.n_m)
-    fill_observed(x, data)
-    stats = RunStats(compact_steps=len(periods))
-    return SmoothResult(x, stats, res.records)
 
 
 def compact_to_companion(params: VarParams, data: MixedFreqData, t_b: int) -> Transition:
@@ -167,6 +136,66 @@ def companion_periods(
     return periods
 
 
+def dense_edge(
+    params: VarParams, agg: Aggregation, data: MixedFreqData, lifted: FilterState
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge step of the reference backend: the stacked-form filter and
+    smoother with dense companion products."""
+    periods = companion_periods(params, agg, data, data.pattern.t_balanced)
+    res = run_filter(periods, lifted)
+    states, r = run_smoother(res.records)
+    return np.array([a[: params.n] for a in states]), r
+
+
+def smooth(
+    params: VarParams,
+    agg: Aggregation | AggregationScheme,
+    data: MixedFreqData,
+    init_mode: str = "stationary",
+    kappa: float = 1e4,
+    edge: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None,
+) -> SmoothResult:
+    """Reduced filtering to the balanced boundary, ``edge`` over the ragged
+    edge, then reduced smoothing back to t=1.
+
+    The reduced filter's last record is closed with a transition onto the
+    stacked state (``compact_to_companion``); ``edge(params, agg, data,
+    lifted)`` starts from that lifted filtered state and returns the
+    smoothed (T - t_b, n) edge rows and its adjoint for the stacked state
+    predicted at t_b, which restarts the reduced smoother with no linear
+    solve (``companion_to_compact``).  With ``edge=None``, or a balanced
+    sample, the reduced (adaptive) formulation covers the whole sample.
+    """
+    agg = prepare(params, agg)
+    check_pattern(params, data)
+    init = init_state(params, init_mode, kappa)
+    T, t_b = data.T, data.pattern.t_balanced
+    stop = T if edge is None else t_b
+    periods = build_periods(params, agg, data, stop=stop)
+    heads = r = None
+    if stop == T:
+        res = run_filter(periods, init)
+    else:
+        res = run_filter(periods, init, final_transition=compact_to_companion(params, data, t_b))
+        heads, r_edge = edge(params, agg, data, res.final_pred)
+        r = companion_to_compact(r_edge, params)
+    states, _ = run_smoother(res.records, r_init=r)
+    # allocated last: the result outlives the filter's working set, and placed
+    # above it, it keeps that set's freed memory off the top of the heap, where
+    # malloc would return it to the system for the next draw to fault back in
+    x = np.empty((T, params.n))
+    if heads is not None:
+        x[t_b:] = heads
+    fill_states(x, states, periods, params.n_m)
+    fill_observed(x, data)
+    stats = RunStats(compact_steps=t_b)
+    if edge is None:
+        stats.adaptive_steps = T - t_b
+    else:
+        stats.companion_steps = T - t_b
+    return SmoothResult(x, stats)
+
+
 def run_baseline(
     params: VarParams,
     agg: Aggregation | AggregationScheme,
@@ -174,28 +203,5 @@ def run_baseline(
     init_mode: str = "stationary",
     kappa: float = 1e4,
 ) -> SmoothResult:
-    """Reduced filtering to the balanced boundary, stacked-form filtering and
-    smoothing over the ragged edge, then reduced smoothing back to t=1."""
-    agg = prepare(params, agg)
-    check_pattern(params, data)
-    init = init_state(params, init_mode, kappa)
-    if data.pattern.balanced:
-        return smooth_balanced(params, agg, data, init)
-
-    t_b = data.pattern.t_balanced
-    periods = build_periods(params, agg, data, stop=t_b)
-    res = run_filter(periods, init, final_transition=compact_to_companion(params, data, t_b))
-    # the first edge period predicts through the dense companion transition
-    edge = companion_periods(params, agg, data, t_b)
-    res2 = run_filter(edge, res.final_pred)
-    states2, r_tb = run_smoother(res2.records)
-    states1, _ = run_smoother(res.records, r_init=companion_to_compact(r_tb, params))
-
-    x = np.empty((data.T, params.n))
-    fill_states(x, states1, periods, params.n_m)
-    n = params.n
-    for per, a in zip(edge, states2):
-        x[per.t] = a[:n]
-    fill_observed(x, data)
-    stats = RunStats(compact_steps=len(periods), companion_steps=len(edge))
-    return SmoothResult(x, stats, res.records + res2.records)
+    """``smooth`` with the dense companion-form edge step."""
+    return smooth(params, agg, data, init_mode, kappa, dense_edge)

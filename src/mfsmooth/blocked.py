@@ -1,30 +1,27 @@
 """Blocked smoother: the stacked-form recursions over the ragged edge are
 computed through block subsetting and reuse of bracketed products instead
 of dense full-dimension multiplications.  Results match the reference
-backend numerically; only the arithmetic route differs.
+backend numerically; only the arithmetic route differs.  ``blocked_edge``
+is the edge step it passes to the shared ``baseline.smooth``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .baseline import (
-    RunStats,
-    SmoothResult,
-    check_pattern,
-    compact_to_companion,
-    companion_to_compact,
-    fill_observed,
-    fill_states,
-    prepare,
-    smooth_balanced,
-)
-from .kalman import factorize_innovation, init_state, run_filter, run_smoother
+from .baseline import SmoothResult, smooth
+from .kalman import FilterState, factorize_innovation
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
-from .systems import build_periods
+
+# looked up here by perfbench/layertrace.py's SPANS table; ``baseline.smooth``
+# calls them through baseline
+from .baseline import companion_to_compact, fill_observed, fill_states, prepare  # noqa: F401
+from .kalman import init_state, run_filter, run_smoother  # noqa: F401
+from .systems import build_periods  # noqa: F401
 
 __all__ = [
     "OpCounter",
@@ -33,6 +30,7 @@ __all__ = [
     "blocked_K",
     "blocked_predict",
     "blocked_smooth_r",
+    "blocked_edge",
     "run_blocked",
 ]
 
@@ -140,7 +138,6 @@ def blocked_smooth_r(
 
 @dataclass
 class BlockedRecord:
-    t: int
     a_filt: np.ndarray
     P_pred: np.ndarray
     L: np.ndarray
@@ -149,37 +146,27 @@ class BlockedRecord:
     lamqq_obs: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
 
-def run_blocked(
+def blocked_edge(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    agg: Aggregation,
     data: MixedFreqData,
-    init_mode: str = "stationary",
-    kappa: float = 1e4,
+    lifted: FilterState,
     ops: OpCounter | None = None,
-) -> SmoothResult:
-    agg = prepare(params, agg)
-    check_pattern(params, data)
-    init = init_state(params, init_mode, kappa)
-    if data.pattern.balanced:
-        return smooth_balanced(params, agg, data, init)
-
-    t_b = data.pattern.t_balanced
-    T = data.T
-    periods = build_periods(params, agg, data, stop=t_b)
-    res = run_filter(periods, init, final_transition=compact_to_companion(params, data, t_b))
-
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge step of the blocked backend: the stacked-form filter and
+    smoother through block subsetting."""
     n, p = params.n, params.p
     npp = n * p
     dim = n * (p + 1)
     coeff_row = params.coeff_row
     F1 = params.companion_transition()
     qcols = agg.quarterly_state_cols(n, params.n_m)
-    # the lifted filtered state at t_b-1; only its first np rows and columns
-    # reach the prediction
-    a_filt = res.final_pred.a
-    pf_top = res.final_pred.P[:npp, :npp]
+    # only the first np rows and columns of the lifted state reach the
+    # prediction
+    a_filt = lifted.a
+    pf_top = lifted.P[:npp, :npp]
     records: list[BlockedRecord] = []
-    for t in range(t_b, T):
+    for t in range(data.pattern.t_balanced, data.T):
         a, P = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t), ops)
         a[:n] += params.intercept
         o_t = data.pattern.observed(t)
@@ -203,22 +190,24 @@ def run_blocked(
             pf_top = P[:npp, :npp] - MFinv[:npp] @ M[:npp].T
             pf_top = (pf_top + pf_top.T) / 2.0
             _, L = blocked_K(MFinv, coeff_row, F1, o_t, qcols, lamqq_obs)
-        records.append(BlockedRecord(t, a_filt, P, L, Finv_v, o_t, lamqq_obs))
+        records.append(BlockedRecord(a_filt, P, L, Finv_v, o_t, lamqq_obs))
 
     # backward pass over the ragged edge; the last record's L meets r = 0
     r = np.zeros(dim)
-    states2: list[np.ndarray] = [None] * len(records)  # type: ignore[list-item]
+    heads = np.empty((len(records), n))
     for i in range(len(records) - 1, -1, -1):
         rec = records[i]
-        states2[i] = rec.a_filt + rec.P_pred @ (rec.L.T @ r)
+        heads[i] = (rec.a_filt + rec.P_pred @ (rec.L.T @ r))[:n]
         r = blocked_smooth_r(rec.L, r, rec.Finv_v, rec.o_t, qcols, rec.lamqq_obs)
+    return heads, r
 
-    states1, _ = run_smoother(res.records, r_init=companion_to_compact(r, params))
 
-    x = np.empty((T, params.n))
-    fill_states(x, states1, periods, params.n_m)
-    for rec, a_sm in zip(records, states2):
-        x[rec.t] = a_sm[:n]
-    fill_observed(x, data)
-    stats = RunStats(compact_steps=len(periods), companion_steps=len(records))
-    return SmoothResult(x, stats, res.records)
+def run_blocked(
+    params: VarParams,
+    agg: Aggregation | AggregationScheme,
+    data: MixedFreqData,
+    init_mode: str = "stationary",
+    kappa: float = 1e4,
+    ops: OpCounter | None = None,
+) -> SmoothResult:
+    return smooth(params, agg, data, init_mode, kappa, partial(blocked_edge, ops=ops))

@@ -297,7 +297,7 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     )
 
 
-def stationary_companion_cov(params: VarParams, n_lags: int | None = None) -> np.ndarray:
+def stationary_companion_cov(params: VarParams) -> np.ndarray:
     """Unconditional covariance of the stacked state (p+1 lag groups).
 
     Solves the discrete Lyapunov equation of the companion form by doubling
@@ -307,21 +307,18 @@ def stationary_companion_cov(params: VarParams, n_lags: int | None = None) -> np
     object: the solve is cubic in n(p+1) and would otherwise dominate every
     draw.
     """
-    cache = getattr(params, "_stationary_cov", None)
-    if cache is not None and cache[0] == n_lags:
-        return cache[1]
-    F = params.companion_transition(n_lags)
-    Q = params.companion_noise_cov(0, n_lags)
-    P = _sym(solve_discrete_lyapunov(F, Q))
-    object.__setattr__(params, "_stationary_cov", (n_lags, P))
+    P = getattr(params, "_stationary_cov", None)
+    if P is None:
+        F = params.companion_transition()
+        P = _sym(solve_discrete_lyapunov(F, params.companion_noise_cov(0)))
+        object.__setattr__(params, "_stationary_cov", P)
     return P
 
 
-def quarterly_state_index(params: VarParams, n_lags: int | None = None) -> np.ndarray:
+def quarterly_state_index(params: VarParams) -> np.ndarray:
     """Positions of the quarterly entries inside the stacked state."""
     n = params.n
-    k = params.p + 1 if n_lags is None else n_lags
-    return np.concatenate([lag * n + params.n_m + np.arange(params.n_q) for lag in range(k)])
+    return np.concatenate([lag * n + params.n_m + np.arange(params.n_q) for lag in range(params.p + 1)])
 
 
 def init_state(params: VarParams, mode: str = "stationary", kappa: float = 1e4) -> FilterState:

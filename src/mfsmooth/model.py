@@ -123,16 +123,15 @@ class VarParams:
         F[n + idx, idx] = 1.0
         return F
 
-    def companion_intercept(self, n_lags: int | None = None) -> np.ndarray:
-        k = self.p + 1 if n_lags is None else n_lags
-        out = np.zeros(self.n * k)
+    def companion_intercept(self) -> np.ndarray:
+        out = np.zeros(self.n * (self.p + 1))
         out[: self.n] = self.intercept
         return out
 
-    def companion_noise_cov(self, t: int, n_lags: int | None = None) -> np.ndarray:
+    def companion_noise_cov(self, t: int) -> np.ndarray:
         """State-noise covariance, zero outside its upper-left n x n block."""
-        k = self.p + 1 if n_lags is None else n_lags
-        out = np.zeros((self.n * k, self.n * k))
+        dim = self.n * (self.p + 1)
+        out = np.zeros((dim, dim))
         out[: self.n, : self.n] = self.sigma(t)
         return out
 

@@ -55,7 +55,7 @@ def oracle_smooth(
     for t, a in enumerate(states):
         x[t] = a[: params.n]
     fill_observed(x, data)
-    return SmoothResult(x, RunStats(companion_steps=data.T), res.records)
+    return SmoothResult(x, RunStats(companion_steps=data.T))
 
 
 class JointResult:

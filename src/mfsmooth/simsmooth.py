@@ -63,8 +63,8 @@ def simulate_path(
     rng: np.random.Generator,
     init: FilterState,
     centered: bool = True,
-    scheme: AggregationScheme | None = None,
-    agg: Aggregation | None = None,
+    *,
+    scheme: AggregationScheme,
 ) -> PseudoSample:
     """Simulate a latent path and its observations under the data's pattern.
 
@@ -92,7 +92,7 @@ def simulate_path(
         lags[:n] = x_t
     x_plus = buf[p + 1 :]
 
-    weights = (agg.scheme if agg is not None else scheme).weights
+    weights = scheme.weights
     p_q = len(weights)
     y_plus = np.full((T, n), np.nan)
     pat = data.pattern
@@ -141,7 +141,8 @@ def draw_latent(
     y_star = data.values - pseudo.y_plus
     data_star = data.replace_values(y_star)
     result = BACKENDS[backend](params, agg, data_star, init_mode, kappa)
-    x = result.x_hat + pseudo.x_plus
+    x = result.x_hat   # in place: the draw keeps the array the smoother allocated last
+    x += pseudo.x_plus
     # observed entries are exact by construction; overwrite to drop fp residue
     mask = ~np.isnan(data.values[:, : params.n_m])
     x[:, : params.n_m][mask] = data.values[:, : params.n_m][mask]

@@ -412,7 +412,7 @@ def build_periods(
     # become a handful of matrix products instead of per-period matvecs
     groups: dict[int, tuple[SystemMatrices, list[int]]] = {}
     for t in range(stop):
-        mats, _q_rows = skeleton[t]
+        mats = skeleton[t]
         groups.setdefault(id(mats), (mats, []))[1].append(t)
     cs: dict[int, np.ndarray] = {}
     ds: dict[int, np.ndarray] = {}
@@ -435,11 +435,11 @@ def build_periods(
     values = data.values
     n_m = params.n_m
     for t in range(stop):
-        mats, q_rows = skeleton[t]
+        mats = skeleton[t]
         key = id(mats)
         i = col[key]
         col[key] = i + 1
-        y = np.concatenate([values[t, mats.idx.o_t], values[t, n_m + q_rows]])
+        y = np.concatenate([values[t, mats.idx.o_t], values[t, n_m + mats.q_rows]])
         periods.append(PeriodSystem(mats, cs[key][:, i], ds[key][:, i], y, t))
     return periods
 
@@ -449,7 +449,7 @@ def _period_skeleton(
     agg: Aggregation,
     pattern: ObservationPattern,
     stop: int,
-) -> list[tuple[SystemMatrices, np.ndarray]]:
+) -> list[SystemMatrices]:
     entry = getattr(pattern, "_system_cache", None)
     if (
         entry is not None
@@ -458,17 +458,20 @@ def _period_skeleton(
         and len(entry[2]) >= stop
     ):
         return entry[2]
+    # a period's matrices depend only on its monthly rows at t and t-1 (t = 0
+    # follows a fully observed row) and its quarterly row at t
+    obs = pattern.observed_monthly
+    rows = np.hstack([obs, np.vstack([np.ones_like(obs[:1]), obs[:-1]]), pattern.quarterly_observed])
     cache: dict[tuple, SystemMatrices] = {}
-    skeleton: list[tuple[SystemMatrices, np.ndarray]] = []
+    skeleton: list[SystemMatrices] = []
     for t in range(pattern.T):
-        idx = _index_for_period(pattern, params.n_m, params.n_q, t)
-        q_rows = pattern.quarterly_rows(t)
-        key = (tuple(idx.u_t), tuple(idx.u_prev), tuple(q_rows), params.time_varying_cov and t)
+        key = (rows[t].tobytes(), params.time_varying_cov and t)
         mats = cache.get(key)
         if mats is None:
-            mats = build_system_matrices(params, agg, idx, q_rows, t)
+            idx = _index_for_period(pattern, params.n_m, params.n_q, t)
+            mats = build_system_matrices(params, agg, idx, pattern.quarterly_rows(t), t)
             cache[key] = mats
-        skeleton.append((mats, q_rows))
+        skeleton.append(mats)
     object.__setattr__(
         pattern, "_system_cache", (weakref.ref(params), weakref.ref(agg), skeleton)
     )

@@ -1,4 +1,6 @@
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,17 +68,49 @@ class TestCrossBackend:
         inst = small_instance(0)
         base = run_baseline(inst.params, inst.scheme, inst.data)
         assert (base.stats.compact_steps, base.stats.companion_steps) == (16, 2)
+        blk = run_blocked(inst.params, inst.scheme, inst.data)
+        assert (blk.stats.compact_steps, blk.stats.companion_steps) == (16, 2)
         adap = run_adaptive(inst.params, inst.scheme, inst.data)
         assert (adap.stats.compact_steps, adap.stats.adaptive_steps) == (16, 2)
+        balanced = small_instance(1, T=18, t_b=18)
+        assert balanced.data.pattern.balanced
+        for name, run in BACKENDS.items():
+            stats = run(balanced.params, balanced.scheme, balanced.data).stats
+            assert (stats.compact_steps, stats.companion_steps, stats.adaptive_steps) == (18, 0, 0), name
 
-    def test_short_balanced_sample_rejected(self):
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_short_balanced_sample_rejected(self, name):
         inst = small_instance(0)
         values = inst.data.values[-4:].copy()
         from mfsmooth import MixedFreqData
 
         data = MixedFreqData.from_values(values, 3, 1)
         with pytest.raises(ConfigurationError):
-            run_baseline(inst.params, inst.scheme, data)
+            BACKENDS[name](inst.params, inst.scheme, data)
+
+
+def test_layer_trace_finds_smooth_bindings(monkeypatch):
+    """The benchmark's layer trace wraps ``baseline.smooth``'s calls in every
+    backend: one reduced filter, smoother and system build per draw."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from layertrace import Tracer
+
+    import mfsmooth
+
+    inst = small_instance(0)
+    tracer = Tracer(mfsmooth)
+    with tracer.root("iter"):
+        for name in BACKENDS:
+            mfsmooth.draw_latent(inst.params, inst.scheme, inst.data, backend=name, seed=1)
+    _, totals = tracer.layer_totals(0)
+    for layer in ("systems.build_periods", "kalman.run_filter_self", "edge.baseline", "edge.blocked"):
+        assert layer in totals, layer
+    spans = Counter(s[0] for s in tracer.spans)
+    for layer in ("systems.build_periods", "kalman.run_filter_self", "kalman.run_smoother"):
+        assert spans[layer] == len(BACKENDS), layer
+    # edge spans inside the backend's own span: the boundary hand-off and edge step
+    assert spans["edge.baseline"] > 1 and spans["edge.blocked"] > 1
+    assert mfsmooth.baseline.run_filter is mfsmooth.kalman.run_filter
 
 
 def reduced_filter_to_boundary(inst):
