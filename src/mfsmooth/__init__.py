@@ -1,11 +1,10 @@
 """Simulation smoothing for mixed-frequency VARs with ragged-edge data."""
 
-from .adaptive import conventional_mult_count, mult_count, run_adaptive
+from .adaptive import mult_count, run_adaptive
 from .baseline import RunStats, SmoothResult, run_baseline
 from .blocked import run_blocked
 from .errors import (
     ConfigurationError,
-    FormulationError,
     InitializationError,
     MfsmoothError,
     OracleSizeError,
@@ -30,7 +29,6 @@ __all__ = [
     "Aggregation",
     "AggregationScheme",
     "ConfigurationError",
-    "FormulationError",
     "InitializationError",
     "LatentDraw",
     "MfsmoothError",
@@ -44,7 +42,6 @@ __all__ = [
     "UnsupportedPatternError",
     "VarParams",
     "build_aggregation",
-    "conventional_mult_count",
     "detect_pattern",
     "draw_latent",
     "draw_many",

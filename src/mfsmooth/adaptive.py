@@ -16,18 +16,13 @@ from .baseline import fill_observed, fill_states, prepare  # noqa: F401
 from .kalman import init_state, run_filter, run_smoother  # noqa: F401
 from .systems import build_periods  # noqa: F401
 
-__all__ = ["run_adaptive", "mult_count", "conventional_mult_count"]
+__all__ = ["run_adaptive", "mult_count"]
 
 
 def mult_count(rows: int, inner: int) -> int:
     """Scalar-multiplication tally for the rows x inner x inner x rows
     triple product, counted as the cube of each factor's element count."""
     return rows**3 * inner**3
-
-
-def conventional_mult_count(rows: int, inner: int) -> int:
-    """Standard flop count of A B A' with A rows x inner, B inner x inner."""
-    return rows * inner * (inner + rows)
 
 
 def run_adaptive(

@@ -2,9 +2,10 @@
 
 ``smooth`` runs the reduced (quarterly-stack) filter and smoother over the
 balanced sample; the backends differ only in the ragged-edge step they pass
-it.  The reference step, ``dense_edge``, deliberately uses dense
-full-dimension companion products; the other backends exist to avoid
-exactly that cost.
+it.  What its draws share is prepared once per (parameters, aggregation,
+pattern) by ``plan_for``.  The reference step, ``dense_edge``,
+deliberately uses dense full-dimension companion products; the other
+backends exist to avoid exactly that cost.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .systems import (
     build_companion_system,
     build_periods,
     build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
+    period_skeleton,
 )
 
 __all__ = ["RunStats", "SmoothResult", "smooth", "dense_edge", "run_baseline",
@@ -46,15 +48,7 @@ class SmoothResult:
 
 def prepare(params: VarParams, agg: Aggregation | AggregationScheme) -> Aggregation:
     if isinstance(agg, AggregationScheme):
-        # reuse one expansion per scheme so repeated draws share cached
-        # period structures downstream
-        dims = (params.n_m, params.n_q, params.p)
-        cached = getattr(agg, "_expanded", None)
-        if cached is not None and cached[0] == dims:
-            return cached[1]
-        expanded = build_aggregation(agg, *dims)
-        object.__setattr__(agg, "_expanded", (dims, expanded))
-        return expanded
+        return build_aggregation(agg, params.n_m, params.n_q, params.p)
     if (agg.n_m, agg.n_q, agg.p) != (params.n_m, params.n_q, params.p):
         raise ConfigurationError("aggregation dimensions do not match the VAR parameters")
     return agg
@@ -66,6 +60,49 @@ def check_pattern(params: VarParams, data: MixedFreqData) -> None:
             f"need at least p+1={params.p + 1} balanced leading periods, "
             f"found {data.pattern.t_balanced}"
         )
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What every draw for one (parameters, aggregation, pattern) shares:
+    the expanded aggregation, the initial quarterly state and the period
+    skeleton.  ``scheme`` is the aggregation argument as the caller passed
+    it and ``init_key`` the ``(init_mode, kappa)`` pair; with ``params``
+    they decide whether the plan can be reused.
+    """
+
+    params: VarParams
+    scheme: Aggregation | AggregationScheme
+    init_key: tuple[str, float]
+    agg: Aggregation
+    init: FilterState
+    skeleton: list[SystemMatrices]
+
+
+def plan_for(
+    params: VarParams,
+    agg: Aggregation | AggregationScheme,
+    data: MixedFreqData,
+    init_mode: str = "stationary",
+    kappa: float = 1e4,
+) -> Plan:
+    """The prepared plan for a draw.
+
+    The plan on ``data.pattern`` is reused while the parameters and the
+    aggregation are the same objects and ``(init_mode, kappa)`` is equal;
+    otherwise a new plan is built and replaces it there.
+    """
+    pattern = data.pattern
+    plan = pattern._plan
+    init_key = (init_mode, kappa)
+    if plan is not None and plan.params is params and plan.scheme is agg and plan.init_key == init_key:
+        return plan
+    expanded = prepare(params, agg)
+    check_pattern(params, data)
+    init = init_state(params, init_mode, kappa)
+    plan = Plan(params, agg, init_key, expanded, init, period_skeleton(params, expanded, pattern))
+    object.__setattr__(pattern, "_plan", plan)
+    return plan
 
 
 def fill_states(x: np.ndarray, states: list[np.ndarray], periods: list[PeriodSystem], n_m: int) -> None:
@@ -166,18 +203,16 @@ def smooth(
     solve (``companion_to_compact``).  With ``edge=None``, or a balanced
     sample, the reduced (adaptive) formulation covers the whole sample.
     """
-    agg = prepare(params, agg)
-    check_pattern(params, data)
-    init = init_state(params, init_mode, kappa)
+    plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
     stop = T if edge is None else t_b
-    periods = build_periods(params, agg, data, stop=stop)
+    periods = build_periods(params, plan.skeleton, data, stop=stop)
     heads = r = None
     if stop == T:
-        res = run_filter(periods, init)
+        res = run_filter(periods, plan.init)
     else:
-        res = run_filter(periods, init, final_transition=compact_to_companion(params, data, t_b))
-        heads, r_edge = edge(params, agg, data, res.final_pred)
+        res = run_filter(periods, plan.init, final_transition=compact_to_companion(params, data, t_b))
+        heads, r_edge = edge(params, plan.agg, data, res.final_pred)
         r = companion_to_compact(r_edge, params)
     states, _ = run_smoother(res.records, r_init=r)
     # allocated last: the result outlives the filter's working set, and placed

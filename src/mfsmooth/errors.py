@@ -13,10 +13,6 @@ class UnsupportedPatternError(MfsmoothError):
     """Observation pattern outside the supported (monotone ragged edge) class."""
 
 
-class FormulationError(MfsmoothError):
-    """A state-space formulation was requested outside its validity range."""
-
-
 class SingularInnovationError(MfsmoothError):
     """Innovation covariance numerically singular during filtering."""
 

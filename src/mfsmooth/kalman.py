@@ -69,11 +69,6 @@ class FilterRecord:
     K: np.ndarray = field(default=None)  # type: ignore[assignment]
     L: np.ndarray = field(default=None)  # type: ignore[assignment]
 
-    @property
-    def N(self) -> np.ndarray:
-        """Smoothing projection P_t L' - HG' K' (materialized on demand)."""
-        return self.P_pred @ self.L.T - self.HGt @ self.K.T
-
 
 def _sym(P: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2.0
@@ -103,82 +98,42 @@ def filter_step(
     """
     m = sys_t.mats
     a, P = state.a, state.P
-    if m.n_obs == 0:
-        rec = FilterRecord(
-            t=sys_t.t,
-            a_pred=a,
-            P_pred=P,
-            a_filt=a,
-            P_filt=P,
-            v=np.zeros(0),
-            Finv_v=np.zeros(0),
-            M=np.zeros((a.shape[0], 0)),
-            MFinv=np.zeros((a.shape[0], 0)),
-            Z=m.Z,
-            HGt=m.GHt.T,
-        )
-        return FilterState(a, P), rec
-
     Z = m.Z
     HGt = m.GHt.T
-    v = sys_t.y - Z @ a - sys_t.c
-    # the covariance-side quantities depend only on (m, P); the prediction
-    # covariance sequence is data-independent and converges to a cycle, so
-    # for small states the factorizations are memoized on the system
-    # matrices, keyed by P's bytes.  Hits reproduce the uncached arithmetic
-    # bit for bit because the cached arrays came from identical inputs.
-    cache = m._cov_cache if P.nbytes <= 16384 else None
-    if cache is not None:
-        key = P.tobytes()
-        hit = cache.get(key)
+    if m.n_obs == 0:
+        v = Finv_v = np.zeros(0)
+        M = MFinv = np.zeros((a.shape[0], 0))
+        a_filt, P_filt = a, P
+    else:
+        v = sys_t.y - Z @ a - sys_t.c
+        # the covariance-side quantities depend only on (m, P); the prediction
+        # covariance sequence is data-independent and converges to a cycle, so
+        # for small states the factorizations are memoized on the system
+        # matrices, keyed by P's bytes.  Hits reproduce the uncached arithmetic
+        # bit for bit because the cached arrays came from identical inputs.
+        key = P.tobytes() if P.nbytes <= 16384 else None
+        hit = m._cov_cache.get(key)
         if hit is not None:
             cf, M, MFinv, P_filt = hit
             Finv_v = dpotrs(cf, v.reshape(-1, 1), lower=1)[0][:, 0]
-            a_filt = a + M @ Finv_v
-            rec = FilterRecord(
-                t=sys_t.t,
-                a_pred=a,
-                P_pred=P,
-                a_filt=a_filt,
-                P_filt=P_filt,
-                v=v,
-                Finv_v=Finv_v,
-                M=M,
-                MFinv=MFinv,
-                Z=Z,
-                HGt=HGt,
-            )
-            return FilterState(a_filt, P_filt), rec
-    M = P @ Z.T + HGt
-    # direct LAPACK calls with Fortran-ordered operands: this step runs once
-    # per period and wrapper or copy overhead is measurable at T=500
-    cf = factorize_innovation(np.asfortranarray(Z @ M + m.F_const), sys_t.t)
-    n_obs = v.shape[0]
-    rhs = np.empty((n_obs, 1 + a.shape[0]), order="F")
-    rhs[:, 0] = v
-    rhs[:, 1:] = M.T
-    sol, info = dpotrs(cf, rhs, lower=1, overwrite_b=1)
-    if info != 0:
-        raise SingularInnovationError(sys_t.t)
-    Finv_v = sol[:, 0]
-    MFinv = sol[:, 1:].T
-    a_filt = a + M @ Finv_v
-    P_filt = _sym(P - MFinv @ M.T)
-    if cache is not None and len(cache) < 512:
-        cache[key] = (cf, M, MFinv, P_filt)
-    rec = FilterRecord(
-        t=sys_t.t,
-        a_pred=a,
-        P_pred=P,
-        a_filt=a_filt,
-        P_filt=P_filt,
-        v=v,
-        Finv_v=Finv_v,
-        M=M,
-        MFinv=MFinv,
-        Z=m.Z,
-        HGt=HGt,
-    )
+        else:
+            M = P @ Z.T + HGt
+            # direct LAPACK calls with Fortran-ordered operands: this step runs
+            # once per period and wrapper or copy overhead is measurable at T=500
+            cf = factorize_innovation(np.asfortranarray(Z @ M + m.F_const), sys_t.t)
+            rhs = np.empty((v.shape[0], 1 + a.shape[0]), order="F")
+            rhs[:, 0] = v
+            rhs[:, 1:] = M.T
+            sol, info = dpotrs(cf, rhs, lower=1, overwrite_b=1)
+            if info != 0:
+                raise SingularInnovationError(sys_t.t)
+            Finv_v = sol[:, 0]
+            MFinv = sol[:, 1:].T
+            P_filt = _sym(P - MFinv @ M.T)
+            if key is not None and len(m._cov_cache) < 512:
+                m._cov_cache[key] = (cf, M, MFinv, P_filt)
+        a_filt = a + M @ Finv_v
+    rec = FilterRecord(sys_t.t, a, P, a_filt, P_filt, v, Finv_v, M, MFinv, Z, HGt)
     return FilterState(a_filt, P_filt), rec
 
 
@@ -303,16 +258,12 @@ def stationary_companion_cov(params: VarParams) -> np.ndarray:
     Solves the discrete Lyapunov equation of the companion form by doubling
     (``solve_discrete_lyapunov``), whose convergence is the stability check:
     raises ``InitializationError`` if the VAR is not stable.  Time-varying
-    error covariances use the first period's factor.  Cached on the parameter
-    object: the solve is cubic in n(p+1) and would otherwise dominate every
-    draw.
+    error covariances use the first period's factor.  Not cached: the solve
+    is cubic in n(p+1), and a draw reaches it once per prepared plan
+    (``baseline.plan_for``), through ``init_state``.
     """
-    P = getattr(params, "_stationary_cov", None)
-    if P is None:
-        F = params.companion_transition()
-        P = _sym(solve_discrete_lyapunov(F, params.companion_noise_cov(0)))
-        object.__setattr__(params, "_stationary_cov", P)
-    return P
+    F = params.companion_transition()
+    return _sym(solve_discrete_lyapunov(F, params.companion_noise_cov(0)))
 
 
 def quarterly_state_index(params: VarParams) -> np.ndarray:
@@ -325,11 +276,13 @@ def init_state(params: VarParams, mode: str = "stationary", kappa: float = 1e4) 
     """Initial distribution of the stacked quarterly state (p+1 lag groups).
 
     ``stationary`` takes the quarterly sub-block of the companion form's
-    unconditional moments; ``diffuse-proxy`` uses a zero mean with a large
-    multiple of the identity.
+    unconditional moments; ``diffuse-proxy`` uses a zero mean with
+    ``kappa`` (finite, > 0) times the identity.
     """
     kq = params.n_q * (params.p + 1)
     if mode == "diffuse-proxy":
+        if not (np.isfinite(kappa) and kappa > 0):
+            raise InitializationError(f"diffuse-proxy kappa must be finite and > 0, got {kappa!r}")
         return FilterState(np.zeros(kq), kappa * np.eye(kq))
     if mode != "stationary":
         raise InitializationError(f"unknown initialization mode {mode!r}")

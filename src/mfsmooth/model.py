@@ -49,8 +49,8 @@ class VarParams:
         Lower-triangular Cholesky factor(s) of the error covariance.  A single
         matrix is replicated logically over time, never materialized per t.
 
-    The arrays are private read-only copies: results derived from them are
-    cached on the object, so they must not change after construction.
+    The arrays are private read-only copies: the prepared plan derived from
+    them serves every draw, so they must not change after construction.
     """
 
     n_m: int
@@ -183,9 +183,7 @@ class Aggregation:
     n_m: int
     n_q: int
     p: int
-    lam: np.ndarray       # n x p*n, full aggregation matrix on z_t
-    lam_q: np.ndarray     # n_q x p*n, its quarterly rows
-    lam_qq: np.ndarray    # n_q x n_q*p_q, zero columns removed
+    lam_qq: np.ndarray    # n_q x n_q*p_q, weights on the quarterly lags 0..p_q-1
 
     @property
     def p_q(self) -> int:
@@ -209,32 +207,37 @@ class Aggregation:
 
 
 def build_aggregation(scheme: AggregationScheme, n_m: int, n_q: int, p: int) -> Aggregation:
-    """Expand an aggregation scheme to its (lam, lam_q, lam_qq) matrices."""
+    """Expand an aggregation scheme to its ``lam_qq`` matrix."""
     if p < scheme.p_q:
         raise ConfigurationError(
             f"lag order p={p} must be >= aggregation lag count p_q={scheme.p_q}"
         )
-    n = n_m + n_q
-    lam = np.zeros((n, p * n))
-    lam[:n_m, :n_m] = np.eye(n_m)
-    for lag, w in enumerate(scheme.weights):
-        for j in range(n_q):
-            lam[n_m + j, lag * n + n_m + j] = w
-    lam_q = lam[n_m:, :]
     lam_qq = np.zeros((n_q, n_q * scheme.p_q))
     for lag, w in enumerate(scheme.weights):
         lam_qq[:, lag * n_q : (lag + 1) * n_q] = w * np.eye(n_q)
-    return Aggregation(scheme, n_m, n_q, p, lam, lam_q, lam_qq)
+    return Aggregation(scheme, n_m, n_q, p, lam_qq)
 
 
 @dataclass(frozen=True)
 class ObservationPattern:
-    """Per-period monthly observation sets and quarterly observation flags."""
+    """Per-period monthly observation sets and quarterly observation flags.
+
+    The flag arrays are private read-only copies.  ``_plan`` holds the
+    prepared plan last built for this pattern (``baseline.plan_for``), which
+    every data object sharing the pattern reuses.
+    """
 
     T: int
     t_balanced: int                 # count of leading balanced periods (T_b)
     observed_monthly: np.ndarray    # (T, n_m) bool
     quarterly_observed: np.ndarray  # (T, n_q) bool
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("observed_monthly", "quarterly_observed"):
+            arr = np.array(getattr(self, name), dtype=bool)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_m(self) -> int:
@@ -262,7 +265,10 @@ class ObservationPattern:
 
 @dataclass(frozen=True)
 class MixedFreqData:
-    """Dense observation matrix with NaN missing markers plus its pattern."""
+    """Dense observation matrix with NaN missing markers plus its pattern.
+
+    ``values`` is a private read-only copy: the pattern was derived from it.
+    """
 
     values: np.ndarray  # (T, n) float, NaN where missing
     n_m: int
@@ -270,7 +276,8 @@ class MixedFreqData:
     pattern: ObservationPattern = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.pattern is None:
             raise ConfigurationError("use MixedFreqData.from_values to build data")
@@ -291,9 +298,6 @@ class MixedFreqData:
 
     def monthly(self) -> np.ndarray:
         return self.values[:, : self.n_m]
-
-    def quarterly(self) -> np.ndarray:
-        return self.values[:, self.n_m :]
 
     def replace_values(self, values: np.ndarray) -> "MixedFreqData":
         """Same pattern, new values (used for the centered pseudo-observations).

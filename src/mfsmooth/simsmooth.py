@@ -15,11 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import run_adaptive
-from .baseline import RunStats, run_baseline
+from .baseline import RunStats, fill_observed, plan_for, run_baseline
 from .blocked import run_blocked
 from .errors import ConfigurationError
-from .kalman import FilterState, init_state
+from .kalman import FilterState
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
+
+# looked up here by perfbench/layertrace.py's SPANS table; ``gen_pseudo``
+# reaches it through ``plan_for``
+from .kalman import init_state  # noqa: F401
 
 __all__ = ["PseudoSample", "LatentDraw", "gen_pseudo", "draw_latent", "draw_many", "BACKENDS"]
 
@@ -113,9 +117,8 @@ def gen_pseudo(
     init_mode: str = "stationary",
     kappa: float = 1e4,
 ) -> PseudoSample:
-    init = init_state(params, init_mode, kappa)
-    scheme = agg.scheme if isinstance(agg, Aggregation) else agg
-    return simulate_path(params, data, rng, init, centered=True, scheme=scheme)
+    plan = plan_for(params, agg, data, init_mode, kappa)
+    return simulate_path(params, data, rng, plan.init, centered=True, scheme=plan.agg.scheme)
 
 
 def _rng_for(master_seed: int, index: int) -> np.random.Generator:
@@ -138,14 +141,14 @@ def draw_latent(
     if rng is None:
         rng = _rng_for(0 if seed is None else seed, 0)
     pseudo = gen_pseudo(params, agg, data, rng, init_mode, kappa)
-    y_star = data.values - pseudo.y_plus
+    # in place: replace_values copies y_star, so the draw allocates it once
+    y_star = np.subtract(data.values, pseudo.y_plus, out=pseudo.y_plus)
     data_star = data.replace_values(y_star)
     result = BACKENDS[backend](params, agg, data_star, init_mode, kappa)
     x = result.x_hat   # in place: the draw keeps the array the smoother allocated last
     x += pseudo.x_plus
     # observed entries are exact by construction; overwrite to drop fp residue
-    mask = ~np.isnan(data.values[:, : params.n_m])
-    x[:, : params.n_m][mask] = data.values[:, : params.n_m][mask]
+    fill_observed(x, data)
     return LatentDraw(x, backend, result.stats)
 
 

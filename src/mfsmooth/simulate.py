@@ -130,10 +130,7 @@ def make_instance(
     params = random_stable_params(n_m, n_q, p, rng)
     if mask is None:
         mask = benchmark_pattern(n_m, n_q, T, t_balanced, recipe)
-    shape_data = MixedFreqData(
-        np.where(mask, 0.0, np.nan), n_m, n_q,
-        pattern=_mask_pattern(mask, n_m, t_balanced_hint=t_balanced),
-    )
+    shape_data = MixedFreqData.from_values(np.where(mask, 0.0, np.nan), n_m, n_q)
     init = init_state(params, init_mode, kappa)
     sim = simulate_path(params, shape_data, rng, init, centered=False, scheme=scheme)
     values = np.full((T, n_m + n_q), np.nan)
@@ -142,13 +139,3 @@ def make_instance(
     values[:, n_m:] = sim.y_plus[:, n_m:]
     data = MixedFreqData.from_values(values, n_m, n_q, min_balanced=p + 1)
     return Instance(params, scheme, data, sim.x_plus)
-
-
-def _mask_pattern(mask: np.ndarray, n_m: int, t_balanced_hint: int):
-    from .model import ObservationPattern
-
-    T = mask.shape[0]
-    obs_m = mask[:, :n_m]
-    full = obs_m.all(axis=1)
-    t_b = int(np.argmin(full)) if not full.all() else T
-    return ObservationPattern(T, t_b, obs_m, mask[:, n_m:])

@@ -14,12 +14,11 @@ lags ``t-1..t-p`` inside each variable block.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, FormulationError
+from .errors import ConfigurationError
 from .model import Aggregation, MixedFreqData, ObservationPattern, VarParams
 
 __all__ = [
@@ -34,11 +33,10 @@ __all__ = [
     "build_adaptive_G",
     "build_adaptive_H",
     "build_system_matrices",
-    "build_compact_system",
     "build_companion_system",
     "companion_observation",
-    "exog_vector",
     "build_periods",
+    "period_skeleton",
     "balanced_index",
 ]
 
@@ -92,16 +90,6 @@ class AdaptiveIndex:
         for j, v in enumerate(self.prev_head_vars()):
             J[pos[v], j] = 1.0
         return J
-
-    def selection_complement(self) -> np.ndarray:
-        """J_perp_t: the deleted identity columns (newly latent variables)."""
-        s = self.head_size
-        head = self.head_vars()
-        newly = [i for i, v in enumerate(head) if v in set(self.u_t) & set(self.o_prev)]
-        Jp = np.zeros((s, len(newly)))
-        for j, i in enumerate(newly):
-            Jp[i, j] = 1.0
-        return Jp
 
 
 def balanced_index(n_m: int, n_q: int) -> AdaptiveIndex:
@@ -251,14 +239,6 @@ class SystemMatrices:
         self._cov_cache: dict = {}
 
     @property
-    def state_dim(self) -> int:
-        return self.T.shape[0]
-
-    @property
-    def prev_dim(self) -> int:
-        return self.T.shape[1]
-
-    @property
     def n_obs(self) -> int:
         return self.Z.shape[0]
 
@@ -295,38 +275,6 @@ def build_system_matrices(
     return SystemMatrices(Z, C, G, T, D, H, c0, d0, idx=idx, q_rows=q_rows)
 
 
-def build_compact_system(
-    params: VarParams,
-    agg: Aggregation,
-    pattern: ObservationPattern,
-    t: int,
-) -> SystemMatrices:
-    """Balanced-sample (quarterly-stack) system for 0-based period t <= T_b - 1."""
-    if t >= pattern.t_balanced:
-        raise FormulationError(
-            f"compact formulation only valid in the balanced sample "
-            f"(t={t}, balanced periods={pattern.t_balanced})"
-        )
-    idx = balanced_index(params.n_m, params.n_q)
-    return build_system_matrices(params, agg, idx, pattern.quarterly_rows(t), t)
-
-
-def exog_vector(
-    monthly_values: np.ndarray,
-    o_prev: np.ndarray,
-    t: int,
-    p: int,
-) -> np.ndarray:
-    """Lagged observed monthly data at period t (pre-sample lags are zero)."""
-    k = len(o_prev)
-    lagged = np.zeros((p, k))
-    avail = min(p, t)
-    if avail > 0:
-        # row l-1 holds the values at t-l
-        lagged[:avail] = monthly_values[t - avail : t, :][::-1][:, o_prev]
-    return lagged.T.reshape(p * k)
-
-
 @dataclass(frozen=True)
 class CompanionSystem:
     """Full stacked formulation with p+1 lag groups."""
@@ -335,10 +283,6 @@ class CompanionSystem:
     intercept: np.ndarray    # F_c
     noise_chol: np.ndarray   # H_t, zero outside the top n x n block
     Z: np.ndarray            # per-period observation loading
-
-    @property
-    def noise_cov(self) -> np.ndarray:
-        return self.noise_chol @ self.noise_chol.T
 
 
 def companion_observation(
@@ -391,22 +335,21 @@ def _index_for_period(pattern: ObservationPattern, n_m: int, n_q: int, t: int) -
 
 def build_periods(
     params: VarParams,
-    agg: Aggregation,
+    skeleton: list[SystemMatrices],
     data: MixedFreqData,
     stop: int | None = None,
 ) -> list[PeriodSystem]:
     """Periods 0..stop-1 of the adaptive formulation (default: the whole sample).
 
-    Structural matrices are cached across periods with identical index sets
-    and quarterly flags, and the per-period skeleton is reused across calls
-    that share the same pattern and parameters (every draw of a simulation
-    smoother); only the constants and observations vary between draws.
+    ``skeleton`` holds each period's structural matrices
+    (``period_skeleton``), built once per parameters and pattern; this adds
+    what varies between draws: the constants, from the lagged observed
+    monthly data (variable-major, lags t-1..t-p, pre-sample lags zero), and
+    the observations.
     """
-    pattern = data.pattern
-    stop = pattern.T if stop is None else stop
+    stop = data.T if stop is None else stop
     monthly = data.monthly()
     p = params.p
-    skeleton = _period_skeleton(params, agg, pattern, stop)
 
     # group periods sharing structural matrices so the exogenous constants
     # become a handful of matrix products instead of per-period matvecs
@@ -444,22 +387,17 @@ def build_periods(
     return periods
 
 
-def _period_skeleton(
+def period_skeleton(
     params: VarParams,
     agg: Aggregation,
     pattern: ObservationPattern,
-    stop: int,
 ) -> list[SystemMatrices]:
-    entry = getattr(pattern, "_system_cache", None)
-    if (
-        entry is not None
-        and entry[0]() is params
-        and entry[1]() is agg
-        and len(entry[2]) >= stop
-    ):
-        return entry[2]
-    # a period's matrices depend only on its monthly rows at t and t-1 (t = 0
-    # follows a fully observed row) and its quarterly row at t
+    """Structural matrices of every period, one object per distinct set.
+
+    A period's matrices depend only on its monthly rows at t and t-1 (t = 0
+    follows a fully observed row) and its quarterly row at t, plus t itself
+    when ``chol_cov`` is time-varying.
+    """
     obs = pattern.observed_monthly
     rows = np.hstack([obs, np.vstack([np.ones_like(obs[:1]), obs[:-1]]), pattern.quarterly_observed])
     cache: dict[tuple, SystemMatrices] = {}
@@ -472,7 +410,4 @@ def _period_skeleton(
             mats = build_system_matrices(params, agg, idx, pattern.quarterly_rows(t), t)
             cache[key] = mats
         skeleton.append(mats)
-    object.__setattr__(
-        pattern, "_system_cache", (weakref.ref(params), weakref.ref(agg), skeleton)
-    )
     return skeleton

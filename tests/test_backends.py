@@ -24,7 +24,7 @@ from mfsmooth.blocked import OpCounter, blocked_F, blocked_K, blocked_M, blocked
 from mfsmooth.kalman import init_state, quarterly_state_index, run_filter
 from mfsmooth.model import AggregationScheme
 from mfsmooth.simulate import make_instance
-from mfsmooth.systems import build_periods
+from mfsmooth.systems import build_periods, period_skeleton
 from test_model import random_params
 
 BACKENDS = {"baseline": run_baseline, "blocked": run_blocked, "adaptive": run_adaptive}
@@ -118,7 +118,7 @@ def reduced_filter_to_boundary(inst):
     params, data = inst.params, inst.data
     t_b = data.pattern.t_balanced
     agg = build_aggregation(inst.scheme, params.n_m, params.n_q, params.p)
-    periods = build_periods(params, agg, data, stop=t_b)
+    periods = build_periods(params, period_skeleton(params, agg, data.pattern), data, stop=t_b)
     return run_filter(periods, init_state(params),
                       final_transition=compact_to_companion(params, data, t_b))
 

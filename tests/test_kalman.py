@@ -186,10 +186,6 @@ class TestInitState:
             with pytest.raises(InitializationError, match=f"spectral radius {rho:.12g}\\)"):
                 stationary_companion_cov(params)
 
-    def test_second_call_returns_cached_array(self):
-        params = random_params(2, 1, 2, seed=4)
-        assert stationary_companion_cov(params) is stationary_companion_cov(params)
-
     def test_diffuse_proxy(self):
         params = random_params(2, 1, 2, seed=4)
         st = init_state(params, "diffuse-proxy", kappa=500.0)

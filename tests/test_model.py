@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mfsmooth import (
     ConfigurationError,
@@ -111,18 +111,13 @@ class TestAggregation:
             expected[i, [i, i + 2, i + 4]] = 1.0 / 3.0
         assert_allclose(agg.lam_qq, expected)
 
-    def test_lam_q_matches_condensed_form(self):
-        agg = build_aggregation(intra_quarterly_average(), 3, 2, 4)
-        nonzero_cols = np.flatnonzero(np.any(agg.lam_q != 0, axis=0))
-        assert_allclose(agg.lam_q[:, nonzero_cols], agg.lam_qq)
-
     def test_aggregating_simulated_path(self):
         # quarterly observation = average of the three latest latent values
-        agg = build_aggregation(intra_quarterly_average(), 2, 1, 3)
+        agg = build_aggregation(intra_quarterly_average(), 2, 2, 3)
         rng = np.random.default_rng(1)
-        z = rng.normal(size=3 * 3)  # stacked (x_t, x_{t-1}, x_{t-2})
-        full = agg.lam @ z
-        assert_allclose(full[2], np.mean([z[2], z[5], z[8]]))
+        x = rng.normal(size=(3, 4))  # rows t-2, t-1, t of (monthly, monthly, quarterly, quarterly)
+        zq = x[::-1, 2:].reshape(-1)  # lag-major quarterly stack (x_q,t, x_q,t-1, x_q,t-2)
+        assert_allclose(agg.lam_qq @ zq, x[:, 2:].mean(axis=0))
 
     def test_p_below_p_q_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -183,3 +178,25 @@ class TestDetectPattern:
         assert pat.t_balanced == 6
         assert list(pat.quarterly_rows(2)) == [0]
         assert list(pat.quarterly_rows(3)) == []
+
+
+class TestMixedFreqData:
+    @pytest.mark.parametrize("where", ["values", "observed_monthly", "quarterly_observed"])
+    def test_data_arrays_are_read_only(self, where):
+        values = np.zeros((6, 3))
+        values[5, 1] = np.nan
+        data = MixedFreqData.from_values(values, 2, 1)
+        arr = data.values if where == "values" else getattr(data.pattern, where)
+        before = arr.copy()
+        with pytest.raises(ValueError):
+            arr[0, 0] = np.nan if where == "values" else False
+        assert_array_equal(arr, before)
+
+    def test_data_values_are_a_private_copy(self):
+        values = np.zeros((6, 3))
+        data = MixedFreqData.from_values(values, 2, 1)
+        values[0, 0] = 1.0
+        assert data.values[0, 0] == 0.0
+        replaced = data.replace_values(values)
+        values[0, 0] = 2.0
+        assert replaced.values[0, 0] == 1.0

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mfsmooth import (
     ConfigurationError,
+    InitializationError,
     VarParams,
     build_aggregation,
     draw_latent,
@@ -12,8 +15,9 @@ from mfsmooth import (
     oracle_joint,
     run_adaptive,
 )
+from mfsmooth import kalman
 from mfsmooth.kalman import init_state
-from mfsmooth.simsmooth import _rng_for, simulate_path
+from mfsmooth.simsmooth import BACKENDS, _rng_for, simulate_path
 from mfsmooth.simulate import make_instance
 
 
@@ -144,3 +148,39 @@ class TestGenPseudo:
         sim = gen_pseudo(inst.params, inst.scheme, inst.data, np.random.default_rng(0))
         assert_array_equal(np.isnan(sim.y_plus), np.isnan(inst.data.values))
         assert sim.presample.shape == (inst.params.p + 1, inst.params.n)
+
+
+class TestPreparedPlan:
+    def test_draws_attach_nothing_to_the_inputs(self, inst):
+        for backend in BACKENDS:
+            draw_latent(inst.params, inst.scheme, inst.data, backend, seed=1)
+        draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=1)
+        for obj in (inst.params, inst.scheme, inst.data, inst.data.pattern):
+            assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
+
+    def test_one_lyapunov_solve_per_parameter_set(self, inst, monkeypatch):
+        calls = []
+        solve = kalman.solve_discrete_lyapunov
+
+        def counted(A, Q):
+            calls.append(A.shape)
+            return solve(A, Q)
+
+        monkeypatch.setattr(kalman, "solve_discrete_lyapunov", counted)
+        for backend in BACKENDS:
+            draw_latent(inst.params, inst.scheme, inst.data, backend, seed=2)
+        draw_many(inst.params, inst.scheme, inst.data, "blocked", 3, seed=2)
+        gen_pseudo(inst.params, inst.scheme, inst.data, np.random.default_rng(0))
+        assert len(calls) == 1
+        p = inst.params
+        fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
+        a = draw_latent(fresh, inst.scheme, inst.data, "adaptive", seed=2)
+        assert len(calls) == 2
+        b = draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=2)
+        assert_array_equal(a.x, b.x)
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
+    def test_diffuse_proxy_kappa_validated(self, inst, kappa):
+        with pytest.raises(InitializationError, match="kappa"):
+            draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=0,
+                        init_mode="diffuse-proxy", kappa=kappa)

@@ -8,9 +8,9 @@ matrix and Cholesky factor, so any indexing slip shows up exactly.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
-from mfsmooth import FormulationError, build_aggregation, intra_quarterly_average
+from mfsmooth import MixedFreqData, build_aggregation, intra_quarterly_average
 from mfsmooth.model import ObservationPattern
 from mfsmooth.systems import (
     AdaptiveIndex,
@@ -22,8 +22,8 @@ from mfsmooth.systems import (
     build_adaptive_Z,
     build_adaptive_C,
     build_companion_system,
-    build_compact_system,
-    exog_vector,
+    build_periods,
+    period_skeleton,
 )
 from test_model import random_params
 
@@ -226,16 +226,6 @@ class TestTwoMissingRegime:
 
 
 class TestCompactAndCompanion:
-    def test_compact_rejected_past_boundary(self, setup):
-        params, agg = setup
-        obs = np.ones((6, 3), dtype=bool)
-        obs[5, 2] = False
-        pattern = ObservationPattern(6, 5, obs, np.ones((6, 1), dtype=bool))
-        with pytest.raises(FormulationError):
-            build_compact_system(params, agg, pattern, 5)
-        mats = build_compact_system(params, agg, pattern, 2)
-        assert mats.T.shape == (4, 4)
-
     def test_companion_observation_rows(self, setup):
         params, agg = setup
         obs = np.ones((4, 3), dtype=bool)
@@ -261,13 +251,47 @@ class TestCompactAndCompanion:
 
 
 class TestExogVector:
-    def test_variable_major_lag_order(self):
-        y = np.arange(12.0).reshape(4, 3)
-        out = exog_vector(y, np.array([0, 2]), 3, 2)
-        # variable 0 at t-1, t-2 then variable 2 at t-1, t-2
-        assert_array_equal(out, [y[2, 0], y[1, 0], y[2, 2], y[1, 2]])
+    """The exogenous constants ``build_periods`` forms from the lagged
+    observed monthly data: variable-major, lags t-1..t-p inside each
+    variable block, pre-sample lags zero."""
 
-    def test_presample_lags_are_zero(self):
-        y = np.arange(6.0).reshape(2, 3) + 1.0
-        out = exog_vector(y, np.array([1]), 1, 3)
-        assert_array_equal(out, [y[0, 1], 0.0, 0.0])
+    @pytest.fixture
+    def built(self, setup):
+        params, agg = setup
+        values = np.random.default_rng(3).normal(size=(8, 4))
+        values[[0, 1, 3, 4, 6, 7], 3] = np.nan   # quarterly at t = 2, 5
+        values[4:, 2] = np.nan                   # variable 2 latent from t = 4
+        values[7, 1] = np.nan
+        data = MixedFreqData.from_values(values, 3, 1)
+        periods = build_periods(params, period_skeleton(params, agg, data.pattern), data)
+        return params, values, periods
+
+    @staticmethod
+    def direct(params, values, t, rows, o_prev):
+        """intercept + sum over in-sample lags of Pi_lag[rows, o_prev] y_{t-lag}."""
+        out = params.intercept[rows].copy()
+        for lag in range(1, min(params.p, t) + 1):
+            out += params.lag_coeffs[lag - 1][np.ix_(rows, o_prev)] @ values[t - lag, o_prev]
+        return out
+
+    def test_variable_major_lag_order(self, built):
+        params, values, periods = built
+        for per in periods[params.p :]:
+            idx = per.mats.idx
+            n_o, s = len(idx.o_t), idx.head_size
+            assert_allclose(per.c[:n_o], self.direct(params, values, per.t, idx.o_t, idx.o_prev), rtol=1e-13)
+            assert_allclose(per.d[:s], self.direct(params, values, per.t, idx.head_vars(), idx.o_prev), rtol=1e-13)
+        # variable 2 turns latent at t = 4: the lower state rows take its
+        # observed lags t-1..t-p straight from the data
+        per = periods[4]
+        assert_array_equal(per.d[[2, 4, 6]], values[[3, 2, 1], 2])
+
+    def test_presample_lags_are_zero(self, built):
+        params, values, periods = built
+        all_m = np.arange(3)
+        head = np.arange(4)
+        assert_array_equal(periods[0].c[:3], params.intercept[:3])
+        assert_array_equal(periods[0].d[:1], params.intercept[3:])
+        for per in periods[1 : params.p]:
+            assert_allclose(per.c[:3], self.direct(params, values, per.t, all_m, all_m), rtol=1e-13)
+            assert_allclose(per.d[:1], self.direct(params, values, per.t, head[3:], all_m), rtol=1e-13)
