@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .kalman import FilterState, Transition, init_state, quarterly_state_index, run_filter, run_smoother
+from .kalman import (
+    FilterResult,
+    FilterState,
+    Transition,
+    init_state,
+    quarterly_state_index,
+    run_filter,
+    run_smoother,
+)
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams, build_aggregation
 from .systems import (
     PeriodSystem,
@@ -125,8 +133,8 @@ def compact_to_companion(params: VarParams, data: MixedFreqData, t_b: int) -> Tr
 
     ``E`` places the reduced state on its quarterly positions and ``a_known``
     holds the known monthly values at lags 0..p, which enter with zero
-    variance.  Closing the reduced filter with it makes ``run_filter`` return
-    the lifted filtered state as ``final_pred``.
+    variance.  Closing the reduced filter with it makes the lifted filtered
+    state the ``final_pred`` of ``run_filter``'s result.
     """
     n, p = params.n, params.p
     qi = quarterly_state_index(params)
@@ -174,12 +182,13 @@ def companion_periods(
 
 
 def dense_edge(
-    params: VarParams, agg: Aggregation, data: MixedFreqData, lifted: FilterState
+    params: VarParams, agg: Aggregation, data: MixedFreqData, reduced: FilterResult
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge step of the reference backend: the stacked-form filter and
-    smoother with dense companion products."""
+    smoother with dense companion products, from the dense lift
+    ``reduced.final_pred``."""
     periods = companion_periods(params, agg, data, data.pattern.t_balanced)
-    res = run_filter(periods, lifted)
+    res = run_filter(periods, reduced.final_pred)
     states, r = run_smoother(res.records)
     return np.array([a[: params.n] for a in states]), r
 
@@ -197,8 +206,9 @@ def smooth(
 
     The reduced filter's last record is closed with a transition onto the
     stacked state (``compact_to_companion``); ``edge(params, agg, data,
-    lifted)`` starts from that lifted filtered state and returns the
-    smoothed (T - t_b, n) edge rows and its adjoint for the stacked state
+    reduced)`` gets that reduced run, starts from its lifted filtered state
+    (``reduced.final_pred``, or its own lift of the last record) and returns
+    the smoothed (T - t_b, n) edge rows and its adjoint for the stacked state
     predicted at t_b, which restarts the reduced smoother with no linear
     solve (``companion_to_compact``).  With ``edge=None``, or a balanced
     sample, the reduced (adaptive) formulation covers the whole sample.
@@ -212,7 +222,7 @@ def smooth(
         res = run_filter(periods, plan.init)
     else:
         res = run_filter(periods, plan.init, final_transition=compact_to_companion(params, data, t_b))
-        heads, r_edge = edge(params, plan.agg, data, res.final_pred)
+        heads, r_edge = edge(params, plan.agg, data, res)
         r = companion_to_compact(r_edge, params)
     states, _ = run_smoother(res.records, r_init=r)
     # allocated last: the result outlives the filter's working set, and placed

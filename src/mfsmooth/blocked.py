@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .baseline import SmoothResult, smooth
-from .kalman import FilterState, factorize_innovation
+from .kalman import FilterResult, factorize_innovation
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 
 # looked up here by perfbench/layertrace.py's SPANS table; ``baseline.smooth``
@@ -150,11 +150,12 @@ def blocked_edge(
     params: VarParams,
     agg: Aggregation,
     data: MixedFreqData,
-    lifted: FilterState,
+    reduced: FilterResult,
     ops: OpCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge step of the blocked backend: the stacked-form filter and
-    smoother through block subsetting."""
+    smoother through block subsetting, from its own lift of the reduced
+    run's last filtered state."""
     n, p = params.n, params.p
     npp = n * p
     dim = n * (p + 1)
@@ -162,9 +163,14 @@ def blocked_edge(
     F1 = params.companion_transition()
     qcols = agg.quarterly_state_cols(n, params.n_m)
     # only the first np rows and columns of the lifted state reach the
-    # prediction
-    a_filt = lifted.a
-    pf_top = lifted.P[:npp, :npp]
+    # prediction; E is a 0/1 placement, so that block of E P E' holds P's
+    # entries at E's rows and zeros elsewhere
+    E, a_known, _ = reduced.final_transition
+    last = reduced.records[-1]
+    a_filt = E @ last.a_filt + a_known
+    rows, cols = np.nonzero(E[:npp])
+    pf_top = np.zeros((npp, npp))
+    pf_top[np.ix_(rows, rows)] = last.P_filt[np.ix_(cols, cols)]
     records: list[BlockedRecord] = []
     for t in range(data.pattern.t_balanced, data.T):
         a, P = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t), ops)

@@ -14,6 +14,7 @@ gain ``K_t`` and ``L_{t+1}``; the last period uses ``K = 0``, ``L = I``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -33,6 +34,7 @@ __all__ = [
     "smooth_step",
     "solve_discrete_lyapunov",
     "stationary_companion_cov",
+    "stationary_quarterly_cov",
     "init_state",
 ]
 
@@ -43,6 +45,16 @@ COND_LIMIT = 1e12
 # squarings allowed to the Lyapunov doubling iteration: 2**40 periods of
 # accumulated covariance, so a spectral radius up to about 1 - 1e-10 converges
 LYAPUNOV_MAX_SQUARINGS = 40
+
+# stationary_quarterly_cov: generic rows carried beside the quarterly rows, the
+# terms summed between two convergence checks, and its cost model in
+# multiply-adds of a dense BLAS product, in which a row step, a matrix-vector
+# shape, runs at about a third of that rate and one numpy call costs about
+# 1e5 (both measured with one OpenBLAS thread on a 2-vCPU Xeon)
+N_PROBES = 2
+CHECK_EVERY = 16
+ROW_STEP_RATIO = 3.0
+CALL_COST = 1e5
 
 
 @dataclass
@@ -155,7 +167,17 @@ def _close_record(rec: FilterRecord, Tm: np.ndarray) -> None:
 @dataclass
 class FilterResult:
     records: list[FilterRecord]
-    final_pred: FilterState | None = None
+    final_transition: Transition | None = None
+
+    @cached_property
+    def final_pred(self) -> FilterState | None:
+        """The last filtered state mapped through ``final_transition``; formed
+        on first use, so a caller that reads the last record itself never
+        pays for it."""
+        if self.final_transition is None:
+            return None
+        last = self.records[-1]
+        return _predict(FilterState(last.a_filt, last.P_filt), *self.final_transition)
 
 
 def run_filter(
@@ -168,7 +190,7 @@ def run_filter(
     ``init`` is the state distribution before the first period; each period
     first predicts through its own transition, then updates.  If
     ``final_transition`` is given, the last record's gain uses it and the
-    state it maps onto is returned as ``final_pred`` (the transition may
+    state it maps onto is the result's ``final_pred`` (the transition may
     change the state space, as the ragged-edge backends' lift into the
     stacked state does); otherwise the run terminates with ``K = 0``,
     ``L = I``.
@@ -184,17 +206,15 @@ def run_filter(
         state, rec = filter_step(state, per)
         records.append(rec)
         prev = rec
-    final_pred = None
-    if prev is not None:
-        if final_transition is not None:
-            Tm, d, HHt = final_transition
-            _close_record(prev, Tm)
-            final_pred = _predict(state, Tm, d, HHt)
-        else:
-            dim = prev.a_filt.shape[0]
-            prev.K = np.zeros((dim, prev.v.shape[0]))
-            prev.L = np.eye(dim)
-    return FilterResult(records, final_pred)
+    if prev is None:
+        return FilterResult(records)
+    if final_transition is not None:
+        _close_record(prev, final_transition[0])
+        return FilterResult(records, final_transition)
+    dim = prev.a_filt.shape[0]
+    prev.K = np.zeros((dim, prev.v.shape[0]))
+    prev.L = np.eye(dim)
+    return FilterResult(records)
 
 
 def smooth_step(rec: FilterRecord, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,11 +279,108 @@ def stationary_companion_cov(params: VarParams) -> np.ndarray:
     (``solve_discrete_lyapunov``), whose convergence is the stability check:
     raises ``InitializationError`` if the VAR is not stable.  Time-varying
     error covariances use the first period's factor.  Not cached: the solve
-    is cubic in n(p+1), and a draw reaches it once per prepared plan
-    (``baseline.plan_for``), through ``init_state``.
+    is cubic in n(p+1).  This is the reference for the quarterly block that
+    ``stationary_quarterly_cov`` sums directly, and its fallback when that
+    sum does not settle within its term budget.
     """
     F = params.companion_transition()
     return _sym(solve_discrete_lyapunov(F, params.companion_noise_cov(0)))
+
+
+def _probe_windows(n: int, p: int) -> np.ndarray:
+    """Fixed start windows of the probe rows.  They are generic (no entry is
+    zero, no two rows are proportional), so short of an exact cancellation
+    their recursion carries every mode of the VAR."""
+    k = np.arange(N_PROBES * p * n).reshape(N_PROBES, p, n)
+    return np.cos(1.0 + 0.7548776662466927 * k)
+
+
+def _term_budget(n: int, n_q: int, p: int) -> int:
+    """Terms the row sum of ``stationary_quarterly_cov`` may take.
+
+    The doubling covers 2**s terms in s squarings of 3 d**3 multiply-adds
+    (d = n(p+1)); one term of the row sum is a (n_q + N_PROBES) x np x n row
+    step.  The budget is the largest K whose terms cost no more than the
+    log2(K) + 1 squarings that would cover them, so a sum that misses it and
+    hands over to the doubling costs at most about twice the doubling alone.
+    """
+    squaring = 3.0 * (n * (p + 1)) ** 3 + 6 * CALL_COST
+    term = ROW_STEP_RATIO * (n_q + N_PROBES) * n * n * p + CALL_COST * (1 + 5 / CHECK_EVERY)
+    K = squaring / term
+    for _ in range(4):
+        K = squaring / term * (np.log2(max(K, 1.0)) + 1)
+    return int(K)
+
+
+def stationary_quarterly_cov(params: VarParams) -> np.ndarray:
+    """Quarterly block of ``stationary_companion_cov``, summed directly.
+
+    The block holds the quarterly autocovariances
+    ``Gamma(h) = sum_k Psi_{k+h}[q,:] Sigma Psi_k[q,:]'``, h = 0..p, over
+    the MA(infinity) coefficients of the VAR (Luetkepohl 2005, ch. 2).  Their
+    quarterly rows ``psi_k`` follow ``psi_k = sum_i psi_{k-i} A_i``: the
+    rows ``S F^k`` of the p-lag companion, each step one row product with the
+    coefficient stack plus a shift, here a sliding window over the stored
+    rows.  ``N_PROBES`` generic rows run the same recursion, so a mode the
+    quarterly rows do not see, an explosive monthly root say, still keeps the
+    sum from settling.  The sum stops when the last p terms of the quarterly
+    rows, the state of their recursion, no longer change it at working
+    precision, and the probes' state has shrunk by the same factor.
+
+    If it has not stopped within ``_term_budget`` terms, or turns non-finite,
+    the block is read from ``stationary_companion_cov``, whose doubling
+    converges or raises ``InitializationError`` naming the spectral radius.
+    """
+    n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
+    W = params.chol(0)
+    scale = np.max(np.sum(W * W, axis=1))       # largest diagonal entry of Sigma
+    coeff = params.lag_coeffs[::-1].reshape(p * n, n)   # A_p .. A_1 stacked
+    rows = n_q + N_PROBES
+    budget = _term_budget(n, n_q, p)
+    eps = np.finfo(float).eps
+    # win[:, j] holds psi_{k-p+1+j}, where k is the number of terms stored so far
+    win = np.zeros((rows, p + CHECK_EVERY, n))
+    win[:n_q, p - 1, n_m:] = np.eye(n_q)         # psi_0: the quarterly rows of I
+    win[n_q:, :p] = _probe_windows(n, p)
+    terms: list[np.ndarray] = []                 # B_k = psi_k W, in checked blocks
+    gamma0 = np.zeros(n_q)                       # diagonal of the partial Gamma(0)
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < budget:
+            for j in range(p, p + CHECK_EVERY):
+                win[:, j] = win[:, j - p : j].reshape(rows, p * n) @ coeff
+            B = win[:n_q, p - 1 : p - 1 + CHECK_EVERY] @ W
+            terms.append(B)
+            gamma0 += np.sum(B * B, axis=(1, 2))
+            k += CHECK_EVERY
+            win[:, :p] = win[:, CHECK_EVERY:]
+            # the quarterly rows' state against the sum, the probes' against
+            # their start (entries of magnitude up to 1)
+            mq = np.abs(win[:n_q, :p]).max(initial=0.0)
+            mp = np.abs(win[n_q:, :p]).max(initial=0.0)
+            if not np.isfinite(mq + mp + gamma0.sum()):
+                break
+            if mq * mq * scale <= eps * gamma0.max(initial=0.0) and mp * mp <= eps:
+                return _quarterly_block(terms, n_q, n, p)
+    qi = quarterly_state_index(params)
+    return stationary_companion_cov(params)[np.ix_(qi, qi)]
+
+
+def _quarterly_block(terms: list[np.ndarray], n_q: int, n: int, p: int) -> np.ndarray:
+    """Assemble the (p+1) n_q square block from the stored terms B_k."""
+    K = sum(B.shape[1] for B in terms)
+    flat = np.concatenate([*terms, np.zeros((n_q, p, n))], axis=1).reshape(n_q, (K + p) * n)
+    # every Gamma(h) = sum_k B_{k+h} B_k' in one batched product over
+    # overlapping views of the stored terms
+    shifted = np.lib.stride_tricks.sliding_window_view(flat, K * n, axis=1)[:, ::n]
+    gamma = np.matmul(shifted.transpose(1, 0, 2), flat[:, : K * n].T)
+    lag = np.arange(p + 1)
+    d = lag[None, :] - lag[:, None]
+    # block (a, b) is the covariance of lags a and b: Gamma(b - a), or the
+    # transpose of Gamma(a - b) below the diagonal
+    blocks = np.where((d >= 0)[:, :, None, None], gamma[np.abs(d)], gamma.transpose(0, 2, 1)[np.abs(d)])
+    kq = n_q * (p + 1)
+    return blocks.transpose(0, 2, 1, 3).reshape(kq, kq)
 
 
 def quarterly_state_index(params: VarParams) -> np.ndarray:
@@ -276,8 +393,8 @@ def init_state(params: VarParams, mode: str = "stationary", kappa: float = 1e4) 
     """Initial distribution of the stacked quarterly state (p+1 lag groups).
 
     ``stationary`` takes the quarterly sub-block of the companion form's
-    unconditional moments; ``diffuse-proxy`` uses a zero mean with
-    ``kappa`` (finite, > 0) times the identity.
+    unconditional moments (``stationary_quarterly_cov``); ``diffuse-proxy``
+    uses a zero mean with ``kappa`` (finite, > 0) times the identity.
     """
     kq = params.n_q * (params.p + 1)
     if mode == "diffuse-proxy":
@@ -286,8 +403,6 @@ def init_state(params: VarParams, mode: str = "stationary", kappa: float = 1e4) 
         return FilterState(np.zeros(kq), kappa * np.eye(kq))
     if mode != "stationary":
         raise InitializationError(f"unknown initialization mode {mode!r}")
-    P_full = stationary_companion_cov(params)
-    qi = quarterly_state_index(params)
     mu = params.unconditional_mean()
     a = np.tile(mu[params.n_m :], params.p + 1)
-    return FilterState(a, _sym(P_full[np.ix_(qi, qi)]))
+    return FilterState(a, _sym(stationary_quarterly_cov(params)))

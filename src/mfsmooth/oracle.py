@@ -10,13 +10,32 @@ import numpy as np
 
 from .baseline import RunStats, SmoothResult, check_pattern, companion_periods, fill_observed, prepare
 from .errors import OracleSizeError
-from .kalman import FilterState, init_state, quarterly_state_index, run_filter, run_smoother
+from .kalman import (
+    FilterState,
+    init_state,
+    quarterly_state_index,
+    run_filter,
+    run_smoother,
+    stationary_companion_cov,
+)
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 
 __all__ = ["oracle_smooth", "oracle_joint", "JointResult"]
 
 STATE_CAP = 60
 JOINT_CAP = 200
+
+
+def _quarterly_init(params: VarParams, init_mode: str, kappa: float) -> FilterState:
+    """The reduced filters' initial quarterly stack, with the stationary
+    moments read from the doubling reference (the quarterly block of
+    ``stationary_companion_cov``) rather than from ``init_state``'s direct sum,
+    so a fault there shows against the oracles."""
+    if init_mode != "stationary":
+        return init_state(params, init_mode, kappa)
+    qi = quarterly_state_index(params)
+    a = np.tile(params.unconditional_mean()[params.n_m :], params.p + 1)
+    return FilterState(a, stationary_companion_cov(params)[np.ix_(qi, qi)])
 
 
 def _companion_init(params: VarParams, init_mode: str, kappa: float) -> FilterState:
@@ -26,7 +45,7 @@ def _companion_init(params: VarParams, init_mode: str, kappa: float) -> FilterSt
     dim = params.n * (params.p + 1)
     a = np.zeros(dim)
     P = np.zeros((dim, dim))
-    qinit = init_state(params, init_mode, kappa)
+    qinit = _quarterly_init(params, init_mode, kappa)
     qi = quarterly_state_index(params)
     a[qi] = qinit.a
     P[np.ix_(qi, qi)] = qinit.P
@@ -115,7 +134,7 @@ def oracle_joint(
         b[row : row + n] = coeff_row @ b[lag_rows] + params.intercept
         A[row : row + n, kq + t * n : kq + (t + 1) * n] = params.chol(t)
 
-    init = init_state(params, init_mode, kappa)
+    init = _quarterly_init(params, init_mode, kappa)
     mean_z = np.concatenate([init.a, np.zeros(T * n)])
     # cov(zeta) = blkdiag(P0, I); fold it into A once
     ACz = A.copy()

@@ -3,18 +3,21 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from mfsmooth import InitializationError, SingularInnovationError, VarParams
+from mfsmooth import InitializationError, SingularInnovationError, VarParams, kalman
 from mfsmooth.kalman import (
     FilterState,
     filter_step,
     init_state,
+    quarterly_state_index,
     run_filter,
     run_smoother,
     smooth_step,
     stationary_companion_cov,
+    stationary_quarterly_cov,
 )
+from mfsmooth.simulate import random_stable_params
 from mfsmooth.systems import PeriodSystem, SystemMatrices
 from test_model import random_params
 
@@ -196,6 +199,89 @@ class TestInitState:
         params = random_params(2, 1, 2, seed=4)
         with pytest.raises(InitializationError):
             init_state(params, "exact")
+
+
+def doubling_block(params):
+    qi = quarterly_state_index(params)
+    return stationary_companion_cov(params)[np.ix_(qi, qi)]
+
+
+def spectral_radius(params):
+    return np.abs(np.linalg.eigvals(params.companion_transition(params.p))).max()
+
+
+@pytest.fixture
+def doublings(monkeypatch):
+    """Shapes of the companions passed to the Lyapunov doubling."""
+    calls = []
+    solve = kalman.solve_discrete_lyapunov
+
+    def counted(A, Q):
+        calls.append(A.shape)
+        return solve(A, Q)
+
+    monkeypatch.setattr(kalman, "solve_discrete_lyapunov", counted)
+    return calls
+
+
+class TestStationaryQuarterlyCov:
+    @pytest.mark.parametrize("n_q", [1, 2, 3])
+    def test_matches_doubling_block(self, n_q, doublings):
+        params = random_stable_params(20 - n_q, n_q, 6, np.random.default_rng(n_q))
+        P = init_state(params).P
+        assert doublings == []
+        ref = doubling_block(params)
+        assert np.max(np.abs(P - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_matches_doubling_block_at_paper_cell(self, doublings):
+        params = random_stable_params(119, 1, 12, np.random.default_rng(0))
+        P = init_state(params).P
+        assert doublings == []
+        ref = doubling_block(params)
+        assert np.max(np.abs(P - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_white_noise_gives_noise_covariance(self, doublings):
+        params = random_stable_params(18, 2, 6, np.random.default_rng(5))
+        white = VarParams(18, 2, 6, params.intercept, np.zeros((6, 20, 20)), params.chol_cov)
+        P = init_state(white).P
+        assert doublings == []
+        assert_allclose(P, np.kron(np.eye(7), params.sigma(0)[18:, 18:]), rtol=1e-15, atol=0)
+
+    def test_no_quarterly_variables(self, doublings):
+        params = random_stable_params(20, 0, 6, np.random.default_rng(6))
+        assert init_state(params).P.shape == (0, 0)
+        assert doublings == []
+
+    def test_monthly_only_explosive_root_rejected(self, doublings, monkeypatch):
+        n_m, n_q, p = 18, 2, 6
+        params = random_stable_params(n_m, n_q, p, np.random.default_rng(3))
+        lags = params.lag_coeffs.copy()
+        lags[:, n_m:, :n_m] = 0.0    # the quarterly variables ignore the monthly ones
+        lags[:, 0, :] = 0.0          # monthly variable 0 is its own AR(1) with root 1.05
+        lags[:, :, 0] = 0.0
+        lags[0, 0, 0] = 1.05
+        explosive = VarParams(n_m, n_q, p, params.intercept, lags, params.chol_cov)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InitializationError, match=r"spectral radius 1\.05\)"):
+                init_state(explosive)
+        assert len(doublings) == 1
+        # the quarterly rows alone are blind to the root: without the probe
+        # rows the sum settles on a finite block
+        monkeypatch.setattr(kalman, "N_PROBES", 0)
+        assert np.isfinite(stationary_quarterly_cov(explosive)).all()
+        assert len(doublings) == 1
+
+    def test_near_unit_root_hands_over_to_doubling(self, doublings):
+        n_m, n_q, p = 18, 2, 6
+        params = random_stable_params(n_m, n_q, p, np.random.default_rng(4))
+        scale = 0.999 / spectral_radius(params)
+        lags = params.lag_coeffs * scale ** np.arange(1, p + 1)[:, None, None]
+        near = VarParams(n_m, n_q, p, params.intercept, lags, params.chol_cov)
+        assert spectral_radius(near) == pytest.approx(0.999, abs=1e-9)
+        P = init_state(near).P
+        assert doublings == [((n_m + n_q) * (p + 1),) * 2]
+        assert_array_equal(P, doubling_block(near))
 
 
 class TestInnovationWhiteness:

@@ -158,15 +158,25 @@ class TestPreparedPlan:
         for obj in (inst.params, inst.scheme, inst.data, inst.data.pattern):
             assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
 
-    def test_one_lyapunov_solve_per_parameter_set(self, inst, monkeypatch):
+    def test_one_lyapunov_solve_per_parameter_set(self, monkeypatch):
+        # the stationary initialization is one direct sum of the quarterly
+        # block per parameter set; at this shape it never needs the doubling
+        inst = make_instance(18, 2, 6, 24, 21, np.random.default_rng(11))
         calls = []
+        doublings = []
+        block = kalman.stationary_quarterly_cov
         solve = kalman.solve_discrete_lyapunov
 
-        def counted(A, Q):
-            calls.append(A.shape)
+        def counted(params):
+            calls.append(params)
+            return block(params)
+
+        def counted_doubling(A, Q):
+            doublings.append(A.shape)
             return solve(A, Q)
 
-        monkeypatch.setattr(kalman, "solve_discrete_lyapunov", counted)
+        monkeypatch.setattr(kalman, "stationary_quarterly_cov", counted)
+        monkeypatch.setattr(kalman, "solve_discrete_lyapunov", counted_doubling)
         for backend in BACKENDS:
             draw_latent(inst.params, inst.scheme, inst.data, backend, seed=2)
         draw_many(inst.params, inst.scheme, inst.data, "blocked", 3, seed=2)
@@ -178,6 +188,7 @@ class TestPreparedPlan:
         assert len(calls) == 2
         b = draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=2)
         assert_array_equal(a.x, b.x)
+        assert doublings == []
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
     def test_diffuse_proxy_kappa_validated(self, inst, kappa):
