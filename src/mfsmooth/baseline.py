@@ -28,10 +28,12 @@ from .kalman import (
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams, build_aggregation
 from .systems import (
     PeriodSystem,
+    Skeleton,
     SystemMatrices,
     build_companion_system,
     build_periods,
     build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
+    period_noise,
     period_skeleton,
 )
 
@@ -41,11 +43,15 @@ __all__ = ["RunStats", "SmoothResult", "smooth", "dense_edge", "run_baseline",
 
 @dataclass
 class RunStats:
-    """Step counters used to verify which formulations a run touched."""
+    """Step counters used to verify which formulations a run touched, and
+    the numerical fallbacks a draw took: ``init_jitter`` is 1 when the
+    initial quarterly covariance needed jitter to factorize for the pseudo
+    path (set by ``draw_latent``)."""
 
     compact_steps: int = 0
     companion_steps: int = 0
     adaptive_steps: int = 0
+    init_jitter: int = 0
 
 
 @dataclass
@@ -74,9 +80,10 @@ def check_pattern(params: VarParams, data: MixedFreqData) -> None:
 class Plan:
     """What every draw for one (parameters, aggregation, pattern) shares:
     the expanded aggregation, the initial quarterly state and the period
-    skeleton.  ``scheme`` is the aggregation argument as the caller passed
-    it and ``init_key`` the ``(init_mode, kappa)`` pair; with ``params``
-    they decide whether the plan can be reused.
+    skeleton (structural matrices and noise products).  ``scheme`` is the
+    aggregation argument as the caller passed it and ``init_key`` the
+    ``(init_mode, kappa)`` pair; with ``params`` they decide whether the
+    plan can be reused.
     """
 
     params: VarParams
@@ -84,7 +91,7 @@ class Plan:
     init_key: tuple[str, float]
     agg: Aggregation
     init: FilterState
-    skeleton: list[SystemMatrices]
+    skeleton: Skeleton
 
 
 def plan_for(
@@ -165,19 +172,19 @@ def companion_periods(
     pattern = data.pattern
     for t in range(start, pattern.T):
         comp = build_companion_system(params, agg, pattern, t)
+        n_obs = comp.Z.shape[0]
         mats = SystemMatrices(
             Z=comp.Z,
-            C=np.zeros((comp.Z.shape[0], 0)),
-            G=np.zeros((comp.Z.shape[0], params.n)),
+            C=np.zeros((n_obs, 0)),
             T=comp.transition,
             D=np.zeros((comp.transition.shape[0], 0)),
-            H=comp.noise_chol,
-            c0=np.zeros(comp.Z.shape[0]),
+            c0=np.zeros(n_obs),
             d0=comp.intercept,
         )
+        noise = period_noise(np.zeros((1, n_obs, params.n)), comp.noise_chol[None], comp.Z)[0]
         o_t = pattern.observed(t)
         y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + pattern.quarterly_rows(t)]])
-        periods.append(PeriodSystem(mats, mats.c0, comp.intercept, y, t))
+        periods.append(PeriodSystem(mats, noise, mats.c0, comp.intercept, y, t))
     return periods
 
 

@@ -8,7 +8,9 @@ non-square (the state dimension can change between periods).
 The per-period convention: the transition ``(T_t, d_t, H_t)`` maps the
 t-1 state onto the t state.  One filter step at t therefore uses period
 t's observation matrices together with period t+1's transition for the
-gain ``K_t`` and ``L_{t+1}``; the last period uses ``K = 0``, ``L = I``.
+gain ``K_t`` and ``L_{t+1}``.  The last period of a run without a closing
+transition has ``K = 0``, ``L = I``, which meet the adjoint ``r = 0``; its
+record leaves them unset and the smoother skips both.
 """
 
 from __future__ import annotations
@@ -65,7 +67,11 @@ class FilterState:
 
 @dataclass
 class FilterRecord:
-    """Everything one period contributes to the backward smoothing pass."""
+    """Everything one period contributes to the backward smoothing pass.
+
+    ``K`` and ``L`` are set when the next transition closes the record; the
+    last record of a run without a closing transition keeps them unset.
+    """
 
     t: int
     a_pred: np.ndarray
@@ -108,23 +114,24 @@ def filter_step(
 
     ``state`` is the one-step-ahead predicted state at t.
     """
-    m = sys_t.mats
+    m, nz = sys_t.mats, sys_t.noise
     a, P = state.a, state.P
     Z = m.Z
-    HGt = m.GHt.T
+    HGt = nz.GHt.T
     if m.n_obs == 0:
         v = Finv_v = np.zeros(0)
         M = MFinv = np.zeros((a.shape[0], 0))
         a_filt, P_filt = a, P
     else:
         v = sys_t.y - Z @ a - sys_t.c
-        # the covariance-side quantities depend only on (m, P); the prediction
-        # covariance sequence is data-independent and converges to a cycle, so
-        # for small states the factorizations are memoized on the system
-        # matrices, keyed by P's bytes.  Hits reproduce the uncached arithmetic
-        # bit for bit because the cached arrays came from identical inputs.
+        # the covariance-side quantities depend only on (m, nz, P); the
+        # prediction covariance sequence is data-independent and converges to
+        # a cycle, so for small states the factorizations are memoized on the
+        # period's noise part, keyed by P's bytes.  Hits reproduce the uncached
+        # arithmetic bit for bit because the cached arrays came from identical
+        # inputs: a noise part belongs to one set of structural matrices.
         key = P.tobytes() if P.nbytes <= 16384 else None
-        hit = m._cov_cache.get(key)
+        hit = nz._cov_cache.get(key)
         if hit is not None:
             cf, M, MFinv, P_filt = hit
             Finv_v = dpotrs(cf, v.reshape(-1, 1), lower=1)[0][:, 0]
@@ -132,7 +139,7 @@ def filter_step(
             M = P @ Z.T + HGt
             # direct LAPACK calls with Fortran-ordered operands: this step runs
             # once per period and wrapper or copy overhead is measurable at T=500
-            cf = factorize_innovation(np.asfortranarray(Z @ M + m.F_const), sys_t.t)
+            cf = factorize_innovation(np.asfortranarray(Z @ M + nz.F_const), sys_t.t)
             rhs = np.empty((v.shape[0], 1 + a.shape[0]), order="F")
             rhs[:, 0] = v
             rhs[:, 1:] = M.T
@@ -142,8 +149,8 @@ def filter_step(
             Finv_v = sol[:, 0]
             MFinv = sol[:, 1:].T
             P_filt = _sym(P - MFinv @ M.T)
-            if key is not None and len(m._cov_cache) < 512:
-                m._cov_cache[key] = (cf, M, MFinv, P_filt)
+            if key is not None and len(nz._cov_cache) < 512:
+                nz._cov_cache[key] = (cf, M, MFinv, P_filt)
         a_filt = a + M @ Finv_v
     rec = FilterRecord(sys_t.t, a, P, a_filt, P_filt, v, Finv_v, M, MFinv, Z, HGt)
     return FilterState(a_filt, P_filt), rec
@@ -192,8 +199,9 @@ def run_filter(
     ``final_transition`` is given, the last record's gain uses it and the
     state it maps onto is the result's ``final_pred`` (the transition may
     change the state space, as the ragged-edge backends' lift into the
-    stacked state does); otherwise the run terminates with ``K = 0``,
-    ``L = I``.
+    stacked state does); otherwise the last record is left open: its ``K = 0``
+    and ``L = I`` are never formed, and ``run_smoother`` starts from it with
+    ``r = 0``.
     """
     records: list[FilterRecord] = []
     state = init
@@ -202,27 +210,26 @@ def run_filter(
         Tm = per.mats.T
         if prev is not None:
             _close_record(prev, Tm)
-        state = _predict(state, Tm, per.d, per.mats.HHt)
+        state = _predict(state, Tm, per.d, per.noise.HHt)
         state, rec = filter_step(state, per)
         records.append(rec)
         prev = rec
-    if prev is None:
+    if prev is None or final_transition is None:
         return FilterResult(records)
-    if final_transition is not None:
-        _close_record(prev, final_transition[0])
-        return FilterResult(records, final_transition)
-    dim = prev.a_filt.shape[0]
-    prev.K = np.zeros((dim, prev.v.shape[0]))
-    prev.L = np.eye(dim)
-    return FilterResult(records)
+    _close_record(prev, final_transition[0])
+    return FilterResult(records, final_transition)
 
 
-def smooth_step(rec: FilterRecord, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def smooth_step(rec: FilterRecord, r: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed mean at rec.t and the propagated adjoint r_{t-1}.
 
     ``r`` lives in the t+1 state space; the smoothing projection is applied
-    as two matrix-vector products so it is never materialized.
+    as two matrix-vector products so it is never materialized.  ``r = None``
+    stands for ``r = 0``, after the last period of a run: then the smoothed
+    mean is the filtered one and the gain is not read.
     """
+    if r is None:
+        return rec.a_filt, rec.Z.T @ rec.Finv_v
     Ltr = rec.L.T @ r
     a_sm = rec.a_filt + rec.P_pred @ Ltr - rec.HGt @ (rec.K.T @ r)
     r_prev = Ltr + rec.Z.T @ rec.Finv_v
@@ -233,9 +240,12 @@ def run_smoother(
     records: list[FilterRecord],
     r_init: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Backward pass; returns smoothed state means and the final adjoint r_0."""
-    last = records[-1]
-    r = np.zeros(last.L.shape[0]) if r_init is None else r_init
+    """Backward pass; returns smoothed state means and the final adjoint r_0.
+
+    ``r_init`` is the adjoint after the last record, which a run closed by a
+    final transition needs; without one the pass starts from ``r = 0``.
+    """
+    r = r_init
     out: list[np.ndarray] = [None] * len(records)  # type: ignore[list-item]
     for i in range(len(records) - 1, -1, -1):
         a_sm, r = smooth_step(records[i], r)

@@ -40,6 +40,7 @@ class PseudoSample:
     x_plus: np.ndarray       # (T, n) pseudo latent path
     y_plus: np.ndarray       # (T, n), NaN where the data are missing
     presample: np.ndarray    # (p+1, n) pseudo values for times -(p+1)..-1
+    init_jitter: bool        # the initial covariance needed jitter to factorize
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,22 @@ class LatentDraw:
     stats: RunStats
 
 
-def _draw_initial_quarterly(init: FilterState, rng: np.random.Generator, centered: bool) -> np.ndarray:
+def _draw_initial_quarterly(
+    init: FilterState, rng: np.random.Generator, centered: bool
+) -> tuple[np.ndarray, bool]:
+    """A draw of the initial quarterly stack, and whether its covariance
+    needed a jitter of 1e-10 trace/k on the diagonal to factorize."""
     P = init.P
+    jitter = False
     try:
         C = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         C = np.linalg.cholesky(P + 1e-10 * np.trace(P) / P.shape[0] * np.eye(P.shape[0]))
+        jitter = True
     s = C @ rng.standard_normal(P.shape[0])
     if not centered:
         s += init.a
-    return s
+    return s, jitter
 
 
 def simulate_path(
@@ -79,7 +86,7 @@ def simulate_path(
     n, n_m, p = params.n, params.n_m, params.p
     T = data.T
     buf = np.zeros((p + 1 + T, n))
-    s = _draw_initial_quarterly(init, rng, centered)
+    s, jitter = _draw_initial_quarterly(init, rng, centered)
     for lag in range(p + 1):
         # initial group `lag` holds the quarterly values at time -1-lag
         buf[p - lag, n_m:] = s[lag * params.n_q : (lag + 1) * params.n_q]
@@ -106,7 +113,7 @@ def simulate_path(
             col = n_m + j
             vals = buf[p + 1 + t - p_q + 1 : p + 2 + t, col][::-1]
             y_plus[t, col] = weights[:p_q] @ vals
-    return PseudoSample(x_plus, y_plus, buf[: p + 1].copy())
+    return PseudoSample(x_plus, y_plus, buf[: p + 1].copy(), jitter)
 
 
 def gen_pseudo(
@@ -149,6 +156,7 @@ def draw_latent(
     x += pseudo.x_plus
     # observed entries are exact by construction; overwrite to drop fp residue
     fill_observed(x, data)
+    result.stats.init_jitter = int(pseudo.init_jitter)
     return LatentDraw(x, backend, result.stats)
 
 

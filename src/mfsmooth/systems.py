@@ -32,6 +32,9 @@ __all__ = [
     "build_adaptive_C",
     "build_adaptive_G",
     "build_adaptive_H",
+    "adaptive_loadings",
+    "PeriodNoise",
+    "period_noise",
     "build_system_matrices",
     "build_companion_system",
     "companion_observation",
@@ -187,56 +190,48 @@ def build_adaptive_C(params: VarParams, idx: AdaptiveIndex, q_rows: np.ndarray) 
     return C
 
 
+def adaptive_loadings(
+    W: np.ndarray, idx: AdaptiveIndex, q_rows: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shock loadings G and H for a (k, n, n) stack of Cholesky factors.
+
+    G loads the observed monthly rows (quarterly rows zero); H loads the
+    current lag group of the state.
+    """
+    k, n = W.shape[:2]
+    s = idx.head_size
+    G = np.zeros((k, len(idx.o_t) + len(q_rows), n))
+    G[:, : len(idx.o_t)] = W[:, idx.o_t]
+    H = np.zeros((k, (p + 1) * s, n))
+    H[:, :s] = W[:, idx.head_vars()]
+    return G, H
+
+
 def build_adaptive_G(params: VarParams, idx: AdaptiveIndex, q_rows: np.ndarray, t: int) -> np.ndarray:
-    W = params.chol(t)
-    G = np.zeros((len(idx.o_t) + len(q_rows), params.n))
-    G[: len(idx.o_t)] = W[idx.o_t]
-    return G
+    return adaptive_loadings(params.chol(t)[None], idx, q_rows, params.p)[0][0]
 
 
 def build_adaptive_H(params: VarParams, idx: AdaptiveIndex, t: int) -> np.ndarray:
-    W = params.chol(t)
-    s = idx.head_size
-    H = np.zeros(((params.p + 1) * s, params.n))
-    H[:s] = W[idx.head_vars()]
-    return H
+    return adaptive_loadings(params.chol(t)[None], idx, np.empty(0, dtype=int), params.p)[1][0]
 
 
 @dataclass
 class SystemMatrices:
-    """One period's structural matrices plus reusable products.
+    """The structural matrices shared by every period of one pattern key.
 
     ``c0``/``d0`` are the intercept parts; the data-dependent parts come from
-    the exogenous regressor vector at each period.
+    the exogenous regressor vector at each period.  The noise products, which
+    change with t under a time-varying ``chol_cov``, are a ``PeriodNoise``.
     """
 
     Z: np.ndarray
     C: np.ndarray
-    G: np.ndarray
     T: np.ndarray
     D: np.ndarray
-    H: np.ndarray
     c0: np.ndarray
     d0: np.ndarray
     idx: AdaptiveIndex | None = None
     q_rows: np.ndarray | None = None
-    GGt: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    GHt: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    HHt: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.GGt is None:
-            self.GGt = self.G @ self.G.T
-        if self.GHt is None:
-            self.GHt = self.G @ self.H.T
-        if self.HHt is None:
-            self.HHt = self.H @ self.H.T
-        # constant part of the innovation covariance, F = Z M + F_const
-        self.F_const = self.GGt + self.GHt @ self.Z.T
-        # memo for covariance-side filter quantities keyed by the predicted
-        # covariance bytes; the covariance recursion is data-independent and
-        # cycles, so small-state runs repeat the same factorizations
-        self._cov_cache: dict = {}
 
     @property
     def n_obs(self) -> int:
@@ -244,10 +239,41 @@ class SystemMatrices:
 
 
 @dataclass
+class PeriodNoise:
+    """Noise products of one period: G G', G H', H H' and the constant part
+    of the innovation covariance, F = Z M + F_const.
+
+    ``_cov_cache`` memoizes the covariance-side filter quantities keyed by
+    the predicted covariance's bytes.  The key leaves out G, so the memo
+    belongs here, never on the ``SystemMatrices`` that periods with
+    different noise share.
+    """
+
+    GGt: np.ndarray
+    GHt: np.ndarray
+    HHt: np.ndarray
+    F_const: np.ndarray
+    _cov_cache: dict = field(default_factory=dict, repr=False)
+
+
+def period_noise(G: np.ndarray, H: np.ndarray, Z: np.ndarray) -> list[PeriodNoise]:
+    """Noise products of a stack of periods sharing the observation loading
+    ``Z``: G is (k, n_obs, n) and H (k, dim, n).  Each product is one batched
+    matmul, whose items match the single-period products bit for bit."""
+    GGt = G @ G.transpose(0, 2, 1)
+    GHt = G @ H.transpose(0, 2, 1)
+    HHt = H @ H.transpose(0, 2, 1)
+    F_const = GGt + GHt @ Z.T
+    return [PeriodNoise(*parts) for parts in zip(GGt, GHt, HHt, F_const)]
+
+
+@dataclass
 class PeriodSystem:
-    """SystemMatrices specialized to one period: constants and observations."""
+    """One period: its structural matrices, noise products, constants and
+    observations."""
 
     mats: SystemMatrices
+    noise: PeriodNoise
     c: np.ndarray
     d: np.ndarray
     y: np.ndarray
@@ -259,20 +285,17 @@ def build_system_matrices(
     agg: Aggregation,
     idx: AdaptiveIndex,
     q_rows: np.ndarray,
-    t: int,
 ) -> SystemMatrices:
     q_rows = np.asarray(q_rows, dtype=int)
     Z = build_adaptive_Z(params, agg, idx, q_rows)
     C = build_adaptive_C(params, idx, q_rows)
-    G = build_adaptive_G(params, idx, q_rows, t)
     T = build_adaptive_T(params, idx)
     D = build_adaptive_D(params, idx)
-    H = build_adaptive_H(params, idx, t)
     c0 = np.zeros(Z.shape[0])
     c0[: len(idx.o_t)] = params.intercept[idx.o_t]
     d0 = np.zeros(T.shape[0])
     d0[: idx.head_size] = params.intercept[idx.head_vars()]
-    return SystemMatrices(Z, C, G, T, D, H, c0, d0, idx=idx, q_rows=q_rows)
+    return SystemMatrices(Z, C, T, D, c0, d0, idx=idx, q_rows=q_rows)
 
 
 @dataclass(frozen=True)
@@ -333,15 +356,19 @@ def _index_for_period(pattern: ObservationPattern, n_m: int, n_q: int, t: int) -
     return AdaptiveIndex(u_t, o_t, u_prev, o_prev, n_m, n_q)
 
 
+# each period's structural matrices and noise products, from ``period_skeleton``
+Skeleton = list[tuple[SystemMatrices, PeriodNoise]]
+
+
 def build_periods(
     params: VarParams,
-    skeleton: list[SystemMatrices],
+    skeleton: Skeleton,
     data: MixedFreqData,
     stop: int | None = None,
 ) -> list[PeriodSystem]:
     """Periods 0..stop-1 of the adaptive formulation (default: the whole sample).
 
-    ``skeleton`` holds each period's structural matrices
+    ``skeleton`` holds each period's structural matrices and noise products
     (``period_skeleton``), built once per parameters and pattern; this adds
     what varies between draws: the constants, from the lagged observed
     monthly data (variable-major, lags t-1..t-p, pre-sample lags zero), and
@@ -355,7 +382,7 @@ def build_periods(
     # become a handful of matrix products instead of per-period matvecs
     groups: dict[int, tuple[SystemMatrices, list[int]]] = {}
     for t in range(stop):
-        mats = skeleton[t]
+        mats = skeleton[t][0]
         groups.setdefault(id(mats), (mats, []))[1].append(t)
     cs: dict[int, np.ndarray] = {}
     ds: dict[int, np.ndarray] = {}
@@ -378,12 +405,12 @@ def build_periods(
     values = data.values
     n_m = params.n_m
     for t in range(stop):
-        mats = skeleton[t]
+        mats, noise = skeleton[t]
         key = id(mats)
         i = col[key]
         col[key] = i + 1
         y = np.concatenate([values[t, mats.idx.o_t], values[t, n_m + mats.q_rows]])
-        periods.append(PeriodSystem(mats, cs[key][:, i], ds[key][:, i], y, t))
+        periods.append(PeriodSystem(mats, noise, cs[key][:, i], ds[key][:, i], y, t))
     return periods
 
 
@@ -391,23 +418,29 @@ def period_skeleton(
     params: VarParams,
     agg: Aggregation,
     pattern: ObservationPattern,
-) -> list[SystemMatrices]:
-    """Structural matrices of every period, one object per distinct set.
+) -> Skeleton:
+    """Structural matrices and noise products of every period.
 
-    A period's matrices depend only on its monthly rows at t and t-1 (t = 0
-    follows a fully observed row) and its quarterly row at t, plus t itself
-    when ``chol_cov`` is time-varying.
+    A period's structural matrices depend only on its monthly rows at t and
+    t-1 (t = 0 follows a fully observed row) and its quarterly row at t: one
+    ``SystemMatrices`` per distinct key.  Its noise products depend on the
+    key and on ``chol_cov`` at t: with a constant ``chol_cov`` every period of
+    a key shares one ``PeriodNoise``; with a time-varying one, each period
+    has its own, formed in one batched pass per key.
     """
     obs = pattern.observed_monthly
     rows = np.hstack([obs, np.vstack([np.ones_like(obs[:1]), obs[:-1]]), pattern.quarterly_observed])
-    cache: dict[tuple, SystemMatrices] = {}
-    skeleton: list[SystemMatrices] = []
+    keys: dict[bytes, list[int]] = {}
     for t in range(pattern.T):
-        key = (rows[t].tobytes(), params.time_varying_cov and t)
-        mats = cache.get(key)
-        if mats is None:
-            idx = _index_for_period(pattern, params.n_m, params.n_q, t)
-            mats = build_system_matrices(params, agg, idx, pattern.quarterly_rows(t), t)
-            cache[key] = mats
-        skeleton.append(mats)
+        keys.setdefault(rows[t].tobytes(), []).append(t)
+    skeleton: Skeleton = [None] * pattern.T  # type: ignore[list-item]
+    for ts in keys.values():
+        idx = _index_for_period(pattern, params.n_m, params.n_q, ts[0])
+        mats = build_system_matrices(params, agg, idx, pattern.quarterly_rows(ts[0]))
+        W = params.chol_cov[ts] if params.time_varying_cov else params.chol_cov
+        noise = period_noise(*adaptive_loadings(W, idx, mats.q_rows, params.p), mats.Z)
+        if not params.time_varying_cov:
+            noise *= len(ts)
+        for t, part in zip(ts, noise):
+            skeleton[t] = (mats, part)
     return skeleton

@@ -91,12 +91,16 @@ class TestCrossBackend:
 
 def test_layer_trace_finds_smooth_bindings(monkeypatch):
     """The benchmark's layer trace wraps ``baseline.smooth``'s calls in every
-    backend: one reduced filter, smoother and system build per draw."""
+    backend: one reduced filter, smoother and system build per draw.  Every
+    binding its count table names resolves, and the counted calls are the
+    ones the package makes."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from layertrace import Tracer
+    from layertrace import COUNTED, Tracer
 
     import mfsmooth
 
+    for mod, name, _ in COUNTED:
+        assert callable(getattr(getattr(mfsmooth, mod), name, None)), f"{mod}.{name}"
     inst = small_instance(0)
     tracer = Tracer(mfsmooth)
     with tracer.root("iter"):
@@ -111,6 +115,31 @@ def test_layer_trace_finds_smooth_bindings(monkeypatch):
     # edge spans inside the backend's own span: the boundary hand-off and edge step
     assert spans["edge.baseline"] > 1 and spans["edge.blocked"] > 1
     assert mfsmooth.baseline.run_filter is mfsmooth.kalman.run_filter
+    counts = tracer.roots[0][2]
+    assert counts["systems.system_builds"] > 0 and counts["kalman.factorizations"] > 0
+
+
+def test_covariance_memo_not_shared_across_noise():
+    """The filter's covariance memo is keyed by the predicted covariance's
+    bytes, which do not see G.  A time-varying ``chol_cov`` that changes only
+    the monthly rows (G, not H) of one balanced period after the recursion
+    has cycled repeats the key of the period three months earlier; a memo
+    shared by both periods would hand over that period's F."""
+    inst = small_instance(1, 2, 1, 3, 40, 38)
+    params, data = inst.params, inst.data
+    t = 30
+    stack = np.repeat(params.chol_cov, data.T, axis=0)
+    stack[t, : params.n_m] *= 3.0
+    tv = VarParams(params.n_m, params.n_q, params.p, params.intercept, params.lag_coeffs, stack)
+    agg = build_aggregation(inst.scheme, params.n_m, params.n_q, params.p)
+    periods = build_periods(tv, period_skeleton(tv, agg, data.pattern), data)
+    records = run_filter(periods, init_state(tv)).records
+    assert periods[t].mats is periods[t - 3].mats
+    assert records[t].P_pred.tobytes() == records[t - 3].P_pred.tobytes()
+    oj = oracle_joint(tv, inst.scheme, data)
+    for name, run in BACKENDS.items():
+        out = run(tv, inst.scheme, data)
+        assert_allclose(out.x_hat, oj.mean, rtol=1e-8, atol=1e-8, err_msg=name)
 
 
 def reduced_filter_to_boundary(inst):

@@ -18,17 +18,14 @@ from mfsmooth.kalman import (
     stationary_quarterly_cov,
 )
 from mfsmooth.simulate import random_stable_params
-from mfsmooth.systems import PeriodSystem, SystemMatrices
+from mfsmooth.systems import PeriodSystem, SystemMatrices, period_noise
 from test_model import random_params
 
 
 def make_period(Z, c, G, T, d, H, y, t=0):
     n_obs, dim = Z.shape
-    mats = SystemMatrices(
-        Z=Z, C=np.zeros((n_obs, 0)), G=G, T=T, D=np.zeros((dim, 0)), H=H,
-        c0=c, d0=d,
-    )
-    return PeriodSystem(mats, c, d, y, t)
+    mats = SystemMatrices(Z=Z, C=np.zeros((n_obs, 0)), T=T, D=np.zeros((dim, 0)), c0=c, d0=d)
+    return PeriodSystem(mats, period_noise(G[None], H[None], Z)[0], c, d, y, t)
 
 
 class TestFilterStep:
@@ -46,12 +43,31 @@ class TestFilterStep:
         # from P0 = 0 the period's own prediction gives a = 0, P = 1 again;
         # then one step through the same transition
         res = run_filter([per], FilterState(np.zeros(1), np.zeros((1, 1))),
-                         final_transition=(per.mats.T, per.d, per.mats.HHt))
+                         final_transition=(per.mats.T, per.d, per.noise.HHt))
         assert_allclose(res.records[0].K, [[0.5]])
         assert_allclose(res.final_pred.a, [1.0])
         # terminal smoothing leaves the filtered mean unchanged
         a_sm, _ = smooth_step(res.records[0], np.zeros(1))
         assert_allclose(a_sm, [1.0])
+
+    def test_open_last_record_meets_zero_adjoint(self):
+        # without a closing transition the last record keeps no gain; the
+        # smoother reads it as K = 0, L = I meeting r = 0
+        per = make_period(
+            Z=np.array([[1.0]]), c=np.zeros(1), G=np.array([[1.0]]),
+            T=np.array([[0.5]]), d=np.zeros(1), H=np.array([[1.0]]),
+            y=np.array([2.0]),
+        )
+        res = run_filter([per, per], FilterState(np.zeros(1), np.ones((1, 1))))
+        last = res.records[-1]
+        assert last.K is None and last.L is None
+        states, _ = run_smoother(res.records)
+        assert_array_equal(states[-1], last.a_filt)
+        a_sm, r = smooth_step(last, None)
+        last.K, last.L = np.zeros((1, 1)), np.eye(1)
+        dense = smooth_step(last, np.zeros(1))
+        assert_array_equal(a_sm, dense[0])
+        assert_array_equal(r, dense[1])
 
     def test_empty_observation_period(self):
         per = make_period(

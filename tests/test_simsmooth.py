@@ -84,8 +84,33 @@ class TestSimulatePath:
         got = np.mean(paths, axis=(0, 1))
         assert_allclose(got, mu, atol=0.15)
 
+    def test_rank_deficient_initial_covariance_is_jittered(self, inst):
+        init = init_state(inst.params, "stationary")
+        # one quarterly lag with zero variance: the plain Cholesky fails
+        P = init.P.copy()
+        P[0, :] = P[:, 0] = 0.0
+        sim = simulate_path(inst.params, inst.data, np.random.default_rng(2),
+                            kalman.FilterState(init.a, P), scheme=inst.scheme)
+        assert sim.init_jitter
+        assert np.isfinite(sim.x_plus).all()
+        regular = simulate_path(inst.params, inst.data, np.random.default_rng(2), init, scheme=inst.scheme)
+        assert not regular.init_jitter
+
 
 class TestDraws:
+    def test_init_jitter_reported_per_draw(self, inst):
+        draw = draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=5)
+        assert draw.stats.init_jitter == 0
+        # the same draw from a plan whose initial covariance is rank deficient
+        plan = inst.data.pattern._plan
+        P = plan.init.P.copy()
+        P[0, :] = P[:, 0] = 0.0
+        object.__setattr__(plan, "init", kalman.FilterState(plan.init.a, P))
+        for backend in BACKENDS:
+            draw = draw_latent(inst.params, inst.scheme, inst.data, backend, seed=5)
+            assert draw.stats.init_jitter == 1, backend
+            assert np.isfinite(draw.x).all()
+
     def test_same_seed_bit_identical(self, inst):
         a = draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=5)
         b = draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=5)

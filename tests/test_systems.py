@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mfsmooth import MixedFreqData, build_aggregation, intra_quarterly_average
+from mfsmooth import MixedFreqData, VarParams, build_aggregation, intra_quarterly_average, systems
+from mfsmooth.baseline import plan_for
 from mfsmooth.model import ObservationPattern
+from mfsmooth.simulate import benchmark_pattern, make_instance
 from mfsmooth.systems import (
     AdaptiveIndex,
     balanced_index,
@@ -295,3 +297,36 @@ class TestExogVector:
         for per in periods[1 : params.p]:
             assert_allclose(per.c[:3], self.direct(params, values, per.t, all_m, all_m), rtol=1e-13)
             assert_allclose(per.d[:1], self.direct(params, values, per.t, head[3:], all_m), rtol=1e-13)
+
+
+class TestSkeletonSharing:
+    """Structural matrices are built once per pattern key; under a
+    time-varying ``chol_cov`` only the noise products are per period."""
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_one_build_per_pattern_key(self, monkeypatch, time_varying):
+        rng = np.random.default_rng(5)
+        inst = make_instance(18, 2, 6, 300, 297, rng, mask=benchmark_pattern(18, 2, 300, 297))
+        params = inst.params
+        if time_varying:
+            scale = np.exp(0.3 * rng.standard_normal((300, params.n)))
+            params = VarParams(18, 2, 6, params.intercept, params.lag_coeffs,
+                               scale[:, :, None] * params.chol_cov)
+        calls = []
+        build = systems.build_system_matrices
+        monkeypatch.setattr(systems, "build_system_matrices", lambda *args: calls.append(args) or build(*args))
+        plan = plan_for(params, inst.scheme, inst.data)
+        # balanced with and without a quarterly value, and three edge periods
+        assert len(calls) == 5
+        periods = build_periods(params, plan.skeleton, inst.data)
+        assert len({id(per.mats) for per in periods}) == 5
+        assert len({id(per.noise) for per in periods}) == (300 if time_varying else 5)
+        # the batched noise products are the single-period products
+        for per in periods:
+            idx, q_rows = per.mats.idx, per.mats.q_rows
+            G = build_adaptive_G(params, idx, q_rows, per.t)
+            H = build_adaptive_H(params, idx, per.t)
+            assert_array_equal(per.noise.GGt, G @ G.T)
+            assert_array_equal(per.noise.GHt, G @ H.T)
+            assert_array_equal(per.noise.HHt, H @ H.T)
+            assert_array_equal(per.noise.F_const, G @ G.T + G @ H.T @ per.mats.Z.T)
