@@ -2,10 +2,10 @@
 
 ``smooth`` runs the reduced (quarterly-stack) filter and smoother over the
 balanced sample; the backends differ only in the ragged-edge step they pass
-it.  What its draws share is prepared once per (parameters, aggregation,
-pattern) by ``plan_for``.  The reference step, ``dense_edge``,
-deliberately uses dense full-dimension companion products; the other
-backends exist to avoid exactly that cost.
+it.  What its draws share, the reduced filter's covariance pass included,
+is prepared once per (parameters, aggregation, pattern) by ``plan_for``.
+The reference step, ``dense_edge``, deliberately uses dense full-dimension
+companion products; the other backends exist to avoid exactly that cost.
 """
 
 from __future__ import annotations
@@ -17,23 +17,25 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .kalman import (
+    CovariancePass,
     FilterResult,
     FilterState,
     Transition,
     init_state,
+    predict,
     quarterly_state_index,
     run_filter,
     run_smoother,
 )
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams, build_aggregation
 from .systems import (
+    PeriodNoise,
     PeriodSystem,
     Skeleton,
     SystemMatrices,
-    build_companion_system,
     build_periods,
     build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
-    period_noise,
+    companion_observation,
     period_skeleton,
 )
 
@@ -44,13 +46,23 @@ __all__ = ["RunStats", "SmoothResult", "smooth", "dense_edge", "run_baseline",
 @dataclass
 class RunStats:
     """Step counters used to verify which formulations a run touched, and
-    the numerical fallbacks a draw took: ``init_jitter`` is 1 when the
-    initial quarterly covariance needed jitter to factorize for the pseudo
-    path (set by ``draw_latent``)."""
+    the numerical path a draw took:
+
+    - ``factorizations``: Cholesky factorizations of F the reduced
+      covariance pass computed for this draw, 0 when its plan was warm;
+    - ``cov_reuse``: reduced periods that shared an earlier period's
+      covariance entry (a cycle of the recursion);
+    - ``worst_cond``: the largest squared diagonal ratio of those factors;
+    - ``init_jitter``: 1 when the initial quarterly covariance needed jitter
+      to factorize for the pseudo path (set by ``draw_latent``).
+    """
 
     compact_steps: int = 0
     companion_steps: int = 0
     adaptive_steps: int = 0
+    factorizations: int = 0
+    cov_reuse: int = 0
+    worst_cond: float = 0.0
     init_jitter: int = 0
 
 
@@ -79,11 +91,14 @@ def check_pattern(params: VarParams, data: MixedFreqData) -> None:
 @dataclass(frozen=True)
 class Plan:
     """What every draw for one (parameters, aggregation, pattern) shares:
-    the expanded aggregation, the initial quarterly state and the period
-    skeleton (structural matrices and noise products).  ``scheme`` is the
-    aggregation argument as the caller passed it and ``init_key`` the
-    ``(init_mode, kappa)`` pair; with ``params`` they decide whether the
-    plan can be reused.
+    the expanded aggregation, the initial quarterly state, the period
+    skeleton (structural matrices and noise products) and the reduced
+    filter's covariance pass over it.  ``scheme`` is the aggregation
+    argument as the caller passed it and ``init_key`` the ``(init_mode,
+    kappa)`` pair; with ``params`` they decide whether the plan can be
+    reused.  ``lift`` is the placement of the reduced state in the stacked
+    one that closes the pass at the balanced boundary (None for a balanced
+    sample).
     """
 
     params: VarParams
@@ -92,6 +107,8 @@ class Plan:
     agg: Aggregation
     init: FilterState
     skeleton: Skeleton
+    cov: CovariancePass
+    lift: np.ndarray | None
 
 
 def plan_for(
@@ -105,7 +122,10 @@ def plan_for(
 
     The plan on ``data.pattern`` is reused while the parameters and the
     aggregation are the same objects and ``(init_mode, kappa)`` is equal;
-    otherwise a new plan is built and replaces it there.
+    otherwise a new plan is built and replaces it there.  A new plan runs
+    the covariance pass over the balanced sample, which every backend
+    shares; the adaptive backend extends it over the ragged edge on first
+    use.
     """
     pattern = data.pattern
     plan = pattern._plan
@@ -115,7 +135,10 @@ def plan_for(
     expanded = prepare(params, agg)
     check_pattern(params, data)
     init = init_state(params, init_mode, kappa)
-    plan = Plan(params, agg, init_key, expanded, init, period_skeleton(params, expanded, pattern))
+    skeleton = period_skeleton(params, expanded, pattern)
+    lift = None if pattern.balanced else lift_matrix(params)
+    plan = Plan(params, agg, init_key, expanded, init, skeleton, CovariancePass(skeleton, init.P), lift)
+    plan.cov.extend(pattern.t_balanced)
     object.__setattr__(pattern, "_plan", plan)
     return plan
 
@@ -134,22 +157,29 @@ def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
     x[:, : data.n_m][mask] = data.values[:, : data.n_m][mask]
 
 
+def lift_matrix(params: VarParams) -> np.ndarray:
+    """``E``: places the reduced (quarterly) state on its positions in the
+    stacked state."""
+    qi = quarterly_state_index(params)
+    E = np.zeros((params.n * (params.p + 1), len(qi)))
+    E[qi, np.arange(len(qi))] = 1.0
+    return E
+
+
 def compact_to_companion(params: VarParams, data: MixedFreqData, t_b: int) -> Transition:
     """Noise-free transition from the reduced state at t_b-1 onto the stacked
     (companion) state at the same period.
 
-    ``E`` places the reduced state on its quarterly positions and ``a_known``
-    holds the known monthly values at lags 0..p, which enter with zero
-    variance.  Closing the reduced filter with it makes the lifted filtered
-    state the ``final_pred`` of ``run_filter``'s result.
+    ``E`` (``lift_matrix``) places the reduced state on its quarterly
+    positions and ``a_known`` holds the known monthly values at lags 0..p,
+    which enter with zero variance.  The reduced filter's last step is
+    closed with ``E``; the edge steps map its filtered state through this
+    transition (``dense_lift``).
     """
     n, p = params.n, params.p
-    qi = quarterly_state_index(params)
-    E = np.zeros((n * (p + 1), len(qi)))
-    E[qi, np.arange(len(qi))] = 1.0
     a_known = np.zeros((p + 1, n))
     a_known[:, : params.n_m] = data.values[t_b - 1 - p : t_b, : params.n_m][::-1]
-    return E, a_known.reshape(-1), 0.0
+    return lift_matrix(params), a_known.reshape(-1), 0.0
 
 
 def companion_to_compact(r: np.ndarray, params: VarParams) -> np.ndarray:
@@ -168,35 +198,50 @@ def companion_to_compact(r: np.ndarray, params: VarParams) -> np.ndarray:
 def companion_periods(
     params: VarParams, agg: Aggregation, data: MixedFreqData, start: int
 ) -> list[PeriodSystem]:
-    periods = []
+    """Periods start..T-1 of the stacked (companion) formulation.
+
+    The dense transition and intercept are built once for the call, and
+    H H' once under a constant ``chol_cov`` (one batched product over the
+    periods under a time-varying one); the observation noise is zero.
+    """
+    n, dim = params.n, params.n * (params.p + 1)
     pattern = data.pattern
+    F1 = params.companion_transition()
+    Fc = params.companion_intercept()
+    tv = params.time_varying_cov
+    W = params.chol_cov[start:] if tv else params.chol_cov
+    H = np.zeros((len(W), dim, n))
+    H[:, :n] = W
+    HHt = H @ H.transpose(0, 2, 1)
+    periods = []
     for t in range(start, pattern.T):
-        comp = build_companion_system(params, agg, pattern, t)
-        n_obs = comp.Z.shape[0]
-        mats = SystemMatrices(
-            Z=comp.Z,
-            C=np.zeros((n_obs, 0)),
-            T=comp.transition,
-            D=np.zeros((comp.transition.shape[0], 0)),
-            c0=np.zeros(n_obs),
-            d0=comp.intercept,
-        )
-        noise = period_noise(np.zeros((1, n_obs, params.n)), comp.noise_chol[None], comp.Z)[0]
-        o_t = pattern.observed(t)
-        y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + pattern.quarterly_rows(t)]])
-        periods.append(PeriodSystem(mats, noise, mats.c0, comp.intercept, y, t))
+        o_t, q_rows = pattern.observed(t), pattern.quarterly_rows(t)
+        Z = companion_observation(params, agg, o_t, q_rows)
+        n_obs = Z.shape[0]
+        mats = SystemMatrices(Z, np.zeros((n_obs, 0)), F1, np.zeros((dim, 0)), np.zeros(n_obs), Fc)
+        zero = np.zeros((n_obs, n_obs))
+        noise = PeriodNoise(zero, np.zeros((n_obs, dim)), HHt[t - start if tv else 0], zero)
+        y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + q_rows]])
+        periods.append(PeriodSystem(mats, noise, mats.c0, Fc, y, t))
     return periods
+
+
+def dense_lift(reduced: FilterResult) -> FilterState:
+    """The reduced run's last filtered state mapped through its final
+    transition: the dense E P E' onto the stacked state."""
+    last = FilterState(reduced.a_filt[-1], reduced.run.steps[-1].entry.P_filt)
+    return predict(last, *reduced.final_transition)
 
 
 def dense_edge(
     params: VarParams, agg: Aggregation, data: MixedFreqData, reduced: FilterResult
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge step of the reference backend: the stacked-form filter and
-    smoother with dense companion products, from the dense lift
-    ``reduced.final_pred``."""
+    smoother with dense companion products, covariance pass included, from
+    the dense lift of the reduced run."""
     periods = companion_periods(params, agg, data, data.pattern.t_balanced)
-    res = run_filter(periods, reduced.final_pred)
-    states, r = run_smoother(res.records)
+    res = run_filter(periods, dense_lift(reduced))
+    states, r = run_smoother(periods, res)
     return np.array([a[: params.n] for a in states]), r
 
 
@@ -211,14 +256,15 @@ def smooth(
     """Reduced filtering to the balanced boundary, ``edge`` over the ragged
     edge, then reduced smoothing back to t=1.
 
-    The reduced filter's last record is closed with a transition onto the
-    stacked state (``compact_to_companion``); ``edge(params, agg, data,
-    reduced)`` gets that reduced run, starts from its lifted filtered state
-    (``reduced.final_pred``, or its own lift of the last record) and returns
-    the smoothed (T - t_b, n) edge rows and its adjoint for the stacked state
-    predicted at t_b, which restarts the reduced smoother with no linear
-    solve (``companion_to_compact``).  With ``edge=None``, or a balanced
-    sample, the reduced (adaptive) formulation covers the whole sample.
+    The reduced run is the mean pass over the plan's covariance pass.  Its
+    last step is closed with a transition onto the stacked state
+    (``compact_to_companion``); ``edge(params, agg, data, reduced)`` gets
+    that reduced run, starts from its lifted filtered state (``dense_lift``,
+    or its own lift of the last filtered state) and returns the smoothed
+    (T - t_b, n) edge rows and its adjoint for the stacked state predicted
+    at t_b, which restarts the reduced smoother with no linear solve
+    (``companion_to_compact``).  With ``edge=None``, or a balanced sample,
+    the reduced (adaptive) formulation covers the whole sample.
     """
     plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
@@ -226,12 +272,14 @@ def smooth(
     periods = build_periods(params, plan.skeleton, data, stop=stop)
     heads = r = None
     if stop == T:
-        res = run_filter(periods, plan.init)
+        cov = plan.cov.run(T)
+        res = run_filter(periods, plan.init, cov)
     else:
-        res = run_filter(periods, plan.init, final_transition=compact_to_companion(params, data, t_b))
+        cov = plan.cov.run(t_b, plan.lift)
+        res = run_filter(periods, plan.init, cov, compact_to_companion(params, data, t_b))
         heads, r_edge = edge(params, plan.agg, data, res)
         r = companion_to_compact(r_edge, params)
-    states, _ = run_smoother(res.records, r_init=r)
+    states, _ = run_smoother(periods, res, r_init=r)
     # allocated last: the result outlives the filter's working set, and placed
     # above it, it keeps that set's freed memory off the top of the heap, where
     # malloc would return it to the system for the next draw to fault back in
@@ -240,7 +288,8 @@ def smooth(
         x[t_b:] = heads
     fill_states(x, states, periods, params.n_m)
     fill_observed(x, data)
-    stats = RunStats(compact_steps=t_b)
+    stats = RunStats(compact_steps=t_b, factorizations=plan.cov.pop_factorizations(),
+                     cov_reuse=cov.reused, worst_cond=cov.worst_cond)
     if edge is None:
         stats.adaptive_steps = T - t_b
     else:

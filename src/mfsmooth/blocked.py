@@ -166,11 +166,10 @@ def blocked_edge(
     # prediction; E is a 0/1 placement, so that block of E P E' holds P's
     # entries at E's rows and zeros elsewhere
     E, a_known, _ = reduced.final_transition
-    last = reduced.records[-1]
-    a_filt = E @ last.a_filt + a_known
+    a_filt = E @ reduced.a_filt[-1] + a_known
     rows, cols = np.nonzero(E[:npp])
     pf_top = np.zeros((npp, npp))
-    pf_top[np.ix_(rows, rows)] = last.P_filt[np.ix_(cols, cols)]
+    pf_top[np.ix_(rows, rows)] = reduced.run.steps[-1].entry.P_filt[np.ix_(cols, cols)]
     records: list[BlockedRecord] = []
     for t in range(data.pattern.t_balanced, data.T):
         a, P = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t), ops)
@@ -189,7 +188,7 @@ def blocked_edge(
             M = blocked_M(P, o_t, qcols, lamqq_obs)
             y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + q_rows]])
             v = y - np.concatenate([a[o_t], lamqq_obs @ a[qcols]])
-            cf = (factorize_innovation(F, t), True)
+            cf = (factorize_innovation(F, t)[0], True)
             Finv_v = cho_solve(cf, v, check_finite=False)
             MFinv = cho_solve(cf, M.T, check_finite=False).T
             a_filt = a + M @ Finv_v

@@ -1,4 +1,5 @@
-"""Kalman filtering and fixed-interval smoothing with correlated noises.
+"""Kalman filtering and fixed-interval smoothing with correlated noises,
+split into a covariance pass and a mean pass.
 
 The state and observation disturbances share the same underlying shock
 vector, so the recursions carry the cross term ``H_t G_t'`` through the
@@ -6,17 +7,21 @@ gain, the innovation covariance and the smoother.  Transitions may be
 non-square (the state dimension can change between periods).
 
 The per-period convention: the transition ``(T_t, d_t, H_t)`` maps the
-t-1 state onto the t state.  One filter step at t therefore uses period
-t's observation matrices together with period t+1's transition for the
-gain ``K_t`` and ``L_{t+1}``.  The last period of a run without a closing
-transition has ``K = 0``, ``L = I``, which meet the adjoint ``r = 0``; its
-record leaves them unset and the smoother skips both.
+t-1 state onto the t state.  The covariance side of period t (P_pred, the
+factor of F, the gain ``K_t`` and ``L_t`` onto the t+1 state through period
+t+1's transition) depends on no data: ``CovariancePass`` computes it once
+per sequence of periods and shares it between periods whose recursion has
+entered a cycle.  Each draw then runs only the mean pass over y - c,
+``run_filter`` forward and ``run_smoother`` backward (Durbin and Koopman
+2002).  The last period of a run without a closing transition has
+``K = 0``, ``L = I``, which meet the adjoint ``r = 0``; its step leaves
+them unset and the smoother skips both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -27,13 +32,16 @@ from .systems import PeriodSystem
 
 __all__ = [
     "FilterState",
-    "FilterRecord",
+    "CovEntry",
+    "CovStep",
+    "CovariancePass",
+    "PassRun",
     "FilterResult",
     "factorize_innovation",
     "filter_step",
+    "predict",
     "run_filter",
     "run_smoother",
-    "smooth_step",
     "solve_discrete_lyapunov",
     "stationary_companion_cov",
     "stationary_quarterly_cov",
@@ -65,192 +73,347 @@ class FilterState:
     P: np.ndarray
 
 
-@dataclass
-class FilterRecord:
-    """Everything one period contributes to the backward smoothing pass.
+@dataclass(eq=False, slots=True)
+class CovEntry:
+    """The covariance side of one measurement update.
 
-    ``K`` and ``L`` are set when the next transition closes the record; the
-    last record of a run without a closing transition keeps them unset.
+    It depends on the period's structural matrices and noise part and on the
+    predicted covariance ``P_pred``, never on the data.  ``cf`` is the lower
+    Cholesky factor of the innovation covariance F and ``cond`` its squared
+    ratio of largest to smallest diagonal entry (None and 0 when nothing is
+    observed).  ``FinvMZ`` is ``F^-1 [M', Z]`` with ``M = P_pred Z' + H G'``:
+    one product with it gives a period's filtered mean and ``Z' F^-1 v``.
     """
 
-    t: int
-    a_pred: np.ndarray
     P_pred: np.ndarray
-    a_filt: np.ndarray
-    P_filt: np.ndarray
-    v: np.ndarray
-    Finv_v: np.ndarray
-    M: np.ndarray
-    MFinv: np.ndarray
     Z: np.ndarray
     HGt: np.ndarray
-    K: np.ndarray = field(default=None)  # type: ignore[assignment]
-    L: np.ndarray = field(default=None)  # type: ignore[assignment]
+    cf: np.ndarray | None
+    cond: float
+    FinvMZ: np.ndarray
+    P_filt: np.ndarray
+
+    @property
+    def MFinv(self) -> np.ndarray:
+        return self.FinvMZ[:, : self.P_pred.shape[0]].T
+
+
+@dataclass(eq=False, slots=True)
+class CovStep:
+    """A period's entry with the gain onto the next state, K = T' M F^-1 and
+    L = T' - K Z for the next transition T'.  Both are None after the last
+    period of a run without a closing transition: K = 0 and L = I there meet
+    the adjoint r = 0.  ``succ`` is the next period's entry."""
+
+    entry: CovEntry
+    K: np.ndarray | None = None
+    L: np.ndarray | None = None
+    succ: CovEntry | None = None
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def factorize_innovation(F: np.ndarray, t: int) -> np.ndarray:
-    """Lower Cholesky factor of the innovation covariance ``F`` at period t.
+def factorize_innovation(F: np.ndarray, t: int) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of the innovation covariance ``F`` at period t,
+    and the squared ratio of its largest to smallest diagonal entry.
 
     Raises ``SingularInnovationError`` when ``F`` is not positive definite or
-    the squared ratio of the factor's largest to smallest diagonal entry
-    exceeds ``COND_LIMIT``.  A Fortran-ordered ``F`` is overwritten.
+    that ratio exceeds ``COND_LIMIT``.  A Fortran-ordered ``F`` is overwritten.
     """
     cf, info = dpotrf(F, lower=1, overwrite_a=1)
     diag = cf.diagonal()
-    if info != 0 or (diag.max() / diag.min()) ** 2 > COND_LIMIT:
+    cond = float((diag.max() / diag.min()) ** 2) if info == 0 else np.inf
+    if not cond <= COND_LIMIT:
         raise SingularInnovationError(t)
-    return cf
+    return cf, cond
 
 
-def filter_step(
-    state: FilterState,
-    sys_t: PeriodSystem,
-) -> tuple[FilterState, FilterRecord]:
-    """One measurement update at period t; K/L are filled in afterwards.
-
-    ``state`` is the one-step-ahead predicted state at t.
-    """
+def filter_step(P: np.ndarray, sys_t) -> CovEntry:
+    """The covariance side of the measurement update at one period, from its
+    predicted covariance ``P``; ``sys_t`` has the period's ``mats``, ``noise``
+    and ``t`` (a ``PeriodSystem`` or a skeleton ``PeriodShape``)."""
     m, nz = sys_t.mats, sys_t.noise
-    a, P = state.a, state.P
     Z = m.Z
     HGt = nz.GHt.T
+    dim = P.shape[0]
     if m.n_obs == 0:
-        v = Finv_v = np.zeros(0)
-        M = MFinv = np.zeros((a.shape[0], 0))
-        a_filt, P_filt = a, P
-    else:
-        v = sys_t.y - Z @ a - sys_t.c
-        # the covariance-side quantities depend only on (m, nz, P); the
-        # prediction covariance sequence is data-independent and converges to
-        # a cycle, so for small states the factorizations are memoized on the
-        # period's noise part, keyed by P's bytes.  Hits reproduce the uncached
-        # arithmetic bit for bit because the cached arrays came from identical
-        # inputs: a noise part belongs to one set of structural matrices.
-        key = P.tobytes() if P.nbytes <= 16384 else None
-        hit = nz._cov_cache.get(key)
-        if hit is not None:
-            cf, M, MFinv, P_filt = hit
-            Finv_v = dpotrs(cf, v.reshape(-1, 1), lower=1)[0][:, 0]
-        else:
-            M = P @ Z.T + HGt
-            # direct LAPACK calls with Fortran-ordered operands: this step runs
-            # once per period and wrapper or copy overhead is measurable at T=500
-            cf = factorize_innovation(np.asfortranarray(Z @ M + nz.F_const), sys_t.t)
-            rhs = np.empty((v.shape[0], 1 + a.shape[0]), order="F")
-            rhs[:, 0] = v
-            rhs[:, 1:] = M.T
-            sol, info = dpotrs(cf, rhs, lower=1, overwrite_b=1)
-            if info != 0:
-                raise SingularInnovationError(sys_t.t)
-            Finv_v = sol[:, 0]
-            MFinv = sol[:, 1:].T
-            P_filt = _sym(P - MFinv @ M.T)
-            if key is not None and len(nz._cov_cache) < 512:
-                nz._cov_cache[key] = (cf, M, MFinv, P_filt)
-        a_filt = a + M @ Finv_v
-    rec = FilterRecord(sys_t.t, a, P, a_filt, P_filt, v, Finv_v, M, MFinv, Z, HGt)
-    return FilterState(a_filt, P_filt), rec
+        return CovEntry(P, Z, HGt, None, 0.0, np.zeros((0, 2 * dim)), P)
+    M = P @ Z.T + HGt
+    # direct LAPACK calls with Fortran-ordered operands: wrapper or copy
+    # overhead is measurable when a pass computes hundreds of entries
+    cf, cond = factorize_innovation(np.asfortranarray(Z @ M + nz.F_const), sys_t.t)
+    rhs = np.empty((m.n_obs, 2 * dim), order="F")
+    rhs[:, :dim] = M.T
+    rhs[:, dim:] = Z
+    sol, info = dpotrs(cf, rhs, lower=1, overwrite_b=1)
+    if info != 0:
+        raise SingularInnovationError(sys_t.t)
+    return CovEntry(P, Z, HGt, cf, cond, sol, _sym(P - sol[:, :dim].T @ M.T))
 
 
 # (T, d, HHt); HHt may be the scalar 0 for a noise-free transition
 Transition = tuple[np.ndarray, np.ndarray, np.ndarray | float]
 
 
-def _predict(state: FilterState, Tm: np.ndarray, d: np.ndarray, HHt: np.ndarray | float) -> FilterState:
-    a = Tm @ state.a + d
-    P = _sym(Tm @ state.P @ Tm.T + HHt)
-    return FilterState(a, P)
+def predict(state: FilterState, Tm: np.ndarray, d: np.ndarray, HHt: np.ndarray | float) -> FilterState:
+    """``state`` mapped through the transition (Tm, d, HHt)."""
+    return FilterState(Tm @ state.a + d, _predict_cov(state.P, Tm, HHt))
 
 
-def _close_record(rec: FilterRecord, Tm: np.ndarray) -> None:
-    rec.K = Tm @ rec.MFinv
-    rec.L = Tm - rec.K @ rec.Z
+def _predict_cov(P: np.ndarray, Tm: np.ndarray, HHt: np.ndarray | float) -> np.ndarray:
+    return _sym(Tm @ P @ Tm.T + HHt)
 
 
-@dataclass
+def _close(entry: CovEntry, Tm: np.ndarray, succ: CovEntry | None = None) -> CovStep:
+    K = Tm @ entry.MFinv
+    return CovStep(entry, K, Tm - K @ entry.Z, succ)
+
+
+@dataclass(eq=False)
+class PassRun:
+    """The steps of periods 0..stop-1 of a covariance pass: the groups of
+    two or more periods that share a step, and per period whether its step
+    is its own (``lone``).  ``reused`` periods share an earlier period's
+    entry and ``worst_cond`` is the largest condition ratio among their
+    factorizations.  ``closing``, the last step's noise-free transition, is
+    kept alive with the run that was keyed on it."""
+
+    steps: list[CovStep]
+    shared: list[tuple[CovStep, list[int]]]
+    lone: list[bool]
+    closing: np.ndarray | None
+    reused: int
+    worst_cond: float
+
+
+class CovariancePass:
+    """The covariance side of the filter over one sequence of periods:
+    predicted and filtered covariances, the factor of F and the gains K and
+    L, computed from the initial covariance ``P0`` without any data.
+
+    A prepared plan holds one pass, so every draw for it runs only the mean
+    pass (``run_filter``, ``run_smoother``).  The pass is extended as far as
+    a run asks for.  The step from one entry to the next depends only on the
+    entry and on the next period's (mats, noise) objects, so the pass keeps
+    each step under that triple.  A predicted covariance that repeats, bit
+    for bit, the one an earlier period with the same (mats, noise) objects
+    had is that period's entry: the recursion has entered a cycle, and every
+    further period of it is a lookup.  Entries are shared only where the
+    noise part is the same object, since ``P_pred`` does not see G.
+    """
+
+    def __init__(self, periods, P0: np.ndarray):
+        self.periods = periods
+        self.P0 = P0
+        self.factorizations = 0    # factorizations since the last ``pop_factorizations``
+        self._steps: list[CovStep] = []    # closed steps of the leading periods
+        self._next: CovEntry | None = None    # entry of the period after them
+        self._keys = [(id(per.mats), id(per.noise)) for per in periods]
+        counts = Counter(self._keys)
+        # only a (mats, noise) pair that recurs can close a cycle
+        self._recurs = [counts[key] > 1 for key in self._keys]
+        self._seen: dict[tuple, CovEntry] = {}
+        self._links: dict[tuple, CovStep] = {}
+        self._runs: dict[tuple[int, int], PassRun] = {}
+
+    def pop_factorizations(self) -> int:
+        """Factorizations computed since the last call."""
+        k, self.factorizations = self.factorizations, 0
+        return k
+
+    def run(self, stop: int, closing: np.ndarray | None = None) -> PassRun:
+        """Steps of periods 0..stop-1; the last is closed by the noise-free
+        transition ``closing`` onto another state space, or left open."""
+        key = (stop, id(closing))
+        found = self._runs.get(key)
+        if found is None:
+            found = self._runs[key] = self._make_run(stop, closing)
+        return found
+
+    def _entry(self, P: np.ndarray, t: int) -> CovEntry:
+        if not self._recurs[t]:
+            entry = filter_step(P, self.periods[t])
+        else:
+            raw = P.tobytes()
+            key = (self._keys[t], hash(raw))
+            entry = self._seen.get(key)
+            if entry is not None and entry.P_pred.tobytes() == raw:
+                return entry
+            entry = self._seen[key] = filter_step(P, self.periods[t])
+        self.factorizations += entry.cf is not None
+        return entry
+
+    def extend(self, stop: int) -> CovEntry:
+        """Close the steps of periods 0..stop-2; returns period stop-1's entry."""
+        periods, steps = self.periods, self._steps
+        if self._next is None:
+            per = periods[0]
+            self._next = self._entry(_predict_cov(self.P0, per.mats.T, per.noise.HHt), 0)
+        entry = self._next
+        for t in range(len(steps) + 1, stop):
+            # a step into a period whose (mats, noise) pair does not recur is
+            # never taken again, so only the others are kept
+            if self._recurs[t]:
+                key = (id(entry), self._keys[t])
+                step = self._links.get(key)
+                if step is None:
+                    step = self._links[key] = self._step(entry, t)
+            else:
+                step = self._step(entry, t)
+            steps.append(step)
+            entry = step.succ
+        self._next = entry
+        return steps[stop - 1].entry if stop <= len(steps) else entry
+
+    def _step(self, entry: CovEntry, t: int) -> CovStep:
+        """The step from ``entry`` into period t."""
+        per = self.periods[t]
+        Tm = per.mats.T
+        return _close(entry, Tm, self._entry(_predict_cov(entry.P_filt, Tm, per.noise.HHt), t))
+
+    def _make_run(self, stop: int, closing: np.ndarray | None) -> PassRun:
+        entry = self.extend(stop)
+        last = CovStep(entry) if closing is None else _close(entry, closing)
+        steps = [*self._steps[: stop - 1], last]
+        # only periods whose (mats, noise) pair recurs share entries, and
+        # only steps into them are shared
+        recurs = self._recurs
+        groups: dict[int, tuple[CovStep, list[int]]] = {}
+        for t in range(stop - 1):
+            if recurs[t + 1]:
+                groups.setdefault(id(steps[t]), (steps[t], []))[1].append(t)
+        shared = [g for g in groups.values() if len(g[1]) > 1]
+        lone = [True] * stop
+        for _, ts in shared:
+            for t in ts:
+                lone[t] = False
+        cycled = [id(steps[t].entry) for t in range(stop) if recurs[t]]
+        worst = max(step.entry.cond for step in steps)
+        return PassRun(steps, shared, lone, closing, len(cycled) - len(set(cycled)), worst)
+
+
+@dataclass(eq=False)
 class FilterResult:
-    records: list[FilterRecord]
-    final_transition: Transition | None = None
+    """One draw's forward mean pass: per period the filtered mean, the
+    innovation ``v`` and ``w = Z' F^-1 v``."""
 
-    @cached_property
-    def final_pred(self) -> FilterState | None:
-        """The last filtered state mapped through ``final_transition``; formed
-        on first use, so a caller that reads the last record itself never
-        pays for it."""
-        if self.final_transition is None:
-            return None
-        last = self.records[-1]
-        return _predict(FilterState(last.a_filt, last.P_filt), *self.final_transition)
+    run: PassRun
+    a_filt: list[np.ndarray]
+    v: list[np.ndarray]
+    w: list[np.ndarray]
+    final_transition: Transition | None = None
 
 
 def run_filter(
     periods: list[PeriodSystem],
     init: FilterState,
+    run: PassRun | None = None,
     final_transition: Transition | None = None,
 ) -> FilterResult:
-    """Filter a run of periods.
+    """The forward mean pass over a run of periods:
+    ``a_{t+1} = L_t a_t + K_t (y_t - c_t) + d_{t+1}``.
 
-    ``init`` is the state distribution before the first period; each period
-    first predicts through its own transition, then updates.  If
-    ``final_transition`` is given, the last record's gain uses it and the
-    state it maps onto is the result's ``final_pred`` (the transition may
-    change the state space, as the ragged-edge backends' lift into the
-    stacked state does); otherwise the last record is left open: its ``K = 0``
-    and ``L = I`` are never formed, and ``run_smoother`` starts from it with
-    ``r = 0``.
+    ``init`` is the state distribution before the first period, which
+    predicts through its own transition.  ``run`` is the covariance side
+    (``CovariancePass.run``); without one the run computes its own from
+    ``init.P``.  Only the state recursion runs period by period: for periods
+    that share a step, each other term is one product per group.  A period
+    with a step of its own (every period under a time-varying ``chol_cov``)
+    takes the measurement update and the prediction through the next
+    transition as matrix-vector products instead, which cost less than a
+    group of one.  ``final_transition``, which the run's closing step must
+    match, maps the last filtered state onto the state the caller continues
+    from; it is kept for that caller.
     """
-    records: list[FilterRecord] = []
-    state = init
-    prev: FilterRecord | None = None
-    for per in periods:
-        Tm = per.mats.T
-        if prev is not None:
-            _close_record(prev, Tm)
-        state = _predict(state, Tm, per.d, per.noise.HHt)
-        state, rec = filter_step(state, per)
-        records.append(rec)
-        prev = rec
-    if prev is None or final_transition is None:
-        return FilterResult(records)
-    _close_record(prev, final_transition[0])
-    return FilterResult(records, final_transition)
-
-
-def smooth_step(rec: FilterRecord, r: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed mean at rec.t and the propagated adjoint r_{t-1}.
-
-    ``r`` lives in the t+1 state space; the smoothing projection is applied
-    as two matrix-vector products so it is never materialized.  ``r = None``
-    stands for ``r = 0``, after the last period of a run: then the smoothed
-    mean is the filtered one and the gain is not read.
-    """
-    if r is None:
-        return rec.a_filt, rec.Z.T @ rec.Finv_v
-    Ltr = rec.L.T @ r
-    a_sm = rec.a_filt + rec.P_pred @ Ltr - rec.HGt @ (rec.K.T @ r)
-    r_prev = Ltr + rec.Z.T @ rec.Finv_v
-    return a_sm, r_prev
+    if run is None:
+        run = CovariancePass(periods, init.P).run(len(periods))
+    steps = run.steps
+    stop = len(steps)
+    ymc = [per.y - per.c for per in periods[:stop]]
+    b: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
+    for step, ts in run.shared:
+        B = np.array([ymc[t] for t in ts]) @ step.K.T + np.array([periods[t + 1].d for t in ts])
+        for j, t in enumerate(ts):
+            b[t] = B[j]
+    a_filt: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
+    v: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
+    w: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
+    A: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
+    per = periods[0]
+    a = per.mats.T @ init.a + per.d
+    for t in range(stop):
+        if not run.lone[t]:
+            A[t] = a
+            a = steps[t].L @ a + b[t]
+            continue
+        # a step of its own: the measurement update, then the prediction
+        e, dim = steps[t].entry, len(a)
+        v[t] = vt = ymc[t] - e.Z @ a
+        x = vt @ e.FinvMZ
+        a_filt[t] = a = a + x[:dim]
+        w[t] = x[dim:]
+        if t + 1 < stop:
+            per = periods[t + 1]
+            a = per.mats.T @ a + per.d
+    for step, ts in run.shared:
+        e = step.entry
+        dim = e.P_pred.shape[0]
+        At = np.array([A[t] for t in ts])
+        V = np.array([ymc[t] for t in ts]) - At @ e.Z.T
+        X = V @ e.FinvMZ
+        Af = At + X[:, :dim]
+        for j, t in enumerate(ts):
+            a_filt[t] = Af[j]
+            v[t] = V[j]
+            w[t] = X[j, dim:]
+    return FilterResult(run, a_filt, v, w, final_transition)
 
 
 def run_smoother(
-    records: list[FilterRecord],
+    periods: list[PeriodSystem],
+    filtered: FilterResult,
     r_init: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Backward pass; returns smoothed state means and the final adjoint r_0.
+    """The backward mean pass over the periods of ``filtered``; returns the
+    smoothed state means and the final adjoint r_0.
 
-    ``r_init`` is the adjoint after the last record, which a run closed by a
-    final transition needs; without one the pass starts from ``r = 0``.
+    ``r_{t-1} = L_t' r_t + Z_t' F_t^-1 v_t`` runs per period; the smoothed
+    means ``a_filt + P_pred L_t' r_t - H G' K_t' r_t`` are one product per
+    group of periods that share a step.  ``r_init`` is the adjoint after the
+    last period, which a run closed by a final transition needs; without one
+    the pass starts from ``r = 0``, where the smoothed mean is the filtered
+    one.
     """
+    run = filtered.run
+    steps, a_filt, w = run.steps, filtered.a_filt, filtered.w
+    stop = len(steps)
+    states: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
+    R: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
+    Ltr: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
+    lone = run.lone
     r = r_init
-    out: list[np.ndarray] = [None] * len(records)  # type: ignore[list-item]
-    for i in range(len(records) - 1, -1, -1):
-        a_sm, r = smooth_step(records[i], r)
-        out[i] = a_sm
-    return out, r
+    for t in range(stop - 1, -1, -1):
+        if r is None:
+            states[t] = a_filt[t]
+            r = w[t]
+            continue
+        step = steps[t]
+        ltr = step.L.T @ r
+        if lone[t]:
+            e = step.entry
+            states[t] = a_filt[t] + e.P_pred @ ltr - e.HGt @ (step.K.T @ r)
+        else:
+            R[t], Ltr[t] = r, ltr
+        r = ltr + w[t]
+    for step, ts in run.shared:
+        e = step.entry
+        sm = np.array([a_filt[t] for t in ts]) + np.array([Ltr[t] for t in ts]) @ e.P_pred
+        sm -= (np.array([R[t] for t in ts]) @ step.K) @ e.HGt.T
+        for j, t in enumerate(ts):
+            states[t] = sm[j]
+    return states, r
 
 
 def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:

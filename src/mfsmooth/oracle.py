@@ -69,7 +69,7 @@ def oracle_smooth(
     periods = companion_periods(params, agg, data, 0)
     init = _companion_init(params, init_mode, kappa)
     res = run_filter(periods, init)
-    states, _ = run_smoother(res.records)
+    states, _ = run_smoother(periods, res)
     x = np.empty((data.T, params.n))
     for t, a in enumerate(states):
         x[t] = a[: params.n]

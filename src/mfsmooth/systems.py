@@ -4,7 +4,7 @@ One general builder covers the reduced (quarterly-stack) formulation and its
 ragged-edge extension in which the state is augmented, period by period, with
 exactly the currently-unobserved monthly variables.  The balanced case is the
 special case ``U_t = {}``.  The full stacked (companion) formulation used by
-the reference smoother is built separately.
+the reference smoother is built separately (``baseline.companion_periods``).
 
 State layout: ``p+1`` lag groups, each group ``(x_{U_t}, x_q)`` with the
 unobserved monthly indices ascending and the quarterly variables last.
@@ -14,7 +14,8 @@ lags ``t-1..t-p`` inside each variable block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "AdaptiveIndex",
     "SystemMatrices",
     "PeriodSystem",
-    "CompanionSystem",
     "build_adaptive_T",
     "build_adaptive_D",
     "build_adaptive_Z",
@@ -34,9 +34,9 @@ __all__ = [
     "build_adaptive_H",
     "adaptive_loadings",
     "PeriodNoise",
+    "PeriodShape",
     "period_noise",
     "build_system_matrices",
-    "build_companion_system",
     "companion_observation",
     "build_periods",
     "period_skeleton",
@@ -241,19 +241,12 @@ class SystemMatrices:
 @dataclass
 class PeriodNoise:
     """Noise products of one period: G G', G H', H H' and the constant part
-    of the innovation covariance, F = Z M + F_const.
-
-    ``_cov_cache`` memoizes the covariance-side filter quantities keyed by
-    the predicted covariance's bytes.  The key leaves out G, so the memo
-    belongs here, never on the ``SystemMatrices`` that periods with
-    different noise share.
-    """
+    of the innovation covariance, F = Z M + F_const."""
 
     GGt: np.ndarray
     GHt: np.ndarray
     HHt: np.ndarray
     F_const: np.ndarray
-    _cov_cache: dict = field(default_factory=dict, repr=False)
 
 
 def period_noise(G: np.ndarray, H: np.ndarray, Z: np.ndarray) -> list[PeriodNoise]:
@@ -298,16 +291,6 @@ def build_system_matrices(
     return SystemMatrices(Z, C, T, D, c0, d0, idx=idx, q_rows=q_rows)
 
 
-@dataclass(frozen=True)
-class CompanionSystem:
-    """Full stacked formulation with p+1 lag groups."""
-
-    transition: np.ndarray   # F_1
-    intercept: np.ndarray    # F_c
-    noise_chol: np.ndarray   # H_t, zero outside the top n x n block
-    Z: np.ndarray            # per-period observation loading
-
-
 def companion_observation(
     params: VarParams,
     agg: Aggregation,
@@ -326,24 +309,6 @@ def companion_observation(
     return Z
 
 
-def build_companion_system(
-    params: VarParams,
-    agg: Aggregation,
-    pattern: ObservationPattern,
-    t: int,
-) -> CompanionSystem:
-    n, p = params.n, params.p
-    H = np.zeros((n * (p + 1), n))
-    H[:n] = params.chol(t)
-    Z = companion_observation(params, agg, pattern.observed(t), pattern.quarterly_rows(t))
-    return CompanionSystem(
-        transition=params.companion_transition(),
-        intercept=params.companion_intercept(),
-        noise_chol=H,
-        Z=Z,
-    )
-
-
 def _index_for_period(pattern: ObservationPattern, n_m: int, n_q: int, t: int) -> AdaptiveIndex:
     all_m = np.arange(n_m)
     empty = np.empty(0, dtype=int)
@@ -356,8 +321,16 @@ def _index_for_period(pattern: ObservationPattern, n_m: int, n_q: int, t: int) -
     return AdaptiveIndex(u_t, o_t, u_prev, o_prev, n_m, n_q)
 
 
-# each period's structural matrices and noise products, from ``period_skeleton``
-Skeleton = list[tuple[SystemMatrices, PeriodNoise]]
+class PeriodShape(NamedTuple):
+    """A period without its data: what the covariance pass reads."""
+
+    mats: SystemMatrices
+    noise: PeriodNoise
+    t: int
+
+
+# every period's shape, from ``period_skeleton``
+Skeleton = list[PeriodShape]
 
 
 def build_periods(
@@ -382,7 +355,7 @@ def build_periods(
     # become a handful of matrix products instead of per-period matvecs
     groups: dict[int, tuple[SystemMatrices, list[int]]] = {}
     for t in range(stop):
-        mats = skeleton[t][0]
+        mats = skeleton[t].mats
         groups.setdefault(id(mats), (mats, []))[1].append(t)
     cs: dict[int, np.ndarray] = {}
     ds: dict[int, np.ndarray] = {}
@@ -405,7 +378,7 @@ def build_periods(
     values = data.values
     n_m = params.n_m
     for t in range(stop):
-        mats, noise = skeleton[t]
+        mats, noise, _ = skeleton[t]
         key = id(mats)
         i = col[key]
         col[key] = i + 1
@@ -442,5 +415,5 @@ def period_skeleton(
         if not params.time_varying_cov:
             noise *= len(ts)
         for t, part in zip(ts, noise):
-            skeleton[t] = (mats, part)
+            skeleton[t] = PeriodShape(mats, part, t)
     return skeleton

@@ -19,9 +19,9 @@ from mfsmooth import (
     run_blocked,
     skip_sampling,
 )
-from mfsmooth.baseline import compact_to_companion, companion_to_compact
+from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_lift
 from mfsmooth.blocked import OpCounter, blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
-from mfsmooth.kalman import init_state, quarterly_state_index, run_filter
+from mfsmooth.kalman import CovariancePass, init_state, quarterly_state_index, run_filter
 from mfsmooth.model import AggregationScheme
 from mfsmooth.simulate import make_instance
 from mfsmooth.systems import build_periods, period_skeleton
@@ -120,11 +120,12 @@ def test_layer_trace_finds_smooth_bindings(monkeypatch):
 
 
 def test_covariance_memo_not_shared_across_noise():
-    """The filter's covariance memo is keyed by the predicted covariance's
-    bytes, which do not see G.  A time-varying ``chol_cov`` that changes only
-    the monthly rows (G, not H) of one balanced period after the recursion
-    has cycled repeats the key of the period three months earlier; a memo
-    shared by both periods would hand over that period's F."""
+    """The covariance pass finds a cycle by the predicted covariance's bytes,
+    which do not see G.  A time-varying ``chol_cov`` that changes only the
+    monthly rows (G, not H) of one balanced period after the recursion has
+    cycled repeats the predicted covariance of the period three months
+    earlier, with the same structural matrices; an entry shared by both
+    periods would hand over that period's F."""
     inst = small_instance(1, 2, 1, 3, 40, 38)
     params, data = inst.params, inst.data
     t = 30
@@ -132,10 +133,11 @@ def test_covariance_memo_not_shared_across_noise():
     stack[t, : params.n_m] *= 3.0
     tv = VarParams(params.n_m, params.n_q, params.p, params.intercept, params.lag_coeffs, stack)
     agg = build_aggregation(inst.scheme, params.n_m, params.n_q, params.p)
-    periods = build_periods(tv, period_skeleton(tv, agg, data.pattern), data)
-    records = run_filter(periods, init_state(tv)).records
-    assert periods[t].mats is periods[t - 3].mats
-    assert records[t].P_pred.tobytes() == records[t - 3].P_pred.tobytes()
+    skeleton = period_skeleton(tv, agg, data.pattern)
+    steps = CovariancePass(skeleton, init_state(tv).P).run(data.T).steps
+    assert skeleton[t].mats is skeleton[t - 3].mats
+    assert steps[t].entry.P_pred.tobytes() == steps[t - 3].entry.P_pred.tobytes()
+    assert steps[t].entry is not steps[t - 3].entry
     oj = oracle_joint(tv, inst.scheme, data)
     for name, run in BACKENDS.items():
         out = run(tv, inst.scheme, data)
@@ -147,9 +149,12 @@ def reduced_filter_to_boundary(inst):
     params, data = inst.params, inst.data
     t_b = data.pattern.t_balanced
     agg = build_aggregation(inst.scheme, params.n_m, params.n_q, params.p)
-    periods = build_periods(params, period_skeleton(params, agg, data.pattern), data, stop=t_b)
-    return run_filter(periods, init_state(params),
-                      final_transition=compact_to_companion(params, data, t_b))
+    skeleton = period_skeleton(params, agg, data.pattern)
+    periods = build_periods(params, skeleton, data, stop=t_b)
+    init = init_state(params)
+    transition = compact_to_companion(params, data, t_b)
+    run = CovariancePass(skeleton, init.P).run(t_b, transition[0])
+    return run_filter(periods, init, run, transition)
 
 
 class TestTransitions:
@@ -157,15 +162,15 @@ class TestTransitions:
         inst = small_instance(5)
         params = inst.params
         res = reduced_filter_to_boundary(inst)
-        last, lifted = res.records[-1], res.final_pred
+        lifted = dense_lift(res)
         qi = quarterly_state_index(params)
         monthly = np.setdiff1d(np.arange(params.n * (params.p + 1)), qi)
         # known monthly values enter with zero variance; the quarterly block
         # is the reduced filtered state at t_b-1
         assert_array_equal(lifted.P[monthly, :], 0.0)
         assert_array_equal(lifted.P[:, monthly], 0.0)
-        assert_allclose(lifted.P[np.ix_(qi, qi)], last.P_filt, rtol=1e-15, atol=0)
-        assert_allclose(lifted.a[qi], last.a_filt, rtol=1e-15, atol=0)
+        assert_allclose(lifted.P[np.ix_(qi, qi)], res.run.steps[-1].entry.P_filt, rtol=1e-15, atol=0)
+        assert_allclose(lifted.a[qi], res.a_filt[-1], rtol=1e-15, atol=0)
 
     def test_lift_interleaves_known_monthly_values(self):
         inst = small_instance(5)
@@ -182,7 +187,7 @@ class TestTransitions:
             assert_array_equal(a_known[lag * n : lag * n + n_m], data.values[t_b - 1 - lag, :n_m])
         assert_array_equal(a_known[qi], 0.0)
         res = reduced_filter_to_boundary(inst)
-        assert_array_equal(np.delete(res.final_pred.a, qi), np.delete(a_known, qi))
+        assert_array_equal(np.delete(dense_lift(res).a, qi), np.delete(a_known, qi))
 
     def test_back_transition_zero_when_smoothing_changes_nothing(self):
         params = random_params(2, 1, 3, seed=0)

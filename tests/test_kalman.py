@@ -7,17 +7,21 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mfsmooth import InitializationError, SingularInnovationError, VarParams, kalman
 from mfsmooth.kalman import (
+    CovariancePass,
+    CovStep,
     FilterState,
+    PassRun,
     filter_step,
     init_state,
+    predict,
     quarterly_state_index,
     run_filter,
     run_smoother,
-    smooth_step,
     stationary_companion_cov,
     stationary_quarterly_cov,
 )
-from mfsmooth.simulate import random_stable_params
+from mfsmooth.baseline import plan_for
+from mfsmooth.simulate import make_instance, random_stable_params
 from mfsmooth.systems import PeriodSystem, SystemMatrices, period_noise
 from test_model import random_params
 
@@ -28,6 +32,11 @@ def make_period(Z, c, G, T, d, H, y, t=0):
     return PeriodSystem(mats, period_noise(G[None], H[None], Z)[0], c, d, y, t)
 
 
+def single_steps(steps):
+    """A pass run in which no two periods share a step."""
+    return PassRun(steps, [], [True] * len(steps), None, 0, 0.0)
+
+
 class TestFilterStep:
     def test_scalar_worked_example(self):
         # Z=T=H=G=1, a=0, P=1, y=2: M=2, F=4, gain 0.5, filtered mean 1
@@ -36,37 +45,39 @@ class TestFilterStep:
             T=np.array([[1.0]]), d=np.zeros(1), H=np.array([[1.0]]),
             y=np.array([2.0]),
         )
-        state, rec = filter_step(FilterState(np.zeros(1), np.ones((1, 1))), per)
-        assert_allclose(rec.M, [[2.0]])
-        assert_allclose(rec.v / rec.Finv_v, [4.0])
-        assert_allclose(state.a, [1.0])
+        entry = filter_step(np.ones((1, 1)), per)
+        assert_allclose(entry.MFinv * (entry.cf @ entry.cf.T), [[2.0]])
+        assert_allclose(entry.cf @ entry.cf.T, [[4.0]])
         # from P0 = 0 the period's own prediction gives a = 0, P = 1 again;
         # then one step through the same transition
-        res = run_filter([per], FilterState(np.zeros(1), np.zeros((1, 1))),
-                         final_transition=(per.mats.T, per.d, per.noise.HHt))
-        assert_allclose(res.records[0].K, [[0.5]])
-        assert_allclose(res.final_pred.a, [1.0])
+        transition = (per.mats.T, per.d, per.noise.HHt)
+        run = CovariancePass([per], np.zeros((1, 1))).run(1, per.mats.T)
+        res = run_filter([per], FilterState(np.zeros(1), np.zeros((1, 1))), run, transition)
+        assert_allclose(run.steps[0].K, [[0.5]])
+        assert_allclose(res.a_filt[0], [1.0])
+        last = FilterState(res.a_filt[0], run.steps[0].entry.P_filt)
+        assert_allclose(predict(last, *transition).a, [1.0])
         # terminal smoothing leaves the filtered mean unchanged
-        a_sm, _ = smooth_step(res.records[0], np.zeros(1))
-        assert_allclose(a_sm, [1.0])
+        states, _ = run_smoother([per], res, np.zeros(1))
+        assert_allclose(states[0], [1.0])
 
     def test_open_last_record_meets_zero_adjoint(self):
-        # without a closing transition the last record keeps no gain; the
+        # without a closing transition the last step keeps no gain; the
         # smoother reads it as K = 0, L = I meeting r = 0
         per = make_period(
             Z=np.array([[1.0]]), c=np.zeros(1), G=np.array([[1.0]]),
             T=np.array([[0.5]]), d=np.zeros(1), H=np.array([[1.0]]),
             y=np.array([2.0]),
         )
-        res = run_filter([per, per], FilterState(np.zeros(1), np.ones((1, 1))))
-        last = res.records[-1]
+        init = FilterState(np.zeros(1), np.ones((1, 1)))
+        res = run_filter([per, per], init)
+        last = res.run.steps[-1]
         assert last.K is None and last.L is None
-        states, _ = run_smoother(res.records)
-        assert_array_equal(states[-1], last.a_filt)
-        a_sm, r = smooth_step(last, None)
-        last.K, last.L = np.zeros((1, 1)), np.eye(1)
-        dense = smooth_step(last, np.zeros(1))
-        assert_array_equal(a_sm, dense[0])
+        states, r = run_smoother([per, per], res)
+        assert_array_equal(states[-1], res.a_filt[-1])
+        closed = single_steps([res.run.steps[0], CovStep(last.entry, np.zeros((1, 1)), np.eye(1))])
+        dense = run_smoother([per, per], run_filter([per, per], init, closed), np.zeros(1))
+        assert_array_equal(states, dense[0])
         assert_array_equal(r, dense[1])
 
     def test_empty_observation_period(self):
@@ -74,11 +85,14 @@ class TestFilterStep:
             Z=np.zeros((0, 2)), c=np.zeros(0), G=np.zeros((0, 2)),
             T=np.eye(2), d=np.zeros(2), H=np.eye(2), y=np.zeros(0),
         )
+        entry = filter_step(np.eye(2), per)
+        assert entry.cf is None
+        assert_allclose(entry.P_filt, np.eye(2))
         a0 = np.array([1.0, -1.0])
-        state, rec = filter_step(FilterState(a0, np.eye(2)), per)
-        assert_allclose(state.a, a0)
-        assert_allclose(state.P, np.eye(2))
-        assert rec.v.shape == (0,)
+        res = run_filter([per], FilterState(a0, np.zeros((2, 2))))
+        assert_allclose(res.a_filt[0], a0)
+        assert res.v[0].shape == (0,)
+        assert_array_equal(res.w[0], 0.0)
 
     def test_singular_innovation_raises_with_period(self):
         per = make_period(
@@ -86,7 +100,7 @@ class TestFilterStep:
             T=np.eye(1), d=np.zeros(1), H=np.eye(1), y=np.zeros(2), t=7,
         )
         with pytest.raises(SingularInnovationError) as err:
-            filter_step(FilterState(np.zeros(1), np.eye(1)), per)
+            filter_step(np.eye(1), per)
         assert err.value.t == 7
 
     def test_covariances_stay_symmetric(self):
@@ -101,9 +115,31 @@ class TestFilterStep:
             periods.append(make_period(Z, np.zeros(n_obs), G, A, np.zeros(dim), H,
                                        rng.normal(size=n_obs), t))
         res = run_filter(periods, FilterState(np.zeros(dim), np.eye(dim)))
-        for rec in res.records:
-            assert np.max(np.abs(rec.P_filt - rec.P_filt.T)) == 0.0
-            assert np.max(np.abs(rec.P_pred - rec.P_pred.T)) == 0.0
+        for step in res.run.steps:
+            assert np.max(np.abs(step.entry.P_filt - step.entry.P_filt.T)) == 0.0
+            assert np.max(np.abs(step.entry.P_pred - step.entry.P_pred.T)) == 0.0
+
+
+class TestCovariancePass:
+    @pytest.mark.parametrize("shape,seed", [((5, 2, 3), 0), ((5, 2, 3), 1), ((8, 2, 3), 2)])
+    def test_balanced_cycle_bounds_entries(self, shape, seed):
+        # balanced pattern, constant chol_cov: the uncached recursion repeats
+        # its predicted covariance bit for bit with a period that is a
+        # multiple of the quarter; the pass computes no entry after that
+        inst = make_instance(*shape, 120, 120, np.random.default_rng(seed))
+        plan = plan_for(inst.params, inst.scheme, inst.data)
+        P, raw = plan.init.P, []
+        for per in plan.skeleton:
+            P = predict(FilterState(np.zeros(len(P)), P), per.mats.T, 0.0, per.noise.HHt).P
+            raw.append(P.tobytes())
+            P = filter_step(P, per).P_filt
+        start, period = min(
+            (t, k) for k in (3, 6, 9, 12) for t in range(k, len(raw)) if raw[t] == raw[t - k]
+        )
+        steps = plan.cov.run(inst.data.T).steps
+        assert [step.entry.P_pred.tobytes() for step in steps] == raw
+        assert len({id(step.entry) for step in steps}) <= start + period
+        assert steps[start].entry is steps[start - period].entry
 
 
 class TestAgainstTextbookFilter:
@@ -128,7 +164,7 @@ class TestAgainstTextbookFilter:
             a0 = rng.normal(size=dim)
             P0 = np.eye(dim)
             res = run_filter(periods, FilterState(a0, P0))
-            states, _ = run_smoother(res.records)
+            states, _ = run_smoother(periods, res)
             # with disjoint shock loadings G e and H e are independent and
             # the observation noise covariance is the identity
             Qs = [B @ B.T for B in Hs]
@@ -316,9 +352,7 @@ class TestInnovationWhiteness:
         res = run_filter(periods, FilterState(np.zeros(dim), np.eye(dim)))
         # standardize each innovation by its predicted covariance
         std = []
-        for r in res.records:
-            F = r.Z @ r.M + np.zeros((dim, dim))
-            C = np.linalg.cholesky((F + F.T) / 2.0)
-            std.append(np.linalg.solve(C, r.v))
+        for step, v in zip(res.run.steps, res.v):
+            std.append(scipy.linalg.solve_triangular(step.entry.cf, v, lower=True))
         std = np.concatenate(std)
         assert abs(std.mean()) < 4.0 / np.sqrt(T * dim)

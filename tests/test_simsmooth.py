@@ -215,6 +215,46 @@ class TestPreparedPlan:
         assert_array_equal(a.x, b.x)
         assert doublings == []
 
+    def test_covariance_pass_once_per_plan(self, monkeypatch):
+        # the reduced filter factorizes only while its plan's pass is built:
+        # warm draws and draw_many pay none, a new parameter set pays again
+        inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
+        calls = []
+        factorize = kalman.factorize_innovation
+
+        def counted(F, t):
+            calls.append(t)
+            return factorize(F, t)
+
+        monkeypatch.setattr(kalman, "factorize_innovation", counted)
+        cold = draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=2)
+        assert len(calls) == cold.stats.factorizations > 0
+        del calls[:]
+        warm = [draw_latent(inst.params, inst.scheme, inst.data, b, seed=2) for b in ("adaptive", "blocked")]
+        draw_many(inst.params, inst.scheme, inst.data, "adaptive", 3, seed=2)
+        assert calls == []
+        assert [d.stats.factorizations for d in warm] == [0, 0]
+        p = inst.params
+        fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
+        draw_latent(fresh, inst.scheme, inst.data, "adaptive", seed=2)
+        assert len(calls) == cold.stats.factorizations
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cold_and_warm_plans_draw_alike(self, backend):
+        # a draw that builds the plan and one that reuses it take the same
+        # numerical path: bitwise equal draws, the same reuse and condition
+        inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
+        p = inst.params
+        cold = draw_latent(p, inst.scheme, inst.data, backend, seed=5)
+        warm = draw_latent(p, inst.scheme, inst.data, backend, seed=5)
+        assert_array_equal(cold.x, warm.x)
+        assert cold.stats.factorizations > 0 and warm.stats.factorizations == 0
+        assert cold.stats.cov_reuse == warm.stats.cov_reuse > 0
+        assert cold.stats.worst_cond == warm.stats.worst_cond > 1.0
+        fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
+        again = draw_latent(fresh, inst.scheme, inst.data, backend, seed=5)
+        assert_array_equal(again.x, cold.x)
+
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
     def test_diffuse_proxy_kappa_validated(self, inst, kappa):
         with pytest.raises(InitializationError, match="kappa"):

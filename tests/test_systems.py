@@ -23,7 +23,7 @@ from mfsmooth.systems import (
     build_adaptive_T,
     build_adaptive_Z,
     build_adaptive_C,
-    build_companion_system,
+    companion_observation,
     build_periods,
     period_skeleton,
 )
@@ -233,9 +233,8 @@ class TestCompactAndCompanion:
         obs = np.ones((4, 3), dtype=bool)
         obs[3, 1:] = False
         pattern = ObservationPattern(4, 3, obs, np.ones((4, 1), dtype=bool))
-        comp = build_companion_system(params, agg, pattern, 3)
-        assert comp.transition.shape == (16, 16)
-        Z = comp.Z
+        assert params.companion_transition().shape == (16, 16)
+        Z = companion_observation(params, agg, pattern.observed(3), pattern.quarterly_rows(3))
         assert Z.shape == (2, 16)
         expected = np.zeros((2, 16))
         expected[0, 0] = 1.0
