@@ -36,6 +36,7 @@ from .systems import (
     build_periods,
     build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
     companion_observation,
+    group_by_mats,
     period_skeleton,
 )
 
@@ -143,13 +144,12 @@ def plan_for(
     return plan
 
 
-def fill_states(x: np.ndarray, states: list[np.ndarray], periods: list[PeriodSystem], n_m: int) -> None:
-    """Write each period's smoothed head (latent monthly and quarterly) into x."""
-    for per, a in zip(periods, states):
-        idx = per.mats.idx
-        k = len(idx.u_t)
-        x[per.t, idx.u_t] = a[:k]
-        x[per.t, n_m:] = a[k : idx.head_size]
+def fill_states(x: np.ndarray, states: list[np.ndarray], periods: list[PeriodSystem]) -> None:
+    """Write each period's smoothed head (latent monthly and quarterly) into
+    x, one assignment per group of periods sharing structural matrices."""
+    for mats, ts in group_by_mats(periods, len(periods)):
+        idx = mats.idx
+        x[np.ix_(ts, idx.head_vars())] = np.array([states[t] for t in ts])[:, : idx.head_size]
 
 
 def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
@@ -286,7 +286,7 @@ def smooth(
     x = np.empty((T, params.n))
     if heads is not None:
         x[t_b:] = heads
-    fill_states(x, states, periods, params.n_m)
+    fill_states(x, states, periods)
     fill_observed(x, data)
     stats = RunStats(compact_steps=t_b, factorizations=plan.cov.pop_factorizations(),
                      cov_reuse=cov.reused, worst_cond=cov.worst_cond)

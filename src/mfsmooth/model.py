@@ -48,6 +48,8 @@ class VarParams:
     chol_cov : (n, n) or (T, n, n) array
         Lower-triangular Cholesky factor(s) of the error covariance.  A single
         matrix is replicated logically over time, never materialized per t.
+    coeff_row : (n, n*p) array
+        The lag coefficients stacked side by side, lag 1 first; derived.
 
     The arrays are private read-only copies: the prepared plan derived from
     them serves every draw, so they must not change after construction.
@@ -59,6 +61,7 @@ class VarParams:
     intercept: np.ndarray
     lag_coeffs: np.ndarray
     chol_cov: np.ndarray
+    coeff_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_m + self.n_q
@@ -79,6 +82,9 @@ class VarParams:
                 raise ConfigurationError(f"{name} has non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        coeff_row = lag_coeffs.transpose(1, 0, 2).reshape(n, n * self.p)
+        coeff_row.setflags(write=False)
+        object.__setattr__(self, "coeff_row", coeff_row)
         if not np.allclose(chol_cov, np.tril(chol_cov)):
             raise ConfigurationError("chol_cov factors must be lower-triangular")
         if np.any(np.diagonal(chol_cov, axis1=1, axis2=2) <= 0):
@@ -101,11 +107,6 @@ class VarParams:
     def sigma(self, t: int) -> np.ndarray:
         W = self.chol(t)
         return W @ W.T
-
-    @property
-    def coeff_row(self) -> np.ndarray:
-        """(n, n*p) horizontal stack (lag-coefficients, lag-major)."""
-        return np.concatenate(list(self.lag_coeffs), axis=1)
 
     def companion_transition(self, n_lags: int | None = None) -> np.ndarray:
         """Companion transition with ``n_lags`` lag groups (default p+1).
@@ -295,9 +296,6 @@ class MixedFreqData:
     @property
     def n(self) -> int:
         return self.n_m + self.n_q
-
-    def monthly(self) -> np.ndarray:
-        return self.values[:, : self.n_m]
 
     def replace_values(self, values: np.ndarray) -> "MixedFreqData":
         """Same pattern, new values (used for the centered pseudo-observations).

@@ -81,39 +81,43 @@ def simulate_path(
 
     Pre-sample monthly values are zero (the same convention the filters
     use); the pre-sample quarterly stack is drawn from the filter's
-    initialization distribution.  ``centered`` drops all constants.
+    initialization distribution.  ``centered`` drops all constants.  The
+    generator gives the initial quarterly draw, then one (T, n) block of
+    shocks.
+
+    The path is kept in reversed time: row i of the buffer holds period
+    T-1-i and rows T..T+p the pre-sample periods -1..-(p+1).  Period t's lag
+    stack (x_{t-1}', ..., x_{t-p}')' is then the contiguous run of rows
+    T-t..T-t+p-1, in ``coeff_row``'s lag order, which the recursion reads in
+    place.  The shocks are one product over the sample, and the quarterly
+    pseudo-observations one weighted sum of shifted slices of the buffer.
     """
     n, n_m, p = params.n, params.n_m, params.p
     T = data.T
-    buf = np.zeros((p + 1 + T, n))
+    rev = np.zeros((T + p + 1, n))
     s, jitter = _draw_initial_quarterly(init, rng, centered)
-    for lag in range(p + 1):
-        # initial group `lag` holds the quarterly values at time -1-lag
-        buf[p - lag, n_m:] = s[lag * params.n_q : (lag + 1) * params.n_q]
-    coeff_row = params.coeff_row
+    # initial group `lag` holds the quarterly values at time -1-lag
+    rev[T:, n_m:] = s.reshape(p + 1, params.n_q)
     eps = rng.standard_normal((T, n))
-    # rolling lag stack (x_{t-1}', ..., x_{t-p}')', shifted in place each period
-    lags = buf[1 : p + 1][::-1].reshape(-1).copy()
-    for t in range(T):
-        x_t = coeff_row @ lags + params.chol(t) @ eps[t]
-        if not centered:
-            x_t += params.intercept
-        buf[p + 1 + t] = x_t
-        lags[n:] = lags[: (p - 1) * n]
-        lags[:n] = x_t
-    x_plus = buf[p + 1 :]
+    if params.time_varying_cov:
+        shocks = np.matmul(params.chol_cov[:T], eps[:, :, None])[:, :, 0]
+    else:
+        shocks = eps @ params.chol_cov[0].T
+    if not centered:
+        shocks += params.intercept
+    rev[:T] = shocks[::-1]
+    flat = rev.reshape(-1)
+    coeff_row = params.coeff_row
+    for i in range(T - 1, -1, -1):
+        rev[i] += coeff_row @ flat[(i + 1) * n : (i + 1 + p) * n]
+    x_plus = rev[:T][::-1]
 
-    weights = scheme.weights
-    p_q = len(weights)
-    y_plus = np.full((T, n), np.nan)
+    # row i: the aggregate of the quarterly values at periods T-1-i, T-2-i, ...
+    quarterly = sum(w * rev[lag : lag + T, n_m:] for lag, w in enumerate(scheme.weights))
     pat = data.pattern
-    y_plus[:, :n_m][pat.observed_monthly] = x_plus[:, :n_m][pat.observed_monthly]
-    for t in range(T):
-        for j in pat.quarterly_rows(t):
-            col = n_m + j
-            vals = buf[p + 1 + t - p_q + 1 : p + 2 + t, col][::-1]
-            y_plus[t, col] = weights[:p_q] @ vals
-    return PseudoSample(x_plus, y_plus, buf[: p + 1].copy(), jitter)
+    observed = np.hstack([pat.observed_monthly, pat.quarterly_observed])
+    y_plus = np.where(observed, np.hstack([x_plus[:, :n_m], quarterly[::-1]]), np.nan)
+    return PseudoSample(x_plus, y_plus, rev[T:][::-1].copy(), jitter)
 
 
 def gen_pseudo(

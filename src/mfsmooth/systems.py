@@ -39,6 +39,7 @@ __all__ = [
     "build_system_matrices",
     "companion_observation",
     "build_periods",
+    "group_by_mats",
     "period_skeleton",
     "balanced_index",
 ]
@@ -333,6 +334,16 @@ class PeriodShape(NamedTuple):
 Skeleton = list[PeriodShape]
 
 
+def group_by_mats(periods, stop: int) -> list[tuple[SystemMatrices, np.ndarray]]:
+    """Periods 0..stop-1 grouped by their structural matrices: each group's
+    ``SystemMatrices`` and its periods ascending, in order of first period."""
+    groups: dict[int, tuple[SystemMatrices, list[int]]] = {}
+    for t in range(stop):
+        mats = periods[t].mats
+        groups.setdefault(id(mats), (mats, []))[1].append(t)
+    return [(mats, np.array(ts)) for mats, ts in groups.values()]
+
+
 def build_periods(
     params: VarParams,
     skeleton: Skeleton,
@@ -346,44 +357,30 @@ def build_periods(
     what varies between draws: the constants, from the lagged observed
     monthly data (variable-major, lags t-1..t-p, pre-sample lags zero), and
     the observations.
+
+    The monthly data are kept in reversed time: row i holds period T-1-i and
+    the p rows after the sample are the zero pre-sample.  Period t's lags
+    t-1..t-p are then the contiguous rows T-t..T-t+p-1, and a sliding window
+    over the rows is every period's lag stack as one view, variable-major
+    like the exogenous columns.  Each group of periods that shares structural
+    matrices gathers its stacks and its observations with one index each and
+    forms its constants with one product each.
     """
-    stop = data.T if stop is None else stop
-    monthly = data.monthly()
-    p = params.p
-
-    # group periods sharing structural matrices so the exogenous constants
-    # become a handful of matrix products instead of per-period matvecs
-    groups: dict[int, tuple[SystemMatrices, list[int]]] = {}
-    for t in range(stop):
-        mats = skeleton[t].mats
-        groups.setdefault(id(mats), (mats, []))[1].append(t)
-    cs: dict[int, np.ndarray] = {}
-    ds: dict[int, np.ndarray] = {}
-    for key, (mats, ts) in groups.items():
-        o_prev = mats.idx.o_prev
-        k = len(o_prev)
-        t_arr = np.asarray(ts)
-        Ex = np.zeros((k, p, len(ts)))
-        for lag in range(1, p + 1):
-            src = t_arr - lag
-            valid = src >= 0
-            if valid.any():
-                Ex[:, lag - 1, valid] = monthly[src[valid]][:, o_prev].T
-        Ex = Ex.reshape(k * p, len(ts))
-        cs[key] = mats.c0[:, None] + mats.C @ Ex
-        ds[key] = mats.d0[:, None] + mats.D @ Ex
-    col = {key: 0 for key in groups}
-
-    periods = []
-    values = data.values
-    n_m = params.n_m
-    for t in range(stop):
-        mats, noise, _ = skeleton[t]
-        key = id(mats)
-        i = col[key]
-        col[key] = i + 1
-        y = np.concatenate([values[t, mats.idx.o_t], values[t, n_m + mats.q_rows]])
-        periods.append(PeriodSystem(mats, noise, cs[key][:, i], ds[key][:, i], y, t))
+    T, p, n_m = data.T, params.p, params.n_m
+    stop = T if stop is None else stop
+    rev = np.zeros((T + p, n_m))
+    rev[:T] = data.values[::-1, :n_m]
+    # stacks[i, v, lag - 1]: monthly variable v at period T-1-i-lag
+    stacks = np.lib.stride_tricks.sliding_window_view(rev[1:], p, axis=0)
+    periods: list[PeriodSystem] = [None] * stop  # type: ignore[list-item]
+    for mats, ts in group_by_mats(skeleton, stop):
+        idx = mats.idx
+        X = stacks[(T - 1 - ts)[:, None], idx.o_prev].reshape(len(ts), -1)
+        cs = X @ mats.C.T + mats.c0
+        ds = X @ mats.D.T + mats.d0
+        ys = data.values[ts[:, None], np.concatenate([idx.o_t, n_m + mats.q_rows])]
+        for t, c, d, y in zip(ts.tolist(), cs, ds, ys):
+            periods[t] = PeriodSystem(mats, skeleton[t].noise, c, d, y, t)
     return periods
 
 

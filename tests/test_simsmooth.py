@@ -7,24 +7,58 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mfsmooth import (
     ConfigurationError,
     InitializationError,
+    MixedFreqData,
     VarParams,
     build_aggregation,
     draw_latent,
     draw_many,
     gen_pseudo,
+    intra_quarterly_average,
     oracle_joint,
     run_adaptive,
+    skip_sampling,
 )
 from mfsmooth import kalman
 from mfsmooth.kalman import init_state
 from mfsmooth.simsmooth import BACKENDS, _rng_for, simulate_path
-from mfsmooth.simulate import make_instance
+from mfsmooth.simulate import make_instance, random_stable_params
 
 
 @pytest.fixture
 def inst():
     rng = np.random.default_rng(11)
     return make_instance(3, 1, 3, 18, 16, rng)
+
+
+def reference_path(params, data, rng, init, centered, scheme):
+    """The per-period recursion: a forward buffer, a lag stack shifted by a
+    copy every period and one aggregation sum per observed quarterly entry."""
+    n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
+    T = data.T
+    buf = np.zeros((p + 1 + T, n))
+    s = np.linalg.cholesky(init.P) @ rng.standard_normal(init.P.shape[0])
+    if not centered:
+        s += init.a
+    for lag in range(p + 1):
+        buf[p - lag, n_m:] = s[lag * n_q : (lag + 1) * n_q]
+    eps = rng.standard_normal((T, n))
+    lags = buf[1 : p + 1][::-1].reshape(-1).copy()
+    for t in range(T):
+        x_t = params.coeff_row @ lags + params.chol(t) @ eps[t]
+        if not centered:
+            x_t += params.intercept
+        buf[p + 1 + t] = x_t
+        lags[n:] = lags[: (p - 1) * n]
+        lags[:n] = x_t
+    x_plus = buf[p + 1 :]
+    y_plus = np.full((T, n), np.nan)
+    pat = data.pattern
+    y_plus[:, :n_m][pat.observed_monthly] = x_plus[:, :n_m][pat.observed_monthly]
+    for t in range(T):
+        for j in pat.quarterly_rows(t):
+            vals = buf[p + 2 + t - scheme.p_q : p + 2 + t, n_m + j][::-1]
+            y_plus[t, n_m + j] = scheme.weights @ vals
+    return x_plus, y_plus, buf[: p + 1]
 
 
 class TestSimulatePath:
@@ -95,6 +129,34 @@ class TestSimulatePath:
         assert np.isfinite(sim.x_plus).all()
         regular = simulate_path(inst.params, inst.data, np.random.default_rng(2), init, scheme=inst.scheme)
         assert not regular.init_jitter
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    @pytest.mark.parametrize("centered", [True, False])
+    @pytest.mark.parametrize("scheme", [intra_quarterly_average(), skip_sampling()], ids=["average", "skip"])
+    def test_matches_per_period_recursion(self, time_varying, centered, scheme):
+        """Against the per-period recursion, on an irregular quarterly mask
+        with a ragged monthly edge."""
+        n_m, n_q, p, T = 4, 2, 3, 30
+        rng = np.random.default_rng(17)
+        params = random_stable_params(n_m, n_q, p, rng)
+        if time_varying:
+            scale = np.exp(0.4 * rng.standard_normal((T, n_m + n_q)))
+            params = VarParams(n_m, n_q, p, params.intercept, params.lag_coeffs,
+                               scale[:, :, None] * params.chol_cov)
+        values = rng.standard_normal((T, n_m + n_q))
+        values[27:, 3] = values[29:, 2] = np.nan
+        q0 = np.arange(T) % 3 == 2
+        q0[[11, 23]] = False
+        values[~q0, n_m] = np.nan
+        values[np.setdiff1d(np.arange(T), [0, 1, 4, 9, 10, 20, 28]), n_m + 1] = np.nan
+        data = MixedFreqData.from_values(values, n_m, n_q)
+        init = init_state(params, "stationary")
+        got = simulate_path(params, data, _rng_for(4, 2), init, centered, scheme=scheme)
+        want = reference_path(params, data, _rng_for(4, 2), init, centered, scheme)
+        for name, ref in zip(("x_plus", "y_plus", "presample"), want):
+            # a relative bound on the whole array: the products sum in another order
+            assert_allclose(getattr(got, name), ref, rtol=0, atol=1e-13 * np.nanmax(np.abs(ref)), err_msg=name)
+        assert_array_equal(np.isnan(got.y_plus), np.isnan(want[1]))
 
 
 class TestDraws:

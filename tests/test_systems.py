@@ -287,6 +287,42 @@ class TestExogVector:
         per = periods[4]
         assert_array_equal(per.d[[2, 4, 6]], values[[3, 2, 1], 2])
 
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_every_period_matches_direct_construction(self, setup, time_varying):
+        """y, c and d of every period, the one-period edge groups included,
+        from the exogenous vector assembled entry by entry."""
+        params, agg = setup
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(12, 4))
+        values[[0, 1, 3, 4, 6, 7, 9, 10], 3] = np.nan
+        values[7:, 2] = np.nan
+        values[9:, 0] = np.nan
+        values[11, 1] = np.nan
+        if time_varying:
+            scale = np.exp(0.3 * rng.standard_normal((12, 4)))
+            params = VarParams(3, 1, 3, params.intercept, params.lag_coeffs,
+                               scale[:, :, None] * params.chol_cov)
+        data = MixedFreqData.from_values(values, 3, 1)
+        skeleton = period_skeleton(params, agg, data.pattern)
+        periods = build_periods(params, skeleton, data)
+        p = params.p
+        assert [per.t for per in periods] == list(range(12))
+        for per, shape in zip(periods, skeleton):
+            assert per.mats is shape.mats and per.noise is shape.noise
+            idx = per.mats.idx
+            ex = np.zeros(p * len(idx.o_prev))
+            for pos, v in enumerate(idx.o_prev):
+                for lag in range(1, min(p, per.t) + 1):
+                    ex[pos * p + lag - 1] = values[per.t - lag, v]
+            y = np.concatenate([values[per.t, idx.o_t], values[per.t, 3 + per.mats.q_rows]])
+            assert_array_equal(per.y, y)
+            assert_allclose(per.c, per.mats.c0 + per.mats.C @ ex, rtol=1e-13, atol=1e-15)
+            assert_allclose(per.d, per.mats.d0 + per.mats.D @ ex, rtol=1e-13, atol=1e-15)
+        # the edge periods t = 8, 10, 11 are groups of one with o_prev != all
+        lone = [per.t for per in periods if sum(q.mats is per.mats for q in periods) == 1]
+        assert {8, 10, 11} <= set(lone)
+        assert all(len(periods[t].mats.idx.o_prev) < 3 for t in (8, 10, 11))
+
     def test_presample_lags_are_zero(self, built):
         params, values, periods = built
         all_m = np.arange(3)
