@@ -8,7 +8,6 @@ is the edge step it passes to the shared ``baseline.smooth``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -151,7 +150,6 @@ def blocked_edge(
     agg: Aggregation,
     data: MixedFreqData,
     reduced: FilterResult,
-    ops: OpCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge step of the blocked backend: the stacked-form filter and
     smoother through block subsetting, from its own lift of the reduced
@@ -172,7 +170,7 @@ def blocked_edge(
     pf_top[np.ix_(rows, rows)] = reduced.run.steps[-1].entry.P_filt[np.ix_(cols, cols)]
     records: list[BlockedRecord] = []
     for t in range(data.pattern.t_balanced, data.T):
-        a, P = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t), ops)
+        a, P = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t))
         a[:n] += params.intercept
         o_t = data.pattern.observed(t)
         q_rows = data.pattern.quarterly_rows(t)
@@ -213,6 +211,5 @@ def run_blocked(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
-    ops: OpCounter | None = None,
 ) -> SmoothResult:
-    return smooth(params, agg, data, init_mode, kappa, partial(blocked_edge, ops=ops))
+    return smooth(params, agg, data, init_mode, kappa, blocked_edge)

@@ -139,9 +139,15 @@ def read_archive(path: str | Path) -> tuple[np.ndarray, ArchiveHeader]:
         magic = fh.read(4)
         if magic != ARCHIVE_MAGIC:
             raise ConfigurationError(f"{path}: not a draw archive")
-        version, T, n, n_q, k = struct.unpack("<IIIII", fh.read(20))
+        header = fh.read(20)
+        if len(header) != 20:
+            raise ConfigurationError(f"{path}: truncated archive header")
+        version, T, n, n_q, k = struct.unpack("<IIIII", header)
         if version != ARCHIVE_VERSION:
             raise ConfigurationError(f"{path}: unsupported archive version {version}")
-        buf = fh.read(8 * k * T * n)
+        size = 8 * k * T * n
+        buf = fh.read(size)
+    if len(buf) != size:
+        raise ConfigurationError(f"{path}: truncated archive, {len(buf)} of {size} payload bytes")
     draws = np.frombuffer(buf, dtype="<f8").reshape(k, T, n).copy()
     return draws, ArchiveHeader(T, n, n_q, k)

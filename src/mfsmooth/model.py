@@ -213,10 +213,9 @@ def build_aggregation(scheme: AggregationScheme, n_m: int, n_q: int, p: int) -> 
         raise ConfigurationError(
             f"lag order p={p} must be >= aggregation lag count p_q={scheme.p_q}"
         )
-    lam_qq = np.zeros((n_q, n_q * scheme.p_q))
-    for lag, w in enumerate(scheme.weights):
-        lam_qq[:, lag * n_q : (lag + 1) * n_q] = w * np.eye(n_q)
-    return Aggregation(scheme, n_m, n_q, p, lam_qq)
+    lam_qq = np.zeros((n_q, scheme.p_q, n_q))
+    lam_qq[np.arange(n_q), :, np.arange(n_q)] = scheme.weights
+    return Aggregation(scheme, n_m, n_q, p, lam_qq.reshape(n_q, n_q * scheme.p_q))
 
 
 @dataclass(frozen=True)
@@ -269,6 +268,9 @@ class MixedFreqData:
     """Dense observation matrix with NaN missing markers plus its pattern.
 
     ``values`` is a private read-only copy: the pattern was derived from it.
+    Its NaNs must be exactly the pattern's missing entries, and every other
+    value finite: the filters treat the pattern's missing entries as latent
+    and read only the observed ones.
     """
 
     values: np.ndarray  # (T, n) float, NaN where missing
@@ -282,6 +284,17 @@ class MixedFreqData:
         object.__setattr__(self, "values", values)
         if self.pattern is None:
             raise ConfigurationError("use MixedFreqData.from_values to build data")
+        observed = np.hstack([self.pattern.observed_monthly, self.pattern.quarterly_observed])
+        if self.pattern.n_m != self.n_m or values.shape != observed.shape:
+            raise ConfigurationError(f"values of shape {values.shape} do not fit the pattern")
+        bad = (np.isnan(values) == observed) | np.isinf(values)
+        if bad.any():
+            t, j = np.argwhere(bad)[0]
+            state, need = ("observed", "finite") if observed[t, j] else ("missing", "NaN")
+            raise ConfigurationError(
+                f"data value {values[t, j]} at t={t}, column {j}: the pattern has it {state}, "
+                f"so it must be {need}"
+            )
 
     @classmethod
     def from_values(cls, values: np.ndarray, n_m: int, n_q: int, min_balanced: int = 1) -> "MixedFreqData":
@@ -302,9 +315,6 @@ class MixedFreqData:
 
         The new matrix must be missing exactly where the original is.
         """
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.values.shape:
-            raise ConfigurationError("replacement values must match data shape")
         return MixedFreqData(values, self.n_m, self.n_q, self.pattern)
 
 

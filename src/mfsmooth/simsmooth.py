@@ -177,6 +177,8 @@ def draw_many(
     """Stack of independent draws, deterministic in (seed, index).
 
     Returns an (n_draws, T, n) array."""
+    if n_draws < 0:
+        raise ConfigurationError(f"n_draws must be >= 0, got {n_draws}")
     out = np.empty((n_draws, data.T, params.n))
     for i in range(n_draws):
         out[i] = draw_latent(

@@ -51,7 +51,7 @@ class AdaptiveIndex:
 
     ``u_t``/``o_t`` partition the monthly variables at period t;
     ``u_prev``/``o_prev`` at period t-1.  A monotone edge requires
-    ``u_prev`` to be a subset of ``u_t``.
+    ``u_prev`` to be a subset of ``u_t``.  Each set ascends strictly, for ``np.searchsorted``.
     """
 
     u_t: np.ndarray
@@ -64,6 +64,8 @@ class AdaptiveIndex:
     def __post_init__(self):
         for name in ("u_t", "o_t", "u_prev", "o_prev"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=int))
+            if np.any(np.diff(getattr(self, name)) <= 0):
+                raise ConfigurationError(f"{name} must be strictly increasing")
         if not set(self.u_prev) <= set(self.u_t):
             raise ConfigurationError("non-monotone index sets: u_prev must be within u_t")
         if sorted(set(self.u_t) | set(self.o_t)) != list(range(self.n_m)):
@@ -85,16 +87,6 @@ class AdaptiveIndex:
     def prev_head_vars(self) -> np.ndarray:
         return np.concatenate([self.u_prev, self.n_m + np.arange(self.n_q)])
 
-    def selection(self) -> np.ndarray:
-        """J_t: identity columns, those for U_t intersected with O_{t-1} deleted."""
-        s, sp = self.head_size, self.prev_head_size
-        J = np.zeros((s, sp))
-        head = self.head_vars()
-        pos = {v: i for i, v in enumerate(head)}
-        for j, v in enumerate(self.prev_head_vars()):
-            J[pos[v], j] = 1.0
-        return J
-
 
 def balanced_index(n_m: int, n_q: int) -> AdaptiveIndex:
     all_m = np.arange(n_m)
@@ -102,52 +94,51 @@ def balanced_index(n_m: int, n_q: int) -> AdaptiveIndex:
     return AdaptiveIndex(empty, all_m, empty, all_m, n_m, n_q)
 
 
+def _coeffs(params: VarParams, rows: np.ndarray, cols: np.ndarray, exog: bool = False) -> np.ndarray:
+    """The lag 1..p coefficients of equations ``rows`` on variables ``cols``,
+    one gather from ``coeff_row`` (lag ``l``, variable j at column
+    ``(l - 1) * n + j``): lag-major like the state's lag groups, or with
+    ``exog`` variable-major like the exogenous regressors."""
+    lag = params.n * np.arange(params.p)
+    cols = cols[:, None] + lag if exog else lag[:, None] + cols
+    return params.coeff_row[np.ix_(rows, cols.ravel())]
+
+
+def _shifted(idx: AdaptiveIndex, p: int) -> np.ndarray:
+    """Where the t-1 head (U_{t-1}, then quarterly) sits in lag groups 1..p
+    of the current state, lag-major."""
+    pos = np.searchsorted(idx.head_vars(), idx.prev_head_vars())
+    return (idx.head_size * np.arange(1, p + 1)[:, None] + pos).ravel()
+
+
 def build_adaptive_T(params: VarParams, idx: AdaptiveIndex) -> np.ndarray:
     """Transition mapping the t-1 state onto the (possibly larger) t state.
 
-    Top rows carry lag coefficients restricted to the latent columns; the
-    lower block places each still-tracked component one lag group down
-    (the Kronecker selection structure, filled by copying).
+    Top rows gather the lag coefficients restricted to the latent columns;
+    the lower block scatters ones that place each still-tracked component
+    one lag group down (the Kronecker selection structure).
     """
     p = params.p
     s, sp = idx.head_size, idx.prev_head_size
     T = np.zeros(((p + 1) * s, (p + 1) * sp))
-    rows = idx.head_vars()
-    cols = idx.prev_head_vars()
-    for lag in range(1, p + 1):
-        T[:s, (lag - 1) * sp : lag * sp] = params.lag_coeffs[lag - 1][np.ix_(rows, cols)]
-    J = idx.selection()
-    for lag in range(1, p + 1):
-        T[lag * s : (lag + 1) * s, (lag - 1) * sp : lag * sp] = J
+    T[:s, : p * sp] = _coeffs(params, idx.head_vars(), idx.prev_head_vars())
+    T[_shifted(idx, p), np.arange(p * sp)] = 1.0
     return T
-
-
-def _exog_col(pos: int, lag: int, p: int) -> int:
-    # variable-major layout: block of p lags per observed variable
-    return pos * p + (lag - 1)
 
 
 def build_adaptive_D(params: VarParams, idx: AdaptiveIndex) -> np.ndarray:
     """Loadings of the state equation on lagged observed monthly data.
 
-    The lower rows are the lag identities of variables observed at t-1 but
-    unobserved at t (the orthogonal-complement routing).
+    The lower rows scatter the lag identities of variables observed at t-1
+    but unobserved at t (the orthogonal-complement routing).
     """
     p = params.p
     s = idx.head_size
-    n_ex = p * len(idx.o_prev)
-    D = np.zeros(((p + 1) * s, n_ex))
-    rows = idx.head_vars()
-    for lag in range(1, p + 1):
-        cols = np.array([_exog_col(i, lag, p) for i in range(len(idx.o_prev))], dtype=int)
-        if cols.size:
-            D[:s, cols] = params.lag_coeffs[lag - 1][np.ix_(rows, idx.o_prev)]
-    newly = set(idx.u_t) & set(idx.o_prev)
-    head_pos = {v: i for i, v in enumerate(rows)}
-    o_prev_pos = {v: i for i, v in enumerate(idx.o_prev)}
-    for v in sorted(newly):
-        for lag in range(1, p + 1):
-            D[lag * s + head_pos[v], _exog_col(o_prev_pos[v], lag, p)] = 1.0
+    D = np.zeros(((p + 1) * s, p * len(idx.o_prev)))
+    D[:s] = _coeffs(params, idx.head_vars(), idx.o_prev, exog=True)
+    newly = np.isin(idx.u_t, idx.o_prev)
+    lag = np.arange(1, p + 1)[:, None]
+    D[lag * s + np.flatnonzero(newly), np.searchsorted(idx.o_prev, idx.u_t[newly]) * p + lag - 1] = 1.0
     return D
 
 
@@ -158,36 +149,20 @@ def build_adaptive_Z(
 
     Monthly rows load lag coefficients only on components latent since t-1
     (observed lags arrive through the exogenous block instead); quarterly
-    rows place the aggregation weights on the quarterly positions of lag
-    groups ``0..p_q-1``.
+    rows are ``lam_qq``'s, placed on the quarterly positions of lag groups
+    ``0..p_q-1``.
     """
-    p = params.p
-    s = idx.head_size
-    n_obs = len(idx.o_t) + len(q_rows)
-    Z = np.zeros((n_obs, (p + 1) * s))
-    latent = idx.prev_head_vars()  # lagged-latent columns: U_{t-1} and quarterly
-    head_pos = {v: i for i, v in enumerate(idx.head_vars())}
-    latent_pos = np.array([head_pos[v] for v in latent], dtype=int)
-    for lag in range(1, p + 1):
-        if latent_pos.size and len(idx.o_t):
-            Z[: len(idx.o_t), lag * s + latent_pos] = params.lag_coeffs[lag - 1][
-                np.ix_(idx.o_t, latent)
-            ]
-    for r, j in enumerate(q_rows):
-        for lag in range(agg.p_q):
-            Z[len(idx.o_t) + r, lag * s + len(idx.u_t) + j] = agg.weights[lag]
+    n_o = len(idx.o_t)
+    Z = np.zeros((n_o + len(q_rows), (params.p + 1) * idx.head_size))
+    Z[:n_o, _shifted(idx, params.p)] = _coeffs(params, idx.o_t, idx.prev_head_vars())
+    Z[n_o:, agg.quarterly_state_cols(idx.head_size, len(idx.u_t))] = agg.lam_qq[q_rows]
     return Z
 
 
 def build_adaptive_C(params: VarParams, idx: AdaptiveIndex, q_rows: np.ndarray) -> np.ndarray:
     """Observation loadings on lagged observed monthly data (quarterly rows zero)."""
-    p = params.p
-    n_ex = p * len(idx.o_prev)
-    C = np.zeros((len(idx.o_t) + len(q_rows), n_ex))
-    for lag in range(1, p + 1):
-        cols = np.array([_exog_col(i, lag, p) for i in range(len(idx.o_prev))], dtype=int)
-        if cols.size and len(idx.o_t):
-            C[: len(idx.o_t), cols] = params.lag_coeffs[lag - 1][np.ix_(idx.o_t, idx.o_prev)]
+    C = np.zeros((len(idx.o_t) + len(q_rows), params.p * len(idx.o_prev)))
+    C[: len(idx.o_t)] = _coeffs(params, idx.o_t, idx.o_prev, exog=True)
     return C
 
 
@@ -299,14 +274,9 @@ def companion_observation(
     q_rows: np.ndarray,
 ) -> np.ndarray:
     """Observation loading on the stacked state: selection plus aggregation rows."""
-    n, p = params.n, params.p
-    dim = n * (p + 1)
-    Z = np.zeros((len(o_t) + len(q_rows), dim))
-    for r, v in enumerate(o_t):
-        Z[r, v] = 1.0
-    for r, j in enumerate(q_rows):
-        for lag in range(agg.p_q):
-            Z[len(o_t) + r, lag * n + params.n_m + j] = agg.weights[lag]
+    Z = np.zeros((len(o_t) + len(q_rows), params.n * (params.p + 1)))
+    Z[np.arange(len(o_t)), o_t] = 1.0
+    Z[len(o_t) :, agg.quarterly_state_cols(params.n, params.n_m)] = agg.lam_qq[q_rows]
     return Z
 
 

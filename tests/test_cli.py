@@ -61,6 +61,12 @@ class TestSmooth:
         draws, header = read_archive(out)
         assert draws.shape[0] == 0 and header.n_draws == 0
 
+    def test_negative_draws_exits_2(self, tmp_path):
+        data, params = simulate_instance(tmp_path)
+        res = run(["smooth", str(data), str(params), "--draws", "-1", "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert "n_draws" in res.output
+
     def test_missing_data_file_exits_2(self, tmp_path):
         _, params = simulate_instance(tmp_path)
         res = run(["smooth", str(tmp_path / "none.csv"), str(params)])
@@ -109,6 +115,17 @@ class TestCompare:
         write_archive(pb, np.zeros((1, 4, 2)), 1)
         res = run(["compare", str(pa), str(pb)])
         assert res.exit_code == 2
+
+    def test_truncated_archive_exits_2(self, tmp_path):
+        pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_archive(pa, np.zeros((1, 4, 2)), 1)
+        write_archive(pb, np.zeros((1, 4, 2)), 1)
+        pa.write_bytes(pa.read_bytes()[:-1])
+        pb.write_bytes(pb.read_bytes()[:10])
+        for args in ([str(pa), str(pb)], [str(pb), str(pb)]):
+            res = run(["compare", *args])
+            assert res.exit_code == 2
+            assert "truncated archive" in res.output
 
 
 class TestBench:

@@ -112,6 +112,19 @@ class TestArchive:
         with pytest.raises(ConfigurationError, match="not a draw archive"):
             read_archive(path)
 
+    def test_truncated_payload(self, tmp_path):
+        path = tmp_path / "draws.bin"
+        write_archive(path, np.zeros((2, 5, 3)), n_q=1)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ConfigurationError, match="truncated archive, 232 of 240 payload bytes"):
+            read_archive(path)
+
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "draws.bin"
+        path.write_bytes(b"MFSM" + bytes(7))
+        with pytest.raises(ConfigurationError, match="truncated archive header"):
+            read_archive(path)
+
     def test_bad_shape(self, tmp_path):
         with pytest.raises(ConfigurationError):
             write_archive(tmp_path / "x.bin", np.zeros((3, 4)), n_q=1)

@@ -13,6 +13,7 @@ from mfsmooth import (
     skip_sampling,
 )
 from mfsmooth.model import AggregationScheme
+from mfsmooth.simulate import make_instance
 
 
 def random_params(n_m, n_q, p, seed=0, scale=0.2):
@@ -200,3 +201,25 @@ class TestMixedFreqData:
         replaced = data.replace_values(values)
         values[0, 0] = 2.0
         assert replaced.values[0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "t, col, value, state",
+        [(5, 0, np.nan, "observed"), (5, 0, np.inf, "observed"), (37, 3, 7.0, "missing")],
+    )
+    def test_values_must_agree_with_pattern(self, t, col, value, state):
+        """A NaN or inf at an observed entry, or a value at an entry the
+        pattern has missing (which the filters treat as latent), is rejected
+        by the constructor and by ``replace_values``."""
+        data = make_instance(4, 1, 3, 40, 37, np.random.default_rng(0)).data
+        assert data.pattern.observed_monthly[5, 0] and not data.pattern.quarterly_observed[37, 0]
+        values = data.values.copy()
+        values[t, col] = value
+        with pytest.raises(ConfigurationError, match=f"t={t}, column {col}: the pattern has it {state}"):
+            MixedFreqData(values, 4, 1, data.pattern)
+        with pytest.raises(ConfigurationError, match=f"t={t}, column {col}"):
+            data.replace_values(values)
+
+    def test_values_must_fit_pattern_shape(self):
+        data = MixedFreqData.from_values(np.zeros((6, 3)), 2, 1)
+        with pytest.raises(ConfigurationError, match="do not fit the pattern"):
+            data.replace_values(np.zeros((5, 3)))

@@ -196,6 +196,10 @@ class TestDraws:
         with pytest.raises(ConfigurationError):
             draw_latent(inst.params, inst.scheme, inst.data, "fastest")
 
+    def test_negative_draw_count_is_a_usage_error(self, inst):
+        with pytest.raises(ConfigurationError, match="n_draws"):
+            draw_many(inst.params, inst.scheme, inst.data, "adaptive", -1)
+
     def test_draw_many_matches_serial_draw_latent(self, inst):
         stack = draw_many(inst.params, inst.scheme, inst.data, "adaptive", 3, seed=21)
         for i in range(3):

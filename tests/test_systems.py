@@ -8,11 +8,20 @@ matrix and Cholesky factor, so any indexing slip shows up exactly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mfsmooth import MixedFreqData, VarParams, build_aggregation, intra_quarterly_average, systems
+from mfsmooth import (
+    ConfigurationError,
+    MixedFreqData,
+    VarParams,
+    build_aggregation,
+    intra_quarterly_average,
+    systems,
+)
 from mfsmooth.baseline import plan_for
-from mfsmooth.model import ObservationPattern
+from mfsmooth.model import AggregationScheme, ObservationPattern, skip_sampling
 from mfsmooth.simulate import benchmark_pattern, make_instance
 from mfsmooth.systems import (
     AdaptiveIndex,
@@ -25,6 +34,7 @@ from mfsmooth.systems import (
     build_adaptive_C,
     companion_observation,
     build_periods,
+    build_system_matrices,
     period_skeleton,
 )
 from test_model import random_params
@@ -365,3 +375,167 @@ class TestSkeletonSharing:
             assert_array_equal(per.noise.GHt, G @ H.T)
             assert_array_equal(per.noise.HHt, H @ H.T)
             assert_array_equal(per.noise.F_const, G @ G.T + G @ H.T @ per.mats.Z.T)
+
+
+# Reference builders: the per-lag, per-variable loops the index-array
+# builders replaced, kept verbatim as the specification they must match.
+
+
+def ref_selection(idx):
+    s, sp = idx.head_size, idx.prev_head_size
+    J = np.zeros((s, sp))
+    pos = {v: i for i, v in enumerate(idx.head_vars())}
+    for j, v in enumerate(idx.prev_head_vars()):
+        J[pos[v], j] = 1.0
+    return J
+
+
+def ref_exog_col(pos, lag, p):
+    return pos * p + (lag - 1)
+
+
+def ref_T(params, idx):
+    p = params.p
+    s, sp = idx.head_size, idx.prev_head_size
+    T = np.zeros(((p + 1) * s, (p + 1) * sp))
+    rows = idx.head_vars()
+    cols = idx.prev_head_vars()
+    for lag in range(1, p + 1):
+        T[:s, (lag - 1) * sp : lag * sp] = params.lag_coeffs[lag - 1][np.ix_(rows, cols)]
+    J = ref_selection(idx)
+    for lag in range(1, p + 1):
+        T[lag * s : (lag + 1) * s, (lag - 1) * sp : lag * sp] = J
+    return T
+
+
+def ref_D(params, idx):
+    p = params.p
+    s = idx.head_size
+    D = np.zeros(((p + 1) * s, p * len(idx.o_prev)))
+    rows = idx.head_vars()
+    for lag in range(1, p + 1):
+        cols = np.array([ref_exog_col(i, lag, p) for i in range(len(idx.o_prev))], dtype=int)
+        if cols.size:
+            D[:s, cols] = params.lag_coeffs[lag - 1][np.ix_(rows, idx.o_prev)]
+    newly = set(idx.u_t) & set(idx.o_prev)
+    head_pos = {v: i for i, v in enumerate(rows)}
+    o_prev_pos = {v: i for i, v in enumerate(idx.o_prev)}
+    for v in sorted(newly):
+        for lag in range(1, p + 1):
+            D[lag * s + head_pos[v], ref_exog_col(o_prev_pos[v], lag, p)] = 1.0
+    return D
+
+
+def ref_Z(params, agg, idx, q_rows):
+    p = params.p
+    s = idx.head_size
+    Z = np.zeros((len(idx.o_t) + len(q_rows), (p + 1) * s))
+    latent = idx.prev_head_vars()
+    head_pos = {v: i for i, v in enumerate(idx.head_vars())}
+    latent_pos = np.array([head_pos[v] for v in latent], dtype=int)
+    for lag in range(1, p + 1):
+        if latent_pos.size and len(idx.o_t):
+            Z[: len(idx.o_t), lag * s + latent_pos] = params.lag_coeffs[lag - 1][np.ix_(idx.o_t, latent)]
+    for r, j in enumerate(q_rows):
+        for lag in range(agg.p_q):
+            Z[len(idx.o_t) + r, lag * s + len(idx.u_t) + j] = agg.weights[lag]
+    return Z
+
+
+def ref_C(params, idx, q_rows):
+    p = params.p
+    C = np.zeros((len(idx.o_t) + len(q_rows), p * len(idx.o_prev)))
+    for lag in range(1, p + 1):
+        cols = np.array([ref_exog_col(i, lag, p) for i in range(len(idx.o_prev))], dtype=int)
+        if cols.size and len(idx.o_t):
+            C[: len(idx.o_t), cols] = params.lag_coeffs[lag - 1][np.ix_(idx.o_t, idx.o_prev)]
+    return C
+
+
+def ref_companion_observation(params, agg, o_t, q_rows):
+    Z = np.zeros((len(o_t) + len(q_rows), params.n * (params.p + 1)))
+    for r, v in enumerate(o_t):
+        Z[r, v] = 1.0
+    for r, j in enumerate(q_rows):
+        for lag in range(agg.p_q):
+            Z[len(o_t) + r, lag * params.n + params.n_m + j] = agg.weights[lag]
+    return Z
+
+
+def ref_lam_qq(scheme, n_q):
+    lam_qq = np.zeros((n_q, n_q * scheme.p_q))
+    for lag, w in enumerate(scheme.weights):
+        lam_qq[:, lag * n_q : (lag + 1) * n_q] = w * np.eye(n_q)
+    return lam_qq
+
+
+SCHEMES = {
+    "average": lambda w: intra_quarterly_average(),
+    "skip": lambda w: skip_sampling(),
+    "custom": lambda w: AggregationScheme("custom", np.array(w), 2),
+}
+
+
+def check_against_reference(n_m, n_q, p, latent, was_latent, q_obs, kind, weights=(0.6, -0.4), seed=0):
+    """Every system matrix of one index set equals the loop builders' exactly.
+
+    ``latent`` flags U_t; U_{t-1} is the variables flagged in both
+    ``latent`` and ``was_latent``, so the edge is monotone."""
+    params = random_params(n_m, n_q, p, seed=seed)
+    scheme = SCHEMES[kind](weights)
+    agg = build_aggregation(scheme, n_m, n_q, p)
+    latent = np.asarray(latent, dtype=bool)
+    u_t = np.flatnonzero(latent)
+    u_prev = np.flatnonzero(latent & np.asarray(was_latent, dtype=bool))
+    o_t = np.flatnonzero(~latent)
+    o_prev = np.setdiff1d(np.arange(n_m), u_prev)
+    q_rows = np.flatnonzero(q_obs)
+    idx = AdaptiveIndex(u_t, o_t, u_prev, o_prev, n_m, n_q)
+    mats = build_system_matrices(params, agg, idx, q_rows)
+    assert_array_equal(mats.Z, ref_Z(params, agg, idx, q_rows))
+    assert_array_equal(mats.C, ref_C(params, idx, q_rows))
+    assert_array_equal(mats.T, ref_T(params, idx))
+    assert_array_equal(mats.D, ref_D(params, idx))
+    assert_array_equal(
+        companion_observation(params, agg, o_t, q_rows), ref_companion_observation(params, agg, o_t, q_rows)
+    )
+    assert_array_equal(agg.lam_qq, ref_lam_qq(scheme, n_q))
+
+
+class TestAgainstLoopBuilders:
+    """The index-array builders against the loop builders they replaced."""
+
+    @pytest.mark.parametrize(
+        "n_m, n_q, p, latent, was_latent, q_obs, kind",
+        [
+            (4, 2, 3, [0, 1, 1, 0], [0, 0, 0, 0], [1, 1], "average"),        # n_q = 2
+            (3, 1, 2, [1, 0, 1], [1, 0, 0], [1], "skip"),                     # skip sampling
+            (4, 2, 2, [0, 1, 0, 1], [0, 1, 0, 0], [0, 1], "custom"),          # p_q = 2
+            (3, 1, 3, [1, 1, 1], [0, 1, 0], [1], "average"),                  # empty o_t
+            (3, 2, 4, [1, 1, 1], [1, 1, 1], [1, 0], "custom"),                # empty o_prev
+            (5, 1, 3, [1, 0, 1, 1, 0], [0, 0, 1, 0, 0], [0], "average"),      # nonempty u_prev
+            (6, 1, 4, [1, 1, 0, 1, 1, 1], [0, 0, 0, 1, 0, 0], [1], "skip"),   # four newly latent
+        ],
+    )
+    def test_edge_cases(self, n_m, n_q, p, latent, was_latent, q_obs, kind):
+        check_against_reference(n_m, n_q, p, latent, was_latent, q_obs, kind)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_drawn_index_sets(self, data):
+        n_m = data.draw(st.integers(1, 6))
+        n_q = data.draw(st.integers(1, 2))
+        p = data.draw(st.integers(1, 5))
+        flags = st.lists(st.booleans(), min_size=n_m, max_size=n_m)
+        p_q = {"average": 3, "skip": 1, "custom": 2}
+        kind = data.draw(st.sampled_from([k for k in SCHEMES if p_q[k] <= p]))
+        weight = st.floats(-2.0, 2.0, allow_nan=False)
+        check_against_reference(
+            n_m, n_q, p, data.draw(flags), data.draw(flags),
+            data.draw(st.lists(st.booleans(), min_size=n_q, max_size=n_q)), kind,
+            weights=(data.draw(weight), data.draw(weight)), seed=data.draw(st.integers(0, 1000)),
+        )
+
+    def test_unsorted_index_set_rejected(self):
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            AdaptiveIndex(np.array([2, 1]), np.array([0]), np.array([], dtype=int), np.arange(3), 3, 1)
