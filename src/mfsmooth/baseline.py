@@ -219,8 +219,7 @@ def companion_periods(
         Z = companion_observation(params, agg, o_t, q_rows)
         n_obs = Z.shape[0]
         mats = SystemMatrices(Z, np.zeros((n_obs, 0)), F1, np.zeros((dim, 0)), np.zeros(n_obs), Fc)
-        zero = np.zeros((n_obs, n_obs))
-        noise = PeriodNoise(zero, np.zeros((n_obs, dim)), HHt[t - start if tv else 0], zero)
+        noise = PeriodNoise(np.zeros((n_obs, dim)), HHt[t - start if tv else 0], np.zeros((n_obs, n_obs)))
         y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + q_rows]])
         periods.append(PeriodSystem(mats, noise, mats.c0, Fc, y, t))
     return periods

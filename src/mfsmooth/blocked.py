@@ -1,24 +1,28 @@
-"""Blocked smoother: the stacked-form recursions over the ragged edge are
-computed through block subsetting and reuse of bracketed products instead
-of dense full-dimension multiplications.  Results match the reference
-backend numerically; only the arithmetic route differs.  ``blocked_edge``
-is the edge step it passes to the shared ``baseline.smooth``.
+"""Blocked smoother: the stacked-form recursions over the ragged edge in
+block form, never multiplying out the transition's shift structure.  The
+prediction places one coefficient-block product, the gain is K = (Pi B; B)
+for the first np rows B of M F^-1, F is read from the rows of M = P Z', and
+the backward pass forms L'r = F1'r - Z'(K'r) (Durbin and Koopman 2002) from
+the boundary's adjoint step and Z's scatter, with no dense F1 or L.  Results
+match the reference backend numerically; only the arithmetic route differs.
+``blocked_edge`` is the edge step it passes to the shared ``baseline.smooth``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
-from .baseline import SmoothResult, smooth
+from .baseline import SmoothResult, companion_to_compact, smooth
+from .errors import SingularInnovationError
 from .kalman import FilterResult, factorize_innovation
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 
 # looked up here by perfbench/layertrace.py's SPANS table; ``baseline.smooth``
 # calls them through baseline
-from .baseline import companion_to_compact, fill_observed, fill_states, prepare  # noqa: F401
+from .baseline import fill_observed, fill_states, prepare  # noqa: F401
 from .kalman import init_state, run_filter, run_smoother  # noqa: F401
 from .systems import build_periods  # noqa: F401
 
@@ -44,20 +48,9 @@ class OpCounter:
         self.mults += rows * inner * cols
 
 
-def blocked_F(P: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.ndarray) -> np.ndarray:
-    """Innovation covariance from P's monthly/quarterly blocks.
-
-    The bracket P^{mq} Lam_qq' is computed once and transposed into place.
-    """
-    n_o = len(o_t)
-    n_qo = lamqq_obs.shape[0]
-    F = np.empty((n_o + n_qo, n_o + n_qo))
-    F[:n_o, :n_o] = P[np.ix_(o_t, o_t)]
-    bracket = P[np.ix_(o_t, qcols)] @ lamqq_obs.T
-    F[:n_o, n_o:] = bracket
-    F[n_o:, :n_o] = bracket.T
-    F[n_o:, n_o:] = lamqq_obs @ P[np.ix_(qcols, qcols)] @ lamqq_obs.T
-    return F
+def blocked_F(M: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.ndarray) -> np.ndarray:
+    """Innovation covariance F = Z M from the rows of M = P Z' that Z reads."""
+    return np.concatenate([M[o_t], lamqq_obs @ M[qcols]], axis=0)
 
 
 def blocked_M(P: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.ndarray) -> np.ndarray:
@@ -65,28 +58,11 @@ def blocked_M(P: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.n
     return np.concatenate([P[:, o_t], P[:, qcols] @ lamqq_obs.T], axis=1)
 
 
-def blocked_K(
-    MFinv: np.ndarray,
-    coeff_row: np.ndarray,
-    F1: np.ndarray,
-    o_t: np.ndarray,
-    qcols: np.ndarray,
-    lamqq_obs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gain K = (Pi [bracket]; [bracket]) and L = T - K Z.
-
-    The bracket is the first np rows of M F^{-1}; L subtracts K's columns
-    from the shift-structured transition only where Z is nonzero.
-    """
-    n, npp = coeff_row.shape
-    B = MFinv[:npp]
-    K = np.concatenate([coeff_row @ B, B], axis=0)
-    L = F1.copy()
-    n_o = len(o_t)
-    L[:, o_t] -= K[:, :n_o]
-    if lamqq_obs.shape[0]:
-        L[:, qcols] -= K[:, n_o:] @ lamqq_obs
-    return K, L
+def blocked_K(MFinv: np.ndarray, coeff_row: np.ndarray) -> np.ndarray:
+    """Gain K = F1 M F^-1 = (Pi B; B), where B is the first np rows of
+    M F^-1: the transition's shift rows copy B instead of multiplying it."""
+    B = MFinv[: coeff_row.shape[1]]
+    return np.concatenate([coeff_row @ B, B], axis=0)
 
 
 def blocked_predict(
@@ -119,30 +95,32 @@ def blocked_predict(
 
 
 def blocked_smooth_r(
-    L: np.ndarray,
-    r: np.ndarray,
-    Finv_v: np.ndarray,
+    g: np.ndarray,
+    x: np.ndarray,
     o_t: np.ndarray,
     qcols: np.ndarray,
     lamqq_obs: np.ndarray,
 ) -> np.ndarray:
-    """r update: L'r plus the observation term scattered onto its support."""
-    out = L.T @ r
+    """g + Z'x: ``x`` scattered onto the support of Z's columns."""
+    out = g.copy()
     n_o = len(o_t)
-    out[o_t] += Finv_v[:n_o]
-    if lamqq_obs.shape[0]:
-        out[qcols] += lamqq_obs.T @ Finv_v[n_o:]
+    out[o_t] += x[:n_o]
+    out[qcols] += lamqq_obs.T @ x[n_o:]
     return out
 
 
 @dataclass
 class BlockedRecord:
-    a_filt: np.ndarray
-    P_pred: np.ndarray
-    L: np.ndarray
+    """What the backward pass reads of one edge period: the heads of the
+    filtered mean and of the predicted covariance's rows, the gain and
+    F^-1 v."""
+
+    a_head: np.ndarray
+    P_head: np.ndarray
+    K: np.ndarray
     Finv_v: np.ndarray
     o_t: np.ndarray
-    lamqq_obs: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    lamqq_obs: np.ndarray
 
 
 def blocked_edge(
@@ -158,7 +136,6 @@ def blocked_edge(
     npp = n * p
     dim = n * (p + 1)
     coeff_row = params.coeff_row
-    F1 = params.companion_transition()
     qcols = agg.quarterly_state_cols(n, params.n_m)
     # only the first np rows and columns of the lifted state reach the
     # prediction; E is a 0/1 placement, so that block of E P E' holds P's
@@ -179,29 +156,35 @@ def blocked_edge(
         if n_obs == 0:
             a_filt, Finv_v = a, np.zeros(0)
             pf_top = P[:npp, :npp]
-            L = F1.copy()
+            K = np.zeros((dim, 0))
         else:
-            F = blocked_F(P, o_t, qcols, lamqq_obs)
-            F = (F + F.T) / 2.0
             M = blocked_M(P, o_t, qcols, lamqq_obs)
+            F = blocked_F(M, o_t, qcols, lamqq_obs)
             y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + q_rows]])
-            v = y - np.concatenate([a[o_t], lamqq_obs @ a[qcols]])
-            cf = (factorize_innovation(F, t)[0], True)
-            Finv_v = cho_solve(cf, v, check_finite=False)
-            MFinv = cho_solve(cf, M.T, check_finite=False).T
+            # one solve for F^-1 v and F^-1 M' over the rows the update reads
+            rhs = np.empty((n_obs, 1 + npp), order="F")
+            rhs[:, 0] = y - np.concatenate([a[o_t], lamqq_obs @ a[qcols]])
+            rhs[:, 1:] = M[:npp].T
+            cf = factorize_innovation(np.asfortranarray((F + F.T) / 2.0), t)[0]
+            sol, info = dpotrs(cf, rhs, lower=1, overwrite_b=1)
+            if info != 0:
+                raise SingularInnovationError(t)
+            Finv_v, MFinv_top = sol[:, 0], sol[:, 1:].T
             a_filt = a + M @ Finv_v
-            pf_top = P[:npp, :npp] - MFinv[:npp] @ M[:npp].T
+            pf_top = P[:npp, :npp] - MFinv_top @ M[:npp].T
             pf_top = (pf_top + pf_top.T) / 2.0
-            _, L = blocked_K(MFinv, coeff_row, F1, o_t, qcols, lamqq_obs)
-        records.append(BlockedRecord(a_filt, P, L, Finv_v, o_t, lamqq_obs))
+            K = blocked_K(MFinv_top, coeff_row)
+        records.append(BlockedRecord(a_filt[:n], P[:n].copy(), K, Finv_v, o_t, lamqq_obs))
 
-    # backward pass over the ragged edge; the last record's L meets r = 0
+    # backward pass over the ragged edge, with L'r = F1'r - Z'(K'r); the
+    # last record's gain meets r = 0
     r = np.zeros(dim)
     heads = np.empty((len(records), n))
     for i in range(len(records) - 1, -1, -1):
         rec = records[i]
-        heads[i] = (rec.a_filt + rec.P_pred @ (rec.L.T @ r))[:n]
-        r = blocked_smooth_r(rec.L, r, rec.Finv_v, rec.o_t, qcols, rec.lamqq_obs)
+        Ltr = blocked_smooth_r(companion_to_compact(r, params), -(rec.K.T @ r), rec.o_t, qcols, rec.lamqq_obs)
+        heads[i] = rec.a_head + rec.P_head @ Ltr
+        r = blocked_smooth_r(Ltr, rec.Finv_v, rec.o_t, qcols, rec.lamqq_obs)
     return heads, r
 
 

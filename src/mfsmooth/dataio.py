@@ -128,6 +128,8 @@ def write_archive(path: str | Path, draws: np.ndarray, n_q: int) -> None:
     if draws.ndim != 3:
         raise ConfigurationError("draw archive expects an (n_draws, T, n) array")
     k, T, n = draws.shape
+    if not 0 <= n_q <= n:
+        raise ConfigurationError(f"draw archive: n_q = {n_q} quarterly variables of n = {n}")
     with open(path, "wb") as fh:
         fh.write(ARCHIVE_MAGIC)
         fh.write(struct.pack("<IIIII", ARCHIVE_VERSION, T, n, n_q, k))
@@ -145,9 +147,14 @@ def read_archive(path: str | Path) -> tuple[np.ndarray, ArchiveHeader]:
         version, T, n, n_q, k = struct.unpack("<IIIII", header)
         if version != ARCHIVE_VERSION:
             raise ConfigurationError(f"{path}: unsupported archive version {version}")
+        if n_q > n:
+            raise ConfigurationError(f"{path}: header has n_q = {n_q} quarterly variables of n = {n}")
         size = 8 * k * T * n
         buf = fh.read(size)
+        extra = len(fh.read())
     if len(buf) != size:
         raise ConfigurationError(f"{path}: truncated archive, {len(buf)} of {size} payload bytes")
+    if extra:
+        raise ConfigurationError(f"{path}: {extra} bytes after the {size} payload bytes")
     draws = np.frombuffer(buf, dtype="<f8").reshape(k, T, n).copy()
     return draws, ArchiveHeader(T, n, n_q, k)

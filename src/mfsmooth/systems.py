@@ -216,10 +216,9 @@ class SystemMatrices:
 
 @dataclass
 class PeriodNoise:
-    """Noise products of one period: G G', G H', H H' and the constant part
-    of the innovation covariance, F = Z M + F_const."""
+    """Noise products of one period: G H', H H' and the constant part of
+    the innovation covariance, F = Z M + F_const with F_const = G G' + G H' Z'."""
 
-    GGt: np.ndarray
     GHt: np.ndarray
     HHt: np.ndarray
     F_const: np.ndarray
@@ -233,7 +232,7 @@ def period_noise(G: np.ndarray, H: np.ndarray, Z: np.ndarray) -> list[PeriodNois
     GHt = G @ H.transpose(0, 2, 1)
     HHt = H @ H.transpose(0, 2, 1)
     F_const = GGt + GHt @ Z.T
-    return [PeriodNoise(*parts) for parts in zip(GGt, GHt, HHt, F_const)]
+    return [PeriodNoise(*parts) for parts in zip(GHt, HHt, F_const)]
 
 
 @dataclass

@@ -12,6 +12,7 @@ from mfsmooth import (
     ConfigurationError,
     VarParams,
     build_aggregation,
+    draw_latent,
     intra_quarterly_average,
     oracle_joint,
     run_adaptive,
@@ -247,17 +248,15 @@ class TestBlockedOps:
                 for lag in range(agg.p_q):
                     Z[len(o_t) + r, lag * n + n_m + j] = agg.weights[lag]
 
-            F = blocked_F(P, o_t, qcols, lamqq_obs)
-            assert_allclose(F, Z @ P @ Z.T, rtol=1e-12, atol=1e-12)
-
             M = blocked_M(P, o_t, qcols, lamqq_obs)
             assert_allclose(M, P @ Z.T, rtol=1e-12, atol=1e-12)
 
-            Finv = np.linalg.inv((F + F.T) / 2.0)
-            MFinv = M @ Finv
-            K, L = blocked_K(MFinv, params.coeff_row, F1, o_t, qcols, lamqq_obs)
+            F = blocked_F(M, o_t, qcols, lamqq_obs)
+            assert_allclose(F, Z @ P @ Z.T, rtol=1e-12, atol=1e-12)
+
+            MFinv = M @ np.linalg.inv((F + F.T) / 2.0)
+            K = blocked_K(MFinv, params.coeff_row)
             assert_allclose(K, F1 @ MFinv, rtol=1e-10, atol=1e-10)
-            assert_allclose(L, F1 - K @ Z, rtol=1e-10, atol=1e-10)
 
             a_filt = rng.normal(size=dim)
             pf = random_pred_cov(rng, n * p)
@@ -269,11 +268,15 @@ class TestBlockedOps:
             assert_allclose(a_next, F1 @ a_filt, rtol=1e-12, atol=1e-12)
 
             r = rng.normal(size=dim)
+            g = rng.normal(size=dim)
             v = rng.normal(size=len(o_t) + len(q_rows))
-            r_prev = blocked_smooth_r(L, r, v, o_t, qcols, lamqq_obs)
-            assert_allclose(r_prev, L.T @ r + Z.T @ v, rtol=1e-12, atol=1e-12)
+            assert_allclose(blocked_smooth_r(g, v, o_t, qcols, lamqq_obs), g + Z.T @ v,
+                            rtol=1e-12, atol=1e-12)
 
             assert_allclose(companion_to_compact(r, params), F1.T @ r, rtol=1e-12, atol=1e-12)
+            # the backward pass's L'r without the dense L = F1 - K Z
+            Ltr = blocked_smooth_r(companion_to_compact(r, params), -(K.T @ r), o_t, qcols, lamqq_obs)
+            assert_allclose(Ltr, (F1 - K @ Z).T @ r, rtol=1e-10, atol=1e-10)
 
     def test_zero_coefficients(self):
         params = random_params(3, 1, 3, seed=2)
@@ -283,11 +286,11 @@ class TestBlockedOps:
         agg = build_aggregation(intra_quarterly_average(), 3, 1, 3)
         qcols = agg.quarterly_state_cols(4, 3)
         M = blocked_M(P, np.arange(3), qcols, agg.lam_qq)
-        F = blocked_F(P, np.arange(3), qcols, agg.lam_qq)
+        F = blocked_F(M, np.arange(3), qcols, agg.lam_qq)
         MFinv = M @ np.linalg.inv(F)
-        F1 = params.companion_transition()
-        K, _ = blocked_K(MFinv, zero_row, F1, np.arange(3), qcols, agg.lam_qq)
+        K = blocked_K(MFinv, zero_row)
         assert_allclose(K[:4], 0.0)
+        assert_array_equal(K[4:], MFinv[:12])
         a_next, P_next = blocked_predict(np.ones(16), np.eye(12), zero_row, params.sigma(0))
         assert_allclose(P_next[:4, :4], params.sigma(0))
         assert_allclose(P_next[:4, 4:], 0.0)
@@ -299,6 +302,22 @@ class TestBlockedOps:
         blocked_predict(np.zeros(16), np.eye(12), params.coeff_row, params.sigma(0), counter)
         n, p = 4, 3
         assert 0 < counter.mults < (n * (p + 1)) ** 3
+
+    def test_warm_draw_forms_no_dense_transition(self, monkeypatch):
+        # the edge step reuses the companion structure: no dense F1, so no
+        # dense L = F1 - K Z either
+        inst = small_instance(5)
+        draw_latent(inst.params, inst.scheme, inst.data, "blocked", seed=1)
+        calls = Counter()
+        dense = VarParams.companion_transition
+
+        def counted(self, *args, **kw):
+            calls["companion_transition"] += 1
+            return dense(self, *args, **kw)
+
+        monkeypatch.setattr(VarParams, "companion_transition", counted)
+        draw_latent(inst.params, inst.scheme, inst.data, "blocked", seed=2)
+        assert calls["companion_transition"] == 0
 
 
 @st.composite

@@ -127,6 +127,15 @@ class TestCompare:
             assert res.exit_code == 2
             assert "truncated archive" in res.output
 
+    def test_trailing_bytes_exit_2(self, tmp_path):
+        pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_archive(pa, np.zeros((1, 4, 2)), 1)
+        write_archive(pb, np.zeros((1, 4, 2)), 1)
+        pa.write_bytes(pa.read_bytes() + b"junk")
+        res = run(["compare", str(pa), str(pb)])
+        assert res.exit_code == 2
+        assert "4 bytes after the 64 payload bytes" in res.output
+
 
 class TestBench:
     def test_tiny_grid(self, tmp_path):

@@ -125,6 +125,28 @@ class TestArchive:
         with pytest.raises(ConfigurationError, match="truncated archive header"):
             read_archive(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "draws.bin"
+        write_archive(path, np.zeros((1, 4, 2)), n_q=1)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(ConfigurationError, match="16 bytes after the 64 payload bytes"):
+            read_archive(path)
+
+    def test_header_n_q_above_n(self, tmp_path):
+        path = tmp_path / "draws.bin"
+        write_archive(path, np.zeros((1, 4, 2)), n_q=1)
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = (5).to_bytes(4, "little")   # the header's n_q field
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigurationError, match="n_q = 5 quarterly variables of n = 2"):
+            read_archive(path)
+
+    def test_write_rejects_n_q_above_n(self, tmp_path):
+        path = tmp_path / "draws.bin"
+        with pytest.raises(ConfigurationError, match="n_q = 5 quarterly variables of n = 2"):
+            write_archive(path, np.zeros((1, 4, 2)), n_q=5)
+        assert not path.exists()
+
     def test_bad_shape(self, tmp_path):
         with pytest.raises(ConfigurationError):
             write_archive(tmp_path / "x.bin", np.zeros((3, 4)), n_q=1)

@@ -371,7 +371,6 @@ class TestSkeletonSharing:
             idx, q_rows = per.mats.idx, per.mats.q_rows
             G = build_adaptive_G(params, idx, q_rows, per.t)
             H = build_adaptive_H(params, idx, per.t)
-            assert_array_equal(per.noise.GGt, G @ G.T)
             assert_array_equal(per.noise.GHt, G @ H.T)
             assert_array_equal(per.noise.HHt, H @ H.T)
             assert_array_equal(per.noise.F_const, G @ G.T + G @ H.T @ per.mats.Z.T)
