@@ -20,9 +20,7 @@ from .kalman import (
     CovariancePass,
     FilterResult,
     FilterState,
-    Transition,
     init_state,
-    predict,
     quarterly_state_index,
     run_filter,
     run_smoother,
@@ -97,9 +95,9 @@ class Plan:
     filter's covariance pass over it.  ``scheme`` is the aggregation
     argument as the caller passed it and ``init_key`` the ``(init_mode,
     kappa)`` pair; with ``params`` they decide whether the plan can be
-    reused.  ``lift`` is the placement of the reduced state in the stacked
-    one that closes the pass at the balanced boundary (None for a balanced
-    sample).
+    reused.  Every run of the pass leaves its last step open: the edge
+    backends continue from the reduced filtered state at t_b-1 placed in
+    the stacked one (``compact_to_companion``).
     """
 
     params: VarParams
@@ -109,7 +107,6 @@ class Plan:
     init: FilterState
     skeleton: Skeleton
     cov: CovariancePass
-    lift: np.ndarray | None
 
 
 def plan_for(
@@ -137,8 +134,7 @@ def plan_for(
     check_pattern(params, data)
     init = init_state(params, init_mode, kappa)
     skeleton = period_skeleton(params, expanded, pattern)
-    lift = None if pattern.balanced else lift_matrix(params)
-    plan = Plan(params, agg, init_key, expanded, init, skeleton, CovariancePass(skeleton, init.P), lift)
+    plan = Plan(params, agg, init_key, expanded, init, skeleton, CovariancePass(skeleton, init.P))
     plan.cov.extend(pattern.t_balanced)
     object.__setattr__(pattern, "_plan", plan)
     return plan
@@ -157,37 +153,31 @@ def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
     x[:, : data.n_m][mask] = data.values[:, : data.n_m][mask]
 
 
-def lift_matrix(params: VarParams) -> np.ndarray:
-    """``E``: places the reduced (quarterly) state on its positions in the
-    stacked state."""
-    qi = quarterly_state_index(params)
-    E = np.zeros((params.n * (params.p + 1), len(qi)))
-    E[qi, np.arange(len(qi))] = 1.0
-    return E
+def compact_to_companion(params: VarParams, data: MixedFreqData, reduced: FilterResult) -> FilterState:
+    """The reduced run's last filtered state, at t_b-1, placed in the stacked
+    (companion) state of the same period.
 
-
-def compact_to_companion(params: VarParams, data: MixedFreqData, t_b: int) -> Transition:
-    """Noise-free transition from the reduced state at t_b-1 onto the stacked
-    (companion) state at the same period.
-
-    ``E`` (``lift_matrix``) places the reduced state on its quarterly
-    positions and ``a_known`` holds the known monthly values at lags 0..p,
-    which enter with zero variance.  The reduced filter's last step is
-    closed with ``E``; the edge steps map its filtered state through this
-    transition (``dense_lift``).
+    The reduced mean and covariance go to the quarterly positions
+    (``quarterly_state_index``); the known monthly values at lags 0..p fill
+    the rest of the mean, with zero variance.
     """
-    n, p = params.n, params.p
-    a_known = np.zeros((p + 1, n))
-    a_known[:, : params.n_m] = data.values[t_b - 1 - p : t_b, : params.n_m][::-1]
-    return lift_matrix(params), a_known.reshape(-1), 0.0
+    n, p, t_b = params.n, params.p, data.pattern.t_balanced
+    qi = quarterly_state_index(params)
+    a = np.zeros((p + 1, n))
+    a[:, : params.n_m] = data.values[t_b - 1 - p : t_b, : params.n_m][::-1]
+    a = a.reshape(-1)
+    a[qi] = reduced.a_filt[-1]
+    P = np.zeros((len(a), len(a)))
+    P[np.ix_(qi, qi)] = reduced.run.steps[-1].entry.P_filt
+    return FilterState(a, P)
 
 
 def companion_to_compact(r: np.ndarray, params: VarParams) -> np.ndarray:
-    """Adjoint that restarts the reduced smoother at the balanced boundary.
+    """``F1' r``: the adjoint ``r`` of the stacked state predicted at t
+    carried back to the stacked state at t-1.
 
-    ``r`` is the edge smoother's adjoint for the stacked state predicted at
-    t_b; the result ``F1' r`` is the adjoint for the lifted state at t_b-1,
-    onto which ``compact_to_companion`` closed the last reduced record.
+    At the balanced boundary its quarterly positions are the adjoint of the
+    reduced filtered state at t_b-1, which restarts the reduced smoother.
     """
     n, npp = params.n, params.n * params.p
     out = np.zeros(npp + n)
@@ -225,21 +215,14 @@ def companion_periods(
     return periods
 
 
-def dense_lift(reduced: FilterResult) -> FilterState:
-    """The reduced run's last filtered state mapped through its final
-    transition: the dense E P E' onto the stacked state."""
-    last = FilterState(reduced.a_filt[-1], reduced.run.steps[-1].entry.P_filt)
-    return predict(last, *reduced.final_transition)
-
-
 def dense_edge(
-    params: VarParams, agg: Aggregation, data: MixedFreqData, reduced: FilterResult
+    params: VarParams, agg: Aggregation, data: MixedFreqData, start: FilterState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge step of the reference backend: the stacked-form filter and
     smoother with dense companion products, covariance pass included, from
-    the dense lift of the reduced run."""
+    the stacked state ``start`` at t_b-1."""
     periods = companion_periods(params, agg, data, data.pattern.t_balanced)
-    res = run_filter(periods, dense_lift(reduced))
+    res = run_filter(periods, start)
     states, r = run_smoother(periods, res)
     return np.array([a[: params.n] for a in states]), r
 
@@ -256,28 +239,25 @@ def smooth(
     edge, then reduced smoothing back to t=1.
 
     The reduced run is the mean pass over the plan's covariance pass.  Its
-    last step is closed with a transition onto the stacked state
-    (``compact_to_companion``); ``edge(params, agg, data, reduced)`` gets
-    that reduced run, starts from its lifted filtered state (``dense_lift``,
-    or its own lift of the last filtered state) and returns the smoothed
-    (T - t_b, n) edge rows and its adjoint for the stacked state predicted
-    at t_b, which restarts the reduced smoother with no linear solve
-    (``companion_to_compact``).  With ``edge=None``, or a balanced sample,
-    the reduced (adaptive) formulation covers the whole sample.
+    last filtered state is placed in the stacked state
+    (``compact_to_companion``); ``edge(params, agg, data, start)`` starts
+    from that state and returns the smoothed (T - t_b, n) edge rows and its
+    adjoint for the stacked state predicted at t_b.  ``F1'`` carries that
+    adjoint back (``companion_to_compact``), and its quarterly positions
+    restart the reduced smoother at its last filtered state, with no linear
+    solve.  With ``edge=None``, or a balanced sample, the reduced (adaptive)
+    formulation covers the whole sample.
     """
     plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
     stop = T if edge is None else t_b
     periods = build_periods(params, plan.skeleton, data, stop=stop)
+    cov = plan.cov.run(stop)
+    res = run_filter(periods, plan.init, cov)
     heads = r = None
-    if stop == T:
-        cov = plan.cov.run(T)
-        res = run_filter(periods, plan.init, cov)
-    else:
-        cov = plan.cov.run(t_b, plan.lift)
-        res = run_filter(periods, plan.init, cov, compact_to_companion(params, data, t_b))
-        heads, r_edge = edge(params, plan.agg, data, res)
-        r = companion_to_compact(r_edge, params)
+    if stop < T:
+        heads, r_edge = edge(params, plan.agg, data, compact_to_companion(params, data, res))
+        r = companion_to_compact(r_edge, params)[quarterly_state_index(params)]
     states, _ = run_smoother(periods, res, r_init=r)
     # allocated last: the result outlives the filter's working set, and placed
     # above it, it keeps that set's freed memory off the top of the heap, where

@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dpotrs
 
 from .baseline import SmoothResult, companion_to_compact, smooth
 from .errors import SingularInnovationError
-from .kalman import FilterResult, factorize_innovation
+from .kalman import FilterState, factorize_innovation
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 
 # looked up here by perfbench/layertrace.py's SPANS table; ``baseline.smooth``
@@ -127,24 +127,18 @@ def blocked_edge(
     params: VarParams,
     agg: Aggregation,
     data: MixedFreqData,
-    reduced: FilterResult,
+    start: FilterState,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge step of the blocked backend: the stacked-form filter and
-    smoother through block subsetting, from its own lift of the reduced
-    run's last filtered state."""
+    smoother through block subsetting, from the stacked state ``start`` at
+    t_b-1, of whose covariance only the first np rows and columns reach the
+    prediction."""
     n, p = params.n, params.p
     npp = n * p
     dim = n * (p + 1)
     coeff_row = params.coeff_row
     qcols = agg.quarterly_state_cols(n, params.n_m)
-    # only the first np rows and columns of the lifted state reach the
-    # prediction; E is a 0/1 placement, so that block of E P E' holds P's
-    # entries at E's rows and zeros elsewhere
-    E, a_known, _ = reduced.final_transition
-    a_filt = E @ reduced.a_filt[-1] + a_known
-    rows, cols = np.nonzero(E[:npp])
-    pf_top = np.zeros((npp, npp))
-    pf_top[np.ix_(rows, rows)] = reduced.run.steps[-1].entry.P_filt[np.ix_(cols, cols)]
+    a_filt, pf_top = start.a, start.P[:npp, :npp]
     records: list[BlockedRecord] = []
     for t in range(data.pattern.t_balanced, data.T):
         a, P = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t))
@@ -171,8 +165,10 @@ def blocked_edge(
                 raise SingularInnovationError(t)
             Finv_v, MFinv_top = sol[:, 0], sol[:, 1:].T
             a_filt = a + M @ Finv_v
-            pf_top = P[:npp, :npp] - MFinv_top @ M[:npp].T
-            pf_top = (pf_top + pf_top.T) / 2.0
+            if t + 1 < data.T:
+                # only the next prediction reads the filtered covariance
+                pf_top = P[:npp, :npp] - MFinv_top @ M[:npp].T
+                pf_top = (pf_top + pf_top.T) / 2.0
             K = blocked_K(MFinv_top, coeff_row)
         records.append(BlockedRecord(a_filt[:n], P[:n].copy(), K, Finv_v, o_t, lamqq_obs))
 

@@ -13,9 +13,10 @@ t+1's transition) depends on no data: ``CovariancePass`` computes it once
 per sequence of periods and shares it between periods whose recursion has
 entered a cycle.  Each draw then runs only the mean pass over y - c,
 ``run_filter`` forward and ``run_smoother`` backward (Durbin and Koopman
-2002).  The last period of a run without a closing transition has
-``K = 0``, ``L = I``, which meet the adjoint ``r = 0``; its step leaves
-them unset and the smoother skips both.
+2002).  A run's last step is always open: it leaves ``K`` and ``L`` unset,
+and the smoother restarts there from an adjoint of the last filtered state
+(zero by default), as a caller that continues on another state space hands
+it back.
 """
 
 from __future__ import annotations
@@ -101,9 +102,8 @@ class CovEntry:
 @dataclass(eq=False, slots=True)
 class CovStep:
     """A period's entry with the gain onto the next state, K = T' M F^-1 and
-    L = T' - K Z for the next transition T'.  Both are None after the last
-    period of a run without a closing transition: K = 0 and L = I there meet
-    the adjoint r = 0.  ``succ`` is the next period's entry."""
+    L = T' - K Z for the next transition T'.  Both are None in a run's last
+    step, which has no next period.  ``succ`` is the next period's entry."""
 
     entry: CovEntry
     K: np.ndarray | None = None
@@ -153,10 +153,6 @@ def filter_step(P: np.ndarray, sys_t) -> CovEntry:
     return CovEntry(P, Z, HGt, cf, cond, sol, _sym(P - sol[:, :dim].T @ M.T))
 
 
-# (T, d, HHt); HHt may be the scalar 0 for a noise-free transition
-Transition = tuple[np.ndarray, np.ndarray, np.ndarray | float]
-
-
 def predict(state: FilterState, Tm: np.ndarray, d: np.ndarray, HHt: np.ndarray | float) -> FilterState:
     """``state`` mapped through the transition (Tm, d, HHt)."""
     return FilterState(Tm @ state.a + d, _predict_cov(state.P, Tm, HHt))
@@ -166,7 +162,7 @@ def _predict_cov(P: np.ndarray, Tm: np.ndarray, HHt: np.ndarray | float) -> np.n
     return _sym(Tm @ P @ Tm.T + HHt)
 
 
-def _close(entry: CovEntry, Tm: np.ndarray, succ: CovEntry | None = None) -> CovStep:
+def _close(entry: CovEntry, Tm: np.ndarray, succ: CovEntry | None) -> CovStep:
     K = Tm @ entry.MFinv
     return CovStep(entry, K, Tm - K @ entry.Z, succ)
 
@@ -177,13 +173,11 @@ class PassRun:
     two or more periods that share a step, and per period whether its step
     is its own (``lone``).  ``reused`` periods share an earlier period's
     entry and ``worst_cond`` is the largest condition ratio among their
-    factorizations.  ``closing``, the last step's noise-free transition, is
-    kept alive with the run that was keyed on it."""
+    factorizations.  The last step is open."""
 
     steps: list[CovStep]
     shared: list[tuple[CovStep, list[int]]]
     lone: list[bool]
-    closing: np.ndarray | None
     reused: int
     worst_cond: float
 
@@ -216,20 +210,18 @@ class CovariancePass:
         self._recurs = [counts[key] > 1 for key in self._keys]
         self._seen: dict[tuple, CovEntry] = {}
         self._links: dict[tuple, CovStep] = {}
-        self._runs: dict[tuple[int, int], PassRun] = {}
+        self._runs: dict[int, PassRun] = {}
 
     def pop_factorizations(self) -> int:
         """Factorizations computed since the last call."""
         k, self.factorizations = self.factorizations, 0
         return k
 
-    def run(self, stop: int, closing: np.ndarray | None = None) -> PassRun:
-        """Steps of periods 0..stop-1; the last is closed by the noise-free
-        transition ``closing`` onto another state space, or left open."""
-        key = (stop, id(closing))
-        found = self._runs.get(key)
+    def run(self, stop: int) -> PassRun:
+        """Steps of periods 0..stop-1, the last left open."""
+        found = self._runs.get(stop)
         if found is None:
-            found = self._runs[key] = self._make_run(stop, closing)
+            found = self._runs[stop] = self._make_run(stop)
         return found
 
     def _entry(self, P: np.ndarray, t: int) -> CovEntry:
@@ -273,9 +265,8 @@ class CovariancePass:
         Tm = per.mats.T
         return _close(entry, Tm, self._entry(_predict_cov(entry.P_filt, Tm, per.noise.HHt), t))
 
-    def _make_run(self, stop: int, closing: np.ndarray | None) -> PassRun:
-        entry = self.extend(stop)
-        last = CovStep(entry) if closing is None else _close(entry, closing)
+    def _make_run(self, stop: int) -> PassRun:
+        last = CovStep(self.extend(stop))
         steps = [*self._steps[: stop - 1], last]
         # only periods whose (mats, noise) pair recurs share entries, and
         # only steps into them are shared
@@ -291,7 +282,7 @@ class CovariancePass:
                 lone[t] = False
         cycled = [id(steps[t].entry) for t in range(stop) if recurs[t]]
         worst = max(step.entry.cond for step in steps)
-        return PassRun(steps, shared, lone, closing, len(cycled) - len(set(cycled)), worst)
+        return PassRun(steps, shared, lone, len(cycled) - len(set(cycled)), worst)
 
 
 @dataclass(eq=False)
@@ -303,15 +294,9 @@ class FilterResult:
     a_filt: list[np.ndarray]
     v: list[np.ndarray]
     w: list[np.ndarray]
-    final_transition: Transition | None = None
 
 
-def run_filter(
-    periods: list[PeriodSystem],
-    init: FilterState,
-    run: PassRun | None = None,
-    final_transition: Transition | None = None,
-) -> FilterResult:
+def run_filter(periods: list[PeriodSystem], init: FilterState, run: PassRun | None = None) -> FilterResult:
     """The forward mean pass over a run of periods:
     ``a_{t+1} = L_t a_t + K_t (y_t - c_t) + d_{t+1}``.
 
@@ -323,9 +308,7 @@ def run_filter(
     with a step of its own (every period under a time-varying ``chol_cov``)
     takes the measurement update and the prediction through the next
     transition as matrix-vector products instead, which cost less than a
-    group of one.  ``final_transition``, which the run's closing step must
-    match, maps the last filtered state onto the state the caller continues
-    from; it is kept for that caller.
+    group of one.
     """
     if run is None:
         run = CovariancePass(periods, init.P).run(len(periods))
@@ -368,7 +351,7 @@ def run_filter(
             a_filt[t] = Af[j]
             v[t] = V[j]
             w[t] = X[j, dim:]
-    return FilterResult(run, a_filt, v, w, final_transition)
+    return FilterResult(run, a_filt, v, w)
 
 
 def run_smoother(
@@ -381,10 +364,12 @@ def run_smoother(
 
     ``r_{t-1} = L_t' r_t + Z_t' F_t^-1 v_t`` runs per period; the smoothed
     means ``a_filt + P_pred L_t' r_t - H G' K_t' r_t`` are one product per
-    group of periods that share a step.  ``r_init`` is the adjoint after the
-    last period, which a run closed by a final transition needs; without one
-    the pass starts from ``r = 0``, where the smoothed mean is the filtered
-    one.
+    group of periods that share a step.  The last period's step is open:
+    ``r_init`` is the adjoint of its filtered state, which a caller that
+    continued past it hands back, so its smoothed mean is
+    ``a_filt + P_filt r_init`` and the adjoint before it
+    ``r_init - Z' F^-1 M' r_init + Z' F^-1 v``.  Without one the adjoint is
+    zero there and the smoothed mean is the filtered one.
     """
     run = filtered.run
     steps, a_filt, w = run.steps, filtered.a_filt, filtered.w
@@ -393,12 +378,14 @@ def run_smoother(
     R: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
     Ltr: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
     lone = run.lone
-    r = r_init
-    for t in range(stop - 1, -1, -1):
-        if r is None:
-            states[t] = a_filt[t]
-            r = w[t]
-            continue
+    last = stop - 1
+    if r_init is None:
+        states[last], r = a_filt[last], w[last]
+    else:
+        e = steps[last].entry
+        states[last] = a_filt[last] + e.P_filt @ r_init
+        r = r_init - e.Z.T @ (e.MFinv.T @ r_init) + w[last]
+    for t in range(last - 1, -1, -1):
         step = steps[t]
         ltr = step.L.T @ r
         if lone[t]:

@@ -27,27 +27,25 @@ __all__ = [
     "Instance",
 ]
 
+# random_stable_params: the companion spectral radius a draw must stay
+# below, and the scale of its lag coefficients before any rescale
+SPECTRAL_BOUND = 0.95
+COEF_SCALE = 0.4
 
-def random_stable_params(
-    n_m: int,
-    n_q: int,
-    p: int,
-    rng: np.random.Generator,
-    spectral_bound: float = 0.95,
-    coef_scale: float = 0.4,
-) -> VarParams:
+
+def random_stable_params(n_m: int, n_q: int, p: int, rng: np.random.Generator) -> VarParams:
     """Random VAR rescaled lag-wise until the companion spectral radius is
-    below the bound."""
+    below ``SPECTRAL_BOUND``."""
     n = n_m + n_q
-    lag_coeffs = rng.normal(scale=coef_scale / math.sqrt(n * p), size=(p, n, n))
+    lag_coeffs = rng.normal(scale=COEF_SCALE / math.sqrt(n * p), size=(p, n, n))
     intercept = rng.normal(scale=0.1, size=n)
     B = rng.normal(scale=0.2 / math.sqrt(n), size=(n, n))
     sigma = B @ B.T + 0.5 * np.eye(n)
     chol = np.linalg.cholesky(sigma)
     params = VarParams(n_m, n_q, p, intercept, lag_coeffs, chol)
     radius = np.abs(np.linalg.eigvals(params.companion_transition(p))).max()
-    if radius >= spectral_bound:
-        scale = spectral_bound / radius * 0.98
+    if radius >= SPECTRAL_BOUND:
+        scale = SPECTRAL_BOUND / radius * 0.98
         lag_coeffs = lag_coeffs * scale ** np.arange(1, p + 1)[:, None, None]
         params = VarParams(n_m, n_q, p, intercept, lag_coeffs, chol)
     return params
@@ -70,14 +68,7 @@ def missing_both_count(n: int, recipe: str = "bracket") -> int:
     return 3
 
 
-def benchmark_pattern(
-    n_m: int,
-    n_q: int,
-    T: int,
-    t_balanced: int,
-    recipe: str = "bracket",
-    calendar_offset: int = 0,
-) -> np.ndarray:
+def benchmark_pattern(n_m: int, n_q: int, T: int, t_balanced: int, recipe: str = "bracket") -> np.ndarray:
     """Boolean (T, n) observation mask for the benchmark design.
 
     The last T - t_balanced periods form the ragged edge: a few monthly
@@ -98,9 +89,7 @@ def benchmark_pattern(
         # edge except the last period: only the always-missing block is out
         mask[t_balanced:, n_m - k_both :] = False
         mask[T - 1, k_full:n_m] = False
-    months = np.arange(1, T + 1)
-    q_obs = (months - calendar_offset) % 3 == 0
-    mask[:, n_m:] = q_obs[:, None]
+    mask[:, n_m:] = (np.arange(1, T + 1) % 3 == 0)[:, None]
     return mask
 
 

@@ -20,9 +20,18 @@ from mfsmooth import (
     run_blocked,
     skip_sampling,
 )
-from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_lift
+from mfsmooth import kalman
+from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_edge
 from mfsmooth.blocked import OpCounter, blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
-from mfsmooth.kalman import CovariancePass, init_state, quarterly_state_index, run_filter
+from mfsmooth.kalman import (
+    CovariancePass,
+    FilterResult,
+    PassRun,
+    init_state,
+    quarterly_state_index,
+    run_filter,
+    run_smoother,
+)
 from mfsmooth.model import AggregationScheme
 from mfsmooth.simulate import make_instance
 from mfsmooth.systems import build_periods, period_skeleton
@@ -146,16 +155,15 @@ def test_covariance_memo_not_shared_across_noise():
 
 
 def reduced_filter_to_boundary(inst):
-    """Reduced filter over the balanced sample, closed onto the stacked state."""
+    """Reduced filter over the balanced sample, its last step open."""
     params, data = inst.params, inst.data
     t_b = data.pattern.t_balanced
     agg = build_aggregation(inst.scheme, params.n_m, params.n_q, params.p)
     skeleton = period_skeleton(params, agg, data.pattern)
     periods = build_periods(params, skeleton, data, stop=t_b)
     init = init_state(params)
-    transition = compact_to_companion(params, data, t_b)
-    run = CovariancePass(skeleton, init.P).run(t_b, transition[0])
-    return run_filter(periods, init, run, transition)
+    run = CovariancePass(skeleton, init.P).run(t_b)
+    return run_filter(periods, init, run)
 
 
 class TestTransitions:
@@ -163,32 +171,61 @@ class TestTransitions:
         inst = small_instance(5)
         params = inst.params
         res = reduced_filter_to_boundary(inst)
-        lifted = dense_lift(res)
+        lifted = compact_to_companion(params, inst.data, res)
         qi = quarterly_state_index(params)
         monthly = np.setdiff1d(np.arange(params.n * (params.p + 1)), qi)
         # known monthly values enter with zero variance; the quarterly block
         # is the reduced filtered state at t_b-1
         assert_array_equal(lifted.P[monthly, :], 0.0)
         assert_array_equal(lifted.P[:, monthly], 0.0)
-        assert_allclose(lifted.P[np.ix_(qi, qi)], res.run.steps[-1].entry.P_filt, rtol=1e-15, atol=0)
-        assert_allclose(lifted.a[qi], res.a_filt[-1], rtol=1e-15, atol=0)
+        assert_array_equal(lifted.P[np.ix_(qi, qi)], res.run.steps[-1].entry.P_filt)
+        assert_array_equal(lifted.a[qi], res.a_filt[-1])
 
     def test_lift_interleaves_known_monthly_values(self):
         inst = small_instance(5)
         params, data = inst.params, inst.data
         n, n_m, p = params.n, params.n_m, params.p
         t_b = data.pattern.t_balanced
-        E, a_known, HHt = compact_to_companion(params, data, t_b)
-        qi = quarterly_state_index(params)
-        assert_array_equal(E[qi], np.eye(len(qi)))
-        assert_array_equal(np.delete(E, qi, axis=0), 0.0)
-        assert HHt == 0.0
-        # lag group `lag` holds the monthly data at t_b-1-lag
-        for lag in range(p + 1):
-            assert_array_equal(a_known[lag * n : lag * n + n_m], data.values[t_b - 1 - lag, :n_m])
-        assert_array_equal(a_known[qi], 0.0)
         res = reduced_filter_to_boundary(inst)
-        assert_array_equal(np.delete(dense_lift(res).a, qi), np.delete(a_known, qi))
+        a = compact_to_companion(params, data, res).a
+        qi = quarterly_state_index(params)
+        assert a.shape == (n * (p + 1),)
+        # lag group `lag` holds the monthly data at t_b-1-lag, then the
+        # reduced state's quarterly entries of that lag
+        for lag in range(p + 1):
+            assert_array_equal(a[lag * n : lag * n + n_m], data.values[t_b - 1 - lag, :n_m])
+        assert_array_equal(a[qi], res.a_filt[-1])
+
+    @pytest.mark.parametrize("seed,scheme", [(5, intra_quarterly_average()), (7, skip_sampling())])
+    def test_boundary_restart_matches_lift_closed_step(self, seed, scheme):
+        """The reduced smoother restarts at its last filtered state from the
+        quarterly positions of the edge's adjoint.  The reference is the last
+        step closed by the 0/1 placement E of the reduced state in the stacked
+        one: K = E M F^-1, L = E - K Z, meeting the stacked adjoint."""
+        inst = small_instance(seed, scheme=scheme)
+        params, data = inst.params, inst.data
+        agg = build_aggregation(scheme, params.n_m, params.n_q, params.p)
+        res = reduced_filter_to_boundary(inst)
+        _, r_edge = dense_edge(params, agg, data, compact_to_companion(params, data, res))
+        r = companion_to_compact(r_edge, params)
+        qi = quarterly_state_index(params)
+        E = np.zeros((len(r), len(qi)))
+        E[qi, np.arange(len(qi))] = 1.0
+        step = res.run.steps[-1]
+        closed = kalman._close(step.entry, E, None)
+        e = step.entry
+        ltr = closed.L.T @ r
+        ref_state = res.a_filt[-1] + e.P_pred @ ltr - e.HGt @ (closed.K.T @ r)
+        ref_r = ltr + res.w[-1]
+        # the last period alone, restarted from the adjoint of its filtered state
+        last = FilterResult(PassRun([step], [], [True], 0, e.cond), res.a_filt[-1:], res.v[-1:], res.w[-1:])
+        t_b = data.pattern.t_balanced
+        periods = build_periods(params, period_skeleton(params, agg, data.pattern), data, stop=t_b)
+        states, r_prev = run_smoother(periods[-1:], last, r[qi])
+        for got, ref in ((states[0], ref_state), (r_prev, ref_r)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        # the same step inside the whole reduced run
+        assert_array_equal(run_smoother(periods, res, r[qi])[0][-1], states[0])
 
     def test_back_transition_zero_when_smoothing_changes_nothing(self):
         params = random_params(2, 1, 3, seed=0)

@@ -34,7 +34,7 @@ def make_period(Z, c, G, T, d, H, y, t=0):
 
 def single_steps(steps):
     """A pass run in which no two periods share a step."""
-    return PassRun(steps, [], [True] * len(steps), None, 0, 0.0)
+    return PassRun(steps, [], [True] * len(steps), 0, 0.0)
 
 
 class TestFilterStep:
@@ -49,21 +49,20 @@ class TestFilterStep:
         assert_allclose(entry.MFinv * (entry.cf @ entry.cf.T), [[2.0]])
         assert_allclose(entry.cf @ entry.cf.T, [[4.0]])
         # from P0 = 0 the period's own prediction gives a = 0, P = 1 again;
-        # then one step through the same transition
-        transition = (per.mats.T, per.d, per.noise.HHt)
-        run = CovariancePass([per], np.zeros((1, 1))).run(1, per.mats.T)
-        res = run_filter([per], FilterState(np.zeros(1), np.zeros((1, 1))), run, transition)
+        # then one step through the same transition, into the second period
+        run = CovariancePass([per, per], np.zeros((1, 1))).run(2)
+        res = run_filter([per, per], FilterState(np.zeros(1), np.zeros((1, 1))), run)
         assert_allclose(run.steps[0].K, [[0.5]])
         assert_allclose(res.a_filt[0], [1.0])
         last = FilterState(res.a_filt[0], run.steps[0].entry.P_filt)
-        assert_allclose(predict(last, *transition).a, [1.0])
+        assert_allclose(predict(last, per.mats.T, per.d, per.noise.HHt).a, [1.0])
         # terminal smoothing leaves the filtered mean unchanged
-        states, _ = run_smoother([per], res, np.zeros(1))
-        assert_allclose(states[0], [1.0])
+        states, _ = run_smoother([per, per], res, np.zeros(1))
+        assert_array_equal(states[1], res.a_filt[1])
 
     def test_open_last_record_meets_zero_adjoint(self):
-        # without a closing transition the last step keeps no gain; the
-        # smoother reads it as K = 0, L = I meeting r = 0
+        # the last step keeps no gain; without an adjoint the smoother
+        # restarts there as from the zero adjoint of K = 0, L = I
         per = make_period(
             Z=np.array([[1.0]]), c=np.zeros(1), G=np.array([[1.0]]),
             T=np.array([[0.5]]), d=np.zeros(1), H=np.array([[1.0]]),
