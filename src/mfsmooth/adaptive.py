@@ -31,5 +31,6 @@ def run_adaptive(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
+    pseudo=None,
 ) -> SmoothResult:
-    return smooth(params, agg, data, init_mode, kappa)
+    return smooth(params, agg, data, init_mode, kappa, pseudo=pseudo)

@@ -11,7 +11,7 @@ companion products; the other backends exist to avoid exactly that cost.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .kalman import (
 )
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams, build_aggregation
 from .systems import (
+    DataPart,
     PeriodNoise,
     PeriodSystem,
     Skeleton,
@@ -98,6 +99,10 @@ class Plan:
     reused.  Every run of the pass leaves its last step open: the edge
     backends continue from the reduced filtered state at t_b-1 placed in
     the stacked one (``compact_to_companion``).
+
+    ``_part`` holds the ``DataPart`` of the data object the plan last drew
+    for: the balanced periods' constants at the data, which every draw on
+    that object shares (``data_part``).
     """
 
     params: VarParams
@@ -107,6 +112,16 @@ class Plan:
     init: FilterState
     skeleton: Skeleton
     cov: CovariancePass
+    _part: DataPart | None = field(default=None, init=False, repr=False, compare=False)
+
+    def data_part(self, data: MixedFreqData) -> DataPart:
+        """The plan's ``DataPart`` for ``data``: kept while ``data`` is the
+        same object, otherwise a new, empty one that replaces it."""
+        part = self._part
+        if part is None or part.data is not data:
+            part = DataPart(data)
+            object.__setattr__(self, "_part", part)
+        return part
 
 
 def plan_for(
@@ -234,6 +249,7 @@ def smooth(
     init_mode: str = "stationary",
     kappa: float = 1e4,
     edge: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None,
+    pseudo=None,
 ) -> SmoothResult:
     """Reduced filtering to the balanced boundary, ``edge`` over the ragged
     edge, then reduced smoothing back to t=1.
@@ -247,11 +263,20 @@ def smooth(
     restart the reduced smoother at its last filtered state, with no linear
     solve.  With ``edge=None``, or a balanced sample, the reduced (adaptive)
     formulation covers the whole sample.
+
+    With ``pseudo``, a pseudo sample simulated for ``data`` (the simulation
+    smoother's route), the run is on y - y+ and returns its smoothed mean;
+    the balanced periods' constants are the plan's part at ``data`` less the
+    pseudo path's (``build_periods``).
     """
     plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
     stop = T if edge is None else t_b
-    periods = build_periods(params, plan.skeleton, data, stop=stop)
+    part = None
+    if pseudo is not None:
+        part = plan.data_part(data)
+        data = data.replace_values(data.values - pseudo.y_plus)
+    periods = build_periods(params, plan.skeleton, data, stop=stop, pseudo=pseudo, part=part)
     cov = plan.cov.run(stop)
     res = run_filter(periods, plan.init, cov)
     heads = r = None
@@ -282,6 +307,7 @@ def run_baseline(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
+    pseudo=None,
 ) -> SmoothResult:
     """``smooth`` with the dense companion-form edge step."""
-    return smooth(params, agg, data, init_mode, kappa, dense_edge)
+    return smooth(params, agg, data, init_mode, kappa, dense_edge, pseudo)

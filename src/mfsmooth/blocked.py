@@ -190,5 +190,6 @@ def run_blocked(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
+    pseudo=None,
 ) -> SmoothResult:
-    return smooth(params, agg, data, init_mode, kappa, blocked_edge)
+    return smooth(params, agg, data, init_mode, kappa, blocked_edge, pseudo)

@@ -4,6 +4,10 @@ parameters and ragged-edge data.
 A pseudo latent path and pseudo observations are simulated from the model
 with constants excluded, the smoother runs on the difference y - y+ with
 constants included, and the draw is the smoothed mean plus the pseudo path.
+The backend receives the data and the pseudo sample, not y - y+ alone: the
+balanced periods' constants are linear in the data, so their part from y is
+formed once per data object (``baseline.Plan.data_part``) and their part
+from y+ is read off the pseudo path's shocks (``systems.build_periods``).
 Per-draw generators are keyed by (master seed, draw index) with a
 counter-based bit generator, so results do not depend on scheduling.
 """
@@ -40,6 +44,7 @@ class PseudoSample:
     x_plus: np.ndarray       # (T, n) pseudo latent path
     y_plus: np.ndarray       # (T, n), NaN where the data are missing
     presample: np.ndarray    # (p+1, n) pseudo values for times -(p+1)..-1
+    shocks: np.ndarray       # (T, n) the path's shocks: x_plus less its lag terms
     init_jitter: bool        # the initial covariance needed jitter to factorize
 
 
@@ -117,7 +122,7 @@ def simulate_path(
     pat = data.pattern
     observed = np.hstack([pat.observed_monthly, pat.quarterly_observed])
     y_plus = np.where(observed, np.hstack([x_plus[:, :n_m], quarterly[::-1]]), np.nan)
-    return PseudoSample(x_plus, y_plus, rev[T:][::-1].copy(), jitter)
+    return PseudoSample(x_plus, y_plus, rev[T:][::-1].copy(), shocks, jitter)
 
 
 def gen_pseudo(
@@ -152,10 +157,7 @@ def draw_latent(
     if rng is None:
         rng = _rng_for(0 if seed is None else seed, 0)
     pseudo = gen_pseudo(params, agg, data, rng, init_mode, kappa)
-    # in place: replace_values copies y_star, so the draw allocates it once
-    y_star = np.subtract(data.values, pseudo.y_plus, out=pseudo.y_plus)
-    data_star = data.replace_values(y_star)
-    result = BACKENDS[backend](params, agg, data_star, init_mode, kappa)
+    result = BACKENDS[backend](params, agg, data, init_mode, kappa, pseudo)
     x = result.x_hat   # in place: the draw keeps the array the smoother allocated last
     x += pseudo.x_plus
     # observed entries are exact by construction; overwrite to drop fp residue

@@ -20,6 +20,7 @@ from .model import (
 from .simsmooth import simulate_path
 
 __all__ = [
+    "radius_bound",
     "random_stable_params",
     "missing_both_count",
     "benchmark_pattern",
@@ -28,14 +29,48 @@ __all__ = [
 ]
 
 # random_stable_params: the companion spectral radius a draw must stay
-# below, and the scale of its lag coefficients before any rescale
+# below, the scale of its lag coefficients before any rescale, and the
+# powers of the companion its radius certificate tries before the eigenvalues
 SPECTRAL_BOUND = 0.95
 COEF_SCALE = 0.4
+CERTIFY_STEPS = 128
+
+
+def radius_bound(coeff_row: np.ndarray, below: float = 0.0) -> float:
+    """An upper bound on the spectral radius of the companion matrix F whose
+    top block row is ``coeff_row`` (n x np), from powers of F, not its
+    eigenvalues.
+
+    R_k, the top block row of F^k, follows R_{k+1} = R_k[:, :n] coeff_row +
+    R_k shifted one block left, and block row j of F^k is R_{k-j}.  So for
+    k >= p, rho(F) <= ||F^k||_inf^(1/k) = (max_{j<p} ||R_{k-j}||_inf)^(1/k).
+    Returns the first such bound below ``below``, else the smallest for
+    k <= ``CERTIFY_STEPS``.
+    """
+    n, npp = coeff_row.shape
+    p = npp // n
+    R = coeff_row
+    norms = [np.abs(R).sum(axis=1).max()]
+    best = np.inf
+    for k in range(2, CERTIFY_STEPS + 1):
+        nxt = R[:, :n] @ coeff_row
+        nxt[:, : npp - n] += R[:, n:]
+        R = nxt
+        norms.append(np.abs(R).sum(axis=1).max())
+        if k >= p:
+            best = min(best, max(norms[-p:]) ** (1.0 / k))
+            if best < below:
+                break
+    return best
 
 
 def random_stable_params(n_m: int, n_q: int, p: int, rng: np.random.Generator) -> VarParams:
     """Random VAR rescaled lag-wise until the companion spectral radius is
-    below ``SPECTRAL_BOUND``."""
+    below ``SPECTRAL_BOUND``.
+
+    The eigenvalues are computed only when ``radius_bound`` cannot certify
+    the radius below the bound; the certificate draws nothing from ``rng``.
+    """
     n = n_m + n_q
     lag_coeffs = rng.normal(scale=COEF_SCALE / math.sqrt(n * p), size=(p, n, n))
     intercept = rng.normal(scale=0.1, size=n)
@@ -43,6 +78,8 @@ def random_stable_params(n_m: int, n_q: int, p: int, rng: np.random.Generator) -
     sigma = B @ B.T + 0.5 * np.eye(n)
     chol = np.linalg.cholesky(sigma)
     params = VarParams(n_m, n_q, p, intercept, lag_coeffs, chol)
+    if radius_bound(params.coeff_row, below=SPECTRAL_BOUND) < SPECTRAL_BOUND:
+        return params
     radius = np.abs(np.linalg.eigvals(params.companion_transition(p))).max()
     if radius >= SPECTRAL_BOUND:
         scale = SPECTRAL_BOUND / radius * 0.98

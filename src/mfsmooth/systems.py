@@ -14,7 +14,7 @@ lags ``t-1..t-p`` inside each variable block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,8 @@ __all__ = [
     "period_noise",
     "build_system_matrices",
     "companion_observation",
+    "DataPart",
+    "pseudo_lag_term",
     "build_periods",
     "group_by_mats",
     "period_skeleton",
@@ -313,11 +315,84 @@ def group_by_mats(periods, stop: int) -> list[tuple[SystemMatrices, np.ndarray]]
     return [(mats, np.array(ts)) for mats, ts in groups.values()]
 
 
+def _lag_stacks(values: np.ndarray, p: int, n_m: int) -> np.ndarray:
+    """Every period's monthly lag stack as one view: [i, v, lag - 1] is
+    monthly variable v at period T-1-i-lag, pre-sample lags zero.
+
+    The monthly data are kept in reversed time: row i holds period T-1-i and
+    the p rows after the sample are the zero pre-sample.  Period t's lags
+    t-1..t-p are then the contiguous rows T-t..T-t+p-1, and a sliding window
+    over the rows is every stack at once, variable-major like the exogenous
+    columns.
+    """
+    T = values.shape[0]
+    rev = np.zeros((T + p, n_m))
+    rev[:T] = values[::-1, :n_m]
+    return np.lib.stride_tricks.sliding_window_view(rev[1:], p, axis=0)
+
+
+def _constants(mats: SystemMatrices, ts: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c and d of the group's periods ``ts``: one gather of their lag stacks
+    and one product each."""
+    rows, o_prev = len(stacks) - 1 - ts, mats.idx.o_prev
+    # after a fully observed period the whole stacks are read: a row gather
+    X = stacks[rows] if len(o_prev) == stacks.shape[1] else stacks[rows[:, None], o_prev]
+    X = X.reshape(len(ts), -1)
+    return X @ mats.C.T + mats.c0, X @ mats.D.T + mats.d0
+
+
+@dataclass(eq=False)
+class DataPart:
+    """The constants c(y) and d(y) of the balanced periods for one data
+    object ``data``, one pair of group arrays per structural group (keyed by
+    the id of its ``SystemMatrices``), formed on first use.
+
+    c and d are linear in the data, so a draw's constants at y - y+ are
+    these less the pseudo path's part (``pseudo_lag_term``).
+    """
+
+    data: MixedFreqData
+    groups: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def constants(self, groups: list[tuple[SystemMatrices, np.ndarray]], p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """c(y) and d(y) of each of ``groups``; those not formed yet are
+        formed here, from one set of lag stacks of the data."""
+        todo = [(mats, ts) for mats, ts in groups if id(mats) not in self.groups]
+        if todo:
+            stacks = _lag_stacks(self.data.values, p, self.data.n_m)
+            for mats, ts in todo:
+                self.groups[id(mats)] = _constants(mats, ts, stacks)
+        return [self.groups[id(mats)] for mats, _ in groups]
+
+
+def pseudo_lag_term(params: VarParams, pseudo, stop: int) -> np.ndarray:
+    """The pseudo path's monthly-lag term sum_i A_i[:, :n_m] x+_{m,t-i} for
+    periods 0..stop-1 of a balanced sample, a (stop, n) array.
+
+    Its monthly columns are C X(y+) and its quarterly columns the head rows
+    of D X(y+).  It is the path less its shocks and its quarterly-lag term
+    Q_t = sum_i A_i[:, n_m:] x+_{q,t-i}, which is one product over the
+    quarterly lag stacks, pre-sample rows included (the pre-sample monthly
+    values are zero).
+    """
+    n_m, p = params.n_m, params.p
+    # quarterly values at times -(p+1)..stop-1; window t holds times t-p..t-1,
+    # variable-major with the lags descending
+    xq = np.concatenate([pseudo.presample[:, n_m:], pseudo.x_plus[:stop, n_m:]])
+    windows = np.lib.stride_tricks.sliding_window_view(xq[1:], p, axis=0)[:stop]
+    coeffs = params.lag_coeffs[::-1, :, n_m:].transpose(2, 0, 1).reshape(-1, params.n)
+    out = pseudo.x_plus[:stop] - pseudo.shocks[:stop]
+    out -= windows.reshape(stop, -1) @ coeffs
+    return out
+
+
 def build_periods(
     params: VarParams,
     skeleton: Skeleton,
     data: MixedFreqData,
     stop: int | None = None,
+    pseudo=None,
+    part: DataPart | None = None,
 ) -> list[PeriodSystem]:
     """Periods 0..stop-1 of the adaptive formulation (default: the whole sample).
 
@@ -325,31 +400,44 @@ def build_periods(
     (``period_skeleton``), built once per parameters and pattern; this adds
     what varies between draws: the constants, from the lagged observed
     monthly data (variable-major, lags t-1..t-p, pre-sample lags zero), and
-    the observations.
+    the observations.  Each group of periods that shares structural matrices
+    gathers its lag stacks (``_lag_stacks``) and its observations with one
+    index each and forms its constants with one product each.
 
-    The monthly data are kept in reversed time: row i holds period T-1-i and
-    the p rows after the sample are the zero pre-sample.  Period t's lags
-    t-1..t-p are then the contiguous rows T-t..T-t+p-1, and a sliding window
-    over the rows is every period's lag stack as one view, variable-major
-    like the exogenous columns.  Each group of periods that shares structural
-    matrices gathers its stacks and its observations with one index each and
-    forms its constants with one product each.
+    With ``pseudo``, the pseudo sample a draw simulated, ``data`` are y - y+
+    and ``part`` is the ``DataPart`` of the data y.  The balanced groups then
+    take their constants as ``part``'s, formed on its first use, less
+    ``pseudo_lag_term``: no gather or product over y - y+.  The ragged-edge
+    groups, and every group without ``pseudo``, are formed from ``data``.
     """
-    T, p, n_m = data.T, params.p, params.n_m
+    T, p, n_m, t_b = data.T, params.p, params.n_m, data.pattern.t_balanced
     stop = T if stop is None else stop
-    rev = np.zeros((T + p, n_m))
-    rev[:T] = data.values[::-1, :n_m]
-    # stacks[i, v, lag - 1]: monthly variable v at period T-1-i-lag
-    stacks = np.lib.stride_tricks.sliding_window_view(rev[1:], p, axis=0)
+    if pseudo is not None and stop < t_b:
+        raise ConfigurationError(f"a pseudo path needs stop >= t_balanced={t_b}, got {stop}")
     periods: list[PeriodSystem] = [None] * stop  # type: ignore[list-item]
-    for mats, ts in group_by_mats(skeleton, stop):
-        idx = mats.idx
-        X = stacks[(T - 1 - ts)[:, None], idx.o_prev].reshape(len(ts), -1)
-        cs = X @ mats.C.T + mats.c0
-        ds = X @ mats.D.T + mats.d0
-        ys = data.values[ts[:, None], np.concatenate([idx.o_t, n_m + mats.q_rows])]
+
+    def place(mats: SystemMatrices, ts: np.ndarray, cs: np.ndarray, ds: np.ndarray) -> None:
+        ys = data.values[ts[:, None], np.concatenate([mats.idx.o_t, n_m + mats.q_rows])]
         for t, c, d, y in zip(ts.tolist(), cs, ds, ys):
             periods[t] = PeriodSystem(mats, skeleton[t].noise, c, d, y, t)
+
+    groups = group_by_mats(skeleton, stop)
+    split = [] if pseudo is None else [(mats, ts) for mats, ts in groups if not len(mats.idx.u_t)]
+    if len(split) < len(groups):
+        stacks = _lag_stacks(data.values, p, n_m)
+        for mats, ts in groups:
+            if pseudo is None or len(mats.idx.u_t):
+                place(mats, ts, *_constants(mats, ts, stacks))
+    if split:
+        lagged = pseudo_lag_term(params, pseudo, t_b)
+        for (mats, ts), (cs, ds) in zip(split, part.constants(split, p)):
+            # a balanced period observes every monthly variable, and its
+            # head is the quarterly variables
+            lag = lagged[ts]
+            cs, ds = cs.copy(), ds.copy()
+            cs[:, :n_m] -= lag[:, :n_m]
+            ds[:, : params.n_q] -= lag[:, n_m:]
+            place(mats, ts, cs, ds)
     return periods
 
 

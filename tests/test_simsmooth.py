@@ -18,8 +18,10 @@ from mfsmooth import (
     run_adaptive,
     skip_sampling,
 )
-from mfsmooth import kalman
+from mfsmooth import kalman, systems
+from mfsmooth.baseline import fill_observed, plan_for
 from mfsmooth.kalman import init_state
+from mfsmooth.model import AggregationScheme
 from mfsmooth.simsmooth import BACKENDS, _rng_for, simulate_path
 from mfsmooth.simulate import make_instance, random_stable_params
 
@@ -326,3 +328,102 @@ class TestPreparedPlan:
         with pytest.raises(InitializationError, match="kappa"):
             draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=0,
                         init_mode="diffuse-proxy", kappa=kappa)
+
+
+SCHEMES = {
+    "average": intra_quarterly_average(),
+    "skip": skip_sampling(),
+    "custom": AggregationScheme("custom", np.array([0.4, 0.3, 0.2, 0.1]), 4),
+}
+
+
+class TestDataPart:
+    """A draw takes the balanced periods' constants as the plan's part at
+    the data less the pseudo path's part; the result is the two-step route:
+    the backend's smoothed mean on y - y+, plus x+, observed entries filled."""
+
+    @staticmethod
+    def instance(scheme, time_varying, seed=3):
+        inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(seed), scheme=scheme)
+        params = inst.params
+        if time_varying:
+            scale = np.exp(0.3 * np.random.default_rng(seed).standard_normal((40, params.n)))
+            params = VarParams(params.n_m, params.n_q, params.p, params.intercept,
+                               params.lag_coeffs, scale[:, :, None] * params.chol_cov)
+        return params, inst.data
+
+    @staticmethod
+    def two_step(params, scheme, data, backend, seed, init_mode):
+        pseudo = gen_pseudo(params, scheme, data, _rng_for(seed, 0), init_mode)
+        star = data.replace_values(data.values - pseudo.y_plus)
+        x = BACKENDS[backend](params, scheme, star, init_mode).x_hat + pseudo.x_plus
+        fill_observed(x, data)
+        return x
+
+    def assert_two_step(self, params, scheme, data, seed, init_mode="stationary"):
+        for backend in BACKENDS:
+            got = draw_latent(params, scheme, data, backend, seed=seed, init_mode=init_mode).x
+            want = self.two_step(params, scheme, data, backend, seed, init_mode)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("time_varying", [False, True])
+    @pytest.mark.parametrize("init_mode", ["stationary", "diffuse-proxy"])
+    def test_matches_two_step_route(self, scheme, time_varying, init_mode):
+        params, data = self.instance(SCHEMES[scheme], time_varying)
+        self.assert_two_step(params, SCHEMES[scheme], data, 4, init_mode)
+
+    def test_each_data_object_gets_its_own_part(self):
+        scheme = SCHEMES["average"]
+        params, data = self.instance(scheme, False)
+        other = data.replace_values(data.values * 1.5 + 0.25)
+        assert other.pattern is data.pattern
+        for d in (data, other, data):
+            self.assert_two_step(params, scheme, d, 6)
+            assert plan_for(params, scheme, d)._part.data is d
+
+    def test_warm_draw_forms_no_data_part(self, monkeypatch):
+        params, data = self.instance(SCHEMES["average"], False)
+        balanced = []
+        constants = systems._constants
+
+        def counted(mats, ts, stacks):
+            balanced.append(not len(mats.idx.u_t))
+            return constants(mats, ts, stacks)
+
+        monkeypatch.setattr(systems, "_constants", counted)
+        draw_latent(params, SCHEMES["average"], data, "adaptive", seed=1)
+        part = plan_for(params, SCHEMES["average"], data)._part
+        groups = dict(part.groups)
+        assert sum(balanced) == len(groups) > 0
+        del balanced[:]
+        for backend in BACKENDS:
+            draw_latent(params, SCHEMES["average"], data, backend, seed=2)
+        draw_many(params, SCHEMES["average"], data, "adaptive", 2, seed=2)
+        assert sum(balanced) == 0
+        assert plan_for(params, SCHEMES["average"], data)._part is part
+        assert all(part.groups[k] is v for k, v in groups.items())
+
+    def test_lag_term_is_the_constants_at_the_pseudo_observations(self):
+        # C X(y+) and D X(y+)'s head rows, formed the direct way, over the
+        # balanced sample of a path with its constants
+        params, data = self.instance(SCHEMES["custom"], True)
+        scheme = SCHEMES["custom"]
+        plan = plan_for(params, scheme, data)
+        pseudo = simulate_path(params, data, np.random.default_rng(2), plan.init,
+                               centered=False, scheme=scheme)
+        t_b = data.pattern.t_balanced
+        lagged = systems.pseudo_lag_term(params, pseudo, t_b)
+        plus = data.replace_values(pseudo.y_plus)
+        for per in systems.build_periods(params, plan.skeleton, plus, stop=t_b):
+            n_o, s = len(per.mats.idx.o_t), per.mats.idx.head_size
+            assert_allclose(per.c[:n_o] - per.mats.c0[:n_o], lagged[per.t, : params.n_m], rtol=1e-12, atol=1e-14)
+            assert_allclose(per.d[:s] - per.mats.d0[:s], lagged[per.t, params.n_m :], rtol=1e-12, atol=1e-14)
+
+    def test_pseudo_path_needs_the_balanced_sample(self):
+        params, data = self.instance(SCHEMES["average"], False)
+        plan = plan_for(params, SCHEMES["average"], data)
+        pseudo = gen_pseudo(params, SCHEMES["average"], data, np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match="t_balanced"):
+            systems.build_periods(params, plan.skeleton, data, stop=10, pseudo=pseudo,
+                                  part=plan.data_part(data))
