@@ -7,6 +7,8 @@ the ragged edge.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .baseline import SmoothResult, smooth
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 
@@ -15,6 +17,9 @@ from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 from .baseline import fill_observed, fill_states, prepare  # noqa: F401
 from .kalman import init_state, run_filter, run_smoother  # noqa: F401
 from .systems import build_periods  # noqa: F401
+
+if TYPE_CHECKING:
+    from .simsmooth import PseudoSample
 
 __all__ = ["run_adaptive", "mult_count"]
 
@@ -31,6 +36,6 @@ def run_adaptive(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
-    pseudo=None,
+    pseudo: PseudoSample | None = None,
 ) -> SmoothResult:
     return smooth(params, agg, data, init_mode, kappa, pseudo=pseudo)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,9 +36,11 @@ from .systems import (
     build_periods,
     build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
     companion_observation,
-    group_by_mats,
     period_skeleton,
 )
+
+if TYPE_CHECKING:
+    from .simsmooth import PseudoSample
 
 __all__ = ["RunStats", "SmoothResult", "smooth", "dense_edge", "run_baseline",
            "compact_to_companion", "companion_to_compact"]
@@ -157,10 +160,17 @@ def plan_for(
 
 def fill_states(x: np.ndarray, states: list[np.ndarray], periods: list[PeriodSystem]) -> None:
     """Write each period's smoothed head (latent monthly and quarterly) into
-    x, one assignment per group of periods sharing structural matrices."""
-    for mats, ts in group_by_mats(periods, len(periods)):
-        idx = mats.idx
-        x[np.ix_(ts, idx.head_vars())] = np.array([states[t] for t in ts])[:, : idx.head_size]
+    x: one assignment for the balanced periods, whose head is the quarterly
+    variables, and one per ragged-edge period after them."""
+    t_b = len(periods)
+    while t_b and len(periods[t_b - 1].mats.idx.u_t):
+        t_b -= 1
+    if t_b:
+        n_q = periods[0].mats.idx.n_q
+        x[:t_b, x.shape[1] - n_q :] = np.array(states[:t_b])[:, :n_q]
+    for per in periods[t_b:]:
+        idx = per.mats.idx
+        x[per.t, idx.head_vars()] = states[per.t][: idx.head_size]
 
 
 def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
@@ -249,7 +259,7 @@ def smooth(
     init_mode: str = "stationary",
     kappa: float = 1e4,
     edge: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None,
-    pseudo=None,
+    pseudo: PseudoSample | None = None,
 ) -> SmoothResult:
     """Reduced filtering to the balanced boundary, ``edge`` over the ragged
     edge, then reduced smoothing back to t=1.
@@ -272,11 +282,11 @@ def smooth(
     plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
     stop = T if edge is None else t_b
-    part = None
+    split = None
     if pseudo is not None:
-        part = plan.data_part(data)
+        split = (plan.data_part(data), pseudo)
         data = data.replace_values(data.values - pseudo.y_plus)
-    periods = build_periods(params, plan.skeleton, data, stop=stop, pseudo=pseudo, part=part)
+    periods = build_periods(params, plan.skeleton, data, stop=stop, split=split)
     cov = plan.cov.run(stop)
     res = run_filter(periods, plan.init, cov)
     heads = r = None
@@ -307,7 +317,7 @@ def run_baseline(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
-    pseudo=None,
+    pseudo: PseudoSample | None = None,
 ) -> SmoothResult:
     """``smooth`` with the dense companion-form edge step."""
     return smooth(params, agg, data, init_mode, kappa, dense_edge, pseudo)

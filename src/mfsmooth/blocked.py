@@ -11,6 +11,7 @@ match the reference backend numerically; only the arithmetic route differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
@@ -25,6 +26,9 @@ from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 from .baseline import fill_observed, fill_states, prepare  # noqa: F401
 from .kalman import init_state, run_filter, run_smoother  # noqa: F401
 from .systems import build_periods  # noqa: F401
+
+if TYPE_CHECKING:
+    from .simsmooth import PseudoSample
 
 __all__ = [
     "OpCounter",
@@ -190,6 +194,6 @@ def run_blocked(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
-    pseudo=None,
+    pseudo: PseudoSample | None = None,
 ) -> SmoothResult:
     return smooth(params, agg, data, init_mode, kappa, blocked_edge, pseudo)

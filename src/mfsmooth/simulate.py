@@ -20,7 +20,6 @@ from .model import (
 from .simsmooth import simulate_path
 
 __all__ = [
-    "radius_bound",
     "random_stable_params",
     "missing_both_count",
     "benchmark_pattern",
@@ -36,7 +35,7 @@ COEF_SCALE = 0.4
 CERTIFY_STEPS = 128
 
 
-def radius_bound(coeff_row: np.ndarray, below: float = 0.0) -> float:
+def _radius_bound(coeff_row: np.ndarray) -> float:
     """An upper bound on the spectral radius of the companion matrix F whose
     top block row is ``coeff_row`` (n x np), from powers of F, not its
     eigenvalues.
@@ -44,8 +43,8 @@ def radius_bound(coeff_row: np.ndarray, below: float = 0.0) -> float:
     R_k, the top block row of F^k, follows R_{k+1} = R_k[:, :n] coeff_row +
     R_k shifted one block left, and block row j of F^k is R_{k-j}.  So for
     k >= p, rho(F) <= ||F^k||_inf^(1/k) = (max_{j<p} ||R_{k-j}||_inf)^(1/k).
-    Returns the first such bound below ``below``, else the smallest for
-    k <= ``CERTIFY_STEPS``.
+    Returns the first such bound below ``SPECTRAL_BOUND``, else the smallest
+    for k <= ``CERTIFY_STEPS``.
     """
     n, npp = coeff_row.shape
     p = npp // n
@@ -59,7 +58,7 @@ def radius_bound(coeff_row: np.ndarray, below: float = 0.0) -> float:
         norms.append(np.abs(R).sum(axis=1).max())
         if k >= p:
             best = min(best, max(norms[-p:]) ** (1.0 / k))
-            if best < below:
+            if best < SPECTRAL_BOUND:
                 break
     return best
 
@@ -68,7 +67,7 @@ def random_stable_params(n_m: int, n_q: int, p: int, rng: np.random.Generator) -
     """Random VAR rescaled lag-wise until the companion spectral radius is
     below ``SPECTRAL_BOUND``.
 
-    The eigenvalues are computed only when ``radius_bound`` cannot certify
+    The eigenvalues are computed only when ``_radius_bound`` cannot certify
     the radius below the bound; the certificate draws nothing from ``rng``.
     """
     n = n_m + n_q
@@ -78,7 +77,7 @@ def random_stable_params(n_m: int, n_q: int, p: int, rng: np.random.Generator) -
     sigma = B @ B.T + 0.5 * np.eye(n)
     chol = np.linalg.cholesky(sigma)
     params = VarParams(n_m, n_q, p, intercept, lag_coeffs, chol)
-    if radius_bound(params.coeff_row, below=SPECTRAL_BOUND) < SPECTRAL_BOUND:
+    if _radius_bound(params.coeff_row) < SPECTRAL_BOUND:
         return params
     radius = np.abs(np.linalg.eigvals(params.companion_transition(p))).max()
     if radius >= SPECTRAL_BOUND:

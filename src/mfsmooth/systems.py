@@ -15,12 +15,15 @@ lags ``t-1..t-p`` inside each variable block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .model import Aggregation, MixedFreqData, ObservationPattern, VarParams
+
+if TYPE_CHECKING:
+    from .simsmooth import PseudoSample
 
 __all__ = [
     "AdaptiveIndex",
@@ -321,23 +324,21 @@ def _lag_stacks(values: np.ndarray, p: int, n_m: int) -> np.ndarray:
 
     The monthly data are kept in reversed time: row i holds period T-1-i and
     the p rows after the sample are the zero pre-sample.  Period t's lags
-    t-1..t-p are then the contiguous rows T-t..T-t+p-1, and a sliding window
-    over the rows is every stack at once, variable-major like the exogenous
-    columns.
+    t-1..t-p are then the contiguous rows T-t..T-t+p-1, and one strided view
+    of p-row windows is every stack at once, variable-major like the
+    exogenous columns.
     """
     T = values.shape[0]
     rev = np.zeros((T + p, n_m))
     rev[:T] = values[::-1, :n_m]
-    return np.lib.stride_tricks.sliding_window_view(rev[1:], p, axis=0)
+    step = rev.itemsize
+    return np.lib.stride_tricks.as_strided(rev[1:], (T, n_m, p), (n_m * step, step, n_m * step), writeable=False)
 
 
 def _constants(mats: SystemMatrices, ts: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """c and d of the group's periods ``ts``: one gather of their lag stacks
     and one product each."""
-    rows, o_prev = len(stacks) - 1 - ts, mats.idx.o_prev
-    # after a fully observed period the whole stacks are read: a row gather
-    X = stacks[rows] if len(o_prev) == stacks.shape[1] else stacks[rows[:, None], o_prev]
-    X = X.reshape(len(ts), -1)
+    X = stacks[(len(stacks) - 1 - ts)[:, None], mats.idx.o_prev].reshape(len(ts), -1)
     return X @ mats.C.T + mats.c0, X @ mats.D.T + mats.d0
 
 
@@ -365,7 +366,7 @@ class DataPart:
         return [self.groups[id(mats)] for mats, _ in groups]
 
 
-def pseudo_lag_term(params: VarParams, pseudo, stop: int) -> np.ndarray:
+def pseudo_lag_term(params: VarParams, pseudo: PseudoSample, stop: int) -> np.ndarray:
     """The pseudo path's monthly-lag term sum_i A_i[:, :n_m] x+_{m,t-i} for
     periods 0..stop-1 of a balanced sample, a (stop, n) array.
 
@@ -375,14 +376,15 @@ def pseudo_lag_term(params: VarParams, pseudo, stop: int) -> np.ndarray:
     quarterly lag stacks, pre-sample rows included (the pre-sample monthly
     values are zero).
     """
-    n_m, p = params.n_m, params.p
-    # quarterly values at times -(p+1)..stop-1; window t holds times t-p..t-1,
-    # variable-major with the lags descending
+    n_m, n_q, p = params.n_m, params.n_q, params.p
+    # quarterly values at times -(p+1)..stop-1, a row each: period t's lags,
+    # times t-p..t-1, are one contiguous run, read in place for every t
     xq = np.concatenate([pseudo.presample[:, n_m:], pseudo.x_plus[:stop, n_m:]])
-    windows = np.lib.stride_tricks.sliding_window_view(xq[1:], p, axis=0)[:stop]
-    coeffs = params.lag_coeffs[::-1, :, n_m:].transpose(2, 0, 1).reshape(-1, params.n)
+    step = xq.itemsize
+    windows = np.lib.stride_tricks.as_strided(xq[1:], (stop, p * n_q), (n_q * step, step), writeable=False)
+    coeffs = params.lag_coeffs[::-1, :, n_m:].transpose(0, 2, 1).reshape(p * n_q, params.n)
     out = pseudo.x_plus[:stop] - pseudo.shocks[:stop]
-    out -= windows.reshape(stop, -1) @ coeffs
+    out -= windows @ coeffs
     return out
 
 
@@ -391,12 +393,11 @@ def build_periods(
     skeleton: Skeleton,
     data: MixedFreqData,
     stop: int | None = None,
-    pseudo=None,
-    part: DataPart | None = None,
+    split: tuple[DataPart, PseudoSample] | None = None,
 ) -> list[PeriodSystem]:
     """Periods 0..stop-1 of the adaptive formulation (default: the whole sample).
 
-    ``skeleton`` holds each period's structural matrices and noise products
+    The structural matrices and noise products come from the skeleton
     (``period_skeleton``), built once per parameters and pattern; this adds
     what varies between draws: the constants, from the lagged observed
     monthly data (variable-major, lags t-1..t-p, pre-sample lags zero), and
@@ -404,16 +405,15 @@ def build_periods(
     gathers its lag stacks (``_lag_stacks``) and its observations with one
     index each and forms its constants with one product each.
 
-    With ``pseudo``, the pseudo sample a draw simulated, ``data`` are y - y+
-    and ``part`` is the ``DataPart`` of the data y.  The balanced groups then
-    take their constants as ``part``'s, formed on its first use, less
-    ``pseudo_lag_term``: no gather or product over y - y+.  The ragged-edge
-    groups, and every group without ``pseudo``, are formed from ``data``.
+    With ``split = (part, pseudo)``, ``data`` are y - y+ for the pseudo
+    sample ``pseudo`` and ``part`` is the ``DataPart`` of the data y.  The
+    balanced groups then take their constants as ``part``'s, formed on its
+    first use, less ``pseudo_lag_term``: no gather or product over y - y+.
+    The ragged-edge groups, and every group without ``split``, are formed
+    from ``data``.
     """
-    T, p, n_m, t_b = data.T, params.p, params.n_m, data.pattern.t_balanced
+    T, p, n_m = data.T, params.p, params.n_m
     stop = T if stop is None else stop
-    if pseudo is not None and stop < t_b:
-        raise ConfigurationError(f"a pseudo path needs stop >= t_balanced={t_b}, got {stop}")
     periods: list[PeriodSystem] = [None] * stop  # type: ignore[list-item]
 
     def place(mats: SystemMatrices, ts: np.ndarray, cs: np.ndarray, ds: np.ndarray) -> None:
@@ -421,16 +421,16 @@ def build_periods(
         for t, c, d, y in zip(ts.tolist(), cs, ds, ys):
             periods[t] = PeriodSystem(mats, skeleton[t].noise, c, d, y, t)
 
-    groups = group_by_mats(skeleton, stop)
-    split = [] if pseudo is None else [(mats, ts) for mats, ts in groups if not len(mats.idx.u_t)]
-    if len(split) < len(groups):
-        stacks = _lag_stacks(data.values, p, n_m)
-        for mats, ts in groups:
-            if pseudo is None or len(mats.idx.u_t):
-                place(mats, ts, *_constants(mats, ts, stacks))
-    if split:
+    direct = group_by_mats(skeleton, stop)
+    if split is not None:
+        part, pseudo = split
+        t_b = data.pattern.t_balanced
+        if stop < t_b:
+            raise ConfigurationError(f"a pseudo path needs stop >= t_balanced={t_b}, got {stop}")
+        balanced = [(mats, ts) for mats, ts in direct if not len(mats.idx.u_t)]
+        direct = [(mats, ts) for mats, ts in direct if len(mats.idx.u_t)]
         lagged = pseudo_lag_term(params, pseudo, t_b)
-        for (mats, ts), (cs, ds) in zip(split, part.constants(split, p)):
+        for (mats, ts), (cs, ds) in zip(balanced, part.constants(balanced, p)):
             # a balanced period observes every monthly variable, and its
             # head is the quarterly variables
             lag = lagged[ts]
@@ -438,6 +438,10 @@ def build_periods(
             cs[:, :n_m] -= lag[:, :n_m]
             ds[:, : params.n_q] -= lag[:, n_m:]
             place(mats, ts, cs, ds)
+    if direct:
+        stacks = _lag_stacks(data.values, p, n_m)
+        for mats, ts in direct:
+            place(mats, ts, *_constants(mats, ts, stacks))
     return periods
 
 

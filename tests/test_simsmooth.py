@@ -425,5 +425,5 @@ class TestDataPart:
         plan = plan_for(params, SCHEMES["average"], data)
         pseudo = gen_pseudo(params, SCHEMES["average"], data, np.random.default_rng(0))
         with pytest.raises(ConfigurationError, match="t_balanced"):
-            systems.build_periods(params, plan.skeleton, data, stop=10, pseudo=pseudo,
-                                  part=plan.data_part(data))
+            systems.build_periods(params, plan.skeleton, data, stop=10,
+                                  split=(plan.data_part(data), pseudo))
