@@ -103,9 +103,9 @@ class Plan:
     backends continue from the reduced filtered state at t_b-1 placed in
     the stacked one (``compact_to_companion``).
 
-    ``_part`` holds the ``DataPart`` of the data object the plan last drew
-    for: the balanced periods' constants at the data, which every draw on
-    that object shares (``data_part``).
+    ``_part`` holds the ``DataPart`` of the data object the plan last ran
+    on: the balanced periods' constants at the data, which every draw and
+    smoothed mean on that object shares (``data_part``).
     """
 
     params: VarParams
@@ -274,24 +274,27 @@ def smooth(
     solve.  With ``edge=None``, or a balanced sample, the reduced (adaptive)
     formulation covers the whole sample.
 
-    With ``pseudo``, a pseudo sample simulated for ``data`` (the simulation
-    smoother's route), the run is on y - y+ and returns its smoothed mean;
-    the balanced periods' constants are the plan's part at ``data`` less the
-    pseudo path's (``build_periods``).
+    The balanced periods' constants are the plan's ``DataPart`` at
+    ``data``.  With ``pseudo``, a pseudo sample simulated for ``data`` (the
+    simulation smoother's route), the run is on the observations y - y+ with
+    the inputs, the observed monthly lags, at y - x+, and returns its
+    smoothed mean.  x+ is zero at the balanced periods' monthly values, so
+    the balanced constants and the known lags of the stacked state at
+    t_b-1 are those of the data.
     """
     plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
     stop = T if edge is None else t_b
-    split = None
+    obs, lags = data, None
     if pseudo is not None:
-        split = (plan.data_part(data), pseudo)
-        data = data.replace_values(data.values - pseudo.y_plus)
-    periods = build_periods(params, plan.skeleton, data, stop=stop, split=split)
+        obs = data.replace_values(data.values - pseudo.y_plus)
+        lags = data.values[:, : params.n_m] - pseudo.x_plus[:, : params.n_m]
+    periods = build_periods(params, plan.skeleton, obs, stop=stop, part=plan.data_part(data), lags=lags)
     cov = plan.cov.run(stop)
     res = run_filter(periods, plan.init, cov)
     heads = r = None
     if stop < T:
-        heads, r_edge = edge(params, plan.agg, data, compact_to_companion(params, data, res))
+        heads, r_edge = edge(params, plan.agg, obs, compact_to_companion(params, data, res))
         r = companion_to_compact(r_edge, params)[quarterly_state_index(params)]
     states, _ = run_smoother(periods, res, r_init=r)
     # allocated last: the result outlives the filter's working set, and placed
@@ -301,7 +304,7 @@ def smooth(
     if heads is not None:
         x[t_b:] = heads
     fill_states(x, states, periods)
-    fill_observed(x, data)
+    fill_observed(x, obs)
     stats = RunStats(compact_steps=t_b, factorizations=plan.cov.pop_factorizations(),
                      cov_reuse=cov.reused, worst_cond=cov.worst_cond)
     if edge is None:

@@ -2,12 +2,16 @@
 parameters and ragged-edge data.
 
 A pseudo latent path and pseudo observations are simulated from the model
-with constants excluded, the smoother runs on the difference y - y+ with
-constants included, and the draw is the smoothed mean plus the pseudo path.
-The backend receives the data and the pseudo sample, not y - y+ alone: the
-balanced periods' constants are linear in the data, so their part from y is
-formed once per data object (``baseline.Plan.data_part``) and their part
-from y+ is read off the pseudo path's shocks (``systems.build_periods``).
+the smoother runs, with its constants and its exogenous inputs (the
+observed monthly lags) zero; the smoother runs on the difference y - y+
+with the constants and the inputs at the data, and the draw is the smoothed
+mean plus the pseudo path (Durbin and Koopman 2002).  Over the balanced
+sample that model is the reduced one: the quarterly stack filtered, the
+monthly values observed, so the pseudo sample there is one banded solve
+and one product (``simulate_path``), and the balanced periods' constants
+are those of the data, formed once per data object
+(``baseline.Plan.data_part``).  Over the ragged edge the pseudo path runs
+the full VAR.
 Per-draw generators are keyed by (master seed, draw index) with a
 counter-based bit generator, so results do not depend on scheduling.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .adaptive import run_adaptive
 from .baseline import RunStats, fill_observed, plan_for, run_baseline
@@ -41,10 +46,9 @@ BACKENDS = {
 
 @dataclass(frozen=True)
 class PseudoSample:
-    x_plus: np.ndarray       # (T, n) pseudo latent path
-    y_plus: np.ndarray       # (T, n), NaN where the data are missing
-    presample: np.ndarray    # (p+1, n) pseudo values for times -(p+1)..-1
-    shocks: np.ndarray       # (T, n) the path's shocks: x_plus less its lag terms
+    x_plus: np.ndarray       # (T, n) pseudo latent path; monthly entries zero over the balanced sample
+    y_plus: np.ndarray       # (T, n) pseudo observations, NaN where the data are missing
+    presample: np.ndarray    # (p+1, n) pseudo values for times -(p+1)..-1, monthly entries zero
     init_jitter: bool        # the initial covariance needed jitter to factorize
 
 
@@ -55,11 +59,9 @@ class LatentDraw:
     stats: RunStats
 
 
-def _draw_initial_quarterly(
-    init: FilterState, rng: np.random.Generator, centered: bool
-) -> tuple[np.ndarray, bool]:
-    """A draw of the initial quarterly stack, and whether its covariance
-    needed a jitter of 1e-10 trace/k on the diagonal to factorize."""
+def _draw_initial_quarterly(init: FilterState, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    """A centered draw of the initial quarterly stack, and whether its
+    covariance needed a jitter of 1e-10 trace/k on the diagonal to factorize."""
     P = init.P
     jitter = False
     try:
@@ -67,10 +69,21 @@ def _draw_initial_quarterly(
     except np.linalg.LinAlgError:
         C = np.linalg.cholesky(P + 1e-10 * np.trace(P) / P.shape[0] * np.eye(P.shape[0]))
         jitter = True
-    s = C @ rng.standard_normal(P.shape[0])
-    if not centered:
-        s += init.a
-    return s, jitter
+    return C @ rng.standard_normal(P.shape[0]), jitter
+
+
+def _quarterly_band(params: VarParams, t_b: int) -> np.ndarray:
+    """Lower band storage of the unit lower-triangular matrix of the
+    quarterly recursion over t_b periods: block (t+i, t) is -A_i[q, q] for
+    i = 1..p and each diagonal block the identity, so its bandwidth is
+    (p+1) n_q - 1.  The matrix is block Toeplitz, so every block column is
+    stored alike."""
+    n_m, n_q = params.n_m, params.n_q
+    blocks = np.concatenate([np.eye(n_q), -params.lag_coeffs[:, n_m:, n_m:].reshape(-1, n_q)])
+    band = np.zeros_like(blocks)
+    for j in range(n_q):
+        band[: len(blocks) - j, j] = blocks[j:, j]
+    return np.tile(band, t_b)
 
 
 def simulate_path(
@@ -78,51 +91,69 @@ def simulate_path(
     data: MixedFreqData,
     rng: np.random.Generator,
     init: FilterState,
-    centered: bool = True,
     *,
     scheme: AggregationScheme,
 ) -> PseudoSample:
-    """Simulate a latent path and its observations under the data's pattern.
+    """A pseudo sample of the model the smoother runs, constants and
+    exogenous inputs zero, under the data's pattern.
 
-    Pre-sample monthly values are zero (the same convention the filters
-    use); the pre-sample quarterly stack is drawn from the filter's
-    initialization distribution.  ``centered`` drops all constants.  The
-    generator gives the initial quarterly draw, then one (T, n) block of
-    shocks.
+    Over the balanced periods the smoother conditions on the observed
+    monthly values and filters the quarterly stack only, the monthly lags
+    entering as inputs.  With those inputs zero the quarterly path is
+    q_t = sum_i A_i[q, q] q_{t-i} + e_{q,t}, one banded triangular solve over
+    the balanced sample with the pre-sample stack in its first p right-hand
+    sides, and the monthly pseudo-observations are
+    sum_i A_i[m, q] q_{t-i} + e_{m,t}, one product over the quarterly lag
+    windows.  The path's monthly entries are zero there.  The ragged-edge
+    periods run the full VAR recursion from that path.
 
-    The path is kept in reversed time: row i of the buffer holds period
-    T-1-i and rows T..T+p the pre-sample periods -1..-(p+1).  Period t's lag
-    stack (x_{t-1}', ..., x_{t-p}')' is then the contiguous run of rows
-    T-t..T-t+p-1, in ``coeff_row``'s lag order, which the recursion reads in
-    place.  The shocks are one product over the sample, and the quarterly
-    pseudo-observations one weighted sum of shifted slices of the buffer.
+    The pre-sample quarterly stack is drawn from the filter's
+    initialization distribution, centered; the generator gives that draw,
+    then one (T, n) block of shocks.
     """
-    n, n_m, p = params.n, params.n_m, params.p
-    T = data.T
-    rev = np.zeros((T + p + 1, n))
-    s, jitter = _draw_initial_quarterly(init, rng, centered)
-    # initial group `lag` holds the quarterly values at time -1-lag
-    rev[T:, n_m:] = s.reshape(p + 1, params.n_q)
+    n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
+    T, t_b = data.T, data.pattern.t_balanced
+    s, jitter = _draw_initial_quarterly(init, rng)
     eps = rng.standard_normal((T, n))
     if params.time_varying_cov:
         shocks = np.matmul(params.chol_cov[:T], eps[:, :, None])[:, :, 0]
     else:
         shocks = eps @ params.chol_cov[0].T
-    if not centered:
-        shocks += params.intercept
-    rev[:T] = shocks[::-1]
-    flat = rev.reshape(-1)
-    coeff_row = params.coeff_row
-    for i in range(T - 1, -1, -1):
-        rev[i] += coeff_row @ flat[(i + 1) * n : (i + 1 + p) * n]
-    x_plus = rev[:T][::-1]
 
-    # row i: the aggregate of the quarterly values at periods T-1-i, T-2-i, ...
-    quarterly = sum(w * rev[lag : lag + T, n_m:] for lag, w in enumerate(scheme.weights))
+    # quarterly values at times -(p+1)..t_b-1, a row each: period t's lags,
+    # times t-p..t-1, are one contiguous run, read in place for every t
+    xq = np.zeros((p + 1 + t_b, n_q))
+    # initial group `lag` holds the quarterly values at time -1-lag
+    xq[: p + 1] = s.reshape(p + 1, n_q)[::-1]
+    step = xq.itemsize
+    windows = np.lib.stride_tricks.as_strided(xq[1:], (t_b, p * n_q), (n_q * step, step), writeable=False)
+    coeffs = params.lag_coeffs[::-1, :, n_m:].transpose(0, 2, 1).reshape(p * n_q, n)
+    if n_q:
+        rhs = shocks[:t_b, n_m:].copy()
+        # the pre-sample terms, while the sample rows are still zero
+        rhs[:p] += windows[:p] @ coeffs[:, n_m:]
+        # a unit diagonal: the solve cannot meet a zero pivot
+        q, _ = dtbtrs(_quarterly_band(params, t_b), rhs.reshape(-1, 1), uplo="L", diag="U")
+        xq[p + 1 :] = q.reshape(t_b, n_q)
+    monthly = windows @ coeffs[:, :n_m]
+    monthly += shocks[:t_b, :n_m]
+
+    buf = np.zeros((p + 1 + T, n))   # row p+1+t holds period t
+    buf[: p + 1 + t_b, n_m:] = xq
+    coeff_row = params.coeff_row
+    for t in range(t_b, T):
+        # the lag stack x_{t-1}, ..., x_{t-p} in coeff_row's lag order
+        buf[p + 1 + t] = coeff_row @ buf[p + t : t : -1].reshape(-1) + shocks[t]
+    x_plus = buf[p + 1 :]
+
+    values = np.empty((T, n))
+    values[:t_b, :n_m] = monthly
+    values[t_b:, :n_m] = x_plus[t_b:, :n_m]
+    values[:, n_m:] = sum(w * buf[p + 1 - lag : p + 1 - lag + T, n_m:] for lag, w in enumerate(scheme.weights))
     pat = data.pattern
     observed = np.hstack([pat.observed_monthly, pat.quarterly_observed])
-    y_plus = np.where(observed, np.hstack([x_plus[:, :n_m], quarterly[::-1]]), np.nan)
-    return PseudoSample(x_plus, y_plus, rev[T:][::-1].copy(), shocks, jitter)
+    y_plus = np.where(observed, values, np.nan)
+    return PseudoSample(x_plus, y_plus, buf[: p + 1], jitter)
 
 
 def gen_pseudo(
@@ -134,7 +165,7 @@ def gen_pseudo(
     kappa: float = 1e4,
 ) -> PseudoSample:
     plan = plan_for(params, agg, data, init_mode, kappa)
-    return simulate_path(params, data, rng, plan.init, centered=True, scheme=plan.agg.scheme)
+    return simulate_path(params, data, rng, plan.init, scheme=plan.agg.scheme)
 
 
 def _rng_for(master_seed: int, index: int) -> np.random.Generator:

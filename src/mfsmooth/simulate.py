@@ -10,19 +10,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .kalman import init_state
+from .kalman import FilterState, init_state
 from .model import (
     AggregationScheme,
     MixedFreqData,
     VarParams,
     intra_quarterly_average,
 )
-from .simsmooth import simulate_path
+from .simsmooth import _draw_initial_quarterly
 
 __all__ = [
     "random_stable_params",
     "missing_both_count",
     "benchmark_pattern",
+    "simulate_var_path",
     "make_instance",
     "Instance",
 ]
@@ -129,6 +130,52 @@ def benchmark_pattern(n_m: int, n_q: int, T: int, t_balanced: int, recipe: str =
     return mask
 
 
+def simulate_var_path(
+    params: VarParams,
+    data: MixedFreqData,
+    rng: np.random.Generator,
+    init: FilterState,
+    scheme: AggregationScheme,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A path of the full VAR, constants included, and its observations
+    under the data's pattern: the (T, n) path, the (T, n) observations (NaN
+    where the data are missing) and the (p+1, n) pre-sample values.
+
+    Pre-sample monthly values are zero; the pre-sample quarterly stack is
+    drawn from ``init``.  The generator gives that draw, then one (T, n)
+    block of shocks.  The path is kept in reversed time: row i of the buffer
+    holds period T-1-i and rows T..T+p the pre-sample periods -1..-(p+1), so
+    period t's lag stack is the contiguous run of rows T-t..T-t+p-1, in
+    ``coeff_row``'s lag order, which the recursion reads in place.
+    """
+    n, n_m, p = params.n, params.n_m, params.p
+    T = data.T
+    rev = np.zeros((T + p + 1, n))
+    s, _ = _draw_initial_quarterly(init, rng)
+    s += init.a
+    # initial group `lag` holds the quarterly values at time -1-lag
+    rev[T:, n_m:] = s.reshape(p + 1, params.n_q)
+    eps = rng.standard_normal((T, n))
+    if params.time_varying_cov:
+        shocks = np.matmul(params.chol_cov[:T], eps[:, :, None])[:, :, 0]
+    else:
+        shocks = eps @ params.chol_cov[0].T
+    shocks += params.intercept
+    rev[:T] = shocks[::-1]
+    flat = rev.reshape(-1)
+    coeff_row = params.coeff_row
+    for i in range(T - 1, -1, -1):
+        rev[i] += coeff_row @ flat[(i + 1) * n : (i + 1 + p) * n]
+    x = rev[:T][::-1]
+
+    # row i: the aggregate of the quarterly values at periods T-1-i, T-2-i, ...
+    quarterly = sum(w * rev[lag : lag + T, n_m:] for lag, w in enumerate(scheme.weights))
+    pat = data.pattern
+    observed = np.hstack([pat.observed_monthly, pat.quarterly_observed])
+    y = np.where(observed, np.hstack([x[:, :n_m], quarterly[::-1]]), np.nan)
+    return x, y, rev[T:][::-1].copy()
+
+
 @dataclass(frozen=True)
 class Instance:
     params: VarParams
@@ -157,10 +204,10 @@ def make_instance(
         mask = benchmark_pattern(n_m, n_q, T, t_balanced, recipe)
     shape_data = MixedFreqData.from_values(np.where(mask, 0.0, np.nan), n_m, n_q)
     init = init_state(params, init_mode, kappa)
-    sim = simulate_path(params, shape_data, rng, init, centered=False, scheme=scheme)
+    x, y, _ = simulate_var_path(params, shape_data, rng, init, scheme)
     values = np.full((T, n_m + n_q), np.nan)
-    values[:, :n_m] = np.where(mask[:, :n_m], sim.x_plus[:, :n_m], np.nan)
+    values[:, :n_m] = np.where(mask[:, :n_m], x[:, :n_m], np.nan)
     # quarterly observations aggregate the simulated latent path
-    values[:, n_m:] = sim.y_plus[:, n_m:]
+    values[:, n_m:] = y[:, n_m:]
     data = MixedFreqData.from_values(values, n_m, n_q, min_balanced=p + 1)
-    return Instance(params, scheme, data, sim.x_plus)
+    return Instance(params, scheme, data, x)

@@ -15,15 +15,12 @@ lags ``t-1..t-p`` inside each variable block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .model import Aggregation, MixedFreqData, ObservationPattern, VarParams
-
-if TYPE_CHECKING:
-    from .simsmooth import PseudoSample
 
 __all__ = [
     "AdaptiveIndex",
@@ -38,13 +35,12 @@ __all__ = [
     "adaptive_loadings",
     "PeriodNoise",
     "PeriodShape",
+    "Skeleton",
     "period_noise",
     "build_system_matrices",
     "companion_observation",
     "DataPart",
-    "pseudo_lag_term",
     "build_periods",
-    "group_by_mats",
     "period_skeleton",
     "balanced_index",
 ]
@@ -304,18 +300,24 @@ class PeriodShape(NamedTuple):
     t: int
 
 
-# every period's shape, from ``period_skeleton``
-Skeleton = list[PeriodShape]
+class Skeleton(list):
+    """Every period's ``PeriodShape``, indexed by t, from ``period_skeleton``.
 
+    ``groups`` holds the periods grouped by their structural matrices: each
+    group's ``SystemMatrices`` and its periods ascending, in order of first
+    period.  It depends only on the pattern, so it is formed once with the
+    shapes.
+    """
 
-def group_by_mats(periods, stop: int) -> list[tuple[SystemMatrices, np.ndarray]]:
-    """Periods 0..stop-1 grouped by their structural matrices: each group's
-    ``SystemMatrices`` and its periods ascending, in order of first period."""
-    groups: dict[int, tuple[SystemMatrices, list[int]]] = {}
-    for t in range(stop):
-        mats = periods[t].mats
-        groups.setdefault(id(mats), (mats, []))[1].append(t)
-    return [(mats, np.array(ts)) for mats, ts in groups.values()]
+    def __init__(self, shapes: list[PeriodShape], groups: list[tuple[SystemMatrices, np.ndarray]]):
+        super().__init__(shapes)
+        self.groups = groups
+
+    def grouped(self, stop: int) -> list[tuple[SystemMatrices, np.ndarray]]:
+        """``groups`` restricted to periods 0..stop-1."""
+        if stop >= len(self):
+            return self.groups
+        return [(mats, ts[: np.searchsorted(ts, stop)]) for mats, ts in self.groups if ts[0] < stop]
 
 
 def _lag_stacks(values: np.ndarray, p: int, n_m: int) -> np.ndarray:
@@ -348,8 +350,10 @@ class DataPart:
     object ``data``, one pair of group arrays per structural group (keyed by
     the id of its ``SystemMatrices``), formed on first use.
 
-    c and d are linear in the data, so a draw's constants at y - y+ are
-    these less the pseudo path's part (``pseudo_lag_term``).
+    A balanced period's constants read only monthly lags of balanced
+    periods, and a draw's pseudo sample holds those at zero
+    (``simsmooth.simulate_path``), so every draw on ``data`` takes these
+    arrays as they are.
     """
 
     data: MixedFreqData
@@ -366,51 +370,30 @@ class DataPart:
         return [self.groups[id(mats)] for mats, _ in groups]
 
 
-def pseudo_lag_term(params: VarParams, pseudo: PseudoSample, stop: int) -> np.ndarray:
-    """The pseudo path's monthly-lag term sum_i A_i[:, :n_m] x+_{m,t-i} for
-    periods 0..stop-1 of a balanced sample, a (stop, n) array.
-
-    Its monthly columns are C X(y+) and its quarterly columns the head rows
-    of D X(y+).  It is the path less its shocks and its quarterly-lag term
-    Q_t = sum_i A_i[:, n_m:] x+_{q,t-i}, which is one product over the
-    quarterly lag stacks, pre-sample rows included (the pre-sample monthly
-    values are zero).
-    """
-    n_m, n_q, p = params.n_m, params.n_q, params.p
-    # quarterly values at times -(p+1)..stop-1, a row each: period t's lags,
-    # times t-p..t-1, are one contiguous run, read in place for every t
-    xq = np.concatenate([pseudo.presample[:, n_m:], pseudo.x_plus[:stop, n_m:]])
-    step = xq.itemsize
-    windows = np.lib.stride_tricks.as_strided(xq[1:], (stop, p * n_q), (n_q * step, step), writeable=False)
-    coeffs = params.lag_coeffs[::-1, :, n_m:].transpose(0, 2, 1).reshape(p * n_q, params.n)
-    out = pseudo.x_plus[:stop] - pseudo.shocks[:stop]
-    out -= windows @ coeffs
-    return out
-
-
 def build_periods(
     params: VarParams,
     skeleton: Skeleton,
     data: MixedFreqData,
     stop: int | None = None,
-    split: tuple[DataPart, PseudoSample] | None = None,
+    part: DataPart | None = None,
+    lags: np.ndarray | None = None,
 ) -> list[PeriodSystem]:
     """Periods 0..stop-1 of the adaptive formulation (default: the whole sample).
 
     The structural matrices and noise products come from the skeleton
-    (``period_skeleton``), built once per parameters and pattern; this adds
-    what varies between draws: the constants, from the lagged observed
-    monthly data (variable-major, lags t-1..t-p, pre-sample lags zero), and
-    the observations.  Each group of periods that shares structural matrices
-    gathers its lag stacks (``_lag_stacks``) and its observations with one
-    index each and forms its constants with one product each.
+    (``period_skeleton``), built once per parameters and pattern, and so
+    does the grouping of the periods by their structural matrices; this
+    adds what varies between draws: the observations, from ``data``, and
+    the constants, from the lagged observed monthly values (variable-major,
+    lags t-1..t-p, pre-sample lags zero).  Each group gathers its lag stacks
+    (``_lag_stacks``) and its observations with one index each and forms its
+    constants with one product each.
 
-    With ``split = (part, pseudo)``, ``data`` are y - y+ for the pseudo
-    sample ``pseudo`` and ``part`` is the ``DataPart`` of the data y.  The
-    balanced groups then take their constants as ``part``'s, formed on its
-    first use, less ``pseudo_lag_term``: no gather or product over y - y+.
-    The ragged-edge groups, and every group without ``split``, are formed
-    from ``data``.
+    The constants read ``lags``, a (T, n_m) array, in place of the data's
+    monthly values when given: on a draw's pseudo route ``data`` holds
+    y - y+ and ``lags`` y - x+.  With ``part``, the ``DataPart`` of data
+    whose monthly values the constants read over the balanced sample, the
+    balanced groups take their constants from it, the arrays themselves.
     """
     T, p, n_m = data.T, params.p, params.n_m
     stop = T if stop is None else stop
@@ -421,25 +404,17 @@ def build_periods(
         for t, c, d, y in zip(ts.tolist(), cs, ds, ys):
             periods[t] = PeriodSystem(mats, skeleton[t].noise, c, d, y, t)
 
-    direct = group_by_mats(skeleton, stop)
-    if split is not None:
-        part, pseudo = split
+    direct = skeleton.grouped(stop)
+    if part is not None:
         t_b = data.pattern.t_balanced
         if stop < t_b:
-            raise ConfigurationError(f"a pseudo path needs stop >= t_balanced={t_b}, got {stop}")
+            raise ConfigurationError(f"a data part needs stop >= t_balanced={t_b}, got {stop}")
         balanced = [(mats, ts) for mats, ts in direct if not len(mats.idx.u_t)]
         direct = [(mats, ts) for mats, ts in direct if len(mats.idx.u_t)]
-        lagged = pseudo_lag_term(params, pseudo, t_b)
         for (mats, ts), (cs, ds) in zip(balanced, part.constants(balanced, p)):
-            # a balanced period observes every monthly variable, and its
-            # head is the quarterly variables
-            lag = lagged[ts]
-            cs, ds = cs.copy(), ds.copy()
-            cs[:, :n_m] -= lag[:, :n_m]
-            ds[:, : params.n_q] -= lag[:, n_m:]
             place(mats, ts, cs, ds)
     if direct:
-        stacks = _lag_stacks(data.values, p, n_m)
+        stacks = _lag_stacks(data.values if lags is None else lags, p, n_m)
         for mats, ts in direct:
             place(mats, ts, *_constants(mats, ts, stacks))
     return periods
@@ -464,7 +439,8 @@ def period_skeleton(
     keys: dict[bytes, list[int]] = {}
     for t in range(pattern.T):
         keys.setdefault(rows[t].tobytes(), []).append(t)
-    skeleton: Skeleton = [None] * pattern.T  # type: ignore[list-item]
+    shapes: list[PeriodShape] = [None] * pattern.T  # type: ignore[list-item]
+    groups = []
     for ts in keys.values():
         idx = _index_for_period(pattern, params.n_m, params.n_q, ts[0])
         mats = build_system_matrices(params, agg, idx, pattern.quarterly_rows(ts[0]))
@@ -473,5 +449,6 @@ def period_skeleton(
         if not params.time_varying_cov:
             noise *= len(ts)
         for t, part in zip(ts, noise):
-            skeleton[t] = PeriodShape(mats, part, t)
-    return skeleton
+            shapes[t] = PeriodShape(mats, part, t)
+        groups.append((mats, np.array(ts)))
+    return Skeleton(shapes, groups)

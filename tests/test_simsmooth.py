@@ -18,12 +18,12 @@ from mfsmooth import (
     run_adaptive,
     skip_sampling,
 )
-from mfsmooth import kalman, systems
-from mfsmooth.baseline import fill_observed, plan_for
+from mfsmooth import baseline, kalman, systems
+from mfsmooth.baseline import plan_for
 from mfsmooth.kalman import init_state
 from mfsmooth.model import AggregationScheme
 from mfsmooth.simsmooth import BACKENDS, _rng_for, simulate_path
-from mfsmooth.simulate import make_instance, random_stable_params
+from mfsmooth.simulate import make_instance, random_stable_params, simulate_var_path
 
 
 @pytest.fixture
@@ -34,9 +34,13 @@ def inst():
 
 def reference_path(params, data, rng, init, centered, scheme):
     """The per-period recursion: a forward buffer, a lag stack shifted by a
-    copy every period and one aggregation sum per observed quarterly entry."""
+    copy every period and one aggregation sum per observed quarterly entry.
+
+    ``centered`` gives the pseudo sampler's model: no constants, and over the
+    balanced periods the monthly values are pseudo-observations that the
+    path holds at zero.  Otherwise it is the full VAR with its constants."""
     n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
-    T = data.T
+    T, t_b = data.T, data.pattern.t_balanced
     buf = np.zeros((p + 1 + T, n))
     s = np.linalg.cholesky(init.P) @ rng.standard_normal(init.P.shape[0])
     if not centered:
@@ -45,17 +49,21 @@ def reference_path(params, data, rng, init, centered, scheme):
         buf[p - lag, n_m:] = s[lag * n_q : (lag + 1) * n_q]
     eps = rng.standard_normal((T, n))
     lags = buf[1 : p + 1][::-1].reshape(-1).copy()
+    monthly = np.zeros((T, n_m))
     for t in range(T):
         x_t = params.coeff_row @ lags + params.chol(t) @ eps[t]
         if not centered:
             x_t += params.intercept
+        monthly[t] = x_t[:n_m]
+        if centered and t < t_b:
+            x_t[:n_m] = 0.0
         buf[p + 1 + t] = x_t
         lags[n:] = lags[: (p - 1) * n]
         lags[:n] = x_t
     x_plus = buf[p + 1 :]
     y_plus = np.full((T, n), np.nan)
     pat = data.pattern
-    y_plus[:, :n_m][pat.observed_monthly] = x_plus[:, :n_m][pat.observed_monthly]
+    y_plus[:, :n_m][pat.observed_monthly] = monthly[pat.observed_monthly]
     for t in range(T):
         for j in pat.quarterly_rows(t):
             vals = buf[p + 2 + t - scheme.p_q : p + 2 + t, n_m + j][::-1]
@@ -63,30 +71,45 @@ def reference_path(params, data, rng, init, centered, scheme):
     return x_plus, y_plus, buf[: p + 1]
 
 
+def both_paths(params, data, rng_seed, init, scheme):
+    """The pseudo sampler's path and the full VAR's, each as (x, y), from
+    the same normals."""
+    pseudo = simulate_path(params, data, np.random.default_rng(rng_seed), init, scheme=scheme)
+    full = simulate_var_path(params, data, np.random.default_rng(rng_seed), init, scheme)
+    return {"pseudo": (pseudo.x_plus, pseudo.y_plus), "full": full[:2]}
+
+
 class TestSimulatePath:
     def test_quarterly_pseudo_obs_aggregate_path(self, inst):
-        rng = np.random.default_rng(0)
         init = init_state(inst.params, "stationary")
-        sim = simulate_path(inst.params, inst.data, rng, init, centered=False, scheme=inst.scheme)
         n_m = inst.params.n_m
         pat = inst.data.pattern
-        for t in range(inst.data.T):
-            for j in pat.quarterly_rows(t):
-                if t >= 2:
-                    want = sim.x_plus[t - 2 : t + 1, n_m + j].mean()
-                    assert_allclose(sim.y_plus[t, n_m + j], want)
+        for name, (x, y) in both_paths(inst.params, inst.data, 0, init, inst.scheme).items():
+            for t in range(inst.data.T):
+                for j in pat.quarterly_rows(t):
+                    if t >= 2:
+                        want = x[t - 2 : t + 1, n_m + j].mean()
+                        assert_allclose(y[t, n_m + j], want, err_msg=name)
 
     def test_monthly_pseudo_obs_copy_path(self, inst):
-        rng = np.random.default_rng(1)
         init = init_state(inst.params, "stationary")
-        sim = simulate_path(inst.params, inst.data, rng, init, centered=False, scheme=inst.scheme)
         pat = inst.data.pattern
         obs = pat.observed_monthly
-        assert_array_equal(sim.y_plus[:, :3][obs], sim.x_plus[:, :3][obs])
-        assert np.all(np.isnan(sim.y_plus[:, :3][~obs]))
+        paths = both_paths(inst.params, inst.data, 1, init, inst.scheme)
+        x, y = paths["full"]
+        assert_array_equal(y[:, :3][obs], x[:, :3][obs])
+        # the pseudo sample observes the balanced periods' monthly values
+        # and holds them at zero in its path; past them it copies the path
+        x, y = paths["pseudo"]
+        t_b = pat.t_balanced
+        assert_array_equal(x[:t_b, :3], 0.0)
+        assert np.all(y[:t_b, :3] != 0.0)
+        assert_array_equal(y[t_b:, :3][obs[t_b:]], x[t_b:, :3][obs[t_b:]])
+        for _, y in paths.values():
+            assert np.all(np.isnan(y[:, :3][~obs]))
 
     def test_centered_path_has_zero_mean(self, inst):
-        # with all shocks zeroed the centered recursion stays at zero
+        # with all shocks zeroed the pseudo sampler stays at zero
         params = inst.params
         zero_chol = VarParams(
             params.n_m, params.n_q, params.p, params.intercept,
@@ -101,11 +124,11 @@ class TestSimulatePath:
 
         dim = params.n_q * (params.p + 1)
         init = FilterState(np.ones(dim), 1e-24 * np.eye(dim))
-        sim = simulate_path(zero_chol, inst.data, ZeroRng(), init, centered=True, scheme=inst.scheme)
+        sim = simulate_path(zero_chol, inst.data, ZeroRng(), init, scheme=inst.scheme)
         assert_allclose(sim.x_plus, 0.0, atol=1e-9)
-        # uncentered, same degenerate shocks: path follows the deterministic VAR
-        sim2 = simulate_path(zero_chol, inst.data, ZeroRng(), init, centered=False, scheme=inst.scheme)
-        assert np.max(np.abs(sim2.x_plus)) > 0.0
+        # the full VAR, same degenerate shocks: its path follows the deterministic VAR
+        x, _, _ = simulate_var_path(zero_chol, inst.data, ZeroRng(), init, inst.scheme)
+        assert np.max(np.abs(x)) > 0.0
 
     def test_pseudo_sample_mean_matches_stationary_mean(self):
         rng = np.random.default_rng(7)
@@ -114,9 +137,8 @@ class TestSimulatePath:
         mu = inst.params.unconditional_mean()
         paths = []
         for k in range(400):
-            sim = simulate_path(inst.params, inst.data, _rng_for(3, k),
-                                init, centered=False, scheme=inst.scheme)
-            paths.append(sim.x_plus)
+            x, _, _ = simulate_var_path(inst.params, inst.data, _rng_for(3, k), init, inst.scheme)
+            paths.append(x)
         got = np.mean(paths, axis=(0, 1))
         assert_allclose(got, mu, atol=0.15)
 
@@ -137,7 +159,8 @@ class TestSimulatePath:
     @pytest.mark.parametrize("scheme", [intra_quarterly_average(), skip_sampling()], ids=["average", "skip"])
     def test_matches_per_period_recursion(self, time_varying, centered, scheme):
         """Against the per-period recursion, on an irregular quarterly mask
-        with a ragged monthly edge."""
+        with a ragged monthly edge: ``centered``, the pseudo sampler's
+        reduced model; otherwise the full VAR ``make_instance`` draws."""
         n_m, n_q, p, T = 4, 2, 3, 30
         rng = np.random.default_rng(17)
         params = random_stable_params(n_m, n_q, p, rng)
@@ -153,12 +176,16 @@ class TestSimulatePath:
         values[np.setdiff1d(np.arange(T), [0, 1, 4, 9, 10, 20, 28]), n_m + 1] = np.nan
         data = MixedFreqData.from_values(values, n_m, n_q)
         init = init_state(params, "stationary")
-        got = simulate_path(params, data, _rng_for(4, 2), init, centered, scheme=scheme)
+        if centered:
+            sim = simulate_path(params, data, _rng_for(4, 2), init, scheme=scheme)
+            got = sim.x_plus, sim.y_plus, sim.presample
+        else:
+            got = simulate_var_path(params, data, _rng_for(4, 2), init, scheme)
         want = reference_path(params, data, _rng_for(4, 2), init, centered, scheme)
-        for name, ref in zip(("x_plus", "y_plus", "presample"), want):
+        for name, value, ref in zip(("x_plus", "y_plus", "presample"), got, want):
             # a relative bound on the whole array: the products sum in another order
-            assert_allclose(getattr(got, name), ref, rtol=0, atol=1e-13 * np.nanmax(np.abs(ref)), err_msg=name)
-        assert_array_equal(np.isnan(got.y_plus), np.isnan(want[1]))
+            assert_allclose(value, ref, rtol=0, atol=1e-13 * np.nanmax(np.abs(ref)), err_msg=name)
+        assert_array_equal(np.isnan(got[1]), np.isnan(want[1]))
 
 
 class TestDraws:
@@ -337,49 +364,129 @@ SCHEMES = {
 }
 
 
+class FixedNormals:
+    """A generator whose normals are one fixed vector, handed out in order."""
+
+    def __init__(self, z):
+        self.z, self.used = z, 0
+
+    def standard_normal(self, size):
+        k = int(np.prod(size))
+        out = self.z[self.used : self.used + k].reshape(size)
+        self.used += k
+        return out
+
+
+def affine_map(params, scheme, data, backend, init_mode="stationary"):
+    """(m, G) with a flattened draw from normals z equal to m + G z.
+
+    A draw is affine in the generator's normals: its value at z = 0 is m and
+    its change at each unit vector a column of G, so m is its mean and G G'
+    its covariance."""
+    k = params.n_q * (params.p + 1) + data.T * params.n
+
+    def draw(z):
+        rng = FixedNormals(z)
+        x = draw_latent(params, scheme, data, backend, rng=rng, init_mode=init_mode).x
+        assert rng.used == k
+        return x.reshape(-1)
+
+    m = draw(np.zeros(k))
+    return m, np.column_stack([draw(e) - m for e in np.eye(k)])
+
+
+def assert_moments(m, G, oj, label):
+    """The draw's exact mean and covariance against the joint oracle's."""
+    assert np.abs(m - oj.mean_flat).max() <= 1e-10 * np.abs(oj.mean_flat).max(), label
+    assert np.abs(G @ G.T - oj.cov).max() <= 1e-10 * np.abs(oj.cov).max(), label
+
+
+def with_time_varying_cov(params, T, seed):
+    scale = np.exp(0.3 * np.random.default_rng(seed).standard_normal((T, params.n)))
+    return VarParams(params.n_m, params.n_q, params.p, params.intercept,
+                     params.lag_coeffs, scale[:, :, None] * params.chol_cov)
+
+
+class TestExactMoments:
+    """Every backend's draws have the joint oracle's conditional mean and
+    covariance, read off the draw's affine map in the generator's normals."""
+
+    @pytest.mark.parametrize("shape", [
+        (2, 1, 4, 12, 10),
+        (3, 2, 4, 12, 11),
+        (3, 2, 5, 14, 14),   # fully balanced
+        (4, 1, 6, 15, 12),
+    ], ids=str)
+    def test_draws_have_the_joint_oracle_moments(self, shape):
+        T = shape[3]
+        for k, scheme in enumerate(SCHEMES.values()):
+            inst = make_instance(*shape, np.random.default_rng(k), scheme=scheme)
+            for params in (inst.params, with_time_varying_cov(inst.params, T, k)):
+                for init_mode in ("stationary", "diffuse-proxy"):
+                    oj = oracle_joint(params, scheme, inst.data, init_mode)
+                    for backend in BACKENDS:
+                        m, G = affine_map(params, scheme, inst.data, backend, init_mode)
+                        assert_moments(m, G, oj, (scheme.weights, params.time_varying_cov, init_mode, backend))
+
+    def test_no_quarterly_variables(self):
+        # n_q = 0: no quarterly stack to solve for; every backend draws the
+        # same panel, with the oracle's mean
+        inst = make_instance(4, 0, 3, 30, 28, np.random.default_rng(0))
+        oj = oracle_joint(inst.params, inst.scheme, inst.data)
+        draws = [draw_latent(inst.params, inst.scheme, inst.data, b, seed=1).x for b in BACKENDS]
+        for x in draws:
+            assert np.isfinite(x).all()
+            assert_allclose(x, draws[0], rtol=1e-8, atol=1e-8)
+        for backend in BACKENDS:
+            m, G = affine_map(inst.params, inst.scheme, inst.data, backend)
+            assert_moments(m, G, oj, backend)
+
+
 class TestDataPart:
     """A draw takes the balanced periods' constants as the plan's part at
-    the data less the pseudo path's part; the result is the two-step route:
-    the backend's smoothed mean on y - y+, plus x+, observed entries filled."""
+    the data.  The reference is the draw's exact moments: each backend's
+    mean and the adaptive backend's affine map against the joint oracle,
+    and every backend's seeded draw that map at the seed's normals."""
 
     @staticmethod
     def instance(scheme, time_varying, seed=3):
         inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(seed), scheme=scheme)
-        params = inst.params
-        if time_varying:
-            scale = np.exp(0.3 * np.random.default_rng(seed).standard_normal((40, params.n)))
-            params = VarParams(params.n_m, params.n_q, params.p, params.intercept,
-                               params.lag_coeffs, scale[:, :, None] * params.chol_cov)
+        params = with_time_varying_cov(inst.params, 40, seed) if time_varying else inst.params
         return params, inst.data
 
     @staticmethod
-    def two_step(params, scheme, data, backend, seed, init_mode):
-        pseudo = gen_pseudo(params, scheme, data, _rng_for(seed, 0), init_mode)
-        star = data.replace_values(data.values - pseudo.y_plus)
-        x = BACKENDS[backend](params, scheme, star, init_mode).x_hat + pseudo.x_plus
-        fill_observed(x, data)
-        return x
-
-    def assert_two_step(self, params, scheme, data, seed, init_mode="stationary"):
+    def assert_exact(params, scheme, data, seed, init_mode="stationary", G=None):
+        """Asserts the draws on ``data`` against the oracle and returns the
+        adaptive backend's G, or checks them against ``G`` when given: G
+        depends on the pattern only, not on the data."""
+        oj = oracle_joint(params, scheme, data, init_mode, cap=data.T * params.n)
+        if G is None:
+            m, G = affine_map(params, scheme, data, "adaptive", init_mode)
+            assert_moments(m, G, oj, "adaptive")
+        z = _rng_for(seed, 0).standard_normal(G.shape[1])
         for backend in BACKENDS:
-            got = draw_latent(params, scheme, data, backend, seed=seed, init_mode=init_mode).x
-            want = self.two_step(params, scheme, data, backend, seed, init_mode)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            zero = draw_latent(params, scheme, data, backend, rng=FixedNormals(0.0 * z), init_mode=init_mode).x
+            assert np.abs(zero.reshape(-1) - oj.mean_flat).max() <= 1e-10 * np.abs(oj.mean_flat).max(), backend
+            want = oj.mean_flat + G @ z
+            got = draw_latent(params, scheme, data, backend, seed=seed, init_mode=init_mode).x.reshape(-1)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), backend
+        return G
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("time_varying", [False, True])
     @pytest.mark.parametrize("init_mode", ["stationary", "diffuse-proxy"])
     def test_matches_two_step_route(self, scheme, time_varying, init_mode):
         params, data = self.instance(SCHEMES[scheme], time_varying)
-        self.assert_two_step(params, SCHEMES[scheme], data, 4, init_mode)
+        self.assert_exact(params, SCHEMES[scheme], data, 4, init_mode)
 
     def test_each_data_object_gets_its_own_part(self):
         scheme = SCHEMES["average"]
         params, data = self.instance(scheme, False)
         other = data.replace_values(data.values * 1.5 + 0.25)
         assert other.pattern is data.pattern
+        G = None
         for d in (data, other, data):
-            self.assert_two_step(params, scheme, d, 6)
+            G = self.assert_exact(params, scheme, d, 6, G=G)
             assert plan_for(params, scheme, d)._part.data is d
 
     def test_warm_draw_forms_no_data_part(self, monkeypatch):
@@ -404,26 +511,32 @@ class TestDataPart:
         assert plan_for(params, SCHEMES["average"], data)._part is part
         assert all(part.groups[k] is v for k, v in groups.items())
 
-    def test_lag_term_is_the_constants_at_the_pseudo_observations(self):
-        # C X(y+) and D X(y+)'s head rows, formed the direct way, over the
-        # balanced sample of a path with its constants
-        params, data = self.instance(SCHEMES["custom"], True)
+    def test_warm_draw_takes_the_data_part_arrays(self, monkeypatch):
+        # a balanced period's c and d are rows of the part's arrays, not copies
         scheme = SCHEMES["custom"]
-        plan = plan_for(params, scheme, data)
-        pseudo = simulate_path(params, data, np.random.default_rng(2), plan.init,
-                               centered=False, scheme=scheme)
-        t_b = data.pattern.t_balanced
-        lagged = systems.pseudo_lag_term(params, pseudo, t_b)
-        plus = data.replace_values(pseudo.y_plus)
-        for per in systems.build_periods(params, plan.skeleton, plus, stop=t_b):
-            n_o, s = len(per.mats.idx.o_t), per.mats.idx.head_size
-            assert_allclose(per.c[:n_o] - per.mats.c0[:n_o], lagged[per.t, : params.n_m], rtol=1e-12, atol=1e-14)
-            assert_allclose(per.d[:s] - per.mats.d0[:s], lagged[per.t, params.n_m :], rtol=1e-12, atol=1e-14)
+        params, data = self.instance(scheme, True)
+        built = []
+        build = baseline.build_periods
+
+        def recorded(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(baseline, "build_periods", recorded)
+        draw_latent(params, scheme, data, "adaptive", seed=1)
+        part = plan_for(params, scheme, data)._part
+        for backend in BACKENDS:
+            draw_latent(params, scheme, data, backend, seed=2)
+        assert plan_for(params, scheme, data)._part is part
+        for periods in built:
+            balanced = [per for per in periods if not len(per.mats.idx.u_t)]
+            assert len(balanced) == data.pattern.t_balanced
+            for per in balanced:
+                cs, ds = part.groups[id(per.mats)]
+                assert per.c.base is cs and per.d.base is ds
 
     def test_pseudo_path_needs_the_balanced_sample(self):
         params, data = self.instance(SCHEMES["average"], False)
         plan = plan_for(params, SCHEMES["average"], data)
-        pseudo = gen_pseudo(params, SCHEMES["average"], data, np.random.default_rng(0))
         with pytest.raises(ConfigurationError, match="t_balanced"):
-            systems.build_periods(params, plan.skeleton, data, stop=10,
-                                  split=(plan.data_part(data), pseudo))
+            systems.build_periods(params, plan.skeleton, data, stop=10, part=plan.data_part(data))
