@@ -1,17 +1,18 @@
 """Simulation smoothing: draws of the latent monthly-frequency panel given
 parameters and ragged-edge data.
 
-A pseudo latent path and pseudo observations are simulated from the model
-the smoother runs, with its constants and its exogenous inputs (the
-observed monthly lags) zero; the smoother runs on the difference y - y+
-with the constants and the inputs at the data, and the draw is the smoothed
-mean plus the pseudo path (Durbin and Koopman 2002).  Over the balanced
-sample that model is the reduced one: the quarterly stack filtered, the
-monthly values observed, so the pseudo sample there is one banded solve
-and one product (``simulate_path``), and the balanced periods' constants
-are those of the data, formed once per data object
-(``baseline.Plan.data_part``).  Over the ragged edge the pseudo path runs
-the full VAR.
+A pseudo latent path x+ and pseudo observations y+ are simulated from the
+model the smoother runs, with its constants and its exogenous inputs (the
+observed monthly lags) zero; the smoother runs on the observations y - y+
+with the constants and with the inputs at y - x+, and the draw is the
+smoothed mean plus x+ (Durbin and Koopman 2002).  Over the balanced sample
+that model is the reduced one, the quarterly stack filtered and the monthly
+values observed, so the pseudo sample there is one banded solve and one
+product (``simulate_path``) and holds the monthly path at zero.  The
+balanced periods' constants are then those of the data, formed once per
+data object (``baseline.Plan.data_part``).  Over the ragged edge the
+pseudo path runs the full VAR.
+
 Per-draw generators are keyed by (master seed, draw index) with a
 counter-based bit generator, so results do not depend on scheduling.
 """
