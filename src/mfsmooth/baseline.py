@@ -28,11 +28,11 @@ from .kalman import (
 )
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams, build_aggregation
 from .systems import (
-    DataPart,
     PeriodNoise,
     PeriodSystem,
     Skeleton,
     SystemMatrices,
+    balanced_constants,
     build_periods,
     build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
     companion_observation,
@@ -55,7 +55,8 @@ class RunStats:
       covariance pass computed for this draw, 0 when its plan was warm;
     - ``cov_reuse``: reduced periods that shared an earlier period's
       covariance entry (a cycle of the recursion);
-    - ``worst_cond``: the largest squared diagonal ratio of those factors;
+    - ``worst_cond``: the largest squared diagonal ratio of the factors of
+      F over the whole sample, the edge step's included;
     - ``init_jitter``: 1 when the initial quarterly covariance needed jitter
       to factorize for the pseudo path (set by ``draw_latent``).
     """
@@ -89,6 +90,9 @@ def check_pattern(params: VarParams, data: MixedFreqData) -> None:
             f"need at least p+1={params.p + 1} balanced leading periods, "
             f"found {data.pattern.t_balanced}"
         )
+    k = params.chol_cov.shape[0]
+    if params.time_varying_cov and k < data.T:
+        raise ConfigurationError(f"time-varying chol_cov has {k} factors, the data {data.T} periods")
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,9 @@ class Plan:
     backends continue from the reduced filtered state at t_b-1 placed in
     the stacked one (``compact_to_companion``).
 
-    ``_part`` holds the ``DataPart`` of the data object the plan last ran
-    on: the balanced periods' constants at the data, which every draw and
-    smoothed mean on that object shares (``data_part``).
+    ``_last`` holds the data object the plan last ran on and its balanced
+    periods' constants, which every draw and smoothed mean on that object
+    shares (``balanced``).
     """
 
     params: VarParams
@@ -115,16 +119,15 @@ class Plan:
     init: FilterState
     skeleton: Skeleton
     cov: CovariancePass
-    _part: DataPart | None = field(default=None, init=False, repr=False, compare=False)
+    _last: tuple[MixedFreqData, list] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def data_part(self, data: MixedFreqData) -> DataPart:
-        """The plan's ``DataPart`` for ``data``: kept while ``data`` is the
-        same object, otherwise a new, empty one that replaces it."""
-        part = self._part
-        if part is None or part.data is not data:
-            part = DataPart(data)
-            object.__setattr__(self, "_part", part)
-        return part
+    def balanced(self, data: MixedFreqData) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The balanced groups' constants at ``data`` (``balanced_constants``):
+        kept while ``data`` is the same object, otherwise formed in one call
+        and kept in their place."""
+        if self._last is None or self._last[0] is not data:
+            object.__setattr__(self, "_last", (data, balanced_constants(self.skeleton, data, self.params.p)))
+        return self._last[1]
 
 
 def plan_for(
@@ -158,16 +161,12 @@ def plan_for(
     return plan
 
 
-def fill_states(x: np.ndarray, states: list[np.ndarray], periods: list[PeriodSystem]) -> None:
+def fill_states(x: np.ndarray, states: list[np.ndarray], periods: list[PeriodSystem], t_b: int) -> None:
     """Write each period's smoothed head (latent monthly and quarterly) into
-    x: one assignment for the balanced periods, whose head is the quarterly
-    variables, and one per ragged-edge period after them."""
-    t_b = len(periods)
-    while t_b and len(periods[t_b - 1].mats.idx.u_t):
-        t_b -= 1
-    if t_b:
-        n_q = periods[0].mats.idx.n_q
-        x[:t_b, x.shape[1] - n_q :] = np.array(states[:t_b])[:, :n_q]
+    x: one assignment for the balanced periods 0..t_b-1, whose head is the
+    quarterly variables, and one per ragged-edge period after them."""
+    n_q = periods[0].mats.idx.n_q
+    x[:t_b, x.shape[1] - n_q :] = np.array(states[:t_b])[:, :n_q]
     for per in periods[t_b:]:
         idx = per.mats.idx
         x[per.t, idx.head_vars()] = states[per.t][: idx.head_size]
@@ -242,14 +241,14 @@ def companion_periods(
 
 def dense_edge(
     params: VarParams, agg: Aggregation, data: MixedFreqData, start: FilterState
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Edge step of the reference backend: the stacked-form filter and
     smoother with dense companion products, covariance pass included, from
     the stacked state ``start`` at t_b-1."""
     periods = companion_periods(params, agg, data, data.pattern.t_balanced)
     res = run_filter(periods, start)
     states, r = run_smoother(periods, res)
-    return np.array([a[: params.n] for a in states]), r
+    return np.array([a[: params.n] for a in states]), r, res.run.worst_cond
 
 
 def smooth(
@@ -258,7 +257,7 @@ def smooth(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
-    edge: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None,
+    edge: Callable[..., tuple[np.ndarray, np.ndarray, float]] | None = None,
     pseudo: PseudoSample | None = None,
 ) -> SmoothResult:
     """Reduced filtering to the balanced boundary, ``edge`` over the ragged
@@ -267,20 +266,22 @@ def smooth(
     The reduced run is the mean pass over the plan's covariance pass.  Its
     last filtered state is placed in the stacked state
     (``compact_to_companion``); ``edge(params, agg, data, start)`` starts
-    from that state and returns the smoothed (T - t_b, n) edge rows and its
-    adjoint for the stacked state predicted at t_b.  ``F1'`` carries that
-    adjoint back (``companion_to_compact``), and its quarterly positions
-    restart the reduced smoother at its last filtered state, with no linear
-    solve.  With ``edge=None``, or a balanced sample, the reduced (adaptive)
-    formulation covers the whole sample.
+    from that state and returns the smoothed (T - t_b, n) edge rows, its
+    adjoint for the stacked state predicted at t_b and the worst condition
+    ratio of its factors of F.  ``F1'`` carries that adjoint back
+    (``companion_to_compact``), and its quarterly positions restart the
+    reduced smoother at its last filtered state, with no linear solve.  With
+    ``edge=None``, or a balanced sample, the reduced (adaptive) formulation
+    covers the whole sample.
 
-    The balanced periods' constants are the plan's ``DataPart`` at
-    ``data``.  With ``pseudo``, a pseudo sample simulated for ``data`` (the
-    simulation smoother's route), the run is on the observations y - y+ with
-    the inputs, the observed monthly lags, at y - x+, and returns its
-    smoothed mean.  x+ is zero at the balanced periods' monthly values, so
-    the balanced constants and the known lags of the stacked state at
-    t_b-1 are those of the data.
+    The balanced periods' constants are the plan's at ``data``
+    (``Plan.balanced``).  With ``pseudo``, a pseudo sample simulated for
+    ``data`` (the simulation smoother's route), the run is on the
+    observations y - y+ with the inputs, the observed monthly lags, at
+    y - x+, and returns its smoothed mean, whose observed monthly entries
+    the caller overwrites (``draw_latent``).  x+ is zero at the balanced
+    periods' monthly values, so the balanced constants and the known lags
+    of the stacked state at t_b-1 are those of the data.
     """
     plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
@@ -289,24 +290,29 @@ def smooth(
     if pseudo is not None:
         obs = data.replace_values(data.values - pseudo.y_plus)
         lags = data.values[:, : params.n_m] - pseudo.x_plus[:, : params.n_m]
-    periods = build_periods(params, plan.skeleton, obs, stop=stop, part=plan.data_part(data), lags=lags)
+    periods = build_periods(params, plan.skeleton, obs, stop, plan.balanced(data), lags)
     cov = plan.cov.run(stop)
     res = run_filter(periods, plan.init, cov)
     heads = r = None
+    worst_cond = cov.worst_cond
     if stop < T:
-        heads, r_edge = edge(params, plan.agg, obs, compact_to_companion(params, data, res))
+        heads, r_edge, edge_cond = edge(params, plan.agg, obs, compact_to_companion(params, data, res))
         r = companion_to_compact(r_edge, params)[quarterly_state_index(params)]
+        worst_cond = max(worst_cond, edge_cond)
     states, _ = run_smoother(periods, res, r_init=r)
     # allocated last: the result outlives the filter's working set, and placed
     # above it, it keeps that set's freed memory off the top of the heap, where
-    # malloc would return it to the system for the next draw to fault back in
-    x = np.empty((T, params.n))
+    # malloc would return it to the system for the next draw to fault back in;
+    # zeroed, as the pseudo route leaves the observed monthly entries unset
+    # and ``draw_latent`` adds x+ to them before it overwrites them
+    x = np.zeros((T, params.n))
     if heads is not None:
         x[t_b:] = heads
-    fill_states(x, states, periods)
-    fill_observed(x, obs)
+    fill_states(x, states, periods, t_b)
+    if pseudo is None:
+        fill_observed(x, data)
     stats = RunStats(compact_steps=t_b, factorizations=plan.cov.pop_factorizations(),
-                     cov_reuse=cov.reused, worst_cond=cov.worst_cond)
+                     cov_reuse=cov.reused, worst_cond=worst_cond)
     if edge is None:
         stats.adaptive_steps = T - t_b
     else:

@@ -31,7 +31,6 @@ if TYPE_CHECKING:
     from .simsmooth import PseudoSample
 
 __all__ = [
-    "OpCounter",
     "blocked_F",
     "blocked_M",
     "blocked_K",
@@ -40,16 +39,6 @@ __all__ = [
     "blocked_edge",
     "run_blocked",
 ]
-
-
-@dataclass
-class OpCounter:
-    """Scalar-multiplication tally for the instrumented block products."""
-
-    mults: int = 0
-
-    def add(self, rows: int, inner: int, cols: int) -> None:
-        self.mults += rows * inner * cols
 
 
 def blocked_F(M: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.ndarray) -> np.ndarray:
@@ -74,7 +63,6 @@ def blocked_predict(
     pf_top: np.ndarray,
     coeff_row: np.ndarray,
     sigma: np.ndarray,
-    ops: OpCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """State prediction from the top-left block of the filtered covariance.
 
@@ -86,9 +74,6 @@ def blocked_predict(
     dim = npp + n
     bracket = coeff_row @ pf_top
     top_left = bracket @ coeff_row.T + sigma
-    if ops is not None:
-        ops.add(n, npp, npp)
-        ops.add(n, npp, n)
     P_next = np.empty((dim, dim))
     P_next[:n, :n] = (top_left + top_left.T) / 2.0
     P_next[:n, n:] = bracket
@@ -132,7 +117,7 @@ def blocked_edge(
     agg: Aggregation,
     data: MixedFreqData,
     start: FilterState,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Edge step of the blocked backend: the stacked-form filter and
     smoother through block subsetting, from the stacked state ``start`` at
     t_b-1, of whose covariance only the first np rows and columns reach the
@@ -144,6 +129,7 @@ def blocked_edge(
     qcols = agg.quarterly_state_cols(n, params.n_m)
     a_filt, pf_top = start.a, start.P[:npp, :npp]
     records: list[BlockedRecord] = []
+    worst_cond = 0.0
     for t in range(data.pattern.t_balanced, data.T):
         a, P = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t))
         a[:n] += params.intercept
@@ -163,7 +149,8 @@ def blocked_edge(
             rhs = np.empty((n_obs, 1 + npp), order="F")
             rhs[:, 0] = y - np.concatenate([a[o_t], lamqq_obs @ a[qcols]])
             rhs[:, 1:] = M[:npp].T
-            cf = factorize_innovation(np.asfortranarray((F + F.T) / 2.0), t)[0]
+            cf, cond = factorize_innovation(np.asfortranarray((F + F.T) / 2.0), t)
+            worst_cond = max(worst_cond, cond)
             sol, info = dpotrs(cf, rhs, lower=1, overwrite_b=1)
             if info != 0:
                 raise SingularInnovationError(t)
@@ -185,7 +172,7 @@ def blocked_edge(
         Ltr = blocked_smooth_r(companion_to_compact(r, params), -(rec.K.T @ r), rec.o_t, qcols, rec.lamqq_obs)
         heads[i] = rec.a_head + rec.P_head @ Ltr
         r = blocked_smooth_r(Ltr, rec.Finv_v, rec.o_t, qcols, rec.lamqq_obs)
-    return heads, r
+    return heads, r, worst_cond
 
 
 def run_blocked(

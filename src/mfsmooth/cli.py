@@ -86,8 +86,6 @@ def smooth(data_path, params_path, config_path, backend, draws, seed, out_path) 
     except MfsmoothError as exc:
         _fail(str(exc))
     elapsed = time.perf_counter() - start
-    if draws == 0:
-        stack = np.empty((0, data.T, params.n))
     dataio.write_archive(out_path, stack, params.n_q)
     per = elapsed / draws * 1e3 if draws else 0.0
     click.echo(f"{draws} draw(s) with backend={backend} in {elapsed:.3f}s ({per:.2f} ms/draw)")

@@ -40,7 +40,6 @@ __all__ = [
     "FilterResult",
     "factorize_innovation",
     "filter_step",
-    "predict",
     "run_filter",
     "run_smoother",
     "solve_discrete_lyapunov",
@@ -151,11 +150,6 @@ def filter_step(P: np.ndarray, sys_t) -> CovEntry:
     if info != 0:
         raise SingularInnovationError(sys_t.t)
     return CovEntry(P, Z, HGt, cf, cond, sol, _sym(P - sol[:, :dim].T @ M.T))
-
-
-def predict(state: FilterState, Tm: np.ndarray, d: np.ndarray, HHt: np.ndarray | float) -> FilterState:
-    """``state`` mapped through the transition (Tm, d, HHt)."""
-    return FilterState(Tm @ state.a + d, _predict_cov(state.P, Tm, HHt))
 
 
 def _predict_cov(P: np.ndarray, Tm: np.ndarray, HHt: np.ndarray | float) -> np.ndarray:

@@ -157,6 +157,8 @@ class AggregationScheme:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if self.p_q < 1 or weights.shape[0] != self.p_q:
             raise ConfigurationError("weights length must equal p_q >= 1")
+        if not np.isfinite(weights).all():
+            raise ConfigurationError("aggregation weights have non-finite entries")
         if self.kind == "intra_quarterly_average":
             if self.p_q != 3 or not np.allclose(weights, 1.0 / 3.0):
                 raise ConfigurationError(

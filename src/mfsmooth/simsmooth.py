@@ -10,7 +10,7 @@ that model is the reduced one, the quarterly stack filtered and the monthly
 values observed, so the pseudo sample there is one banded solve and one
 product (``simulate_path``) and holds the monthly path at zero.  The
 balanced periods' constants are then those of the data, formed once per
-data object (``baseline.Plan.data_part``).  Over the ragged edge the
+data object (``baseline.Plan.balanced``).  Over the ragged edge the
 pseudo path runs the full VAR.
 
 Per-draw generators are keyed by (master seed, draw index) with a
@@ -49,7 +49,6 @@ BACKENDS = {
 class PseudoSample:
     x_plus: np.ndarray       # (T, n) pseudo latent path; monthly entries zero over the balanced sample
     y_plus: np.ndarray       # (T, n) pseudo observations, NaN where the data are missing
-    presample: np.ndarray    # (p+1, n) pseudo values for times -(p+1)..-1, monthly entries zero
     init_jitter: bool        # the initial covariance needed jitter to factorize
 
 
@@ -154,7 +153,7 @@ def simulate_path(
     pat = data.pattern
     observed = np.hstack([pat.observed_monthly, pat.quarterly_observed])
     y_plus = np.where(observed, values, np.nan)
-    return PseudoSample(x_plus, y_plus, buf[: p + 1], jitter)
+    return PseudoSample(x_plus, y_plus, jitter)
 
 
 def gen_pseudo(

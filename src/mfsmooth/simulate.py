@@ -136,10 +136,10 @@ def simulate_var_path(
     rng: np.random.Generator,
     init: FilterState,
     scheme: AggregationScheme,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """A path of the full VAR, constants included, and its observations
-    under the data's pattern: the (T, n) path, the (T, n) observations (NaN
-    where the data are missing) and the (p+1, n) pre-sample values.
+    under the data's pattern: the (T, n) path and the (T, n) observations
+    (NaN where the data are missing).
 
     Pre-sample monthly values are zero; the pre-sample quarterly stack is
     drawn from ``init``.  The generator gives that draw, then one (T, n)
@@ -173,7 +173,7 @@ def simulate_var_path(
     pat = data.pattern
     observed = np.hstack([pat.observed_monthly, pat.quarterly_observed])
     y = np.where(observed, np.hstack([x[:, :n_m], quarterly[::-1]]), np.nan)
-    return x, y, rev[T:][::-1].copy()
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def make_instance(
         mask = benchmark_pattern(n_m, n_q, T, t_balanced, recipe)
     shape_data = MixedFreqData.from_values(np.where(mask, 0.0, np.nan), n_m, n_q)
     init = init_state(params, init_mode, kappa)
-    x, y, _ = simulate_var_path(params, shape_data, rng, init, scheme)
+    x, y = simulate_var_path(params, shape_data, rng, init, scheme)
     values = np.full((T, n_m + n_q), np.nan)
     values[:, :n_m] = np.where(mask[:, :n_m], x[:, :n_m], np.nan)
     # quarterly observations aggregate the simulated latent path

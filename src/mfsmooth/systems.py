@@ -14,7 +14,7 @@ lags ``t-1..t-p`` inside each variable block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +30,6 @@ __all__ = [
     "build_adaptive_D",
     "build_adaptive_Z",
     "build_adaptive_C",
-    "build_adaptive_G",
-    "build_adaptive_H",
     "adaptive_loadings",
     "PeriodNoise",
     "PeriodShape",
@@ -39,10 +37,9 @@ __all__ = [
     "period_noise",
     "build_system_matrices",
     "companion_observation",
-    "DataPart",
+    "balanced_constants",
     "build_periods",
     "period_skeleton",
-    "balanced_index",
 ]
 
 
@@ -87,12 +84,6 @@ class AdaptiveIndex:
 
     def prev_head_vars(self) -> np.ndarray:
         return np.concatenate([self.u_prev, self.n_m + np.arange(self.n_q)])
-
-
-def balanced_index(n_m: int, n_q: int) -> AdaptiveIndex:
-    all_m = np.arange(n_m)
-    empty = np.empty(0, dtype=int)
-    return AdaptiveIndex(empty, all_m, empty, all_m, n_m, n_q)
 
 
 def _coeffs(params: VarParams, rows: np.ndarray, cols: np.ndarray, exog: bool = False) -> np.ndarray:
@@ -182,14 +173,6 @@ def adaptive_loadings(
     H = np.zeros((k, (p + 1) * s, n))
     H[:, :s] = W[:, idx.head_vars()]
     return G, H
-
-
-def build_adaptive_G(params: VarParams, idx: AdaptiveIndex, q_rows: np.ndarray, t: int) -> np.ndarray:
-    return adaptive_loadings(params.chol(t)[None], idx, q_rows, params.p)[0][0]
-
-
-def build_adaptive_H(params: VarParams, idx: AdaptiveIndex, t: int) -> np.ndarray:
-    return adaptive_loadings(params.chol(t)[None], idx, np.empty(0, dtype=int), params.p)[1][0]
 
 
 @dataclass
@@ -344,59 +327,47 @@ def _constants(mats: SystemMatrices, ts: np.ndarray, stacks: np.ndarray) -> tupl
     return X @ mats.C.T + mats.c0, X @ mats.D.T + mats.d0
 
 
-@dataclass(eq=False)
-class DataPart:
-    """The constants c(y) and d(y) of the balanced periods for one data
-    object ``data``, one pair of group arrays per structural group (keyed by
-    the id of its ``SystemMatrices``), formed on first use.
+def balanced_constants(skeleton: Skeleton, data: MixedFreqData, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """c(y) and d(y) of each balanced group of ``skeleton.groups``, in their
+    order, from one set of lag stacks of the data.
 
     A balanced period's constants read only monthly lags of balanced
     periods, and a draw's pseudo sample holds those at zero
     (``simsmooth.simulate_path``), so every draw on ``data`` takes these
     arrays as they are.
     """
-
-    data: MixedFreqData
-    groups: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    def constants(self, groups: list[tuple[SystemMatrices, np.ndarray]], p: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """c(y) and d(y) of each of ``groups``; those not formed yet are
-        formed here, from one set of lag stacks of the data."""
-        todo = [(mats, ts) for mats, ts in groups if id(mats) not in self.groups]
-        if todo:
-            stacks = _lag_stacks(self.data.values, p, self.data.n_m)
-            for mats, ts in todo:
-                self.groups[id(mats)] = _constants(mats, ts, stacks)
-        return [self.groups[id(mats)] for mats, _ in groups]
+    stacks = _lag_stacks(data.values, p, data.n_m)
+    return [_constants(mats, ts, stacks) for mats, ts in skeleton.groups if not len(mats.idx.u_t)]
 
 
 def build_periods(
     params: VarParams,
     skeleton: Skeleton,
     data: MixedFreqData,
-    stop: int | None = None,
-    part: DataPart | None = None,
+    stop: int,
+    balanced: list[tuple[np.ndarray, np.ndarray]],
     lags: np.ndarray | None = None,
 ) -> list[PeriodSystem]:
-    """Periods 0..stop-1 of the adaptive formulation (default: the whole sample).
+    """Periods 0..stop-1 of the adaptive formulation, stop >= t_balanced.
 
     The structural matrices and noise products come from the skeleton
     (``period_skeleton``), built once per parameters and pattern, and so
     does the grouping of the periods by their structural matrices; this
     adds what varies between draws: the observations, from ``data``, and
     the constants, from the lagged observed monthly values (variable-major,
-    lags t-1..t-p, pre-sample lags zero).  Each group gathers its lag stacks
-    (``_lag_stacks``) and its observations with one index each and forms its
-    constants with one product each.
+    lags t-1..t-p, pre-sample lags zero).  The balanced groups take theirs
+    from ``balanced`` (``balanced_constants``), the arrays themselves; each
+    ragged-edge group gathers its lag stacks (``_lag_stacks``) and its
+    observations with one index each and forms its constants with one
+    product each.
 
-    The constants read ``lags``, a (T, n_m) array, in place of the data's
-    monthly values when given: on a draw's pseudo route ``data`` holds
-    y - y+ and ``lags`` y - x+.  With ``part``, the ``DataPart`` of data
-    whose monthly values the constants read over the balanced sample, the
-    balanced groups take their constants from it, the arrays themselves.
+    The edge constants read ``lags``, a (T, n_m) array, in place of the
+    data's monthly values when given: on a draw's pseudo route ``data``
+    holds y - y+ and ``lags`` y - x+.
     """
-    T, p, n_m = data.T, params.p, params.n_m
-    stop = T if stop is None else stop
+    p, n_m, t_b = params.p, params.n_m, data.pattern.t_balanced
+    if stop < t_b:
+        raise ConfigurationError(f"the balanced constants need stop >= t_balanced={t_b}, got {stop}")
     periods: list[PeriodSystem] = [None] * stop  # type: ignore[list-item]
 
     def place(mats: SystemMatrices, ts: np.ndarray, cs: np.ndarray, ds: np.ndarray) -> None:
@@ -404,18 +375,13 @@ def build_periods(
         for t, c, d, y in zip(ts.tolist(), cs, ds, ys):
             periods[t] = PeriodSystem(mats, skeleton[t].noise, c, d, y, t)
 
-    direct = skeleton.grouped(stop)
-    if part is not None:
-        t_b = data.pattern.t_balanced
-        if stop < t_b:
-            raise ConfigurationError(f"a data part needs stop >= t_balanced={t_b}, got {stop}")
-        balanced = [(mats, ts) for mats, ts in direct if not len(mats.idx.u_t)]
-        direct = [(mats, ts) for mats, ts in direct if len(mats.idx.u_t)]
-        for (mats, ts), (cs, ds) in zip(balanced, part.constants(balanced, p)):
-            place(mats, ts, cs, ds)
-    if direct:
+    groups = skeleton.grouped(stop)
+    edge = [(mats, ts) for mats, ts in groups if len(mats.idx.u_t)]
+    for (mats, ts), (cs, ds) in zip([g for g in groups if not len(g[0].idx.u_t)], balanced):
+        place(mats, ts, cs, ds)
+    if edge:
         stacks = _lag_stacks(data.values if lags is None else lags, p, n_m)
-        for mats, ts in direct:
+        for mats, ts in edge:
             place(mats, ts, *_constants(mats, ts, stacks))
     return periods
 

@@ -21,8 +21,8 @@ from mfsmooth import (
     skip_sampling,
 )
 from mfsmooth import kalman
-from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_edge
-from mfsmooth.blocked import OpCounter, blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
+from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_edge, plan_for
+from mfsmooth.blocked import blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
 from mfsmooth.kalman import (
     CovariancePass,
     FilterResult,
@@ -34,7 +34,7 @@ from mfsmooth.kalman import (
 )
 from mfsmooth.model import AggregationScheme
 from mfsmooth.simulate import make_instance
-from mfsmooth.systems import build_periods, period_skeleton
+from mfsmooth.systems import balanced_constants, build_periods, period_skeleton
 from test_model import random_params
 
 BACKENDS = {"baseline": run_baseline, "blocked": run_blocked, "adaptive": run_adaptive}
@@ -98,6 +98,38 @@ class TestCrossBackend:
         with pytest.raises(ConfigurationError):
             BACKENDS[name](inst.params, inst.scheme, data)
 
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_time_varying_cov_length(self, name):
+        """A stack of factors shorter than the data is a usage error naming
+        both lengths; a longer one draws as its first T factors."""
+        inst = make_instance(4, 1, 3, 40, 38, np.random.default_rng(0))
+        p = inst.params
+        W = np.exp(0.3 * np.random.default_rng(1).standard_normal((41, p.n)))[:, :, None] * p.chol_cov
+
+        def stack(k):
+            return VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, W[:k])
+
+        with pytest.raises(ConfigurationError, match="39 factors, the data 40 periods"):
+            draw_latent(stack(39), inst.scheme, inst.data, name, seed=0)
+        with pytest.raises(ConfigurationError, match="39 factors, the data 40 periods"):
+            BACKENDS[name](stack(39), inst.scheme, inst.data)
+        assert_array_equal(draw_latent(stack(41), inst.scheme, inst.data, name, seed=0).x,
+                           draw_latent(stack(40), inst.scheme, inst.data, name, seed=0).x)
+
+    def test_worst_cond_covers_the_edge(self):
+        """``RunStats.worst_cond`` takes the edge step's factors of F: a tiny
+        shock variance in the last two periods puts the worst condition
+        there, and every backend reports it."""
+        inst = make_instance(17, 3, 4, 60, 57, np.random.default_rng(0))
+        p = inst.params
+        W = np.repeat(p.chol_cov, 60, axis=0)
+        W[58:, 0, 0] *= 1e-3
+        tv = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, W)
+        conds = {name: run(tv, inst.scheme, inst.data).stats.worst_cond for name, run in BACKENDS.items()}
+        assert_allclose(list(conds.values()), conds["adaptive"], rtol=1e-8)
+        balanced = plan_for(tv, inst.scheme, inst.data).cov.run(inst.data.pattern.t_balanced).worst_cond
+        assert conds["adaptive"] > 10 * balanced
+
 
 def test_layer_trace_finds_smooth_bindings(monkeypatch):
     """The benchmark's layer trace wraps ``baseline.smooth``'s calls in every
@@ -160,7 +192,7 @@ def reduced_filter_to_boundary(inst):
     t_b = data.pattern.t_balanced
     agg = build_aggregation(inst.scheme, params.n_m, params.n_q, params.p)
     skeleton = period_skeleton(params, agg, data.pattern)
-    periods = build_periods(params, skeleton, data, stop=t_b)
+    periods = build_periods(params, skeleton, data, t_b, balanced_constants(skeleton, data, params.p))
     init = init_state(params)
     run = CovariancePass(skeleton, init.P).run(t_b)
     return run_filter(periods, init, run)
@@ -206,7 +238,7 @@ class TestTransitions:
         params, data = inst.params, inst.data
         agg = build_aggregation(scheme, params.n_m, params.n_q, params.p)
         res = reduced_filter_to_boundary(inst)
-        _, r_edge = dense_edge(params, agg, data, compact_to_companion(params, data, res))
+        _, r_edge, _ = dense_edge(params, agg, data, compact_to_companion(params, data, res))
         r = companion_to_compact(r_edge, params)
         qi = quarterly_state_index(params)
         E = np.zeros((len(r), len(qi)))
@@ -220,7 +252,8 @@ class TestTransitions:
         # the last period alone, restarted from the adjoint of its filtered state
         last = FilterResult(PassRun([step], [], [True], 0, e.cond), res.a_filt[-1:], res.v[-1:], res.w[-1:])
         t_b = data.pattern.t_balanced
-        periods = build_periods(params, period_skeleton(params, agg, data.pattern), data, stop=t_b)
+        skeleton = period_skeleton(params, agg, data.pattern)
+        periods = build_periods(params, skeleton, data, t_b, balanced_constants(skeleton, data, params.p))
         states, r_prev = run_smoother(periods[-1:], last, r[qi])
         for got, ref in ((states[0], ref_state), (r_prev, ref_r)):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -332,13 +365,6 @@ class TestBlockedOps:
         assert_allclose(P_next[:4, :4], params.sigma(0))
         assert_allclose(P_next[:4, 4:], 0.0)
         assert_allclose(P_next[4:, 4:], np.eye(12))
-
-    def test_predict_mult_count_below_dense(self):
-        counter = OpCounter()
-        params = random_params(3, 1, 3, seed=2)
-        blocked_predict(np.zeros(16), np.eye(12), params.coeff_row, params.sigma(0), counter)
-        n, p = 4, 3
-        assert 0 < counter.mults < (n * (p + 1)) ** 3
 
     def test_warm_draw_forms_no_dense_transition(self, monkeypatch):
         # the edge step reuses the companion structure: no dense F1, so no

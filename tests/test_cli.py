@@ -4,8 +4,9 @@ import numpy as np
 import scipy
 from click.testing import CliRunner
 
+from mfsmooth import VarParams
 from mfsmooth.cli import main
-from mfsmooth.dataio import read_archive, write_archive, write_config
+from mfsmooth.dataio import load_params, read_archive, save_params, write_archive, write_config
 
 
 def run(args, **kw):
@@ -66,6 +67,23 @@ class TestSmooth:
         res = run(["smooth", str(data), str(params), "--draws", "-1", "--out", str(tmp_path / "x.bin")])
         assert res.exit_code == 2
         assert "n_draws" in res.output
+
+    def test_short_time_varying_cov_exits_2(self, tmp_path):
+        data, params_path = simulate_instance(tmp_path)
+        p = load_params(params_path)
+        save_params(params_path, VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs,
+                                           np.repeat(p.chol_cov, 17, axis=0)))
+        res = run(["smooth", str(data), str(params_path), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert "17 factors, the data 18 periods" in res.output
+
+    def test_non_finite_weights_exit_2(self, tmp_path):
+        data, params = simulate_instance(tmp_path)
+        cfg = tmp_path / "nan.cfg"
+        write_config(cfg, {"aggregation": "custom", "weights": "nan"})
+        res = run(["smooth", str(data), str(params), "--config", str(cfg), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert "aggregation weights have non-finite entries" in res.output
 
     def test_missing_data_file_exits_2(self, tmp_path):
         _, params = simulate_instance(tmp_path)

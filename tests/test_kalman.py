@@ -13,7 +13,6 @@ from mfsmooth.kalman import (
     PassRun,
     filter_step,
     init_state,
-    predict,
     quarterly_state_index,
     run_filter,
     run_smoother,
@@ -55,7 +54,8 @@ class TestFilterStep:
         assert_allclose(run.steps[0].K, [[0.5]])
         assert_allclose(res.a_filt[0], [1.0])
         last = FilterState(res.a_filt[0], run.steps[0].entry.P_filt)
-        assert_allclose(predict(last, per.mats.T, per.d, per.noise.HHt).a, [1.0])
+        assert_allclose(per.mats.T @ last.a + per.d, [1.0])
+        assert_array_equal(kalman._predict_cov(last.P, per.mats.T, per.noise.HHt), run.steps[1].entry.P_pred)
         # terminal smoothing leaves the filtered mean unchanged
         states, _ = run_smoother([per, per], res, np.zeros(1))
         assert_array_equal(states[1], res.a_filt[1])
@@ -129,7 +129,7 @@ class TestCovariancePass:
         plan = plan_for(inst.params, inst.scheme, inst.data)
         P, raw = plan.init.P, []
         for per in plan.skeleton:
-            P = predict(FilterState(np.zeros(len(P)), P), per.mats.T, 0.0, per.noise.HHt).P
+            P = kalman._predict_cov(P, per.mats.T, per.noise.HHt)
             raw.append(P.tobytes())
             P = filter_step(P, per).P_filt
         start, period = min(

@@ -128,6 +128,11 @@ class TestAggregation:
         with pytest.raises(ConfigurationError):
             AggregationScheme("intra_quarterly_average", np.array([0.5, 0.5]), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="aggregation weights have non-finite entries"):
+            AggregationScheme("custom", np.array([0.5, bad]), 2)
+
 
 class TestDetectPattern:
     def test_fully_observed(self):

@@ -68,7 +68,7 @@ def reference_path(params, data, rng, init, centered, scheme):
         for j in pat.quarterly_rows(t):
             vals = buf[p + 2 + t - scheme.p_q : p + 2 + t, n_m + j][::-1]
             y_plus[t, n_m + j] = scheme.weights @ vals
-    return x_plus, y_plus, buf[: p + 1]
+    return x_plus, y_plus
 
 
 def both_paths(params, data, rng_seed, init, scheme):
@@ -76,7 +76,7 @@ def both_paths(params, data, rng_seed, init, scheme):
     the same normals."""
     pseudo = simulate_path(params, data, np.random.default_rng(rng_seed), init, scheme=scheme)
     full = simulate_var_path(params, data, np.random.default_rng(rng_seed), init, scheme)
-    return {"pseudo": (pseudo.x_plus, pseudo.y_plus), "full": full[:2]}
+    return {"pseudo": (pseudo.x_plus, pseudo.y_plus), "full": full}
 
 
 class TestSimulatePath:
@@ -127,7 +127,7 @@ class TestSimulatePath:
         sim = simulate_path(zero_chol, inst.data, ZeroRng(), init, scheme=inst.scheme)
         assert_allclose(sim.x_plus, 0.0, atol=1e-9)
         # the full VAR, same degenerate shocks: its path follows the deterministic VAR
-        x, _, _ = simulate_var_path(zero_chol, inst.data, ZeroRng(), init, inst.scheme)
+        x, _ = simulate_var_path(zero_chol, inst.data, ZeroRng(), init, inst.scheme)
         assert np.max(np.abs(x)) > 0.0
 
     def test_pseudo_sample_mean_matches_stationary_mean(self):
@@ -137,7 +137,7 @@ class TestSimulatePath:
         mu = inst.params.unconditional_mean()
         paths = []
         for k in range(400):
-            x, _, _ = simulate_var_path(inst.params, inst.data, _rng_for(3, k), init, inst.scheme)
+            x, _ = simulate_var_path(inst.params, inst.data, _rng_for(3, k), init, inst.scheme)
             paths.append(x)
         got = np.mean(paths, axis=(0, 1))
         assert_allclose(got, mu, atol=0.15)
@@ -178,11 +178,11 @@ class TestSimulatePath:
         init = init_state(params, "stationary")
         if centered:
             sim = simulate_path(params, data, _rng_for(4, 2), init, scheme=scheme)
-            got = sim.x_plus, sim.y_plus, sim.presample
+            got = sim.x_plus, sim.y_plus
         else:
             got = simulate_var_path(params, data, _rng_for(4, 2), init, scheme)
         want = reference_path(params, data, _rng_for(4, 2), init, centered, scheme)
-        for name, value, ref in zip(("x_plus", "y_plus", "presample"), got, want):
+        for name, value, ref in zip(("x_plus", "y_plus"), got, want):
             # a relative bound on the whole array: the products sum in another order
             assert_allclose(value, ref, rtol=0, atol=1e-13 * np.nanmax(np.abs(ref)), err_msg=name)
         assert_array_equal(np.isnan(got[1]), np.isnan(want[1]))
@@ -267,7 +267,6 @@ class TestGenPseudo:
     def test_pattern_preserved(self, inst):
         sim = gen_pseudo(inst.params, inst.scheme, inst.data, np.random.default_rng(0))
         assert_array_equal(np.isnan(sim.y_plus), np.isnan(inst.data.values))
-        assert sim.presample.shape == (inst.params.p + 1, inst.params.n)
 
 
 class TestPreparedPlan:
@@ -443,10 +442,11 @@ class TestExactMoments:
 
 
 class TestDataPart:
-    """A draw takes the balanced periods' constants as the plan's part at
-    the data.  The reference is the draw's exact moments: each backend's
-    mean and the adaptive backend's affine map against the joint oracle,
-    and every backend's seeded draw that map at the seed's normals."""
+    """A draw takes the balanced periods' constants as the plan keeps them
+    for the data (``Plan.balanced``).  The reference is the draw's exact
+    moments: each backend's mean and the adaptive backend's affine map
+    against the joint oracle, and every backend's seeded draw that map at
+    the seed's normals."""
 
     @staticmethod
     def instance(scheme, time_varying, seed=3):
@@ -487,7 +487,7 @@ class TestDataPart:
         G = None
         for d in (data, other, data):
             G = self.assert_exact(params, scheme, d, 6, G=G)
-            assert plan_for(params, scheme, d)._part.data is d
+            assert plan_for(params, scheme, d)._last[0] is d
 
     def test_warm_draw_forms_no_data_part(self, monkeypatch):
         params, data = self.instance(SCHEMES["average"], False)
@@ -500,19 +500,17 @@ class TestDataPart:
 
         monkeypatch.setattr(systems, "_constants", counted)
         draw_latent(params, SCHEMES["average"], data, "adaptive", seed=1)
-        part = plan_for(params, SCHEMES["average"], data)._part
-        groups = dict(part.groups)
-        assert sum(balanced) == len(groups) > 0
+        consts = plan_for(params, SCHEMES["average"], data).balanced(data)
+        assert sum(balanced) == len(consts) > 0
         del balanced[:]
         for backend in BACKENDS:
             draw_latent(params, SCHEMES["average"], data, backend, seed=2)
         draw_many(params, SCHEMES["average"], data, "adaptive", 2, seed=2)
         assert sum(balanced) == 0
-        assert plan_for(params, SCHEMES["average"], data)._part is part
-        assert all(part.groups[k] is v for k, v in groups.items())
+        assert plan_for(params, SCHEMES["average"], data).balanced(data) is consts
 
     def test_warm_draw_takes_the_data_part_arrays(self, monkeypatch):
-        # a balanced period's c and d are rows of the part's arrays, not copies
+        # a balanced period's c and d are rows of the plan's arrays, not copies
         scheme = SCHEMES["custom"]
         params, data = self.instance(scheme, True)
         built = []
@@ -524,19 +522,22 @@ class TestDataPart:
 
         monkeypatch.setattr(baseline, "build_periods", recorded)
         draw_latent(params, scheme, data, "adaptive", seed=1)
-        part = plan_for(params, scheme, data)._part
+        plan = plan_for(params, scheme, data)
+        consts = plan.balanced(data)
         for backend in BACKENDS:
             draw_latent(params, scheme, data, backend, seed=2)
-        assert plan_for(params, scheme, data)._part is part
+        assert plan_for(params, scheme, data).balanced(data) is consts
+        groups = [mats for mats, _ in plan.skeleton.groups if not len(mats.idx.u_t)]
+        by_mats = dict(zip(map(id, groups), consts))
         for periods in built:
             balanced = [per for per in periods if not len(per.mats.idx.u_t)]
             assert len(balanced) == data.pattern.t_balanced
             for per in balanced:
-                cs, ds = part.groups[id(per.mats)]
+                cs, ds = by_mats[id(per.mats)]
                 assert per.c.base is cs and per.d.base is ds
 
     def test_pseudo_path_needs_the_balanced_sample(self):
         params, data = self.instance(SCHEMES["average"], False)
         plan = plan_for(params, SCHEMES["average"], data)
         with pytest.raises(ConfigurationError, match="t_balanced"):
-            systems.build_periods(params, plan.skeleton, data, stop=10, part=plan.data_part(data))
+            systems.build_periods(params, plan.skeleton, data, 10, plan.balanced(data))

@@ -25,10 +25,9 @@ from mfsmooth.model import AggregationScheme, ObservationPattern, skip_sampling
 from mfsmooth.simulate import benchmark_pattern, make_instance
 from mfsmooth.systems import (
     AdaptiveIndex,
-    balanced_index,
+    adaptive_loadings,
+    balanced_constants,
     build_adaptive_D,
-    build_adaptive_G,
-    build_adaptive_H,
     build_adaptive_T,
     build_adaptive_Z,
     build_adaptive_C,
@@ -47,6 +46,16 @@ def setup():
     return params, agg
 
 
+# U_t and U_{t-1} empty: every monthly variable observed at t and t-1
+BALANCED = AdaptiveIndex([], [0, 1, 2], [], [0, 1, 2], 3, 1)
+
+
+def loadings(params, idx, q_rows, t):
+    """G and H of one period (``adaptive_loadings`` of a stack of one)."""
+    G, H = adaptive_loadings(params.chol(t)[None], idx, q_rows, params.p)
+    return G[0], H[0]
+
+
 def Pi(params, lag, i, j):
     """Element (i, j), 1-based, of the lag-``lag`` coefficient matrix."""
     return params.lag_coeffs[lag - 1][i - 1, j - 1]
@@ -55,7 +64,7 @@ def Pi(params, lag, i, j):
 class TestBalancedRegime:
     def test_Z(self, setup):
         params, agg = setup
-        idx = balanced_index(3, 1)
+        idx = BALANCED
         Z = build_adaptive_Z(params, agg, idx, np.array([0]))
         expected = np.zeros((4, 4))
         for i in (1, 2, 3):
@@ -66,14 +75,14 @@ class TestBalancedRegime:
 
     def test_Z_quarterly_unobserved_drops_last_row(self, setup):
         params, agg = setup
-        idx = balanced_index(3, 1)
+        idx = BALANCED
         Z = build_adaptive_Z(params, agg, idx, np.array([], dtype=int))
         full = build_adaptive_Z(params, agg, idx, np.array([0]))
         assert_array_equal(Z, full[:3])
 
     def test_C(self, setup):
         params, agg = setup
-        idx = balanced_index(3, 1)
+        idx = BALANCED
         C = build_adaptive_C(params, idx, np.array([0]))
         expected = np.zeros((4, 9))
         for i in (1, 2, 3):
@@ -84,7 +93,7 @@ class TestBalancedRegime:
 
     def test_T(self, setup):
         params, _ = setup
-        idx = balanced_index(3, 1)
+        idx = BALANCED
         T = build_adaptive_T(params, idx)
         expected = np.zeros((4, 4))
         for lag in (1, 2, 3):
@@ -94,7 +103,7 @@ class TestBalancedRegime:
 
     def test_D(self, setup):
         params, _ = setup
-        idx = balanced_index(3, 1)
+        idx = BALANCED
         D = build_adaptive_D(params, idx)
         expected = np.zeros((4, 9))
         for j in (1, 2, 3):
@@ -104,13 +113,12 @@ class TestBalancedRegime:
 
     def test_G_and_H(self, setup):
         params, agg = setup
-        idx = balanced_index(3, 1)
+        idx = BALANCED
         W = params.chol(0)
-        G = build_adaptive_G(params, idx, np.array([0]), 0)
+        G, H = loadings(params, idx, np.array([0]), 0)
         expected_G = np.zeros((4, 4))
         expected_G[:3] = W[:3]
         assert_array_equal(G, expected_G)
-        H = build_adaptive_H(params, idx, 0)
         expected_H = np.zeros((4, 4))
         expected_H[0] = W[3]
         assert_array_equal(H, expected_H)
@@ -161,9 +169,8 @@ class TestOneMissingRegime:
     def test_G_and_H(self, setup, idx):
         params, _ = setup
         W = params.chol(0)
-        G = build_adaptive_G(params, idx, np.array([], dtype=int), 0)
+        G, H = loadings(params, idx, np.array([], dtype=int), 0)
         assert_array_equal(G, W[:2])
-        H = build_adaptive_H(params, idx, 0)
         expected = np.zeros((8, 4))
         expected[0] = W[2]
         expected[1] = W[3]
@@ -229,9 +236,8 @@ class TestTwoMissingRegime:
     def test_G_and_H(self, setup, idx):
         params, _ = setup
         W = params.chol(0)
-        G = build_adaptive_G(params, idx, np.array([], dtype=int), 0)
+        G, H = loadings(params, idx, np.array([], dtype=int), 0)
         assert_array_equal(G, W[:1])
-        H = build_adaptive_H(params, idx, 0)
         expected = np.zeros((12, 4))
         expected[:3] = W[1:]
         assert_array_equal(H, expected)
@@ -256,7 +262,7 @@ class TestCompactAndCompanion:
         _, agg = setup
         params = random_params(3, 1, 3, seed=12)
         zeroed = type(params)(3, 1, 3, params.intercept, np.zeros((3, 4, 4)), params.chol(0))
-        idx = balanced_index(3, 1)
+        idx = BALANCED
         Z = build_adaptive_Z(zeroed, agg, idx, np.array([], dtype=int))
         assert_array_equal(Z, np.zeros((3, 4)))
 
@@ -274,7 +280,8 @@ class TestExogVector:
         values[4:, 2] = np.nan                   # variable 2 latent from t = 4
         values[7, 1] = np.nan
         data = MixedFreqData.from_values(values, 3, 1)
-        periods = build_periods(params, period_skeleton(params, agg, data.pattern), data)
+        skeleton = period_skeleton(params, agg, data.pattern)
+        periods = build_periods(params, skeleton, data, data.T, balanced_constants(skeleton, data, params.p))
         return params, values, periods
 
     @staticmethod
@@ -314,7 +321,7 @@ class TestExogVector:
                                scale[:, :, None] * params.chol_cov)
         data = MixedFreqData.from_values(values, 3, 1)
         skeleton = period_skeleton(params, agg, data.pattern)
-        periods = build_periods(params, skeleton, data)
+        periods = build_periods(params, skeleton, data, data.T, balanced_constants(skeleton, data, params.p))
         p = params.p
         assert [per.t for per in periods] == list(range(12))
         for per, shape in zip(periods, skeleton):
@@ -363,14 +370,13 @@ class TestSkeletonSharing:
         plan = plan_for(params, inst.scheme, inst.data)
         # balanced with and without a quarterly value, and three edge periods
         assert len(calls) == 5
-        periods = build_periods(params, plan.skeleton, inst.data)
+        periods = build_periods(params, plan.skeleton, inst.data, inst.data.T, plan.balanced(inst.data))
         assert len({id(per.mats) for per in periods}) == 5
         assert len({id(per.noise) for per in periods}) == (300 if time_varying else 5)
         # the batched noise products are the single-period products
         for per in periods:
             idx, q_rows = per.mats.idx, per.mats.q_rows
-            G = build_adaptive_G(params, idx, q_rows, per.t)
-            H = build_adaptive_H(params, idx, per.t)
+            G, H = loadings(params, idx, q_rows, per.t)
             assert_array_equal(per.noise.GHt, G @ H.T)
             assert_array_equal(per.noise.HHt, H @ H.T)
             assert_array_equal(per.noise.F_const, G @ G.T + G @ H.T @ per.mats.Z.T)
