@@ -121,8 +121,8 @@ class Plan:
     cov: CovariancePass
     _last: tuple[MixedFreqData, list] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def balanced(self, data: MixedFreqData) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The balanced groups' constants at ``data`` (``balanced_constants``):
+    def balanced(self, data: MixedFreqData) -> list[tuple]:
+        """The balanced groups with their constants at ``data`` (``balanced_constants``):
         kept while ``data`` is the same object, otherwise formed in one call
         and kept in their place."""
         if self._last is None or self._last[0] is not data:
@@ -216,7 +216,7 @@ def companion_periods(
 
     The dense transition and intercept are built once for the call, and
     H H' once under a constant ``chol_cov`` (one batched product over the
-    periods under a time-varying one); the observation noise is zero.
+    periods under a time-varying one); the observation noise and c are zero.
     """
     n, dim = params.n, params.n * (params.p + 1)
     pattern = data.pattern
@@ -235,7 +235,7 @@ def companion_periods(
         mats = SystemMatrices(Z, np.zeros((n_obs, 0)), F1, np.zeros((dim, 0)), np.zeros(n_obs), Fc)
         noise = PeriodNoise(np.zeros((n_obs, dim)), HHt[t - start if tv else 0], np.zeros((n_obs, n_obs)))
         y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + q_rows]])
-        periods.append(PeriodSystem(mats, noise, mats.c0, Fc, y, t))
+        periods.append(PeriodSystem(mats, noise, t, y, Fc))
     return periods
 
 

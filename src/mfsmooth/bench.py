@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .model import AggregationScheme, intra_quarterly_average
+from .model import intra_quarterly_average
 from .simsmooth import draw_latent, _rng_for
 from .simulate import make_instance
 
@@ -60,15 +60,13 @@ def run_grid(
     warmup: int = 3,
     seed: int = 0,
     recipe: str = "bracket",
-    scheme: AggregationScheme | None = None,
 ) -> list[dict]:
-    scheme = scheme or intra_quarterly_average()
     rows = []
     for cell in cells:
         rng = _rng_for(seed, hash((cell.n, cell.n_q, cell.p)) & 0xFFFF)
         inst = make_instance(
             cell.n - cell.n_q, cell.n_q, cell.p, cell.T, cell.t_balanced,
-            rng, scheme=scheme, recipe=recipe,
+            rng, scheme=intra_quarterly_average(), recipe=recipe,
         )
         for backend in backends:
             ms = time_instance(inst, backend, reps=reps, warmup=warmup, seed=seed)

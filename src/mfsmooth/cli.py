@@ -112,8 +112,11 @@ def bench(config_path, seed, out_path) -> None:
     except (OSError, KeyError, ValueError, MfsmoothError) as exc:
         _fail(str(exc))
     cells = [bench_mod.BenchCell(n, n_q, p, T, t_b) for n in ns for p in ps]
-    rows = bench_mod.run_grid(cells, backends=backends, reps=reps, warmup=warmup,
-                              seed=seed, recipe=recipe)
+    try:
+        rows = bench_mod.run_grid(cells, backends=backends, reps=reps, warmup=warmup,
+                                  seed=seed, recipe=recipe)
+    except MfsmoothError as exc:
+        _fail(str(exc))
     bench_mod.write_bench_csv(out_path, rows)
     click.echo(f"wrote {out_path}")
     for row in bench_mod.relative_cost_table(rows):
@@ -139,9 +142,14 @@ def compare(archive_a, archive_b, tol) -> None:
     if a.size == 0:
         click.echo("max relative difference: 0 (empty archives)")
         return
+    bad = ~(np.isfinite(a) & np.isfinite(b))
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        click.echo(f"non-finite entry at (draw, t, var)={where}")
+        sys.exit(1)
     scale = np.maximum(np.abs(a), 1.0)
     rel = np.abs(a - b) / scale
-    worst = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(rel)), rel.shape))
     click.echo(f"max relative difference: {rel.max():.3e} at (draw, t, var)={worst}")
     if rel.max() > tol:
         sys.exit(1)

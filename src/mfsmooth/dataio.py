@@ -88,6 +88,8 @@ def scheme_from_config(config: dict) -> AggregationScheme:
     if kind == "skip_sampling":
         return skip_sampling()
     if kind == "custom":
+        if "weights" not in config:
+            raise ConfigurationError("aggregation = custom needs a 'weights' entry")
         weights = [float(w) for w in config["weights"].split(",")]
         return AggregationScheme("custom", np.array(weights), len(weights))
     raise ConfigurationError(f"unknown aggregation scheme {kind!r}")
@@ -105,8 +107,14 @@ def save_params(path: str | Path, params: VarParams) -> None:
     )
 
 
+PARAMS_KEYS = ("n_m", "n_q", "p", "intercept", "lag_coeffs", "chol_cov")
+
+
 def load_params(path: str | Path) -> VarParams:
     with np.load(path) as z:
+        missing = [k for k in PARAMS_KEYS if k not in z.files]
+        if missing:
+            raise ConfigurationError(f"{path}: parameter bundle lacks {', '.join(missing)}")
         return VarParams(
             int(z["n_m"]), int(z["n_q"]), int(z["p"]),
             z["intercept"], z["lag_coeffs"], z["chol_cov"],

@@ -131,8 +131,8 @@ def factorize_innovation(F: np.ndarray, t: int) -> tuple[np.ndarray, float]:
 
 def filter_step(P: np.ndarray, sys_t) -> CovEntry:
     """The covariance side of the measurement update at one period, from its
-    predicted covariance ``P``; ``sys_t`` has the period's ``mats``, ``noise``
-    and ``t`` (a ``PeriodSystem`` or a skeleton ``PeriodShape``)."""
+    predicted covariance ``P``; of the ``PeriodSystem`` ``sys_t`` it reads
+    ``mats``, ``noise`` and ``t``."""
     m, nz = sys_t.mats, sys_t.noise
     Z = m.Z
     HGt = nz.GHt.T
@@ -222,10 +222,9 @@ class CovariancePass:
         if not self._recurs[t]:
             entry = filter_step(P, self.periods[t])
         else:
-            raw = P.tobytes()
-            key = (self._keys[t], hash(raw))
+            key = (self._keys[t], P.tobytes())
             entry = self._seen.get(key)
-            if entry is not None and entry.P_pred.tobytes() == raw:
+            if entry is not None:
                 return entry
             entry = self._seen[key] = filter_step(P, self.periods[t])
         self.factorizations += entry.cf is not None
@@ -308,10 +307,11 @@ def run_filter(periods: list[PeriodSystem], init: FilterState, run: PassRun | No
         run = CovariancePass(periods, init.P).run(len(periods))
     steps = run.steps
     stop = len(steps)
-    ymc = [per.y - per.c for per in periods[:stop]]
+    # each shared group's y - c, stacked once for its gains and innovations
+    ymcs = [np.array([periods[t].ymc for t in ts]) for _, ts in run.shared]
     b: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
-    for step, ts in run.shared:
-        B = np.array([ymc[t] for t in ts]) @ step.K.T + np.array([periods[t + 1].d for t in ts])
+    for (step, ts), Y in zip(run.shared, ymcs):
+        B = Y @ step.K.T + np.array([periods[t + 1].d for t in ts])
         for j, t in enumerate(ts):
             b[t] = B[j]
     a_filt: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
@@ -327,18 +327,18 @@ def run_filter(periods: list[PeriodSystem], init: FilterState, run: PassRun | No
             continue
         # a step of its own: the measurement update, then the prediction
         e, dim = steps[t].entry, len(a)
-        v[t] = vt = ymc[t] - e.Z @ a
+        v[t] = vt = periods[t].ymc - e.Z @ a
         x = vt @ e.FinvMZ
         a_filt[t] = a = a + x[:dim]
         w[t] = x[dim:]
         if t + 1 < stop:
             per = periods[t + 1]
             a = per.mats.T @ a + per.d
-    for step, ts in run.shared:
+    for (step, ts), Y in zip(run.shared, ymcs):
         e = step.entry
         dim = e.P_pred.shape[0]
         At = np.array([A[t] for t in ts])
-        V = np.array([ymc[t] for t in ts]) - At @ e.Z.T
+        V = Y - At @ e.Z.T
         X = V @ e.FinvMZ
         Af = At + X[:, :dim]
         for j, t in enumerate(ts):

@@ -32,7 +32,6 @@ __all__ = [
     "build_adaptive_C",
     "adaptive_loadings",
     "PeriodNoise",
-    "PeriodShape",
     "Skeleton",
     "period_noise",
     "build_system_matrices",
@@ -219,17 +218,16 @@ def period_noise(G: np.ndarray, H: np.ndarray, Z: np.ndarray) -> list[PeriodNois
     return [PeriodNoise(*parts) for parts in zip(GHt, HHt, F_const)]
 
 
-@dataclass
-class PeriodSystem:
-    """One period: its structural matrices, noise products, constants and
-    observations."""
+class PeriodSystem(NamedTuple):
+    """One period: its structural matrices and noise products, all the
+    covariance pass reads, and in a draw's periods (``build_periods``) its
+    observations less their constant, y - c, and the state constant d."""
 
     mats: SystemMatrices
     noise: PeriodNoise
-    c: np.ndarray
-    d: np.ndarray
-    y: np.ndarray
     t: int
+    ymc: np.ndarray | None = None
+    d: np.ndarray | None = None
 
 
 def build_system_matrices(
@@ -275,25 +273,17 @@ def _index_for_period(pattern: ObservationPattern, n_m: int, n_q: int, t: int) -
     return AdaptiveIndex(u_t, o_t, u_prev, o_prev, n_m, n_q)
 
 
-class PeriodShape(NamedTuple):
-    """A period without its data: what the covariance pass reads."""
-
-    mats: SystemMatrices
-    noise: PeriodNoise
-    t: int
-
-
 class Skeleton(list):
-    """Every period's ``PeriodShape``, indexed by t, from ``period_skeleton``.
+    """Every period's ``PeriodSystem`` without data, indexed by t, from ``period_skeleton``.
 
     ``groups`` holds the periods grouped by their structural matrices: each
     group's ``SystemMatrices`` and its periods ascending, in order of first
     period.  It depends only on the pattern, so it is formed once with the
-    shapes.
+    records.
     """
 
-    def __init__(self, shapes: list[PeriodShape], groups: list[tuple[SystemMatrices, np.ndarray]]):
-        super().__init__(shapes)
+    def __init__(self, periods: list[PeriodSystem], groups: list[tuple[SystemMatrices, np.ndarray]]):
+        super().__init__(periods)
         self.groups = groups
 
     def grouped(self, stop: int) -> list[tuple[SystemMatrices, np.ndarray]]:
@@ -327,9 +317,9 @@ def _constants(mats: SystemMatrices, ts: np.ndarray, stacks: np.ndarray) -> tupl
     return X @ mats.C.T + mats.c0, X @ mats.D.T + mats.d0
 
 
-def balanced_constants(skeleton: Skeleton, data: MixedFreqData, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """c(y) and d(y) of each balanced group of ``skeleton.groups``, in their
-    order, from one set of lag stacks of the data.
+def balanced_constants(skeleton: Skeleton, data: MixedFreqData, p: int) -> list[tuple]:
+    """Each balanced group of ``skeleton.groups``, in order, with c(y) and
+    d(y) of its periods, ``(mats, ts, c, d)``, from one set of lag stacks.
 
     A balanced period's constants read only monthly lags of balanced
     periods, and a draw's pseudo sample holds those at zero
@@ -337,7 +327,7 @@ def balanced_constants(skeleton: Skeleton, data: MixedFreqData, p: int) -> list[
     arrays as they are.
     """
     stacks = _lag_stacks(data.values, p, data.n_m)
-    return [_constants(mats, ts, stacks) for mats, ts in skeleton.groups if not len(mats.idx.u_t)]
+    return [(mats, ts, *_constants(mats, ts, stacks)) for mats, ts in skeleton.groups if not len(mats.idx.u_t)]
 
 
 def build_periods(
@@ -345,7 +335,7 @@ def build_periods(
     skeleton: Skeleton,
     data: MixedFreqData,
     stop: int,
-    balanced: list[tuple[np.ndarray, np.ndarray]],
+    balanced: list[tuple],
     lags: np.ndarray | None = None,
 ) -> list[PeriodSystem]:
     """Periods 0..stop-1 of the adaptive formulation, stop >= t_balanced.
@@ -353,13 +343,13 @@ def build_periods(
     The structural matrices and noise products come from the skeleton
     (``period_skeleton``), built once per parameters and pattern, and so
     does the grouping of the periods by their structural matrices; this
-    adds what varies between draws: the observations, from ``data``, and
-    the constants, from the lagged observed monthly values (variable-major,
-    lags t-1..t-p, pre-sample lags zero).  The balanced groups take theirs
-    from ``balanced`` (``balanced_constants``), the arrays themselves; each
-    ragged-edge group gathers its lag stacks (``_lag_stacks``) and its
-    observations with one index each and forms its constants with one
-    product each.
+    adds what varies between draws: the constants c and d, from the lagged
+    observed monthly values (variable-major, lags t-1..t-p, pre-sample lags
+    zero), and y - c, from the observations in ``data``.  The balanced
+    groups and their constants are ``balanced`` (``balanced_constants``),
+    the arrays themselves; each ragged-edge group gathers its lag stacks
+    (``_lag_stacks``) with one index and forms c and d with one product
+    each.  Each group forms y - c with one gather and one subtraction.
 
     The edge constants read ``lags``, a (T, n_m) array, in place of the
     data's monthly values when given: on a draw's pseudo route ``data``
@@ -368,21 +358,16 @@ def build_periods(
     p, n_m, t_b = params.p, params.n_m, data.pattern.t_balanced
     if stop < t_b:
         raise ConfigurationError(f"the balanced constants need stop >= t_balanced={t_b}, got {stop}")
-    periods: list[PeriodSystem] = [None] * stop  # type: ignore[list-item]
-
-    def place(mats: SystemMatrices, ts: np.ndarray, cs: np.ndarray, ds: np.ndarray) -> None:
-        ys = data.values[ts[:, None], np.concatenate([mats.idx.o_t, n_m + mats.q_rows])]
-        for t, c, d, y in zip(ts.tolist(), cs, ds, ys):
-            periods[t] = PeriodSystem(mats, skeleton[t].noise, c, d, y, t)
-
-    groups = skeleton.grouped(stop)
-    edge = [(mats, ts) for mats, ts in groups if len(mats.idx.u_t)]
-    for (mats, ts), (cs, ds) in zip([g for g in groups if not len(g[0].idx.u_t)], balanced):
-        place(mats, ts, cs, ds)
+    groups = list(balanced)
+    edge = [(mats, ts) for mats, ts in skeleton.grouped(stop) if len(mats.idx.u_t)]
     if edge:
         stacks = _lag_stacks(data.values if lags is None else lags, p, n_m)
-        for mats, ts in edge:
-            place(mats, ts, *_constants(mats, ts, stacks))
+        groups += [(mats, ts, *_constants(mats, ts, stacks)) for mats, ts in edge]
+    periods: list[PeriodSystem] = [None] * stop  # type: ignore[list-item]
+    for mats, ts, cs, ds in groups:
+        ymc = data.values[ts[:, None], np.concatenate([mats.idx.o_t, n_m + mats.q_rows])] - cs
+        for t, row, d in zip(ts.tolist(), ymc, ds):
+            periods[t] = PeriodSystem(mats, skeleton[t].noise, t, row, d)
     return periods
 
 
@@ -405,7 +390,7 @@ def period_skeleton(
     keys: dict[bytes, list[int]] = {}
     for t in range(pattern.T):
         keys.setdefault(rows[t].tobytes(), []).append(t)
-    shapes: list[PeriodShape] = [None] * pattern.T  # type: ignore[list-item]
+    periods: list[PeriodSystem] = [None] * pattern.T  # type: ignore[list-item]
     groups = []
     for ts in keys.values():
         idx = _index_for_period(pattern, params.n_m, params.n_q, ts[0])
@@ -415,6 +400,6 @@ def period_skeleton(
         if not params.time_varying_cov:
             noise *= len(ts)
         for t, part in zip(ts, noise):
-            shapes[t] = PeriodShape(mats, part, t)
+            periods[t] = PeriodSystem(mats, part, t)
         groups.append((mats, np.array(ts)))
-    return Skeleton(shapes, groups)
+    return Skeleton(periods, groups)

@@ -1,6 +1,7 @@
 import os
 
 import numpy as np
+import pytest
 import scipy
 from click.testing import CliRunner
 
@@ -85,6 +86,23 @@ class TestSmooth:
         assert res.exit_code == 2
         assert "aggregation weights have non-finite entries" in res.output
 
+    def test_custom_without_weights_exits_2(self, tmp_path):
+        data, params = simulate_instance(tmp_path)
+        cfg = tmp_path / "custom.cfg"
+        write_config(cfg, {"aggregation": "custom"})
+        res = run(["smooth", str(data), str(params), "--config", str(cfg), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert "'weights'" in res.output
+
+    def test_params_without_chol_cov_exits_2(self, tmp_path):
+        data, params_path = simulate_instance(tmp_path)
+        with np.load(params_path) as z:
+            kept = {k: z[k] for k in z.files if k != "chol_cov"}
+        np.savez(params_path, **kept)
+        res = run(["smooth", str(data), str(params_path), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert "lacks chol_cov" in res.output
+
     def test_missing_data_file_exits_2(self, tmp_path):
         _, params = simulate_instance(tmp_path)
         res = run(["smooth", str(tmp_path / "none.csv"), str(params)])
@@ -108,6 +126,32 @@ class TestCompare:
         write_archive(pb, b, 1)
         res = run(["compare", str(pa), str(pb), "--tol", "1e-8"])
         assert res.exit_code == 1
+
+    def test_location_prints_plain_integers(self, tmp_path):
+        a = np.zeros((2, 6, 3))
+        b = a.copy()
+        b[1, 3, 1] = 1e-4
+        pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_archive(pa, a, 1)
+        write_archive(pb, b, 1)
+        res = run(["compare", str(pa), str(pb), "--tol", "1e-8"])
+        assert "max relative difference: 1.000e-04 at (draw, t, var)=(1, 3, 1)" in res.output
+
+    @pytest.mark.parametrize("both", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_exits_1(self, tmp_path, both, value):
+        a = np.random.default_rng(0).normal(size=(2, 6, 3))
+        b = a.copy()
+        b[0, 4, 2] = value
+        if both:
+            a[0, 4, 2] = value
+        pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_archive(pa, a, 1)
+        write_archive(pb, b, 1)
+        for args in ([str(pa), str(pb)], [str(pb), str(pa)]):
+            res = run(["compare", *args, "--tol", "1e-8"])
+            assert res.exit_code == 1
+            assert "non-finite entry at (draw, t, var)=(0, 4, 2)" in res.output
 
     def test_loose_tolerance_passes(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -179,3 +223,18 @@ class TestBench:
         assert lines[1].split(",")[:3] == ["n", "n_q", "p"]
         assert len(lines) == 5  # header comment + columns + 3 backends
         assert "adaptive/baseline=" in res.output
+
+    @pytest.mark.parametrize("override,message", [
+        ({"backends": "adaptive,bogus"}, "unknown backend 'bogus'"),
+        ({"p_list": "2"}, "lag order p=2 must be >= aggregation lag count p_q=3"),
+        ({"n_list": "2"}, "missingness recipe needs 2 monthly variables, have 1"),
+    ])
+    def test_grid_the_config_cannot_run_exits_2(self, tmp_path, override, message):
+        cfg = tmp_path / "bench.cfg"
+        write_config(cfg, {
+            "n_list": "8", "p_list": "3", "n_q": 1, "T": 24, "t_balanced": 22,
+            "reps": 1, "warmup": 0, **override,
+        })
+        res = run(["bench", "--config", str(cfg), "--out", str(tmp_path / "bench.csv")])
+        assert res.exit_code == 2
+        assert message in res.output

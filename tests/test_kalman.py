@@ -28,7 +28,7 @@ from test_model import random_params
 def make_period(Z, c, G, T, d, H, y, t=0):
     n_obs, dim = Z.shape
     mats = SystemMatrices(Z=Z, C=np.zeros((n_obs, 0)), T=T, D=np.zeros((dim, 0)), c0=c, d0=d)
-    return PeriodSystem(mats, period_noise(G[None], H[None], Z)[0], c, d, y, t)
+    return PeriodSystem(mats, period_noise(G[None], H[None], Z)[0], t, y - c, d)
 
 
 def single_steps(steps):

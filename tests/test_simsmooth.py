@@ -510,7 +510,7 @@ class TestDataPart:
         assert plan_for(params, SCHEMES["average"], data).balanced(data) is consts
 
     def test_warm_draw_takes_the_data_part_arrays(self, monkeypatch):
-        # a balanced period's c and d are rows of the plan's arrays, not copies
+        # a balanced period's d is a row of the plan's array, not a copy
         scheme = SCHEMES["custom"]
         params, data = self.instance(scheme, True)
         built = []
@@ -527,14 +527,12 @@ class TestDataPart:
         for backend in BACKENDS:
             draw_latent(params, scheme, data, backend, seed=2)
         assert plan_for(params, scheme, data).balanced(data) is consts
-        groups = [mats for mats, _ in plan.skeleton.groups if not len(mats.idx.u_t)]
-        by_mats = dict(zip(map(id, groups), consts))
+        by_mats = {id(mats): ds for mats, _, _, ds in consts}
         for periods in built:
             balanced = [per for per in periods if not len(per.mats.idx.u_t)]
             assert len(balanced) == data.pattern.t_balanced
             for per in balanced:
-                cs, ds = by_mats[id(per.mats)]
-                assert per.c.base is cs and per.d.base is ds
+                assert per.d.base is by_mats[id(per.mats)]
 
     def test_pseudo_path_needs_the_balanced_sample(self):
         params, data = self.instance(SCHEMES["average"], False)

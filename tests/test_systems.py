@@ -297,7 +297,8 @@ class TestExogVector:
         for per in periods[params.p :]:
             idx = per.mats.idx
             n_o, s = len(idx.o_t), idx.head_size
-            assert_allclose(per.c[:n_o], self.direct(params, values, per.t, idx.o_t, idx.o_prev), rtol=1e-13)
+            y = values[per.t, idx.o_t]
+            assert_allclose(per.ymc[:n_o], y - self.direct(params, values, per.t, idx.o_t, idx.o_prev), rtol=1e-13)
             assert_allclose(per.d[:s], self.direct(params, values, per.t, idx.head_vars(), idx.o_prev), rtol=1e-13)
         # variable 2 turns latent at t = 4: the lower state rows take its
         # observed lags t-1..t-p straight from the data
@@ -332,8 +333,7 @@ class TestExogVector:
                 for lag in range(1, min(p, per.t) + 1):
                     ex[pos * p + lag - 1] = values[per.t - lag, v]
             y = np.concatenate([values[per.t, idx.o_t], values[per.t, 3 + per.mats.q_rows]])
-            assert_array_equal(per.y, y)
-            assert_allclose(per.c, per.mats.c0 + per.mats.C @ ex, rtol=1e-13, atol=1e-15)
+            assert_allclose(per.ymc, y - (per.mats.c0 + per.mats.C @ ex), rtol=1e-13, atol=1e-15)
             assert_allclose(per.d, per.mats.d0 + per.mats.D @ ex, rtol=1e-13, atol=1e-15)
         # the edge periods t = 8, 10, 11 are groups of one with o_prev != all
         lone = [per.t for per in periods if sum(q.mats is per.mats for q in periods) == 1]
@@ -344,10 +344,10 @@ class TestExogVector:
         params, values, periods = built
         all_m = np.arange(3)
         head = np.arange(4)
-        assert_array_equal(periods[0].c[:3], params.intercept[:3])
+        assert_array_equal(periods[0].ymc[:3], values[0, :3] - params.intercept[:3])
         assert_array_equal(periods[0].d[:1], params.intercept[3:])
         for per in periods[1 : params.p]:
-            assert_allclose(per.c[:3], self.direct(params, values, per.t, all_m, all_m), rtol=1e-13)
+            assert_allclose(per.ymc[:3], values[per.t, :3] - self.direct(params, values, per.t, all_m, all_m), rtol=1e-13)
             assert_allclose(per.d[:1], self.direct(params, values, per.t, head[3:], all_m), rtol=1e-13)
 
 
