@@ -21,6 +21,8 @@ from .kalman import (
     CovariancePass,
     FilterResult,
     FilterState,
+    MeanBand,
+    Means,
     init_state,
     quarterly_state_index,
     run_filter,
@@ -28,6 +30,7 @@ from .kalman import (
 )
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams, build_aggregation
 from .systems import (
+    DrawPeriods,
     PeriodNoise,
     PeriodSystem,
     Skeleton,
@@ -99,13 +102,15 @@ def check_pattern(params: VarParams, data: MixedFreqData) -> None:
 class Plan:
     """What every draw for one (parameters, aggregation, pattern) shares:
     the expanded aggregation, the initial quarterly state, the period
-    skeleton (structural matrices and noise products) and the reduced
-    filter's covariance pass over it.  ``scheme`` is the aggregation
-    argument as the caller passed it and ``init_key`` the ``(init_mode,
-    kappa)`` pair; with ``params`` they decide whether the plan can be
-    reused.  Every run of the pass leaves its last step open: the edge
-    backends continue from the reduced filtered state at t_b-1 placed in
-    the stacked one (``compact_to_companion``).
+    skeleton (structural matrices and noise products), the reduced
+    filter's covariance pass over it and that pass's band over the balanced
+    periods (``MeanBand``), which every backend's mean pass reads.
+    ``scheme`` is the aggregation argument as the caller passed it and
+    ``init_key`` the ``(init_mode, kappa)`` pair; with ``params`` they
+    decide whether the plan can be reused.  Every run of the pass leaves
+    its last step open: the edge backends continue from the reduced
+    filtered state at t_b-1 placed in the stacked one
+    (``compact_to_companion``).
 
     ``_last`` holds the data object the plan last ran on and its balanced
     periods' constants, which every draw and smoothed mean on that object
@@ -119,6 +124,7 @@ class Plan:
     init: FilterState
     skeleton: Skeleton
     cov: CovariancePass
+    band: MeanBand
     _last: tuple[MixedFreqData, list] | None = field(default=None, init=False, repr=False, compare=False)
 
     def balanced(self, data: MixedFreqData) -> list[tuple]:
@@ -143,8 +149,8 @@ def plan_for(
     aggregation are the same objects and ``(init_mode, kappa)`` is equal;
     otherwise a new plan is built and replaces it there.  A new plan runs
     the covariance pass over the balanced sample, which every backend
-    shares; the adaptive backend extends it over the ragged edge on first
-    use.
+    shares, and forms its band; the adaptive backend extends the pass over
+    the ragged edge on first use.
     """
     pattern = data.pattern
     plan = pattern._plan
@@ -155,21 +161,22 @@ def plan_for(
     check_pattern(params, data)
     init = init_state(params, init_mode, kappa)
     skeleton = period_skeleton(params, expanded, pattern)
-    plan = Plan(params, agg, init_key, expanded, init, skeleton, CovariancePass(skeleton, init.P))
-    plan.cov.extend(pattern.t_balanced)
+    cov = CovariancePass(skeleton, init.P)
+    band = MeanBand(cov.run(pattern.t_balanced).steps, [ts for _, ts in skeleton.balanced])
+    plan = Plan(params, agg, init_key, expanded, init, skeleton, cov, band)
     object.__setattr__(pattern, "_plan", plan)
     return plan
 
 
-def fill_states(x: np.ndarray, states: list[np.ndarray], periods: list[PeriodSystem], t_b: int) -> None:
+def fill_states(x: np.ndarray, states: Means, periods: DrawPeriods) -> None:
     """Write each period's smoothed head (latent monthly and quarterly) into
-    x: one assignment for the balanced periods 0..t_b-1, whose head is the
-    quarterly variables, and one per ragged-edge period after them."""
+    x: one assignment from the rows of the balanced periods, whose head is
+    the quarterly variables, and one per ragged-edge period after them."""
     n_q = periods[0].mats.idx.n_q
-    x[:t_b, x.shape[1] - n_q :] = np.array(states[:t_b])[:, :n_q]
-    for per in periods[t_b:]:
+    x[: len(states.head), x.shape[1] - n_q :] = states.head[:, :n_q]
+    for per, state in zip(periods.edge, states.tail):
         idx = per.mats.idx
-        x[per.t, idx.head_vars()] = states[per.t][: idx.head_size]
+        x[per.t, idx.head_vars()] = state[: idx.head_size]
 
 
 def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
@@ -190,7 +197,7 @@ def compact_to_companion(params: VarParams, data: MixedFreqData, reduced: Filter
     a = np.zeros((p + 1, n))
     a[:, : params.n_m] = data.values[t_b - 1 - p : t_b, : params.n_m][::-1]
     a = a.reshape(-1)
-    a[qi] = reduced.a_filt[-1]
+    a[qi] = reduced.a_filt.head[-1]
     P = np.zeros((len(a), len(a)))
     P[np.ix_(qi, qi)] = reduced.run.steps[-1].entry.P_filt
     return FilterState(a, P)
@@ -248,7 +255,7 @@ def dense_edge(
     periods = companion_periods(params, agg, data, data.pattern.t_balanced)
     res = run_filter(periods, start)
     states, r = run_smoother(periods, res)
-    return np.array([a[: params.n] for a in states]), r, res.run.worst_cond
+    return np.array([a[: params.n] for a in states.tail]), r, res.run.worst_cond
 
 
 def smooth(
@@ -292,7 +299,7 @@ def smooth(
         lags = data.values[:, : params.n_m] - pseudo.x_plus[:, : params.n_m]
     periods = build_periods(params, plan.skeleton, obs, stop, plan.balanced(data), lags)
     cov = plan.cov.run(stop)
-    res = run_filter(periods, plan.init, cov)
+    res = run_filter(periods, plan.init, cov, plan.band)
     heads = r = None
     worst_cond = cov.worst_cond
     if stop < T:
@@ -308,7 +315,7 @@ def smooth(
     x = np.zeros((T, params.n))
     if heads is not None:
         x[t_b:] = heads
-    fill_states(x, states, periods, t_b)
+    fill_states(x, states, periods)
     if pseudo is None:
         fill_observed(x, data)
     stats = RunStats(compact_steps=t_b, factorizations=plan.cov.pop_factorizations(),

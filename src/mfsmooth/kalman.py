@@ -17,6 +17,15 @@ entered a cycle.  Each draw then runs only the mean pass over y - c,
 and the smoother restarts there from an adjoint of the last filtered state
 (zero by default), as a caller that continues on another state space hands
 it back.
+
+Over a draw's balanced periods the state dimension is constant, and the
+mean pass is two banded triangular solves (``MeanBand``, after Chan and
+Jeliazkov 2009): the predicted means solve one unit lower block-bidiagonal
+system and the adjoints its transpose, each one LAPACK ``dtbtrs`` call.
+Every other term is one product per structural group or per shared step.
+The ragged edge, whose state grows, and the balanced sample's last period,
+where a run closes onto the edge or restarts from a caller's adjoint, take
+per-period steps.
 """
 
 from __future__ import annotations
@@ -25,11 +34,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.lapack import dpotrf, dpotrs, dtbtrs
 
 from .errors import InitializationError, SingularInnovationError
 from .model import VarParams
-from .systems import PeriodSystem
+from .systems import BalancedGroup, DrawPeriods, PeriodSystem
 
 __all__ = [
     "FilterState",
@@ -37,6 +47,8 @@ __all__ = [
     "CovStep",
     "CovariancePass",
     "PassRun",
+    "MeanBand",
+    "Means",
     "FilterResult",
     "factorize_innovation",
     "filter_step",
@@ -81,8 +93,11 @@ class CovEntry:
     predicted covariance ``P_pred``, never on the data.  ``cf`` is the lower
     Cholesky factor of the innovation covariance F and ``cond`` its squared
     ratio of largest to smallest diagonal entry (None and 0 when nothing is
-    observed).  ``FinvMZ`` is ``F^-1 [M', Z]`` with ``M = P_pred Z' + H G'``:
-    one product with it gives a period's filtered mean and ``Z' F^-1 v``.
+    observed).  ``FinvMZ`` is ``F^-1 [M', Z]`` with ``M = P_pred Z' + H G'``
+    (``M``, None when nothing is observed): one product with it gives a
+    period's filtered mean and ``Z' F^-1 v``.  The filtered covariance ``P_filt`` is
+    formed on its first read, as nothing reads it in a run's open last step
+    but a caller that continues from there.
     """
 
     P_pred: np.ndarray
@@ -91,11 +106,18 @@ class CovEntry:
     cf: np.ndarray | None
     cond: float
     FinvMZ: np.ndarray
-    P_filt: np.ndarray
+    M: np.ndarray | None
+    _P_filt: np.ndarray | None = None
 
     @property
     def MFinv(self) -> np.ndarray:
         return self.FinvMZ[:, : self.P_pred.shape[0]].T
+
+    @property
+    def P_filt(self) -> np.ndarray:
+        if self._P_filt is None:
+            self._P_filt = self.P_pred if self.M is None else _sym(self.P_pred - self.MFinv @ self.M.T)
+        return self._P_filt
 
 
 @dataclass(eq=False, slots=True)
@@ -138,7 +160,7 @@ def filter_step(P: np.ndarray, sys_t) -> CovEntry:
     HGt = nz.GHt.T
     dim = P.shape[0]
     if m.n_obs == 0:
-        return CovEntry(P, Z, HGt, None, 0.0, np.zeros((0, 2 * dim)), P)
+        return CovEntry(P, Z, HGt, None, 0.0, np.zeros((0, 2 * dim)), None)
     M = P @ Z.T + HGt
     # direct LAPACK calls with Fortran-ordered operands: wrapper or copy
     # overhead is measurable when a pass computes hundreds of entries
@@ -149,7 +171,7 @@ def filter_step(P: np.ndarray, sys_t) -> CovEntry:
     sol, info = dpotrs(cf, rhs, lower=1, overwrite_b=1)
     if info != 0:
         raise SingularInnovationError(sys_t.t)
-    return CovEntry(P, Z, HGt, cf, cond, sol, _sym(P - sol[:, :dim].T @ M.T))
+    return CovEntry(P, Z, HGt, cf, cond, sol, M)
 
 
 def _predict_cov(P: np.ndarray, Tm: np.ndarray, HHt: np.ndarray | float) -> np.ndarray:
@@ -163,15 +185,12 @@ def _close(entry: CovEntry, Tm: np.ndarray, succ: CovEntry | None) -> CovStep:
 
 @dataclass(eq=False)
 class PassRun:
-    """The steps of periods 0..stop-1 of a covariance pass: the groups of
-    two or more periods that share a step, and per period whether its step
-    is its own (``lone``).  ``reused`` periods share an earlier period's
-    entry and ``worst_cond`` is the largest condition ratio among their
-    factorizations.  The last step is open."""
+    """The steps of periods 0..stop-1 of a covariance pass.  ``reused``
+    periods share an earlier period's entry and ``worst_cond`` is the
+    largest condition ratio among their factorizations.  The last step is
+    open."""
 
     steps: list[CovStep]
-    shared: list[tuple[CovStep, list[int]]]
-    lone: list[bool]
     reused: int
     worst_cond: float
 
@@ -261,118 +280,215 @@ class CovariancePass:
     def _make_run(self, stop: int) -> PassRun:
         last = CovStep(self.extend(stop))
         steps = [*self._steps[: stop - 1], last]
-        # only periods whose (mats, noise) pair recurs share entries, and
-        # only steps into them are shared
-        recurs = self._recurs
-        groups: dict[int, tuple[CovStep, list[int]]] = {}
-        for t in range(stop - 1):
-            if recurs[t + 1]:
-                groups.setdefault(id(steps[t]), (steps[t], []))[1].append(t)
-        shared = [g for g in groups.values() if len(g[1]) > 1]
-        lone = [True] * stop
-        for _, ts in shared:
-            for t in ts:
-                lone[t] = False
-        cycled = [id(steps[t].entry) for t in range(stop) if recurs[t]]
+        # only periods whose (mats, noise) pair recurs share entries
+        cycled = [id(steps[t].entry) for t in range(stop) if self._recurs[t]]
         worst = max(step.entry.cond for step in steps)
-        return PassRun(steps, shared, lone, len(cycled) - len(set(cycled)), worst)
+        return PassRun(steps, len(cycled) - len(set(cycled)), worst)
+
+
+def _distinct(objs: list) -> tuple[list, np.ndarray]:
+    """The distinct objects of ``objs`` by identity, in order of first
+    appearance, and each item's position among them."""
+    index: dict[int, int] = {}
+    which = np.array([index.setdefault(id(o), len(index)) for o in objs], dtype=np.intp)
+    return list({id(o): o for o in objs}.values()), which
+
+
+class _RowProducts:
+    """The products ``x_j O_j`` of the rows ``x_j`` of a matrix with per-row
+    operands ``O_j = ops[which[j]]``: one product for the rows of each
+    operand that two or more rows share, one batched matmul for the rows
+    with one of their own."""
+
+    def __init__(self, ops: np.ndarray, which: np.ndarray):
+        counts = np.bincount(which, minlength=len(ops))
+        own = counts[which] == 1
+        self.lone = np.flatnonzero(own)
+        picked = which[own]
+        # ``ops`` itself when the lone rows take every operand in order
+        self.lone_ops = ops if np.array_equal(picked, np.arange(len(ops))) else ops[picked]
+        order = np.argsort(which, kind="stable")
+        ends = np.cumsum(counts)
+        self.shared = [(order[ends[i] - counts[i] : ends[i]], ops[i]) for i in np.flatnonzero(counts > 1)]
+        self.cols = ops.shape[2]
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        out = np.empty((len(X), self.cols))
+        for rows, op in self.shared:
+            out[rows] = X[rows] @ op
+        out[self.lone] = np.matmul(X[self.lone, None, :], self.lone_ops)[:, 0]
+        return out
+
+
+class MeanBand:
+    """What the mean pass over a draw's balanced periods 0..t_b-1 reads of
+    the covariance side, formed once per plan from its steps.
+
+    The state dimension k is constant there, so the predicted means solve
+    one unit lower block-bidiagonal system with ``-L_t`` at block (t+1, t),
+    and the adjoints its transpose.  ``ab`` is that matrix in LAPACK band
+    storage, bandwidth 2k - 1; its unit diagonal is implied.  ``groups``
+    holds, per balanced structural group (``Skeleton.balanced``), its
+    periods, those before t_b-1 (whose steps are the band's) and the
+    products its rows take (``_RowProducts``): ``K_t'`` for the forward
+    right-hand side, ``F^-1 [M', Z]`` for the measurement update and
+    ``(P_pred L_t' - H G' K_t')'`` for the smoothed mean.
+    """
+
+    def __init__(self, steps: list[CovStep], groups: list[np.ndarray]):
+        self.t_b = t_b = sum(len(ts) for ts in groups)
+        self.k = k = steps[0].entry.P_pred.shape[0]
+        own, which = _distinct(steps[: t_b - 1])
+        L = np.array([step.L for step in own]).reshape(len(own), k, k)
+        self.ab = np.zeros((2 * k, t_b * k), order="F")
+        # column j = t k + c holds -L_t[:, c] from row k - c; in column-major
+        # order block column t is 2k^2 consecutive values with column c at
+        # 2k c, so one strided view places -L_t' for every t
+        flat = self.ab.T.reshape(-1)
+        i = flat.itemsize
+        below = as_strided(flat[k:], (t_b - 1, k, k), (2 * k * k * i, (2 * k - 1) * i, i))
+        np.negative(L[which].transpose(0, 2, 1), out=below)
+        self.groups = [self._group(steps, ts, own, which, L) for ts in groups]
+
+    def _group(self, steps: list[CovStep], ts: np.ndarray, own: list, which: np.ndarray, L: np.ndarray) -> tuple:
+        """One group's rows and products; ``own`` are the band's distinct
+        steps, ``which`` each band period's among them and ``L`` theirs."""
+        k = self.k
+        n_obs = steps[ts[0]].entry.Z.shape[0]
+        entries, rows = _distinct([steps[t].entry for t in ts])
+        update = _RowProducts(np.array([e.FinvMZ for e in entries]).reshape(len(entries), n_obs, 2 * k), rows)
+        closed = ts[: np.searchsorted(ts, self.t_b - 1)]
+        used, rows = np.unique(which[closed], return_inverse=True)
+        K = np.array([own[i].K for i in used]).reshape(len(used), k, n_obs)
+        P = np.array([own[i].entry.P_pred for i in used]).reshape(len(used), k, k)
+        HGt = np.array([own[i].entry.HGt for i in used]).reshape(len(used), k, n_obs)
+        smooth = _RowProducts(L[used] @ P - K @ HGt.transpose(0, 2, 1), rows)
+        return ts, closed, _RowProducts(K.transpose(0, 2, 1), rows), update, smooth
+
+    def _solve(self, rhs: np.ndarray, trans: str) -> np.ndarray:
+        if not self.k:
+            return rhs
+        x, _ = dtbtrs(self.ab, rhs.reshape(-1, 1), uplo="L", trans=trans, diag="U", overwrite_b=1)
+        return x.reshape(rhs.shape)
+
+    def filter(self, groups: list[BalancedGroup], a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The filtered means and w of the balanced periods, rows of two
+        (t_b, k) arrays; ``a0`` is period 0's predicted mean less its d.
+
+        The right-hand side of the band system is ``a0 + d_0`` and then
+        ``K_t (y_t - c_t) + d_{t+1}``; the measurement update is one product
+        with Z per group, then ``_RowProducts``."""
+        k = self.k
+        rhs = np.empty((self.t_b, k))
+        rhs[0] = a0
+        for g, (_, closed, gain, _, _) in zip(groups, self.groups):
+            rhs[closed + 1] = gain(g.ymc[: len(closed)])
+        for g in groups:
+            rhs[g.ts] += g.d
+        A = self._solve(rhs, "N")
+        A_filt = np.empty_like(A)
+        W = np.empty_like(A)
+        for g, (ts, _, _, update, _) in zip(groups, self.groups):
+            At = A[ts]
+            X = update(g.ymc - At @ g.mats.Z.T)
+            A_filt[ts] = At + X[:, :k]
+            W[ts] = X[:, k:]
+        return A_filt, W
+
+    def smooth(self, A_filt: np.ndarray, W: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The smoothed means of the balanced periods as rows, the last row
+        left for the caller, and the adjoint of period 0's predicted mean.
+
+        ``r`` is the adjoint of period t_b-1's predicted mean.  The adjoints
+        of the earlier ones, ``r_{t-1} = L_t' r_t + w_t``, solve the
+        transposed band system."""
+        rhs = W.copy()
+        rhs[-1] = r
+        x = self._solve(rhs, "T")
+        states = np.empty_like(A_filt)
+        for _, closed, _, _, smooth in self.groups:
+            states[closed] = A_filt[closed] + smooth(x[closed + 1])
+        return states, x[0]
+
+
+@dataclass(frozen=True)
+class Means:
+    """Per-period vectors of a mean pass: those of a draw's balanced periods
+    as the rows of ``head`` (no rows in a run of per-period records only),
+    and one per later period in ``tail``."""
+
+    head: np.ndarray
+    tail: list[np.ndarray]
 
 
 @dataclass(eq=False)
 class FilterResult:
-    """One draw's forward mean pass: per period the filtered mean, the
-    innovation ``v`` and ``w = Z' F^-1 v``."""
+    """One draw's forward mean pass: the filtered means and
+    ``w = Z' F^-1 v`` (``Means``), and the innovations ``v`` of the periods
+    in their tails.  ``band`` is the balanced periods' ``MeanBand``, None
+    when there are none."""
 
     run: PassRun
-    a_filt: list[np.ndarray]
+    a_filt: Means
     v: list[np.ndarray]
-    w: list[np.ndarray]
+    w: Means
+    band: MeanBand | None = None
 
 
-def run_filter(periods: list[PeriodSystem], init: FilterState, run: PassRun | None = None) -> FilterResult:
+def _filter_steps(steps: list[CovStep], periods: list[PeriodSystem], a: np.ndarray) -> tuple[list, list, list]:
+    """The per-period forward pass from ``a``, the filtered mean before the
+    first period: per period the prediction through its transition, then
+    the measurement update.  Returns the filtered means, v and w."""
+    a_filt, v, w = [], [], []
+    for step, per in zip(steps, periods):
+        a = per.mats.T @ a + per.d
+        e, dim = step.entry, len(a)
+        v.append(per.ymc - e.Z @ a)
+        x = v[-1] @ e.FinvMZ
+        a = a + x[:dim]
+        a_filt.append(a)
+        w.append(x[dim:])
+    return a_filt, v, w
+
+
+def run_filter(
+    periods: list[PeriodSystem] | DrawPeriods,
+    init: FilterState,
+    run: PassRun | None = None,
+    band: MeanBand | None = None,
+) -> FilterResult:
     """The forward mean pass over a run of periods:
     ``a_{t+1} = L_t a_t + K_t (y_t - c_t) + d_{t+1}``.
 
     ``init`` is the state distribution before the first period, which
     predicts through its own transition.  ``run`` is the covariance side
-    (``CovariancePass.run``); without one the run computes its own from
-    ``init.P``.  Only the state recursion runs period by period: for periods
-    that share a step, each other term is one product per group.  A period
-    with a step of its own (every period under a time-varying ``chol_cov``)
-    takes the measurement update and the prediction through the next
-    transition as matrix-vector products instead, which cost less than a
-    group of one.
+    (``CovariancePass.run``); without one a list of periods computes its
+    own from ``init.P``.  On a draw's periods (``build_periods``) the
+    balanced ones take the products and the solve of ``band``, the
+    ``MeanBand`` of ``run``'s balanced steps (``MeanBand.filter``), and the
+    ragged-edge periods after them per-period steps; any other list of
+    periods takes per-period steps throughout.
     """
-    if run is None:
-        run = CovariancePass(periods, init.P).run(len(periods))
-    steps = run.steps
-    stop = len(steps)
-    # each shared group's y - c, stacked once for its gains and innovations
-    ymcs = [np.array([periods[t].ymc for t in ts]) for _, ts in run.shared]
-    b: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
-    for (step, ts), Y in zip(run.shared, ymcs):
-        B = Y @ step.K.T + np.array([periods[t + 1].d for t in ts])
-        for j, t in enumerate(ts):
-            b[t] = B[j]
-    a_filt: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
-    v: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
-    w: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
-    A: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
-    per = periods[0]
-    a = per.mats.T @ init.a + per.d
-    for t in range(stop):
-        if not run.lone[t]:
-            A[t] = a
-            a = steps[t].L @ a + b[t]
-            continue
-        # a step of its own: the measurement update, then the prediction
-        e, dim = steps[t].entry, len(a)
-        v[t] = vt = periods[t].ymc - e.Z @ a
-        x = vt @ e.FinvMZ
-        a_filt[t] = a = a + x[:dim]
-        w[t] = x[dim:]
-        if t + 1 < stop:
-            per = periods[t + 1]
-            a = per.mats.T @ a + per.d
-    for (step, ts), Y in zip(run.shared, ymcs):
-        e = step.entry
-        dim = e.P_pred.shape[0]
-        At = np.array([A[t] for t in ts])
-        V = Y - At @ e.Z.T
-        X = V @ e.FinvMZ
-        Af = At + X[:, :dim]
-        for j, t in enumerate(ts):
-            a_filt[t] = Af[j]
-            v[t] = V[j]
-            w[t] = X[j, dim:]
-    return FilterResult(run, a_filt, v, w)
+    if not isinstance(periods, DrawPeriods):
+        if run is None:
+            run = CovariancePass(periods, init.P).run(len(periods))
+        none = np.zeros((0, 0))
+        a_filt, v, w = _filter_steps(run.steps, periods, init.a)
+        return FilterResult(run, Means(none, a_filt), v, Means(none, w))
+    groups = periods.groups
+    A_filt, W = band.filter(groups, groups[0].mats.T @ init.a)
+    a_filt, v, w = _filter_steps(run.steps[band.t_b :], periods.edge, A_filt[-1])
+    return FilterResult(run, Means(A_filt, a_filt), v, Means(W, w), band)
 
 
-def run_smoother(
-    periods: list[PeriodSystem],
-    filtered: FilterResult,
-    r_init: np.ndarray | None = None,
+def _smooth_steps(
+    steps: list[CovStep], a_filt: list[np.ndarray], w: list[np.ndarray], r_init: np.ndarray | None
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """The backward mean pass over the periods of ``filtered``; returns the
-    smoothed state means and the final adjoint r_0.
-
-    ``r_{t-1} = L_t' r_t + Z_t' F_t^-1 v_t`` runs per period; the smoothed
-    means ``a_filt + P_pred L_t' r_t - H G' K_t' r_t`` are one product per
-    group of periods that share a step.  The last period's step is open:
-    ``r_init`` is the adjoint of its filtered state, which a caller that
-    continued past it hands back, so its smoothed mean is
-    ``a_filt + P_filt r_init`` and the adjoint before it
-    ``r_init - Z' F^-1 M' r_init + Z' F^-1 v``.  Without one the adjoint is
-    zero there and the smoothed mean is the filtered one.
-    """
-    run = filtered.run
-    steps, a_filt, w = run.steps, filtered.a_filt, filtered.w
-    stop = len(steps)
-    states: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
-    R: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
-    Ltr: list[np.ndarray] = [None] * stop  # type: ignore[list-item]
-    lone = run.lone
-    last = stop - 1
+    """The per-period backward pass over ``steps``, the last open; returns
+    the smoothed means and the adjoint of the first period's predicted
+    mean."""
+    last = len(steps) - 1
+    states: list[np.ndarray] = [None] * len(steps)  # type: ignore[list-item]
     if r_init is None:
         states[last], r = a_filt[last], w[last]
     else:
@@ -381,20 +497,43 @@ def run_smoother(
         r = r_init - e.Z.T @ (e.MFinv.T @ r_init) + w[last]
     for t in range(last - 1, -1, -1):
         step = steps[t]
-        ltr = step.L.T @ r
-        if lone[t]:
-            e = step.entry
-            states[t] = a_filt[t] + e.P_pred @ ltr - e.HGt @ (step.K.T @ r)
-        else:
-            R[t], Ltr[t] = r, ltr
-        r = ltr + w[t]
-    for step, ts in run.shared:
         e = step.entry
-        sm = np.array([a_filt[t] for t in ts]) + np.array([Ltr[t] for t in ts]) @ e.P_pred
-        sm -= (np.array([R[t] for t in ts]) @ step.K) @ e.HGt.T
-        for j, t in enumerate(ts):
-            states[t] = sm[j]
+        ltr = step.L.T @ r
+        states[t] = a_filt[t] + e.P_pred @ ltr - e.HGt @ (step.K.T @ r)
+        r = ltr + w[t]
     return states, r
+
+
+def run_smoother(
+    periods: list[PeriodSystem] | DrawPeriods,
+    filtered: FilterResult,
+    r_init: np.ndarray | None = None,
+) -> tuple[Means, np.ndarray]:
+    """The backward mean pass over the periods of ``filtered``; returns the
+    smoothed state means and the final adjoint r_0.
+
+    ``r_{t-1} = L_t' r_t + Z_t' F_t^-1 v_t`` with the smoothed means
+    ``a_filt + (P_pred L_t' - H G' K_t') r_t``: per period over the
+    per-period steps, and over a draw's balanced periods one transposed
+    band solve and one product per group or shared step
+    (``MeanBand.smooth``).  The last period's step is open: ``r_init`` is
+    the adjoint of its filtered state, which a caller that continued past
+    it hands back, so its smoothed mean is ``a_filt + P_filt r_init`` and
+    the adjoint before it ``r_init - Z' F^-1 M' r_init + Z' F^-1 v``.
+    Without one the adjoint is zero there and the smoothed mean is the
+    filtered one.
+    """
+    run, band, a_filt, w = filtered.run, filtered.band, filtered.a_filt, filtered.w
+    if band is None:
+        states, r = _smooth_steps(run.steps, a_filt.tail, w.tail, r_init)
+        return Means(a_filt.head, states), r
+    # the last balanced period closes onto the edge or restarts from r_init
+    # per period, and hands the band the adjoint of its predicted mean
+    h = band.t_b - 1
+    states, r = _smooth_steps(run.steps[h:], [a_filt.head[h], *a_filt.tail], [w.head[h], *w.tail], r_init)
+    head, r = band.smooth(a_filt.head, w.head, r)
+    head[h] = states[0]
+    return Means(head, states[1:]), r
 
 
 def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:

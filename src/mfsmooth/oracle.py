@@ -71,7 +71,7 @@ def oracle_smooth(
     res = run_filter(periods, init)
     states, _ = run_smoother(periods, res)
     x = np.empty((data.T, params.n))
-    for t, a in enumerate(states):
+    for t, a in enumerate(states.tail):
         x[t] = a[: params.n]
     fill_observed(x, data)
     return SmoothResult(x, RunStats(companion_steps=data.T))

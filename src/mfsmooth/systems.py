@@ -26,6 +26,8 @@ __all__ = [
     "AdaptiveIndex",
     "SystemMatrices",
     "PeriodSystem",
+    "BalancedGroup",
+    "DrawPeriods",
     "build_adaptive_T",
     "build_adaptive_D",
     "build_adaptive_Z",
@@ -117,6 +119,15 @@ def build_adaptive_T(params: VarParams, idx: AdaptiveIndex) -> np.ndarray:
     return T
 
 
+def _newly_latent(idx: AdaptiveIndex, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lag identities of the variables observed at t-1 but unobserved
+    at t: their state rows in lag groups 1..p and the exogenous columns
+    (variable-major) those rows copy."""
+    newly = np.isin(idx.u_t, idx.o_prev)
+    lag = np.arange(1, p + 1)[:, None]
+    return lag * idx.head_size + np.flatnonzero(newly), np.searchsorted(idx.o_prev, idx.u_t[newly]) * p + lag - 1
+
+
 def build_adaptive_D(params: VarParams, idx: AdaptiveIndex) -> np.ndarray:
     """Loadings of the state equation on lagged observed monthly data.
 
@@ -127,9 +138,7 @@ def build_adaptive_D(params: VarParams, idx: AdaptiveIndex) -> np.ndarray:
     s = idx.head_size
     D = np.zeros(((p + 1) * s, p * len(idx.o_prev)))
     D[:s] = _coeffs(params, idx.head_vars(), idx.o_prev, exog=True)
-    newly = np.isin(idx.u_t, idx.o_prev)
-    lag = np.arange(1, p + 1)[:, None]
-    D[lag * s + np.flatnonzero(newly), np.searchsorted(idx.o_prev, idx.u_t[newly]) * p + lag - 1] = 1.0
+    D[_newly_latent(idx, p)] = 1.0
     return D
 
 
@@ -220,14 +229,43 @@ def period_noise(G: np.ndarray, H: np.ndarray, Z: np.ndarray) -> list[PeriodNois
 
 class PeriodSystem(NamedTuple):
     """One period: its structural matrices and noise products, all the
-    covariance pass reads, and in a draw's periods (``build_periods``) its
-    observations less their constant, y - c, and the state constant d."""
+    covariance pass reads, and in a draw's ragged-edge periods
+    (``build_periods``) its observations less their constant, y - c, and
+    the state constant d."""
 
     mats: SystemMatrices
     noise: PeriodNoise
     t: int
     ymc: np.ndarray | None = None
     d: np.ndarray | None = None
+
+
+class BalancedGroup(NamedTuple):
+    """A draw's balanced periods that share structural matrices: the
+    periods ``ts``, ascending, and one row per period of y - c and of d.
+    ``t``, its first period, dates it as a ``PeriodSystem``'s dates a
+    period."""
+
+    mats: SystemMatrices
+    ts: np.ndarray
+    ymc: np.ndarray
+    d: np.ndarray
+
+    @property
+    def t(self) -> int:
+        return int(self.ts[0])
+
+
+class DrawPeriods(list):
+    """A draw's periods 0..stop-1 (``build_periods``): the balanced
+    periods as their groups (``BalancedGroup``), in order of first period,
+    then one ``PeriodSystem`` per ragged-edge period; the two parts are
+    ``groups`` and ``edge``."""
+
+    def __init__(self, groups: list[BalancedGroup], edge: list[PeriodSystem]):
+        super().__init__([*groups, *edge])
+        self.groups = groups
+        self.edge = edge
 
 
 def build_system_matrices(
@@ -278,13 +316,14 @@ class Skeleton(list):
 
     ``groups`` holds the periods grouped by their structural matrices: each
     group's ``SystemMatrices`` and its periods ascending, in order of first
-    period.  It depends only on the pattern, so it is formed once with the
-    records.
+    period; ``balanced`` those of them with no latent monthly variable.  It
+    depends only on the pattern, so it is formed once with the records.
     """
 
     def __init__(self, periods: list[PeriodSystem], groups: list[tuple[SystemMatrices, np.ndarray]]):
         super().__init__(periods)
         self.groups = groups
+        self.balanced = [(mats, ts) for mats, ts in groups if not len(mats.idx.u_t)]
 
     def grouped(self, stop: int) -> list[tuple[SystemMatrices, np.ndarray]]:
         """``groups`` restricted to periods 0..stop-1."""
@@ -311,15 +350,27 @@ def _lag_stacks(values: np.ndarray, p: int, n_m: int) -> np.ndarray:
 
 
 def _constants(mats: SystemMatrices, ts: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """c and d of the group's periods ``ts``: one gather of their lag stacks
-    and one product each."""
+    """c and d of the group's periods ``ts``: one gather of their lag
+    stacks, one product with C, and one with D's coefficient rows for the
+    head of d, whose lag identities (``_newly_latent``) copy their columns
+    of the stacks; D's other entries are zero."""
     X = stacks[(len(stacks) - 1 - ts)[:, None], mats.idx.o_prev].reshape(len(ts), -1)
-    return X @ mats.C.T + mats.c0, X @ mats.D.T + mats.d0
+    s = mats.idx.head_size
+    d = np.zeros((len(ts), mats.D.shape[0]))
+    d[:, :s] = X @ mats.D[:s].T + mats.d0[:s]
+    rows, cols = _newly_latent(mats.idx, stacks.shape[2])
+    d[:, rows] = X[:, cols]
+    return X @ mats.C.T + mats.c0, d
+
+
+def _observed(data: MixedFreqData, mats: SystemMatrices, ts: np.ndarray) -> np.ndarray:
+    """The observations of the group's periods ``ts``, a row each."""
+    return data.values[ts[:, None], np.concatenate([mats.idx.o_t, data.n_m + mats.q_rows])]
 
 
 def balanced_constants(skeleton: Skeleton, data: MixedFreqData, p: int) -> list[tuple]:
-    """Each balanced group of ``skeleton.groups``, in order, with c(y) and
-    d(y) of its periods, ``(mats, ts, c, d)``, from one set of lag stacks.
+    """Each group of ``skeleton.balanced``, in order, with c(y) and d(y) of
+    its periods, ``(mats, ts, c, d)``, from one set of lag stacks.
 
     A balanced period's constants read only monthly lags of balanced
     periods, and a draw's pseudo sample holds those at zero
@@ -327,7 +378,7 @@ def balanced_constants(skeleton: Skeleton, data: MixedFreqData, p: int) -> list[
     arrays as they are.
     """
     stacks = _lag_stacks(data.values, p, data.n_m)
-    return [(mats, ts, *_constants(mats, ts, stacks)) for mats, ts in skeleton.groups if not len(mats.idx.u_t)]
+    return [(mats, ts, *_constants(mats, ts, stacks)) for mats, ts in skeleton.balanced]
 
 
 def build_periods(
@@ -337,7 +388,7 @@ def build_periods(
     stop: int,
     balanced: list[tuple],
     lags: np.ndarray | None = None,
-) -> list[PeriodSystem]:
+) -> DrawPeriods:
     """Periods 0..stop-1 of the adaptive formulation, stop >= t_balanced.
 
     The structural matrices and noise products come from the skeleton
@@ -347,9 +398,11 @@ def build_periods(
     observed monthly values (variable-major, lags t-1..t-p, pre-sample lags
     zero), and y - c, from the observations in ``data``.  The balanced
     groups and their constants are ``balanced`` (``balanced_constants``),
-    the arrays themselves; each ragged-edge group gathers its lag stacks
-    (``_lag_stacks``) with one index and forms c and d with one product
-    each.  Each group forms y - c with one gather and one subtraction.
+    the arrays themselves, and each becomes one ``BalancedGroup``; each
+    ragged-edge group gathers its lag stacks (``_lag_stacks``) with one
+    index, forms c and d as ``_constants`` does, and hands them out as one
+    ``PeriodSystem`` per period.  Each group forms y - c with one gather and
+    one subtraction.
 
     The edge constants read ``lags``, a (T, n_m) array, in place of the
     data's monthly values when given: on a draw's pseudo route ``data``
@@ -358,17 +411,16 @@ def build_periods(
     p, n_m, t_b = params.p, params.n_m, data.pattern.t_balanced
     if stop < t_b:
         raise ConfigurationError(f"the balanced constants need stop >= t_balanced={t_b}, got {stop}")
-    groups = list(balanced)
-    edge = [(mats, ts) for mats, ts in skeleton.grouped(stop) if len(mats.idx.u_t)]
-    if edge:
+    groups = [BalancedGroup(mats, ts, _observed(data, mats, ts) - c, d) for mats, ts, c, d in balanced]
+    edge: list[PeriodSystem] = [None] * (stop - t_b)  # type: ignore[list-item]
+    edge_groups = [(mats, ts) for mats, ts in skeleton.grouped(stop) if len(mats.idx.u_t)]
+    if edge_groups:
         stacks = _lag_stacks(data.values if lags is None else lags, p, n_m)
-        groups += [(mats, ts, *_constants(mats, ts, stacks)) for mats, ts in edge]
-    periods: list[PeriodSystem] = [None] * stop  # type: ignore[list-item]
-    for mats, ts, cs, ds in groups:
-        ymc = data.values[ts[:, None], np.concatenate([mats.idx.o_t, n_m + mats.q_rows])] - cs
-        for t, row, d in zip(ts.tolist(), ymc, ds):
-            periods[t] = PeriodSystem(mats, skeleton[t].noise, t, row, d)
-    return periods
+    for mats, ts in edge_groups:
+        c, ds = _constants(mats, ts, stacks)
+        for t, row, d in zip(ts.tolist(), _observed(data, mats, ts) - c, ds):
+            edge[t - t_b] = PeriodSystem(mats, skeleton[t].noise, t, row, d)
+    return DrawPeriods(groups, edge)
 
 
 def period_skeleton(

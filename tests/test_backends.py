@@ -26,6 +26,8 @@ from mfsmooth.blocked import blocked_F, blocked_K, blocked_M, blocked_predict, b
 from mfsmooth.kalman import (
     CovariancePass,
     FilterResult,
+    MeanBand,
+    Means,
     PassRun,
     init_state,
     quarterly_state_index,
@@ -195,7 +197,7 @@ def reduced_filter_to_boundary(inst):
     periods = build_periods(params, skeleton, data, t_b, balanced_constants(skeleton, data, params.p))
     init = init_state(params)
     run = CovariancePass(skeleton, init.P).run(t_b)
-    return run_filter(periods, init, run)
+    return run_filter(periods, init, run, MeanBand(run.steps, [ts for _, ts in skeleton.balanced]))
 
 
 class TestTransitions:
@@ -211,7 +213,7 @@ class TestTransitions:
         assert_array_equal(lifted.P[monthly, :], 0.0)
         assert_array_equal(lifted.P[:, monthly], 0.0)
         assert_array_equal(lifted.P[np.ix_(qi, qi)], res.run.steps[-1].entry.P_filt)
-        assert_array_equal(lifted.a[qi], res.a_filt[-1])
+        assert_array_equal(lifted.a[qi], res.a_filt.head[-1])
 
     def test_lift_interleaves_known_monthly_values(self):
         inst = small_instance(5)
@@ -226,7 +228,7 @@ class TestTransitions:
         # reduced state's quarterly entries of that lag
         for lag in range(p + 1):
             assert_array_equal(a[lag * n : lag * n + n_m], data.values[t_b - 1 - lag, :n_m])
-        assert_array_equal(a[qi], res.a_filt[-1])
+        assert_array_equal(a[qi], res.a_filt.head[-1])
 
     @pytest.mark.parametrize("seed,scheme", [(5, intra_quarterly_average()), (7, skip_sampling())])
     def test_boundary_restart_matches_lift_closed_step(self, seed, scheme):
@@ -247,18 +249,20 @@ class TestTransitions:
         closed = kalman._close(step.entry, E, None)
         e = step.entry
         ltr = closed.L.T @ r
-        ref_state = res.a_filt[-1] + e.P_pred @ ltr - e.HGt @ (closed.K.T @ r)
-        ref_r = ltr + res.w[-1]
+        ref_state = res.a_filt.head[-1] + e.P_pred @ ltr - e.HGt @ (closed.K.T @ r)
+        ref_r = ltr + res.w.head[-1]
         # the last period alone, restarted from the adjoint of its filtered state
-        last = FilterResult(PassRun([step], [], [True], 0, e.cond), res.a_filt[-1:], res.v[-1:], res.w[-1:])
+        none = np.zeros((0, 0))
+        last = FilterResult(PassRun([step], 0, e.cond), Means(none, [res.a_filt.head[-1]]), [],
+                            Means(none, [res.w.head[-1]]))
         t_b = data.pattern.t_balanced
         skeleton = period_skeleton(params, agg, data.pattern)
         periods = build_periods(params, skeleton, data, t_b, balanced_constants(skeleton, data, params.p))
         states, r_prev = run_smoother(periods[-1:], last, r[qi])
-        for got, ref in ((states[0], ref_state), (r_prev, ref_r)):
+        for got, ref in ((states.tail[0], ref_state), (r_prev, ref_r)):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
         # the same step inside the whole reduced run
-        assert_array_equal(run_smoother(periods, res, r[qi])[0][-1], states[0])
+        assert_array_equal(run_smoother(periods, res, r[qi])[0].head[-1], states.tail[0])
 
     def test_back_transition_zero_when_smoothing_changes_nothing(self):
         params = random_params(2, 1, 3, seed=0)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mfsmooth import InitializationError, SingularInnovationError, VarParams, kalman
+from mfsmooth import InitializationError, SingularInnovationError, VarParams, draw_latent, kalman
 from mfsmooth.kalman import (
     CovariancePass,
     CovStep,
@@ -21,8 +21,9 @@ from mfsmooth.kalman import (
 )
 from mfsmooth.baseline import plan_for
 from mfsmooth.simulate import make_instance, random_stable_params
-from mfsmooth.systems import PeriodSystem, SystemMatrices, period_noise
+from mfsmooth.systems import PeriodSystem, SystemMatrices, build_periods, period_noise
 from test_model import random_params
+from test_systems import per_period
 
 
 def make_period(Z, c, G, T, d, H, y, t=0):
@@ -32,8 +33,8 @@ def make_period(Z, c, G, T, d, H, y, t=0):
 
 
 def single_steps(steps):
-    """A pass run in which no two periods share a step."""
-    return PassRun(steps, [], [True] * len(steps), 0, 0.0)
+    """A pass run of the given steps."""
+    return PassRun(steps, 0, 0.0)
 
 
 class TestFilterStep:
@@ -52,13 +53,13 @@ class TestFilterStep:
         run = CovariancePass([per, per], np.zeros((1, 1))).run(2)
         res = run_filter([per, per], FilterState(np.zeros(1), np.zeros((1, 1))), run)
         assert_allclose(run.steps[0].K, [[0.5]])
-        assert_allclose(res.a_filt[0], [1.0])
-        last = FilterState(res.a_filt[0], run.steps[0].entry.P_filt)
+        assert_allclose(res.a_filt.tail[0], [1.0])
+        last = FilterState(res.a_filt.tail[0], run.steps[0].entry.P_filt)
         assert_allclose(per.mats.T @ last.a + per.d, [1.0])
         assert_array_equal(kalman._predict_cov(last.P, per.mats.T, per.noise.HHt), run.steps[1].entry.P_pred)
         # terminal smoothing leaves the filtered mean unchanged
         states, _ = run_smoother([per, per], res, np.zeros(1))
-        assert_array_equal(states[1], res.a_filt[1])
+        assert_array_equal(states.tail[1], res.a_filt.tail[1])
 
     def test_open_last_record_meets_zero_adjoint(self):
         # the last step keeps no gain; without an adjoint the smoother
@@ -73,10 +74,10 @@ class TestFilterStep:
         last = res.run.steps[-1]
         assert last.K is None and last.L is None
         states, r = run_smoother([per, per], res)
-        assert_array_equal(states[-1], res.a_filt[-1])
+        assert_array_equal(states.tail[-1], res.a_filt.tail[-1])
         closed = single_steps([res.run.steps[0], CovStep(last.entry, np.zeros((1, 1)), np.eye(1))])
         dense = run_smoother([per, per], run_filter([per, per], init, closed), np.zeros(1))
-        assert_array_equal(states, dense[0])
+        assert_array_equal(states.tail, dense[0].tail)
         assert_array_equal(r, dense[1])
 
     def test_empty_observation_period(self):
@@ -89,9 +90,9 @@ class TestFilterStep:
         assert_allclose(entry.P_filt, np.eye(2))
         a0 = np.array([1.0, -1.0])
         res = run_filter([per], FilterState(a0, np.zeros((2, 2))))
-        assert_allclose(res.a_filt[0], a0)
+        assert_allclose(res.a_filt.tail[0], a0)
         assert res.v[0].shape == (0,)
-        assert_array_equal(res.w[0], 0.0)
+        assert_array_equal(res.w.tail[0], 0.0)
 
     def test_singular_innovation_raises_with_period(self):
         per = make_period(
@@ -141,6 +142,121 @@ class TestCovariancePass:
         assert steps[start].entry is steps[start - period].entry
 
 
+def loop_mean_pass(records, init, steps, r_init=None):
+    """The mean pass period by period, the reference for the banded one:
+    forward ``a_{t+1} = L_t a_t + K_t (y_t - c_t) + d_{t+1}`` with each
+    period's measurement update, backward ``r_{t-1} = L_t' r_t + w_t`` from
+    the open last step.  Returns the filtered means, the smoothed means and
+    r_0, per period."""
+    first = records[0]
+    a = first.mats.T @ init.a + first.d
+    a_filt, w = [], []
+    for t, (step, per) in enumerate(zip(steps, records)):
+        e = step.entry
+        x = (per.ymc - e.Z @ a) @ e.FinvMZ
+        a_filt.append(a + x[: len(a)])
+        w.append(x[len(a) :])
+        if t + 1 < len(steps):
+            a = step.L @ a + step.K @ per.ymc + records[t + 1].d
+    last = len(steps) - 1
+    states = [None] * len(steps)
+    e = steps[last].entry
+    if r_init is None:
+        states[last], r = a_filt[last], w[last]
+    else:
+        states[last] = a_filt[last] + e.P_filt @ r_init
+        r = r_init - e.Z.T @ (e.MFinv.T @ r_init) + w[last]
+    for t in range(last - 1, -1, -1):
+        step, e = steps[t], steps[t].entry
+        states[t] = a_filt[t] + e.P_pred @ (step.L.T @ r) - e.HGt @ (step.K.T @ r)
+        r = step.L.T @ r + w[t]
+    return a_filt, states, r
+
+
+def assert_close(got, ref, rtol=1e-13):
+    got, ref = np.concatenate([np.ravel(x) for x in got]), np.concatenate([np.ravel(x) for x in ref])
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= rtol * np.abs(ref).max(initial=0.0)
+
+
+class TestMeanBand:
+    """The balanced periods' mean pass as two banded solves against the
+    per-period recursion, on the periods and plan a draw runs on."""
+
+    @staticmethod
+    def passes(params, inst, stop, init_mode="stationary", r_init=None):
+        data = inst.data
+        plan = plan_for(params, inst.scheme, data, init_mode)
+        periods = build_periods(params, plan.skeleton, data, stop, plan.balanced(data))
+        run = plan.cov.run(stop)
+        res = run_filter(periods, plan.init, run, plan.band)
+        states, r = run_smoother(periods, res, r_init)
+        t_b = data.pattern.t_balanced
+        assert res.band is plan.band
+        assert res.a_filt.head.shape == states.head.shape == (t_b, plan.init.P.shape[0])
+        assert len(res.a_filt.tail) == len(states.tail) == stop - t_b
+        ref = loop_mean_pass(per_period(periods, plan.skeleton), plan.init, run.steps, r_init)
+        assert_close([*res.a_filt.head, *res.a_filt.tail], ref[0])
+        assert_close([*states.head, *states.tail], ref[1])
+        assert_close([r], [ref[2]])
+        return plan
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    @pytest.mark.parametrize("init_mode", ["stationary", "diffuse-proxy"])
+    def test_matches_loop_through_the_edge(self, time_varying, init_mode):
+        inst = make_instance(5, 2, 4, 120, 116, np.random.default_rng(3))
+        params = inst.params
+        if time_varying:
+            scale = np.exp(0.3 * np.random.default_rng(4).standard_normal((120, params.n)))
+            params = VarParams(5, 2, 4, params.intercept, params.lag_coeffs, scale[:, :, None] * params.chol_cov)
+        plan = self.passes(params, inst, 120, init_mode)
+        # shared steps under a constant chol_cov, every step its own under a
+        # time-varying one
+        shared = [len(group[2].shared) for group in plan.band.groups]
+        assert (sum(shared) > 0) != time_varying
+
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_matches_loop_restarted_at_the_boundary(self, seed):
+        # the blocked and baseline runs stop at t_b-1 and restart there
+        # from the edge's adjoint
+        inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(seed))
+        r_init = np.random.default_rng(seed).normal(size=4)
+        self.passes(inst.params, inst, 16, r_init=r_init)
+        self.passes(inst.params, inst, 16)
+
+    def test_no_quarterly_variables(self):
+        inst = make_instance(4, 0, 3, 30, 28, np.random.default_rng(0))
+        plan = self.passes(inst.params, inst, 30)
+        assert plan.band.k == 0 and plan.band.ab.shape == (0, 0)
+
+    def test_band_holds_minus_L_below_the_diagonal(self):
+        inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(5))
+        plan = plan_for(inst.params, inst.scheme, inst.data)
+        band, steps, k = plan.band, plan.cov.run(16).steps, plan.band.k
+        dense = np.eye(16 * k)
+        for t in range(15):
+            dense[(t + 1) * k : (t + 2) * k, t * k : (t + 1) * k] = -steps[t].L
+        stored = np.eye(16 * k)
+        for i in range(1, 2 * k):
+            for j in range(16 * k - i):
+                stored[j + i, j] = band.ab[i, j]
+        assert_array_equal(stored, dense)
+
+
+class TestOpenLastFilteredCovariance:
+    def test_formed_only_when_read(self):
+        # an adaptive run never reads the last period's filtered covariance;
+        # read later it has the bits of the closed form
+        inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
+        plan = plan_for(inst.params, inst.scheme, inst.data)
+        draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=1)
+        entry = plan.cov.run(40).steps[-1].entry
+        assert entry._P_filt is None
+        P = entry.P_filt
+        assert_array_equal(P, kalman._sym(entry.P_pred - entry.MFinv @ entry.M.T))
+        assert entry.P_filt is P
+
+
 class TestAgainstTextbookFilter:
     def test_matches_uncorrelated_oracle(self):
         rng = np.random.default_rng(42)
@@ -168,7 +284,7 @@ class TestAgainstTextbookFilter:
             # the observation noise covariance is the identity
             Qs = [B @ B.T for B in Hs]
             means = textbook_with_noise(Zs, As, Qs, ys, a0, P0)
-            for a, b in zip(states, means):
+            for a, b in zip(states.tail, means):
                 assert_allclose(a, b, atol=1e-9)
 
 

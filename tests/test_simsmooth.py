@@ -349,6 +349,34 @@ class TestPreparedPlan:
         again = draw_latent(fresh, inst.scheme, inst.data, backend, seed=5)
         assert_array_equal(again.x, cold.x)
 
+    def test_band_built_once_per_plan(self, monkeypatch):
+        # the plan forms the balanced periods' band once; every draw's mean
+        # pass on the plan reads it, and a cold and a warm draw agree bitwise
+        inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
+        bands, results = [], []
+        band, run_filter = kalman.MeanBand, baseline.run_filter
+
+        def built(*args):
+            bands.append(band(*args))
+            return bands[-1]
+
+        def recorded(*args, **kwargs):
+            results.append(run_filter(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(baseline, "MeanBand", built)
+        monkeypatch.setattr(baseline, "run_filter", recorded)
+        for backend in BACKENDS:
+            cold = draw_latent(inst.params, inst.scheme, inst.data, backend, seed=5)
+            warm = draw_latent(inst.params, inst.scheme, inst.data, backend, seed=5)
+            assert_array_equal(cold.x, warm.x)
+        draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=5)
+        # the dense edge's companion run takes per-period steps, no band
+        reduced = [res for res in results if res.band is not None]
+        assert len(bands) == 1 and len(reduced) == 2 * len(BACKENDS) + 2
+        assert all(res.band is bands[0] for res in reduced)
+        assert plan_for(inst.params, inst.scheme, inst.data).band is bands[0]
+
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
     def test_diffuse_proxy_kappa_validated(self, inst, kappa):
         with pytest.raises(InitializationError, match="kappa"):
@@ -510,7 +538,7 @@ class TestDataPart:
         assert plan_for(params, SCHEMES["average"], data).balanced(data) is consts
 
     def test_warm_draw_takes_the_data_part_arrays(self, monkeypatch):
-        # a balanced period's d is a row of the plan's array, not a copy
+        # a balanced group's d is the plan's array, not a copy
         scheme = SCHEMES["custom"]
         params, data = self.instance(scheme, True)
         built = []
@@ -529,10 +557,9 @@ class TestDataPart:
         assert plan_for(params, scheme, data).balanced(data) is consts
         by_mats = {id(mats): ds for mats, _, _, ds in consts}
         for periods in built:
-            balanced = [per for per in periods if not len(per.mats.idx.u_t)]
-            assert len(balanced) == data.pattern.t_balanced
-            for per in balanced:
-                assert per.d.base is by_mats[id(per.mats)]
+            assert sum(len(group.ts) for group in periods.groups) == data.pattern.t_balanced
+            for group in periods.groups:
+                assert group.d is by_mats[id(group.mats)]
 
     def test_pseudo_path_needs_the_balanced_sample(self):
         params, data = self.instance(SCHEMES["average"], False)

@@ -20,6 +20,7 @@ from mfsmooth import (
     intra_quarterly_average,
     systems,
 )
+from mfsmooth import systems
 from mfsmooth.baseline import plan_for
 from mfsmooth.model import AggregationScheme, ObservationPattern, skip_sampling
 from mfsmooth.simulate import benchmark_pattern, make_instance
@@ -35,8 +36,21 @@ from mfsmooth.systems import (
     build_periods,
     build_system_matrices,
     period_skeleton,
+    PeriodSystem,
 )
 from test_model import random_params
+
+
+def per_period(periods, skeleton):
+    """A draw's periods (``build_periods``) as one ``PeriodSystem`` per
+    period: each balanced group's rows, with the skeleton's noise parts,
+    then the ragged-edge records as they are."""
+    balanced = [
+        PeriodSystem(group.mats, skeleton[t].noise, t, ymc, d)
+        for group in periods.groups
+        for t, ymc, d in zip(group.ts.tolist(), group.ymc, group.d)
+    ]
+    return sorted(balanced, key=lambda per: per.t) + periods.edge
 
 
 @pytest.fixture
@@ -282,7 +296,7 @@ class TestExogVector:
         data = MixedFreqData.from_values(values, 3, 1)
         skeleton = period_skeleton(params, agg, data.pattern)
         periods = build_periods(params, skeleton, data, data.T, balanced_constants(skeleton, data, params.p))
-        return params, values, periods
+        return params, values, per_period(periods, skeleton)
 
     @staticmethod
     def direct(params, values, t, rows, o_prev):
@@ -322,7 +336,8 @@ class TestExogVector:
                                scale[:, :, None] * params.chol_cov)
         data = MixedFreqData.from_values(values, 3, 1)
         skeleton = period_skeleton(params, agg, data.pattern)
-        periods = build_periods(params, skeleton, data, data.T, balanced_constants(skeleton, data, params.p))
+        built = build_periods(params, skeleton, data, data.T, balanced_constants(skeleton, data, params.p))
+        periods = per_period(built, skeleton)
         p = params.p
         assert [per.t for per in periods] == list(range(12))
         for per, shape in zip(periods, skeleton):
@@ -351,6 +366,24 @@ class TestExogVector:
             assert_allclose(per.d[:1], self.direct(params, values, per.t, head[3:], all_m), rtol=1e-13)
 
 
+class TestEdgeConstants:
+    @pytest.mark.parametrize("n_m,n_q,p,T,t_b", [(5, 2, 4, 40, 36), (119, 1, 12, 60, 58)])
+    def test_match_the_dense_products(self, n_m, n_q, p, T, t_b):
+        """d from D's coefficient rows and the lag identities' index, against
+        the dense product with D, for every group of the sample."""
+        inst = make_instance(n_m, n_q, p, T, t_b, np.random.default_rng(2))
+        plan = plan_for(inst.params, inst.scheme, inst.data)
+        stacks = systems._lag_stacks(inst.data.values, p, n_m)
+        edge = 0
+        for mats, ts in plan.skeleton.groups:
+            X = stacks[(T - 1 - ts)[:, None], mats.idx.o_prev].reshape(len(ts), -1)
+            c, d = systems._constants(mats, ts, stacks)
+            for got, ref in ((c, X @ mats.C.T + mats.c0), (d, X @ mats.D.T + mats.d0)):
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            edge += int(np.isin(mats.idx.u_t, mats.idx.o_prev).any())
+        assert edge > 0
+
+
 class TestSkeletonSharing:
     """Structural matrices are built once per pattern key; under a
     time-varying ``chol_cov`` only the noise products are per period."""
@@ -370,7 +403,8 @@ class TestSkeletonSharing:
         plan = plan_for(params, inst.scheme, inst.data)
         # balanced with and without a quarterly value, and three edge periods
         assert len(calls) == 5
-        periods = build_periods(params, plan.skeleton, inst.data, inst.data.T, plan.balanced(inst.data))
+        periods = per_period(build_periods(params, plan.skeleton, inst.data, inst.data.T, plan.balanced(inst.data)),
+                             plan.skeleton)
         assert len({id(per.mats) for per in periods}) == 5
         assert len({id(per.noise) for per in periods}) == (300 if time_varying else 5)
         # the batched noise products are the single-period products
