@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .kalman import (
+    BalancedSystem,
     CovariancePass,
     FilterResult,
     FilterState,
-    MeanBand,
     Means,
     init_state,
     quarterly_state_index,
@@ -54,21 +54,20 @@ class RunStats:
     """Step counters used to verify which formulations a run touched, and
     the numerical path a draw took:
 
-    - ``factorizations``: Cholesky factorizations of F the reduced
-      covariance pass computed for this draw, 0 when its plan was warm;
-    - ``cov_reuse``: reduced periods that shared an earlier period's
-      covariance entry (a cycle of the recursion);
-    - ``worst_cond``: the largest squared diagonal ratio of the factors of
-      F over the whole sample, the edge step's included;
+    - ``factorizations``: factorizations the plan computed for this draw:
+      its balanced system's band LU and the reduced edge pass's factors of
+      F; 0 when the plan was warm;
+    - ``worst_cond``: the largest squared diagonal ratio of the ragged
+      edge's factors of F (0 on a balanced sample, whose system has none;
+      a zero pivot of its band LU raises instead);
     - ``init_jitter``: 1 when the initial quarterly covariance needed jitter
-      to factorize for the pseudo path (set by ``draw_latent``).
+      to factorize, for the balanced system or the pseudo path.
     """
 
     compact_steps: int = 0
     companion_steps: int = 0
     adaptive_steps: int = 0
     factorizations: int = 0
-    cov_reuse: int = 0
     worst_cond: float = 0.0
     init_jitter: int = 0
 
@@ -101,16 +100,16 @@ def check_pattern(params: VarParams, data: MixedFreqData) -> None:
 @dataclass(frozen=True)
 class Plan:
     """What every draw for one (parameters, aggregation, pattern) shares:
-    the expanded aggregation, the initial quarterly state, the period
-    skeleton (structural matrices and noise products), the reduced
-    filter's covariance pass over it and that pass's band over the balanced
-    periods (``MeanBand``), which every backend's mean pass reads.
-    ``scheme`` is the aggregation argument as the caller passed it and
-    ``init_key`` the ``(init_mode, kappa)`` pair; with ``params`` they
-    decide whether the plan can be reused.  Every run of the pass leaves
-    its last step open: the edge backends continue from the reduced
-    filtered state at t_b-1 placed in the stacked one
-    (``compact_to_companion``).
+    the expanded aggregation, the initial quarterly state, the balanced
+    sample's factorized system (``BalancedSystem``), which every backend
+    solves, the ragged edge's period skeleton (structural matrices and
+    noise products) and the reduced filter's covariance pass over it from
+    the system's filtered covariance at t_b-1, which the adaptive backend
+    runs.  The edge backends continue from that filtered state placed in
+    the stacked one (``compact_to_companion``).  ``scheme`` is the
+    aggregation argument as the caller passed it and ``init_key`` the
+    ``(init_mode, kappa)`` pair; with ``params`` they decide whether the
+    plan can be reused.
 
     ``_last`` holds the data object the plan last ran on and its balanced
     periods' constants, which every draw and smoothed mean on that object
@@ -122,18 +121,22 @@ class Plan:
     init_key: tuple[str, float]
     agg: Aggregation
     init: FilterState
+    system: BalancedSystem
     skeleton: Skeleton
     cov: CovariancePass
-    band: MeanBand
-    _last: tuple[MixedFreqData, list] | None = field(default=None, init=False, repr=False, compare=False)
+    _last: tuple[MixedFreqData, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def balanced(self, data: MixedFreqData) -> list[tuple]:
-        """The balanced groups with their constants at ``data`` (``balanced_constants``):
+    def balanced(self, data: MixedFreqData) -> np.ndarray:
+        """The balanced periods' constants at ``data`` (``balanced_constants``):
         kept while ``data`` is the same object, otherwise formed in one call
         and kept in their place."""
         if self._last is None or self._last[0] is not data:
-            object.__setattr__(self, "_last", (data, balanced_constants(self.skeleton, data, self.params.p)))
+            object.__setattr__(self, "_last", (data, balanced_constants(self.params, data)))
         return self._last[1]
+
+    def pop_factorizations(self) -> int:
+        """Factorizations the plan computed since the last call."""
+        return self.system.pop_factorizations() + self.cov.pop_factorizations()
 
 
 def plan_for(
@@ -147,10 +150,10 @@ def plan_for(
 
     The plan on ``data.pattern`` is reused while the parameters and the
     aggregation are the same objects and ``(init_mode, kappa)`` is equal;
-    otherwise a new plan is built and replaces it there.  A new plan runs
-    the covariance pass over the balanced sample, which every backend
-    shares, and forms its band; the adaptive backend extends the pass over
-    the ragged edge on first use.
+    otherwise a new plan is built and replaces it there.  A new plan
+    factorizes the balanced system, which every backend shares; the
+    adaptive backend runs the covariance pass over the ragged edge on first
+    use.
     """
     pattern = data.pattern
     plan = pattern._plan
@@ -160,20 +163,19 @@ def plan_for(
     expanded = prepare(params, agg)
     check_pattern(params, data)
     init = init_state(params, init_mode, kappa)
+    system = BalancedSystem(params, expanded, pattern, init)
     skeleton = period_skeleton(params, expanded, pattern)
-    cov = CovariancePass(skeleton, init.P)
-    band = MeanBand(cov.run(pattern.t_balanced).steps, [ts for _, ts in skeleton.balanced])
-    plan = Plan(params, agg, init_key, expanded, init, skeleton, cov, band)
+    plan = Plan(params, agg, init_key, expanded, init, system, skeleton, CovariancePass(skeleton, system.P_filt))
     object.__setattr__(pattern, "_plan", plan)
     return plan
 
 
 def fill_states(x: np.ndarray, states: Means, periods: DrawPeriods) -> None:
     """Write each period's smoothed head (latent monthly and quarterly) into
-    x: one assignment from the rows of the balanced periods, whose head is
-    the quarterly variables, and one per ragged-edge period after them."""
-    n_q = periods[0].mats.idx.n_q
-    x[: len(states.head), x.shape[1] - n_q :] = states.head[:, :n_q]
+    x: one assignment of the balanced quarterly path, and one per
+    ragged-edge period after it."""
+    t_b, n_q = states.head.shape
+    x[:t_b, x.shape[1] - n_q :] = states.head
     for per, state in zip(periods.edge, states.tail):
         idx = per.mats.idx
         x[per.t, idx.head_vars()] = state[: idx.head_size]
@@ -188,18 +190,19 @@ def compact_to_companion(params: VarParams, data: MixedFreqData, reduced: Filter
     """The reduced run's last filtered state, at t_b-1, placed in the stacked
     (companion) state of the same period.
 
-    The reduced mean and covariance go to the quarterly positions
-    (``quarterly_state_index``); the known monthly values at lags 0..p fill
-    the rest of the mean, with zero variance.
+    The reduced mean and covariance (``FilterResult.boundary``) go to the
+    quarterly positions (``quarterly_state_index``); the known monthly values
+    at lags 0..p fill the rest of the mean, with zero variance.
     """
     n, p, t_b = params.n, params.p, data.pattern.t_balanced
     qi = quarterly_state_index(params)
     a = np.zeros((p + 1, n))
     a[:, : params.n_m] = data.values[t_b - 1 - p : t_b, : params.n_m][::-1]
     a = a.reshape(-1)
-    a[qi] = reduced.a_filt.head[-1]
+    boundary = reduced.boundary
+    a[qi] = boundary.a
     P = np.zeros((len(a), len(a)))
-    P[np.ix_(qi, qi)] = reduced.run.steps[-1].entry.P_filt
+    P[np.ix_(qi, qi)] = boundary.P
     return FilterState(a, P)
 
 
@@ -267,19 +270,19 @@ def smooth(
     edge: Callable[..., tuple[np.ndarray, np.ndarray, float]] | None = None,
     pseudo: PseudoSample | None = None,
 ) -> SmoothResult:
-    """Reduced filtering to the balanced boundary, ``edge`` over the ragged
-    edge, then reduced smoothing back to t=1.
+    """The balanced sample's system, ``edge`` over the ragged edge, then the
+    balanced path lifted by the edge's adjoint.
 
-    The reduced run is the mean pass over the plan's covariance pass.  Its
-    last filtered state is placed in the stacked state
+    The balanced block is one solve of the plan's ``BalancedSystem``.  Its
+    filtered state at t_b-1 is placed in the stacked state
     (``compact_to_companion``); ``edge(params, agg, data, start)`` starts
     from that state and returns the smoothed (T - t_b, n) edge rows, its
     adjoint for the stacked state predicted at t_b and the worst condition
     ratio of its factors of F.  ``F1'`` carries that adjoint back
-    (``companion_to_compact``), and its quarterly positions restart the
-    reduced smoother at its last filtered state, with no linear solve.  With
-    ``edge=None``, or a balanced sample, the reduced (adaptive) formulation
-    covers the whole sample.
+    (``companion_to_compact``), and its quarterly positions lift the
+    balanced path, with no linear solve.  With ``edge=None``, or a balanced
+    sample, the reduced (adaptive) formulation runs on through the ragged
+    edge over the plan's covariance pass.
 
     The balanced periods' constants are the plan's at ``data``
     (``Plan.balanced``).  With ``pseudo``, a pseudo sample simulated for
@@ -297,15 +300,14 @@ def smooth(
     if pseudo is not None:
         obs = data.replace_values(data.values - pseudo.y_plus)
         lags = data.values[:, : params.n_m] - pseudo.x_plus[:, : params.n_m]
-    periods = build_periods(params, plan.skeleton, obs, stop, plan.balanced(data), lags)
-    cov = plan.cov.run(stop)
-    res = run_filter(periods, plan.init, cov, plan.band)
+    periods = build_periods(params, plan.skeleton, obs, stop, plan.system, plan.balanced(data), lags)
+    run = plan.cov.run() if stop > t_b else None
+    res = run_filter(periods, run=run)
     heads = r = None
-    worst_cond = cov.worst_cond
+    worst_cond = 0.0 if run is None else run.worst_cond
     if stop < T:
-        heads, r_edge, edge_cond = edge(params, plan.agg, obs, compact_to_companion(params, data, res))
+        heads, r_edge, worst_cond = edge(params, plan.agg, obs, compact_to_companion(params, data, res))
         r = companion_to_compact(r_edge, params)[quarterly_state_index(params)]
-        worst_cond = max(worst_cond, edge_cond)
     states, _ = run_smoother(periods, res, r_init=r)
     # allocated last: the result outlives the filter's working set, and placed
     # above it, it keeps that set's freed memory off the top of the heap, where
@@ -318,8 +320,8 @@ def smooth(
     fill_states(x, states, periods)
     if pseudo is None:
         fill_observed(x, data)
-    stats = RunStats(compact_steps=t_b, factorizations=plan.cov.pop_factorizations(),
-                     cov_reuse=cov.reused, worst_cond=worst_cond)
+    stats = RunStats(compact_steps=t_b, factorizations=plan.pop_factorizations(),
+                     worst_cond=worst_cond, init_jitter=int(plan.system.jitter))
     if edge is None:
         stats.adaptive_steps = T - t_b
     else:

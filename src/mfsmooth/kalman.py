@@ -1,5 +1,5 @@
 """Kalman filtering and fixed-interval smoothing with correlated noises,
-split into a covariance pass and a mean pass.
+and the balanced sample's quarterly path as one banded system.
 
 The state and observation disturbances share the same underlying shock
 vector, so the recursions carry the cross term ``H_t G_t'`` through the
@@ -10,36 +10,32 @@ The per-period convention: the transition ``(T_t, d_t, H_t)`` maps the
 t-1 state onto the t state.  The covariance side of period t (P_pred, the
 factor of F, the gain ``K_t`` and ``L_t`` onto the t+1 state through period
 t+1's transition) depends on no data: ``CovariancePass`` computes it once
-per sequence of periods and shares it between periods whose recursion has
-entered a cycle.  Each draw then runs only the mean pass over y - c,
-``run_filter`` forward and ``run_smoother`` backward (Durbin and Koopman
-2002).  A run's last step is always open: it leaves ``K`` and ``L`` unset,
-and the smoother restarts there from an adjoint of the last filtered state
-(zero by default), as a caller that continues on another state space hands
-it back.
+per sequence of periods.  Each draw then runs only the mean pass over
+y - c, ``run_filter`` forward and ``run_smoother`` backward (Durbin and
+Koopman 2002).  A run's last step is always open: it leaves ``K`` and ``L``
+unset, and the smoother restarts there from an adjoint of the last filtered
+state (zero by default), as a caller that continues on another state space
+hands it back.
 
-Over a draw's balanced periods the state dimension is constant, and the
-mean pass is two banded triangular solves (``MeanBand``, after Chan and
-Jeliazkov 2009): the predicted means solve one unit lower block-bidiagonal
-system and the adjoints its transpose, each one LAPACK ``dtbtrs`` call.
-Every other term is one product per structural group or per shared step.
-The ragged edge, whose state grows, and the balanced sample's last period,
-where a run closes onto the edge or restarts from a caller's adjoint, take
-per-period steps.
+Over a draw's balanced periods no recursion runs.  Given the data, the
+quarterly path there is Gaussian with a precision banded in time, and the
+observed aggregates are exact linear constraints on it: ``BalancedSystem``
+solves for its mean as one banded saddle-point system that each plan
+factorizes once (Chan and Jeliazkov 2009; Chan, Poon and Zhu 2023).  The
+ragged edge, whose state grows, takes per-period steps from the filtered
+state at the balanced sample's last period, which that system also gives.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dpotrf, dpotrs, dtbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpotrf, dpotrs
 
 from .errors import InitializationError, SingularInnovationError
-from .model import VarParams
-from .systems import BalancedGroup, DrawPeriods, PeriodSystem
+from .model import Aggregation, ObservationPattern, VarParams
+from .systems import DrawPeriods, PeriodSystem
 
 __all__ = [
     "FilterState",
@@ -47,11 +43,12 @@ __all__ = [
     "CovStep",
     "CovariancePass",
     "PassRun",
-    "MeanBand",
+    "BalancedSystem",
     "Means",
     "FilterResult",
     "factorize_innovation",
     "filter_step",
+    "initial_factor",
     "run_filter",
     "run_smoother",
     "solve_discrete_lyapunov",
@@ -124,12 +121,11 @@ class CovEntry:
 class CovStep:
     """A period's entry with the gain onto the next state, K = T' M F^-1 and
     L = T' - K Z for the next transition T'.  Both are None in a run's last
-    step, which has no next period.  ``succ`` is the next period's entry."""
+    step, which has no next period."""
 
     entry: CovEntry
     K: np.ndarray | None = None
     L: np.ndarray | None = None
-    succ: CovEntry | None = None
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
@@ -178,242 +174,254 @@ def _predict_cov(P: np.ndarray, Tm: np.ndarray, HHt: np.ndarray | float) -> np.n
     return _sym(Tm @ P @ Tm.T + HHt)
 
 
-def _close(entry: CovEntry, Tm: np.ndarray, succ: CovEntry | None) -> CovStep:
+def _close(entry: CovEntry, Tm: np.ndarray) -> CovStep:
     K = Tm @ entry.MFinv
-    return CovStep(entry, K, Tm - K @ entry.Z, succ)
+    return CovStep(entry, K, Tm - K @ entry.Z)
 
 
 @dataclass(eq=False)
 class PassRun:
-    """The steps of periods 0..stop-1 of a covariance pass.  ``reused``
-    periods share an earlier period's entry and ``worst_cond`` is the
-    largest condition ratio among their factorizations.  The last step is
-    open."""
+    """The steps of a covariance pass, the last open, and the largest
+    condition ratio among their factorizations."""
 
     steps: list[CovStep]
-    reused: int
     worst_cond: float
 
 
 class CovariancePass:
     """The covariance side of the filter over one sequence of periods:
     predicted and filtered covariances, the factor of F and the gains K and
-    L, computed from the initial covariance ``P0`` without any data.
+    L, computed from the initial covariance ``P0`` without any data, on the
+    first ``run``.
 
-    A prepared plan holds one pass, so every draw for it runs only the mean
-    pass (``run_filter``, ``run_smoother``).  The pass is extended as far as
-    a run asks for.  The step from one entry to the next depends only on the
-    entry and on the next period's (mats, noise) objects, so the pass keeps
-    each step under that triple.  A predicted covariance that repeats, bit
-    for bit, the one an earlier period with the same (mats, noise) objects
-    had is that period's entry: the recursion has entered a cycle, and every
-    further period of it is a lookup.  Entries are shared only where the
-    noise part is the same object, since ``P_pred`` does not see G.
+    A prepared plan holds the pass over its ragged edge, from the filtered
+    covariance at the balanced sample's last period, so every adaptive draw
+    for it runs only the mean pass (``run_filter``, ``run_smoother``).
     """
 
     def __init__(self, periods, P0: np.ndarray):
         self.periods = periods
         self.P0 = P0
         self.factorizations = 0    # factorizations since the last ``pop_factorizations``
-        self._steps: list[CovStep] = []    # closed steps of the leading periods
-        self._next: CovEntry | None = None    # entry of the period after them
-        self._keys = [(id(per.mats), id(per.noise)) for per in periods]
-        counts = Counter(self._keys)
-        # only a (mats, noise) pair that recurs can close a cycle
-        self._recurs = [counts[key] > 1 for key in self._keys]
-        self._seen: dict[tuple, CovEntry] = {}
-        self._links: dict[tuple, CovStep] = {}
-        self._runs: dict[int, PassRun] = {}
+        self._run: PassRun | None = None
 
     def pop_factorizations(self) -> int:
         """Factorizations computed since the last call."""
         k, self.factorizations = self.factorizations, 0
         return k
 
-    def run(self, stop: int) -> PassRun:
-        """Steps of periods 0..stop-1, the last left open."""
-        found = self._runs.get(stop)
-        if found is None:
-            found = self._runs[stop] = self._make_run(stop)
-        return found
+    def run(self) -> PassRun:
+        """The steps of every period, the last left open."""
+        if self._run is None:
+            self._run = self._make_run()
+        return self._run
 
     def _entry(self, P: np.ndarray, t: int) -> CovEntry:
-        if not self._recurs[t]:
-            entry = filter_step(P, self.periods[t])
-        else:
-            key = (self._keys[t], P.tobytes())
-            entry = self._seen.get(key)
-            if entry is not None:
-                return entry
-            entry = self._seen[key] = filter_step(P, self.periods[t])
+        entry = filter_step(P, self.periods[t])
         self.factorizations += entry.cf is not None
         return entry
 
-    def extend(self, stop: int) -> CovEntry:
-        """Close the steps of periods 0..stop-2; returns period stop-1's entry."""
-        periods, steps = self.periods, self._steps
-        if self._next is None:
-            per = periods[0]
-            self._next = self._entry(_predict_cov(self.P0, per.mats.T, per.noise.HHt), 0)
-        entry = self._next
-        for t in range(len(steps) + 1, stop):
-            # a step into a period whose (mats, noise) pair does not recur is
-            # never taken again, so only the others are kept
-            if self._recurs[t]:
-                key = (id(entry), self._keys[t])
-                step = self._links.get(key)
-                if step is None:
-                    step = self._links[key] = self._step(entry, t)
-            else:
-                step = self._step(entry, t)
-            steps.append(step)
-            entry = step.succ
-        self._next = entry
-        return steps[stop - 1].entry if stop <= len(steps) else entry
-
-    def _step(self, entry: CovEntry, t: int) -> CovStep:
-        """The step from ``entry`` into period t."""
-        per = self.periods[t]
-        Tm = per.mats.T
-        return _close(entry, Tm, self._entry(_predict_cov(entry.P_filt, Tm, per.noise.HHt), t))
-
-    def _make_run(self, stop: int) -> PassRun:
-        last = CovStep(self.extend(stop))
-        steps = [*self._steps[: stop - 1], last]
-        # only periods whose (mats, noise) pair recurs share entries
-        cycled = [id(steps[t].entry) for t in range(stop) if self._recurs[t]]
-        worst = max(step.entry.cond for step in steps)
-        return PassRun(steps, len(cycled) - len(set(cycled)), worst)
+    def _make_run(self) -> PassRun:
+        periods, steps = self.periods, []
+        entry = self._entry(_predict_cov(self.P0, periods[0].mats.T, periods[0].noise.HHt), 0)
+        for t in range(1, len(periods)):
+            Tm = periods[t].mats.T
+            steps.append(_close(entry, Tm))
+            entry = self._entry(_predict_cov(entry.P_filt, Tm, periods[t].noise.HHt), t)
+        steps.append(CovStep(entry))
+        return PassRun(steps, max(step.entry.cond for step in steps))
 
 
-def _distinct(objs: list) -> tuple[list, np.ndarray]:
-    """The distinct objects of ``objs`` by identity, in order of first
-    appearance, and each item's position among them."""
-    index: dict[int, int] = {}
-    which = np.array([index.setdefault(id(o), len(index)) for o in objs], dtype=np.intp)
-    return list({id(o): o for o in objs}.values()), which
+def initial_factor(P: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A lower factor L of the initial quarterly covariance, L L' = P, and
+    whether P needed a jitter of 1e-10 trace/k on its diagonal to factorize
+    (a rank-deficient P)."""
+    try:
+        return np.linalg.cholesky(P), False
+    except np.linalg.LinAlgError:
+        k = P.shape[0]
+        return np.linalg.cholesky(P + 1e-10 * np.trace(P) / k * np.eye(k)), True
 
 
-class _RowProducts:
-    """The products ``x_j O_j`` of the rows ``x_j`` of a matrix with per-row
-    operands ``O_j = ops[which[j]]``: one product for the rows of each
-    operand that two or more rows share, one batched matmul for the rows
-    with one of their own."""
-
-    def __init__(self, ops: np.ndarray, which: np.ndarray):
-        counts = np.bincount(which, minlength=len(ops))
-        own = counts[which] == 1
-        self.lone = np.flatnonzero(own)
-        picked = which[own]
-        # ``ops`` itself when the lone rows take every operand in order
-        self.lone_ops = ops if np.array_equal(picked, np.arange(len(ops))) else ops[picked]
-        order = np.argsort(which, kind="stable")
-        ends = np.cumsum(counts)
-        self.shared = [(order[ends[i] - counts[i] : ends[i]], ops[i]) for i in np.flatnonzero(counts > 1)]
-        self.cols = ops.shape[2]
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty((len(X), self.cols))
-        for rows, op in self.shared:
-            out[rows] = X[rows] @ op
-        out[self.lone] = np.matmul(X[self.lone, None, :], self.lone_ops)[:, 0]
-        return out
+def _forward(W: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``W_j^-1 B`` for a (s, n, n) stack of lower-triangular ``W_j`` and an
+    (n, k) ``B``: forward substitution, each row one operation over the stack."""
+    X = np.empty((len(W), *B.shape))
+    for i in range(B.shape[0]):
+        X[:, i] = (B[i] - np.einsum("sj,sjk->sk", W[:, i, :i], X[:, :i])) / W[:, i, i, None]
+    return X
 
 
-class MeanBand:
-    """What the mean pass over a draw's balanced periods 0..t_b-1 reads of
-    the covariance side, formed once per plan from its steps.
+def _backward(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``W_j'^-1 X_j`` for the same stack: back substitution."""
+    Y = np.empty_like(X)
+    for i in range(X.shape[1] - 1, -1, -1):
+        Y[:, i] = (X[:, i] - np.einsum("sj,sjk->sk", W[:, i + 1 :, i], Y[:, i + 1 :])) / W[:, i, i, None]
+    return Y
 
-    The state dimension k is constant there, so the predicted means solve
-    one unit lower block-bidiagonal system with ``-L_t`` at block (t+1, t),
-    and the adjoints its transpose.  ``ab`` is that matrix in LAPACK band
-    storage, bandwidth 2k - 1; its unit diagonal is implied.  ``groups``
-    holds, per balanced structural group (``Skeleton.balanced``), its
-    periods, those before t_b-1 (whose steps are the band's) and the
-    products its rows take (``_RowProducts``): ``K_t'`` for the forward
-    right-hand side, ``F^-1 [M', Z]`` for the measurement update and
-    ``(P_pred L_t' - H G' K_t')'`` for the smoothed mean.
+
+def _scatter(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """The sums of ``vals`` at positions ``idx`` of a length ``size`` vector."""
+    return np.bincount(idx.ravel(), vals.ravel(), size).astype(float, copy=False)
+
+
+class BalancedSystem:
+    """The quarterly path over the balanced periods 0..t_b-1 given their
+    data, as one banded saddle-point system that a plan factorizes once.
+
+    Given the monthly values, the quarterly values q_{-1-p}..q_{t_b-1} are
+    Gaussian with a precision banded in time, and the observed aggregates
+    are exact linear constraints on them.  Period t's VAR residual is
+    e_t = r_t + B s_t with s_t = (q_t, ..., q_{t-p}) its reduced state,
+    B = [E_q, -A_1[:, q], ..., -A_p[:, q]] and r_t the residual at zero
+    quarterly values (``systems.balanced_constants``); the initial stack
+    s_{-1} = a0 + L0 z is parametrized by a standard normal z through a
+    factor L0 of P0 (``initial_factor``), so P0 is never inverted.
+
+    The unknowns are the values in time order, z in the initial slots (its
+    lag-i block in the slot of q_{-1-i}, so with L0 lower triangular each
+    initial value reads only z of its own and later slots), and one Lagrange
+    multiplier per observed aggregate right after its period.  The matrix is
+    [[K, A'], [A, 0]]: K is I on z plus the sum over t of B_t' Sigma_t^-1 B_t,
+    where B_t is B with the initial values it reaches expressed in z, and A
+    holds the aggregation weights.  Its bandwidth is that of p+1 periods;
+    LAPACK ``dgbtrf`` factorizes it, partial pivoting taking the zero block.
+    A zero pivot raises ``SingularInnovationError`` naming its period.
+
+    A draw's mean is one ``dgbtrs`` solve (``solve``).  Its last state
+    s_{t_b-1} is the filtered state at t_b-1, where the ragged edge starts.
+    One more solve, on the unit vectors of that state's positions, gives its
+    covariance ``P_filt`` and Cov(q_t, s_{t_b-1}), which lifts the edge's
+    adjoint r onto the path: the smoothed path is the mean plus that
+    covariance times r (``smoothed``).
     """
 
-    def __init__(self, steps: list[CovStep], groups: list[np.ndarray]):
-        self.t_b = t_b = sum(len(ts) for ts in groups)
-        self.k = k = steps[0].entry.P_pred.shape[0]
-        own, which = _distinct(steps[: t_b - 1])
-        L = np.array([step.L for step in own]).reshape(len(own), k, k)
-        self.ab = np.zeros((2 * k, t_b * k), order="F")
-        # column j = t k + c holds -L_t[:, c] from row k - c; in column-major
-        # order block column t is 2k^2 consecutive values with column c at
-        # 2k c, so one strided view places -L_t' for every t
-        flat = self.ab.T.reshape(-1)
-        i = flat.itemsize
-        below = as_strided(flat[k:], (t_b - 1, k, k), (2 * k * k * i, (2 * k - 1) * i, i))
-        np.negative(L[which].transpose(0, 2, 1), out=below)
-        self.groups = [self._group(steps, ts, own, which, L) for ts in groups]
+    def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, init: FilterState):
+        n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
+        t_b = pattern.t_balanced    # > p (``baseline.check_pattern``)
+        self.k = k = (p + 1) * n_q
+        L0, self.jitter = initial_factor(init.P)
+        self.factorizations = 1    # the band LU, until ``pop_factorizations``
 
-    def _group(self, steps: list[CovStep], ts: np.ndarray, own: list, which: np.ndarray, L: np.ndarray) -> tuple:
-        """One group's rows and products; ``own`` are the band's distinct
-        steps, ``which`` each band period's among them and ``L`` theirs."""
-        k = self.k
-        n_obs = steps[ts[0]].entry.Z.shape[0]
-        entries, rows = _distinct([steps[t].entry for t in ts])
-        update = _RowProducts(np.array([e.FinvMZ for e in entries]).reshape(len(entries), n_obs, 2 * k), rows)
-        closed = ts[: np.searchsorted(ts, self.t_b - 1)]
-        used, rows = np.unique(which[closed], return_inverse=True)
-        K = np.array([own[i].K for i in used]).reshape(len(used), k, n_obs)
-        P = np.array([own[i].entry.P_pred for i in used]).reshape(len(used), k, k)
-        HGt = np.array([own[i].entry.HGt for i in used]).reshape(len(used), k, n_obs)
-        smooth = _RowProducts(L[used] @ P - K @ HGt.transpose(0, 2, 1), rows)
-        return ts, closed, _RowProducts(K.transpose(0, 2, 1), rows), update, smooth
+        # slot j holds time j - p - 1: its n_q values, then the multipliers of
+        # the aggregates observed then, by variable; period t's window is its
+        # reduced state (q_t, ..., q_{t-p})
+        qobs = pattern.quarterly_observed[:t_b]
+        size = np.full(p + 1 + t_b, n_q)
+        size[p + 1 :] += qobs.sum(axis=1)
+        first = np.cumsum(size) - size
+        self.size = N = int(size.sum())
+        qpos = first[:, None] + np.arange(n_q)
+        self._path = qpos[p + 1 :]
+        self._win = win = qpos[p + 1 + np.arange(t_b)[:, None] - np.arange(p + 1)].reshape(t_b, k)
+        agg_t, agg_q = np.nonzero(qobs)
+        self._agg = first[p + 1 + agg_t] + n_q + np.arange(len(agg_t)) - np.searchsorted(agg_t, agg_t)
 
-    def _solve(self, rhs: np.ndarray, trans: str) -> np.ndarray:
-        if not self.k:
-            return rhs
-        x, _ = dtbtrs(self.ab, rhs.reshape(-1, 1), uplo="L", trans=trans, diag="U", overwrite_b=1)
-        return x.reshape(rhs.shape)
+        # B' Sigma_t^-1 and B' Sigma_t^-1 B, one for all periods or one each
+        B = np.zeros((n, k))
+        B[n_m:, :n_q] = np.eye(n_q)
+        B[:, n_q:] = -params.lag_coeffs[:, :, n_m:].transpose(1, 0, 2).reshape(n, p * n_q)
+        W = params.chol_cov[:t_b]
+        self._G = _backward(W, _forward(W, B)).transpose(0, 2, 1)
+        KB = (self._G.reshape(-1, n) @ B).reshape(len(W), k, k)
 
-    def filter(self, groups: list[BalancedGroup], a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The filtered means and w of the balanced periods, rows of two
-        (t_b, k) arrays; ``a0`` is period 0's predicted mean less its d.
+        # periods 0..p-1 reach the initial stack: their window is m_t + J_t u
+        # in the unknowns u, m_t the stack's mean and J_t = I but for L0
+        J = np.tile(np.eye(k), (p, 1, 1))
+        m = np.zeros((p, k))
+        for t in range(p):
+            j = (t + 1) * n_q
+            J[t, j:, j:] = L0[: k - j, : k - j]
+            m[t, j:] = init.a[: k - j]
+        Jt = J.transpose(0, 2, 1)
+        self._G_head = Jt @ self._G[:p]
+        lam = np.zeros((len(agg_t), k))
+        lam[:, : agg.lam_qq.shape[1]] = agg.lam_qq[agg_q]
+        lead = np.flatnonzero(agg_t < p)
+        g = np.zeros(len(agg_t))
+        g[lead] = -np.einsum("ij,ij->i", lam[lead], m[agg_t[lead]])
+        lam[lead] = np.matmul(lam[lead, None, :], J[agg_t[lead]])[:, 0]
 
-        The right-hand side of the band system is ``a0 + d_0`` and then
-        ``K_t (y_t - c_t) + d_{t+1}``; the measurement update is one product
-        with Z per group, then ``_RowProducts``."""
-        k = self.k
-        rhs = np.empty((self.t_b, k))
-        rhs[0] = a0
-        for g, (_, closed, gain, _, _) in zip(groups, self.groups):
-            rhs[closed + 1] = gain(g.ymc[: len(closed)])
-        for g in groups:
-            rhs[g.ts] += g.d
-        A = self._solve(rhs, "N")
-        A_filt = np.empty_like(A)
-        W = np.empty_like(A)
-        for g, (ts, _, _, update, _) in zip(groups, self.groups):
-            At = A[ts]
-            X = update(g.ymc - At @ g.mats.Z.T)
-            A_filt[ts] = At + X[:, :k]
-            W[ts] = X[:, k:]
-        return A_filt, W
+        # the entries: K's, period t's over its window, z's prior and A's
+        ia, ja = np.nonzero(lam)
+        a_rows, a_cols = self._agg[ia], win[agg_t[ia], ja]
+        z_pos = qpos[: p + 1].ravel()
+        vals = np.empty(t_b * k * k + len(z_pos) + 2 * len(ia))
+        Kt = vals[: t_b * k * k].reshape(t_b, k, k)
+        Kt[:] = KB
+        b_head = -Jt @ Kt[:p] @ m[:, :, None]
+        Kt[:p] = Jt @ Kt[:p] @ J
+        vals[Kt.size : Kt.size + len(z_pos)] = 1.0
+        vals[Kt.size + len(z_pos) :] = np.tile(lam[ia, ja], 2)
+        self.kl = kl = int(max(np.max(win.max(axis=1, initial=0) - win.min(axis=1, initial=N), initial=0),
+                               np.max(a_rows - a_cols, initial=0)))
+        # LAPACK band storage with kl more rows for the pivoting's fill:
+        # entry (i, j) at row 2 kl + i - j of column j, column-major, so at
+        # j (ld - 1) + i + 2 kl of the flat array
+        ld = 3 * kl + 1
+        flat = np.concatenate([
+            ((ld - 1) * win[:, None, :] + win[:, :, None]).ravel(),
+            ld * z_pos,
+            (ld - 1) * a_cols + a_rows,
+            (ld - 1) * a_rows + a_cols,
+        ])
+        ab = _scatter(flat + 2 * kl, vals, ld * N).reshape(N, ld).T
+        if N:
+            self._lu, self._piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
+            if info > 0:
+                t = int(np.searchsorted(first, info - 1, side="right")) - p - 2
+                raise SingularInnovationError(t, f"the balanced sample's system is singular at period t={t}")
 
-    def smooth(self, A_filt: np.ndarray, W: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The smoothed means of the balanced periods as rows, the last row
-        left for the caller, and the adjoint of period 0's predicted mean.
+        # the initial mean's part of the right-hand side, and the handoff
+        self._b = _scatter(win[:p], b_head, N)
+        self._b[self._agg] += g
+        E = np.zeros((N, k))
+        E[win[-1], np.arange(k)] = 1.0
+        X = self._solve(E)
+        self.P_filt = _sym(X[win[-1]])
+        self._lift = X[self._path.ravel()]
 
-        ``r`` is the adjoint of period t_b-1's predicted mean.  The adjoints
-        of the earlier ones, ``r_{t-1} = L_t' r_t + w_t``, solve the
-        transposed band system."""
-        rhs = W.copy()
-        rhs[-1] = r
-        x = self._solve(rhs, "T")
-        states = np.empty_like(A_filt)
-        for _, closed, _, _, smooth in self.groups:
-            states[closed] = A_filt[closed] + smooth(x[closed + 1])
-        return states, x[0]
+    def pop_factorizations(self) -> int:
+        """1 on the first call, for the band LU, then 0."""
+        k, self.factorizations = self.factorizations, 0
+        return k
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        if not self.size:
+            return b
+        x, _ = dgbtrs(self._lu, self.kl, self.kl, b, self._piv, overwrite_b=1)
+        return x
+
+    def solve(self, resid: np.ndarray, agg: np.ndarray) -> np.ndarray:
+        """The unknowns' mean given a draw's residuals at zero quarterly
+        values, a (t_b, n) array, and its observed aggregates in order of
+        period, then variable.  The right-hand side is -sum_t B_t' Sigma_t^-1
+        r_t beside the aggregates, and the initial mean's terms: one product
+        over the periods, or one batched over them under a time-varying
+        ``chol_cov``, and the first p periods' own."""
+        G, p = self._G, len(self._G_head)
+        C = resid @ G[0].T if len(G) == 1 else np.matmul(G, resid[:, :, None])[:, :, 0]
+        C[:p] = np.matmul(self._G_head, resid[:p, :, None])[:, :, 0]
+        b = self._b - _scatter(self._win, C, self.size)
+        b[self._agg] += agg
+        return self._solve(b)
+
+    def last(self, u: np.ndarray) -> np.ndarray:
+        """The filtered state at t_b-1 of the solution ``u``."""
+        return u[self._win[-1]]
+
+    def smoothed(self, u: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+        """The quarterly path of ``u`` as (t_b, n_q) rows, lifted by ``r``,
+        the adjoint of the filtered state at t_b-1, when given."""
+        path = u[self._path]
+        if r is not None:
+            path += (self._lift @ r).reshape(path.shape)
+        return path
 
 
 @dataclass(frozen=True)
 class Means:
-    """Per-period vectors of a mean pass: those of a draw's balanced periods
+    """Per-period vectors of a mean pass: a draw's balanced quarterly path
     as the rows of ``head`` (no rows in a run of per-period records only),
     and one per later period in ``tail``."""
 
@@ -423,16 +431,23 @@ class Means:
 
 @dataclass(eq=False)
 class FilterResult:
-    """One draw's forward mean pass: the filtered means and
-    ``w = Z' F^-1 v`` (``Means``), and the innovations ``v`` of the periods
-    in their tails.  ``band`` is the balanced periods' ``MeanBand``, None
-    when there are none."""
+    """One draw's forward mean pass: the filtered means, the innovations
+    ``v`` and ``w = Z' F^-1 v`` of its per-period steps (``run``).  On a
+    draw's periods ``system`` is the balanced block's ``BalancedSystem`` and
+    ``u`` its solution, whose last state the steps start from; both are
+    None on a list of periods."""
 
-    run: PassRun
-    a_filt: Means
+    run: PassRun | None
+    a_filt: list[np.ndarray]
     v: list[np.ndarray]
-    w: Means
-    band: MeanBand | None = None
+    w: list[np.ndarray]
+    system: BalancedSystem | None = None
+    u: np.ndarray | None = None
+
+    @property
+    def boundary(self) -> FilterState:
+        """The filtered state at the balanced sample's last period."""
+        return FilterState(self.system.last(self.u), self.system.P_filt)
 
 
 def _filter_steps(steps: list[CovStep], periods: list[PeriodSystem], a: np.ndarray) -> tuple[list, list, list]:
@@ -453,32 +468,29 @@ def _filter_steps(steps: list[CovStep], periods: list[PeriodSystem], a: np.ndarr
 
 def run_filter(
     periods: list[PeriodSystem] | DrawPeriods,
-    init: FilterState,
+    init: FilterState | None = None,
     run: PassRun | None = None,
-    band: MeanBand | None = None,
 ) -> FilterResult:
     """The forward mean pass over a run of periods:
     ``a_{t+1} = L_t a_t + K_t (y_t - c_t) + d_{t+1}``.
 
-    ``init`` is the state distribution before the first period, which
-    predicts through its own transition.  ``run`` is the covariance side
-    (``CovariancePass.run``); without one a list of periods computes its
-    own from ``init.P``.  On a draw's periods (``build_periods``) the
-    balanced ones take the products and the solve of ``band``, the
-    ``MeanBand`` of ``run``'s balanced steps (``MeanBand.filter``), and the
-    ragged-edge periods after them per-period steps; any other list of
-    periods takes per-period steps throughout.
+    On a list of periods ``init`` is the state distribution before the
+    first period, which predicts through its own transition, and ``run``
+    the covariance side (``CovariancePass.run``), computed from ``init.P``
+    when not given.  On a draw's periods (``build_periods``) the balanced
+    block is one solve of its ``BalancedSystem`` (``mats``), and the
+    ragged-edge periods after it take per-period steps over ``run`` from
+    that solve's last state.
     """
     if not isinstance(periods, DrawPeriods):
         if run is None:
-            run = CovariancePass(periods, init.P).run(len(periods))
-        none = np.zeros((0, 0))
-        a_filt, v, w = _filter_steps(run.steps, periods, init.a)
-        return FilterResult(run, Means(none, a_filt), v, Means(none, w))
-    groups = periods.groups
-    A_filt, W = band.filter(groups, groups[0].mats.T @ init.a)
-    a_filt, v, w = _filter_steps(run.steps[band.t_b :], periods.edge, A_filt[-1])
-    return FilterResult(run, Means(A_filt, a_filt), v, Means(W, w), band)
+            run = CovariancePass(periods, init.P).run()
+        return FilterResult(run, *_filter_steps(run.steps, periods, init.a))
+    block = periods.balanced
+    system = block.mats
+    u = system.solve(block.resid, block.agg)
+    steps = run.steps if periods.edge else []
+    return FilterResult(run, *_filter_steps(steps, periods.edge, system.last(u)), system, u)
 
 
 def _smooth_steps(
@@ -508,32 +520,33 @@ def run_smoother(
     periods: list[PeriodSystem] | DrawPeriods,
     filtered: FilterResult,
     r_init: np.ndarray | None = None,
-) -> tuple[Means, np.ndarray]:
+) -> tuple[Means, np.ndarray | None]:
     """The backward mean pass over the periods of ``filtered``; returns the
-    smoothed state means and the final adjoint r_0.
+    smoothed state means and the final adjoint.
 
     ``r_{t-1} = L_t' r_t + Z_t' F_t^-1 v_t`` with the smoothed means
-    ``a_filt + (P_pred L_t' - H G' K_t') r_t``: per period over the
-    per-period steps, and over a draw's balanced periods one transposed
-    band solve and one product per group or shared step
-    (``MeanBand.smooth``).  The last period's step is open: ``r_init`` is
-    the adjoint of its filtered state, which a caller that continued past
-    it hands back, so its smoothed mean is ``a_filt + P_filt r_init`` and
-    the adjoint before it ``r_init - Z' F^-1 M' r_init + Z' F^-1 v``.
-    Without one the adjoint is zero there and the smoothed mean is the
-    filtered one.
+    ``a_filt + (P_pred L_t' - H G' K_t') r_t``, per period.  The last
+    period's step is open: ``r_init`` is the adjoint of its filtered state,
+    which a caller that continued past it hands back, so its smoothed mean
+    is ``a_filt + P_filt r_init`` and the adjoint before it
+    ``r_init - Z' F^-1 M' r_init + Z' F^-1 v``.  Without one the adjoint is
+    zero there and the smoothed mean is the filtered one.  The final adjoint
+    is that of the first period's predicted mean.
+
+    On a draw's periods the ragged-edge steps hand the balanced block the
+    adjoint of its filtered state at t_b-1, through the first edge period's
+    transition; with no edge periods that adjoint is ``r_init``.  The
+    balanced quarterly path is the block's mean lifted by it
+    (``BalancedSystem.smoothed``), and it is the final adjoint returned.
     """
-    run, band, a_filt, w = filtered.run, filtered.band, filtered.a_filt, filtered.w
-    if band is None:
-        states, r = _smooth_steps(run.steps, a_filt.tail, w.tail, r_init)
-        return Means(a_filt.head, states), r
-    # the last balanced period closes onto the edge or restarts from r_init
-    # per period, and hands the band the adjoint of its predicted mean
-    h = band.t_b - 1
-    states, r = _smooth_steps(run.steps[h:], [a_filt.head[h], *a_filt.tail], [w.head[h], *w.tail], r_init)
-    head, r = band.smooth(a_filt.head, w.head, r)
-    head[h] = states[0]
-    return Means(head, states[1:]), r
+    if filtered.system is None:
+        states, r = _smooth_steps(filtered.run.steps, filtered.a_filt, filtered.w, r_init)
+        return Means(np.zeros((0, 0)), states), r
+    states, r = [], r_init
+    if periods.edge:
+        states, r = _smooth_steps(filtered.run.steps, filtered.a_filt, filtered.w, r_init)
+        r = periods.edge[0].mats.T.T @ r
+    return Means(filtered.system.smoothed(filtered.u, r), states), r
 
 
 def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -85,7 +85,9 @@ class VarParams:
         coeff_row = lag_coeffs.transpose(1, 0, 2).reshape(n, n * self.p)
         coeff_row.setflags(write=False)
         object.__setattr__(self, "coeff_row", coeff_row)
-        if not np.allclose(chol_cov, np.tril(chol_cov)):
+        # the strict upper triangle, up to the 1e-8 that passes for zero
+        rows, cols = np.triu_indices(n, 1)
+        if np.abs(chol_cov[:, rows, cols]).max(initial=0.0) > 1e-8:
             raise ConfigurationError("chol_cov factors must be lower-triangular")
         if np.any(np.diagonal(chol_cov, axis1=1, axis2=2) <= 0):
             raise ConfigurationError("chol_cov factors need strictly positive diagonals")

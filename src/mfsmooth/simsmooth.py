@@ -28,7 +28,7 @@ from .adaptive import run_adaptive
 from .baseline import RunStats, fill_observed, plan_for, run_baseline
 from .blocked import run_blocked
 from .errors import ConfigurationError
-from .kalman import FilterState
+from .kalman import FilterState, initial_factor
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 
 # looked up here by perfbench/layertrace.py's SPANS table; ``gen_pseudo``
@@ -61,15 +61,9 @@ class LatentDraw:
 
 def _draw_initial_quarterly(init: FilterState, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """A centered draw of the initial quarterly stack, and whether its
-    covariance needed a jitter of 1e-10 trace/k on the diagonal to factorize."""
-    P = init.P
-    jitter = False
-    try:
-        C = np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        C = np.linalg.cholesky(P + 1e-10 * np.trace(P) / P.shape[0] * np.eye(P.shape[0]))
-        jitter = True
-    return C @ rng.standard_normal(P.shape[0]), jitter
+    covariance needed jitter to factorize (``initial_factor``)."""
+    C, jitter = initial_factor(init.P)
+    return C @ rng.standard_normal(C.shape[0]), jitter
 
 
 def _quarterly_band(params: VarParams, t_b: int) -> np.ndarray:
@@ -193,7 +187,7 @@ def draw_latent(
     x += pseudo.x_plus
     # observed entries are exact by construction; overwrite to drop fp residue
     fill_observed(x, data)
-    result.stats.init_jitter = int(pseudo.init_jitter)
+    result.stats.init_jitter |= int(pseudo.init_jitter)
     return LatentDraw(x, backend, result.stats)
 
 

@@ -15,18 +15,21 @@ lags ``t-1..t-p`` inside each variable block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .model import Aggregation, MixedFreqData, ObservationPattern, VarParams
 
+if TYPE_CHECKING:
+    from .kalman import BalancedSystem
+
 __all__ = [
     "AdaptiveIndex",
     "SystemMatrices",
     "PeriodSystem",
-    "BalancedGroup",
+    "BalancedBlock",
     "DrawPeriods",
     "build_adaptive_T",
     "build_adaptive_D",
@@ -240,31 +243,27 @@ class PeriodSystem(NamedTuple):
     d: np.ndarray | None = None
 
 
-class BalancedGroup(NamedTuple):
-    """A draw's balanced periods that share structural matrices: the
-    periods ``ts``, ascending, and one row per period of y - c and of d.
-    ``t``, its first period, dates it as a ``PeriodSystem``'s dates a
-    period."""
+class BalancedBlock(NamedTuple):
+    """A draw's balanced periods 0..t_b-1 as one block: ``mats``, the
+    system they share (``kalman.BalancedSystem``, one per plan), ``t`` 0,
+    their VAR residuals at zero quarterly values as (t_b, n) rows ``resid``
+    (``balanced_constants``), and the observed aggregates ``agg``, in order
+    of period, then variable."""
 
-    mats: SystemMatrices
-    ts: np.ndarray
-    ymc: np.ndarray
-    d: np.ndarray
-
-    @property
-    def t(self) -> int:
-        return int(self.ts[0])
+    mats: BalancedSystem
+    t: int
+    resid: np.ndarray
+    agg: np.ndarray
 
 
 class DrawPeriods(list):
-    """A draw's periods 0..stop-1 (``build_periods``): the balanced
-    periods as their groups (``BalancedGroup``), in order of first period,
-    then one ``PeriodSystem`` per ragged-edge period; the two parts are
-    ``groups`` and ``edge``."""
+    """A draw's periods 0..stop-1 (``build_periods``): the balanced block
+    (``BalancedBlock``), then one ``PeriodSystem`` per ragged-edge period;
+    the two parts are ``balanced`` and ``edge``."""
 
-    def __init__(self, groups: list[BalancedGroup], edge: list[PeriodSystem]):
-        super().__init__([*groups, *edge])
-        self.groups = groups
+    def __init__(self, balanced: BalancedBlock, edge: list[PeriodSystem]):
+        super().__init__([balanced, *edge])
+        self.balanced = balanced
         self.edge = edge
 
 
@@ -312,23 +311,22 @@ def _index_for_period(pattern: ObservationPattern, n_m: int, n_q: int, t: int) -
 
 
 class Skeleton(list):
-    """Every period's ``PeriodSystem`` without data, indexed by t, from ``period_skeleton``.
+    """The ``PeriodSystem`` without data of the ragged-edge periods
+    t_balanced..T-1, from ``period_skeleton``; period t is item
+    t - t_balanced.
 
-    ``groups`` holds the periods grouped by their structural matrices: each
+    ``groups`` holds those periods grouped by their structural matrices: each
     group's ``SystemMatrices`` and its periods ascending, in order of first
-    period; ``balanced`` those of them with no latent monthly variable.  It
-    depends only on the pattern, so it is formed once with the records.
+    period.  It depends only on the pattern, so it is formed once with the
+    records.
     """
 
     def __init__(self, periods: list[PeriodSystem], groups: list[tuple[SystemMatrices, np.ndarray]]):
         super().__init__(periods)
         self.groups = groups
-        self.balanced = [(mats, ts) for mats, ts in groups if not len(mats.idx.u_t)]
 
     def grouped(self, stop: int) -> list[tuple[SystemMatrices, np.ndarray]]:
-        """``groups`` restricted to periods 0..stop-1."""
-        if stop >= len(self):
-            return self.groups
+        """``groups`` restricted to periods before ``stop``."""
         return [(mats, ts[: np.searchsorted(ts, stop)]) for mats, ts in self.groups if ts[0] < stop]
 
 
@@ -368,17 +366,20 @@ def _observed(data: MixedFreqData, mats: SystemMatrices, ts: np.ndarray) -> np.n
     return data.values[ts[:, None], np.concatenate([mats.idx.o_t, data.n_m + mats.q_rows])]
 
 
-def balanced_constants(skeleton: Skeleton, data: MixedFreqData, p: int) -> list[tuple]:
-    """Each group of ``skeleton.balanced``, in order, with c(y) and d(y) of
-    its periods, ``(mats, ts, c, d)``, from one set of lag stacks.
+def balanced_constants(params: VarParams, data: MixedFreqData) -> np.ndarray:
+    """The VAR's mean of each balanced period given its monthly lags,
+    intercept + sum_i A_i[:, m] y_{m,t-i} (pre-sample lags zero), as
+    (t_b, n) rows: one gather of the lag stacks and one product.
 
-    A balanced period's constants read only monthly lags of balanced
-    periods, and a draw's pseudo sample holds those at zero
-    (``simsmooth.simulate_path``), so every draw on ``data`` takes these
-    arrays as they are.
+    A balanced period's mean reads only monthly lags of balanced periods,
+    and a draw's pseudo sample holds those at zero
+    (``simsmooth.simulate_path``), so every draw on ``data`` takes this
+    array as it is.
     """
-    stacks = _lag_stacks(data.values, p, data.n_m)
-    return [(mats, ts, *_constants(mats, ts, stacks)) for mats, ts in skeleton.balanced]
+    t_b, n_m = data.pattern.t_balanced, data.n_m
+    stacks = _lag_stacks(data.values, params.p, n_m)
+    X = stacks[data.T - 1 - np.arange(t_b)].reshape(t_b, -1)
+    return X @ _coeffs(params, np.arange(params.n), np.arange(n_m), exog=True).T + params.intercept
 
 
 def build_periods(
@@ -386,23 +387,25 @@ def build_periods(
     skeleton: Skeleton,
     data: MixedFreqData,
     stop: int,
-    balanced: list[tuple],
+    system: BalancedSystem,
+    balanced: np.ndarray,
     lags: np.ndarray | None = None,
 ) -> DrawPeriods:
     """Periods 0..stop-1 of the adaptive formulation, stop >= t_balanced.
 
-    The structural matrices and noise products come from the skeleton
-    (``period_skeleton``), built once per parameters and pattern, and so
-    does the grouping of the periods by their structural matrices; this
-    adds what varies between draws: the constants c and d, from the lagged
-    observed monthly values (variable-major, lags t-1..t-p, pre-sample lags
-    zero), and y - c, from the observations in ``data``.  The balanced
-    groups and their constants are ``balanced`` (``balanced_constants``),
-    the arrays themselves, and each becomes one ``BalancedGroup``; each
-    ragged-edge group gathers its lag stacks (``_lag_stacks``) with one
-    index, forms c and d as ``_constants`` does, and hands them out as one
-    ``PeriodSystem`` per period.  Each group forms y - c with one gather and
-    one subtraction.
+    The balanced periods are one ``BalancedBlock`` on ``system`` (the
+    plan's ``kalman.BalancedSystem``): their residuals at zero quarterly
+    values, the monthly observations in ``data`` less ``balanced``
+    (``balanced_constants``) and minus it in the quarterly rows, and the
+    observed aggregates.  The ragged-edge periods' structural matrices and
+    noise products come from ``skeleton`` (``period_skeleton``), built once
+    per parameters and pattern, and so does their grouping by structural
+    matrices; this adds what varies between draws: the constants c and d,
+    from the lagged observed monthly values (variable-major, lags t-1..t-p),
+    and y - c, from the observations in ``data``.  Each edge group gathers
+    its lag stacks (``_lag_stacks``) with one index, forms c and d as
+    ``_constants`` does, and y - c with one gather and one subtraction, and
+    hands them out as one ``PeriodSystem`` per period.
 
     The edge constants read ``lags``, a (T, n_m) array, in place of the
     data's monthly values when given: on a draw's pseudo route ``data``
@@ -410,17 +413,20 @@ def build_periods(
     """
     p, n_m, t_b = params.p, params.n_m, data.pattern.t_balanced
     if stop < t_b:
-        raise ConfigurationError(f"the balanced constants need stop >= t_balanced={t_b}, got {stop}")
-    groups = [BalancedGroup(mats, ts, _observed(data, mats, ts) - c, d) for mats, ts, c, d in balanced]
+        raise ConfigurationError(f"the balanced block needs stop >= t_balanced={t_b}, got {stop}")
+    resid = -balanced
+    resid[:, :n_m] += data.values[:t_b, :n_m]
+    ts, qs = np.nonzero(data.pattern.quarterly_observed[:t_b])
+    block = BalancedBlock(system, 0, resid, data.values[ts, n_m + qs])
     edge: list[PeriodSystem] = [None] * (stop - t_b)  # type: ignore[list-item]
-    edge_groups = [(mats, ts) for mats, ts in skeleton.grouped(stop) if len(mats.idx.u_t)]
+    edge_groups = skeleton.grouped(stop)
     if edge_groups:
         stacks = _lag_stacks(data.values if lags is None else lags, p, n_m)
     for mats, ts in edge_groups:
         c, ds = _constants(mats, ts, stacks)
         for t, row, d in zip(ts.tolist(), _observed(data, mats, ts) - c, ds):
-            edge[t - t_b] = PeriodSystem(mats, skeleton[t].noise, t, row, d)
-    return DrawPeriods(groups, edge)
+            edge[t - t_b] = PeriodSystem(mats, skeleton[t - t_b].noise, t, row, d)
+    return DrawPeriods(block, edge)
 
 
 def period_skeleton(
@@ -428,21 +434,23 @@ def period_skeleton(
     agg: Aggregation,
     pattern: ObservationPattern,
 ) -> Skeleton:
-    """Structural matrices and noise products of every period.
+    """Structural matrices and noise products of the ragged-edge periods
+    t_balanced..T-1.
 
     A period's structural matrices depend only on its monthly rows at t and
-    t-1 (t = 0 follows a fully observed row) and its quarterly row at t: one
-    ``SystemMatrices`` per distinct key.  Its noise products depend on the
-    key and on ``chol_cov`` at t: with a constant ``chol_cov`` every period of
-    a key shares one ``PeriodNoise``; with a time-varying one, each period
-    has its own, formed in one batched pass per key.
+    t-1 and its quarterly row at t: one ``SystemMatrices`` per distinct key.
+    Its noise products depend on the key and on ``chol_cov`` at t: with a
+    constant ``chol_cov`` every period of a key shares one ``PeriodNoise``;
+    with a time-varying one, each period has its own, formed in one batched
+    pass per key.
     """
+    start = pattern.t_balanced
     obs = pattern.observed_monthly
     rows = np.hstack([obs, np.vstack([np.ones_like(obs[:1]), obs[:-1]]), pattern.quarterly_observed])
     keys: dict[bytes, list[int]] = {}
-    for t in range(pattern.T):
+    for t in range(start, pattern.T):
         keys.setdefault(rows[t].tobytes(), []).append(t)
-    periods: list[PeriodSystem] = [None] * pattern.T  # type: ignore[list-item]
+    periods: list[PeriodSystem] = [None] * (pattern.T - start)  # type: ignore[list-item]
     groups = []
     for ts in keys.values():
         idx = _index_for_period(pattern, params.n_m, params.n_q, ts[0])
@@ -452,6 +460,6 @@ def period_skeleton(
         if not params.time_varying_cov:
             noise *= len(ts)
         for t, part in zip(ts, noise):
-            periods[t] = PeriodSystem(mats, part, t)
+            periods[t - start] = PeriodSystem(mats, part, t)
         groups.append((mats, np.array(ts)))
     return Skeleton(periods, groups)

@@ -24,20 +24,15 @@ from mfsmooth import kalman
 from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_edge, plan_for
 from mfsmooth.blocked import blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
 from mfsmooth.kalman import (
-    CovariancePass,
-    FilterResult,
-    MeanBand,
-    Means,
-    PassRun,
-    init_state,
     quarterly_state_index,
     run_filter,
     run_smoother,
 )
 from mfsmooth.model import AggregationScheme
 from mfsmooth.simulate import make_instance
-from mfsmooth.systems import balanced_constants, build_periods, period_skeleton
+from mfsmooth.systems import build_periods
 from test_model import random_params
+from test_systems import per_period
 
 BACKENDS = {"baseline": run_baseline, "blocked": run_blocked, "adaptive": run_adaptive}
 
@@ -120,17 +115,20 @@ class TestCrossBackend:
 
     def test_worst_cond_covers_the_edge(self):
         """``RunStats.worst_cond`` takes the edge step's factors of F: a tiny
-        shock variance in the last two periods puts the worst condition
-        there, and every backend reports it."""
+        shock variance in the last two periods raises it tenfold and more,
+        and every backend reports it; a balanced sample has none."""
         inst = make_instance(17, 3, 4, 60, 57, np.random.default_rng(0))
         p = inst.params
         W = np.repeat(p.chol_cov, 60, axis=0)
+        plain = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, W.copy())
         W[58:, 0, 0] *= 1e-3
         tv = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, W)
         conds = {name: run(tv, inst.scheme, inst.data).stats.worst_cond for name, run in BACKENDS.items()}
         assert_allclose(list(conds.values()), conds["adaptive"], rtol=1e-8)
-        balanced = plan_for(tv, inst.scheme, inst.data).cov.run(inst.data.pattern.t_balanced).worst_cond
-        assert conds["adaptive"] > 10 * balanced
+        assert conds["adaptive"] > 10 * run_adaptive(plain, inst.scheme, inst.data).stats.worst_cond > 10
+        balanced = small_instance(1, T=18, t_b=18)
+        for name, run in BACKENDS.items():
+            assert run(balanced.params, balanced.scheme, balanced.data).stats.worst_cond == 0.0, name
 
 
 def test_layer_trace_finds_smooth_bindings(monkeypatch):
@@ -163,25 +161,15 @@ def test_layer_trace_finds_smooth_bindings(monkeypatch):
     assert counts["systems.system_builds"] > 0 and counts["kalman.factorizations"] > 0
 
 
-def test_covariance_memo_not_shared_across_noise():
-    """The covariance pass finds a cycle by the predicted covariance's bytes,
-    which do not see G.  A time-varying ``chol_cov`` that changes only the
-    monthly rows (G, not H) of one balanced period after the recursion has
-    cycled repeats the predicted covariance of the period three months
-    earlier, with the same structural matrices; an entry shared by both
-    periods would hand over that period's F."""
+def test_monthly_rows_volatility_change_matches_joint_oracle():
+    """A time-varying ``chol_cov`` that changes only the monthly rows (G,
+    not H) of one balanced period: every backend still has the joint
+    oracle's mean."""
     inst = small_instance(1, 2, 1, 3, 40, 38)
     params, data = inst.params, inst.data
-    t = 30
     stack = np.repeat(params.chol_cov, data.T, axis=0)
-    stack[t, : params.n_m] *= 3.0
+    stack[30, : params.n_m] *= 3.0
     tv = VarParams(params.n_m, params.n_q, params.p, params.intercept, params.lag_coeffs, stack)
-    agg = build_aggregation(inst.scheme, params.n_m, params.n_q, params.p)
-    skeleton = period_skeleton(tv, agg, data.pattern)
-    steps = CovariancePass(skeleton, init_state(tv).P).run(data.T).steps
-    assert skeleton[t].mats is skeleton[t - 3].mats
-    assert steps[t].entry.P_pred.tobytes() == steps[t - 3].entry.P_pred.tobytes()
-    assert steps[t].entry is not steps[t - 3].entry
     oj = oracle_joint(tv, inst.scheme, data)
     for name, run in BACKENDS.items():
         out = run(tv, inst.scheme, data)
@@ -189,15 +177,11 @@ def test_covariance_memo_not_shared_across_noise():
 
 
 def reduced_filter_to_boundary(inst):
-    """Reduced filter over the balanced sample, its last step open."""
+    """The balanced block's solve, the filtered state at t_b-1 its last."""
     params, data = inst.params, inst.data
-    t_b = data.pattern.t_balanced
-    agg = build_aggregation(inst.scheme, params.n_m, params.n_q, params.p)
-    skeleton = period_skeleton(params, agg, data.pattern)
-    periods = build_periods(params, skeleton, data, t_b, balanced_constants(skeleton, data, params.p))
-    init = init_state(params)
-    run = CovariancePass(skeleton, init.P).run(t_b)
-    return run_filter(periods, init, run, MeanBand(run.steps, [ts for _, ts in skeleton.balanced]))
+    plan = plan_for(params, inst.scheme, data)
+    return run_filter(build_periods(params, plan.skeleton, data, data.pattern.t_balanced, plan.system,
+                                    plan.balanced(data)))
 
 
 class TestTransitions:
@@ -212,8 +196,8 @@ class TestTransitions:
         # is the reduced filtered state at t_b-1
         assert_array_equal(lifted.P[monthly, :], 0.0)
         assert_array_equal(lifted.P[:, monthly], 0.0)
-        assert_array_equal(lifted.P[np.ix_(qi, qi)], res.run.steps[-1].entry.P_filt)
-        assert_array_equal(lifted.a[qi], res.a_filt.head[-1])
+        assert_array_equal(lifted.P[np.ix_(qi, qi)], res.boundary.P)
+        assert_array_equal(lifted.a[qi], res.boundary.a)
 
     def test_lift_interleaves_known_monthly_values(self):
         inst = small_instance(5)
@@ -228,41 +212,39 @@ class TestTransitions:
         # reduced state's quarterly entries of that lag
         for lag in range(p + 1):
             assert_array_equal(a[lag * n : lag * n + n_m], data.values[t_b - 1 - lag, :n_m])
-        assert_array_equal(a[qi], res.a_filt.head[-1])
+        assert_array_equal(a[qi], res.boundary.a)
 
     @pytest.mark.parametrize("seed,scheme", [(5, intra_quarterly_average()), (7, skip_sampling())])
     def test_boundary_restart_matches_lift_closed_step(self, seed, scheme):
-        """The reduced smoother restarts at its last filtered state from the
-        quarterly positions of the edge's adjoint.  The reference is the last
-        step closed by the 0/1 placement E of the reduced state in the stacked
-        one: K = E M F^-1, L = E - K Z, meeting the stacked adjoint."""
+        """The balanced path is lifted by the quarterly positions of the
+        edge's adjoint.  The reference is the per-period reduced run with its
+        last step closed by the 0/1 placement E of the reduced state in the
+        stacked one, K = E M F^-1, L = E - K Z, meeting the stacked adjoint,
+        and the per-period smoother restarted from that adjoint."""
         inst = small_instance(seed, scheme=scheme)
         params, data = inst.params, inst.data
         agg = build_aggregation(scheme, params.n_m, params.n_q, params.p)
+        t_b, n_q = data.pattern.t_balanced, params.n_q
         res = reduced_filter_to_boundary(inst)
         _, r_edge, _ = dense_edge(params, agg, data, compact_to_companion(params, data, res))
         r = companion_to_compact(r_edge, params)
         qi = quarterly_state_index(params)
         E = np.zeros((len(r), len(qi)))
         E[qi, np.arange(len(qi))] = 1.0
-        step = res.run.steps[-1]
-        closed = kalman._close(step.entry, E, None)
-        e = step.entry
+        plan = plan_for(params, scheme, data)
+        records = per_period(params, agg, data, t_b)
+        ref = run_filter(records, plan.init)
+        e = ref.run.steps[-1].entry
+        closed = kalman._close(e, E)
         ltr = closed.L.T @ r
-        ref_state = res.a_filt.head[-1] + e.P_pred @ ltr - e.HGt @ (closed.K.T @ r)
-        ref_r = ltr + res.w.head[-1]
-        # the last period alone, restarted from the adjoint of its filtered state
-        none = np.zeros((0, 0))
-        last = FilterResult(PassRun([step], 0, e.cond), Means(none, [res.a_filt.head[-1]]), [],
-                            Means(none, [res.w.head[-1]]))
-        t_b = data.pattern.t_balanced
-        skeleton = period_skeleton(params, agg, data.pattern)
-        periods = build_periods(params, skeleton, data, t_b, balanced_constants(skeleton, data, params.p))
-        states, r_prev = run_smoother(periods[-1:], last, r[qi])
-        for got, ref in ((states.tail[0], ref_state), (r_prev, ref_r)):
-            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-        # the same step inside the whole reduced run
-        assert_array_equal(run_smoother(periods, res, r[qi])[0].head[-1], states.tail[0])
+        ref_last = ref.a_filt[-1] + e.P_pred @ ltr - e.HGt @ (closed.K.T @ r)
+        ref_path = [s[:n_q] for s in run_smoother(records, ref, r[qi])[0].tail]
+        periods = build_periods(params, plan.skeleton, data, t_b, plan.system, plan.balanced(data))
+        states, r_b = run_smoother(periods, res, r[qi])
+        assert_array_equal(r_b, r[qi])
+        for got, want in ((states.head[-1], ref_last[:n_q]), (states.head, ref_path)):
+            got, want = np.ravel(got), np.ravel(want)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_back_transition_zero_when_smoothing_changes_nothing(self):
         params = random_params(2, 1, 3, seed=0)
@@ -462,6 +444,9 @@ class TestJointOracleProperty:
     # the quarterly block of the stationary initialization is summed
     # directly, not handed to the doubling, from about this shape up
     @example(case=(18, 2, 6, None, 7, 10, (7,) * 17 + (9,), 1, False, "stationary", 3))
+    # a zero lag-0 weight: an aggregate that does not read its own period
+    @example(case=(2, 1, 3, (0.0, 0.5, 0.5), 6, 8, (6, 8), 0, True, "stationary", 5))
+    @example(case=(3, 2, 4, (0.0, 0.5, 0.5), 7, 9, (7, 9, 8), 2, False, "diffuse-proxy", 6))
     def test_backends_match_joint_oracle(self, case):
         check_against_joint_oracle(case)
 
@@ -470,5 +455,11 @@ class TestJointOracleProperty:
     @example(case=(2, 2, 3, None, 5, 8, (5, 7), np.array([[1, 0], [0, 0], [1, 1], [0, 1], [0, 0],
                                                           [1, 0], [0, 0], [0, 1]], dtype=bool),
                    False, "stationary", 4))
+    # a 4-month window observed in consecutive months: the windows overlap
+    @example(case=(2, 1, 4, (0.4, 0.3, 0.2, 0.1), 6, 9, (6, 8),
+                   np.array([[0], [0], [1], [1], [1], [0], [1], [1], [0]], dtype=bool), True, "stationary", 7))
+    @example(case=(2, 2, 4, (0.4, 0.3, 0.2, 0.1), 6, 9, (6, 9),
+                   np.array([[0, 1], [1, 1], [1, 0], [1, 1], [0, 1], [1, 1], [0, 0], [1, 1], [1, 0]], dtype=bool),
+                   False, "diffuse-proxy", 8))
     def test_irregular_quarters_match_joint_oracle(self, case):
         check_against_joint_oracle(case)

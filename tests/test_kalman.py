@@ -5,8 +5,17 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mfsmooth import InitializationError, SingularInnovationError, VarParams, draw_latent, kalman
+from mfsmooth import (
+    InitializationError,
+    SingularInnovationError,
+    VarParams,
+    build_aggregation,
+    draw_latent,
+    kalman,
+    oracle_joint,
+)
 from mfsmooth.kalman import (
+    BalancedSystem,
     CovariancePass,
     CovStep,
     FilterState,
@@ -20,7 +29,8 @@ from mfsmooth.kalman import (
     stationary_quarterly_cov,
 )
 from mfsmooth.baseline import plan_for
-from mfsmooth.simulate import make_instance, random_stable_params
+from mfsmooth.model import AggregationScheme, MixedFreqData
+from mfsmooth.simulate import benchmark_pattern, make_instance, random_stable_params
 from mfsmooth.systems import PeriodSystem, SystemMatrices, build_periods, period_noise
 from test_model import random_params
 from test_systems import per_period
@@ -34,7 +44,7 @@ def make_period(Z, c, G, T, d, H, y, t=0):
 
 def single_steps(steps):
     """A pass run of the given steps."""
-    return PassRun(steps, 0, 0.0)
+    return PassRun(steps, 0.0)
 
 
 class TestFilterStep:
@@ -50,16 +60,16 @@ class TestFilterStep:
         assert_allclose(entry.cf @ entry.cf.T, [[4.0]])
         # from P0 = 0 the period's own prediction gives a = 0, P = 1 again;
         # then one step through the same transition, into the second period
-        run = CovariancePass([per, per], np.zeros((1, 1))).run(2)
+        run = CovariancePass([per, per], np.zeros((1, 1))).run()
         res = run_filter([per, per], FilterState(np.zeros(1), np.zeros((1, 1))), run)
         assert_allclose(run.steps[0].K, [[0.5]])
-        assert_allclose(res.a_filt.tail[0], [1.0])
-        last = FilterState(res.a_filt.tail[0], run.steps[0].entry.P_filt)
+        assert_allclose(res.a_filt[0], [1.0])
+        last = FilterState(res.a_filt[0], run.steps[0].entry.P_filt)
         assert_allclose(per.mats.T @ last.a + per.d, [1.0])
         assert_array_equal(kalman._predict_cov(last.P, per.mats.T, per.noise.HHt), run.steps[1].entry.P_pred)
         # terminal smoothing leaves the filtered mean unchanged
         states, _ = run_smoother([per, per], res, np.zeros(1))
-        assert_array_equal(states.tail[1], res.a_filt.tail[1])
+        assert_array_equal(states.tail[1], res.a_filt[1])
 
     def test_open_last_record_meets_zero_adjoint(self):
         # the last step keeps no gain; without an adjoint the smoother
@@ -74,7 +84,7 @@ class TestFilterStep:
         last = res.run.steps[-1]
         assert last.K is None and last.L is None
         states, r = run_smoother([per, per], res)
-        assert_array_equal(states.tail[-1], res.a_filt.tail[-1])
+        assert_array_equal(states.tail[-1], res.a_filt[-1])
         closed = single_steps([res.run.steps[0], CovStep(last.entry, np.zeros((1, 1)), np.eye(1))])
         dense = run_smoother([per, per], run_filter([per, per], init, closed), np.zeros(1))
         assert_array_equal(states.tail, dense[0].tail)
@@ -90,9 +100,9 @@ class TestFilterStep:
         assert_allclose(entry.P_filt, np.eye(2))
         a0 = np.array([1.0, -1.0])
         res = run_filter([per], FilterState(a0, np.zeros((2, 2))))
-        assert_allclose(res.a_filt.tail[0], a0)
+        assert_allclose(res.a_filt[0], a0)
         assert res.v[0].shape == (0,)
-        assert_array_equal(res.w.tail[0], 0.0)
+        assert_array_equal(res.w[0], 0.0)
 
     def test_singular_innovation_raises_with_period(self):
         per = make_period(
@@ -120,59 +130,6 @@ class TestFilterStep:
             assert np.max(np.abs(step.entry.P_pred - step.entry.P_pred.T)) == 0.0
 
 
-class TestCovariancePass:
-    @pytest.mark.parametrize("shape,seed", [((5, 2, 3), 0), ((5, 2, 3), 1), ((8, 2, 3), 2)])
-    def test_balanced_cycle_bounds_entries(self, shape, seed):
-        # balanced pattern, constant chol_cov: the uncached recursion repeats
-        # its predicted covariance bit for bit with a period that is a
-        # multiple of the quarter; the pass computes no entry after that
-        inst = make_instance(*shape, 120, 120, np.random.default_rng(seed))
-        plan = plan_for(inst.params, inst.scheme, inst.data)
-        P, raw = plan.init.P, []
-        for per in plan.skeleton:
-            P = kalman._predict_cov(P, per.mats.T, per.noise.HHt)
-            raw.append(P.tobytes())
-            P = filter_step(P, per).P_filt
-        start, period = min(
-            (t, k) for k in (3, 6, 9, 12) for t in range(k, len(raw)) if raw[t] == raw[t - k]
-        )
-        steps = plan.cov.run(inst.data.T).steps
-        assert [step.entry.P_pred.tobytes() for step in steps] == raw
-        assert len({id(step.entry) for step in steps}) <= start + period
-        assert steps[start].entry is steps[start - period].entry
-
-
-def loop_mean_pass(records, init, steps, r_init=None):
-    """The mean pass period by period, the reference for the banded one:
-    forward ``a_{t+1} = L_t a_t + K_t (y_t - c_t) + d_{t+1}`` with each
-    period's measurement update, backward ``r_{t-1} = L_t' r_t + w_t`` from
-    the open last step.  Returns the filtered means, the smoothed means and
-    r_0, per period."""
-    first = records[0]
-    a = first.mats.T @ init.a + first.d
-    a_filt, w = [], []
-    for t, (step, per) in enumerate(zip(steps, records)):
-        e = step.entry
-        x = (per.ymc - e.Z @ a) @ e.FinvMZ
-        a_filt.append(a + x[: len(a)])
-        w.append(x[len(a) :])
-        if t + 1 < len(steps):
-            a = step.L @ a + step.K @ per.ymc + records[t + 1].d
-    last = len(steps) - 1
-    states = [None] * len(steps)
-    e = steps[last].entry
-    if r_init is None:
-        states[last], r = a_filt[last], w[last]
-    else:
-        states[last] = a_filt[last] + e.P_filt @ r_init
-        r = r_init - e.Z.T @ (e.MFinv.T @ r_init) + w[last]
-    for t in range(last - 1, -1, -1):
-        step, e = steps[t], steps[t].entry
-        states[t] = a_filt[t] + e.P_pred @ (step.L.T @ r) - e.HGt @ (step.K.T @ r)
-        r = step.L.T @ r + w[t]
-    return a_filt, states, r
-
-
 def assert_close(got, ref, rtol=1e-13):
     got, ref = np.concatenate([np.ravel(x) for x in got]), np.concatenate([np.ravel(x) for x in ref])
     assert got.shape == ref.shape
@@ -180,25 +137,29 @@ def assert_close(got, ref, rtol=1e-13):
 
 
 class TestMeanBand:
-    """The balanced periods' mean pass as two banded solves against the
-    per-period recursion, on the periods and plan a draw runs on."""
+    """The balanced sample's mean as one banded saddle-point solve
+    (``BalancedSystem``) against the per-period recursion, on the periods
+    and plan a draw runs on."""
 
     @staticmethod
     def passes(params, inst, stop, init_mode="stationary", r_init=None):
         data = inst.data
+        t_b, n_q = data.pattern.t_balanced, params.n_q
         plan = plan_for(params, inst.scheme, data, init_mode)
-        periods = build_periods(params, plan.skeleton, data, stop, plan.balanced(data))
-        run = plan.cov.run(stop)
-        res = run_filter(periods, plan.init, run, plan.band)
-        states, r = run_smoother(periods, res, r_init)
-        t_b = data.pattern.t_balanced
-        assert res.band is plan.band
-        assert res.a_filt.head.shape == states.head.shape == (t_b, plan.init.P.shape[0])
-        assert len(res.a_filt.tail) == len(states.tail) == stop - t_b
-        ref = loop_mean_pass(per_period(periods, plan.skeleton), plan.init, run.steps, r_init)
-        assert_close([*res.a_filt.head, *res.a_filt.tail], ref[0])
-        assert_close([*states.head, *states.tail], ref[1])
-        assert_close([r], [ref[2]])
+        periods = build_periods(params, plan.skeleton, data, stop, plan.system, plan.balanced(data))
+        res = run_filter(periods, run=plan.cov.run() if stop > t_b else None)
+        states, _ = run_smoother(periods, res, r_init)
+        assert res.system is plan.system
+        assert states.head.shape == (t_b, n_q)
+        assert len(res.a_filt) == len(states.tail) == stop - t_b
+        # the reference: the reduced filter and smoother period by period
+        records = per_period(params, plan.agg, data, stop)
+        ref = run_filter(records, plan.init)
+        ref_states, _ = run_smoother(records, ref, r_init)
+        last = ref.run.steps[t_b - 1].entry
+        assert_close([res.boundary.a, *res.a_filt], ref.a_filt[t_b - 1 :])
+        assert_close([res.boundary.P], [last.P_filt])
+        assert_close([*states.head, *states.tail], [*(s[:n_q] for s in ref_states.tail[:t_b]), *ref_states.tail[t_b:]])
         return plan
 
     @pytest.mark.parametrize("time_varying", [False, True])
@@ -210,15 +171,14 @@ class TestMeanBand:
             scale = np.exp(0.3 * np.random.default_rng(4).standard_normal((120, params.n)))
             params = VarParams(5, 2, 4, params.intercept, params.lag_coeffs, scale[:, :, None] * params.chol_cov)
         plan = self.passes(params, inst, 120, init_mode)
-        # shared steps under a constant chol_cov, every step its own under a
-        # time-varying one
-        shared = [len(group[2].shared) for group in plan.band.groups]
-        assert (sum(shared) > 0) != time_varying
+        # one projection for every period under a constant chol_cov, one per
+        # period under a time-varying one
+        assert len(plan.system._G) == (116 if time_varying else 1)
 
     @pytest.mark.parametrize("seed", [5, 7])
     def test_matches_loop_restarted_at_the_boundary(self, seed):
-        # the blocked and baseline runs stop at t_b-1 and restart there
-        # from the edge's adjoint
+        # the blocked and baseline runs stop at t_b-1 and lift the balanced
+        # path by the edge's adjoint
         inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(seed))
         r_init = np.random.default_rng(seed).normal(size=4)
         self.passes(inst.params, inst, 16, r_init=r_init)
@@ -227,20 +187,41 @@ class TestMeanBand:
     def test_no_quarterly_variables(self):
         inst = make_instance(4, 0, 3, 30, 28, np.random.default_rng(0))
         plan = self.passes(inst.params, inst, 30)
-        assert plan.band.k == 0 and plan.band.ab.shape == (0, 0)
+        assert plan.system.k == 0 and plan.system.size == 0
 
-    def test_band_holds_minus_L_below_the_diagonal(self):
-        inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(5))
+    def test_band_spans_p_plus_one_periods(self):
+        # on the Gibbs cell's pattern (n_q = 2, p = 6, a quarterly value
+        # every third period): 7 periods of 2 values and the 4 multipliers
+        # between them; the mean given the balanced sample alone is the joint
+        # oracle's on those periods
+        inst = make_instance(18, 2, 6, 300, 297, np.random.default_rng(5), mask=benchmark_pattern(18, 2, 300, 297))
         plan = plan_for(inst.params, inst.scheme, inst.data)
-        band, steps, k = plan.band, plan.cov.run(16).steps, plan.band.k
-        dense = np.eye(16 * k)
-        for t in range(15):
-            dense[(t + 1) * k : (t + 2) * k, t * k : (t + 1) * k] = -steps[t].L
-        stored = np.eye(16 * k)
-        for i in range(1, 2 * k):
-            for j in range(16 * k - i):
-                stored[j + i, j] = band.ab[i, j]
-        assert_array_equal(stored, dense)
+        assert (plan.system.size, plan.system.kl) == (7 * 2 + 297 * 2 + 99 * 2, 17)
+        small = make_instance(3, 1, 3, 24, 21, np.random.default_rng(6))
+        head = MixedFreqData.from_values(small.data.values[:21], 3, 1)
+        plan = plan_for(small.params, small.scheme, head)
+        periods = build_periods(small.params, plan.skeleton, head, 21, plan.system, plan.balanced(head))
+        states, _ = run_smoother(periods, run_filter(periods))
+        assert_allclose(states.head[:, 0], oracle_joint(small.params, small.scheme, head).mean[:, 3], rtol=1e-12)
+
+    def test_zero_pivot_raises_naming_its_period(self):
+        # zero aggregation weights: the first observed aggregate's row of the
+        # system is zero
+        scheme = AggregationScheme("custom", np.zeros(1), 1)
+        inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(5), scheme=scheme)
+        first = int(np.flatnonzero(inst.data.pattern.quarterly_observed[:, 0])[0])
+        with pytest.raises(SingularInnovationError, match=f"t={first}") as err:
+            plan_for(inst.params, inst.scheme, inst.data)
+        assert err.value.t == first
+
+    def test_rank_deficient_initial_covariance_is_jittered(self):
+        inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(5))
+        init = init_state(inst.params)
+        P = init.P.copy()
+        P[0, :] = P[:, 0] = 0.0
+        agg = build_aggregation(inst.scheme, 3, 1, 3)
+        assert BalancedSystem(inst.params, agg, inst.data.pattern, FilterState(init.a, P)).jitter
+        assert not BalancedSystem(inst.params, agg, inst.data.pattern, init).jitter
 
 
 class TestOpenLastFilteredCovariance:
@@ -250,7 +231,7 @@ class TestOpenLastFilteredCovariance:
         inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
         plan = plan_for(inst.params, inst.scheme, inst.data)
         draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=1)
-        entry = plan.cov.run(40).steps[-1].entry
+        entry = plan.cov.run().steps[-1].entry
         assert entry._P_filt is None
         P = entry.P_filt
         assert_array_equal(P, kalman._sym(entry.P_pred - entry.MFinv @ entry.M.T))

@@ -47,6 +47,19 @@ class TestVarParams:
         with pytest.raises(ConfigurationError, match="positive diagonals"):
             VarParams(2, 1, 1, np.zeros(3), np.zeros((1, 3, 3)), singular)
 
+    @pytest.mark.parametrize("period", [0, 3, 4])
+    def test_upper_triangle_tolerance_in_any_period(self, period):
+        # entries above the diagonal up to 1e-8 in magnitude pass as zero
+        stack = np.tile(np.eye(3), (5, 1, 1))
+        for value, ok in ((1e-9, True), (-1e-9, True), (1e-7, False), (-1e-7, False)):
+            W = stack.copy()
+            W[period, 1, 2] = value
+            if ok:
+                VarParams(2, 1, 1, np.zeros(3), np.zeros((1, 3, 3)), W)
+            else:
+                with pytest.raises(ConfigurationError, match="lower-triangular"):
+                    VarParams(2, 1, 1, np.zeros(3), np.zeros((1, 3, 3)), W)
+
     @pytest.mark.parametrize("field", ["intercept", "lag_coeffs", "chol_cov"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, field, bad):

@@ -310,19 +310,26 @@ class TestPreparedPlan:
         assert doublings == []
 
     def test_covariance_pass_once_per_plan(self, monkeypatch):
-        # the reduced filter factorizes only while its plan's pass is built:
-        # warm draws and draw_many pay none, a new parameter set pays again
+        # a plan factorizes while it is built: the balanced system's band LU,
+        # then, on the adaptive backend's first draw, the edge pass's factors
+        # of F; warm draws and draw_many pay none, a new parameter set pays
+        # again
         inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
         calls = []
-        factorize = kalman.factorize_innovation
+        factorize, band_lu = kalman.factorize_innovation, kalman.dgbtrf
 
         def counted(F, t):
             calls.append(t)
             return factorize(F, t)
 
+        def counted_lu(*args, **kwargs):
+            calls.append("band")
+            return band_lu(*args, **kwargs)
+
         monkeypatch.setattr(kalman, "factorize_innovation", counted)
+        monkeypatch.setattr(kalman, "dgbtrf", counted_lu)
         cold = draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=2)
-        assert len(calls) == cold.stats.factorizations > 0
+        assert calls == ["band", 57, 58, 59] and cold.stats.factorizations == 4
         del calls[:]
         warm = [draw_latent(inst.params, inst.scheme, inst.data, b, seed=2) for b in ("adaptive", "blocked")]
         draw_many(inst.params, inst.scheme, inst.data, "adaptive", 3, seed=2)
@@ -336,46 +343,45 @@ class TestPreparedPlan:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cold_and_warm_plans_draw_alike(self, backend):
         # a draw that builds the plan and one that reuses it take the same
-        # numerical path: bitwise equal draws, the same reuse and condition
+        # numerical path: bitwise equal draws and the same condition
         inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
         p = inst.params
         cold = draw_latent(p, inst.scheme, inst.data, backend, seed=5)
         warm = draw_latent(p, inst.scheme, inst.data, backend, seed=5)
         assert_array_equal(cold.x, warm.x)
         assert cold.stats.factorizations > 0 and warm.stats.factorizations == 0
-        assert cold.stats.cov_reuse == warm.stats.cov_reuse > 0
         assert cold.stats.worst_cond == warm.stats.worst_cond > 1.0
         fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
         again = draw_latent(fresh, inst.scheme, inst.data, backend, seed=5)
         assert_array_equal(again.x, cold.x)
 
     def test_band_built_once_per_plan(self, monkeypatch):
-        # the plan forms the balanced periods' band once; every draw's mean
-        # pass on the plan reads it, and a cold and a warm draw agree bitwise
+        # the plan builds the balanced system once; every draw's balanced
+        # block is solved on it, and a cold and a warm draw agree bitwise
         inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
-        bands, results = [], []
-        band, run_filter = kalman.MeanBand, baseline.run_filter
+        systems_built, results = [], []
+        system, run_filter = kalman.BalancedSystem, baseline.run_filter
 
         def built(*args):
-            bands.append(band(*args))
-            return bands[-1]
+            systems_built.append(system(*args))
+            return systems_built[-1]
 
         def recorded(*args, **kwargs):
             results.append(run_filter(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(baseline, "MeanBand", built)
+        monkeypatch.setattr(baseline, "BalancedSystem", built)
         monkeypatch.setattr(baseline, "run_filter", recorded)
         for backend in BACKENDS:
             cold = draw_latent(inst.params, inst.scheme, inst.data, backend, seed=5)
             warm = draw_latent(inst.params, inst.scheme, inst.data, backend, seed=5)
             assert_array_equal(cold.x, warm.x)
         draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=5)
-        # the dense edge's companion run takes per-period steps, no band
-        reduced = [res for res in results if res.band is not None]
-        assert len(bands) == 1 and len(reduced) == 2 * len(BACKENDS) + 2
-        assert all(res.band is bands[0] for res in reduced)
-        assert plan_for(inst.params, inst.scheme, inst.data).band is bands[0]
+        # the dense edge's companion run takes per-period steps, no system
+        reduced = [res for res in results if res.system is not None]
+        assert len(systems_built) == 1 and len(reduced) == 2 * len(BACKENDS) + 2
+        assert all(res.system is systems_built[0] for res in reduced)
+        assert plan_for(inst.params, inst.scheme, inst.data).system is systems_built[0]
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
     def test_diffuse_proxy_kappa_validated(self, inst, kappa):
@@ -519,34 +525,34 @@ class TestDataPart:
 
     def test_warm_draw_forms_no_data_part(self, monkeypatch):
         params, data = self.instance(SCHEMES["average"], False)
-        balanced = []
-        constants = systems._constants
+        formed = []
+        constants = baseline.balanced_constants
 
-        def counted(mats, ts, stacks):
-            balanced.append(not len(mats.idx.u_t))
-            return constants(mats, ts, stacks)
+        def counted(params, data):
+            formed.append(data)
+            return constants(params, data)
 
-        monkeypatch.setattr(systems, "_constants", counted)
+        monkeypatch.setattr(baseline, "balanced_constants", counted)
         draw_latent(params, SCHEMES["average"], data, "adaptive", seed=1)
         consts = plan_for(params, SCHEMES["average"], data).balanced(data)
-        assert sum(balanced) == len(consts) > 0
-        del balanced[:]
+        assert formed == [data]
+        del formed[:]
         for backend in BACKENDS:
             draw_latent(params, SCHEMES["average"], data, backend, seed=2)
         draw_many(params, SCHEMES["average"], data, "adaptive", 2, seed=2)
-        assert sum(balanced) == 0
+        assert formed == []
         assert plan_for(params, SCHEMES["average"], data).balanced(data) is consts
 
     def test_warm_draw_takes_the_data_part_arrays(self, monkeypatch):
-        # a balanced group's d is the plan's array, not a copy
+        # every draw's period build takes the plan's constants array, not a copy
         scheme = SCHEMES["custom"]
         params, data = self.instance(scheme, True)
         built = []
         build = baseline.build_periods
 
         def recorded(*args, **kwargs):
-            built.append(build(*args, **kwargs))
-            return built[-1]
+            built.append(args[5])
+            return build(*args, **kwargs)
 
         monkeypatch.setattr(baseline, "build_periods", recorded)
         draw_latent(params, scheme, data, "adaptive", seed=1)
@@ -555,14 +561,11 @@ class TestDataPart:
         for backend in BACKENDS:
             draw_latent(params, scheme, data, backend, seed=2)
         assert plan_for(params, scheme, data).balanced(data) is consts
-        by_mats = {id(mats): ds for mats, _, _, ds in consts}
-        for periods in built:
-            assert sum(len(group.ts) for group in periods.groups) == data.pattern.t_balanced
-            for group in periods.groups:
-                assert group.d is by_mats[id(group.mats)]
+        assert consts.shape == (data.pattern.t_balanced, params.n)
+        assert len(built) == 4 and all(arr is consts for arr in built)
 
     def test_pseudo_path_needs_the_balanced_sample(self):
         params, data = self.instance(SCHEMES["average"], False)
         plan = plan_for(params, SCHEMES["average"], data)
         with pytest.raises(ConfigurationError, match="t_balanced"):
-            systems.build_periods(params, plan.skeleton, data, 10, plan.balanced(data))
+            systems.build_periods(params, plan.skeleton, data, 10, plan.system, plan.balanced(data))

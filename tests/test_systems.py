@@ -41,16 +41,27 @@ from mfsmooth.systems import (
 from test_model import random_params
 
 
-def per_period(periods, skeleton):
-    """A draw's periods (``build_periods``) as one ``PeriodSystem`` per
-    period: each balanced group's rows, with the skeleton's noise parts,
-    then the ragged-edge records as they are."""
-    balanced = [
-        PeriodSystem(group.mats, skeleton[t].noise, t, ymc, d)
-        for group in periods.groups
-        for t, ymc, d in zip(group.ts.tolist(), group.ymc, group.d)
-    ]
-    return sorted(balanced, key=lambda per: per.t) + periods.edge
+def per_period(params, agg, data, stop=None):
+    """Periods 0..stop-1 as one ``PeriodSystem`` each, every one built
+    alone: its structural matrices and noise products, and y - c and d from
+    ``systems._constants`` on a group of one.  The reduced formulation
+    period by period, the reference for a draw's balanced block."""
+    pattern = data.pattern
+    stacks = systems._lag_stacks(data.values, params.p, params.n_m)
+    records = []
+    for t in range(data.T if stop is None else stop):
+        idx = systems._index_for_period(pattern, params.n_m, params.n_q, t)
+        mats = build_system_matrices(params, agg, idx, pattern.quarterly_rows(t))
+        noise = systems.period_noise(*loadings_stack(params, idx, mats.q_rows, t), mats.Z)[0]
+        ts = np.array([t])
+        c, d = systems._constants(mats, ts, stacks)
+        records.append(PeriodSystem(mats, noise, t, systems._observed(data, mats, ts)[0] - c[0], d[0]))
+    return records
+
+
+def loadings_stack(params, idx, q_rows, t):
+    """G and H of period t as stacks of one (``adaptive_loadings``)."""
+    return adaptive_loadings(params.chol(t)[None], idx, q_rows, params.p)
 
 
 @pytest.fixture
@@ -66,7 +77,7 @@ BALANCED = AdaptiveIndex([], [0, 1, 2], [], [0, 1, 2], 3, 1)
 
 def loadings(params, idx, q_rows, t):
     """G and H of one period (``adaptive_loadings`` of a stack of one)."""
-    G, H = adaptive_loadings(params.chol(t)[None], idx, q_rows, params.p)
+    G, H = loadings_stack(params, idx, q_rows, t)
     return G[0], H[0]
 
 
@@ -294,9 +305,7 @@ class TestExogVector:
         values[4:, 2] = np.nan                   # variable 2 latent from t = 4
         values[7, 1] = np.nan
         data = MixedFreqData.from_values(values, 3, 1)
-        skeleton = period_skeleton(params, agg, data.pattern)
-        periods = build_periods(params, skeleton, data, data.T, balanced_constants(skeleton, data, params.p))
-        return params, values, per_period(periods, skeleton)
+        return params, values, per_period(params, agg, data)
 
     @staticmethod
     def direct(params, values, t, rows, o_prev):
@@ -322,7 +331,8 @@ class TestExogVector:
     @pytest.mark.parametrize("time_varying", [False, True])
     def test_every_period_matches_direct_construction(self, setup, time_varying):
         """y, c and d of every period, the one-period edge groups included,
-        from the exogenous vector assembled entry by entry."""
+        from the exogenous vector assembled entry by entry; a draw's
+        balanced block and edge periods take them as they are."""
         params, agg = setup
         rng = np.random.default_rng(8)
         values = rng.normal(size=(12, 4))
@@ -335,13 +345,10 @@ class TestExogVector:
             params = VarParams(3, 1, 3, params.intercept, params.lag_coeffs,
                                scale[:, :, None] * params.chol_cov)
         data = MixedFreqData.from_values(values, 3, 1)
-        skeleton = period_skeleton(params, agg, data.pattern)
-        built = build_periods(params, skeleton, data, data.T, balanced_constants(skeleton, data, params.p))
-        periods = per_period(built, skeleton)
+        periods = per_period(params, agg, data)
         p = params.p
         assert [per.t for per in periods] == list(range(12))
-        for per, shape in zip(periods, skeleton):
-            assert per.mats is shape.mats and per.noise is shape.noise
+        for per in periods:
             idx = per.mats.idx
             ex = np.zeros(p * len(idx.o_prev))
             for pos, v in enumerate(idx.o_prev):
@@ -350,10 +357,24 @@ class TestExogVector:
             y = np.concatenate([values[per.t, idx.o_t], values[per.t, 3 + per.mats.q_rows]])
             assert_allclose(per.ymc, y - (per.mats.c0 + per.mats.C @ ex), rtol=1e-13, atol=1e-15)
             assert_allclose(per.d, per.mats.d0 + per.mats.D @ ex, rtol=1e-13, atol=1e-15)
-        # the edge periods t = 8, 10, 11 are groups of one with o_prev != all
-        lone = [per.t for per in periods if sum(q.mats is per.mats for q in periods) == 1]
+        # a draw's periods: the edge periods t = 8, 10, 11 are groups of one
+        # with o_prev != all, the balanced block's residuals are y_m - c_m
+        # and -d_q of the periods before t_b = 7, its aggregates the
+        # quarterly values at t = 2, 5, and the edge periods are the records
+        t_b = data.pattern.t_balanced
+        skeleton = period_skeleton(params, agg, data.pattern)
+        lone = [ts[0] for _, ts in skeleton.groups if len(ts) == 1]
         assert {8, 10, 11} <= set(lone)
         assert all(len(periods[t].mats.idx.o_prev) < 3 for t in (8, 10, 11))
+        built = build_periods(params, skeleton, data, data.T, None, balanced_constants(params, data))
+        resid = [np.concatenate([per.ymc[:3], -per.d[:1]]) for per in periods[:t_b]]
+        assert_allclose(built.balanced.resid, resid, rtol=1e-13, atol=1e-15)
+        assert_array_equal(built.balanced.agg, values[[2, 5], 3])
+        assert [per.t for per in built.edge] == list(range(t_b, 12))
+        for got, per in zip(built.edge, periods[t_b:]):
+            assert got.noise is skeleton[got.t - t_b].noise
+            assert_allclose(got.ymc, per.ymc, rtol=1e-13, atol=1e-15)
+            assert_allclose(got.d, per.d, rtol=1e-13, atol=1e-15)
 
     def test_presample_lags_are_zero(self, built):
         params, values, periods = built
@@ -370,7 +391,7 @@ class TestEdgeConstants:
     @pytest.mark.parametrize("n_m,n_q,p,T,t_b", [(5, 2, 4, 40, 36), (119, 1, 12, 60, 58)])
     def test_match_the_dense_products(self, n_m, n_q, p, T, t_b):
         """d from D's coefficient rows and the lag identities' index, against
-        the dense product with D, for every group of the sample."""
+        the dense product with D, for every ragged-edge group."""
         inst = make_instance(n_m, n_q, p, T, t_b, np.random.default_rng(2))
         plan = plan_for(inst.params, inst.scheme, inst.data)
         stacks = systems._lag_stacks(inst.data.values, p, n_m)
@@ -390,8 +411,13 @@ class TestSkeletonSharing:
 
     @pytest.mark.parametrize("time_varying", [False, True])
     def test_one_build_per_pattern_key(self, monkeypatch, time_varying):
+        # monthly variable 0 is missing from t = 290 on: an edge of ten
+        # periods with three keys, the first edge period and then the
+        # periods with and without a quarterly value
         rng = np.random.default_rng(5)
-        inst = make_instance(18, 2, 6, 300, 297, rng, mask=benchmark_pattern(18, 2, 300, 297))
+        mask = benchmark_pattern(18, 2, 300, 300)
+        mask[290:, 0] = False
+        inst = make_instance(18, 2, 6, 300, 290, rng, mask=mask)
         params = inst.params
         if time_varying:
             scale = np.exp(0.3 * rng.standard_normal((300, params.n)))
@@ -400,13 +426,11 @@ class TestSkeletonSharing:
         calls = []
         build = systems.build_system_matrices
         monkeypatch.setattr(systems, "build_system_matrices", lambda *args: calls.append(args) or build(*args))
-        plan = plan_for(params, inst.scheme, inst.data)
-        # balanced with and without a quarterly value, and three edge periods
-        assert len(calls) == 5
-        periods = per_period(build_periods(params, plan.skeleton, inst.data, inst.data.T, plan.balanced(inst.data)),
-                             plan.skeleton)
-        assert len({id(per.mats) for per in periods}) == 5
-        assert len({id(per.noise) for per in periods}) == (300 if time_varying else 5)
+        periods = plan_for(params, inst.scheme, inst.data).skeleton
+        assert len(calls) == 3
+        assert [per.t for per in periods] == list(range(290, 300))
+        assert len({id(per.mats) for per in periods}) == 3
+        assert len({id(per.noise) for per in periods}) == (10 if time_varying else 3)
         # the batched noise products are the single-period products
         for per in periods:
             idx, q_rows = per.mats.idx, per.mats.q_rows
