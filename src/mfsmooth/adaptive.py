@@ -1,8 +1,11 @@
-"""Adaptive smoother: the state is augmented per period with exactly the
-currently-unobserved monthly variables, so no full stacked formulation is
-ever built.  It is ``baseline.smooth`` with no edge step: the reduced
-filtering the other backends use over the balanced sample runs on through
-the ragged edge.
+"""Adaptive smoother: the ragged edge adds to the quarterly path exactly
+the monthly values still missing, so no full stacked formulation is ever
+built.  It is ``baseline.smooth`` with no edge step: after the balanced
+sample's system, which every backend solves, the edge's latent values are
+one solve of the plan's ``kalman.EdgeSystem``, a small dense saddle-point
+system on the balanced system's filtered state at t_b-1 that the plan
+factorizes on this backend's first draw.  ``RunStats.worst_cond`` is that
+system's 1/rcond.
 """
 
 from __future__ import annotations

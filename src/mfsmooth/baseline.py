@@ -1,9 +1,10 @@
 """The smoothing routine all backends share, and the reference edge step.
 
-``smooth`` runs the reduced (quarterly-stack) filter and smoother over the
-balanced sample; the backends differ only in the ragged-edge step they pass
-it.  What its draws share, the reduced filter's covariance pass included,
-is prepared once per (parameters, aggregation, pattern) by ``plan_for``.
+``smooth`` solves the balanced sample's system; the backends differ only in
+the ragged-edge step they pass it, or in solving the edge's system after it
+(the adaptive backend).  What its draws share, both systems' factorizations
+included, is prepared once per (parameters, aggregation, pattern) by
+``plan_for``.
 The reference step, ``dense_edge``, deliberately uses dense full-dimension
 companion products; the other backends exist to avoid exactly that cost.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .kalman import (
     BalancedSystem,
-    CovariancePass,
+    EdgeSystem,
     FilterResult,
     FilterState,
     Means,
@@ -28,18 +29,16 @@ from .kalman import (
     run_filter,
     run_smoother,
 )
-from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams, build_aggregation
+from .model import Aggregation, AggregationScheme, MixedFreqData, ObservationPattern, VarParams, build_aggregation
 from .systems import (
     DrawPeriods,
     PeriodNoise,
     PeriodSystem,
-    Skeleton,
     SystemMatrices,
     balanced_constants,
     build_periods,
     build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
     companion_observation,
-    period_skeleton,
 )
 
 if TYPE_CHECKING:
@@ -55,11 +54,13 @@ class RunStats:
     the numerical path a draw took:
 
     - ``factorizations``: factorizations the plan computed for this draw:
-      its balanced system's band LU and the reduced edge pass's factors of
-      F; 0 when the plan was warm;
-    - ``worst_cond``: the largest squared diagonal ratio of the ragged
-      edge's factors of F (0 on a balanced sample, whose system has none;
-      a zero pivot of its band LU raises instead);
+      its balanced system's band LU and, on the adaptive backend's first
+      draw, its edge system's LU; 0 when the plan was warm;
+    - ``worst_cond``: the edge's condition: the largest squared diagonal
+      ratio of the edge step's factors of F (``blocked``, ``baseline``), or
+      1/rcond of the edge system's LU (``adaptive``), a diagnostic with no
+      threshold; 0 on a balanced sample (a zero pivot of either LU raises
+      instead);
     - ``init_jitter``: 1 when the initial quarterly covariance needed jitter
       to factorize, for the balanced system or the pseudo path.
     """
@@ -100,14 +101,13 @@ def check_pattern(params: VarParams, data: MixedFreqData) -> None:
 @dataclass(frozen=True)
 class Plan:
     """What every draw for one (parameters, aggregation, pattern) shares:
-    the expanded aggregation, the initial quarterly state, the balanced
+    the expanded aggregation, the initial quarterly state and the balanced
     sample's factorized system (``BalancedSystem``), which every backend
-    solves, the ragged edge's period skeleton (structural matrices and
-    noise products) and the reduced filter's covariance pass over it from
-    the system's filtered covariance at t_b-1, which the adaptive backend
-    runs.  The edge backends continue from that filtered state placed in
-    the stacked one (``compact_to_companion``).  ``scheme`` is the
-    aggregation argument as the caller passed it and ``init_key`` the
+    solves.  The edge backends continue from its filtered state at t_b-1
+    placed in the stacked one (``compact_to_companion``); the adaptive
+    backend solves the ragged edge's system (``EdgeSystem``), built from it
+    on that backend's first draw (``edge``).  ``scheme`` is the aggregation
+    argument as the caller passed it and ``init_key`` the
     ``(init_mode, kappa)`` pair; with ``params`` they decide whether the
     plan can be reused.
 
@@ -122,9 +122,8 @@ class Plan:
     agg: Aggregation
     init: FilterState
     system: BalancedSystem
-    skeleton: Skeleton
-    cov: CovariancePass
     _last: tuple[MixedFreqData, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _edge: EdgeSystem | None = field(default=None, init=False, repr=False, compare=False)
 
     def balanced(self, data: MixedFreqData) -> np.ndarray:
         """The balanced periods' constants at ``data`` (``balanced_constants``):
@@ -134,9 +133,16 @@ class Plan:
             object.__setattr__(self, "_last", (data, balanced_constants(self.params, data)))
         return self._last[1]
 
+    def edge(self, pattern: ObservationPattern) -> EdgeSystem:
+        """The ragged edge's system on the plan's ``pattern``, built and
+        factorized on the first call."""
+        if self._edge is None:
+            object.__setattr__(self, "_edge", EdgeSystem(self.params, self.agg, pattern, self.system.P_filt))
+        return self._edge
+
     def pop_factorizations(self) -> int:
         """Factorizations the plan computed since the last call."""
-        return self.system.pop_factorizations() + self.cov.pop_factorizations()
+        return self.system.pop_factorizations() + (0 if self._edge is None else self._edge.pop_factorizations())
 
 
 def plan_for(
@@ -152,8 +158,7 @@ def plan_for(
     aggregation are the same objects and ``(init_mode, kappa)`` is equal;
     otherwise a new plan is built and replaces it there.  A new plan
     factorizes the balanced system, which every backend shares; the
-    adaptive backend runs the covariance pass over the ragged edge on first
-    use.
+    adaptive backend factorizes the edge's system on first use.
     """
     pattern = data.pattern
     plan = pattern._plan
@@ -163,22 +168,20 @@ def plan_for(
     expanded = prepare(params, agg)
     check_pattern(params, data)
     init = init_state(params, init_mode, kappa)
-    system = BalancedSystem(params, expanded, pattern, init)
-    skeleton = period_skeleton(params, expanded, pattern)
-    plan = Plan(params, agg, init_key, expanded, init, system, skeleton, CovariancePass(skeleton, system.P_filt))
+    plan = Plan(params, agg, init_key, expanded, init, BalancedSystem(params, expanded, pattern, init))
     object.__setattr__(pattern, "_plan", plan)
     return plan
 
 
 def fill_states(x: np.ndarray, states: Means, periods: DrawPeriods) -> None:
-    """Write each period's smoothed head (latent monthly and quarterly) into
-    x: one assignment of the balanced quarterly path, and one per
-    ragged-edge period after it."""
+    """Write the smoothed latent values into x: one assignment of the
+    balanced quarterly path, and one per ragged-edge period after it when
+    the draw solved the edge's system."""
     t_b, n_q = states.head.shape
     x[:t_b, x.shape[1] - n_q :] = states.head
-    for per, state in zip(periods.edge, states.tail):
-        idx = per.mats.idx
-        x[per.t, idx.head_vars()] = state[: idx.head_size]
+    if periods.edge is not None:
+        for t, vars_, state in zip(range(t_b, x.shape[0]), periods.edge.mats.heads, states.tail):
+            x[t, vars_] = state
 
 
 def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
@@ -270,19 +273,19 @@ def smooth(
     edge: Callable[..., tuple[np.ndarray, np.ndarray, float]] | None = None,
     pseudo: PseudoSample | None = None,
 ) -> SmoothResult:
-    """The balanced sample's system, ``edge`` over the ragged edge, then the
-    balanced path lifted by the edge's adjoint.
+    """The balanced sample's system, the ragged edge, then the balanced
+    path lifted by the edge's adjoint.
 
-    The balanced block is one solve of the plan's ``BalancedSystem``.  Its
-    filtered state at t_b-1 is placed in the stacked state
-    (``compact_to_companion``); ``edge(params, agg, data, start)`` starts
-    from that state and returns the smoothed (T - t_b, n) edge rows, its
-    adjoint for the stacked state predicted at t_b and the worst condition
-    ratio of its factors of F.  ``F1'`` carries that adjoint back
+    The balanced block is one solve of the plan's ``BalancedSystem``.  With
+    an ``edge`` step its filtered state at t_b-1 is placed in the stacked
+    state (``compact_to_companion``); ``edge(params, agg, data, start)``
+    starts from that state and returns the smoothed (T - t_b, n) edge rows,
+    its adjoint for the stacked state predicted at t_b and the worst
+    condition ratio of its factors of F.  ``F1'`` carries that adjoint back
     (``companion_to_compact``), and its quarterly positions lift the
-    balanced path, with no linear solve.  With ``edge=None``, or a balanced
-    sample, the reduced (adaptive) formulation runs on through the ragged
-    edge over the plan's covariance pass.
+    balanced path, with no linear solve.  With ``edge=None`` (the adaptive
+    backend) the ragged edge is one solve of the plan's ``EdgeSystem``,
+    whose multipliers give that adjoint directly.
 
     The balanced periods' constants are the plan's at ``data``
     (``Plan.balanced``).  With ``pseudo``, a pseudo sample simulated for
@@ -295,17 +298,16 @@ def smooth(
     """
     plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
-    stop = T if edge is None else t_b
+    edge_system = plan.edge(data.pattern) if edge is None and T > t_b else None
     obs, lags = data, None
     if pseudo is not None:
         obs = data.replace_values(data.values - pseudo.y_plus)
         lags = data.values[:, : params.n_m] - pseudo.x_plus[:, : params.n_m]
-    periods = build_periods(params, plan.skeleton, obs, stop, plan.system, plan.balanced(data), lags)
-    run = plan.cov.run() if stop > t_b else None
-    res = run_filter(periods, run=run)
+    periods = build_periods(params, obs, plan.system, plan.balanced(data), edge_system, lags)
+    res = run_filter(periods)
     heads = r = None
-    worst_cond = 0.0 if run is None else run.worst_cond
-    if stop < T:
+    worst_cond = 0.0 if edge_system is None else edge_system.cond
+    if edge is not None and T > t_b:
         heads, r_edge, worst_cond = edge(params, plan.agg, obs, compact_to_companion(params, data, res))
         r = companion_to_compact(r_edge, params)[quarterly_state_index(params)]
     states, _ = run_smoother(periods, res, r_init=r)

@@ -1,5 +1,5 @@
 """Kalman filtering and fixed-interval smoothing with correlated noises,
-and the balanced sample's quarterly path as one banded system.
+and a draw's quarterly path and ragged edge as two saddle-point systems.
 
 The state and observation disturbances share the same underlying shock
 vector, so the recursions carry the cross term ``H_t G_t'`` through the
@@ -10,20 +10,25 @@ The per-period convention: the transition ``(T_t, d_t, H_t)`` maps the
 t-1 state onto the t state.  The covariance side of period t (P_pred, the
 factor of F, the gain ``K_t`` and ``L_t`` onto the t+1 state through period
 t+1's transition) depends on no data: ``CovariancePass`` computes it once
-per sequence of periods.  Each draw then runs only the mean pass over
-y - c, ``run_filter`` forward and ``run_smoother`` backward (Durbin and
-Koopman 2002).  A run's last step is always open: it leaves ``K`` and ``L``
-unset, and the smoother restarts there from an adjoint of the last filtered
-state (zero by default), as a caller that continues on another state space
-hands it back.
+per sequence of periods.  Each run then takes the mean pass over y - c,
+``run_filter`` forward and ``run_smoother`` backward (Durbin and Koopman
+2002).  A run's last step is always open: it leaves ``K`` and ``L`` unset,
+and the smoother restarts there from an adjoint of the last filtered state
+(zero by default), as a caller that continues on another state space hands
+it back.  The reference edge step runs these steps over its companion
+periods.
 
-Over a draw's balanced periods no recursion runs.  Given the data, the
-quarterly path there is Gaussian with a precision banded in time, and the
-observed aggregates are exact linear constraints on it: ``BalancedSystem``
-solves for its mean as one banded saddle-point system that each plan
-factorizes once (Chan and Jeliazkov 2009; Chan, Poon and Zhu 2023).  The
-ragged edge, whose state grows, takes per-period steps from the filtered
-state at the balanced sample's last period, which that system also gives.
+Over a draw's own periods no recursion runs.  Given the data, the
+quarterly path over the balanced periods is Gaussian with a precision
+banded in time, and the observed aggregates are exact linear constraints
+on it: ``BalancedSystem`` solves for its mean as one banded saddle-point
+system that each plan factorizes once (Chan and Jeliazkov 2009; Chan, Poon
+and Zhu 2023).  Its solution's last state is the filtered state at the
+balanced sample's last period.  From that state and its covariance,
+``EdgeSystem`` solves for the latent values of the ragged edge, the
+monthly values still missing and the quarterly ones, as one small dense
+saddle-point system, whose multipliers include the adjoint that lifts the
+balanced path.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpotrf, dpotrs
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dpotrf, dpotrs
 
 from .errors import InitializationError, SingularInnovationError
 from .model import Aggregation, ObservationPattern, VarParams
@@ -44,6 +50,7 @@ __all__ = [
     "CovariancePass",
     "PassRun",
     "BalancedSystem",
+    "EdgeSystem",
     "Means",
     "FilterResult",
     "factorize_innovation",
@@ -191,43 +198,22 @@ class PassRun:
 class CovariancePass:
     """The covariance side of the filter over one sequence of periods:
     predicted and filtered covariances, the factor of F and the gains K and
-    L, computed from the initial covariance ``P0`` without any data, on the
-    first ``run``.
-
-    A prepared plan holds the pass over its ragged edge, from the filtered
-    covariance at the balanced sample's last period, so every adaptive draw
-    for it runs only the mean pass (``run_filter``, ``run_smoother``).
+    L, computed from the initial covariance ``P0`` without any data by
+    ``run``; ``run_filter`` forms it for a list of periods, as the reference
+    edge step's companion periods.
     """
 
     def __init__(self, periods, P0: np.ndarray):
         self.periods = periods
         self.P0 = P0
-        self.factorizations = 0    # factorizations since the last ``pop_factorizations``
-        self._run: PassRun | None = None
-
-    def pop_factorizations(self) -> int:
-        """Factorizations computed since the last call."""
-        k, self.factorizations = self.factorizations, 0
-        return k
 
     def run(self) -> PassRun:
         """The steps of every period, the last left open."""
-        if self._run is None:
-            self._run = self._make_run()
-        return self._run
-
-    def _entry(self, P: np.ndarray, t: int) -> CovEntry:
-        entry = filter_step(P, self.periods[t])
-        self.factorizations += entry.cf is not None
-        return entry
-
-    def _make_run(self) -> PassRun:
         periods, steps = self.periods, []
-        entry = self._entry(_predict_cov(self.P0, periods[0].mats.T, periods[0].noise.HHt), 0)
-        for t in range(1, len(periods)):
-            Tm = periods[t].mats.T
-            steps.append(_close(entry, Tm))
-            entry = self._entry(_predict_cov(entry.P_filt, Tm, periods[t].noise.HHt), t)
+        entry = filter_step(_predict_cov(self.P0, periods[0].mats.T, periods[0].noise.HHt), periods[0])
+        for per in periods[1:]:
+            steps.append(_close(entry, per.mats.T))
+            entry = filter_step(_predict_cov(entry.P_filt, per.mats.T, per.noise.HHt), per)
         steps.append(CovStep(entry))
         return PassRun(steps, max(step.entry.cond for step in steps))
 
@@ -289,11 +275,11 @@ class BalancedSystem:
     A zero pivot raises ``SingularInnovationError`` naming its period.
 
     A draw's mean is one ``dgbtrs`` solve (``solve``).  Its last state
-    s_{t_b-1} is the filtered state at t_b-1, where the ragged edge starts.
-    One more solve, on the unit vectors of that state's positions, gives its
-    covariance ``P_filt`` and Cov(q_t, s_{t_b-1}), which lifts the edge's
-    adjoint r onto the path: the smoothed path is the mean plus that
-    covariance times r (``smoothed``).
+    s_{t_b-1} is the filtered state at t_b-1, where the ragged edge starts
+    (``EdgeSystem`` or an edge step).  One more solve, on the unit vectors of
+    that state's positions, gives its covariance ``P_filt`` and
+    Cov(q_t, s_{t_b-1}), which lifts the edge's adjoint r onto the path: the
+    smoothed path is the mean plus that covariance times r (``smoothed``).
     """
 
     def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, init: FilterState):
@@ -419,11 +405,109 @@ class BalancedSystem:
         return path
 
 
+class EdgeSystem:
+    """The ragged edge t_b..T-1 given the balanced sample, as one dense
+    saddle-point system that a plan factorizes once, on the adaptive
+    backend's first draw.
+
+    The unknowns z = (s, l) are the balanced system's last state
+    s = (q_{t_b-1}, ..., q_{t_b-1-p}), k = (p+1) n_q values, and the latent
+    values of each edge period in time order: its unobserved monthly values
+    ascending, then its quarterly ones (``heads``).  Period t's VAR residual
+    is e_t = r_t + B_t z, with B_t the identity on period t's latent values
+    less the lag coefficients on the latent values of t-1..t-p, one gather
+    from ``coeff_row`` (lags in the balanced sample fall in s), and r_t the
+    residual at z = 0 (``systems.build_periods``).  Each period is whitened
+    once by its factor of Sigma_t, so K = sum_t B_t' Sigma_t^-1 B_t.  A holds
+    one row per observed edge aggregate, its weights on q_t..q_{t-p_q+1},
+    and J selects s from z.  With s given the balanced sample distributed as
+    N(u_s, P_filt) (``BalancedSystem.last``, ``BalancedSystem.P_filt``),
+    the mean solves
+
+        [[K, A', J'], [A, 0, 0], [J, 0, -P_filt]] (z, nu, lam)
+            = (-sum_t B_t' Sigma_t^-1 r_t, y_agg, u_s),
+
+    the covariance form of the prior on s, so a singular P_filt (an
+    aggregate observed at t_b-1) needs no inverse.  Then s = u_s + P_filt lam:
+    lam is the adjoint of the filtered state at t_b-1 that lifts the
+    balanced path (``BalancedSystem.smoothed``).
+
+    LAPACK ``dgetrf`` factorizes the matrix; a zero pivot raises
+    ``SingularInnovationError`` naming the first edge period.  ``cond`` is
+    1/rcond of ``dgecon``, a diagnostic.  A draw is one ``dgetrs`` solve.
+    """
+
+    def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, P_filt: np.ndarray):
+        n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
+        t_b, T = pattern.t_balanced, pattern.T
+        n_e = T - t_b
+        self.k = k = (p + 1) * n_q
+        self.factorizations = 1    # the LU, until ``pop_factorizations``
+
+        # col[i, v]: the unknown holding variable v at time t_b-1-p+i, or -1
+        # for a known value; latent edge values in time order, then variable
+        lt, lv = np.nonzero(np.hstack([~pattern.observed_monthly[t_b:], np.ones((n_e, n_q), dtype=bool)]))
+        self.n_z = N = k + len(lt)
+        col = np.full((p + 1 + n_e, n), -1)
+        col[: p + 1, n_m:] = np.arange(k).reshape(p + 1, n_q)[::-1]
+        col[p + 1 + lt, lv] = np.arange(k, N)
+        self._split = np.cumsum(np.bincount(lt, minlength=n_e))[:-1]
+        self.heads = np.split(lv, self._split)
+
+        B = np.zeros((n_e, n, N))
+        B[lt, lv, np.arange(k, N)] = 1.0
+        for e in range(n_e):
+            lag = col[p + e : e : -1].ravel()    # times t-1..t-p, lag-major like coeff_row
+            B[e][:, lag[lag >= 0]] = -params.coeff_row[:, lag >= 0]
+        ae, aj = np.nonzero(pattern.quarterly_observed[t_b:])
+        self.n_a = n_a = len(ae)
+        A = np.zeros((n_a, N))
+        A[np.arange(n_a)[:, None], col[ae[:, None] + p + 1 - np.arange(agg.p_q), n_m + aj[:, None]]] = agg.weights
+
+        # W^-1 B_t for K, and Sigma_t^-1 B_t for the right-hand side's product
+        Ws = [params.chol(t) for t in range(t_b, T)]
+        G = [solve_triangular(W, Bt, lower=True, check_finite=False) for W, Bt in zip(Ws, B)]
+        self._H = np.concatenate([solve_triangular(W, Gt, lower=True, trans="T", check_finite=False)
+                                  for W, Gt in zip(Ws, G)])
+        G = np.concatenate(G)
+        m = N + n_a
+        M = np.zeros((m + k, m + k), order="F")
+        M[:N, :N] = G.T @ G
+        M[N:m, :N] = A
+        M[:N, N:m] = A.T
+        M[m + np.arange(k), np.arange(k)] = M[np.arange(k), m + np.arange(k)] = 1.0
+        M[m:, m:] = -P_filt
+        anorm = np.abs(M).sum(axis=0).max()
+        self._lu, self._piv, info = dgetrf(M, overwrite_a=1)
+        if info > 0:
+            raise SingularInnovationError(t_b, f"the ragged edge's system is singular at period t={t_b}")
+        rcond, _ = dgecon(self._lu, anorm)
+        self.cond = 1.0 / rcond if rcond > 0 else np.inf
+
+    def pop_factorizations(self) -> int:
+        """1 on the first call, for the LU, then 0."""
+        k, self.factorizations = self.factorizations, 0
+        return k
+
+    def solve(self, resid: np.ndarray, agg: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """The solution (z, nu, lam) given a draw's edge residuals at z = 0,
+        an (T - t_b, n) array, its observed edge aggregates in order of
+        period, then variable, and the balanced system's last state ``last``."""
+        x, _ = dgetrs(self._lu, self._piv, np.concatenate([-(resid.ravel() @ self._H), agg, last]))
+        return x
+
+    def smoothed(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """The latent values of each edge period in ``x``, in the order of
+        ``heads``, and the adjoint lam of the filtered state at t_b-1."""
+        return np.split(x[self.k : self.n_z], self._split), x[self.n_z + self.n_a :]
+
+
 @dataclass(frozen=True)
 class Means:
     """Per-period vectors of a mean pass: a draw's balanced quarterly path
-    as the rows of ``head`` (no rows in a run of per-period records only),
-    and one per later period in ``tail``."""
+    as the rows of ``head`` (no rows on a list of periods), and one per
+    later period in ``tail``: a period's state on a list of periods, its
+    latent values (``EdgeSystem.heads``) on a draw's ragged edge."""
 
     head: np.ndarray
     tail: list[np.ndarray]
@@ -431,11 +515,13 @@ class Means:
 
 @dataclass(eq=False)
 class FilterResult:
-    """One draw's forward mean pass: the filtered means, the innovations
-    ``v`` and ``w = Z' F^-1 v`` of its per-period steps (``run``).  On a
-    draw's periods ``system`` is the balanced block's ``BalancedSystem`` and
-    ``u`` its solution, whose last state the steps start from; both are
-    None on a list of periods."""
+    """One forward mean pass.  On a list of periods: the covariance pass
+    ``run`` and the filtered means, the innovations ``v`` and
+    ``w = Z' F^-1 v`` of its per-period steps.  On a draw's periods
+    (``build_periods``): ``system``, the balanced block's
+    ``BalancedSystem``, and ``u`` its solution, and ``edge`` the solution
+    of the ragged edge's ``EdgeSystem`` (None without one); the per-period
+    fields are then empty."""
 
     run: PassRun | None
     a_filt: list[np.ndarray]
@@ -443,6 +529,7 @@ class FilterResult:
     w: list[np.ndarray]
     system: BalancedSystem | None = None
     u: np.ndarray | None = None
+    edge: np.ndarray | None = None
 
     @property
     def boundary(self) -> FilterState:
@@ -478,19 +565,19 @@ def run_filter(
     first period, which predicts through its own transition, and ``run``
     the covariance side (``CovariancePass.run``), computed from ``init.P``
     when not given.  On a draw's periods (``build_periods``) the balanced
-    block is one solve of its ``BalancedSystem`` (``mats``), and the
-    ragged-edge periods after it take per-period steps over ``run`` from
+    block is one solve of its ``BalancedSystem`` (``mats``), and the ragged
+    edge, when the draw has its block, one solve of its ``EdgeSystem`` from
     that solve's last state.
     """
     if not isinstance(periods, DrawPeriods):
         if run is None:
             run = CovariancePass(periods, init.P).run()
         return FilterResult(run, *_filter_steps(run.steps, periods, init.a))
-    block = periods.balanced
+    block, edge = periods.balanced, periods.edge
     system = block.mats
     u = system.solve(block.resid, block.agg)
-    steps = run.steps if periods.edge else []
-    return FilterResult(run, *_filter_steps(steps, periods.edge, system.last(u)), system, u)
+    x = None if edge is None else edge.mats.solve(edge.resid, edge.agg, system.last(u))
+    return FilterResult(None, [], [], [], system, u, x)
 
 
 def _smooth_steps(
@@ -533,19 +620,19 @@ def run_smoother(
     zero there and the smoothed mean is the filtered one.  The final adjoint
     is that of the first period's predicted mean.
 
-    On a draw's periods the ragged-edge steps hand the balanced block the
-    adjoint of its filtered state at t_b-1, through the first edge period's
-    transition; with no edge periods that adjoint is ``r_init``.  The
-    balanced quarterly path is the block's mean lifted by it
-    (``BalancedSystem.smoothed``), and it is the final adjoint returned.
+    On a draw's periods the balanced quarterly path is the balanced
+    block's mean lifted by the adjoint of its filtered state at t_b-1
+    (``BalancedSystem.smoothed``), and that adjoint is the final one
+    returned.  With an edge block it is the edge solve's lam, and the
+    smoothed means of ``tail`` are the edge periods' latent values
+    (``EdgeSystem.smoothed``); without one it is ``r_init``.
     """
     if filtered.system is None:
         states, r = _smooth_steps(filtered.run.steps, filtered.a_filt, filtered.w, r_init)
         return Means(np.zeros((0, 0)), states), r
     states, r = [], r_init
-    if periods.edge:
-        states, r = _smooth_steps(filtered.run.steps, filtered.a_filt, filtered.w, r_init)
-        r = periods.edge[0].mats.T.T @ r
+    if periods.edge is not None:
+        states, r = periods.edge.mats.smoothed(filtered.edge)
     return Means(filtered.system.smoothed(filtered.u, r), states), r
 
 

@@ -65,9 +65,12 @@ class VarParams:
 
     def __post_init__(self):
         n = self.n_m + self.n_q
-        intercept = np.array(self.intercept, dtype=float).reshape(n)
+        intercept = np.array(self.intercept, dtype=float)
         lag_coeffs = np.array(self.lag_coeffs, dtype=float)
         chol_cov = np.array(self.chol_cov, dtype=float)
+        if intercept.size != n:
+            raise ConfigurationError(f"intercept shape {intercept.shape} != {(n,)}")
+        intercept = intercept.reshape(n)
         if lag_coeffs.shape != (self.p, n, n):
             raise ConfigurationError(
                 f"lag_coeffs shape {lag_coeffs.shape} != {(self.p, n, n)}"

@@ -1,10 +1,13 @@
-"""Per-period state-space system construction.
+"""Per-period state-space system construction, and a draw's periods.
 
 One general builder covers the reduced (quarterly-stack) formulation and its
 ragged-edge extension in which the state is augmented, period by period, with
 exactly the currently-unobserved monthly variables.  The balanced case is the
 special case ``U_t = {}``.  The full stacked (companion) formulation used by
 the reference smoother is built separately (``baseline.companion_periods``).
+A draw runs on neither per period: ``build_periods`` forms the data parts of
+the two systems a plan solves, the balanced sample's and the ragged edge's
+(``kalman.BalancedSystem``, ``kalman.EdgeSystem``).
 
 State layout: ``p+1`` lag groups, each group ``(x_{U_t}, x_q)`` with the
 unobserved monthly indices ascending and the quarterly variables last.
@@ -20,16 +23,16 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import Aggregation, MixedFreqData, ObservationPattern, VarParams
+from .model import Aggregation, MixedFreqData, VarParams
 
 if TYPE_CHECKING:
-    from .kalman import BalancedSystem
+    from .kalman import BalancedSystem, EdgeSystem
 
 __all__ = [
     "AdaptiveIndex",
     "SystemMatrices",
     "PeriodSystem",
-    "BalancedBlock",
+    "Block",
     "DrawPeriods",
     "build_adaptive_T",
     "build_adaptive_D",
@@ -37,13 +40,10 @@ __all__ = [
     "build_adaptive_C",
     "adaptive_loadings",
     "PeriodNoise",
-    "Skeleton",
-    "period_noise",
     "build_system_matrices",
     "companion_observation",
     "balanced_constants",
     "build_periods",
-    "period_skeleton",
 ]
 
 
@@ -219,22 +219,10 @@ class PeriodNoise:
     F_const: np.ndarray
 
 
-def period_noise(G: np.ndarray, H: np.ndarray, Z: np.ndarray) -> list[PeriodNoise]:
-    """Noise products of a stack of periods sharing the observation loading
-    ``Z``: G is (k, n_obs, n) and H (k, dim, n).  Each product is one batched
-    matmul, whose items match the single-period products bit for bit."""
-    GGt = G @ G.transpose(0, 2, 1)
-    GHt = G @ H.transpose(0, 2, 1)
-    HHt = H @ H.transpose(0, 2, 1)
-    F_const = GGt + GHt @ Z.T
-    return [PeriodNoise(*parts) for parts in zip(GHt, HHt, F_const)]
-
-
 class PeriodSystem(NamedTuple):
     """One period: its structural matrices and noise products, all the
-    covariance pass reads, and in a draw's ragged-edge periods
-    (``build_periods``) its observations less their constant, y - c, and
-    the state constant d."""
+    covariance pass reads, its observations less their constant, y - c,
+    and the state constant d."""
 
     mats: SystemMatrices
     noise: PeriodNoise
@@ -243,26 +231,27 @@ class PeriodSystem(NamedTuple):
     d: np.ndarray | None = None
 
 
-class BalancedBlock(NamedTuple):
-    """A draw's balanced periods 0..t_b-1 as one block: ``mats``, the
-    system they share (``kalman.BalancedSystem``, one per plan), ``t`` 0,
-    their VAR residuals at zero quarterly values as (t_b, n) rows ``resid``
-    (``balanced_constants``), and the observed aggregates ``agg``, in order
-    of period, then variable."""
+class Block(NamedTuple):
+    """A run of a draw's periods solved as one system: ``mats``, the plan's
+    system (``kalman.BalancedSystem`` over the balanced periods 0..t_b-1,
+    ``kalman.EdgeSystem`` over the ragged edge t_b..T-1), ``t`` its first
+    period, the VAR residuals of its periods at zero latent values, a row per
+    period (``resid``), and its observed aggregates ``agg``, in order of
+    period, then variable."""
 
-    mats: BalancedSystem
+    mats: BalancedSystem | EdgeSystem
     t: int
     resid: np.ndarray
     agg: np.ndarray
 
 
 class DrawPeriods(list):
-    """A draw's periods 0..stop-1 (``build_periods``): the balanced block
-    (``BalancedBlock``), then one ``PeriodSystem`` per ragged-edge period;
-    the two parts are ``balanced`` and ``edge``."""
+    """A draw's periods (``build_periods``): the balanced block, then the
+    ragged edge's block when the draw solves it; the two parts are
+    ``balanced`` and ``edge`` (None without the edge's block)."""
 
-    def __init__(self, balanced: BalancedBlock, edge: list[PeriodSystem]):
-        super().__init__([balanced, *edge])
+    def __init__(self, balanced: Block, edge: Block | None = None):
+        super().__init__([balanced] if edge is None else [balanced, edge])
         self.balanced = balanced
         self.edge = edge
 
@@ -298,38 +287,6 @@ def companion_observation(
     return Z
 
 
-def _index_for_period(pattern: ObservationPattern, n_m: int, n_q: int, t: int) -> AdaptiveIndex:
-    all_m = np.arange(n_m)
-    empty = np.empty(0, dtype=int)
-    o_t = pattern.observed(t)
-    u_t = pattern.unobserved(t)
-    if t == 0:
-        o_prev, u_prev = all_m, empty
-    else:
-        o_prev, u_prev = pattern.observed(t - 1), pattern.unobserved(t - 1)
-    return AdaptiveIndex(u_t, o_t, u_prev, o_prev, n_m, n_q)
-
-
-class Skeleton(list):
-    """The ``PeriodSystem`` without data of the ragged-edge periods
-    t_balanced..T-1, from ``period_skeleton``; period t is item
-    t - t_balanced.
-
-    ``groups`` holds those periods grouped by their structural matrices: each
-    group's ``SystemMatrices`` and its periods ascending, in order of first
-    period.  It depends only on the pattern, so it is formed once with the
-    records.
-    """
-
-    def __init__(self, periods: list[PeriodSystem], groups: list[tuple[SystemMatrices, np.ndarray]]):
-        super().__init__(periods)
-        self.groups = groups
-
-    def grouped(self, stop: int) -> list[tuple[SystemMatrices, np.ndarray]]:
-        """``groups`` restricted to periods before ``stop``."""
-        return [(mats, ts[: np.searchsorted(ts, stop)]) for mats, ts in self.groups if ts[0] < stop]
-
-
 def _lag_stacks(values: np.ndarray, p: int, n_m: int) -> np.ndarray:
     """Every period's monthly lag stack as one view: [i, v, lag - 1] is
     monthly variable v at period T-1-i-lag, pre-sample lags zero.
@@ -345,25 +302,6 @@ def _lag_stacks(values: np.ndarray, p: int, n_m: int) -> np.ndarray:
     rev[:T] = values[::-1, :n_m]
     step = rev.itemsize
     return np.lib.stride_tricks.as_strided(rev[1:], (T, n_m, p), (n_m * step, step, n_m * step), writeable=False)
-
-
-def _constants(mats: SystemMatrices, ts: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """c and d of the group's periods ``ts``: one gather of their lag
-    stacks, one product with C, and one with D's coefficient rows for the
-    head of d, whose lag identities (``_newly_latent``) copy their columns
-    of the stacks; D's other entries are zero."""
-    X = stacks[(len(stacks) - 1 - ts)[:, None], mats.idx.o_prev].reshape(len(ts), -1)
-    s = mats.idx.head_size
-    d = np.zeros((len(ts), mats.D.shape[0]))
-    d[:, :s] = X @ mats.D[:s].T + mats.d0[:s]
-    rows, cols = _newly_latent(mats.idx, stacks.shape[2])
-    d[:, rows] = X[:, cols]
-    return X @ mats.C.T + mats.c0, d
-
-
-def _observed(data: MixedFreqData, mats: SystemMatrices, ts: np.ndarray) -> np.ndarray:
-    """The observations of the group's periods ``ts``, a row each."""
-    return data.values[ts[:, None], np.concatenate([mats.idx.o_t, data.n_m + mats.q_rows])]
 
 
 def balanced_constants(params: VarParams, data: MixedFreqData) -> np.ndarray:
@@ -384,82 +322,43 @@ def balanced_constants(params: VarParams, data: MixedFreqData) -> np.ndarray:
 
 def build_periods(
     params: VarParams,
-    skeleton: Skeleton,
     data: MixedFreqData,
-    stop: int,
     system: BalancedSystem,
     balanced: np.ndarray,
+    edge: EdgeSystem | None = None,
     lags: np.ndarray | None = None,
 ) -> DrawPeriods:
-    """Periods 0..stop-1 of the adaptive formulation, stop >= t_balanced.
+    """A draw's periods: the balanced block on ``system`` (the plan's
+    ``kalman.BalancedSystem``), then, with ``edge`` (the plan's
+    ``kalman.EdgeSystem``), the ragged edge's block on it.
 
-    The balanced periods are one ``BalancedBlock`` on ``system`` (the
-    plan's ``kalman.BalancedSystem``): their residuals at zero quarterly
-    values, the monthly observations in ``data`` less ``balanced``
+    The balanced block holds its residuals at zero quarterly values, the
+    monthly observations in ``data`` less ``balanced``
     (``balanced_constants``) and minus it in the quarterly rows, and the
-    observed aggregates.  The ragged-edge periods' structural matrices and
-    noise products come from ``skeleton`` (``period_skeleton``), built once
-    per parameters and pattern, and so does their grouping by structural
-    matrices; this adds what varies between draws: the constants c and d,
-    from the lagged observed monthly values (variable-major, lags t-1..t-p),
-    and y - c, from the observations in ``data``.  Each edge group gathers
-    its lag stacks (``_lag_stacks``) with one index, forms c and d as
-    ``_constants`` does, and y - c with one gather and one subtraction, and
-    hands them out as one ``PeriodSystem`` per period.
+    observed aggregates.  The edge block holds the residuals of periods
+    t_b..T-1 at zero latent values, x_t - intercept - sum_i A_i x_{t-i} with
+    the latent values zero, the observed monthly x_t from ``data`` and the
+    lags from the monthly values, one product for all edge periods; and the
+    observed edge aggregates.
 
-    The edge constants read ``lags``, a (T, n_m) array, in place of the
-    data's monthly values when given: on a draw's pseudo route ``data``
-    holds y - y+ and ``lags`` y - x+.
+    The edge's lags read ``lags``, a (T, n_m) array, in place of the data's
+    monthly values when given: on a draw's pseudo route ``data`` holds
+    y - y+ and ``lags`` y - x+.
     """
-    p, n_m, t_b = params.p, params.n_m, data.pattern.t_balanced
-    if stop < t_b:
-        raise ConfigurationError(f"the balanced block needs stop >= t_balanced={t_b}, got {stop}")
+    n_m, t_b = params.n_m, data.pattern.t_balanced
     resid = -balanced
     resid[:, :n_m] += data.values[:t_b, :n_m]
     ts, qs = np.nonzero(data.pattern.quarterly_observed[:t_b])
-    block = BalancedBlock(system, 0, resid, data.values[ts, n_m + qs])
-    edge: list[PeriodSystem] = [None] * (stop - t_b)  # type: ignore[list-item]
-    edge_groups = skeleton.grouped(stop)
-    if edge_groups:
-        stacks = _lag_stacks(data.values if lags is None else lags, p, n_m)
-    for mats, ts in edge_groups:
-        c, ds = _constants(mats, ts, stacks)
-        for t, row, d in zip(ts.tolist(), _observed(data, mats, ts) - c, ds):
-            edge[t - t_b] = PeriodSystem(mats, skeleton[t - t_b].noise, t, row, d)
-    return DrawPeriods(block, edge)
-
-
-def period_skeleton(
-    params: VarParams,
-    agg: Aggregation,
-    pattern: ObservationPattern,
-) -> Skeleton:
-    """Structural matrices and noise products of the ragged-edge periods
-    t_balanced..T-1.
-
-    A period's structural matrices depend only on its monthly rows at t and
-    t-1 and its quarterly row at t: one ``SystemMatrices`` per distinct key.
-    Its noise products depend on the key and on ``chol_cov`` at t: with a
-    constant ``chol_cov`` every period of a key shares one ``PeriodNoise``;
-    with a time-varying one, each period has its own, formed in one batched
-    pass per key.
-    """
-    start = pattern.t_balanced
-    obs = pattern.observed_monthly
-    rows = np.hstack([obs, np.vstack([np.ones_like(obs[:1]), obs[:-1]]), pattern.quarterly_observed])
-    keys: dict[bytes, list[int]] = {}
-    for t in range(start, pattern.T):
-        keys.setdefault(rows[t].tobytes(), []).append(t)
-    periods: list[PeriodSystem] = [None] * (pattern.T - start)  # type: ignore[list-item]
-    groups = []
-    for ts in keys.values():
-        idx = _index_for_period(pattern, params.n_m, params.n_q, ts[0])
-        mats = build_system_matrices(params, agg, idx, pattern.quarterly_rows(ts[0]))
-        W = params.chol_cov[ts] if params.time_varying_cov else params.chol_cov
-        noise = period_noise(*adaptive_loadings(W, idx, mats.q_rows, params.p), mats.Z)
-        if not params.time_varying_cov:
-            noise *= len(ts)
-        for t, part in zip(ts, noise):
-            periods[t - start] = PeriodSystem(mats, part, t)
-        groups.append((mats, np.array(ts)))
-    return Skeleton(periods, groups)
+    block = Block(system, 0, resid, data.values[ts, n_m + qs])
+    if edge is None:
+        return DrawPeriods(block)
+    p, T = params.p, data.T
+    observed = data.pattern.observed_monthly
+    monthly = data.values[:, :n_m] if lags is None else lags
+    known = np.zeros((T - t_b + p, params.n))    # periods t_b-p..T-1
+    known[:, :n_m] = np.where(observed[t_b - p :], monthly[t_b - p :], 0.0)
+    stack = np.concatenate([known[p - i : T - t_b + p - i] for i in range(1, p + 1)], axis=1)
+    resid = -(stack @ params.coeff_row.T) - params.intercept
+    resid[:, :n_m] += np.where(observed[t_b:], data.values[t_b:, :n_m], 0.0)
+    ts, qs = np.nonzero(data.pattern.quarterly_observed[t_b:])
+    return DrawPeriods(block, Block(edge, t_b, resid, data.values[t_b + ts, n_m + qs]))

@@ -11,8 +11,11 @@ from mfsmooth import (
     VarParams,
     build_aggregation,
     draw_latent,
+    intra_quarterly_average,
     kalman,
     oracle_joint,
+    run_adaptive,
+    skip_sampling,
 )
 from mfsmooth.kalman import (
     BalancedSystem,
@@ -31,9 +34,9 @@ from mfsmooth.kalman import (
 from mfsmooth.baseline import plan_for
 from mfsmooth.model import AggregationScheme, MixedFreqData
 from mfsmooth.simulate import benchmark_pattern, make_instance, random_stable_params
-from mfsmooth.systems import PeriodSystem, SystemMatrices, build_periods, period_noise
+from mfsmooth.systems import PeriodSystem, SystemMatrices, build_periods
 from test_model import random_params
-from test_systems import per_period
+from test_systems import period_noise, per_period, reference_smooth
 
 
 def make_period(Z, c, G, T, d, H, y, t=0):
@@ -142,24 +145,29 @@ class TestMeanBand:
     and plan a draw runs on."""
 
     @staticmethod
-    def passes(params, inst, stop, init_mode="stationary", r_init=None):
+    def passes(params, inst, edge, init_mode="stationary", r_init=None):
+        """The draw's periods through the ragged edge (``edge``) or to t_b-1,
+        restarted there from ``r_init``, against the per-period reference."""
         data = inst.data
         t_b, n_q = data.pattern.t_balanced, params.n_q
+        stop = data.T if edge else t_b
         plan = plan_for(params, inst.scheme, data, init_mode)
-        periods = build_periods(params, plan.skeleton, data, stop, plan.system, plan.balanced(data))
-        res = run_filter(periods, run=plan.cov.run() if stop > t_b else None)
+        periods = build_periods(params, data, plan.system, plan.balanced(data),
+                                plan.edge(data.pattern) if edge else None)
+        res = run_filter(periods)
         states, _ = run_smoother(periods, res, r_init)
         assert res.system is plan.system
         assert states.head.shape == (t_b, n_q)
-        assert len(res.a_filt) == len(states.tail) == stop - t_b
+        assert len(states.tail) == stop - t_b
         # the reference: the reduced filter and smoother period by period
         records = per_period(params, plan.agg, data, stop)
         ref = run_filter(records, plan.init)
         ref_states, _ = run_smoother(records, ref, r_init)
         last = ref.run.steps[t_b - 1].entry
-        assert_close([res.boundary.a, *res.a_filt], ref.a_filt[t_b - 1 :])
+        assert_close([res.boundary.a], [ref.a_filt[t_b - 1]])
         assert_close([res.boundary.P], [last.P_filt])
-        assert_close([*states.head, *states.tail], [*(s[:n_q] for s in ref_states.tail[:t_b]), *ref_states.tail[t_b:]])
+        heads = [s[: per.mats.idx.head_size] for per, s in zip(records[t_b:], ref_states.tail[t_b:])]
+        assert_close([*states.head, *states.tail], [*(s[:n_q] for s in ref_states.tail[:t_b]), *heads])
         return plan
 
     @pytest.mark.parametrize("time_varying", [False, True])
@@ -170,7 +178,7 @@ class TestMeanBand:
         if time_varying:
             scale = np.exp(0.3 * np.random.default_rng(4).standard_normal((120, params.n)))
             params = VarParams(5, 2, 4, params.intercept, params.lag_coeffs, scale[:, :, None] * params.chol_cov)
-        plan = self.passes(params, inst, 120, init_mode)
+        plan = self.passes(params, inst, True, init_mode)
         # one projection for every period under a constant chol_cov, one per
         # period under a time-varying one
         assert len(plan.system._G) == (116 if time_varying else 1)
@@ -181,12 +189,12 @@ class TestMeanBand:
         # path by the edge's adjoint
         inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(seed))
         r_init = np.random.default_rng(seed).normal(size=4)
-        self.passes(inst.params, inst, 16, r_init=r_init)
-        self.passes(inst.params, inst, 16)
+        self.passes(inst.params, inst, False, r_init=r_init)
+        self.passes(inst.params, inst, False)
 
     def test_no_quarterly_variables(self):
         inst = make_instance(4, 0, 3, 30, 28, np.random.default_rng(0))
-        plan = self.passes(inst.params, inst, 30)
+        plan = self.passes(inst.params, inst, True)
         assert plan.system.k == 0 and plan.system.size == 0
 
     def test_band_spans_p_plus_one_periods(self):
@@ -200,7 +208,7 @@ class TestMeanBand:
         small = make_instance(3, 1, 3, 24, 21, np.random.default_rng(6))
         head = MixedFreqData.from_values(small.data.values[:21], 3, 1)
         plan = plan_for(small.params, small.scheme, head)
-        periods = build_periods(small.params, plan.skeleton, head, 21, plan.system, plan.balanced(head))
+        periods = build_periods(small.params, head, plan.system, plan.balanced(head))
         states, _ = run_smoother(periods, run_filter(periods))
         assert_allclose(states.head[:, 0], oracle_joint(small.params, small.scheme, head).mean[:, 3], rtol=1e-12)
 
@@ -226,16 +234,69 @@ class TestMeanBand:
 
 class TestOpenLastFilteredCovariance:
     def test_formed_only_when_read(self):
-        # an adaptive run never reads the last period's filtered covariance;
-        # read later it has the bits of the closed form
+        # a run over a list of periods never reads its last period's
+        # filtered covariance; read later it has the bits of the closed form
         inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
         plan = plan_for(inst.params, inst.scheme, inst.data)
-        draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=1)
-        entry = plan.cov.run().steps[-1].entry
+        records = per_period(inst.params, plan.agg, inst.data)
+        res = run_filter(records, plan.init)
+        run_smoother(records, res)
+        entry = res.run.steps[-1].entry
         assert entry._P_filt is None
         P = entry.P_filt
         assert_array_equal(P, kalman._sym(entry.P_pred - entry.MFinv @ entry.M.T))
         assert entry.P_filt is P
+
+
+class TestEdgeSystem:
+    """The ragged edge as one saddle-point system (``EdgeSystem``) against
+    the reduced filter and smoother run period by period through the edge."""
+
+    @pytest.mark.parametrize("init_mode", ["stationary", "diffuse-proxy"])
+    @pytest.mark.parametrize("time_varying", [False, True])
+    @pytest.mark.parametrize("case", [
+        # skip sampling observed at t_b-1: that value is known, P_filt singular
+        ("aggregate at t_b-1", 3, 1, 3, 14, 12, skip_sampling(), 0),
+        # an average observed at t_b: its window reaches t_b-2
+        ("window into the balanced sample", 3, 1, 3, 15, 12, intra_quarterly_average(), 1),
+        ("no quarterly variables", 4, 0, 3, 30, 27, intra_quarterly_average(), 0),
+        ("three quarterly variables", 5, 3, 4, 24, 21, intra_quarterly_average(), 1),
+    ], ids=lambda case: case[0] if isinstance(case, tuple) else None)
+    def test_matches_per_period_reference(self, case, time_varying, init_mode):
+        _, n_m, n_q, p, T, t_b, scheme, offset = case
+        mask = np.ones((T, n_m + n_q), dtype=bool)
+        mask[t_b:, 0] = False
+        mask[T - 1 :, n_m - 1] = False
+        mask[:, n_m:] = ((np.arange(T) - offset) % 3 == 2)[:, None]
+        inst = make_instance(n_m, n_q, p, T, t_b, np.random.default_rng(T), scheme=scheme, mask=mask)
+        params = inst.params
+        if time_varying:
+            scale = np.exp(0.3 * np.random.default_rng(t_b).standard_normal((T, params.n)))
+            params = VarParams(n_m, n_q, p, params.intercept, params.lag_coeffs, scale[:, :, None] * params.chol_cov)
+        x_hat = run_adaptive(params, inst.scheme, inst.data, init_mode=init_mode).x_hat
+        plan = plan_for(params, inst.scheme, inst.data, init_mode)
+        ref = reference_smooth(params, plan, inst.data)
+        assert np.abs(x_hat - ref).max() <= 1e-12 * np.abs(ref).max()
+        observed = np.flatnonzero(inst.data.pattern.quarterly_observed[:, 0]) if n_q else []
+        if case[0] == "aggregate at t_b-1":
+            assert t_b - 1 in observed
+            assert np.linalg.eigvalsh(plan.system.P_filt)[0] <= 1e-12 * np.abs(plan.system.P_filt).max()
+        if case[0] == "window into the balanced sample":
+            assert t_b in observed
+
+    def test_zero_pivot_raises_naming_the_first_edge_period(self):
+        # zero aggregation weights and the quarterly variable observed only
+        # at the edge: the balanced system has no aggregate, the edge's
+        # aggregate row is zero
+        scheme = AggregationScheme("custom", np.zeros(1), 1)
+        mask = np.ones((18, 4), dtype=bool)
+        mask[16:, 0] = False
+        mask[:17, 3] = False
+        inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(5), scheme=scheme, mask=mask)
+        plan_for(inst.params, inst.scheme, inst.data)
+        with pytest.raises(SingularInnovationError, match="t=16") as err:
+            draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=1)
+        assert err.value.t == 16
 
 
 class TestAgainstTextbookFilter:

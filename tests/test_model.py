@@ -30,6 +30,11 @@ class TestVarParams:
         with pytest.raises(ConfigurationError):
             VarParams(2, 1, 2, np.zeros(3), np.zeros((3, 3, 3)), np.eye(3))
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_rejects_intercept_of_the_wrong_length(self, size):
+        with pytest.raises(ConfigurationError, match=r"intercept shape \(%d,\) != \(3,\)" % size):
+            VarParams(2, 1, 2, np.zeros(size), np.zeros((2, 3, 3)), np.eye(3))
+
     def test_rejects_non_lower_triangular_chol(self):
         W = np.eye(3)
         W[0, 2] = 0.5

@@ -18,7 +18,7 @@ from mfsmooth import (
     run_adaptive,
     skip_sampling,
 )
-from mfsmooth import baseline, kalman, systems
+from mfsmooth import baseline, kalman
 from mfsmooth.baseline import plan_for
 from mfsmooth.kalman import init_state
 from mfsmooth.model import AggregationScheme
@@ -311,12 +311,12 @@ class TestPreparedPlan:
 
     def test_covariance_pass_once_per_plan(self, monkeypatch):
         # a plan factorizes while it is built: the balanced system's band LU,
-        # then, on the adaptive backend's first draw, the edge pass's factors
-        # of F; warm draws and draw_many pay none, a new parameter set pays
-        # again
+        # then, on the adaptive backend's first draw, the edge system's LU;
+        # no factor of F; warm draws and draw_many pay none, a new parameter
+        # set pays again
         inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
         calls = []
-        factorize, band_lu = kalman.factorize_innovation, kalman.dgbtrf
+        factorize, band_lu, edge_lu = kalman.factorize_innovation, kalman.dgbtrf, kalman.dgetrf
 
         def counted(F, t):
             calls.append(t)
@@ -326,10 +326,15 @@ class TestPreparedPlan:
             calls.append("band")
             return band_lu(*args, **kwargs)
 
+        def counted_edge_lu(*args, **kwargs):
+            calls.append("edge")
+            return edge_lu(*args, **kwargs)
+
         monkeypatch.setattr(kalman, "factorize_innovation", counted)
         monkeypatch.setattr(kalman, "dgbtrf", counted_lu)
+        monkeypatch.setattr(kalman, "dgetrf", counted_edge_lu)
         cold = draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=2)
-        assert calls == ["band", 57, 58, 59] and cold.stats.factorizations == 4
+        assert calls == ["band", "edge"] and cold.stats.factorizations == 2
         del calls[:]
         warm = [draw_latent(inst.params, inst.scheme, inst.data, b, seed=2) for b in ("adaptive", "blocked")]
         draw_many(inst.params, inst.scheme, inst.data, "adaptive", 3, seed=2)
@@ -339,6 +344,27 @@ class TestPreparedPlan:
         fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
         draw_latent(fresh, inst.scheme, inst.data, "adaptive", seed=2)
         assert len(calls) == cold.stats.factorizations
+
+    def test_edge_system_built_once_per_plan_by_the_adaptive_backend(self, monkeypatch):
+        # cold blocked and reference draws never build the edge's system;
+        # the adaptive backend's first draw on a plan builds it, and every
+        # later draw on the plan, draw_many's included, solves on it
+        inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
+        built = []
+        edge_system = kalman.EdgeSystem
+        monkeypatch.setattr(baseline, "EdgeSystem", lambda *args: built.append(edge_system(*args)) or built[-1])
+        p = inst.params
+        for backend in ("blocked", "baseline"):
+            fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
+            draw_latent(fresh, inst.scheme, inst.data, backend, seed=2)
+            assert built == [], backend
+        for backend in ("adaptive", "blocked", "adaptive"):
+            draw_latent(fresh, inst.scheme, inst.data, backend, seed=2)
+        draw_many(fresh, inst.scheme, inst.data, "adaptive", 2, seed=2)
+        assert len(built) == 1
+        assert plan_for(fresh, inst.scheme, inst.data)._edge is built[0]
+        draw_latent(p, inst.scheme, inst.data, "adaptive", seed=2)
+        assert len(built) == 2
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cold_and_warm_plans_draw_alike(self, backend):
@@ -551,7 +577,7 @@ class TestDataPart:
         build = baseline.build_periods
 
         def recorded(*args, **kwargs):
-            built.append(args[5])
+            built.append(args[3])
             return build(*args, **kwargs)
 
         monkeypatch.setattr(baseline, "build_periods", recorded)
@@ -563,9 +589,3 @@ class TestDataPart:
         assert plan_for(params, scheme, data).balanced(data) is consts
         assert consts.shape == (data.pattern.t_balanced, params.n)
         assert len(built) == 4 and all(arr is consts for arr in built)
-
-    def test_pseudo_path_needs_the_balanced_sample(self):
-        params, data = self.instance(SCHEMES["average"], False)
-        plan = plan_for(params, SCHEMES["average"], data)
-        with pytest.raises(ConfigurationError, match="t_balanced"):
-            systems.build_periods(params, plan.skeleton, data, 10, plan.system, plan.balanced(data))

@@ -20,8 +20,9 @@ from mfsmooth import (
     intra_quarterly_average,
     systems,
 )
-from mfsmooth import systems
+from mfsmooth import baseline, kalman, run_adaptive, systems
 from mfsmooth.baseline import plan_for
+from mfsmooth.kalman import run_filter, run_smoother
 from mfsmooth.model import AggregationScheme, ObservationPattern, skip_sampling
 from mfsmooth.simulate import benchmark_pattern, make_instance
 from mfsmooth.systems import (
@@ -35,28 +36,68 @@ from mfsmooth.systems import (
     companion_observation,
     build_periods,
     build_system_matrices,
-    period_skeleton,
+    PeriodNoise,
     PeriodSystem,
 )
 from test_model import random_params
 
 
+def index_for_period(pattern, n_m, n_q, t):
+    """The index sets of period t; period 0 follows a fully observed one."""
+    all_m = np.arange(n_m)
+    empty = np.empty(0, dtype=int)
+    o_prev, u_prev = (all_m, empty) if t == 0 else (pattern.observed(t - 1), pattern.unobserved(t - 1))
+    return AdaptiveIndex(pattern.unobserved(t), pattern.observed(t), u_prev, o_prev, n_m, n_q)
+
+
+def period_noise(G, H, Z):
+    """Noise products of a stack of periods sharing the observation loading
+    ``Z``: G is (k, n_obs, n) and H (k, dim, n), one batched product each."""
+    GHt = G @ H.transpose(0, 2, 1)
+    F_const = G @ G.transpose(0, 2, 1) + GHt @ Z.T
+    return [PeriodNoise(*parts) for parts in zip(GHt, H @ H.transpose(0, 2, 1), F_const)]
+
+
+def constants(mats, ts, stacks):
+    """c and d of the periods ``ts`` sharing ``mats``: one gather of their
+    lag stacks, one product with C, and one with D's coefficient rows for
+    the head of d, whose lag identities copy their columns of the stacks."""
+    X = stacks[(len(stacks) - 1 - ts)[:, None], mats.idx.o_prev].reshape(len(ts), -1)
+    s = mats.idx.head_size
+    d = np.zeros((len(ts), mats.D.shape[0]))
+    d[:, :s] = X @ mats.D[:s].T + mats.d0[:s]
+    rows, cols = systems._newly_latent(mats.idx, stacks.shape[2])
+    d[:, rows] = X[:, cols]
+    return X @ mats.C.T + mats.c0, d
+
+
 def per_period(params, agg, data, stop=None):
     """Periods 0..stop-1 as one ``PeriodSystem`` each, every one built
     alone: its structural matrices and noise products, and y - c and d from
-    ``systems._constants`` on a group of one.  The reduced formulation
-    period by period, the reference for a draw's balanced block."""
+    ``constants`` on a group of one.  The reduced formulation period by
+    period, the reference for a draw's balanced and edge blocks."""
     pattern = data.pattern
     stacks = systems._lag_stacks(data.values, params.p, params.n_m)
     records = []
     for t in range(data.T if stop is None else stop):
-        idx = systems._index_for_period(pattern, params.n_m, params.n_q, t)
+        idx = index_for_period(pattern, params.n_m, params.n_q, t)
         mats = build_system_matrices(params, agg, idx, pattern.quarterly_rows(t))
-        noise = systems.period_noise(*loadings_stack(params, idx, mats.q_rows, t), mats.Z)[0]
-        ts = np.array([t])
-        c, d = systems._constants(mats, ts, stacks)
-        records.append(PeriodSystem(mats, noise, t, systems._observed(data, mats, ts)[0] - c[0], d[0]))
+        noise = period_noise(*loadings_stack(params, idx, mats.q_rows, t), mats.Z)[0]
+        c, d = constants(mats, np.array([t]), stacks)
+        y = data.values[t, np.concatenate([idx.o_t, data.n_m + mats.q_rows])]
+        records.append(PeriodSystem(mats, noise, t, y - c[0], d[0]))
     return records
+
+
+def direct_resid(params, values, t):
+    """Period t's VAR residual at zero latent values, lag by lag: the
+    missing monthly values and every quarterly value count as zero."""
+    known = np.where(np.isnan(values), 0.0, values)
+    known[:, params.n_m :] = 0.0
+    r = known[t] - params.intercept
+    for lag in range(1, min(params.p, t) + 1):
+        r -= params.lag_coeffs[lag - 1] @ known[t - lag]
+    return r
 
 
 def loadings_stack(params, idx, q_rows, t):
@@ -357,24 +398,23 @@ class TestExogVector:
             y = np.concatenate([values[per.t, idx.o_t], values[per.t, 3 + per.mats.q_rows]])
             assert_allclose(per.ymc, y - (per.mats.c0 + per.mats.C @ ex), rtol=1e-13, atol=1e-15)
             assert_allclose(per.d, per.mats.d0 + per.mats.D @ ex, rtol=1e-13, atol=1e-15)
-        # a draw's periods: the edge periods t = 8, 10, 11 are groups of one
-        # with o_prev != all, the balanced block's residuals are y_m - c_m
-        # and -d_q of the periods before t_b = 7, its aggregates the
-        # quarterly values at t = 2, 5, and the edge periods are the records
+        # a draw's periods: the balanced block's residuals are y_m - c_m and
+        # -d_q of the periods before t_b = 7, its aggregates the quarterly
+        # values at t = 2, 5; the edge block's, of t = 7..11 (t = 8, 10, 11
+        # have o_prev != all), are the VAR residuals at zero latent values,
+        # its aggregates the values at t = 8, 11
         t_b = data.pattern.t_balanced
-        skeleton = period_skeleton(params, agg, data.pattern)
-        lone = [ts[0] for _, ts in skeleton.groups if len(ts) == 1]
-        assert {8, 10, 11} <= set(lone)
         assert all(len(periods[t].mats.idx.o_prev) < 3 for t in (8, 10, 11))
-        built = build_periods(params, skeleton, data, data.T, None, balanced_constants(params, data))
+        plan = plan_for(params, agg, data)
+        edge = plan.edge(data.pattern)
+        built = build_periods(params, data, plan.system, balanced_constants(params, data), edge)
         resid = [np.concatenate([per.ymc[:3], -per.d[:1]]) for per in periods[:t_b]]
         assert_allclose(built.balanced.resid, resid, rtol=1e-13, atol=1e-15)
         assert_array_equal(built.balanced.agg, values[[2, 5], 3])
-        assert [per.t for per in built.edge] == list(range(t_b, 12))
-        for got, per in zip(built.edge, periods[t_b:]):
-            assert got.noise is skeleton[got.t - t_b].noise
-            assert_allclose(got.ymc, per.ymc, rtol=1e-13, atol=1e-15)
-            assert_allclose(got.d, per.d, rtol=1e-13, atol=1e-15)
+        assert (built.edge.mats, built.edge.t) == (edge, t_b)
+        ref = [direct_resid(params, values, t) for t in range(t_b, 12)]
+        assert_allclose(built.edge.resid, ref, rtol=1e-13, atol=1e-15)
+        assert_array_equal(built.edge.agg, values[[8, 11], 3])
 
     def test_presample_lags_are_zero(self, built):
         params, values, periods = built
@@ -390,24 +430,34 @@ class TestExogVector:
 class TestEdgeConstants:
     @pytest.mark.parametrize("n_m,n_q,p,T,t_b", [(5, 2, 4, 40, 36), (119, 1, 12, 60, 58)])
     def test_match_the_dense_products(self, n_m, n_q, p, T, t_b):
-        """d from D's coefficient rows and the lag identities' index, against
-        the dense product with D, for every ragged-edge group."""
+        """The reference's c and d (``constants``) against the dense products
+        with each edge period's C and D, and the edge block's residuals at
+        zero latent values against the VAR residual formed lag by lag."""
         inst = make_instance(n_m, n_q, p, T, t_b, np.random.default_rng(2))
-        plan = plan_for(inst.params, inst.scheme, inst.data)
-        stacks = systems._lag_stacks(inst.data.values, p, n_m)
+        data = inst.data
+        plan = plan_for(inst.params, inst.scheme, data)
+        built = build_periods(inst.params, data, plan.system, plan.balanced(data), plan.edge(data.pattern))
+        stacks = systems._lag_stacks(data.values, p, n_m)
         edge = 0
-        for mats, ts in plan.skeleton.groups:
-            X = stacks[(T - 1 - ts)[:, None], mats.idx.o_prev].reshape(len(ts), -1)
-            c, d = systems._constants(mats, ts, stacks)
-            for got, ref in ((c, X @ mats.C.T + mats.c0), (d, X @ mats.D.T + mats.d0)):
-                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-            edge += int(np.isin(mats.idx.u_t, mats.idx.o_prev).any())
+        for t, got in zip(range(t_b, T), built.edge.resid):
+            idx = index_for_period(data.pattern, n_m, n_q, t)
+            mats = build_system_matrices(inst.params, plan.agg, idx, data.pattern.quarterly_rows(t))
+            X = stacks[T - 1 - t, idx.o_prev].reshape(-1)
+            c_ref, d_ref = X @ mats.C.T + mats.c0, X @ mats.D.T + mats.d0
+            c, d = constants(mats, np.array([t]), stacks)
+            for value, ref in ((c[0], c_ref), (d[0], d_ref)):
+                assert np.abs(value - ref).max() <= 1e-14 * np.abs(ref).max()
+            ref = direct_resid(inst.params, data.values, t)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            edge += int(np.isin(idx.u_t, idx.o_prev).any())
         assert edge > 0
 
 
 class TestSkeletonSharing:
-    """Structural matrices are built once per pattern key; under a
-    time-varying ``chol_cov`` only the noise products are per period."""
+    """The ragged edge is one system per plan (``kalman.EdgeSystem``),
+    whatever its pattern keys: no per-period structural matrices or noise
+    products; under a time-varying ``chol_cov`` each period is whitened by
+    its own factor."""
 
     @pytest.mark.parametrize("time_varying", [False, True])
     def test_one_build_per_pattern_key(self, monkeypatch, time_varying):
@@ -423,21 +473,30 @@ class TestSkeletonSharing:
             scale = np.exp(0.3 * rng.standard_normal((300, params.n)))
             params = VarParams(18, 2, 6, params.intercept, params.lag_coeffs,
                                scale[:, :, None] * params.chol_cov)
-        calls = []
-        build = systems.build_system_matrices
+        calls, built = [], []
+        build, edge_system = systems.build_system_matrices, kalman.EdgeSystem
         monkeypatch.setattr(systems, "build_system_matrices", lambda *args: calls.append(args) or build(*args))
-        periods = plan_for(params, inst.scheme, inst.data).skeleton
-        assert len(calls) == 3
-        assert [per.t for per in periods] == list(range(290, 300))
-        assert len({id(per.mats) for per in periods}) == 3
-        assert len({id(per.noise) for per in periods}) == (10 if time_varying else 3)
-        # the batched noise products are the single-period products
-        for per in periods:
-            idx, q_rows = per.mats.idx, per.mats.q_rows
-            G, H = loadings(params, idx, q_rows, per.t)
-            assert_array_equal(per.noise.GHt, G @ H.T)
-            assert_array_equal(per.noise.HHt, H @ H.T)
-            assert_array_equal(per.noise.F_const, G @ G.T + G @ H.T @ per.mats.Z.T)
+        monkeypatch.setattr(baseline, "EdgeSystem", lambda *args: built.append(edge_system(*args)) or built[-1])
+        x_hat = run_adaptive(params, inst.scheme, inst.data).x_hat
+        assert calls == [] and len(built) == 1
+        assert [list(head) for head in built[0].heads] == [[0, 18, 19]] * 10
+        ref = reference_smooth(params, plan_for(params, inst.scheme, inst.data), inst.data)
+        assert np.abs(x_hat - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def reference_smooth(params, plan, data):
+    """The reduced filter and smoother run period by period through the
+    ragged edge (``per_period``) from the plan's initial state: the smoothed
+    latent values written into a (T, n) array as ``baseline.smooth`` writes
+    them, beside the observed monthly values."""
+    records = per_period(params, plan.agg, data)
+    states, _ = run_smoother(records, run_filter(records, plan.init))
+    x = np.where(np.isnan(data.values), 0.0, data.values)
+    x[:, data.n_m :] = 0.0
+    for per, state in zip(records, states.tail):
+        idx = per.mats.idx
+        x[per.t, idx.head_vars()] = state[: idx.head_size]
+    return x
 
 
 # Reference builders: the per-lag, per-variable loops the index-array
