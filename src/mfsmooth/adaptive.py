@@ -39,6 +39,6 @@ def run_adaptive(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
-    pseudo: PseudoSample | None = None,
+    noise: PseudoSample | None = None,
 ) -> SmoothResult:
-    return smooth(params, agg, data, init_mode, kappa, pseudo=pseudo)
+    return smooth(params, agg, data, init_mode, kappa, noise=noise)

@@ -62,7 +62,7 @@ class RunStats:
       threshold; 0 on a balanced sample (a zero pivot of either LU raises
       instead);
     - ``init_jitter``: 1 when the initial quarterly covariance needed jitter
-      to factorize, for the balanced system or the pseudo path.
+      to factorize for the balanced system.
     """
 
     compact_steps: int = 0
@@ -111,9 +111,9 @@ class Plan:
     ``(init_mode, kappa)`` pair; with ``params`` they decide whether the
     plan can be reused.
 
-    ``_last`` holds the data object the plan last ran on and its balanced
-    periods' constants, which every draw and smoothed mean on that object
-    shares (``balanced``).
+    ``_last`` holds the data object the plan last ran on and the data's part
+    of the balanced system's right-hand side, which every draw and smoothed
+    mean on that object shares (``balanced``).
     """
 
     params: VarParams
@@ -126,11 +126,18 @@ class Plan:
     _edge: EdgeSystem | None = field(default=None, init=False, repr=False, compare=False)
 
     def balanced(self, data: MixedFreqData) -> np.ndarray:
-        """The balanced periods' constants at ``data`` (``balanced_constants``):
-        kept while ``data`` is the same object, otherwise formed in one call
-        and kept in their place."""
+        """The balanced system's right-hand side at ``data``
+        (``BalancedSystem.rhs``), from the residuals at zero quarterly values,
+        the monthly observations less the constants (``balanced_constants``)
+        and minus them in the quarterly rows, and the observed aggregates:
+        kept while ``data`` is the same object, otherwise formed once and kept
+        in its place."""
         if self._last is None or self._last[0] is not data:
-            object.__setattr__(self, "_last", (data, balanced_constants(self.params, data)))
+            n_m, t_b = data.n_m, data.pattern.t_balanced
+            resid = -balanced_constants(self.params, data)
+            resid[:, :n_m] += data.values[:t_b, :n_m]
+            ts, qs = np.nonzero(data.pattern.quarterly_observed[:t_b])
+            object.__setattr__(self, "_last", (data, self.system.rhs(resid, data.values[ts, n_m + qs])))
         return self._last[1]
 
     def edge(self, pattern: ObservationPattern) -> EdgeSystem:
@@ -185,8 +192,12 @@ def fill_states(x: np.ndarray, states: Means, periods: DrawPeriods) -> None:
 
 
 def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
-    mask = ~np.isnan(data.values[:, : data.n_m])
-    x[:, : data.n_m][mask] = data.values[:, : data.n_m][mask]
+    """Write the observed monthly values into x: the balanced periods' rows
+    whole, the ragged edge's through its pattern."""
+    n_m, t_b = data.n_m, data.pattern.t_balanced
+    x[:t_b, :n_m] = data.values[:t_b, :n_m]
+    observed = data.pattern.observed_monthly[t_b:]
+    x[t_b:, :n_m][observed] = data.values[t_b:, :n_m][observed]
 
 
 def compact_to_companion(params: VarParams, data: MixedFreqData, reduced: FilterResult) -> FilterState:
@@ -223,13 +234,15 @@ def companion_to_compact(r: np.ndarray, params: VarParams) -> np.ndarray:
 
 
 def companion_periods(
-    params: VarParams, agg: Aggregation, data: MixedFreqData, start: int
+    params: VarParams, agg: Aggregation, data: MixedFreqData, start: int, shocks: np.ndarray | None = None
 ) -> list[PeriodSystem]:
     """Periods start..T-1 of the stacked (companion) formulation.
 
     The dense transition and intercept are built once for the call, and
     H H' once under a constant ``chol_cov`` (one batched product over the
     periods under a time-varying one); the observation noise and c are zero.
+    With ``shocks``, a draw's (T - start, n) edge shocks, each period's
+    intercept is less its shock.
     """
     n, dim = params.n, params.n * (params.p + 1)
     pattern = data.pattern
@@ -240,6 +253,9 @@ def companion_periods(
     H = np.zeros((len(W), dim, n))
     H[:, :n] = W
     HHt = H @ H.transpose(0, 2, 1)
+    d = np.tile(Fc, (pattern.T - start, 1))
+    if shocks is not None:
+        d[:, :n] -= shocks
     periods = []
     for t in range(start, pattern.T):
         o_t, q_rows = pattern.observed(t), pattern.quarterly_rows(t)
@@ -248,17 +264,18 @@ def companion_periods(
         mats = SystemMatrices(Z, np.zeros((n_obs, 0)), F1, np.zeros((dim, 0)), np.zeros(n_obs), Fc)
         noise = PeriodNoise(np.zeros((n_obs, dim)), HHt[t - start if tv else 0], np.zeros((n_obs, n_obs)))
         y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + q_rows]])
-        periods.append(PeriodSystem(mats, noise, t, y, Fc))
+        periods.append(PeriodSystem(mats, noise, t, y, d[t - start]))
     return periods
 
 
 def dense_edge(
-    params: VarParams, agg: Aggregation, data: MixedFreqData, start: FilterState
+    params: VarParams, agg: Aggregation, data: MixedFreqData, start: FilterState, shocks: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Edge step of the reference backend: the stacked-form filter and
     smoother with dense companion products, covariance pass included, from
-    the stacked state ``start`` at t_b-1."""
-    periods = companion_periods(params, agg, data, data.pattern.t_balanced)
+    the stacked state ``start`` at t_b-1, the intercepts less ``shocks``
+    when given (``companion_periods``)."""
+    periods = companion_periods(params, agg, data, data.pattern.t_balanced, shocks)
     res = run_filter(periods, start)
     states, r = run_smoother(periods, res)
     return np.array([a[: params.n] for a in states.tail]), r, res.run.worst_cond
@@ -271,57 +288,50 @@ def smooth(
     init_mode: str = "stationary",
     kappa: float = 1e4,
     edge: Callable[..., tuple[np.ndarray, np.ndarray, float]] | None = None,
-    pseudo: PseudoSample | None = None,
+    noise: PseudoSample | None = None,
 ) -> SmoothResult:
     """The balanced sample's system, the ragged edge, then the balanced
     path lifted by the edge's adjoint.
 
     The balanced block is one solve of the plan's ``BalancedSystem``.  With
     an ``edge`` step its filtered state at t_b-1 is placed in the stacked
-    state (``compact_to_companion``); ``edge(params, agg, data, start)``
-    starts from that state and returns the smoothed (T - t_b, n) edge rows,
-    its adjoint for the stacked state predicted at t_b and the worst
-    condition ratio of its factors of F.  ``F1'`` carries that adjoint back
-    (``companion_to_compact``), and its quarterly positions lift the
+    state (``compact_to_companion``); ``edge(params, agg, data, start,
+    shocks)`` starts from that state and returns the smoothed (T - t_b, n)
+    edge rows, its adjoint for the stacked state predicted at t_b and the
+    worst condition ratio of its factors of F.  ``F1'`` carries that adjoint
+    back (``companion_to_compact``), and its quarterly positions lift the
     balanced path, with no linear solve.  With ``edge=None`` (the adaptive
     backend) the ragged edge is one solve of the plan's ``EdgeSystem``,
     whose multipliers give that adjoint directly.
 
-    The balanced periods' constants are the plan's at ``data``
-    (``Plan.balanced``).  With ``pseudo``, a pseudo sample simulated for
-    ``data`` (the simulation smoother's route), the run is on the
-    observations y - y+ with the inputs, the observed monthly lags, at
-    y - x+, and returns its smoothed mean, whose observed monthly entries
-    the caller overwrites (``draw_latent``).  x+ is zero at the balanced
-    periods' monthly values, so the balanced constants and the known lags
-    of the stacked state at t_b-1 are those of the data.
+    The balanced system's right-hand side is the plan's at ``data``
+    (``Plan.balanced``).  Without ``noise`` the result is the smoothed mean.
+    With ``noise``, a draw's perturbation (``simsmooth.simulate_path``), both
+    systems solve on right-hand sides that carry the model's own noise, and
+    the edge steps take its shocks in their intercepts: the result is then a
+    draw from the latent values' distribution given the data
+    (perturbation-optimization; Papandreou and Yuille 2010).
     """
     plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
     edge_system = plan.edge(data.pattern) if edge is None and T > t_b else None
-    obs, lags = data, None
-    if pseudo is not None:
-        obs = data.replace_values(data.values - pseudo.y_plus)
-        lags = data.values[:, : params.n_m] - pseudo.x_plus[:, : params.n_m]
-    periods = build_periods(params, obs, plan.system, plan.balanced(data), edge_system, lags)
+    periods = build_periods(params, data, plan.system, plan.balanced(data), edge_system, noise)
     res = run_filter(periods)
     heads = r = None
     worst_cond = 0.0 if edge_system is None else edge_system.cond
     if edge is not None and T > t_b:
-        heads, r_edge, worst_cond = edge(params, plan.agg, obs, compact_to_companion(params, data, res))
+        shocks = None if noise is None else noise.shocks
+        heads, r_edge, worst_cond = edge(params, plan.agg, data, compact_to_companion(params, data, res), shocks)
         r = companion_to_compact(r_edge, params)[quarterly_state_index(params)]
     states, _ = run_smoother(periods, res, r_init=r)
     # allocated last: the result outlives the filter's working set, and placed
     # above it, it keeps that set's freed memory off the top of the heap, where
-    # malloc would return it to the system for the next draw to fault back in;
-    # zeroed, as the pseudo route leaves the observed monthly entries unset
-    # and ``draw_latent`` adds x+ to them before it overwrites them
+    # malloc would return it to the system for the next draw to fault back in
     x = np.zeros((T, params.n))
     if heads is not None:
         x[t_b:] = heads
     fill_states(x, states, periods)
-    if pseudo is None:
-        fill_observed(x, data)
+    fill_observed(x, data)
     stats = RunStats(compact_steps=t_b, factorizations=plan.pop_factorizations(),
                      worst_cond=worst_cond, init_jitter=int(plan.system.jitter))
     if edge is None:
@@ -337,7 +347,7 @@ def run_baseline(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
-    pseudo: PseudoSample | None = None,
+    noise: PseudoSample | None = None,
 ) -> SmoothResult:
     """``smooth`` with the dense companion-form edge step."""
-    return smooth(params, agg, data, init_mode, kappa, dense_edge, pseudo)
+    return smooth(params, agg, data, init_mode, kappa, dense_edge, noise)

@@ -117,22 +117,26 @@ def blocked_edge(
     agg: Aggregation,
     data: MixedFreqData,
     start: FilterState,
+    shocks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Edge step of the blocked backend: the stacked-form filter and
     smoother through block subsetting, from the stacked state ``start`` at
     t_b-1, of whose covariance only the first np rows and columns reach the
-    prediction."""
+    prediction; each period's intercept is less its row of ``shocks``, a
+    draw's edge shocks, when given."""
     n, p = params.n, params.p
     npp = n * p
     dim = n * (p + 1)
     coeff_row = params.coeff_row
     qcols = agg.quarterly_state_cols(n, params.n_m)
     a_filt, pf_top = start.a, start.P[:npp, :npp]
+    t_b = data.pattern.t_balanced
+    intercept = params.intercept - (np.zeros((data.T - t_b, n)) if shocks is None else shocks)
     records: list[BlockedRecord] = []
     worst_cond = 0.0
-    for t in range(data.pattern.t_balanced, data.T):
+    for t in range(t_b, data.T):
         a, P = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t))
-        a[:n] += params.intercept
+        a[:n] += intercept[t - t_b]
         o_t = data.pattern.observed(t)
         q_rows = data.pattern.quarterly_rows(t)
         lamqq_obs = agg.lam_qq[q_rows]
@@ -181,6 +185,6 @@ def run_blocked(
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
-    pseudo: PseudoSample | None = None,
+    noise: PseudoSample | None = None,
 ) -> SmoothResult:
-    return smooth(params, agg, data, init_mode, kappa, blocked_edge, pseudo)
+    return smooth(params, agg, data, init_mode, kappa, blocked_edge, noise)

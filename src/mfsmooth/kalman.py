@@ -28,7 +28,8 @@ balanced sample's last period.  From that state and its covariance,
 ``EdgeSystem`` solves for the latent values of the ragged edge, the
 monthly values still missing and the quarterly ones, as one small dense
 saddle-point system, whose multipliers include the adjoint that lifts the
-balanced path.
+balanced path.  A draw solves both on right-hand sides that carry the
+model's own noise (``BalancedSystem.perturbation``, ``simsmooth``).
 """
 
 from __future__ import annotations
@@ -274,7 +275,9 @@ class BalancedSystem:
     LAPACK ``dgbtrf`` factorizes it, partial pivoting taking the zero block.
     A zero pivot raises ``SingularInnovationError`` naming its period.
 
-    A draw's mean is one ``dgbtrs`` solve (``solve``).  Its last state
+    A right-hand side is formed from the data once (``rhs``); a draw adds
+    the model's noise to it (``perturbation``) and is one ``dgbtrs`` solve
+    (``solve``), whose mean is the solution of the data's.  Its last state
     s_{t_b-1} is the filtered state at t_b-1, where the ragged edge starts
     (``EdgeSystem`` or an edge step).  One more solve, on the unit vectors of
     that state's positions, gives its covariance ``P_filt`` and
@@ -303,13 +306,22 @@ class BalancedSystem:
         agg_t, agg_q = np.nonzero(qobs)
         self._agg = first[p + 1 + agg_t] + n_q + np.arange(len(agg_t)) - np.searchsorted(agg_t, agg_t)
 
-        # B' Sigma_t^-1 and B' Sigma_t^-1 B, one for all periods or one each
+        # B' Sigma_t^-1, B' Sigma_t^-1 B and the noise's factor R_t, with
+        # R_t' R_t = B' Sigma_t^-1 B, one for all periods or one each: under a
+        # constant chol_cov the r x k triangle of one thin QR of W^-1 B, which
+        # a singular B' Sigma^-1 B leaves valid (r = min(n, k)), under a
+        # time-varying one W_t^-1 B itself (r = n), so no period is factorized
         B = np.zeros((n, k))
         B[n_m:, :n_q] = np.eye(n_q)
         B[:, n_q:] = -params.lag_coeffs[:, :, n_m:].transpose(1, 0, 2).reshape(n, p * n_q)
         W = params.chol_cov[:t_b]
-        self._G = _backward(W, _forward(W, B)).transpose(0, 2, 1)
+        WB = _forward(W, B)
+        self._G = _backward(W, WB).transpose(0, 2, 1)
         KB = (self._G.reshape(-1, n) @ B).reshape(len(W), k, k)
+        R = WB if params.time_varying_cov else np.linalg.qr(WB[0], mode="r")[None]
+        self._Rt = R.transpose(0, 2, 1)
+        self.rank = R.shape[1]
+        self.n_normals = k + t_b * self.rank
 
         # periods 0..p-1 reach the initial stack: their window is m_t + J_t u
         # in the unknowns u, m_t the stack's mean and J_t = I but for L0
@@ -321,6 +333,7 @@ class BalancedSystem:
             m[t, j:] = init.a[: k - j]
         Jt = J.transpose(0, 2, 1)
         self._G_head = Jt @ self._G[:p]
+        self._Rt_head = Jt @ self._Rt[:p]
         lam = np.zeros((len(agg_t), k))
         lam[:, : agg.lam_qq.shape[1]] = agg.lam_qq[agg_q]
         lead = np.flatnonzero(agg_t < p)
@@ -331,7 +344,7 @@ class BalancedSystem:
         # the entries: K's, period t's over its window, z's prior and A's
         ia, ja = np.nonzero(lam)
         a_rows, a_cols = self._agg[ia], win[agg_t[ia], ja]
-        z_pos = qpos[: p + 1].ravel()
+        self._z = z_pos = qpos[: p + 1].ravel()
         vals = np.empty(t_b * k * k + len(z_pos) + 2 * len(ia))
         Kt = vals[: t_b * k * k].reshape(t_b, k, k)
         Kt[:] = KB
@@ -363,7 +376,7 @@ class BalancedSystem:
         self._b[self._agg] += g
         E = np.zeros((N, k))
         E[win[-1], np.arange(k)] = 1.0
-        X = self._solve(E)
+        X = self.solve(E)
         self.P_filt = _sym(X[win[-1]])
         self._lift = X[self._path.ravel()]
 
@@ -372,25 +385,43 @@ class BalancedSystem:
         k, self.factorizations = self.factorizations, 0
         return k
 
-    def _solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution for the right-hand side ``b``, which is left as it is."""
         if not self.size:
             return b
-        x, _ = dgbtrs(self._lu, self.kl, self.kl, b, self._piv, overwrite_b=1)
+        x, _ = dgbtrs(self._lu, self.kl, self.kl, b, self._piv)
         return x
 
-    def solve(self, resid: np.ndarray, agg: np.ndarray) -> np.ndarray:
-        """The unknowns' mean given a draw's residuals at zero quarterly
-        values, a (t_b, n) array, and its observed aggregates in order of
-        period, then variable.  The right-hand side is -sum_t B_t' Sigma_t^-1
-        r_t beside the aggregates, and the initial mean's terms: one product
-        over the periods, or one batched over them under a time-varying
-        ``chol_cov``, and the first p periods' own."""
-        G, p = self._G, len(self._G_head)
-        C = resid @ G[0].T if len(G) == 1 else np.matmul(G, resid[:, :, None])[:, :, 0]
-        C[:p] = np.matmul(self._G_head, resid[:p, :, None])[:, :, 0]
-        b = self._b - _scatter(self._win, C, self.size)
+    def _windows(self, M: np.ndarray, head: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The sum over the periods of M_t v_t placed at each period's
+        window, for a (t_b, m) array v: one product over the periods, or one
+        batched over them when M has one matrix a period, and the first p
+        periods' own (``head``), which reach the initial stack through J_t."""
+        p = len(head)
+        C = v @ M[0].T if len(M) == 1 else np.matmul(M, v[:, :, None])[:, :, 0]
+        C[:p] = np.matmul(head, v[:p, :, None])[:, :, 0]
+        return _scatter(self._win, C, self.size)
+
+    def rhs(self, resid: np.ndarray, agg: np.ndarray) -> np.ndarray:
+        """The right-hand side given the residuals at zero quarterly values
+        of the data, a (t_b, n) array, and their observed aggregates in order
+        of period, then variable: -sum_t B_t' Sigma_t^-1 r_t beside the
+        aggregates, and the initial mean's terms."""
+        b = self._b - self._windows(self._G, self._G_head, resid)
         b[self._agg] += agg
-        return self._solve(b)
+        return b
+
+    def perturbation(self, normals: np.ndarray) -> np.ndarray:
+        """The right-hand side's perturbation from ``n_normals`` standard
+        normals: the first k, zeta, on z's rows, the prior ||z||^2 becoming
+        ||z - zeta||^2, then ``rank`` a period, xi_t, as -sum_t J_t' R_t' xi_t.
+        Each period's term has the covariance of -B_t' Sigma_t^-1 W_t eta_t,
+        the term its residual r_t + W_t eta_t would add, so the solution has
+        the mean and covariance of the quarterly path given the data."""
+        xi = normals[self.k :].reshape(len(self._win), self.rank)
+        b = -self._windows(self._Rt, self._Rt_head, xi)
+        b[self._z] += normals[: self.k]
+        return b
 
     def last(self, u: np.ndarray) -> np.ndarray:
         """The filtered state at t_b-1 of the solution ``u``."""
@@ -417,7 +448,7 @@ class EdgeSystem:
     is e_t = r_t + B_t z, with B_t the identity on period t's latent values
     less the lag coefficients on the latent values of t-1..t-p, one gather
     from ``coeff_row`` (lags in the balanced sample fall in s), and r_t the
-    residual at z = 0 (``systems.build_periods``).  Each period is whitened
+    residual at z = 0 (``systems.edge_residuals``).  Each period is whitened
     once by its factor of Sigma_t, so K = sum_t B_t' Sigma_t^-1 B_t.  A holds
     one row per observed edge aggregate, its weights on q_t..q_{t-p_q+1},
     and J selects s from z.  With s given the balanced sample distributed as
@@ -489,11 +520,16 @@ class EdgeSystem:
         k, self.factorizations = self.factorizations, 0
         return k
 
-    def solve(self, resid: np.ndarray, agg: np.ndarray, last: np.ndarray) -> np.ndarray:
-        """The solution (z, nu, lam) given a draw's edge residuals at z = 0,
-        an (T - t_b, n) array, its observed edge aggregates in order of
-        period, then variable, and the balanced system's last state ``last``."""
-        x, _ = dgetrs(self._lu, self._piv, np.concatenate([-(resid.ravel() @ self._H), agg, last]))
+    def rhs(self, resid: np.ndarray, agg: np.ndarray) -> np.ndarray:
+        """The right-hand side's rows of z and nu given the edge residuals at
+        z = 0, an (T - t_b, n) array, and the observed edge aggregates in
+        order of period, then variable."""
+        return np.concatenate([-(resid.ravel() @ self._H), agg])
+
+    def solve(self, rhs: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """The solution (z, nu, lam) given the rows of z and nu (``rhs``) and
+        the balanced system's last state ``last``."""
+        x, _ = dgetrs(self._lu, self._piv, np.concatenate([rhs, last]))
         return x
 
     def smoothed(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -575,8 +611,8 @@ def run_filter(
         return FilterResult(run, *_filter_steps(run.steps, periods, init.a))
     block, edge = periods.balanced, periods.edge
     system = block.mats
-    u = system.solve(block.resid, block.agg)
-    x = None if edge is None else edge.mats.solve(edge.resid, edge.agg, system.last(u))
+    u = system.solve(block.rhs)
+    x = None if edge is None else edge.mats.solve(edge.rhs, system.last(u))
     return FilterResult(None, [], [], [], system, u, x)
 
 

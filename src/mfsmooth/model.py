@@ -318,7 +318,8 @@ class MixedFreqData:
         return self.n_m + self.n_q
 
     def replace_values(self, values: np.ndarray) -> "MixedFreqData":
-        """Same pattern, new values (used for the centered pseudo-observations).
+        """Same pattern, new values: a data object that shares the pattern,
+        and with it the plan prepared on it (``baseline.plan_for``).
 
         The new matrix must be missing exactly where the original is.
         """

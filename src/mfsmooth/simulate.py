@@ -10,14 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .kalman import FilterState, init_state
+from .kalman import FilterState, init_state, initial_factor
 from .model import (
     AggregationScheme,
     MixedFreqData,
     VarParams,
     intra_quarterly_average,
 )
-from .simsmooth import _draw_initial_quarterly
 
 __all__ = [
     "random_stable_params",
@@ -151,8 +150,8 @@ def simulate_var_path(
     n, n_m, p = params.n, params.n_m, params.p
     T = data.T
     rev = np.zeros((T + p + 1, n))
-    s, _ = _draw_initial_quarterly(init, rng)
-    s += init.a
+    L0, _ = initial_factor(init.P)
+    s = L0 @ rng.standard_normal(len(L0)) + init.a
     # initial group `lag` holds the quarterly values at time -1-lag
     rev[T:, n_m:] = s.reshape(p + 1, params.n_q)
     eps = rng.standard_normal((T, n))

@@ -5,9 +5,9 @@ ragged-edge extension in which the state is augmented, period by period, with
 exactly the currently-unobserved monthly variables.  The balanced case is the
 special case ``U_t = {}``.  The full stacked (companion) formulation used by
 the reference smoother is built separately (``baseline.companion_periods``).
-A draw runs on neither per period: ``build_periods`` forms the data parts of
-the two systems a plan solves, the balanced sample's and the ragged edge's
-(``kalman.BalancedSystem``, ``kalman.EdgeSystem``).
+A draw runs on neither per period: ``build_periods`` forms the right-hand
+sides of the two systems a plan solves, the balanced sample's and the ragged
+edge's (``kalman.BalancedSystem``, ``kalman.EdgeSystem``).
 
 State layout: ``p+1`` lag groups, each group ``(x_{U_t}, x_q)`` with the
 unobserved monthly indices ascending and the quarterly variables last.
@@ -27,6 +27,7 @@ from .model import Aggregation, MixedFreqData, VarParams
 
 if TYPE_CHECKING:
     from .kalman import BalancedSystem, EdgeSystem
+    from .simsmooth import PseudoSample
 
 __all__ = [
     "AdaptiveIndex",
@@ -43,6 +44,7 @@ __all__ = [
     "build_system_matrices",
     "companion_observation",
     "balanced_constants",
+    "edge_residuals",
     "build_periods",
 ]
 
@@ -235,14 +237,12 @@ class Block(NamedTuple):
     """A run of a draw's periods solved as one system: ``mats``, the plan's
     system (``kalman.BalancedSystem`` over the balanced periods 0..t_b-1,
     ``kalman.EdgeSystem`` over the ragged edge t_b..T-1), ``t`` its first
-    period, the VAR residuals of its periods at zero latent values, a row per
-    period (``resid``), and its observed aggregates ``agg``, in order of
-    period, then variable."""
+    period, and the system's right-hand side for the draw (``rhs``; the
+    edge's without the rows of the balanced system's last state)."""
 
     mats: BalancedSystem | EdgeSystem
     t: int
-    resid: np.ndarray
-    agg: np.ndarray
+    rhs: np.ndarray
 
 
 class DrawPeriods(list):
@@ -310,14 +310,28 @@ def balanced_constants(params: VarParams, data: MixedFreqData) -> np.ndarray:
     (t_b, n) rows: one gather of the lag stacks and one product.
 
     A balanced period's mean reads only monthly lags of balanced periods,
-    and a draw's pseudo sample holds those at zero
-    (``simsmooth.simulate_path``), so every draw on ``data`` takes this
-    array as it is.
+    which are data, so the balanced system's right-hand side formed from
+    it is the same for every draw on ``data`` (``baseline.Plan.balanced``).
     """
     t_b, n_m = data.pattern.t_balanced, data.n_m
     stacks = _lag_stacks(data.values, params.p, n_m)
     X = stacks[data.T - 1 - np.arange(t_b)].reshape(t_b, -1)
     return X @ _coeffs(params, np.arange(params.n), np.arange(n_m), exog=True).T + params.intercept
+
+
+def edge_residuals(params: VarParams, data: MixedFreqData) -> np.ndarray:
+    """The VAR residuals of periods t_b..T-1 at zero latent values,
+    x_t - intercept - sum_i A_i x_{t-i} with the latent values zero and the
+    observed monthly values from ``data``, as (T - t_b, n) rows: one product
+    over the edge periods' lag stacks."""
+    n_m, p, T, t_b = params.n_m, params.p, data.T, data.pattern.t_balanced
+    observed = data.pattern.observed_monthly
+    known = np.zeros((T - t_b + p, params.n))    # periods t_b-p..T-1
+    known[:, :n_m] = np.where(observed[t_b - p :], data.values[t_b - p :, :n_m], 0.0)
+    stack = np.concatenate([known[p - i : T - t_b + p - i] for i in range(1, p + 1)], axis=1)
+    resid = -(stack @ params.coeff_row.T) - params.intercept
+    resid[:, :n_m] += known[p:, :n_m]
+    return resid
 
 
 def build_periods(
@@ -326,39 +340,25 @@ def build_periods(
     system: BalancedSystem,
     balanced: np.ndarray,
     edge: EdgeSystem | None = None,
-    lags: np.ndarray | None = None,
+    noise: PseudoSample | None = None,
 ) -> DrawPeriods:
     """A draw's periods: the balanced block on ``system`` (the plan's
     ``kalman.BalancedSystem``), then, with ``edge`` (the plan's
     ``kalman.EdgeSystem``), the ragged edge's block on it.
 
-    The balanced block holds its residuals at zero quarterly values, the
-    monthly observations in ``data`` less ``balanced``
-    (``balanced_constants``) and minus it in the quarterly rows, and the
-    observed aggregates.  The edge block holds the residuals of periods
-    t_b..T-1 at zero latent values, x_t - intercept - sum_i A_i x_{t-i} with
-    the latent values zero, the observed monthly x_t from ``data`` and the
-    lags from the monthly values, one product for all edge periods; and the
-    observed edge aggregates.
-
-    The edge's lags read ``lags``, a (T, n_m) array, in place of the data's
-    monthly values when given: on a draw's pseudo route ``data`` holds
-    y - y+ and ``lags`` y - x+.
+    The balanced block's right-hand side is ``balanced``, the data's part
+    that the plan keeps (``baseline.Plan.balanced``).  The edge block's is
+    formed from the residuals of ``edge_residuals`` and the observed edge
+    aggregates (``EdgeSystem.rhs``).  With ``noise``, a draw's perturbation
+    (``simsmooth.simulate_path``), the balanced one gains ``noise.balanced``
+    and each edge period's residual its shock, a row of ``noise.shocks``.
     """
-    n_m, t_b = params.n_m, data.pattern.t_balanced
-    resid = -balanced
-    resid[:, :n_m] += data.values[:t_b, :n_m]
-    ts, qs = np.nonzero(data.pattern.quarterly_observed[:t_b])
-    block = Block(system, 0, resid, data.values[ts, n_m + qs])
+    block = Block(system, 0, balanced if noise is None else balanced + noise.balanced)
     if edge is None:
         return DrawPeriods(block)
-    p, T = params.p, data.T
-    observed = data.pattern.observed_monthly
-    monthly = data.values[:, :n_m] if lags is None else lags
-    known = np.zeros((T - t_b + p, params.n))    # periods t_b-p..T-1
-    known[:, :n_m] = np.where(observed[t_b - p :], monthly[t_b - p :], 0.0)
-    stack = np.concatenate([known[p - i : T - t_b + p - i] for i in range(1, p + 1)], axis=1)
-    resid = -(stack @ params.coeff_row.T) - params.intercept
-    resid[:, :n_m] += np.where(observed[t_b:], data.values[t_b:, :n_m], 0.0)
+    t_b = data.pattern.t_balanced
+    resid = edge_residuals(params, data)
+    if noise is not None:
+        resid += noise.shocks
     ts, qs = np.nonzero(data.pattern.quarterly_observed[t_b:])
-    return DrawPeriods(block, Block(edge, t_b, resid, data.values[t_b + ts, n_m + qs]))
+    return DrawPeriods(block, Block(edge, t_b, edge.rhs(resid, data.values[t_b + ts, params.n_m + qs])))

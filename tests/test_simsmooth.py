@@ -32,51 +32,66 @@ def inst():
     return make_instance(3, 1, 3, 18, 16, rng)
 
 
-def reference_path(params, data, rng, init, centered, scheme):
-    """The per-period recursion: a forward buffer, a lag stack shifted by a
-    copy every period and one aggregation sum per observed quarterly entry.
-
-    ``centered`` gives the pseudo sampler's model: no constants, and over the
-    balanced periods the monthly values are pseudo-observations that the
-    path holds at zero.  Otherwise it is the full VAR with its constants."""
-    n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
-    T, t_b = data.T, data.pattern.t_balanced
+def reference_path(params, data, rng, init, scheme):
+    """The full VAR's per-period recursion: a forward buffer, a lag stack
+    shifted by a copy every period and one aggregation sum per observed
+    quarterly entry."""
+    n, n_m, p = params.n, params.n_m, params.p
+    T = data.T
     buf = np.zeros((p + 1 + T, n))
-    s = np.linalg.cholesky(init.P) @ rng.standard_normal(init.P.shape[0])
-    if not centered:
-        s += init.a
+    s = np.linalg.cholesky(init.P) @ rng.standard_normal(init.P.shape[0]) + init.a
     for lag in range(p + 1):
-        buf[p - lag, n_m:] = s[lag * n_q : (lag + 1) * n_q]
+        buf[p - lag, n_m:] = s[lag * params.n_q : (lag + 1) * params.n_q]
     eps = rng.standard_normal((T, n))
     lags = buf[1 : p + 1][::-1].reshape(-1).copy()
-    monthly = np.zeros((T, n_m))
     for t in range(T):
-        x_t = params.coeff_row @ lags + params.chol(t) @ eps[t]
-        if not centered:
-            x_t += params.intercept
-        monthly[t] = x_t[:n_m]
-        if centered and t < t_b:
-            x_t[:n_m] = 0.0
+        x_t = params.coeff_row @ lags + params.chol(t) @ eps[t] + params.intercept
         buf[p + 1 + t] = x_t
         lags[n:] = lags[: (p - 1) * n]
         lags[:n] = x_t
-    x_plus = buf[p + 1 :]
-    y_plus = np.full((T, n), np.nan)
+    x = buf[p + 1 :]
+    y = np.full((T, n), np.nan)
     pat = data.pattern
-    y_plus[:, :n_m][pat.observed_monthly] = monthly[pat.observed_monthly]
+    y[:, :n_m][pat.observed_monthly] = x[:, :n_m][pat.observed_monthly]
     for t in range(T):
         for j in pat.quarterly_rows(t):
             vals = buf[p + 2 + t - scheme.p_q : p + 2 + t, n_m + j][::-1]
-            y_plus[t, n_m + j] = scheme.weights @ vals
-    return x_plus, y_plus
+            y[t, n_m + j] = scheme.weights @ vals
+    return x, y
 
 
-def both_paths(params, data, rng_seed, init, scheme):
-    """The pseudo sampler's path and the full VAR's, each as (x, y), from
-    the same normals."""
-    pseudo = simulate_path(params, data, np.random.default_rng(rng_seed), init, scheme=scheme)
-    full = simulate_var_path(params, data, np.random.default_rng(rng_seed), init, scheme)
-    return {"pseudo": (pseudo.x_plus, pseudo.y_plus), "full": full}
+def assert_perturbation(params, scheme, data, seed):
+    """A draw's perturbation (``simulate_path``) against each period's own
+    shock W_t eta_t: the edge shocks are those products of the generator's
+    last normals, and the balanced part, linear in the normals before them,
+    has the covariance of zeta on the initial rows plus that of the shocks
+    of the balanced periods carried through the right-hand side
+    (``BalancedSystem.rhs``)."""
+    n, T, t_b = params.n, data.T, data.pattern.t_balanced
+    system = plan_for(params, scheme, data).system
+    k = system.n_normals
+    z = _rng_for(seed, 0).standard_normal(k + (T - t_b) * n)
+    sim = simulate_path(params, data, FixedNormals(z), system)
+    eta = z[k:].reshape(T - t_b, n)
+    want = np.array([params.chol(t) @ e for t, e in zip(range(t_b, T), eta)])
+    assert np.abs(sim.shocks - want).max() <= 1e-14 * np.abs(want).max()
+    assert_array_equal(sim.balanced, system.perturbation(z[:k]))
+    M = np.column_stack([system.perturbation(e) for e in np.eye(k)])
+    zeta, xi = M[:, : system.k], M[:, system.k :]
+    # zeta: one unit entry a column, on distinct rows
+    assert_array_equal(np.abs(zeta).sum(axis=0), 1.0)
+    assert_array_equal(np.abs(zeta).sum(axis=1) <= 1.0, True)
+    agg = np.zeros(int(data.pattern.quarterly_observed[:t_b].sum()))
+    base = system.rhs(np.zeros((t_b, n)), agg)
+    cols = []
+    for t in range(t_b):
+        for j in range(n):
+            resid = np.zeros((t_b, n))
+            resid[t] = params.chol(t)[:, j]
+            cols.append(system.rhs(resid, agg) - base)
+    ref = np.column_stack(cols)
+    want = ref @ ref.T
+    assert np.abs(xi @ xi.T - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSimulatePath:
@@ -84,49 +99,44 @@ class TestSimulatePath:
         init = init_state(inst.params, "stationary")
         n_m = inst.params.n_m
         pat = inst.data.pattern
-        for name, (x, y) in both_paths(inst.params, inst.data, 0, init, inst.scheme).items():
-            for t in range(inst.data.T):
-                for j in pat.quarterly_rows(t):
-                    if t >= 2:
-                        want = x[t - 2 : t + 1, n_m + j].mean()
-                        assert_allclose(y[t, n_m + j], want, err_msg=name)
+        x, y = simulate_var_path(inst.params, inst.data, np.random.default_rng(0), init, inst.scheme)
+        for t in range(inst.data.T):
+            for j in pat.quarterly_rows(t):
+                if t >= 2:
+                    want = x[t - 2 : t + 1, n_m + j].mean()
+                    assert_allclose(y[t, n_m + j], want)
 
     def test_monthly_pseudo_obs_copy_path(self, inst):
         init = init_state(inst.params, "stationary")
-        pat = inst.data.pattern
-        obs = pat.observed_monthly
-        paths = both_paths(inst.params, inst.data, 1, init, inst.scheme)
-        x, y = paths["full"]
+        obs = inst.data.pattern.observed_monthly
+        x, y = simulate_var_path(inst.params, inst.data, np.random.default_rng(1), init, inst.scheme)
         assert_array_equal(y[:, :3][obs], x[:, :3][obs])
-        # the pseudo sample observes the balanced periods' monthly values
-        # and holds them at zero in its path; past them it copies the path
-        x, y = paths["pseudo"]
-        t_b = pat.t_balanced
-        assert_array_equal(x[:t_b, :3], 0.0)
-        assert np.all(y[:t_b, :3] != 0.0)
-        assert_array_equal(y[t_b:, :3][obs[t_b:]], x[t_b:, :3][obs[t_b:]])
-        for _, y in paths.values():
-            assert np.all(np.isnan(y[:, :3][~obs]))
+        assert np.all(np.isnan(y[:, :3][~obs]))
 
     def test_centered_path_has_zero_mean(self, inst):
-        # with all shocks zeroed the pseudo sampler stays at zero
+        # with all normals zero the perturbation is zero, and every
+        # backend's draw is the smoothed mean
         params = inst.params
-        zero_chol = VarParams(
-            params.n_m, params.n_q, params.p, params.intercept,
-            params.lag_coeffs, 1e-12 * np.eye(params.n),
-        )
 
         class ZeroRng:
             def standard_normal(self, size=None):
                 return np.zeros(size if size is not None else ())
 
+        sim = gen_pseudo(params, inst.scheme, inst.data, ZeroRng())
+        assert_array_equal(sim.balanced, 0.0)
+        assert_array_equal(sim.shocks, 0.0)
+        for backend, run in BACKENDS.items():
+            d = draw_latent(params, inst.scheme, inst.data, backend, rng=ZeroRng())
+            assert_array_equal(d.x, run(params, inst.scheme, inst.data).x_hat)
+        # the full VAR, degenerate shocks: its path follows the deterministic VAR
+        zero_chol = VarParams(
+            params.n_m, params.n_q, params.p, params.intercept,
+            params.lag_coeffs, 1e-12 * np.eye(params.n),
+        )
         from mfsmooth.kalman import FilterState
 
         dim = params.n_q * (params.p + 1)
         init = FilterState(np.ones(dim), 1e-24 * np.eye(dim))
-        sim = simulate_path(zero_chol, inst.data, ZeroRng(), init, scheme=inst.scheme)
-        assert_allclose(sim.x_plus, 0.0, atol=1e-9)
-        # the full VAR, same degenerate shocks: its path follows the deterministic VAR
         x, _ = simulate_var_path(zero_chol, inst.data, ZeroRng(), init, inst.scheme)
         assert np.max(np.abs(x)) > 0.0
 
@@ -143,24 +153,27 @@ class TestSimulatePath:
         assert_allclose(got, mu, atol=0.15)
 
     def test_rank_deficient_initial_covariance_is_jittered(self, inst):
+        # one quarterly lag with zero variance: the plain Cholesky fails, the
+        # balanced system's factor takes the jitter and the perturbation
+        # drawn on it stays finite
         init = init_state(inst.params, "stationary")
-        # one quarterly lag with zero variance: the plain Cholesky fails
         P = init.P.copy()
         P[0, :] = P[:, 0] = 0.0
-        sim = simulate_path(inst.params, inst.data, np.random.default_rng(2),
-                            kalman.FilterState(init.a, P), scheme=inst.scheme)
-        assert sim.init_jitter
-        assert np.isfinite(sim.x_plus).all()
-        regular = simulate_path(inst.params, inst.data, np.random.default_rng(2), init, scheme=inst.scheme)
-        assert not regular.init_jitter
+        agg = build_aggregation(inst.scheme, 3, 1, 3)
+        for cov, jitter in ((P, True), (init.P, False)):
+            system = kalman.BalancedSystem(inst.params, agg, inst.data.pattern, kalman.FilterState(init.a, cov))
+            sim = simulate_path(inst.params, inst.data, np.random.default_rng(2), system)
+            assert system.jitter == jitter
+            assert np.isfinite(sim.balanced).all() and np.isfinite(sim.shocks).all()
 
     @pytest.mark.parametrize("time_varying", [False, True])
     @pytest.mark.parametrize("centered", [True, False])
     @pytest.mark.parametrize("scheme", [intra_quarterly_average(), skip_sampling()], ids=["average", "skip"])
     def test_matches_per_period_recursion(self, time_varying, centered, scheme):
-        """Against the per-period recursion, on an irregular quarterly mask
-        with a ragged monthly edge: ``centered``, the pseudo sampler's
-        reduced model; otherwise the full VAR ``make_instance`` draws."""
+        """Against each period's own shocks, on an irregular quarterly mask
+        with a ragged monthly edge: ``centered``, a draw's perturbation,
+        which has zero mean (``assert_perturbation``); otherwise the full VAR
+        ``make_instance`` draws, against its per-period recursion."""
         n_m, n_q, p, T = 4, 2, 3, 30
         rng = np.random.default_rng(17)
         params = random_stable_params(n_m, n_q, p, rng)
@@ -175,30 +188,36 @@ class TestSimulatePath:
         values[~q0, n_m] = np.nan
         values[np.setdiff1d(np.arange(T), [0, 1, 4, 9, 10, 20, 28]), n_m + 1] = np.nan
         data = MixedFreqData.from_values(values, n_m, n_q)
-        init = init_state(params, "stationary")
         if centered:
-            sim = simulate_path(params, data, _rng_for(4, 2), init, scheme=scheme)
-            got = sim.x_plus, sim.y_plus
-        else:
-            got = simulate_var_path(params, data, _rng_for(4, 2), init, scheme)
-        want = reference_path(params, data, _rng_for(4, 2), init, centered, scheme)
-        for name, value, ref in zip(("x_plus", "y_plus"), got, want):
+            assert_perturbation(params, scheme, data, 4)
+            return
+        init = init_state(params, "stationary")
+        got = simulate_var_path(params, data, _rng_for(4, 2), init, scheme)
+        want = reference_path(params, data, _rng_for(4, 2), init, scheme)
+        for name, value, ref in zip(("x", "y"), got, want):
             # a relative bound on the whole array: the products sum in another order
             assert_allclose(value, ref, rtol=0, atol=1e-13 * np.nanmax(np.abs(ref)), err_msg=name)
         assert_array_equal(np.isnan(got[1]), np.isnan(want[1]))
 
 
 class TestDraws:
-    def test_init_jitter_reported_per_draw(self, inst):
+    def test_init_jitter_reported_per_draw(self, inst, monkeypatch):
         draw = draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=5)
         assert draw.stats.init_jitter == 0
-        # the same draw from a plan whose initial covariance is rank deficient
-        plan = inst.data.pattern._plan
-        P = plan.init.P.copy()
-        P[0, :] = P[:, 0] = 0.0
-        object.__setattr__(plan, "init", kalman.FilterState(plan.init.a, P))
+
+        # the same draws on a plan whose initial covariance is rank deficient:
+        # its balanced system's factor of it needs jitter
+        def deficient(*args):
+            init = init_state(*args)
+            P = init.P.copy()
+            P[0, :] = P[:, 0] = 0.0
+            return kalman.FilterState(init.a, P)
+
+        monkeypatch.setattr(baseline, "init_state", deficient)
+        p = inst.params
+        fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
         for backend in BACKENDS:
-            draw = draw_latent(inst.params, inst.scheme, inst.data, backend, seed=5)
+            draw = draw_latent(fresh, inst.scheme, inst.data, backend, seed=5)
             assert draw.stats.init_jitter == 1, backend
             assert np.isfinite(draw.x).all()
 
@@ -224,6 +243,10 @@ class TestDraws:
     def test_unknown_backend(self, inst):
         with pytest.raises(ConfigurationError):
             draw_latent(inst.params, inst.scheme, inst.data, "fastest")
+
+    def test_seed_and_generator_together_rejected(self, inst):
+        with pytest.raises(ConfigurationError, match="not both"):
+            draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=1, rng=np.random.default_rng(1))
 
     def test_negative_draw_count_is_a_usage_error(self, inst):
         with pytest.raises(ConfigurationError, match="n_draws"):
@@ -265,8 +288,12 @@ class TestDrawDistribution:
 
 class TestGenPseudo:
     def test_pattern_preserved(self, inst):
+        # one perturbation of the plan's balanced right-hand side, and one
+        # shock per ragged-edge period
         sim = gen_pseudo(inst.params, inst.scheme, inst.data, np.random.default_rng(0))
-        assert_array_equal(np.isnan(sim.y_plus), np.isnan(inst.data.values))
+        plan = plan_for(inst.params, inst.scheme, inst.data)
+        assert sim.balanced.shape == (plan.system.size,)
+        assert sim.shocks.shape == (inst.data.T - inst.data.pattern.t_balanced, inst.params.n)
 
 
 class TestPreparedPlan:
@@ -441,8 +468,13 @@ def affine_map(params, scheme, data, backend, init_mode="stationary"):
 
     A draw is affine in the generator's normals: its value at z = 0 is m and
     its change at each unit vector a column of G, so m is its mean and G G'
-    its covariance."""
-    k = params.n_q * (params.p + 1) + data.T * params.n
+    its covariance.  It takes k = (p+1) n_q normals for the initial stack,
+    r for each balanced period, r = min(n, k) under a constant ``chol_cov``
+    and n under a time-varying one, and n for each ragged-edge period."""
+    k = params.n_q * (params.p + 1)
+    r = params.n if params.time_varying_cov else min(params.n, k)
+    t_b = data.pattern.t_balanced
+    k += t_b * r + (data.T - t_b) * params.n
 
     def draw(z):
         rng = FixedNormals(z)
@@ -486,6 +518,27 @@ class TestExactMoments:
                     for backend in BACKENDS:
                         m, G = affine_map(params, scheme, inst.data, backend, init_mode)
                         assert_moments(m, G, oj, (scheme.weights, params.time_varying_cov, init_mode, backend))
+
+    @pytest.mark.parametrize("case", ["zero quarterly lag column", "n < k"])
+    def test_rank_deficient_noise_factor(self, case):
+        """B' Sigma^-1 B singular (the last lag's quarterly columns zero, with
+        n >= k) or of rank n < k: the balanced periods' noise factor comes from
+        a QR of W^-1 B, or is W_t^-1 B itself, never a Cholesky of B' Sigma^-1 B,
+        so the draws keep the joint oracle's moments."""
+        if case == "n < k":
+            inst = make_instance(3, 3, 6, 24, 22, np.random.default_rng(0))
+            params = inst.params
+        else:
+            inst = make_instance(5, 1, 3, 14, 12, np.random.default_rng(1))
+            p = inst.params
+            lag_coeffs = p.lag_coeffs.copy()
+            lag_coeffs[-1][:, p.n_m :] = 0.0
+            params = VarParams(p.n_m, p.n_q, p.p, p.intercept, lag_coeffs, p.chol_cov)
+        for prm in (params, with_time_varying_cov(params, inst.data.T, 2)):
+            oj = oracle_joint(prm, inst.scheme, inst.data)
+            for backend in BACKENDS:
+                m, G = affine_map(prm, inst.scheme, inst.data, backend)
+                assert_moments(m, G, oj, (case, prm.time_varying_cov, backend))
 
     def test_no_quarterly_variables(self):
         # n_q = 0: no quarterly stack to solve for; every backend draws the
@@ -570,7 +623,8 @@ class TestDataPart:
         assert plan_for(params, SCHEMES["average"], data).balanced(data) is consts
 
     def test_warm_draw_takes_the_data_part_arrays(self, monkeypatch):
-        # every draw's period build takes the plan's constants array, not a copy
+        # every draw's period build takes the plan's right-hand side array,
+        # not a copy
         scheme = SCHEMES["custom"]
         params, data = self.instance(scheme, True)
         built = []
@@ -587,5 +641,5 @@ class TestDataPart:
         for backend in BACKENDS:
             draw_latent(params, scheme, data, backend, seed=2)
         assert plan_for(params, scheme, data).balanced(data) is consts
-        assert consts.shape == (data.pattern.t_balanced, params.n)
+        assert consts.shape == (plan.system.size,)
         assert len(built) == 4 and all(arr is consts for arr in built)

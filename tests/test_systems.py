@@ -28,13 +28,13 @@ from mfsmooth.simulate import benchmark_pattern, make_instance
 from mfsmooth.systems import (
     AdaptiveIndex,
     adaptive_loadings,
-    balanced_constants,
     build_adaptive_D,
     build_adaptive_T,
     build_adaptive_Z,
     build_adaptive_C,
     companion_observation,
     build_periods,
+    edge_residuals,
     build_system_matrices,
     PeriodNoise,
     PeriodSystem,
@@ -398,23 +398,23 @@ class TestExogVector:
             y = np.concatenate([values[per.t, idx.o_t], values[per.t, 3 + per.mats.q_rows]])
             assert_allclose(per.ymc, y - (per.mats.c0 + per.mats.C @ ex), rtol=1e-13, atol=1e-15)
             assert_allclose(per.d, per.mats.d0 + per.mats.D @ ex, rtol=1e-13, atol=1e-15)
-        # a draw's periods: the balanced block's residuals are y_m - c_m and
-        # -d_q of the periods before t_b = 7, its aggregates the quarterly
-        # values at t = 2, 5; the edge block's, of t = 7..11 (t = 8, 10, 11
-        # have o_prev != all), are the VAR residuals at zero latent values,
-        # its aggregates the values at t = 8, 11
+        # a draw's periods: the balanced block's right-hand side is formed
+        # from the residuals y_m - c_m and -d_q of the periods before t_b = 7
+        # and the aggregates, the quarterly values at t = 2, 5; the edge
+        # block's from the VAR residuals at zero latent values of t = 7..11
+        # (t = 8, 10, 11 have o_prev != all) and the values at t = 8, 11
         t_b = data.pattern.t_balanced
         assert all(len(periods[t].mats.idx.o_prev) < 3 for t in (8, 10, 11))
         plan = plan_for(params, agg, data)
         edge = plan.edge(data.pattern)
-        built = build_periods(params, data, plan.system, balanced_constants(params, data), edge)
-        resid = [np.concatenate([per.ymc[:3], -per.d[:1]]) for per in periods[:t_b]]
-        assert_allclose(built.balanced.resid, resid, rtol=1e-13, atol=1e-15)
-        assert_array_equal(built.balanced.agg, values[[2, 5], 3])
+        built = build_periods(params, data, plan.system, plan.balanced(data), edge)
+        resid = np.array([np.concatenate([per.ymc[:3], -per.d[:1]]) for per in periods[:t_b]])
+        want = plan.system.rhs(resid, values[[2, 5], 3])
+        assert np.abs(built.balanced.rhs - want).max() <= 1e-13 * np.abs(want).max()
         assert (built.edge.mats, built.edge.t) == (edge, t_b)
         ref = [direct_resid(params, values, t) for t in range(t_b, 12)]
-        assert_allclose(built.edge.resid, ref, rtol=1e-13, atol=1e-15)
-        assert_array_equal(built.edge.agg, values[[8, 11], 3])
+        assert_allclose(edge_residuals(params, data), ref, rtol=1e-13, atol=1e-15)
+        assert_array_equal(built.edge.rhs, edge.rhs(edge_residuals(params, data), values[[8, 11], 3]))
 
     def test_presample_lags_are_zero(self, built):
         params, values, periods = built
@@ -436,10 +436,9 @@ class TestEdgeConstants:
         inst = make_instance(n_m, n_q, p, T, t_b, np.random.default_rng(2))
         data = inst.data
         plan = plan_for(inst.params, inst.scheme, data)
-        built = build_periods(inst.params, data, plan.system, plan.balanced(data), plan.edge(data.pattern))
         stacks = systems._lag_stacks(data.values, p, n_m)
         edge = 0
-        for t, got in zip(range(t_b, T), built.edge.resid):
+        for t, got in zip(range(t_b, T), edge_residuals(inst.params, data)):
             idx = index_for_period(data.pattern, n_m, n_q, t)
             mats = build_system_matrices(inst.params, plan.agg, idx, data.pattern.quarterly_rows(t))
             X = stacks[T - 1 - t, idx.o_prev].reshape(-1)
