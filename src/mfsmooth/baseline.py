@@ -24,10 +24,12 @@ from .kalman import (
     FilterResult,
     FilterState,
     Means,
+    filter_periods,
     init_state,
     quarterly_state_index,
     run_filter,
     run_smoother,
+    smooth_periods,
 )
 from .model import Aggregation, AggregationScheme, MixedFreqData, ObservationPattern, VarParams, build_aggregation
 from .systems import (
@@ -272,13 +274,12 @@ def dense_edge(
     params: VarParams, agg: Aggregation, data: MixedFreqData, start: FilterState, shocks: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Edge step of the reference backend: the stacked-form filter and
-    smoother with dense companion products, covariance pass included, from
+    smoother with dense companion products, covariance side included, from
     the stacked state ``start`` at t_b-1, the intercepts less ``shocks``
     when given (``companion_periods``)."""
-    periods = companion_periods(params, agg, data, data.pattern.t_balanced, shocks)
-    res = run_filter(periods, start)
-    states, r = run_smoother(periods, res)
-    return np.array([a[: params.n] for a in states.tail]), r, res.run.worst_cond
+    res = filter_periods(companion_periods(params, agg, data, data.pattern.t_balanced, shocks), start)
+    states, r = smooth_periods(res)
+    return np.array([a[: params.n] for a in states]), r, res.worst_cond
 
 
 def smooth(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
+from .errors import ConfigurationError
 from .model import intra_quarterly_average
 from .simsmooth import draw_latent, _rng_for
 from .simulate import make_instance
@@ -41,7 +42,10 @@ def time_instance(
     Draws run under the caller's BLAS threading, which is fixed when numpy
     is first imported; the documented timings use one BLAS thread
     (``OPENBLAS_NUM_THREADS=1`` in the environment of the process).
+    Raises ``ConfigurationError`` unless ``reps >= 1`` and ``warmup >= 0``.
     """
+    if reps < 1 or warmup < 0:
+        raise ConfigurationError(f"need reps >= 1 and warmup >= 0, got reps={reps}, warmup={warmup}")
     times = []
     for i in range(warmup + reps):
         rng = _rng_for(seed, i)

@@ -132,6 +132,8 @@ def bench(config_path, seed, out_path) -> None:
 @click.option("--tol", default=1e-8, show_default=True, type=float)
 def compare(archive_a, archive_b, tol) -> None:
     """Elementwise comparison of two draw archives."""
+    if not (np.isfinite(tol) and tol >= 0):
+        _fail(f"--tol must be finite and >= 0, got {tol}")
     try:
         a, ha = dataio.read_archive(archive_a)
         b, hb = dataio.read_archive(archive_b)
@@ -139,6 +141,8 @@ def compare(archive_a, archive_b, tol) -> None:
         _fail(str(exc))
     if a.shape != b.shape:
         _fail(f"shape mismatch: {a.shape} vs {b.shape}")
+    if ha.n_q != hb.n_q:
+        _fail(f"quarterly variable count mismatch: n_q = {ha.n_q} vs {hb.n_q}")
     if a.size == 0:
         click.echo("max relative difference: 0 (empty archives)")
         return

@@ -9,14 +9,14 @@ non-square (the state dimension can change between periods).
 The per-period convention: the transition ``(T_t, d_t, H_t)`` maps the
 t-1 state onto the t state.  The covariance side of period t (P_pred, the
 factor of F, the gain ``K_t`` and ``L_t`` onto the t+1 state through period
-t+1's transition) depends on no data: ``CovariancePass`` computes it once
-per sequence of periods.  Each run then takes the mean pass over y - c,
-``run_filter`` forward and ``run_smoother`` backward (Durbin and Koopman
-2002).  A run's last step is always open: it leaves ``K`` and ``L`` unset,
-and the smoother restarts there from an adjoint of the last filtered state
-(zero by default), as a caller that continues on another state space hands
-it back.  The reference edge step runs these steps over its companion
-periods.
+t+1's transition) depends on no data.  ``filter_periods`` runs it and the
+mean update over y - c period by period in one forward pass, and
+``smooth_periods`` the backward pass (Durbin and Koopman 2002).  A run's
+last step is always open: it leaves ``K`` and ``L`` unset, and the smoother
+restarts there from an adjoint of the last filtered state (zero by
+default), as a caller that continues on another state space hands it back.
+The reference edge step and ``oracle_smooth`` run this recursion over their
+companion periods.
 
 Over a draw's own periods no recursion runs.  Given the data, the
 quarterly path over the balanced periods is Gaussian with a precision
@@ -48,17 +48,18 @@ __all__ = [
     "FilterState",
     "CovEntry",
     "CovStep",
-    "CovariancePass",
-    "PassRun",
     "BalancedSystem",
     "EdgeSystem",
     "Means",
     "FilterResult",
+    "FilteredPeriods",
     "factorize_innovation",
+    "filter_periods",
     "filter_step",
     "initial_factor",
     "run_filter",
     "run_smoother",
+    "smooth_periods",
     "solve_discrete_lyapunov",
     "stationary_companion_cov",
     "stationary_quarterly_cov",
@@ -188,35 +189,77 @@ def _close(entry: CovEntry, Tm: np.ndarray) -> CovStep:
 
 
 @dataclass(eq=False)
-class PassRun:
-    """The steps of a covariance pass, the last open, and the largest
-    condition ratio among their factorizations."""
+class FilteredPeriods:
+    """The forward pass over a list of periods (``filter_periods``): per
+    period its covariance step, the last open, its filtered mean, its
+    innovation ``v`` and ``w = Z' F^-1 v``; and the largest condition ratio
+    among the factorizations of F."""
 
     steps: list[CovStep]
+    a_filt: list[np.ndarray]
+    v: list[np.ndarray]
+    w: list[np.ndarray]
     worst_cond: float
 
 
-class CovariancePass:
-    """The covariance side of the filter over one sequence of periods:
-    predicted and filtered covariances, the factor of F and the gains K and
-    L, computed from the initial covariance ``P0`` without any data by
-    ``run``; ``run_filter`` forms it for a list of periods, as the reference
-    edge step's companion periods.
+def filter_periods(periods: list[PeriodSystem], init: FilterState) -> FilteredPeriods:
+    """The forward pass over a list of periods from ``init``, the state
+    distribution before the first period, which predicts through its own
+    transition.  Per period: the covariance side (``filter_step``) from the
+    predicted covariance, then the mean update
+    ``a_t = T_t a_{t-1} + d_t + M F^-1 (y_t - c_t - Z_t (T_t a_{t-1} + d_t))``.
+    The previous step is closed by this period's transition; the last is
+    left open and its filtered covariance is never formed."""
+    a, P, entry = init.a, init.P, None
+    steps, a_filt, v, w = [], [], [], []
+    for per in periods:
+        Tm = per.mats.T
+        if entry is not None:
+            steps.append(_close(entry, Tm))
+            P = entry.P_filt
+        entry = filter_step(_predict_cov(P, Tm, per.noise.HHt), per)
+        a = Tm @ a + per.d
+        dim = len(a)
+        v.append(per.ymc - entry.Z @ a)
+        x = v[-1] @ entry.FinvMZ
+        a = a + x[:dim]
+        a_filt.append(a)
+        w.append(x[dim:])
+    steps.append(CovStep(entry))
+    return FilteredPeriods(steps, a_filt, v, w, max(step.entry.cond for step in steps))
+
+
+def smooth_periods(
+    filtered: FilteredPeriods, r_init: np.ndarray | None = None
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The backward pass over the periods of ``filtered``; returns the
+    smoothed state means and the adjoint of the first period's predicted
+    mean.
+
+    ``r_{t-1} = L_t' r_t + Z_t' F_t^-1 v_t`` with the smoothed means
+    ``a_filt + (P_pred L_t' - H G' K_t') r_t``, per period.  The last
+    period's step is open: ``r_init`` is the adjoint of its filtered state,
+    which a caller that continued past it hands back, so its smoothed mean
+    is ``a_filt + P_filt r_init`` and the adjoint before it
+    ``r_init - Z' F^-1 M' r_init + Z' F^-1 v``.  Without one the adjoint is
+    zero there and the smoothed mean is the filtered one.
     """
-
-    def __init__(self, periods, P0: np.ndarray):
-        self.periods = periods
-        self.P0 = P0
-
-    def run(self) -> PassRun:
-        """The steps of every period, the last left open."""
-        periods, steps = self.periods, []
-        entry = filter_step(_predict_cov(self.P0, periods[0].mats.T, periods[0].noise.HHt), periods[0])
-        for per in periods[1:]:
-            steps.append(_close(entry, per.mats.T))
-            entry = filter_step(_predict_cov(entry.P_filt, per.mats.T, per.noise.HHt), per)
-        steps.append(CovStep(entry))
-        return PassRun(steps, max(step.entry.cond for step in steps))
+    steps, a_filt, w = filtered.steps, filtered.a_filt, filtered.w
+    last = len(steps) - 1
+    states: list[np.ndarray] = [None] * len(steps)  # type: ignore[list-item]
+    if r_init is None:
+        states[last], r = a_filt[last], w[last]
+    else:
+        e = steps[last].entry
+        states[last] = a_filt[last] + e.P_filt @ r_init
+        r = r_init - e.Z.T @ (e.MFinv.T @ r_init) + w[last]
+    for t in range(last - 1, -1, -1):
+        step = steps[t]
+        e = step.entry
+        ltr = step.L.T @ r
+        states[t] = a_filt[t] + e.P_pred @ ltr - e.HGt @ (step.K.T @ r)
+        r = ltr + w[t]
+    return states, r
 
 
 def initial_factor(P: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -540,10 +583,9 @@ class EdgeSystem:
 
 @dataclass(frozen=True)
 class Means:
-    """Per-period vectors of a mean pass: a draw's balanced quarterly path
-    as the rows of ``head`` (no rows on a list of periods), and one per
-    later period in ``tail``: a period's state on a list of periods, its
-    latent values (``EdgeSystem.heads``) on a draw's ragged edge."""
+    """A draw's smoothed means: its balanced quarterly path as the rows of
+    ``head``, and in ``tail`` the latent values of each ragged-edge period
+    in the order of ``EdgeSystem.heads`` (none without the edge's block)."""
 
     head: np.ndarray
     tail: list[np.ndarray]
@@ -551,20 +593,12 @@ class Means:
 
 @dataclass(eq=False)
 class FilterResult:
-    """One forward mean pass.  On a list of periods: the covariance pass
-    ``run`` and the filtered means, the innovations ``v`` and
-    ``w = Z' F^-1 v`` of its per-period steps.  On a draw's periods
-    (``build_periods``): ``system``, the balanced block's
-    ``BalancedSystem``, and ``u`` its solution, and ``edge`` the solution
-    of the ragged edge's ``EdgeSystem`` (None without one); the per-period
-    fields are then empty."""
+    """A draw's forward pass: ``system``, the balanced block's
+    ``BalancedSystem``, ``u`` its solution, and ``edge`` the solution of the
+    ragged edge's ``EdgeSystem`` (None without the edge's block)."""
 
-    run: PassRun | None
-    a_filt: list[np.ndarray]
-    v: list[np.ndarray]
-    w: list[np.ndarray]
-    system: BalancedSystem | None = None
-    u: np.ndarray | None = None
+    system: BalancedSystem
+    u: np.ndarray
     edge: np.ndarray | None = None
 
     @property
@@ -573,99 +607,30 @@ class FilterResult:
         return FilterState(self.system.last(self.u), self.system.P_filt)
 
 
-def _filter_steps(steps: list[CovStep], periods: list[PeriodSystem], a: np.ndarray) -> tuple[list, list, list]:
-    """The per-period forward pass from ``a``, the filtered mean before the
-    first period: per period the prediction through its transition, then
-    the measurement update.  Returns the filtered means, v and w."""
-    a_filt, v, w = [], [], []
-    for step, per in zip(steps, periods):
-        a = per.mats.T @ a + per.d
-        e, dim = step.entry, len(a)
-        v.append(per.ymc - e.Z @ a)
-        x = v[-1] @ e.FinvMZ
-        a = a + x[:dim]
-        a_filt.append(a)
-        w.append(x[dim:])
-    return a_filt, v, w
-
-
-def run_filter(
-    periods: list[PeriodSystem] | DrawPeriods,
-    init: FilterState | None = None,
-    run: PassRun | None = None,
-) -> FilterResult:
-    """The forward mean pass over a run of periods:
-    ``a_{t+1} = L_t a_t + K_t (y_t - c_t) + d_{t+1}``.
-
-    On a list of periods ``init`` is the state distribution before the
-    first period, which predicts through its own transition, and ``run``
-    the covariance side (``CovariancePass.run``), computed from ``init.P``
-    when not given.  On a draw's periods (``build_periods``) the balanced
-    block is one solve of its ``BalancedSystem`` (``mats``), and the ragged
-    edge, when the draw has its block, one solve of its ``EdgeSystem`` from
-    that solve's last state.
-    """
-    if not isinstance(periods, DrawPeriods):
-        if run is None:
-            run = CovariancePass(periods, init.P).run()
-        return FilterResult(run, *_filter_steps(run.steps, periods, init.a))
+def run_filter(periods: DrawPeriods) -> FilterResult:
+    """The forward pass over a draw's periods (``build_periods``): the
+    balanced block is one solve of its ``BalancedSystem`` (``mats``), and the
+    ragged edge, when the draw has its block, one solve of its
+    ``EdgeSystem`` from that solve's last state."""
     block, edge = periods.balanced, periods.edge
     system = block.mats
     u = system.solve(block.rhs)
     x = None if edge is None else edge.mats.solve(edge.rhs, system.last(u))
-    return FilterResult(None, [], [], [], system, u, x)
-
-
-def _smooth_steps(
-    steps: list[CovStep], a_filt: list[np.ndarray], w: list[np.ndarray], r_init: np.ndarray | None
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The per-period backward pass over ``steps``, the last open; returns
-    the smoothed means and the adjoint of the first period's predicted
-    mean."""
-    last = len(steps) - 1
-    states: list[np.ndarray] = [None] * len(steps)  # type: ignore[list-item]
-    if r_init is None:
-        states[last], r = a_filt[last], w[last]
-    else:
-        e = steps[last].entry
-        states[last] = a_filt[last] + e.P_filt @ r_init
-        r = r_init - e.Z.T @ (e.MFinv.T @ r_init) + w[last]
-    for t in range(last - 1, -1, -1):
-        step = steps[t]
-        e = step.entry
-        ltr = step.L.T @ r
-        states[t] = a_filt[t] + e.P_pred @ ltr - e.HGt @ (step.K.T @ r)
-        r = ltr + w[t]
-    return states, r
+    return FilterResult(system, u, x)
 
 
 def run_smoother(
-    periods: list[PeriodSystem] | DrawPeriods,
-    filtered: FilterResult,
-    r_init: np.ndarray | None = None,
+    periods: DrawPeriods, filtered: FilterResult, r_init: np.ndarray | None = None
 ) -> tuple[Means, np.ndarray | None]:
-    """The backward mean pass over the periods of ``filtered``; returns the
-    smoothed state means and the final adjoint.
+    """The smoothed means of a draw's periods and the adjoint of the
+    filtered state at t_b-1.
 
-    ``r_{t-1} = L_t' r_t + Z_t' F_t^-1 v_t`` with the smoothed means
-    ``a_filt + (P_pred L_t' - H G' K_t') r_t``, per period.  The last
-    period's step is open: ``r_init`` is the adjoint of its filtered state,
-    which a caller that continued past it hands back, so its smoothed mean
-    is ``a_filt + P_filt r_init`` and the adjoint before it
-    ``r_init - Z' F^-1 M' r_init + Z' F^-1 v``.  Without one the adjoint is
-    zero there and the smoothed mean is the filtered one.  The final adjoint
-    is that of the first period's predicted mean.
-
-    On a draw's periods the balanced quarterly path is the balanced
-    block's mean lifted by the adjoint of its filtered state at t_b-1
-    (``BalancedSystem.smoothed``), and that adjoint is the final one
-    returned.  With an edge block it is the edge solve's lam, and the
-    smoothed means of ``tail`` are the edge periods' latent values
-    (``EdgeSystem.smoothed``); without one it is ``r_init``.
+    The balanced quarterly path is the balanced block's mean lifted by that
+    adjoint (``BalancedSystem.smoothed``).  With an edge block the adjoint is
+    the edge solve's lam, and ``tail`` holds the edge periods' latent values
+    (``EdgeSystem.smoothed``); without one it is ``r_init``, which a caller
+    that continued past t_b-1 hands back.
     """
-    if filtered.system is None:
-        states, r = _smooth_steps(filtered.run.steps, filtered.a_filt, filtered.w, r_init)
-        return Means(np.zeros((0, 0)), states), r
     states, r = [], r_init
     if periods.edge is not None:
         states, r = periods.edge.mats.smoothed(filtered.edge)

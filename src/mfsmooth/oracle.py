@@ -7,15 +7,16 @@ deliberately simple and slow.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .baseline import RunStats, SmoothResult, check_pattern, companion_periods, fill_observed, prepare
 from .errors import OracleSizeError
 from .kalman import (
     FilterState,
+    filter_periods,
     init_state,
     quarterly_state_index,
-    run_filter,
-    run_smoother,
+    smooth_periods,
     stationary_companion_cov,
 )
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
@@ -67,11 +68,9 @@ def oracle_smooth(
     if dim > cap:
         raise OracleSizeError(f"stacked state dimension {dim} exceeds the oracle cap {cap}")
     periods = companion_periods(params, agg, data, 0)
-    init = _companion_init(params, init_mode, kappa)
-    res = run_filter(periods, init)
-    states, _ = run_smoother(periods, res)
+    states, _ = smooth_periods(filter_periods(periods, _companion_init(params, init_mode, kappa)))
     x = np.empty((data.T, params.n))
-    for t, a in enumerate(states.tail):
+    for t, a in enumerate(states):
         x[t] = a[: params.n]
     fill_observed(x, data)
     return SmoothResult(x, RunStats(companion_steps=data.T))
@@ -105,8 +104,15 @@ def oracle_joint(
     """Exact conditioning of the latent panel on all observations.
 
     Every latent value is an affine function of (initial quarterly stack,
-    all shocks); the joint Gaussian of latents and observations is built
-    from that map and conditioned by a block solve.
+    all shocks), and so is every observation.  With those degrees of freedom
+    written as ``mean_z + S u``, u standard normal and S = blkdiag(P0^(1/2),
+    I), the observations are exact linear constraints ``W_y u = resid`` on
+    u: its conditional mean is their least-norm solution and its covariance
+    the projector onto the null space of ``W_y``, both read from one complete
+    QR factorization of ``W_y'``.  Working in u keeps the large prior
+    variance of a diffuse-proxy initial stack out of every product: the
+    covariance form ``C_xy V_y^-1 resid`` loses about ``kappa`` times the
+    working precision to cancellation.
     """
     agg = prepare(params, agg)
     check_pattern(params, data)
@@ -136,9 +142,9 @@ def oracle_joint(
 
     init = _quarterly_init(params, init_mode, kappa)
     mean_z = np.concatenate([init.a, np.zeros(T * n)])
-    # cov(zeta) = blkdiag(P0, I); fold it into A once
-    ACz = A.copy()
-    ACz[:, :kq] = A[:, :kq] @ init.P
+    # a square root of P0 that a singular P0 leaves valid
+    lam, V = np.linalg.eigh(init.P)
+    S0 = V * np.sqrt(np.clip(lam, 0.0, None))
 
     # observation rows: selections of latents plus quarterly aggregates
     obs_rows = []
@@ -160,16 +166,13 @@ def oracle_joint(
     Ay = np.array(obs_rows)
     resid = np.array(y_obs) - Ay @ mean_z
 
-    AyCz = Ay.copy()
-    AyCz[:, :kq] = Ay[:, :kq] @ init.P
-    Vy = AyCz @ Ay.T
-    Vy = (Vy + Vy.T) / 2.0
-
     Ax = A[(p + 1) * n :]
-    AxCz = ACz[(p + 1) * n :]
-    Cxy = AxCz @ Ay.T
-    sol = np.linalg.solve(Vy, np.column_stack([resid, Cxy.T]))
-    mean_x = Ax @ mean_z + b[(p + 1) * n :] + Cxy @ sol[:, 0]
-    cov_x = AxCz @ Ax.T - Cxy @ sol[:, 1:]
-    cov_x = (cov_x + cov_x.T) / 2.0
-    return JointResult(mean_x, cov_x, T, n)
+    Wy, Wx = Ay.copy(), Ax.copy()
+    Wy[:, :kq] = Ay[:, :kq] @ S0
+    Wx[:, :kq] = Ax[:, :kq] @ S0
+    m = len(resid)
+    Q, R = np.linalg.qr(Wy.T, mode="complete")
+    u = solve_triangular(R[:m], resid, trans="T")
+    mean_x = Ax @ mean_z + b[(p + 1) * n :] + Wx @ (Q[:, :m] @ u)
+    null = Wx @ Q[:, m:]
+    return JointResult(mean_x, null @ null.T, T, n)

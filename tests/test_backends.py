@@ -23,11 +23,7 @@ from mfsmooth import (
 from mfsmooth import kalman
 from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_edge, plan_for
 from mfsmooth.blocked import blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
-from mfsmooth.kalman import (
-    quarterly_state_index,
-    run_filter,
-    run_smoother,
-)
+from mfsmooth.kalman import filter_periods, quarterly_state_index, run_filter, run_smoother, smooth_periods
 from mfsmooth.model import AggregationScheme
 from mfsmooth.simulate import make_instance
 from mfsmooth.systems import build_periods
@@ -237,12 +233,12 @@ class TestTransitions:
         E[qi, np.arange(len(qi))] = 1.0
         plan = plan_for(params, scheme, data)
         records = per_period(params, agg, data, t_b)
-        ref = run_filter(records, plan.init)
-        e = ref.run.steps[-1].entry
+        ref = filter_periods(records, plan.init)
+        e = ref.steps[-1].entry
         closed = kalman._close(e, E)
         ltr = closed.L.T @ r
         ref_last = ref.a_filt[-1] + e.P_pred @ ltr - e.HGt @ (closed.K.T @ r)
-        ref_path = [s[:n_q] for s in run_smoother(records, ref, r[qi])[0].tail]
+        ref_path = [s[:n_q] for s in smooth_periods(ref, r[qi])[0]]
         periods = build_periods(params, data, plan.system, plan.balanced(data))
         states, r_b = run_smoother(periods, res, r[qi])
         assert_array_equal(r_b, r[qi])

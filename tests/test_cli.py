@@ -163,6 +163,29 @@ class TestCompare:
         res = run(["compare", str(pa), str(pb)])
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8", "-inf"])
+    def test_invalid_tolerance_exits_2(self, tmp_path, tol):
+        # 5.0 apart: no tolerance that is not finite and >= 0 may pass them
+        pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_archive(pa, np.zeros((1, 4, 2)), 1)
+        write_archive(pb, np.full((1, 4, 2), 5.0), 1)
+        res = run(["compare", str(pa), str(pb), "--tol", tol])
+        assert res.exit_code == 2
+        assert "--tol must be finite and >= 0" in res.output
+
+    def test_zero_tolerance_passes_equal_archives(self, tmp_path):
+        pa = tmp_path / "a.bin"
+        write_archive(pa, np.random.default_rng(0).normal(size=(2, 6, 3)), 1)
+        assert run(["compare", str(pa), str(pa), "--tol", "0"]).exit_code == 0
+
+    def test_quarterly_count_mismatch_exits_2(self, tmp_path):
+        pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_archive(pa, np.zeros((1, 4, 3)), 1)
+        write_archive(pb, np.zeros((1, 4, 3)), 2)
+        res = run(["compare", str(pa), str(pb)])
+        assert res.exit_code == 2
+        assert "n_q = 1 vs 2" in res.output
+
     def test_shape_mismatch_exits_2(self, tmp_path):
         pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
         write_archive(pa, np.zeros((1, 4, 2)), 1)
@@ -228,6 +251,9 @@ class TestBench:
         ({"backends": "adaptive,bogus"}, "unknown backend 'bogus'"),
         ({"p_list": "2"}, "lag order p=2 must be >= aggregation lag count p_q=3"),
         ({"n_list": "2"}, "missingness recipe needs 2 monthly variables, have 1"),
+        ({"reps": 0}, "need reps >= 1 and warmup >= 0, got reps=0, warmup=0"),
+        ({"reps": -1}, "need reps >= 1 and warmup >= 0, got reps=-1, warmup=0"),
+        ({"warmup": -1}, "need reps >= 1 and warmup >= 0, got reps=1, warmup=-1"),
     ])
     def test_grid_the_config_cannot_run_exits_2(self, tmp_path, override, message):
         cfg = tmp_path / "bench.cfg"

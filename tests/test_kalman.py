@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -19,15 +20,15 @@ from mfsmooth import (
 )
 from mfsmooth.kalman import (
     BalancedSystem,
-    CovariancePass,
     CovStep,
     FilterState,
-    PassRun,
+    filter_periods,
     filter_step,
     init_state,
     quarterly_state_index,
     run_filter,
     run_smoother,
+    smooth_periods,
     stationary_companion_cov,
     stationary_quarterly_cov,
 )
@@ -45,11 +46,6 @@ def make_period(Z, c, G, T, d, H, y, t=0):
     return PeriodSystem(mats, period_noise(G[None], H[None], Z)[0], t, y - c, d)
 
 
-def single_steps(steps):
-    """A pass run of the given steps."""
-    return PassRun(steps, 0.0)
-
-
 class TestFilterStep:
     def test_scalar_worked_example(self):
         # Z=T=H=G=1, a=0, P=1, y=2: M=2, F=4, gain 0.5, filtered mean 1
@@ -63,16 +59,15 @@ class TestFilterStep:
         assert_allclose(entry.cf @ entry.cf.T, [[4.0]])
         # from P0 = 0 the period's own prediction gives a = 0, P = 1 again;
         # then one step through the same transition, into the second period
-        run = CovariancePass([per, per], np.zeros((1, 1))).run()
-        res = run_filter([per, per], FilterState(np.zeros(1), np.zeros((1, 1))), run)
-        assert_allclose(run.steps[0].K, [[0.5]])
+        res = filter_periods([per, per], FilterState(np.zeros(1), np.zeros((1, 1))))
+        assert_allclose(res.steps[0].K, [[0.5]])
         assert_allclose(res.a_filt[0], [1.0])
-        last = FilterState(res.a_filt[0], run.steps[0].entry.P_filt)
+        last = FilterState(res.a_filt[0], res.steps[0].entry.P_filt)
         assert_allclose(per.mats.T @ last.a + per.d, [1.0])
-        assert_array_equal(kalman._predict_cov(last.P, per.mats.T, per.noise.HHt), run.steps[1].entry.P_pred)
+        assert_array_equal(kalman._predict_cov(last.P, per.mats.T, per.noise.HHt), res.steps[1].entry.P_pred)
         # terminal smoothing leaves the filtered mean unchanged
-        states, _ = run_smoother([per, per], res, np.zeros(1))
-        assert_array_equal(states.tail[1], res.a_filt[1])
+        states, _ = smooth_periods(res, np.zeros(1))
+        assert_array_equal(states[1], res.a_filt[1])
 
     def test_open_last_record_meets_zero_adjoint(self):
         # the last step keeps no gain; without an adjoint the smoother
@@ -83,14 +78,14 @@ class TestFilterStep:
             y=np.array([2.0]),
         )
         init = FilterState(np.zeros(1), np.ones((1, 1)))
-        res = run_filter([per, per], init)
-        last = res.run.steps[-1]
+        res = filter_periods([per, per], init)
+        last = res.steps[-1]
         assert last.K is None and last.L is None
-        states, r = run_smoother([per, per], res)
-        assert_array_equal(states.tail[-1], res.a_filt[-1])
-        closed = single_steps([res.run.steps[0], CovStep(last.entry, np.zeros((1, 1)), np.eye(1))])
-        dense = run_smoother([per, per], run_filter([per, per], init, closed), np.zeros(1))
-        assert_array_equal(states.tail, dense[0].tail)
+        states, r = smooth_periods(res)
+        assert_array_equal(states[-1], res.a_filt[-1])
+        closed = dataclasses.replace(res, steps=[res.steps[0], CovStep(last.entry, np.zeros((1, 1)), np.eye(1))])
+        dense = smooth_periods(closed, np.zeros(1))
+        assert_array_equal(states, dense[0])
         assert_array_equal(r, dense[1])
 
     def test_empty_observation_period(self):
@@ -102,7 +97,7 @@ class TestFilterStep:
         assert entry.cf is None
         assert_allclose(entry.P_filt, np.eye(2))
         a0 = np.array([1.0, -1.0])
-        res = run_filter([per], FilterState(a0, np.zeros((2, 2))))
+        res = filter_periods([per], FilterState(a0, np.zeros((2, 2))))
         assert_allclose(res.a_filt[0], a0)
         assert res.v[0].shape == (0,)
         assert_array_equal(res.w[0], 0.0)
@@ -127,8 +122,8 @@ class TestFilterStep:
             Z = rng.normal(size=(n_obs, dim))
             periods.append(make_period(Z, np.zeros(n_obs), G, A, np.zeros(dim), H,
                                        rng.normal(size=n_obs), t))
-        res = run_filter(periods, FilterState(np.zeros(dim), np.eye(dim)))
-        for step in res.run.steps:
+        res = filter_periods(periods, FilterState(np.zeros(dim), np.eye(dim)))
+        for step in res.steps:
             assert np.max(np.abs(step.entry.P_filt - step.entry.P_filt.T)) == 0.0
             assert np.max(np.abs(step.entry.P_pred - step.entry.P_pred.T)) == 0.0
 
@@ -161,13 +156,13 @@ class TestMeanBand:
         assert len(states.tail) == stop - t_b
         # the reference: the reduced filter and smoother period by period
         records = per_period(params, plan.agg, data, stop)
-        ref = run_filter(records, plan.init)
-        ref_states, _ = run_smoother(records, ref, r_init)
-        last = ref.run.steps[t_b - 1].entry
+        ref = filter_periods(records, plan.init)
+        ref_states, _ = smooth_periods(ref, r_init)
+        last = ref.steps[t_b - 1].entry
         assert_close([res.boundary.a], [ref.a_filt[t_b - 1]])
         assert_close([res.boundary.P], [last.P_filt])
-        heads = [s[: per.mats.idx.head_size] for per, s in zip(records[t_b:], ref_states.tail[t_b:])]
-        assert_close([*states.head, *states.tail], [*(s[:n_q] for s in ref_states.tail[:t_b]), *heads])
+        heads = [s[: per.mats.idx.head_size] for per, s in zip(records[t_b:], ref_states[t_b:])]
+        assert_close([*states.head, *states.tail], [*(s[:n_q] for s in ref_states[:t_b]), *heads])
         return plan
 
     @pytest.mark.parametrize("time_varying", [False, True])
@@ -239,9 +234,9 @@ class TestOpenLastFilteredCovariance:
         inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
         plan = plan_for(inst.params, inst.scheme, inst.data)
         records = per_period(inst.params, plan.agg, inst.data)
-        res = run_filter(records, plan.init)
-        run_smoother(records, res)
-        entry = res.run.steps[-1].entry
+        res = filter_periods(records, plan.init)
+        smooth_periods(res)
+        entry = res.steps[-1].entry
         assert entry._P_filt is None
         P = entry.P_filt
         assert_array_equal(P, kalman._sym(entry.P_pred - entry.MFinv @ entry.M.T))
@@ -320,13 +315,12 @@ class TestAgainstTextbookFilter:
                     np.hstack([np.zeros((dim, n_obs)), B]), y, t))
             a0 = rng.normal(size=dim)
             P0 = np.eye(dim)
-            res = run_filter(periods, FilterState(a0, P0))
-            states, _ = run_smoother(periods, res)
+            states, _ = smooth_periods(filter_periods(periods, FilterState(a0, P0)))
             # with disjoint shock loadings G e and H e are independent and
             # the observation noise covariance is the identity
             Qs = [B @ B.T for B in Hs]
             means = textbook_with_noise(Zs, As, Qs, ys, a0, P0)
-            for a, b in zip(states.tail, means):
+            for a, b in zip(states, means):
                 assert_allclose(a, b, atol=1e-9)
 
 
@@ -506,10 +500,10 @@ class TestInnovationWhiteness:
             periods.append(make_period(
                 np.eye(dim), np.zeros(dim), np.zeros((dim, dim)),
                 A, np.zeros(dim), np.eye(dim), y, t))
-        res = run_filter(periods, FilterState(np.zeros(dim), np.eye(dim)))
+        res = filter_periods(periods, FilterState(np.zeros(dim), np.eye(dim)))
         # standardize each innovation by its predicted covariance
         std = []
-        for step, v in zip(res.run.steps, res.v):
+        for step, v in zip(res.steps, res.v):
             std.append(scipy.linalg.solve_triangular(step.entry.cf, v, lower=True))
         std = np.concatenate(std)
         assert abs(std.mean()) < 4.0 / np.sqrt(T * dim)

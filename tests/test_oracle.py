@@ -20,10 +20,20 @@ def inst():
 
 
 class TestMutualAgreement:
-    def test_smooth_and_joint_oracles_agree(self, inst):
-        sm = oracle_smooth(inst.params, inst.scheme, inst.data)
-        oj = oracle_joint(inst.params, inst.scheme, inst.data)
+    @pytest.mark.parametrize("tv_seed", [pytest.param(None, id="constant"),
+                                         *(pytest.param(s, id=f"time-varying-{s}") for s in range(3))])
+    def test_smooth_and_joint_oracles_agree(self, inst, tv_seed):
+        # a time-varying chol_cov: the constant factor's rows scaled by
+        # exp(0.3 z) per period, so every period has its own noise products
+        case = inst if tv_seed is None else make_instance(3, 1, 3, 30, 27, np.random.default_rng(tv_seed))
+        params = case.params
+        if tv_seed is not None:
+            scale = np.exp(0.3 * np.random.default_rng(tv_seed).standard_normal((30, params.n)))
+            params = VarParams(3, 1, 3, params.intercept, params.lag_coeffs, scale[:, :, None] * params.chol_cov)
+        sm = oracle_smooth(params, case.scheme, case.data)
+        oj = oracle_joint(params, case.scheme, case.data)
         assert_allclose(sm.x_hat, oj.mean, rtol=1e-8, atol=1e-9)
+        assert np.abs(sm.x_hat - oj.mean).max() <= 1e-12 * np.abs(oj.mean).max()
 
     def test_diffuse_proxy_agreement(self, inst):
         sm = oracle_smooth(inst.params, inst.scheme, inst.data, init_mode="diffuse-proxy")

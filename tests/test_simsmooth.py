@@ -430,10 +430,8 @@ class TestPreparedPlan:
             warm = draw_latent(inst.params, inst.scheme, inst.data, backend, seed=5)
             assert_array_equal(cold.x, warm.x)
         draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=5)
-        # the dense edge's companion run takes per-period steps, no system
-        reduced = [res for res in results if res.system is not None]
-        assert len(systems_built) == 1 and len(reduced) == 2 * len(BACKENDS) + 2
-        assert all(res.system is systems_built[0] for res in reduced)
+        assert len(systems_built) == 1 and len(results) == 2 * len(BACKENDS) + 2
+        assert all(res.system is systems_built[0] for res in results)
         assert plan_for(inst.params, inst.scheme, inst.data).system is systems_built[0]
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])

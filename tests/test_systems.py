@@ -22,7 +22,7 @@ from mfsmooth import (
 )
 from mfsmooth import baseline, kalman, run_adaptive, systems
 from mfsmooth.baseline import plan_for
-from mfsmooth.kalman import run_filter, run_smoother
+from mfsmooth.kalman import filter_periods, smooth_periods
 from mfsmooth.model import AggregationScheme, ObservationPattern, skip_sampling
 from mfsmooth.simulate import benchmark_pattern, make_instance
 from mfsmooth.systems import (
@@ -489,10 +489,10 @@ def reference_smooth(params, plan, data):
     latent values written into a (T, n) array as ``baseline.smooth`` writes
     them, beside the observed monthly values."""
     records = per_period(params, plan.agg, data)
-    states, _ = run_smoother(records, run_filter(records, plan.init))
+    states, _ = smooth_periods(filter_periods(records, plan.init))
     x = np.where(np.isnan(data.values), 0.0, data.values)
     x[:, data.n_m :] = 0.0
-    for per, state in zip(records, states.tail):
+    for per, state in zip(records, states):
         idx = per.mats.idx
         x[per.t, idx.head_vars()] = state[: idx.head_size]
     return x
