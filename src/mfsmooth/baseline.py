@@ -41,6 +41,7 @@ from .systems import (
     build_periods,
     build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
     companion_observation,
+    edge_residuals,
 )
 
 if TYPE_CHECKING:
@@ -113,9 +114,11 @@ class Plan:
     ``(init_mode, kappa)`` pair; with ``params`` they decide whether the
     plan can be reused.
 
-    ``_last`` holds the data object the plan last ran on and the data's part
-    of the balanced system's right-hand side, which every draw and smoothed
-    mean on that object shares (``balanced``).
+    ``_last`` holds the data object the plan last ran on and the data's
+    parts of the two systems' right-hand sides, which every draw and
+    smoothed mean on that object shares: the balanced system's
+    (``balanced``) and, once the edge's system is built, the edge's
+    (``edge_data``).
     """
 
     params: VarParams
@@ -124,7 +127,8 @@ class Plan:
     agg: Aggregation
     init: FilterState
     system: BalancedSystem
-    _last: tuple[MixedFreqData, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _last: tuple[MixedFreqData, np.ndarray, np.ndarray | None] | None = field(
+        default=None, init=False, repr=False, compare=False)
     _edge: EdgeSystem | None = field(default=None, init=False, repr=False, compare=False)
 
     def balanced(self, data: MixedFreqData) -> np.ndarray:
@@ -139,8 +143,21 @@ class Plan:
             resid = -balanced_constants(self.params, data)
             resid[:, :n_m] += data.values[:t_b, :n_m]
             ts, qs = np.nonzero(data.pattern.quarterly_observed[:t_b])
-            object.__setattr__(self, "_last", (data, self.system.rhs(resid, data.values[ts, n_m + qs])))
+            object.__setattr__(self, "_last", (data, self.system.rhs(resid, data.values[ts, n_m + qs]), None))
         return self._last[1]
+
+    def edge_data(self, data: MixedFreqData) -> np.ndarray:
+        """The edge system's right-hand side at ``data`` (``EdgeSystem.rhs``),
+        from the VAR residuals of the edge periods at zero latent values
+        (``edge_residuals``) and the observed edge aggregates: kept beside
+        ``balanced`` while ``data`` is the same object."""
+        balanced = self.balanced(data)
+        if self._last[2] is None:
+            n_m, t_b = data.n_m, data.pattern.t_balanced
+            ts, qs = np.nonzero(data.pattern.quarterly_observed[t_b:])
+            edge = self.edge(data.pattern).rhs(edge_residuals(self.params, data), data.values[t_b + ts, n_m + qs])
+            object.__setattr__(self, "_last", (data, balanced, edge))
+        return self._last[2]
 
     def edge(self, pattern: ObservationPattern) -> EdgeSystem:
         """The ragged edge's system on the plan's ``pattern``, built and
@@ -167,17 +184,21 @@ def plan_for(
     aggregation are the same objects and ``(init_mode, kappa)`` is equal;
     otherwise a new plan is built and replaces it there.  A new plan
     factorizes the balanced system, which every backend shares; the
-    adaptive backend factorizes the edge's system on first use.
+    adaptive backend factorizes the edge's system on first use.  It takes
+    the band layout of the plan it replaces (``BandLayout``) when p is the
+    same and the aggregation the same object, as in a Gibbs sampler's
+    iterations.
     """
     pattern = data.pattern
     plan = pattern._plan
     init_key = (init_mode, kappa)
     if plan is not None and plan.params is params and plan.scheme is agg and plan.init_key == init_key:
         return plan
+    layout = plan.system.layout if plan is not None and plan.params.p == params.p and plan.scheme is agg else None
     expanded = prepare(params, agg)
     check_pattern(params, data)
     init = init_state(params, init_mode, kappa)
-    plan = Plan(params, agg, init_key, expanded, init, BalancedSystem(params, expanded, pattern, init))
+    plan = Plan(params, agg, init_key, expanded, init, BalancedSystem(params, expanded, pattern, init, layout))
     object.__setattr__(pattern, "_plan", plan)
     return plan
 
@@ -316,7 +337,8 @@ def smooth(
     plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
     edge_system = plan.edge(data.pattern) if edge is None and T > t_b else None
-    periods = build_periods(params, data, plan.system, plan.balanced(data), edge_system, noise)
+    edge_block = None if edge_system is None else (edge_system, plan.edge_data(data))
+    periods = build_periods(data, plan.system, plan.balanced(data), edge_block, noise)
     res = run_filter(periods)
     heads = r = None
     worst_cond = 0.0 if edge_system is None else edge_system.cond

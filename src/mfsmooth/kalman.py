@@ -274,25 +274,67 @@ def initial_factor(P: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _forward(W: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``W_j^-1 B`` for a (s, n, n) stack of lower-triangular ``W_j`` and an
-    (n, k) ``B``: forward substitution, each row one operation over the stack."""
-    X = np.empty((len(W), *B.shape))
-    for i in range(B.shape[0]):
-        X[:, i] = (B[i] - np.einsum("sj,sjk->sk", W[:, i, :i], X[:, :i])) / W[:, i, i, None]
+    """``W_j^-1 B_j`` for a (s, n, n) stack of lower-triangular ``W_j`` and an
+    (n, k) ``B``, the same for each, or an (s, n, k) stack of them: forward
+    substitution, each row one operation over the stack."""
+    X = np.empty((len(W), *B.shape[-2:]))
+    for i in range(X.shape[1]):
+        X[:, i] = (B[..., i, :] - np.matmul(W[:, i, None, :i], X[:, :i])[:, 0]) / W[:, i, i, None]
     return X
-
-
-def _backward(W: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``W_j'^-1 X_j`` for the same stack: back substitution."""
-    Y = np.empty_like(X)
-    for i in range(X.shape[1] - 1, -1, -1):
-        Y[:, i] = (X[:, i] - np.einsum("sj,sjk->sk", W[:, i + 1 :, i], Y[:, i + 1 :])) / W[:, i, i, None]
-    return Y
 
 
 def _scatter(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
     """The sums of ``vals`` at positions ``idx`` of a length ``size`` vector."""
     return np.bincount(idx.ravel(), vals.ravel(), size).astype(float, copy=False)
+
+
+class BandLayout:
+    """Where a balanced system's unknowns and entries sit: this depends only
+    on the observation pattern, p and the aggregation weights' support, so a
+    plan on the same pattern, p and aggregation takes its predecessor's
+    (``baseline.plan_for``).
+
+    Slot j holds time j - p - 1: its n_q values, then the multipliers of the
+    aggregates observed then (rows ``agg``); period t's window ``win`` is its
+    reduced state (q_t, ..., q_{t-p}), and z is in the first p+1 slots.  A's
+    entries are the weights' support, widened for a period before p through
+    J_t's lower-triangular L0 block to every initial column up to its last.
+    ``flat`` is each entry's position in LAPACK band storage with kl more rows
+    for the pivoting's fill: (i, j) at j (ld - 1) + i + 2 kl, ld = 3 kl + 1.
+    """
+
+    def __init__(self, agg: Aggregation, pattern: ObservationPattern, p: int):
+        n_q, t_b = agg.n_q, pattern.t_balanced
+        k = (p + 1) * n_q
+        qobs = pattern.quarterly_observed[:t_b]
+        size = np.full(p + 1 + t_b, n_q)
+        size[p + 1 :] += qobs.sum(axis=1)
+        self.first = first = np.cumsum(size) - size
+        self.size = N = int(size.sum())
+        qpos = first[:, None] + np.arange(n_q)
+        self.path = qpos[p + 1 :]
+        self.win = win = qpos[p + 1 + np.arange(t_b)[:, None] - np.arange(p + 1)].reshape(t_b, k)
+        self.z = qpos[: p + 1].ravel()
+        self.agg_t, self.agg_q = agg_t, agg_q = np.nonzero(qobs)
+        self.agg = first[p + 1 + agg_t] + n_q + np.arange(len(agg_t)) - np.searchsorted(agg_t, agg_t)
+        support = np.zeros((len(agg_t), k), dtype=bool)
+        support[:, : agg.lam_qq.shape[1]] = agg.lam_qq[agg_q] != 0
+        reach = np.logical_or.accumulate(support[:, ::-1], axis=1)[:, ::-1]
+        self.ia, self.ja = ia, ja = np.nonzero(np.where(np.arange(k) >= (agg_t[:, None] + 1) * n_q, reach, support))
+        a_rows, a_cols = self.agg[ia], win[agg_t[ia], ja]
+        self.kl = kl = int(max(np.max(win.max(axis=1, initial=0) - win.min(axis=1, initial=N), initial=0),
+                               np.max(a_rows - a_cols, initial=0)))
+        # 4-byte positions while the band storage's size allows: the layout
+        # lives as long as the pattern's plans, and its 8-byte form slowed
+        # warm draws run beside the Gibbs iterations that keep it
+        ld = 3 * kl + 1
+        dtype = np.int32 if ld * N <= np.iinfo(np.int32).max else np.intp
+        self.flat = np.concatenate([
+            ((ld - 1) * win[:, None, :] + win[:, :, None]).ravel(),
+            ld * self.z,
+            (ld - 1) * a_cols + a_rows,
+            (ld - 1) * a_rows + a_cols,
+        ]).astype(dtype) + dtype(2 * kl)
 
 
 class BalancedSystem:
@@ -314,9 +356,13 @@ class BalancedSystem:
     multiplier per observed aggregate right after its period.  The matrix is
     [[K, A'], [A, 0]]: K is I on z plus the sum over t of B_t' Sigma_t^-1 B_t,
     where B_t is B with the initial values it reaches expressed in z, and A
-    holds the aggregation weights.  Its bandwidth is that of p+1 periods;
-    LAPACK ``dgbtrf`` factorizes it, partial pivoting taking the zero block.
-    A zero pivot raises ``SingularInnovationError`` naming its period.
+    holds the aggregation weights.  Each period is whitened once: with
+    X_t = W_t^-1 B for the factor W_t of Sigma_t, its term is X_t' X_t.
+    Where these entries sit (``BandLayout``) is the plan's predecessor's on
+    the same pattern when given as ``layout``.  The bandwidth is that of
+    p+1 periods; LAPACK ``dgbtrf`` factorizes the matrix, partial pivoting
+    taking the zero block.  A zero pivot raises ``SingularInnovationError``
+    naming its period.
 
     A right-hand side is formed from the data once (``rhs``); a draw adds
     the model's noise to it (``perturbation``) and is one ``dgbtrs`` solve
@@ -328,42 +374,39 @@ class BalancedSystem:
     smoothed path is the mean plus that covariance times r (``smoothed``).
     """
 
-    def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, init: FilterState):
+    def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, init: FilterState,
+                 layout: BandLayout | None = None):
         n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
         t_b = pattern.t_balanced    # > p (``baseline.check_pattern``)
+        self.layout = lay = BandLayout(agg, pattern, p) if layout is None else layout
+        self.size, self.kl = N, kl = lay.size, lay.kl
+        self._win, self._path, self._agg, self._z = lay.win, lay.path, lay.agg, lay.z
+        win, z_pos = lay.win, lay.z
         self.k = k = (p + 1) * n_q
         L0, self.jitter = initial_factor(init.P)
         self.factorizations = 1    # the band LU, until ``pop_factorizations``
 
-        # slot j holds time j - p - 1: its n_q values, then the multipliers of
-        # the aggregates observed then, by variable; period t's window is its
-        # reduced state (q_t, ..., q_{t-p})
-        qobs = pattern.quarterly_observed[:t_b]
-        size = np.full(p + 1 + t_b, n_q)
-        size[p + 1 :] += qobs.sum(axis=1)
-        first = np.cumsum(size) - size
-        self.size = N = int(size.sum())
-        qpos = first[:, None] + np.arange(n_q)
-        self._path = qpos[p + 1 :]
-        self._win = win = qpos[p + 1 + np.arange(t_b)[:, None] - np.arange(p + 1)].reshape(t_b, k)
-        agg_t, agg_q = np.nonzero(qobs)
-        self._agg = first[p + 1 + agg_t] + n_q + np.arange(len(agg_t)) - np.searchsorted(agg_t, agg_t)
-
-        # B' Sigma_t^-1, B' Sigma_t^-1 B and the noise's factor R_t, with
-        # R_t' R_t = B' Sigma_t^-1 B, one for all periods or one each: under a
-        # constant chol_cov the r x k triangle of one thin QR of W^-1 B, which
-        # a singular B' Sigma^-1 B leaves valid (r = min(n, k)), under a
-        # time-varying one W_t^-1 B itself (r = n), so no period is factorized
+        # the whitened X_t = W_t^-1 B and the noise's factor R_t, with
+        # R_t' R_t = X_t' X_t = B' Sigma_t^-1 B, one for all periods or one
+        # each.  Under a constant chol_cov the data's term B' Sigma^-1 r_t is
+        # G r_t, G = (W'^-1 X)', and R the r x k triangle of one thin QR of X,
+        # which a singular B' Sigma^-1 B leaves valid (r = min(n, k)).  Under a
+        # time-varying one the residuals are whitened too (``rhs``), so G_t
+        # is R_t' = X_t' (r = n) and no period is factorized
         B = np.zeros((n, k))
         B[n_m:, :n_q] = np.eye(n_q)
         B[:, n_q:] = -params.lag_coeffs[:, :, n_m:].transpose(1, 0, 2).reshape(n, p * n_q)
-        W = params.chol_cov[:t_b]
-        WB = _forward(W, B)
-        self._G = _backward(W, WB).transpose(0, 2, 1)
-        KB = (self._G.reshape(-1, n) @ B).reshape(len(W), k, k)
-        R = WB if params.time_varying_cov else np.linalg.qr(WB[0], mode="r")[None]
-        self._Rt = R.transpose(0, 2, 1)
-        self.rank = R.shape[1]
+        if params.time_varying_cov:
+            self._W = params.chol_cov[:t_b]
+            X = _forward(self._W, B)
+            self._G = self._Rt = X.transpose(0, 2, 1)
+        else:
+            self._W = None
+            X = solve_triangular(params.chol_cov[0], B, lower=True, check_finite=False)[None]
+            G = solve_triangular(params.chol_cov[0], X[0], lower=True, trans="T", check_finite=False)
+            self._G = G.T[None]
+            self._Rt = np.linalg.qr(X[0], mode="r").T[None]
+        self.rank = self._Rt.shape[2]
         self.n_normals = k + t_b * self.rank
 
         # periods 0..p-1 reach the initial stack: their window is m_t + J_t u
@@ -376,42 +419,29 @@ class BalancedSystem:
             m[t, j:] = init.a[: k - j]
         Jt = J.transpose(0, 2, 1)
         self._G_head = Jt @ self._G[:p]
-        self._Rt_head = Jt @ self._Rt[:p]
+        self._Rt_head = self._G_head if self._W is not None else Jt @ self._Rt[:p]
+        agg_t, lead = lay.agg_t, np.flatnonzero(lay.agg_t < p)
         lam = np.zeros((len(agg_t), k))
-        lam[:, : agg.lam_qq.shape[1]] = agg.lam_qq[agg_q]
-        lead = np.flatnonzero(agg_t < p)
+        lam[:, : agg.lam_qq.shape[1]] = agg.lam_qq[lay.agg_q]
         g = np.zeros(len(agg_t))
         g[lead] = -np.einsum("ij,ij->i", lam[lead], m[agg_t[lead]])
         lam[lead] = np.matmul(lam[lead, None, :], J[agg_t[lead]])[:, 0]
 
-        # the entries: K's, period t's over its window, z's prior and A's
-        ia, ja = np.nonzero(lam)
-        a_rows, a_cols = self._agg[ia], win[agg_t[ia], ja]
-        self._z = z_pos = qpos[: p + 1].ravel()
-        vals = np.empty(t_b * k * k + len(z_pos) + 2 * len(ia))
+        # the entries at the layout's positions: K's, period t's over its
+        # window, z's prior and A's
+        vals = np.empty(len(lay.flat))
         Kt = vals[: t_b * k * k].reshape(t_b, k, k)
-        Kt[:] = KB
+        Kt[:] = X.transpose(0, 2, 1) @ X
         b_head = -Jt @ Kt[:p] @ m[:, :, None]
         Kt[:p] = Jt @ Kt[:p] @ J
         vals[Kt.size : Kt.size + len(z_pos)] = 1.0
-        vals[Kt.size + len(z_pos) :] = np.tile(lam[ia, ja], 2)
-        self.kl = kl = int(max(np.max(win.max(axis=1, initial=0) - win.min(axis=1, initial=N), initial=0),
-                               np.max(a_rows - a_cols, initial=0)))
-        # LAPACK band storage with kl more rows for the pivoting's fill:
-        # entry (i, j) at row 2 kl + i - j of column j, column-major, so at
-        # j (ld - 1) + i + 2 kl of the flat array
+        vals[Kt.size + len(z_pos) :] = np.tile(lam[lay.ia, lay.ja], 2)
         ld = 3 * kl + 1
-        flat = np.concatenate([
-            ((ld - 1) * win[:, None, :] + win[:, :, None]).ravel(),
-            ld * z_pos,
-            (ld - 1) * a_cols + a_rows,
-            (ld - 1) * a_rows + a_cols,
-        ])
-        ab = _scatter(flat + 2 * kl, vals, ld * N).reshape(N, ld).T
+        ab = _scatter(lay.flat, vals, ld * N).reshape(N, ld).T
         if N:
             self._lu, self._piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
             if info > 0:
-                t = int(np.searchsorted(first, info - 1, side="right")) - p - 2
+                t = int(np.searchsorted(lay.first, info - 1, side="right")) - p - 2
                 raise SingularInnovationError(t, f"the balanced sample's system is singular at period t={t}")
 
         # the initial mean's part of the right-hand side, and the handoff
@@ -449,7 +479,10 @@ class BalancedSystem:
         """The right-hand side given the residuals at zero quarterly values
         of the data, a (t_b, n) array, and their observed aggregates in order
         of period, then variable: -sum_t B_t' Sigma_t^-1 r_t beside the
-        aggregates, and the initial mean's terms."""
+        aggregates, and the initial mean's terms.  Under a time-varying
+        chol_cov each residual is whitened first, so its term is X_t' W_t^-1 r_t."""
+        if self._W is not None:
+            resid = _forward(self._W, resid[:, :, None])[:, :, 0]
         b = self._b - self._windows(self._G, self._G_head, resid)
         b[self._agg] += agg
         return b
@@ -568,6 +601,11 @@ class EdgeSystem:
         z = 0, an (T - t_b, n) array, and the observed edge aggregates in
         order of period, then variable."""
         return np.concatenate([-(resid.ravel() @ self._H), agg])
+
+    def perturbation(self, shocks: np.ndarray) -> np.ndarray:
+        """The term a draw's (T - t_b, n) edge shocks add to ``rhs`` as parts
+        of the residuals."""
+        return np.concatenate([-(shocks.ravel() @ self._H), np.zeros(self.n_a)])
 
     def solve(self, rhs: np.ndarray, last: np.ndarray) -> np.ndarray:
         """The solution (z, nu, lam) given the rows of z and nu (``rhs``) and

@@ -11,9 +11,9 @@ minimizer then has exactly the mean and covariance of the latent values
 given the data.  Over the balanced sample a period's shock reaches the
 solution only through k = (p+1) n_q directions, so it is drawn there in
 the balanced system's own factor (``kalman.BalancedSystem.perturbation``),
-and the data's part of that right-hand side is formed once per data object
-(``baseline.Plan.balanced``).  ``simulate_path`` draws the perturbation;
-no pseudo path is simulated.
+and the data's parts of both right-hand sides are formed once per data
+object (``baseline.Plan.balanced``, ``baseline.Plan.edge_data``).
+``simulate_path`` draws the perturbation; no pseudo path is simulated.
 
 Per-draw generators are keyed by (master seed, draw index) with a
 counter-based bit generator, so results do not depend on scheduling.

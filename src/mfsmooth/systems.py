@@ -5,9 +5,9 @@ ragged-edge extension in which the state is augmented, period by period, with
 exactly the currently-unobserved monthly variables.  The balanced case is the
 special case ``U_t = {}``.  The full stacked (companion) formulation used by
 the reference smoother is built separately (``baseline.companion_periods``).
-A draw runs on neither per period: ``build_periods`` forms the right-hand
-sides of the two systems a plan solves, the balanced sample's and the ragged
-edge's (``kalman.BalancedSystem``, ``kalman.EdgeSystem``).
+A draw runs on neither per period: ``build_periods`` assembles the
+right-hand sides of the two systems a plan solves, the balanced sample's and
+the ragged edge's (``kalman.BalancedSystem``, ``kalman.EdgeSystem``).
 
 State layout: ``p+1`` lag groups, each group ``(x_{U_t}, x_q)`` with the
 unobserved monthly indices ascending and the quarterly variables last.
@@ -335,30 +335,27 @@ def edge_residuals(params: VarParams, data: MixedFreqData) -> np.ndarray:
 
 
 def build_periods(
-    params: VarParams,
     data: MixedFreqData,
     system: BalancedSystem,
     balanced: np.ndarray,
-    edge: EdgeSystem | None = None,
+    edge: tuple[EdgeSystem, np.ndarray] | None = None,
     noise: PseudoSample | None = None,
 ) -> DrawPeriods:
     """A draw's periods: the balanced block on ``system`` (the plan's
-    ``kalman.BalancedSystem``), then, with ``edge`` (the plan's
-    ``kalman.EdgeSystem``), the ragged edge's block on it.
+    ``kalman.BalancedSystem``), then, with ``edge``, the ragged edge's block
+    on the plan's ``kalman.EdgeSystem`` given there.
 
-    The balanced block's right-hand side is ``balanced``, the data's part
-    that the plan keeps (``baseline.Plan.balanced``).  The edge block's is
-    formed from the residuals of ``edge_residuals`` and the observed edge
-    aggregates (``EdgeSystem.rhs``).  With ``noise``, a draw's perturbation
-    (``simsmooth.simulate_path``), the balanced one gains ``noise.balanced``
-    and each edge period's residual its shock, a row of ``noise.shocks``.
+    Each block's right-hand side is the data's part that the plan keeps:
+    ``balanced`` (``baseline.Plan.balanced``) and the one given beside the
+    edge's system (``baseline.Plan.edge_data``).  With ``noise``, a draw's
+    perturbation (``simsmooth.simulate_path``), the balanced one gains
+    ``noise.balanced`` and the edge's the term of the edge periods' shocks,
+    the rows of ``noise.shocks`` (``EdgeSystem.perturbation``).
     """
     block = Block(system, 0, balanced if noise is None else balanced + noise.balanced)
     if edge is None:
         return DrawPeriods(block)
-    t_b = data.pattern.t_balanced
-    resid = edge_residuals(params, data)
+    mats, rhs = edge
     if noise is not None:
-        resid += noise.shocks
-    ts, qs = np.nonzero(data.pattern.quarterly_observed[t_b:])
-    return DrawPeriods(block, Block(edge, t_b, edge.rhs(resid, data.values[t_b + ts, params.n_m + qs])))
+        rhs = rhs + mats.perturbation(noise.shocks)
+    return DrawPeriods(block, Block(mats, data.pattern.t_balanced, rhs))

@@ -181,7 +181,7 @@ def reduced_filter_to_boundary(inst):
     """The balanced block's solve, the filtered state at t_b-1 its last."""
     params, data = inst.params, inst.data
     plan = plan_for(params, inst.scheme, data)
-    return run_filter(build_periods(params, data, plan.system, plan.balanced(data)))
+    return run_filter(build_periods(data, plan.system, plan.balanced(data)))
 
 
 class TestTransitions:
@@ -239,7 +239,7 @@ class TestTransitions:
         ltr = closed.L.T @ r
         ref_last = ref.a_filt[-1] + e.P_pred @ ltr - e.HGt @ (closed.K.T @ r)
         ref_path = [s[:n_q] for s in smooth_periods(ref, r[qi])[0]]
-        periods = build_periods(params, data, plan.system, plan.balanced(data))
+        periods = build_periods(data, plan.system, plan.balanced(data))
         states, r_b = run_smoother(periods, res, r[qi])
         assert_array_equal(r_b, r[qi])
         for got, want in ((states.head[-1], ref_last[:n_q]), (states.head, ref_path)):

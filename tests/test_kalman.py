@@ -147,8 +147,8 @@ class TestMeanBand:
         t_b, n_q = data.pattern.t_balanced, params.n_q
         stop = data.T if edge else t_b
         plan = plan_for(params, inst.scheme, data, init_mode)
-        periods = build_periods(params, data, plan.system, plan.balanced(data),
-                                plan.edge(data.pattern) if edge else None)
+        periods = build_periods(data, plan.system, plan.balanced(data),
+                                (plan.edge(data.pattern), plan.edge_data(data)) if edge else None)
         res = run_filter(periods)
         states, _ = run_smoother(periods, res, r_init)
         assert res.system is plan.system
@@ -203,7 +203,7 @@ class TestMeanBand:
         small = make_instance(3, 1, 3, 24, 21, np.random.default_rng(6))
         head = MixedFreqData.from_values(small.data.values[:21], 3, 1)
         plan = plan_for(small.params, small.scheme, head)
-        periods = build_periods(small.params, head, plan.system, plan.balanced(head))
+        periods = build_periods(head, plan.system, plan.balanced(head))
         states, _ = run_smoother(periods, run_filter(periods))
         assert_allclose(states.head[:, 0], oracle_joint(small.params, small.scheme, head).mean[:, 3], rtol=1e-12)
 
@@ -225,6 +225,61 @@ class TestMeanBand:
         agg = build_aggregation(inst.scheme, 3, 1, 3)
         assert BalancedSystem(inst.params, agg, inst.data.pattern, FilterState(init.a, P)).jitter
         assert not BalancedSystem(inst.params, agg, inst.data.pattern, init).jitter
+
+
+class TestWhitening:
+    """The balanced system whitens each period once by its factor W_t of
+    Sigma_t (``kalman._forward``); its terms against the explicit inverses."""
+
+    def test_forward_matches_per_period_solves(self):
+        rng = np.random.default_rng(2)
+        W = np.tril(rng.normal(size=(7, 5, 5)), -1) + np.diag(rng.uniform(0.5, 2.0, 5))
+        for B in (rng.normal(size=(5, 3)), rng.normal(size=(7, 5, 3)), rng.normal(size=(7, 5, 1))):
+            X = kalman._forward(W, B)
+            want = np.array([scipy.linalg.solve_triangular(W[j], B if B.ndim == 2 else B[j], lower=True)
+                             for j in range(7)])
+            assert X.shape == want.shape
+            assert np.abs(X - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_time_varying_terms_match_explicit_inverses(self, monkeypatch):
+        inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
+        base = inst.params
+        n, n_m, n_q, p = base.n, base.n_m, base.n_q, base.p
+        scale = np.exp(0.3 * np.random.default_rng(4).standard_normal((40, n)))
+        params = VarParams(n_m, n_q, p, base.intercept, base.lag_coeffs, scale[:, :, None] * base.chol_cov)
+        t_b, k = inst.data.pattern.t_balanced, (p + 1) * n_q
+        # the first scatter of a build places its entries: K's blocks first
+        scattered = []
+        scatter = kalman._scatter
+
+        def recorded(idx, vals, size):
+            scattered.append(vals.copy())
+            return scatter(idx, vals, size)
+
+        monkeypatch.setattr(kalman, "_scatter", recorded)
+        plan = plan_for(params, inst.scheme, inst.data)
+        system = plan.system
+        # e_t = r_t + B s_t; periods before p reach the initial stack through J_t
+        B = np.zeros((n, k))
+        B[n_m:, :n_q] = np.eye(n_q)
+        B[:, n_q:] = -np.concatenate([A[:, n_m:] for A in params.lag_coeffs], axis=1)
+        L0 = kalman.initial_factor(plan.init.P)[0]
+        J = np.tile(np.eye(k), (t_b, 1, 1))
+        for t in range(p):
+            j = (t + 1) * n_q
+            J[t, j:, j:] = L0[: k - j, : k - j]
+        Sinv = np.linalg.inv(params.chol_cov[:t_b] @ params.chol_cov[:t_b].transpose(0, 2, 1))
+        BJ = B @ J
+        K = BJ.transpose(0, 2, 1) @ Sinv @ BJ
+        got = scattered[0][: t_b * k * k].reshape(t_b, k, k)
+        assert np.abs(got - K).max() <= 1e-12 * np.abs(K).max()
+        # the data's part of the right-hand side: -sum_t J_t' B' Sigma_t^-1 r_t
+        resid = np.random.default_rng(5).normal(size=(t_b, n))
+        agg = np.zeros(len(system._agg))
+        terms = (BJ.transpose(0, 2, 1) @ Sinv @ resid[:, :, None])[:, :, 0]
+        want = -np.bincount(system._win.ravel(), terms.ravel(), system.size)
+        got = system.rhs(resid, agg) - system.rhs(np.zeros((t_b, n)), agg)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestOpenLastFilteredCovariance:

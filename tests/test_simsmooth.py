@@ -8,6 +8,7 @@ from mfsmooth import (
     ConfigurationError,
     InitializationError,
     MixedFreqData,
+    SingularInnovationError,
     VarParams,
     build_aggregation,
     draw_latent,
@@ -629,7 +630,7 @@ class TestDataPart:
         build = baseline.build_periods
 
         def recorded(*args, **kwargs):
-            built.append(args[3])
+            built.append(args[2])
             return build(*args, **kwargs)
 
         monkeypatch.setattr(baseline, "build_periods", recorded)
@@ -641,3 +642,98 @@ class TestDataPart:
         assert plan_for(params, scheme, data).balanced(data) is consts
         assert consts.shape == (plan.system.size,)
         assert len(built) == 4 and all(arr is consts for arr in built)
+
+    def test_warm_draw_forms_no_edge_residuals(self, monkeypatch):
+        # the edge block's data part is kept beside the balanced one: a warm
+        # adaptive draw forms only its shocks' term, and its period build
+        # takes the plan's array
+        scheme = SCHEMES["custom"]
+        params, data = self.instance(scheme, True)
+        formed, built = [], []
+        residuals, build = baseline.edge_residuals, baseline.build_periods
+
+        def counted(params, data):
+            formed.append(data)
+            return residuals(params, data)
+
+        def recorded(*args, **kwargs):
+            built.append(args[3])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(baseline, "edge_residuals", counted)
+        monkeypatch.setattr(baseline, "build_periods", recorded)
+        draw_latent(params, scheme, data, "adaptive", seed=1)
+        assert formed == [data]
+        plan = plan_for(params, scheme, data)
+        part = plan.edge_data(data)
+        del formed[:], built[:]
+        for seed in (2, 3):
+            draw_latent(params, scheme, data, "adaptive", seed=seed)
+        draw_many(params, scheme, data, "adaptive", 2, seed=2)
+        assert formed == []
+        assert plan_for(params, scheme, data).edge_data(data) is part
+        assert part.shape == (plan.edge(data.pattern).n_z + plan.edge(data.pattern).n_a,)
+        assert len(built) == 4 and all(edge[0] is plan.edge(data.pattern) and edge[1] is part for edge in built)
+        # another data object on the pattern gets its own part
+        other = data.replace_values(data.values * 1.5 + 0.25)
+        draw_latent(params, scheme, other, "adaptive", seed=2)
+        assert formed == [other]
+
+
+class TestLayoutReuse:
+    """A new plan on a pattern takes its predecessor's band layout
+    (``kalman.BandLayout``) when p and the aggregation object are the same,
+    as a Gibbs sampler's iterations do; otherwise it builds its own."""
+
+    @staticmethod
+    def successor(params, seed):
+        """Another parameter set of the same shape: the lags scaled lag-wise
+        (so still stable), new intercepts and noise factors."""
+        rng = np.random.default_rng(seed)
+        lag = params.lag_coeffs * 0.9 ** np.arange(1, params.p + 1)[:, None, None]
+        chol = params.chol_cov * np.exp(0.1 * rng.standard_normal(params.n))[:, None]
+        return VarParams(params.n_m, params.n_q, params.p, params.intercept + 0.1, lag, chol)
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_reused_layout_builds_bitwise_a_fresh_plan(self, time_varying):
+        inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
+        params = with_time_varying_cov(inst.params, 40, 3) if time_varying else inst.params
+        scheme, data = inst.scheme, inst.data
+        first = plan_for(params, scheme, data)
+        params = self.successor(params, 4)
+        plan = plan_for(params, scheme, data)
+        assert plan is not first and plan.system.layout is first.system.layout
+        fresh_data = MixedFreqData.from_values(data.values.copy(), data.n_m, data.n_q)
+        fresh = plan_for(params, scheme, fresh_data)
+        assert fresh.system.layout is not first.system.layout
+        for name in ("_lu", "_piv", "P_filt"):
+            assert_array_equal(getattr(plan.system, name), getattr(fresh.system, name))
+        for backend in BACKENDS:
+            assert_array_equal(draw_latent(params, scheme, data, backend, seed=5).x,
+                               draw_latent(params, scheme, fresh_data, backend, seed=5).x)
+
+    def test_other_p_or_weight_support_gets_its_own_layout(self):
+        inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
+        data = inst.data
+        # each after a plan on the instance's own p and scheme: a lower p on
+        # the same scheme object, a custom scheme whose zero weight drops a
+        # lag from the support, and one whose fourth weight adds one
+        other_p = random_stable_params(5, 2, 3, np.random.default_rng(8))
+        gap = AggregationScheme("custom", np.array([0.5, 0.0, 0.5]), 3)
+        for params, scheme in ((other_p, inst.scheme), (inst.params, gap), (inst.params, SCHEMES["custom"])):
+            prev = plan_for(self.successor(inst.params, 5), inst.scheme, data)
+            plan = plan_for(params, scheme, data)
+            assert plan.system.layout is not prev.system.layout
+            fresh = kalman.BalancedSystem(params, plan.agg, data.pattern, plan.init)
+            assert (plan.system.kl, plan.system.size) == (fresh.kl, fresh.size)
+            TestDataPart.assert_exact(params, scheme, data, 6)
+
+    def test_zero_weights_raise_after_a_plan(self):
+        inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(5))
+        plan = plan_for(inst.params, inst.scheme, inst.data)
+        zero = AggregationScheme("custom", np.zeros(1), 1)
+        first = int(np.flatnonzero(inst.data.pattern.quarterly_observed[:, 0])[0])
+        with pytest.raises(SingularInnovationError, match=f"t={first}") as err:
+            plan_for(inst.params, zero, inst.data)
+        assert err.value.t == first
+        assert inst.data.pattern._plan is plan

@@ -407,7 +407,7 @@ class TestExogVector:
         assert all(len(periods[t].mats.idx.o_prev) < 3 for t in (8, 10, 11))
         plan = plan_for(params, agg, data)
         edge = plan.edge(data.pattern)
-        built = build_periods(params, data, plan.system, plan.balanced(data), edge)
+        built = build_periods(data, plan.system, plan.balanced(data), (edge, plan.edge_data(data)))
         resid = np.array([np.concatenate([per.ymc[:3], -per.d[:1]]) for per in periods[:t_b]])
         want = plan.system.rhs(resid, values[[2, 5], 3])
         assert np.abs(built.balanced.rhs - want).max() <= 1e-13 * np.abs(want).max()
