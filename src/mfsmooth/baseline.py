@@ -57,8 +57,10 @@ class RunStats:
     the numerical path a draw took:
 
     - ``factorizations``: factorizations the plan computed for this draw:
-      its balanced system's band LU and, on the adaptive backend's first
-      draw, its edge system's LU; 0 when the plan was warm;
+      its balanced system's band LU and the band Cholesky factor of its K
+      (the perturbation's), and, on the adaptive backend's first draw, its
+      edge system's LU, so 3 on a cold adaptive draw; 0 when the plan was
+      warm;
     - ``worst_cond``: the edge's condition: the largest squared diagonal
       ratio of the edge step's factors of F (``blocked``, ``baseline``), or
       1/rcond of the edge system's LU (``adaptive``), a diagnostic with no

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dpotrf, dpotrs
+from scipy.linalg.blas import dtbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dpbtrf, dpotrf, dpotrs
 
 from .errors import InitializationError, SingularInnovationError
 from .model import Aggregation, ObservationPattern, VarParams
@@ -301,9 +302,18 @@ class BandLayout:
     J_t's lower-triangular L0 block to every initial column up to its last.
     ``flat`` is each entry's position in LAPACK band storage with kl more rows
     for the pivoting's fill: (i, j) at j (ld - 1) + i + 2 kl, ld = 3 kl + 1.
+
+    K, the block over z and the path (``kpos``, in slot order), has
+    bandwidth kd = k - 1: period t's window is K's contiguous range from
+    slot t+1 to slot t+p+1, and slot 0 only has z's prior.  ``kband`` is
+    the (len(kpos), k) array of where each entry of K's lower band storage,
+    column b's rows b..b+kd, sits in that storage: up to the last row of the
+    last window reaching column b an entry of K, beyond it 0, a fill row,
+    which holds zero.
     """
 
     def __init__(self, agg: Aggregation, pattern: ObservationPattern, p: int):
+        self.p = p
         n_q, t_b = agg.n_q, pattern.t_balanced
         k = (p + 1) * n_q
         qobs = pattern.quarterly_observed[:t_b]
@@ -335,6 +345,23 @@ class BandLayout:
             (ld - 1) * a_cols + a_rows,
             (ld - 1) * a_rows + a_cols,
         ]).astype(dtype) + dtype(2 * kl)
+        # 8-byte positions, unlike ``flat``: a small array, which numpy
+        # gathers by without a conversion, about twice as fast as by 4-byte ones
+        self.kpos = kpos = qpos.ravel()
+        self.kband = np.zeros((0, 0), dtype=np.intp)
+        if len(kpos):
+            # a window's lowest and highest positions: its lag-p block's
+            # first and its lag-0 block's last
+            lo, hi = np.searchsorted(kpos, win[:, k - n_q]), np.searchsorted(kpos, win[:, n_q - 1])
+            col = np.arange(len(kpos))
+            last = np.searchsorted(lo, col, side="right") - 1
+            span = np.where(last >= 0, hi[last] - col, 0)    # z's oldest lag: only its prior
+            rows = np.lib.stride_tricks.sliding_window_view(np.append(kpos, np.zeros(k - 1, kpos.dtype)), k)
+            self.kband = np.where(np.arange(k) <= span[:, None], rows + ((ld - 1) * kpos + 2 * kl)[:, None], 0)
+
+    def period(self, i: int) -> int:
+        """The period whose slot holds position ``i``."""
+        return int(np.searchsorted(self.first, i, side="right")) - self.p - 2
 
 
 class BalancedSystem:
@@ -361,17 +388,21 @@ class BalancedSystem:
     Where these entries sit (``BandLayout``) is the plan's predecessor's on
     the same pattern when given as ``layout``.  The bandwidth is that of
     p+1 periods; LAPACK ``dgbtrf`` factorizes the matrix, partial pivoting
-    taking the zero block.  A zero pivot raises ``SingularInnovationError``
-    naming its period.
+    taking the zero block.  K alone, positive definite with bandwidth
+    k - 1, is factorized too, by ``dpbtrf`` from its own band storage
+    (``BandLayout.kband``): C C' = K draws the perturbation.  A zero pivot
+    of the LU, or a K that is not positive definite, raises
+    ``SingularInnovationError`` naming its period.
 
     A right-hand side is formed from the data once (``rhs``); a draw adds
-    the model's noise to it (``perturbation``) and is one ``dgbtrs`` solve
-    (``solve``), whose mean is the solution of the data's.  Its last state
-    s_{t_b-1} is the filtered state at t_b-1, where the ragged edge starts
-    (``EdgeSystem`` or an edge step).  One more solve, on the unit vectors of
-    that state's positions, gives its covariance ``P_filt`` and
-    Cov(q_t, s_{t_b-1}), which lifts the edge's adjoint r onto the path: the
-    smoothed path is the mean plus that covariance times r (``smoothed``).
+    the model's noise to it (``perturbation``, one normal per unknown of K)
+    and is one ``dgbtrs`` solve (``solve``), whose mean is the solution of
+    the data's.  Its last state s_{t_b-1} is the filtered state at t_b-1,
+    where the ragged edge starts (``EdgeSystem`` or an edge step).  One more
+    solve, on the unit vectors of that state's positions, gives its
+    covariance ``P_filt`` and Cov(q_t, s_{t_b-1}), which lifts the edge's
+    adjoint r onto the path: the smoothed path is the mean plus that
+    covariance times r (``smoothed``).
     """
 
     def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, init: FilterState,
@@ -380,34 +411,30 @@ class BalancedSystem:
         t_b = pattern.t_balanced    # > p (``baseline.check_pattern``)
         self.layout = lay = BandLayout(agg, pattern, p) if layout is None else layout
         self.size, self.kl = N, kl = lay.size, lay.kl
-        self._win, self._path, self._agg, self._z = lay.win, lay.path, lay.agg, lay.z
+        self._win, self._path, self._agg = lay.win, lay.path, lay.agg
         win, z_pos = lay.win, lay.z
         self.k = k = (p + 1) * n_q
         L0, self.jitter = initial_factor(init.P)
-        self.factorizations = 1    # the band LU, until ``pop_factorizations``
+        self.n_normals = len(lay.kpos)
+        self.factorizations = 2 if N else 0    # the band LU and K's factor, until ``pop_factorizations``
 
-        # the whitened X_t = W_t^-1 B and the noise's factor R_t, with
-        # R_t' R_t = X_t' X_t = B' Sigma_t^-1 B, one for all periods or one
-        # each.  Under a constant chol_cov the data's term B' Sigma^-1 r_t is
-        # G r_t, G = (W'^-1 X)', and R the r x k triangle of one thin QR of X,
-        # which a singular B' Sigma^-1 B leaves valid (r = min(n, k)).  Under a
-        # time-varying one the residuals are whitened too (``rhs``), so G_t
-        # is R_t' = X_t' (r = n) and no period is factorized
+        # the whitened X_t = W_t^-1 B, one for all periods or one each, and
+        # G_t, with B' Sigma_t^-1 r_t = G_t w_t for the residual's whitened
+        # form w_t.  Under a constant chol_cov G = (W'^-1 X)' and w_t = r_t;
+        # under a time-varying one the residuals are whitened (``rhs``), so
+        # G_t = X_t'
         B = np.zeros((n, k))
         B[n_m:, :n_q] = np.eye(n_q)
         B[:, n_q:] = -params.lag_coeffs[:, :, n_m:].transpose(1, 0, 2).reshape(n, p * n_q)
         if params.time_varying_cov:
             self._W = params.chol_cov[:t_b]
             X = _forward(self._W, B)
-            self._G = self._Rt = X.transpose(0, 2, 1)
+            self._G = X.transpose(0, 2, 1)
         else:
             self._W = None
             X = solve_triangular(params.chol_cov[0], B, lower=True, check_finite=False)[None]
             G = solve_triangular(params.chol_cov[0], X[0], lower=True, trans="T", check_finite=False)
             self._G = G.T[None]
-            self._Rt = np.linalg.qr(X[0], mode="r").T[None]
-        self.rank = self._Rt.shape[2]
-        self.n_normals = k + t_b * self.rank
 
         # periods 0..p-1 reach the initial stack: their window is m_t + J_t u
         # in the unknowns u, m_t the stack's mean and J_t = I but for L0
@@ -419,7 +446,6 @@ class BalancedSystem:
             m[t, j:] = init.a[: k - j]
         Jt = J.transpose(0, 2, 1)
         self._G_head = Jt @ self._G[:p]
-        self._Rt_head = self._G_head if self._W is not None else Jt @ self._Rt[:p]
         agg_t, lead = lay.agg_t, np.flatnonzero(lay.agg_t < p)
         lam = np.zeros((len(agg_t), k))
         lam[:, : agg.lam_qq.shape[1]] = agg.lam_qq[lay.agg_q]
@@ -437,12 +463,18 @@ class BalancedSystem:
         vals[Kt.size : Kt.size + len(z_pos)] = 1.0
         vals[Kt.size + len(z_pos) :] = np.tile(lam[lay.ia, lay.ja], 2)
         ld = 3 * kl + 1
-        ab = _scatter(lay.flat, vals, ld * N).reshape(N, ld).T
+        flat = _scatter(lay.flat, vals, ld * N)
+        kband = flat[lay.kband].T    # K's lower band, before the LU overwrites it
         if N:
-            self._lu, self._piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
+            self._lu, self._piv, info = dgbtrf(flat.reshape(N, ld).T, kl, kl, overwrite_ab=1)
             if info > 0:
-                t = int(np.searchsorted(lay.first, info - 1, side="right")) - p - 2
+                t = lay.period(info - 1)
                 raise SingularInnovationError(t, f"the balanced sample's system is singular at period t={t}")
+            self._C, info = dpbtrf(kband, lower=1, overwrite_ab=1)
+            if info > 0:
+                t = lay.period(lay.kpos[info - 1])
+                raise SingularInnovationError(t, f"the balanced sample's precision K is not positive definite "
+                                                 f"at period t={t}")
 
         # the initial mean's part of the right-hand side, and the handoff
         self._b = _scatter(win[:p], b_head, N)
@@ -454,7 +486,8 @@ class BalancedSystem:
         self._lift = X[self._path.ravel()]
 
     def pop_factorizations(self) -> int:
-        """1 on the first call, for the band LU, then 0."""
+        """On the first call the factorizations the system computed, the band
+        LU and K's factor (none without quarterly variables), then 0."""
         k, self.factorizations = self.factorizations, 0
         return k
 
@@ -465,38 +498,35 @@ class BalancedSystem:
         x, _ = dgbtrs(self._lu, self.kl, self.kl, b, self._piv)
         return x
 
-    def _windows(self, M: np.ndarray, head: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The sum over the periods of M_t v_t placed at each period's
-        window, for a (t_b, m) array v: one product over the periods, or one
-        batched over them when M has one matrix a period, and the first p
-        periods' own (``head``), which reach the initial stack through J_t."""
-        p = len(head)
-        C = v @ M[0].T if len(M) == 1 else np.matmul(M, v[:, :, None])[:, :, 0]
-        C[:p] = np.matmul(head, v[:p, :, None])[:, :, 0]
-        return _scatter(self._win, C, self.size)
-
     def rhs(self, resid: np.ndarray, agg: np.ndarray) -> np.ndarray:
         """The right-hand side given the residuals at zero quarterly values
         of the data, a (t_b, n) array, and their observed aggregates in order
         of period, then variable: -sum_t B_t' Sigma_t^-1 r_t beside the
-        aggregates, and the initial mean's terms.  Under a time-varying
-        chol_cov each residual is whitened first, so its term is X_t' W_t^-1 r_t."""
+        aggregates, and the initial mean's terms.  Each period's term is
+        G_t w_t placed at its window, one product over the periods, or one
+        batched over them under a time-varying chol_cov, where w_t = W_t^-1 r_t;
+        the first p periods' terms reach the initial stack through J_t."""
+        G, p = self._G, len(self._G_head)
         if self._W is not None:
             resid = _forward(self._W, resid[:, :, None])[:, :, 0]
-        b = self._b - self._windows(self._G, self._G_head, resid)
+        C = resid @ G[0].T if len(G) == 1 else np.matmul(G, resid[:, :, None])[:, :, 0]
+        C[:p] = np.matmul(self._G_head, resid[:p, :, None])[:, :, 0]
+        b = self._b - _scatter(self._win, C, self.size)
         b[self._agg] += agg
         return b
 
     def perturbation(self, normals: np.ndarray) -> np.ndarray:
         """The right-hand side's perturbation from ``n_normals`` standard
-        normals: the first k, zeta, on z's rows, the prior ||z||^2 becoming
-        ||z - zeta||^2, then ``rank`` a period, xi_t, as -sum_t J_t' R_t' xi_t.
-        Each period's term has the covariance of -B_t' Sigma_t^-1 W_t eta_t,
-        the term its residual r_t + W_t eta_t would add, so the solution has
-        the mean and covariance of the quarterly path given the data."""
-        xi = normals[self.k :].reshape(len(self._win), self.rank)
-        b = -self._windows(self._Rt, self._Rt_head, xi)
-        b[self._z] += normals[: self.k]
+        normals xi, one per unknown of K: C xi on K's rows, for the lower
+        band factor C C' = K (Rue 2001).  K is the covariance of what a
+        draw's noise adds to the right-hand side, a standard normal offset
+        zeta to z's prior (||z||^2 becoming ||z - zeta||^2, term zeta on z's
+        rows) and to each period's residual a shock W_t eta_t (term
+        -B_t' Sigma_t^-1 W_t eta_t), so the solution has the mean and
+        covariance of the quarterly path given the data."""
+        b = np.zeros(self.size)
+        if self.n_normals:
+            b[self.layout.kpos] = dtbmv(self.k - 1, self._C, normals, lower=1)
         return b
 
     def last(self, u: np.ndarray) -> np.ndarray:

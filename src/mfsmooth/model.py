@@ -88,9 +88,11 @@ class VarParams:
         coeff_row = lag_coeffs.transpose(1, 0, 2).reshape(n, n * self.p)
         coeff_row.setflags(write=False)
         object.__setattr__(self, "coeff_row", coeff_row)
-        # the strict upper triangle, up to the 1e-8 that passes for zero
-        rows, cols = np.triu_indices(n, 1)
-        if np.abs(chol_cov[:, rows, cols]).max(initial=0.0) > 1e-8:
+        # the strict upper triangle, up to the 1e-8 that passes for zero: each
+        # entry's largest magnitude over the periods, in two reductions along
+        # the stack, then one (n, n) mask; no gather out of the stack
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        if np.maximum(chol_cov.max(axis=0), -chol_cov.min(axis=0))[upper].max(initial=0.0) > 1e-8:
             raise ConfigurationError("chol_cov factors must be lower-triangular")
         if np.any(np.diagonal(chol_cov, axis1=1, axis2=2) <= 0):
             raise ConfigurationError("chol_cov factors need strictly positive diagonals")

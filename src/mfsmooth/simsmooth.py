@@ -8,11 +8,13 @@ with the aggregates as exact constraints, conditioning by kriging, Rue and
 Held 2005, sec. 2.3.3).  Each period's VAR residual gains a shock W_t eta_t
 and the initial stack's prior a standard normal offset; the constrained
 minimizer then has exactly the mean and covariance of the latent values
-given the data.  Over the balanced sample a period's shock reaches the
-solution only through k = (p+1) n_q directions, so it is drawn there in
-the balanced system's own factor (``kalman.BalancedSystem.perturbation``),
-and the data's parts of both right-hand sides are formed once per data
-object (``baseline.Plan.balanced``, ``baseline.Plan.edge_data``).
+given the data.  Over the balanced sample the noise's whole term on the
+right-hand side has covariance K, the saddle-point matrix's block over
+the quarterly unknowns, so it is drawn from one normal per unknown through
+K's banded Cholesky factor (``kalman.BalancedSystem.perturbation``; Rue
+2001, Chan and Jeliazkov 2009), and the data's parts of both right-hand
+sides are formed once per data object (``baseline.Plan.balanced``,
+``baseline.Plan.edge_data``).
 ``simulate_path`` draws the perturbation; no pseudo path is simulated.
 
 Per-draw generators are keyed by (master seed, draw index) with a
@@ -70,9 +72,9 @@ def simulate_path(
     """A draw's perturbation for the plan's balanced ``system``.
 
     The generator gives one block of standard normals: the balanced
-    system's ``n_normals`` (``BalancedSystem.perturbation``), k for the
-    initial stack and r a balanced period, then n for each ragged-edge
-    period, which its factor of Sigma_t turns into its shock.
+    system's ``n_normals`` (``BalancedSystem.perturbation``), one per
+    quarterly unknown, (p+1+t_b) n_q, then n for each ragged-edge period,
+    which its factor of Sigma_t turns into its shock.
     """
     n, T, t_b = params.n, data.T, data.pattern.t_balanced
     m = system.n_normals

@@ -65,9 +65,9 @@ def assert_perturbation(params, scheme, data, seed):
     """A draw's perturbation (``simulate_path``) against each period's own
     shock W_t eta_t: the edge shocks are those products of the generator's
     last normals, and the balanced part, linear in the normals before them,
-    has the covariance of zeta on the initial rows plus that of the shocks
-    of the balanced periods carried through the right-hand side
-    (``BalancedSystem.rhs``)."""
+    has covariance K: I on z's rows, from the offset zeta of z's prior,
+    plus that of the shocks of the balanced periods carried through the
+    right-hand side (``BalancedSystem.rhs``)."""
     n, T, t_b = params.n, data.T, data.pattern.t_balanced
     system = plan_for(params, scheme, data).system
     k = system.n_normals
@@ -78,10 +78,6 @@ def assert_perturbation(params, scheme, data, seed):
     assert np.abs(sim.shocks - want).max() <= 1e-14 * np.abs(want).max()
     assert_array_equal(sim.balanced, system.perturbation(z[:k]))
     M = np.column_stack([system.perturbation(e) for e in np.eye(k)])
-    zeta, xi = M[:, : system.k], M[:, system.k :]
-    # zeta: one unit entry a column, on distinct rows
-    assert_array_equal(np.abs(zeta).sum(axis=0), 1.0)
-    assert_array_equal(np.abs(zeta).sum(axis=1) <= 1.0, True)
     agg = np.zeros(int(data.pattern.quarterly_observed[:t_b].sum()))
     base = system.rhs(np.zeros((t_b, n)), agg)
     cols = []
@@ -92,7 +88,8 @@ def assert_perturbation(params, scheme, data, seed):
             cols.append(system.rhs(resid, agg) - base)
     ref = np.column_stack(cols)
     want = ref @ ref.T
-    assert np.abs(xi @ xi.T - want).max() <= 1e-12 * np.abs(want).max()
+    want[system.layout.z, system.layout.z] += 1.0
+    assert np.abs(M @ M.T - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSimulatePath:
@@ -338,13 +335,14 @@ class TestPreparedPlan:
         assert doublings == []
 
     def test_covariance_pass_once_per_plan(self, monkeypatch):
-        # a plan factorizes while it is built: the balanced system's band LU,
-        # then, on the adaptive backend's first draw, the edge system's LU;
-        # no factor of F; warm draws and draw_many pay none, a new parameter
-        # set pays again
+        # a plan factorizes while it is built: the balanced system's band LU
+        # and its K's band Cholesky factor, then, on the adaptive backend's
+        # first draw, the edge system's LU; no factor of F; warm draws and
+        # draw_many pay none, a new parameter set pays again
         inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
         calls = []
         factorize, band_lu, edge_lu = kalman.factorize_innovation, kalman.dgbtrf, kalman.dgetrf
+        band_chol = kalman.dpbtrf
 
         def counted(F, t):
             calls.append(t)
@@ -358,11 +356,16 @@ class TestPreparedPlan:
             calls.append("edge")
             return edge_lu(*args, **kwargs)
 
+        def counted_chol(*args, **kwargs):
+            calls.append("chol")
+            return band_chol(*args, **kwargs)
+
         monkeypatch.setattr(kalman, "factorize_innovation", counted)
         monkeypatch.setattr(kalman, "dgbtrf", counted_lu)
         monkeypatch.setattr(kalman, "dgetrf", counted_edge_lu)
+        monkeypatch.setattr(kalman, "dpbtrf", counted_chol)
         cold = draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=2)
-        assert calls == ["band", "edge"] and cold.stats.factorizations == 2
+        assert calls == ["band", "chol", "edge"] and cold.stats.factorizations == 3
         del calls[:]
         warm = [draw_latent(inst.params, inst.scheme, inst.data, b, seed=2) for b in ("adaptive", "blocked")]
         draw_many(inst.params, inst.scheme, inst.data, "adaptive", 3, seed=2)
@@ -372,6 +375,24 @@ class TestPreparedPlan:
         fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
         draw_latent(fresh, inst.scheme, inst.data, "adaptive", seed=2)
         assert len(calls) == cold.stats.factorizations
+
+    def test_failed_k_factor_raises_naming_its_period(self, monkeypatch):
+        # a K that dpbtrf cannot factorize raises, naming the period whose
+        # slot holds the failing column (here q at period 5), and no plan
+        # is kept; no jitter is tried
+        inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
+        p, n_q = inst.params.p, inst.params.n_q
+        band_chol, calls = kalman.dpbtrf, []
+
+        def failing(ab, **kwargs):
+            calls.append(ab.shape)
+            return band_chol(ab, **kwargs)[0], (p + 1 + 5) * n_q + 1
+
+        monkeypatch.setattr(kalman, "dpbtrf", failing)
+        with pytest.raises(SingularInnovationError, match="t=5") as err:
+            draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=2)
+        assert err.value.t == 5 and len(calls) == 1
+        assert inst.data.pattern._plan is None
 
     def test_edge_system_built_once_per_plan_by_the_adaptive_backend(self, monkeypatch):
         # cold blocked and reference draws never build the edge's system;
@@ -467,13 +488,11 @@ def affine_map(params, scheme, data, backend, init_mode="stationary"):
 
     A draw is affine in the generator's normals: its value at z = 0 is m and
     its change at each unit vector a column of G, so m is its mean and G G'
-    its covariance.  It takes k = (p+1) n_q normals for the initial stack,
-    r for each balanced period, r = min(n, k) under a constant ``chol_cov``
-    and n under a time-varying one, and n for each ragged-edge period."""
-    k = params.n_q * (params.p + 1)
-    r = params.n if params.time_varying_cov else min(params.n, k)
+    its covariance.  It takes one normal per unknown of the balanced
+    system's K, (p+1+t_b) n_q for z and the balanced path, and n for each
+    ragged-edge period."""
     t_b = data.pattern.t_balanced
-    k += t_b * r + (data.T - t_b) * params.n
+    k = (params.p + 1 + t_b) * params.n_q + (data.T - t_b) * params.n
 
     def draw(z):
         rng = FixedNormals(z)
@@ -521,9 +540,10 @@ class TestExactMoments:
     @pytest.mark.parametrize("case", ["zero quarterly lag column", "n < k"])
     def test_rank_deficient_noise_factor(self, case):
         """B' Sigma^-1 B singular (the last lag's quarterly columns zero, with
-        n >= k) or of rank n < k: the balanced periods' noise factor comes from
-        a QR of W^-1 B, or is W_t^-1 B itself, never a Cholesky of B' Sigma^-1 B,
-        so the draws keep the joint oracle's moments."""
+        n >= k) or of rank n < k: no period's term is factorized on its own;
+        K, their sum over the windows plus I on z, stays positive definite,
+        so its banded Cholesky factor draws the perturbation and the draws
+        keep the joint oracle's moments."""
         if case == "n < k":
             inst = make_instance(3, 3, 6, 24, 22, np.random.default_rng(0))
             params = inst.params
@@ -737,3 +757,29 @@ class TestLayoutReuse:
             plan_for(inst.params, zero, inst.data)
         assert err.value.t == first
         assert inst.data.pattern._plan is plan
+
+    def test_k_band_holds_every_window(self):
+        # K's band storage (``BandLayout.kband``) reads every entry of every
+        # period's window, all within kd = k - 1 of each other in K's order,
+        # and z's diagonal from its place in the system's band storage, and
+        # zero (position 0) elsewhere, on this class's layouts
+        inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
+        other_p = random_stable_params(5, 2, 3, np.random.default_rng(8))
+        gap = AggregationScheme("custom", np.array([0.5, 0.0, 0.5]), 3)
+        cases = ((inst.params, inst.scheme), (other_p, inst.scheme), (inst.params, gap),
+                 (inst.params, SCHEMES["custom"]))
+        for params, scheme in cases:
+            system = plan_for(params, scheme, inst.data).system
+            lay, kl = system.layout, system.kl
+            nk, k = lay.kband.shape
+            assert (nk, k) == ((params.p + 1 + inst.data.pattern.t_balanced) * params.n_q, system.k)
+            kwin = np.searchsorted(lay.kpos, lay.win)
+            assert_array_equal(lay.kpos[kwin], lay.win)
+            a, b = np.broadcast_arrays(kwin[:, :, None], kwin[:, None, :])
+            assert np.abs(a - b).max() == k - 1
+            a, b = a[a >= b], b[a >= b]
+            want = np.zeros((nk, k), dtype=np.int64)
+            want[b, a - b] = 3 * kl * lay.kpos[b] + lay.kpos[a] + 2 * kl
+            z = np.searchsorted(lay.kpos, lay.z)
+            want[z, 0] = (3 * kl + 1) * lay.z + 2 * kl
+            assert_array_equal(lay.kband, want)
