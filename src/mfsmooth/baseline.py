@@ -135,15 +135,14 @@ class Plan:
 
     def balanced(self, data: MixedFreqData) -> np.ndarray:
         """The balanced system's right-hand side at ``data``
-        (``BalancedSystem.rhs``), from the residuals at zero quarterly values,
-        the monthly observations less the constants (``balanced_constants``)
-        and minus them in the quarterly rows, and the observed aggregates:
-        kept while ``data`` is the same object, otherwise formed once and kept
-        in its place."""
+        (``BalancedSystem.rhs``), from the residuals at zero quarterly values
+        (``balanced_constants``), formed straight from the monthly series and,
+        under a constant ``chol_cov``, projected by ``BalancedSystem.proj``
+        as they are formed, and the observed aggregates: kept while ``data``
+        is the same object, otherwise formed once and kept in its place."""
         if self._last is None or self._last[0] is not data:
             n_m, t_b = data.n_m, data.pattern.t_balanced
-            resid = -balanced_constants(self.params, data)
-            resid[:, :n_m] += data.values[:t_b, :n_m]
+            resid = balanced_constants(self.params, data, self.system.proj)
             ts, qs = np.nonzero(data.pattern.quarterly_observed[:t_b])
             object.__setattr__(self, "_last", (data, self.system.rhs(resid, data.values[ts, n_m + qs]), None))
         return self._last[1]

@@ -394,15 +394,19 @@ class BalancedSystem:
     of the LU, or a K that is not positive definite, raises
     ``SingularInnovationError`` naming its period.
 
-    A right-hand side is formed from the data once (``rhs``); a draw adds
-    the model's noise to it (``perturbation``, one normal per unknown of K)
-    and is one ``dgbtrs`` solve (``solve``), whose mean is the solution of
-    the data's.  Its last state s_{t_b-1} is the filtered state at t_b-1,
-    where the ragged edge starts (``EdgeSystem`` or an edge step).  One more
-    solve, on the unit vectors of that state's positions, gives its
-    covariance ``P_filt`` and Cov(q_t, s_{t_b-1}), which lifts the edge's
-    adjoint r onto the path: the smoothed path is the mean plus that
-    covariance times r (``smoothed``).
+    A right-hand side is formed from the data once (``rhs``), which reads
+    the residuals only through B' Sigma_t^-1: under a constant chol_cov
+    they are formed already projected by ``proj`` = B' Sigma^-1, k rows
+    (``systems.balanced_constants``), and ``proj`` is None under a
+    time-varying one.  A draw adds the model's noise to it
+    (``perturbation``, one normal per unknown of K) and is one ``dgbtrs``
+    solve (``solve``), whose mean is the solution of the data's.  Its last
+    state s_{t_b-1} is the filtered state at t_b-1, where the ragged edge
+    starts (``EdgeSystem`` or an edge step).  One more solve, on the unit
+    vectors of that state's positions, gives its covariance ``P_filt`` and
+    Cov(q_t, s_{t_b-1}), which lifts the edge's adjoint r onto the path:
+    the smoothed path is the mean plus that covariance times r
+    (``smoothed``).
     """
 
     def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, init: FilterState,
@@ -418,23 +422,22 @@ class BalancedSystem:
         self.n_normals = len(lay.kpos)
         self.factorizations = 2 if N else 0    # the band LU and K's factor, until ``pop_factorizations``
 
-        # the whitened X_t = W_t^-1 B, one for all periods or one each, and
-        # G_t, with B' Sigma_t^-1 r_t = G_t w_t for the residual's whitened
-        # form w_t.  Under a constant chol_cov G = (W'^-1 X)' and w_t = r_t;
-        # under a time-varying one the residuals are whitened (``rhs``), so
-        # G_t = X_t'
+        # the whitened X_t = W_t^-1 B, one for all periods or one each.  A
+        # period's data term is B' Sigma_t^-1 r_t: under a constant chol_cov
+        # the residuals are projected by ``proj`` = B' Sigma^-1 = (W'^-1 X)'
+        # as they are formed; under a time-varying one they are whitened,
+        # w_t = W_t^-1 r_t, and the term is G_t w_t with G_t = X_t' (``rhs``)
         B = np.zeros((n, k))
         B[n_m:, :n_q] = np.eye(n_q)
         B[:, n_q:] = -params.lag_coeffs[:, :, n_m:].transpose(1, 0, 2).reshape(n, p * n_q)
         if params.time_varying_cov:
             self._W = params.chol_cov[:t_b]
             X = _forward(self._W, B)
-            self._G = X.transpose(0, 2, 1)
+            self._G, self.proj = X.transpose(0, 2, 1), None
         else:
-            self._W = None
+            self._W = self._G = None
             X = solve_triangular(params.chol_cov[0], B, lower=True, check_finite=False)[None]
-            G = solve_triangular(params.chol_cov[0], X[0], lower=True, trans="T", check_finite=False)
-            self._G = G.T[None]
+            self.proj = solve_triangular(params.chol_cov[0], X[0], lower=True, trans="T", check_finite=False).T
 
         # periods 0..p-1 reach the initial stack: their window is m_t + J_t u
         # in the unknowns u, m_t the stack's mean and J_t = I but for L0
@@ -444,8 +447,7 @@ class BalancedSystem:
             j = (t + 1) * n_q
             J[t, j:, j:] = L0[: k - j, : k - j]
             m[t, j:] = init.a[: k - j]
-        Jt = J.transpose(0, 2, 1)
-        self._G_head = Jt @ self._G[:p]
+        self._Jt = Jt = J.transpose(0, 2, 1)
         agg_t, lead = lay.agg_t, np.flatnonzero(lay.agg_t < p)
         lam = np.zeros((len(agg_t), k))
         lam[:, : agg.lam_qq.shape[1]] = agg.lam_qq[lay.agg_q]
@@ -499,18 +501,19 @@ class BalancedSystem:
         return x
 
     def rhs(self, resid: np.ndarray, agg: np.ndarray) -> np.ndarray:
-        """The right-hand side given the residuals at zero quarterly values
-        of the data, a (t_b, n) array, and their observed aggregates in order
-        of period, then variable: -sum_t B_t' Sigma_t^-1 r_t beside the
-        aggregates, and the initial mean's terms.  Each period's term is
-        G_t w_t placed at its window, one product over the periods, or one
-        batched over them under a time-varying chol_cov, where w_t = W_t^-1 r_t;
-        the first p periods' terms reach the initial stack through J_t."""
-        G, p = self._G, len(self._G_head)
-        if self._W is not None:
-            resid = _forward(self._W, resid[:, :, None])[:, :, 0]
-        C = resid @ G[0].T if len(G) == 1 else np.matmul(G, resid[:, :, None])[:, :, 0]
-        C[:p] = np.matmul(self._G_head, resid[:p, :, None])[:, :, 0]
+        """The right-hand side given the data's residuals at zero quarterly
+        values as ``systems.balanced_constants(params, data, proj)`` forms
+        them, and their observed aggregates in order of period, then
+        variable: -sum_t B_t' Sigma_t^-1 r_t beside the aggregates, and the
+        initial mean's terms.  Under a constant chol_cov ``resid`` holds the
+        terms C_t = B' Sigma^-1 r_t themselves, a (t_b, k) array; under a
+        time-varying one it holds r_t, a (t_b, n) array, and C_t = G_t w_t
+        with w_t = W_t^-1 r_t, one batched product.  Each term is placed at
+        its period's window; the first p periods' reach the initial stack
+        through J_t, as J_t' C_t."""
+        C = resid if self._W is None else np.matmul(self._G, _forward(self._W, resid[:, :, None]))[:, :, 0]
+        p = len(self._Jt)
+        C = np.concatenate([np.matmul(self._Jt, C[:p, :, None])[:, :, 0], C[p:]])
         b = self._b - _scatter(self._win, C, self.size)
         b[self._agg] += agg
         return b

@@ -23,6 +23,7 @@ counter-based bit generator, so results do not depend on scheduling.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,23 @@ def _rng_for(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekeyed(master_seed: int) -> Callable[[int], np.random.Generator]:
+    """``_rng_for(master_seed, i)`` for every i from one generator: the
+    function returned assigns its Philox the state of key (master_seed, i),
+    counter 0 and an empty buffer, the state a new one starts in, and
+    returns it.  The assignment costs several times less than a new
+    generator."""
+    rng = _rng_for(master_seed, 0)
+    state = rng.bit_generator.state
+
+    def keyed(index: int) -> np.random.Generator:
+        state["state"]["key"][1] = index
+        rng.bit_generator.state = state
+        return rng
+
+    return keyed
+
+
 def draw_latent(
     params: VarParams,
     agg: Aggregation | AggregationScheme,
@@ -135,14 +153,15 @@ def draw_many(
     init_mode: str = "stationary",
     kappa: float = 1e4,
 ) -> np.ndarray:
-    """Stack of independent draws, deterministic in (seed, index).
+    """Stack of independent draws, deterministic in (seed, index): draw i
+    is ``draw_latent``'s with the generator ``_rng_for(seed, i)``, one
+    generator re-keyed for each draw (``_rekeyed``).
 
     Returns an (n_draws, T, n) array."""
     if n_draws < 0:
         raise ConfigurationError(f"n_draws must be >= 0, got {n_draws}")
     out = np.empty((n_draws, data.T, params.n))
+    keyed = _rekeyed(seed)
     for i in range(n_draws):
-        out[i] = draw_latent(
-            params, agg, data, backend, rng=_rng_for(seed, i), init_mode=init_mode, kappa=kappa
-        ).x
+        out[i] = draw_latent(params, agg, data, backend, rng=keyed(i), init_mode=init_mode, kappa=kappa).x
     return out

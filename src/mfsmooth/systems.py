@@ -287,36 +287,34 @@ def companion_observation(
     return Z
 
 
-def _lag_stacks(values: np.ndarray, p: int, n_m: int) -> np.ndarray:
-    """Every period's monthly lag stack as one view: [i, v, lag - 1] is
-    monthly variable v at period T-1-i-lag, pre-sample lags zero.
+def balanced_constants(params: VarParams, data: MixedFreqData, proj: np.ndarray | None = None) -> np.ndarray:
+    """The balanced periods' VAR residuals at zero quarterly values,
+    r_t = E_m y_{m,t} - intercept - sum_i A_i[:, m] y_{m,t-i} (pre-sample
+    lags zero), as (t_b, n) rows, or with ``proj``, an (r, n) matrix, their
+    projections proj r_t as (t_b, r) rows.
 
-    The monthly data are kept in reversed time: row i holds period T-1-i and
-    the p rows after the sample are the zero pre-sample.  Period t's lags
-    t-1..t-p are then the contiguous rows T-t..T-t+p-1, and one strided view
-    of p-row windows is every stack at once, variable-major like the
-    exogenous columns.
+    The coefficients of each lag are projected first, then one product of
+    the monthly series with all p+1 of them, (t_b, n_m) by (n_m, (p+1) r),
+    gives every period's term at every lag, and p shifted adds sum them: no
+    lag stack is gathered.  A balanced period's residual reads only monthly
+    values of balanced periods, which are data, so the balanced system's
+    right-hand side formed from it is the same for every draw on ``data``
+    (``baseline.Plan.balanced``, which projects by ``BalancedSystem.proj``).
     """
-    T = values.shape[0]
-    rev = np.zeros((T + p, n_m))
-    rev[:T] = values[::-1, :n_m]
-    step = rev.itemsize
-    return np.lib.stride_tricks.as_strided(rev[1:], (T, n_m, p), (n_m * step, step, n_m * step), writeable=False)
-
-
-def balanced_constants(params: VarParams, data: MixedFreqData) -> np.ndarray:
-    """The VAR's mean of each balanced period given its monthly lags,
-    intercept + sum_i A_i[:, m] y_{m,t-i} (pre-sample lags zero), as
-    (t_b, n) rows: one gather of the lag stacks and one product.
-
-    A balanced period's mean reads only monthly lags of balanced periods,
-    which are data, so the balanced system's right-hand side formed from
-    it is the same for every draw on ``data`` (``baseline.Plan.balanced``).
-    """
-    t_b, n_m = data.pattern.t_balanced, data.n_m
-    stacks = _lag_stacks(data.values, params.p, n_m)
-    X = stacks[data.T - 1 - np.arange(t_b)].reshape(t_b, -1)
-    return X @ _coeffs(params, np.arange(params.n), np.arange(n_m), exog=True).T + params.intercept
+    n, n_m, p, t_b = params.n, params.n_m, params.p, data.pattern.t_balanced
+    if proj is None:
+        lead, rows, c = np.eye(n, n_m), params.coeff_row, params.intercept
+    else:
+        lead, rows, c = proj[:, :n_m], proj @ params.coeff_row, proj @ params.intercept
+    r = len(rows)
+    coeffs = np.empty((n_m, p + 1, r))    # [m, i]: lag i's coefficients on monthly variable m
+    coeffs[:, 0] = lead.T
+    coeffs[:, 1:] = -rows.reshape(r, p, n)[:, :, :n_m].transpose(2, 1, 0)
+    terms = (data.values[:t_b, :n_m] @ coeffs.reshape(n_m, -1)).reshape(t_b, p + 1, r)
+    out = terms[:, 0] - c
+    for i in range(1, p + 1):
+        out[i:] += terms[: t_b - i, i]
+    return out
 
 
 def edge_residuals(params: VarParams, data: MixedFreqData) -> np.ndarray:

@@ -174,9 +174,14 @@ class TestMeanBand:
             scale = np.exp(0.3 * np.random.default_rng(4).standard_normal((120, params.n)))
             params = VarParams(5, 2, 4, params.intercept, params.lag_coeffs, scale[:, :, None] * params.chol_cov)
         plan = self.passes(params, inst, True, init_mode)
-        # one projection for every period under a constant chol_cov, one per
-        # period under a time-varying one
-        assert len(plan.system._G) == (116 if time_varying else 1)
+        # one projection for every period under a constant chol_cov, applied
+        # as the residuals are formed (``proj``), one per period under a
+        # time-varying one
+        system = plan.system
+        if time_varying:
+            assert system.proj is None and len(system._G) == 116
+        else:
+            assert system._G is None and system.proj.shape == (system.k, params.n)
 
     @pytest.mark.parametrize("seed", [5, 7])
     def test_matches_loop_restarted_at_the_boundary(self, seed):

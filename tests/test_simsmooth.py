@@ -23,8 +23,9 @@ from mfsmooth import baseline, kalman
 from mfsmooth.baseline import plan_for
 from mfsmooth.kalman import init_state
 from mfsmooth.model import AggregationScheme
-from mfsmooth.simsmooth import BACKENDS, _rng_for, simulate_path
+from mfsmooth.simsmooth import BACKENDS, _rekeyed, _rng_for, simulate_path
 from mfsmooth.simulate import make_instance, random_stable_params, simulate_var_path
+from test_systems import projected
 
 
 @pytest.fixture
@@ -79,13 +80,13 @@ def assert_perturbation(params, scheme, data, seed):
     assert_array_equal(sim.balanced, system.perturbation(z[:k]))
     M = np.column_stack([system.perturbation(e) for e in np.eye(k)])
     agg = np.zeros(int(data.pattern.quarterly_observed[:t_b].sum()))
-    base = system.rhs(np.zeros((t_b, n)), agg)
+    base = system.rhs(projected(system, np.zeros((t_b, n))), agg)
     cols = []
     for t in range(t_b):
         for j in range(n):
             resid = np.zeros((t_b, n))
             resid[t] = params.chol(t)[:, j]
-            cols.append(system.rhs(resid, agg) - base)
+            cols.append(system.rhs(projected(system, resid), agg) - base)
     ref = np.column_stack(cols)
     want = ref @ ref.T
     want[system.layout.z, system.layout.z] += 1.0
@@ -256,6 +257,15 @@ class TestDraws:
             single = draw_latent(inst.params, inst.scheme, inst.data, "adaptive",
                                  rng=_rng_for(21, i))
             assert_array_equal(stack[i], single.x)
+
+    def test_rekeyed_generator_matches_a_new_one(self):
+        # draw_many re-keys one generator per draw; after any use, each key
+        # gives the normals of a new generator on it
+        for seed in (0, 1, -1, 2**63 + 5, 2**64 - 1):
+            keyed = _rekeyed(seed)
+            for index in (0, 1, 7, 2**40, 1, 0):
+                got = keyed(index).standard_normal(1000)
+                assert_array_equal(got, _rng_for(seed, index).standard_normal(1000), (seed, index))
 
 
 class TestDrawDistribution:
@@ -626,9 +636,9 @@ class TestDataPart:
         formed = []
         constants = baseline.balanced_constants
 
-        def counted(params, data):
+        def counted(params, data, proj=None):
             formed.append(data)
-            return constants(params, data)
+            return constants(params, data, proj)
 
         monkeypatch.setattr(baseline, "balanced_constants", counted)
         draw_latent(params, SCHEMES["average"], data, "adaptive", seed=1)

@@ -8,6 +8,7 @@ matrix and Cholesky factor, so any indexing slip shows up exactly.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -50,6 +51,29 @@ def index_for_period(pattern, n_m, n_q, t):
     return AdaptiveIndex(pattern.unobserved(t), pattern.observed(t), u_prev, o_prev, n_m, n_q)
 
 
+def lag_stacks(values, p, n_m):
+    """Every period's monthly lag stack as one view: [i, v, lag - 1] is
+    monthly variable v at period T-1-i-lag, pre-sample lags zero.
+
+    The monthly data are kept in reversed time: row i holds period T-1-i and
+    the p rows after the sample are the zero pre-sample.  Period t's lags
+    t-1..t-p are then the contiguous rows T-t..T-t+p-1, and one strided view
+    of p-row windows is every stack at once, variable-major like the
+    exogenous columns.
+    """
+    T = values.shape[0]
+    rev = np.zeros((T + p, n_m))
+    rev[:T] = values[::-1, :n_m]
+    step = rev.itemsize
+    return np.lib.stride_tricks.as_strided(rev[1:], (T, n_m, p), (n_m * step, step, n_m * step), writeable=False)
+
+
+def projected(system, resid):
+    """The balanced periods' (t_b, n) residuals as ``BalancedSystem.rhs``
+    takes them: projected by ``system.proj`` under a constant chol_cov."""
+    return resid if system.proj is None else resid @ system.proj.T
+
+
 def period_noise(G, H, Z):
     """Noise products of a stack of periods sharing the observation loading
     ``Z``: G is (k, n_obs, n) and H (k, dim, n), one batched product each."""
@@ -77,7 +101,7 @@ def per_period(params, agg, data, stop=None):
     ``constants`` on a group of one.  The reduced formulation period by
     period, the reference for a draw's balanced and edge blocks."""
     pattern = data.pattern
-    stacks = systems._lag_stacks(data.values, params.p, params.n_m)
+    stacks = lag_stacks(data.values, params.p, params.n_m)
     records = []
     for t in range(data.T if stop is None else stop):
         idx = index_for_period(pattern, params.n_m, params.n_q, t)
@@ -409,7 +433,7 @@ class TestExogVector:
         edge = plan.edge(data.pattern)
         built = build_periods(data, plan.system, plan.balanced(data), (edge, plan.edge_data(data)))
         resid = np.array([np.concatenate([per.ymc[:3], -per.d[:1]]) for per in periods[:t_b]])
-        want = plan.system.rhs(resid, values[[2, 5], 3])
+        want = plan.system.rhs(projected(plan.system, resid), values[[2, 5], 3])
         assert np.abs(built.balanced.rhs - want).max() <= 1e-13 * np.abs(want).max()
         assert (built.edge.mats, built.edge.t) == (edge, t_b)
         ref = [direct_resid(params, values, t) for t in range(t_b, 12)]
@@ -427,6 +451,69 @@ class TestExogVector:
             assert_allclose(per.d[:1], self.direct(params, values, per.t, head[3:], all_m), rtol=1e-13)
 
 
+class TestBalancedDataPart:
+    """The balanced right-hand side's data part (``Plan.balanced``), formed
+    from the monthly series by one product and p shifted adds, against the
+    lag-stack route: every period's stack gathered, the full (t_b, n)
+    residuals, each period's term B' Sigma_t^-1 r_t from its whitened
+    factors, and the first p periods' through J_t."""
+
+    @staticmethod
+    def reference(plan, data):
+        params, system = plan.params, plan.system
+        n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
+        T, t_b, k = data.T, data.pattern.t_balanced, (p + 1) * n_q
+        stacks = lag_stacks(data.values, p, n_m)
+        X = stacks[T - 1 - np.arange(t_b)].reshape(t_b, -1)
+        coeffs = params.lag_coeffs[:, :, :n_m].transpose(1, 2, 0).reshape(n, n_m * p)    # variable-major
+        resid = -(X @ coeffs.T + params.intercept)
+        resid[:, :n_m] += data.values[:t_b, :n_m]
+        B = np.zeros((n, k))
+        B[n_m:, :n_q] = np.eye(n_q)
+        B[:, n_q:] = -np.concatenate([A[:, n_m:] for A in params.lag_coeffs], axis=1)
+        L0 = kalman.initial_factor(plan.init.P)[0]
+        C = np.empty((t_b, k))
+        for t in range(t_b):
+            W = params.chol(t)
+            G = scipy.linalg.solve_triangular(W, B, lower=True).T
+            C[t] = G @ scipy.linalg.solve_triangular(W, resid[t], lower=True)
+            if t < p:
+                J = np.eye(k)
+                j = (t + 1) * n_q
+                J[j:, j:] = L0[: k - j, : k - j]
+                C[t] = J.T @ C[t]
+        b = system._b - np.bincount(system._win.ravel(), C.ravel(), system.size)
+        ts, qs = np.nonzero(data.pattern.quarterly_observed[:t_b])
+        b[system._agg] += data.values[ts, n_m + qs]
+        return resid, b
+
+    @pytest.mark.parametrize("shape", [
+        (119, 1, 12, 60, 58),
+        (18, 2, 6, 40, 37),
+        (4, 3, 3, 20, 18),      # p = p_q under the average
+        (5, 2, 4, 30, 5),       # t_b = p + 1
+        (5, 2, 4, 30, 30),      # t_b = T
+        (4, 0, 3, 30, 28),      # no quarterly variable
+    ])
+    @pytest.mark.parametrize("scheme", ["average", "skip"])
+    @pytest.mark.parametrize("time_varying", [False, True])
+    @pytest.mark.parametrize("init_mode", ["stationary", "diffuse-proxy"])
+    def test_matches_the_lag_stack_route(self, shape, scheme, time_varying, init_mode):
+        agg = intra_quarterly_average() if scheme == "average" else skip_sampling()
+        inst = make_instance(*shape, np.random.default_rng(shape[0] + shape[4]), scheme=agg)
+        params, data = inst.params, inst.data
+        if time_varying:
+            scale = np.exp(0.3 * np.random.default_rng(1).standard_normal((data.T, params.n)))
+            params = VarParams(params.n_m, params.n_q, params.p, params.intercept, params.lag_coeffs,
+                               scale[:, :, None] * params.chol_cov)
+        plan = plan_for(params, agg, data, init_mode)
+        assert (plan.system.proj is None) == time_varying
+        resid, want = self.reference(plan, data)
+        for got, ref in ((systems.balanced_constants(params, data), resid), (plan.balanced(data), want)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * np.abs(ref).max(initial=0.0)
+
+
 class TestEdgeConstants:
     @pytest.mark.parametrize("n_m,n_q,p,T,t_b", [(5, 2, 4, 40, 36), (119, 1, 12, 60, 58)])
     def test_match_the_dense_products(self, n_m, n_q, p, T, t_b):
@@ -436,7 +523,7 @@ class TestEdgeConstants:
         inst = make_instance(n_m, n_q, p, T, t_b, np.random.default_rng(2))
         data = inst.data
         plan = plan_for(inst.params, inst.scheme, data)
-        stacks = systems._lag_stacks(data.values, p, n_m)
+        stacks = lag_stacks(data.values, p, n_m)
         edge = 0
         for t, got in zip(range(t_b, T), edge_residuals(inst.params, data)):
             idx = index_for_period(data.pattern, n_m, n_q, t)
