@@ -9,7 +9,6 @@ from .errors import (
     MfsmoothError,
     OracleSizeError,
     SingularInnovationError,
-    UnsupportedPatternError,
 )
 from .model import (
     Aggregation,
@@ -39,7 +38,6 @@ __all__ = [
     "RunStats",
     "SingularInnovationError",
     "SmoothResult",
-    "UnsupportedPatternError",
     "VarParams",
     "build_aggregation",
     "detect_pattern",

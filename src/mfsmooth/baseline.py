@@ -21,9 +21,7 @@ from .errors import ConfigurationError
 from .kalman import (
     BalancedSystem,
     EdgeSystem,
-    FilterResult,
     FilterState,
-    Means,
     filter_periods,
     init_state,
     quarterly_state_index,
@@ -33,7 +31,7 @@ from .kalman import (
 )
 from .model import Aggregation, AggregationScheme, MixedFreqData, ObservationPattern, VarParams, build_aggregation
 from .systems import (
-    DrawPeriods,
+    Block,
     PeriodNoise,
     PeriodSystem,
     SystemMatrices,
@@ -204,15 +202,13 @@ def plan_for(
     return plan
 
 
-def fill_states(x: np.ndarray, states: Means, periods: DrawPeriods) -> None:
-    """Write the smoothed latent values into x: one assignment of the
-    balanced quarterly path, and one per ragged-edge period after it when
-    the draw solved the edge's system."""
-    t_b, n_q = states.head.shape
-    x[:t_b, x.shape[1] - n_q :] = states.head
-    if periods.edge is not None:
-        for t, vars_, state in zip(range(t_b, x.shape[0]), periods.edge.mats.heads, states.tail):
-            x[t, vars_] = state
+def fill_states(x: np.ndarray, states: np.ndarray, periods: list[Block]) -> None:
+    """Write the smoothed latent values (``run_smoother``) into x in one
+    assignment, at the (t, variable) positions of the blocks' ``cells``: the
+    balanced quarterly path, then the ragged edge's latent values when the
+    draw solved the edge's system."""
+    t, v = np.concatenate([block.mats.cells for block in periods], axis=1)
+    x[t, v] = states
 
 
 def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
@@ -224,20 +220,20 @@ def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
     x[t_b:, :n_m][observed] = data.values[t_b:, :n_m][observed]
 
 
-def compact_to_companion(params: VarParams, data: MixedFreqData, reduced: FilterResult) -> FilterState:
+def compact_to_companion(params: VarParams, data: MixedFreqData, boundary: FilterState) -> FilterState:
     """The reduced run's last filtered state, at t_b-1, placed in the stacked
     (companion) state of the same period.
 
-    The reduced mean and covariance (``FilterResult.boundary``) go to the
-    quarterly positions (``quarterly_state_index``); the known monthly values
-    at lags 0..p fill the rest of the mean, with zero variance.
+    The reduced mean and covariance ``boundary`` (``BalancedSystem.last``,
+    ``BalancedSystem.P_filt``) go to the quarterly positions
+    (``quarterly_state_index``); the known monthly values at lags 0..p fill
+    the rest of the mean, with zero variance.
     """
     n, p, t_b = params.n, params.p, data.pattern.t_balanced
     qi = quarterly_state_index(params)
     a = np.zeros((p + 1, n))
     a[:, : params.n_m] = data.values[t_b - 1 - p : t_b, : params.n_m][::-1]
     a = a.reshape(-1)
-    boundary = reduced.boundary
     a[qi] = boundary.a
     P = np.zeros((len(a), len(a)))
     P[np.ix_(qi, qi)] = boundary.P
@@ -340,14 +336,15 @@ def smooth(
     edge_system = plan.edge(data.pattern) if edge is None and T > t_b else None
     edge_block = None if edge_system is None else (edge_system, plan.edge_data(data))
     periods = build_periods(data, plan.system, plan.balanced(data), edge_block, noise)
-    res = run_filter(periods)
+    solutions = run_filter(periods)
     heads = r = None
     worst_cond = 0.0 if edge_system is None else edge_system.cond
     if edge is not None and T > t_b:
         shocks = None if noise is None else noise.shocks
-        heads, r_edge, worst_cond = edge(params, plan.agg, data, compact_to_companion(params, data, res), shocks)
+        start = compact_to_companion(params, data, FilterState(plan.system.last(solutions[0]), plan.system.P_filt))
+        heads, r_edge, worst_cond = edge(params, plan.agg, data, start, shocks)
         r = companion_to_compact(r_edge, params)[quarterly_state_index(params)]
-    states, _ = run_smoother(periods, res, r_init=r)
+    states, _ = run_smoother(periods, solutions, r_init=r)
     # allocated last: the result outlives the filter's working set, and placed
     # above it, it keeps that set's freed memory off the top of the heap, where
     # malloc would return it to the system for the next draw to fault back in

@@ -9,10 +9,6 @@ class ConfigurationError(MfsmoothError):
     """Inconsistent model dimensions, lag orders or config values."""
 
 
-class UnsupportedPatternError(MfsmoothError):
-    """Observation pattern outside the supported (monotone ragged edge) class."""
-
-
 class SingularInnovationError(MfsmoothError):
     """Innovation covariance numerically singular during filtering."""
 

@@ -43,7 +43,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dpbtrf, 
 
 from .errors import InitializationError, SingularInnovationError
 from .model import Aggregation, ObservationPattern, VarParams
-from .systems import DrawPeriods, PeriodSystem
+from .systems import Block, PeriodSystem
 
 __all__ = [
     "FilterState",
@@ -51,8 +51,6 @@ __all__ = [
     "CovStep",
     "BalancedSystem",
     "EdgeSystem",
-    "Means",
-    "FilterResult",
     "FilteredPeriods",
     "factorize_innovation",
     "filter_periods",
@@ -415,7 +413,8 @@ class BalancedSystem:
         t_b = pattern.t_balanced    # > p (``baseline.check_pattern``)
         self.layout = lay = BandLayout(agg, pattern, p) if layout is None else layout
         self.size, self.kl = N, kl = lay.size, lay.kl
-        self._win, self._path, self._agg = lay.win, lay.path, lay.agg
+        self._win, self._path, self._agg = lay.win, lay.path.ravel(), lay.agg
+        self.cells = np.indices((t_b, n_q)).reshape(2, -1) + [[0], [n_m]]
         win, z_pos = lay.win, lay.z
         self.k = k = (p + 1) * n_q
         L0, self.jitter = initial_factor(init.P)
@@ -485,7 +484,7 @@ class BalancedSystem:
         E[win[-1], np.arange(k)] = 1.0
         X = self.solve(E)
         self.P_filt = _sym(X[win[-1]])
-        self._lift = X[self._path.ravel()]
+        self._lift = X[self._path]
 
     def pop_factorizations(self) -> int:
         """On the first call the factorizations the system computed, the band
@@ -537,11 +536,12 @@ class BalancedSystem:
         return u[self._win[-1]]
 
     def smoothed(self, u: np.ndarray, r: np.ndarray | None) -> np.ndarray:
-        """The quarterly path of ``u`` as (t_b, n_q) rows, lifted by ``r``,
-        the adjoint of the filtered state at t_b-1, when given."""
+        """The quarterly path of ``u``, at the panel positions ``cells``,
+        lifted by ``r``, the adjoint of the filtered state at t_b-1, when
+        given."""
         path = u[self._path]
         if r is not None:
-            path += (self._lift @ r).reshape(path.shape)
+            path += self._lift @ r
         return path
 
 
@@ -553,12 +553,13 @@ class EdgeSystem:
     The unknowns z = (s, l) are the balanced system's last state
     s = (q_{t_b-1}, ..., q_{t_b-1-p}), k = (p+1) n_q values, and the latent
     values of each edge period in time order: its unobserved monthly values
-    ascending, then its quarterly ones (``heads``).  Period t's VAR residual
-    is e_t = r_t + B_t z, with B_t the identity on period t's latent values
-    less the lag coefficients on the latent values of t-1..t-p, one gather
-    from ``coeff_row`` (lags in the balanced sample fall in s), and r_t the
-    residual at z = 0 (``systems.edge_residuals``).  Each period is whitened
-    once by its factor of Sigma_t, so K = sum_t B_t' Sigma_t^-1 B_t.  A holds
+    ascending, then its quarterly ones, at the panel's (t, variable)
+    positions ``cells``.  Period t's VAR residual is e_t = r_t + B_t z, with
+    B_t the identity on period t's latent values less the lag coefficients
+    on the latent values of t-1..t-p, one gather from ``coeff_row`` (lags in
+    the balanced sample fall in s), and r_t the residual at z = 0
+    (``systems.edge_residuals``).  Each period is whitened once by its factor
+    of Sigma_t, so K = sum_t B_t' Sigma_t^-1 B_t.  A holds
     one row per observed edge aggregate, its weights on q_t..q_{t-p_q+1},
     and J selects s from z.  With s given the balanced sample distributed as
     N(u_s, P_filt) (``BalancedSystem.last``, ``BalancedSystem.P_filt``),
@@ -591,8 +592,7 @@ class EdgeSystem:
         col = np.full((p + 1 + n_e, n), -1)
         col[: p + 1, n_m:] = np.arange(k).reshape(p + 1, n_q)[::-1]
         col[p + 1 + lt, lv] = np.arange(k, N)
-        self._split = np.cumsum(np.bincount(lt, minlength=n_e))[:-1]
-        self.heads = np.split(lv, self._split)
+        self.cells = np.stack([t_b + lt, lv])
 
         B = np.zeros((n_e, n, N))
         B[lt, lv, np.arange(k, N)] = 1.0
@@ -646,66 +646,39 @@ class EdgeSystem:
         x, _ = dgetrs(self._lu, self._piv, np.concatenate([rhs, last]))
         return x
 
-    def smoothed(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """The latent values of each edge period in ``x``, in the order of
-        ``heads``, and the adjoint lam of the filtered state at t_b-1."""
-        return np.split(x[self.k : self.n_z], self._split), x[self.n_z + self.n_a :]
+    def smoothed(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The edge's latent values in ``x``, at the positions ``cells``, and
+        the adjoint lam of the filtered state at t_b-1."""
+        return x[self.k : self.n_z], x[self.n_z + self.n_a :]
 
 
-@dataclass(frozen=True)
-class Means:
-    """A draw's smoothed means: its balanced quarterly path as the rows of
-    ``head``, and in ``tail`` the latent values of each ragged-edge period
-    in the order of ``EdgeSystem.heads`` (none without the edge's block)."""
-
-    head: np.ndarray
-    tail: list[np.ndarray]
-
-
-@dataclass(eq=False)
-class FilterResult:
-    """A draw's forward pass: ``system``, the balanced block's
-    ``BalancedSystem``, ``u`` its solution, and ``edge`` the solution of the
-    ragged edge's ``EdgeSystem`` (None without the edge's block)."""
-
-    system: BalancedSystem
-    u: np.ndarray
-    edge: np.ndarray | None = None
-
-    @property
-    def boundary(self) -> FilterState:
-        """The filtered state at the balanced sample's last period."""
-        return FilterState(self.system.last(self.u), self.system.P_filt)
-
-
-def run_filter(periods: DrawPeriods) -> FilterResult:
-    """The forward pass over a draw's periods (``build_periods``): the
-    balanced block is one solve of its ``BalancedSystem`` (``mats``), and the
-    ragged edge, when the draw has its block, one solve of its
-    ``EdgeSystem`` from that solve's last state."""
-    block, edge = periods.balanced, periods.edge
-    system = block.mats
-    u = system.solve(block.rhs)
-    x = None if edge is None else edge.mats.solve(edge.rhs, system.last(u))
-    return FilterResult(system, u, x)
+def run_filter(periods: list[Block]) -> list[np.ndarray]:
+    """The forward pass over a draw's blocks (``build_periods``): each
+    block's solution.  The balanced block is one solve of its
+    ``BalancedSystem`` (``mats``), and the ragged edge, when the draw has its
+    block, one solve of its ``EdgeSystem`` from that solve's last state."""
+    balanced, *edge = periods
+    u = balanced.mats.solve(balanced.rhs)
+    return [u, *(block.mats.solve(block.rhs, balanced.mats.last(u)) for block in edge)]
 
 
 def run_smoother(
-    periods: DrawPeriods, filtered: FilterResult, r_init: np.ndarray | None = None
-) -> tuple[Means, np.ndarray | None]:
-    """The smoothed means of a draw's periods and the adjoint of the
-    filtered state at t_b-1.
+    periods: list[Block], solutions: list[np.ndarray], r_init: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The smoothed latent values of a draw's blocks as one vector, in the
+    order of the blocks' ``cells``, and the adjoint of the filtered state at
+    t_b-1.
 
     The balanced quarterly path is the balanced block's mean lifted by that
     adjoint (``BalancedSystem.smoothed``).  With an edge block the adjoint is
-    the edge solve's lam, and ``tail`` holds the edge periods' latent values
+    the edge solve's lam, and the edge's latent values follow the path
     (``EdgeSystem.smoothed``); without one it is ``r_init``, which a caller
     that continued past t_b-1 hands back.
     """
-    states, r = [], r_init
-    if periods.edge is not None:
-        states, r = periods.edge.mats.smoothed(filtered.edge)
-    return Means(filtered.system.smoothed(filtered.u, r), states), r
+    if len(periods) == 1:
+        return periods[0].mats.smoothed(solutions[0], r_init), r_init
+    tail, r = periods[1].mats.smoothed(solutions[1])
+    return np.concatenate([periods[0].mats.smoothed(solutions[0], r), tail]), r
 
 
 def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:

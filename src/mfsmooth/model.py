@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedPatternError
+from .errors import ConfigurationError
 
 __all__ = [
     "VarParams",
@@ -332,9 +332,10 @@ def detect_pattern(values: np.ndarray, n_m: int, n_q: int, min_balanced: int = 1
     """Derive the observation pattern of a data matrix.
 
     NaN marks a missing value and infinite values are rejected.
-    ``t_balanced`` is maximal; the ragged edge must be monotone
-    (``U_{t-1} subset of U_t``) and at least ``min_balanced`` leading periods
-    must be fully observed in the monthly block.
+    ``t_balanced`` is maximal, the first period with a monthly value
+    missing, and at least ``min_balanced`` leading periods must be fully
+    observed in the monthly block.  Any pattern after t_balanced is accepted:
+    a monthly value may be missing and observed again later.
     """
     values = np.asarray(values, dtype=float)
     T, n = values.shape
@@ -354,13 +355,4 @@ def detect_pattern(values: np.ndarray, n_m: int, n_q: int, min_balanced: int = 1
             f"only {t_balanced} leading fully observed monthly periods, "
             f"need at least {min_balanced}"
         )
-    for t in range(t_balanced + 1, T):
-        prev_unobs = ~obs_m[t - 1]
-        now_unobs = ~obs_m[t]
-        if np.any(prev_unobs & ~now_unobs):
-            bad = np.flatnonzero(prev_unobs & ~now_unobs)
-            raise UnsupportedPatternError(
-                f"non-monotone ragged edge: monthly variable(s) {bad.tolist()} "
-                f"unobserved at t={t - 1} but observed at t={t}"
-            )
     return ObservationPattern(T, t_balanced, obs_m, obs_q)

@@ -1,13 +1,16 @@
-"""Per-period state-space system construction, and a draw's periods.
+"""Per-period state-space system construction, and a draw's blocks.
 
 One general builder covers the reduced (quarterly-stack) formulation and its
 ragged-edge extension in which the state is augmented, period by period, with
 exactly the currently-unobserved monthly variables.  The balanced case is the
-special case ``U_t = {}``.  The full stacked (companion) formulation used by
-the reference smoother is built separately (``baseline.companion_periods``).
-A draw runs on neither per period: ``build_periods`` assembles the
-right-hand sides of the two systems a plan solves, the balanced sample's and
-the ragged edge's (``kalman.BalancedSystem``, ``kalman.EdgeSystem``).
+special case ``U_t = {}``.  This per-period form needs a monotone edge, a
+monthly variable once unobserved staying so (``AdaptiveIndex``).  The full
+stacked (companion) formulation used by the reference smoother is built
+separately (``baseline.companion_periods``).  A draw runs on neither per
+period and takes any ragged edge: ``build_periods`` assembles the right-hand
+sides of the two systems a plan solves, the balanced sample's and the ragged
+edge's (``kalman.BalancedSystem``, ``kalman.EdgeSystem``), as a list of
+``Block``s.
 
 State layout: ``p+1`` lag groups, each group ``(x_{U_t}, x_q)`` with the
 unobserved monthly indices ascending and the quarterly variables last.
@@ -34,7 +37,6 @@ __all__ = [
     "SystemMatrices",
     "PeriodSystem",
     "Block",
-    "DrawPeriods",
     "build_adaptive_T",
     "build_adaptive_D",
     "build_adaptive_Z",
@@ -245,17 +247,6 @@ class Block(NamedTuple):
     rhs: np.ndarray
 
 
-class DrawPeriods(list):
-    """A draw's periods (``build_periods``): the balanced block, then the
-    ragged edge's block when the draw solves it; the two parts are
-    ``balanced`` and ``edge`` (None without the edge's block)."""
-
-    def __init__(self, balanced: Block, edge: Block | None = None):
-        super().__init__([balanced] if edge is None else [balanced, edge])
-        self.balanced = balanced
-        self.edge = edge
-
-
 def build_system_matrices(
     params: VarParams,
     agg: Aggregation,
@@ -338,8 +329,8 @@ def build_periods(
     balanced: np.ndarray,
     edge: tuple[EdgeSystem, np.ndarray] | None = None,
     noise: PseudoSample | None = None,
-) -> DrawPeriods:
-    """A draw's periods: the balanced block on ``system`` (the plan's
+) -> list[Block]:
+    """A draw's blocks: the balanced block on ``system`` (the plan's
     ``kalman.BalancedSystem``), then, with ``edge``, the ragged edge's block
     on the plan's ``kalman.EdgeSystem`` given there.
 
@@ -352,8 +343,8 @@ def build_periods(
     """
     block = Block(system, 0, balanced if noise is None else balanced + noise.balanced)
     if edge is None:
-        return DrawPeriods(block)
+        return [block]
     mats, rhs = edge
     if noise is not None:
         rhs = rhs + mats.perturbation(noise.shocks)
-    return DrawPeriods(block, Block(mats, data.pattern.t_balanced, rhs))
+    return [block, Block(mats, data.pattern.t_balanced, rhs)]

@@ -250,9 +250,9 @@ def test_criterion_6_performance_ordering():
     print(
         f"\nACCEPTANCE 6 PASS: median ms/draw ordered adaptive < blocked < baseline; "
         f"p=6 ratio {r6:.2f} >= 2, p=12 ratio {r12:.2f} >= 5 "
-        f"(p=6: {results[6]['baseline']:.0f}/{results[6]['blocked']:.0f}/"
-        f"{results[6]['adaptive']:.0f} ms, p=12: {results[12]['baseline']:.0f}/"
-        f"{results[12]['blocked']:.0f}/{results[12]['adaptive']:.0f} ms, "
+        f"(p=6: {results[6]['baseline']:.2f}/{results[6]['blocked']:.2f}/"
+        f"{results[6]['adaptive']:.2f} ms, p=12: {results[12]['baseline']:.2f}/"
+        f"{results[12]['blocked']:.2f}/{results[12]['adaptive']:.2f} ms, "
         f"one BLAS thread, {elapsed:.0f}s)"
     )
 

@@ -23,7 +23,14 @@ from mfsmooth import (
 from mfsmooth import kalman
 from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_edge, plan_for
 from mfsmooth.blocked import blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
-from mfsmooth.kalman import filter_periods, quarterly_state_index, run_filter, run_smoother, smooth_periods
+from mfsmooth.kalman import (
+    FilterState,
+    filter_periods,
+    quarterly_state_index,
+    run_filter,
+    run_smoother,
+    smooth_periods,
+)
 from mfsmooth.model import AggregationScheme
 from mfsmooth.simulate import make_instance
 from mfsmooth.systems import build_periods
@@ -178,10 +185,11 @@ def test_monthly_rows_volatility_change_matches_joint_oracle():
 
 
 def reduced_filter_to_boundary(inst):
-    """The balanced block's solve, the filtered state at t_b-1 its last."""
+    """The balanced block's solve's last state, the filtered state at t_b-1."""
     params, data = inst.params, inst.data
     plan = plan_for(params, inst.scheme, data)
-    return run_filter(build_periods(data, plan.system, plan.balanced(data)))
+    (u,) = run_filter(build_periods(data, plan.system, plan.balanced(data)))
+    return FilterState(plan.system.last(u), plan.system.P_filt)
 
 
 class TestTransitions:
@@ -196,8 +204,8 @@ class TestTransitions:
         # is the reduced filtered state at t_b-1
         assert_array_equal(lifted.P[monthly, :], 0.0)
         assert_array_equal(lifted.P[:, monthly], 0.0)
-        assert_array_equal(lifted.P[np.ix_(qi, qi)], res.boundary.P)
-        assert_array_equal(lifted.a[qi], res.boundary.a)
+        assert_array_equal(lifted.P[np.ix_(qi, qi)], res.P)
+        assert_array_equal(lifted.a[qi], res.a)
 
     def test_lift_interleaves_known_monthly_values(self):
         inst = small_instance(5)
@@ -212,7 +220,7 @@ class TestTransitions:
         # reduced state's quarterly entries of that lag
         for lag in range(p + 1):
             assert_array_equal(a[lag * n : lag * n + n_m], data.values[t_b - 1 - lag, :n_m])
-        assert_array_equal(a[qi], res.boundary.a)
+        assert_array_equal(a[qi], res.a)
 
     @pytest.mark.parametrize("seed,scheme", [(5, intra_quarterly_average()), (7, skip_sampling())])
     def test_boundary_restart_matches_lift_closed_step(self, seed, scheme):
@@ -240,9 +248,9 @@ class TestTransitions:
         ref_last = ref.a_filt[-1] + e.P_pred @ ltr - e.HGt @ (closed.K.T @ r)
         ref_path = [s[:n_q] for s in smooth_periods(ref, r[qi])[0]]
         periods = build_periods(data, plan.system, plan.balanced(data))
-        states, r_b = run_smoother(periods, res, r[qi])
+        states, r_b = run_smoother(periods, run_filter(periods), r[qi])
         assert_array_equal(r_b, r[qi])
-        for got, want in ((states.head[-1], ref_last[:n_q]), (states.head, ref_path)):
+        for got, want in ((states[-n_q:], ref_last[:n_q]), (states, ref_path)):
             got, want = np.ravel(got), np.ravel(want)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -369,9 +377,16 @@ class TestBlockedOps:
         assert calls["companion_transition"] == 0
 
 
+def cut_edge(cuts, t_b, T):
+    """The monthly observations of periods t_b..T-1 when series j is observed
+    up to its cut ``cuts[j]``: a monotone ragged edge."""
+    return np.arange(t_b, T)[:, None] < np.array(cuts)
+
+
 @st.composite
 def ragged_cases(draw):
-    """Shapes and settings of a small instance with a monotone ragged edge."""
+    """Shapes and settings of a small instance with a ragged edge: which
+    monthly values of periods t_b..T-1 are observed, a (T - t_b, n_m) mask."""
     n_m = draw(st.integers(1, 3))
     n_q = draw(st.integers(1, 2))
     weights = draw(st.one_of(
@@ -382,15 +397,17 @@ def ragged_cases(draw):
     p = draw(st.integers(3 if weights is None else len(weights), 4))
     t_b = draw(st.integers(p + 1, p + 5))
     T = t_b + draw(st.integers(1, 3))
-    # each monthly series stays observed up to its own cut; one leaves at t_b
-    cuts = draw(st.lists(st.integers(t_b, T), min_size=n_m, max_size=n_m))
-    cuts[draw(st.integers(0, n_m - 1))] = t_b
+    # each monthly value drawn observed or not, any series observed again
+    # after a gap; one series is missing at t_b
+    edge = np.array(draw(st.lists(st.lists(st.booleans(), min_size=n_m, max_size=n_m),
+                                  min_size=T - t_b, max_size=T - t_b)))
+    edge[0, draw(st.integers(0, n_m - 1))] = False
     # offset t_b % 3 puts a quarter-end at t_b - 1
     offset = draw(st.integers(0, 2))
     time_varying = draw(st.booleans())
     init_mode = draw(st.sampled_from(["stationary", "diffuse-proxy"]))
     seed = draw(st.integers(0, 2**16))
-    return n_m, n_q, p, weights, t_b, T, tuple(cuts), offset, time_varying, init_mode, seed
+    return n_m, n_q, p, weights, t_b, T, edge, offset, time_varying, init_mode, seed
 
 
 @st.composite
@@ -407,14 +424,13 @@ def check_against_joint_oracle(case):
     """All backends within 1e-8 of ``oracle_joint``.  ``case`` is a
     ``ragged_cases`` tuple; its quarterly entry is either a calendar offset
     or a (T, n_q) observation mask."""
-    n_m, n_q, p, weights, t_b, T, cuts, quarterly, time_varying, init_mode, seed = case
+    n_m, n_q, p, weights, t_b, T, edge, quarterly, time_varying, init_mode, seed = case
     if weights is None:
         scheme = intra_quarterly_average()
     else:
         scheme = AggregationScheme("custom", np.array(weights), len(weights))
     mask = np.ones((T, n_m + n_q), dtype=bool)
-    for j, cut in enumerate(cuts):
-        mask[cut:, j] = False
+    mask[t_b:, :n_m] = edge
     if isinstance(quarterly, int):
         mask[:, n_m:] = ((np.arange(1, T + 1) - quarterly) % 3 == 0)[:, None]
     else:
@@ -439,26 +455,32 @@ def check_against_joint_oracle(case):
 class TestJointOracleProperty:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(case=ragged_cases())
-    @example(case=(2, 1, 3, (1.0,), 6, 8, (6, 8), 0, True, "stationary", 1))
-    @example(case=(3, 1, 3, None, 5, 7, (5, 6, 7), 2, False, "diffuse-proxy", 2))
+    @example(case=(2, 1, 3, (1.0,), 6, 8, cut_edge((6, 8), 6, 8), 0, True, "stationary", 1))
+    @example(case=(3, 1, 3, None, 5, 7, cut_edge((5, 6, 7), 5, 7), 2, False, "diffuse-proxy", 2))
     # the quarterly block of the stationary initialization is summed
     # directly, not handed to the doubling, from about this shape up
-    @example(case=(18, 2, 6, None, 7, 10, (7,) * 17 + (9,), 1, False, "stationary", 3))
+    @example(case=(18, 2, 6, None, 7, 10, cut_edge((7,) * 17 + (9,), 7, 10), 1, False, "stationary", 3))
     # a zero lag-0 weight: an aggregate that does not read its own period
-    @example(case=(2, 1, 3, (0.0, 0.5, 0.5), 6, 8, (6, 8), 0, True, "stationary", 5))
-    @example(case=(3, 2, 4, (0.0, 0.5, 0.5), 7, 9, (7, 9, 8), 2, False, "diffuse-proxy", 6))
+    @example(case=(2, 1, 3, (0.0, 0.5, 0.5), 6, 8, cut_edge((6, 8), 6, 8), 0, True, "stationary", 5))
+    @example(case=(3, 2, 4, (0.0, 0.5, 0.5), 7, 9, cut_edge((7, 9, 8), 7, 9), 2, False, "diffuse-proxy", 6))
+    # series observed again after a gap: 0 at t = 7, 8 and 1 at t = 9
+    @example(case=(3, 1, 3, None, 6, 10, np.array([[0, 1, 1], [1, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=bool),
+                   1, True, "stationary", 9))
+    # an interior gap six periods before T, the edge's other periods observed
+    @example(case=(2, 1, 3, (1.0,), 6, 12, np.array([[0, 1]] + [[1, 1]] * 5, dtype=bool),
+                   0, False, "diffuse-proxy", 10))
     def test_backends_match_joint_oracle(self, case):
         check_against_joint_oracle(case)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(case=irregular_quarterly_cases())
-    @example(case=(2, 2, 3, None, 5, 8, (5, 7), np.array([[1, 0], [0, 0], [1, 1], [0, 1], [0, 0],
+    @example(case=(2, 2, 3, None, 5, 8, cut_edge((5, 7), 5, 8), np.array([[1, 0], [0, 0], [1, 1], [0, 1], [0, 0],
                                                           [1, 0], [0, 0], [0, 1]], dtype=bool),
                    False, "stationary", 4))
     # a 4-month window observed in consecutive months: the windows overlap
-    @example(case=(2, 1, 4, (0.4, 0.3, 0.2, 0.1), 6, 9, (6, 8),
+    @example(case=(2, 1, 4, (0.4, 0.3, 0.2, 0.1), 6, 9, cut_edge((6, 8), 6, 9),
                    np.array([[0], [0], [1], [1], [1], [0], [1], [1], [0]], dtype=bool), True, "stationary", 7))
-    @example(case=(2, 2, 4, (0.4, 0.3, 0.2, 0.1), 6, 9, (6, 9),
+    @example(case=(2, 2, 4, (0.4, 0.3, 0.2, 0.1), 6, 9, cut_edge((6, 9), 6, 9),
                    np.array([[0, 1], [1, 1], [1, 0], [1, 1], [0, 1], [1, 1], [0, 0], [1, 1], [1, 0]], dtype=bool),
                    False, "diffuse-proxy", 8))
     def test_irregular_quarters_match_joint_oracle(self, case):

@@ -144,25 +144,29 @@ class TestMeanBand:
         """The draw's periods through the ragged edge (``edge``) or to t_b-1,
         restarted there from ``r_init``, against the per-period reference."""
         data = inst.data
-        t_b, n_q = data.pattern.t_balanced, params.n_q
+        t_b, n_m, n = data.pattern.t_balanced, params.n_m, params.n
         stop = data.T if edge else t_b
         plan = plan_for(params, inst.scheme, data, init_mode)
         periods = build_periods(data, plan.system, plan.balanced(data),
                                 (plan.edge(data.pattern), plan.edge_data(data)) if edge else None)
-        res = run_filter(periods)
-        states, _ = run_smoother(periods, res, r_init)
-        assert res.system is plan.system
-        assert states.head.shape == (t_b, n_q)
-        assert len(states.tail) == stop - t_b
-        # the reference: the reduced filter and smoother period by period
+        solutions = run_filter(periods)
+        states, _ = run_smoother(periods, solutions, r_init)
+        assert periods[0].mats is plan.system and len(solutions) == len(periods) == 1 + edge
+        # the reference: the reduced filter and smoother period by period,
+        # whose latent values are each period's head, its variables
+        # ``head_vars``
         records = per_period(params, plan.agg, data, stop)
         ref = filter_periods(records, plan.init)
         ref_states, _ = smooth_periods(ref, r_init)
         last = ref.steps[t_b - 1].entry
-        assert_close([res.boundary.a], [ref.a_filt[t_b - 1]])
-        assert_close([res.boundary.P], [last.P_filt])
+        assert_close([plan.system.last(solutions[0])], [ref.a_filt[t_b - 1]])
+        assert_close([plan.system.P_filt], [last.P_filt])
         heads = [s[: per.mats.idx.head_size] for per, s in zip(records[t_b:], ref_states[t_b:])]
-        assert_close([*states.head, *states.tail], [*(s[:n_q] for s in ref_states[:t_b]), *heads])
+        assert_close([states], [*(s[: n - n_m] for s in ref_states[:t_b]), *heads])
+        cells = [(t, v) for t in range(t_b) for v in range(n_m, n)]
+        cells += [(per.t, v) for per in records[t_b:] for v in per.mats.idx.head_vars()]
+        assert_array_equal(np.concatenate([block.mats.cells for block in periods], axis=1).T,
+                           np.reshape(cells, (-1, 2)))
         return plan
 
     @pytest.mark.parametrize("time_varying", [False, True])
@@ -192,6 +196,38 @@ class TestMeanBand:
         self.passes(inst.params, inst, False, r_init=r_init)
         self.passes(inst.params, inst, False)
 
+    @pytest.mark.parametrize("init_mode,time_varying,radius", [
+        ("stationary", False, None),
+        ("diffuse-proxy", True, None),
+        ("stationary", True, 0.99),
+        ("diffuse-proxy", False, 0.99),
+    ])
+    def test_paper_cell(self, init_mode, time_varying, radius):
+        """At the paper's cell, n = 120, p = 12, T = 500, T_b = 498, the
+        adaptive smoothed mean against the per-period reference, within
+        1e-12 relative on the balanced quarterly path and on the edge's latent
+        values, and the balanced system's last filtered covariance against
+        the reference's.  The instance's companion radius is 0.897
+        (``np.linalg.eigvals``); lag i scaled by c**i scales it by c."""
+        inst = make_instance(119, 1, 12, 500, 498, np.random.default_rng(1))
+        data, prm = inst.data, inst.params
+        lag_coeffs, chol = prm.lag_coeffs, prm.chol_cov
+        if radius is not None:
+            lag_coeffs = lag_coeffs * ((radius / 0.897) ** np.arange(1, 13))[:, None, None]
+        if time_varying:
+            chol = np.exp(0.2 * np.random.default_rng(2).standard_normal((500, 120)))[:, :, None] * chol
+        params = VarParams(119, 1, 12, prm.intercept, lag_coeffs, chol)
+        x_hat = run_adaptive(params, inst.scheme, data, init_mode=init_mode).x_hat
+        plan = plan_for(params, inst.scheme, data, init_mode)
+        records = per_period(params, plan.agg, data)
+        ref = filter_periods(records, plan.init)
+        states, _ = smooth_periods(ref)
+        assert_close([plan.system.P_filt], [ref.steps[497].entry.P_filt], rtol=1e-12)
+        got = [x_hat[per.t, per.mats.idx.head_vars()] for per in records]
+        want = [s[: per.mats.idx.head_size] for per, s in zip(records, states)]
+        assert_close(got[:498], want[:498], rtol=1e-12)
+        assert_close(got[498:], want[498:], rtol=1e-12)
+
     def test_no_quarterly_variables(self):
         inst = make_instance(4, 0, 3, 30, 28, np.random.default_rng(0))
         plan = self.passes(inst.params, inst, True)
@@ -210,7 +246,7 @@ class TestMeanBand:
         plan = plan_for(small.params, small.scheme, head)
         periods = build_periods(head, plan.system, plan.balanced(head))
         states, _ = run_smoother(periods, run_filter(periods))
-        assert_allclose(states.head[:, 0], oracle_joint(small.params, small.scheme, head).mean[:, 3], rtol=1e-12)
+        assert_allclose(states, oracle_joint(small.params, small.scheme, head).mean[:, 3], rtol=1e-12)
 
     def test_zero_pivot_raises_naming_its_period(self):
         # zero aggregation weights: the first observed aggregate's row of the

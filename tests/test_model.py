@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mfsmooth import (
     ConfigurationError,
     MixedFreqData,
-    UnsupportedPatternError,
     VarParams,
     build_aggregation,
     detect_pattern,
@@ -171,11 +170,17 @@ class TestDetectPattern:
         assert list(pat.unobserved(7)) == [1, 2]
         assert list(pat.observed(6)) == [0, 1]
 
-    def test_non_monotone_rejected(self):
-        values = np.zeros((6, 3))
-        values[4, 1] = np.nan  # observed again at t=5
-        with pytest.raises(UnsupportedPatternError):
-            detect_pattern(values, 3, 0)
+    def test_non_monotone_accepted(self):
+        # variable 1 is missing at t=2 and observed again from t=3; variable
+        # 0 has an interior gap at t=4
+        values = np.zeros((7, 3))
+        values[2, 1] = np.nan
+        values[4, 0] = np.nan
+        values[5:, 2] = np.nan
+        pat = detect_pattern(values, 3, 0)
+        assert pat.t_balanced == 2
+        assert [list(pat.unobserved(t)) for t in range(2, 7)] == [[1], [], [0], [2], [2]]
+        assert list(pat.observed(3)) == [0, 1, 2]
 
     def test_min_balanced_enforced(self):
         values = np.zeros((6, 3))

@@ -24,7 +24,7 @@ from mfsmooth.baseline import plan_for
 from mfsmooth.kalman import init_state
 from mfsmooth.model import AggregationScheme
 from mfsmooth.simsmooth import BACKENDS, _rekeyed, _rng_for, simulate_path
-from mfsmooth.simulate import make_instance, random_stable_params, simulate_var_path
+from mfsmooth.simulate import benchmark_pattern, make_instance, random_stable_params, simulate_var_path
 from test_systems import projected
 
 
@@ -444,16 +444,16 @@ class TestPreparedPlan:
         # the plan builds the balanced system once; every draw's balanced
         # block is solved on it, and a cold and a warm draw agree bitwise
         inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
-        systems_built, results = [], []
+        systems_built, solved = [], []
         system, run_filter = kalman.BalancedSystem, baseline.run_filter
 
         def built(*args):
             systems_built.append(system(*args))
             return systems_built[-1]
 
-        def recorded(*args, **kwargs):
-            results.append(run_filter(*args, **kwargs))
-            return results[-1]
+        def recorded(periods):
+            solved.append(periods[0].mats)
+            return run_filter(periods)
 
         monkeypatch.setattr(baseline, "BalancedSystem", built)
         monkeypatch.setattr(baseline, "run_filter", recorded)
@@ -462,8 +462,8 @@ class TestPreparedPlan:
             warm = draw_latent(inst.params, inst.scheme, inst.data, backend, seed=5)
             assert_array_equal(cold.x, warm.x)
         draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=5)
-        assert len(systems_built) == 1 and len(results) == 2 * len(BACKENDS) + 2
-        assert all(res.system is systems_built[0] for res in results)
+        assert len(systems_built) == 1 and len(solved) == 2 * len(BACKENDS) + 2
+        assert all(mats is systems_built[0] for mats in solved)
         assert plan_for(inst.params, inst.scheme, inst.data).system is systems_built[0]
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
@@ -537,9 +537,20 @@ class TestExactMoments:
         (4, 1, 6, 15, 12),
     ], ids=str)
     def test_draws_have_the_joint_oracle_moments(self, shape):
+        self.check(shape)
+
+    def test_non_monotone_edge(self):
+        # monthly series observed again after a gap: series 0 at t = 10 and
+        # 12, series 1 at t = 12
+        mask = benchmark_pattern(3, 1, 13, 13)
+        mask[9:, :3] = np.array([[0, 1, 1], [1, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=bool)
+        self.check((3, 1, 4, 13, 9), mask)
+
+    @staticmethod
+    def check(shape, mask=None):
         T = shape[3]
         for k, scheme in enumerate(SCHEMES.values()):
-            inst = make_instance(*shape, np.random.default_rng(k), scheme=scheme)
+            inst = make_instance(*shape, np.random.default_rng(k), scheme=scheme, mask=mask)
             for params in (inst.params, with_time_varying_cov(inst.params, T, k)):
                 for init_mode in ("stationary", "diffuse-proxy"):
                     oj = oracle_joint(params, scheme, inst.data, init_mode)
