@@ -295,9 +295,9 @@ def dense_edge(
     smoother with dense companion products, covariance side included, from
     the stacked state ``start`` at t_b-1, the intercepts less ``shocks``
     when given (``companion_periods``)."""
-    res = filter_periods(companion_periods(params, agg, data, data.pattern.t_balanced, shocks), start)
-    states, r = smooth_periods(res)
-    return np.array([a[: params.n] for a in states]), r, res.worst_cond
+    steps = filter_periods(companion_periods(params, agg, data, data.pattern.t_balanced, shocks), start)
+    states, r = smooth_periods(steps)
+    return np.array([a[: params.n] for a in states]), r, max(step.cond for step in steps)
 
 
 def smooth(

@@ -10,11 +10,13 @@ The per-period convention: the transition ``(T_t, d_t, H_t)`` maps the
 t-1 state onto the t state.  The covariance side of period t (P_pred, the
 factor of F, the gain ``K_t`` and ``L_t`` onto the t+1 state through period
 t+1's transition) depends on no data.  ``filter_periods`` runs it and the
-mean update over y - c period by period in one forward pass, and
-``smooth_periods`` the backward pass (Durbin and Koopman 2002).  A run's
-last step is always open: it leaves ``K`` and ``L`` unset, and the smoother
-restarts there from an adjoint of the last filtered state (zero by
-default), as a caller that continues on another state space hands it back.
+mean update over y - c period by period in one forward pass, one
+``FilterStep`` per period, and ``smooth_periods`` the backward pass (Durbin
+and Koopman 2002).  A run's last step is always open: it leaves ``P_filt``,
+``K`` and ``L`` unset, and the smoother restarts there from an adjoint of
+the last filtered state (zero by default, and only a given one forms that
+state's covariance), as a caller that continues on another state space
+hands it back.
 The reference edge step and ``oracle_smooth`` run this recursion over their
 companion periods.
 
@@ -47,11 +49,9 @@ from .systems import Block, PeriodSystem
 
 __all__ = [
     "FilterState",
-    "CovEntry",
-    "CovStep",
     "BalancedSystem",
     "EdgeSystem",
-    "FilteredPeriods",
+    "FilterStep",
     "factorize_innovation",
     "filter_periods",
     "filter_step",
@@ -91,18 +91,20 @@ class FilterState:
 
 
 @dataclass(eq=False, slots=True)
-class CovEntry:
-    """The covariance side of one measurement update.
+class FilterStep:
+    """One period of the forward pass (``filter_periods``).
 
-    It depends on the period's structural matrices and noise part and on the
-    predicted covariance ``P_pred``, never on the data.  ``cf`` is the lower
-    Cholesky factor of the innovation covariance F and ``cond`` its squared
-    ratio of largest to smallest diagonal entry (None and 0 when nothing is
-    observed).  ``FinvMZ`` is ``F^-1 [M', Z]`` with ``M = P_pred Z' + H G'``
-    (``M``, None when nothing is observed): one product with it gives a
-    period's filtered mean and ``Z' F^-1 v``.  The filtered covariance ``P_filt`` is
-    formed on its first read, as nothing reads it in a run's open last step
-    but a caller that continues from there.
+    Its covariance side (``filter_step``) depends on the period's structural
+    matrices and noise part and on the predicted covariance ``P_pred``,
+    never on the data.  ``cf`` is the lower Cholesky factor of the
+    innovation covariance F and ``cond`` its squared ratio of largest to
+    smallest diagonal entry (None and 0 when nothing is observed).
+    ``FinvMZ`` is ``F^-1 [M', Z]`` with ``M = P_pred Z' + H G'`` (``M``,
+    None when nothing is observed): one product with it gives the filtered
+    mean ``a_filt`` and ``w = Z' F^-1 v`` from the innovation ``v``.  The
+    next period closes the step with the filtered covariance ``P_filt``, the
+    gain onto its state K = T' M F^-1 and L = T' - K Z for its transition
+    T'; a run's last step keeps these three None.
     """
 
     P_pred: np.ndarray
@@ -112,28 +114,16 @@ class CovEntry:
     cond: float
     FinvMZ: np.ndarray
     M: np.ndarray | None
-    _P_filt: np.ndarray | None = None
+    a_filt: np.ndarray | None = None
+    v: np.ndarray | None = None
+    w: np.ndarray | None = None
+    P_filt: np.ndarray | None = None
+    K: np.ndarray | None = None
+    L: np.ndarray | None = None
 
     @property
     def MFinv(self) -> np.ndarray:
         return self.FinvMZ[:, : self.P_pred.shape[0]].T
-
-    @property
-    def P_filt(self) -> np.ndarray:
-        if self._P_filt is None:
-            self._P_filt = self.P_pred if self.M is None else _sym(self.P_pred - self.MFinv @ self.M.T)
-        return self._P_filt
-
-
-@dataclass(eq=False, slots=True)
-class CovStep:
-    """A period's entry with the gain onto the next state, K = T' M F^-1 and
-    L = T' - K Z for the next transition T'.  Both are None in a run's last
-    step, which has no next period."""
-
-    entry: CovEntry
-    K: np.ndarray | None = None
-    L: np.ndarray | None = None
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
@@ -155,16 +145,16 @@ def factorize_innovation(F: np.ndarray, t: int) -> tuple[np.ndarray, float]:
     return cf, cond
 
 
-def filter_step(P: np.ndarray, sys_t) -> CovEntry:
-    """The covariance side of the measurement update at one period, from its
-    predicted covariance ``P``; of the ``PeriodSystem`` ``sys_t`` it reads
-    ``mats``, ``noise`` and ``t``."""
+def filter_step(P: np.ndarray, sys_t) -> FilterStep:
+    """A period's step with its covariance side, from its predicted
+    covariance ``P``; of the ``PeriodSystem`` ``sys_t`` it reads ``mats``,
+    ``noise`` and ``t``."""
     m, nz = sys_t.mats, sys_t.noise
     Z = m.Z
     HGt = nz.GHt.T
     dim = P.shape[0]
     if m.n_obs == 0:
-        return CovEntry(P, Z, HGt, None, 0.0, np.zeros((0, 2 * dim)), None)
+        return FilterStep(P, Z, HGt, None, 0.0, np.zeros((0, 2 * dim)), None)
     M = P @ Z.T + HGt
     # direct LAPACK calls with Fortran-ordered operands: wrapper or copy
     # overhead is measurable when a pass computes hundreds of entries
@@ -175,63 +165,40 @@ def filter_step(P: np.ndarray, sys_t) -> CovEntry:
     sol, info = dpotrs(cf, rhs, lower=1, overwrite_b=1)
     if info != 0:
         raise SingularInnovationError(sys_t.t)
-    return CovEntry(P, Z, HGt, cf, cond, sol, M)
+    return FilterStep(P, Z, HGt, cf, cond, sol, M)
 
 
-def _predict_cov(P: np.ndarray, Tm: np.ndarray, HHt: np.ndarray | float) -> np.ndarray:
-    return _sym(Tm @ P @ Tm.T + HHt)
-
-
-def _close(entry: CovEntry, Tm: np.ndarray) -> CovStep:
-    K = Tm @ entry.MFinv
-    return CovStep(entry, K, Tm - K @ entry.Z)
-
-
-@dataclass(eq=False)
-class FilteredPeriods:
-    """The forward pass over a list of periods (``filter_periods``): per
-    period its covariance step, the last open, its filtered mean, its
-    innovation ``v`` and ``w = Z' F^-1 v``; and the largest condition ratio
-    among the factorizations of F."""
-
-    steps: list[CovStep]
-    a_filt: list[np.ndarray]
-    v: list[np.ndarray]
-    w: list[np.ndarray]
-    worst_cond: float
-
-
-def filter_periods(periods: list[PeriodSystem], init: FilterState) -> FilteredPeriods:
+def filter_periods(periods: list[PeriodSystem], init: FilterState) -> list[FilterStep]:
     """The forward pass over a list of periods from ``init``, the state
     distribution before the first period, which predicts through its own
     transition.  Per period: the covariance side (``filter_step``) from the
     predicted covariance, then the mean update
     ``a_t = T_t a_{t-1} + d_t + M F^-1 (y_t - c_t - Z_t (T_t a_{t-1} + d_t))``.
-    The previous step is closed by this period's transition; the last is
-    left open and its filtered covariance is never formed."""
-    a, P, entry = init.a, init.P, None
-    steps, a_filt, v, w = [], [], [], []
+    This period's transition closes the previous step; the last is left
+    open and its filtered covariance is never formed."""
+    a, P, steps = init.a, init.P, []
     for per in periods:
         Tm = per.mats.T
-        if entry is not None:
-            steps.append(_close(entry, Tm))
-            P = entry.P_filt
-        entry = filter_step(_predict_cov(P, Tm, per.noise.HHt), per)
+        if steps:
+            prev = steps[-1]
+            prev.K = Tm @ prev.MFinv
+            prev.L = Tm - prev.K @ prev.Z
+            prev.P_filt = P = prev.P_pred if prev.M is None else _sym(prev.P_pred - prev.MFinv @ prev.M.T)
+        step = filter_step(_sym(Tm @ P @ Tm.T + per.noise.HHt), per)
         a = Tm @ a + per.d
         dim = len(a)
-        v.append(per.ymc - entry.Z @ a)
-        x = v[-1] @ entry.FinvMZ
-        a = a + x[:dim]
-        a_filt.append(a)
-        w.append(x[dim:])
-    steps.append(CovStep(entry))
-    return FilteredPeriods(steps, a_filt, v, w, max(step.entry.cond for step in steps))
+        step.v = per.ymc - step.Z @ a
+        x = step.v @ step.FinvMZ
+        step.a_filt = a = a + x[:dim]
+        step.w = x[dim:]
+        steps.append(step)
+    return steps
 
 
 def smooth_periods(
-    filtered: FilteredPeriods, r_init: np.ndarray | None = None
+    steps: list[FilterStep], r_init: np.ndarray | None = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """The backward pass over the periods of ``filtered``; returns the
+    """The backward pass over the forward pass ``steps``; returns the
     smoothed state means and the adjoint of the first period's predicted
     mean.
 
@@ -243,21 +210,19 @@ def smooth_periods(
     ``r_init - Z' F^-1 M' r_init + Z' F^-1 v``.  Without one the adjoint is
     zero there and the smoothed mean is the filtered one.
     """
-    steps, a_filt, w = filtered.steps, filtered.a_filt, filtered.w
-    last = len(steps) - 1
+    last = steps[-1]
     states: list[np.ndarray] = [None] * len(steps)  # type: ignore[list-item]
     if r_init is None:
-        states[last], r = a_filt[last], w[last]
+        states[-1], r = last.a_filt, last.w
     else:
-        e = steps[last].entry
-        states[last] = a_filt[last] + e.P_filt @ r_init
-        r = r_init - e.Z.T @ (e.MFinv.T @ r_init) + w[last]
-    for t in range(last - 1, -1, -1):
+        P_filt = last.P_pred if last.M is None else _sym(last.P_pred - last.MFinv @ last.M.T)
+        states[-1] = last.a_filt + P_filt @ r_init
+        r = r_init - last.Z.T @ (last.MFinv.T @ r_init) + last.w
+    for t in range(len(steps) - 2, -1, -1):
         step = steps[t]
-        e = step.entry
         ltr = step.L.T @ r
-        states[t] = a_filt[t] + e.P_pred @ ltr - e.HGt @ (step.K.T @ r)
-        r = ltr + w[t]
+        states[t] = step.a_filt + step.P_pred @ ltr - step.HGt @ (step.K.T @ r)
+        r = ltr + step.w
     return states, r
 
 
@@ -305,9 +270,10 @@ class BandLayout:
     bandwidth kd = k - 1: period t's window is K's contiguous range from
     slot t+1 to slot t+p+1, and slot 0 only has z's prior.  ``kband`` is
     the (len(kpos), k) array of where each entry of K's lower band storage,
-    column b's rows b..b+kd, sits in that storage: up to the last row of the
-    last window reaching column b an entry of K, beyond it 0, a fill row,
-    which holds zero.
+    column b's rows b..b+kd, sits in that storage: a row within kl of the
+    column at its own place, which holds an entry of K or zero (every entry
+    of a window lies within kl), and any other at 0, a fill row, which
+    holds zero.
     """
 
     def __init__(self, agg: Aggregation, pattern: ObservationPattern, p: int):
@@ -348,14 +314,9 @@ class BandLayout:
         self.kpos = kpos = qpos.ravel()
         self.kband = np.zeros((0, 0), dtype=np.intp)
         if len(kpos):
-            # a window's lowest and highest positions: its lag-p block's
-            # first and its lag-0 block's last
-            lo, hi = np.searchsorted(kpos, win[:, k - n_q]), np.searchsorted(kpos, win[:, n_q - 1])
-            col = np.arange(len(kpos))
-            last = np.searchsorted(lo, col, side="right") - 1
-            span = np.where(last >= 0, hi[last] - col, 0)    # z's oldest lag: only its prior
-            rows = np.lib.stride_tricks.sliding_window_view(np.append(kpos, np.zeros(k - 1, kpos.dtype)), k)
-            self.kband = np.where(np.arange(k) <= span[:, None], rows + ((ld - 1) * kpos + 2 * kl)[:, None], 0)
+            rows = np.lib.stride_tricks.sliding_window_view(np.append(kpos, np.full(k - 1, -1)), k)
+            inside = (rows >= 0) & (rows - kpos[:, None] <= kl)
+            self.kband = np.where(inside, rows + ((ld - 1) * kpos + 2 * kl)[:, None], 0)
 
     def period(self, i: int) -> int:
         """The period whose slot holds position ``i``."""

@@ -20,7 +20,6 @@ from mfsmooth import (
     run_blocked,
     skip_sampling,
 )
-from mfsmooth import kalman
 from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_edge, plan_for
 from mfsmooth.blocked import blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
 from mfsmooth.kalman import (
@@ -242,10 +241,10 @@ class TestTransitions:
         plan = plan_for(params, scheme, data)
         records = per_period(params, agg, data, t_b)
         ref = filter_periods(records, plan.init)
-        e = ref.steps[-1].entry
-        closed = kalman._close(e, E)
-        ltr = closed.L.T @ r
-        ref_last = ref.a_filt[-1] + e.P_pred @ ltr - e.HGt @ (closed.K.T @ r)
+        e = ref[-1]
+        K = E @ e.MFinv
+        ltr = (E - K @ e.Z).T @ r
+        ref_last = e.a_filt + e.P_pred @ ltr - e.HGt @ (K.T @ r)
         ref_path = [s[:n_q] for s in smooth_periods(ref, r[qi])[0]]
         periods = build_periods(data, plan.system, plan.balanced(data))
         states, r_b = run_smoother(periods, run_filter(periods), r[qi])

@@ -20,7 +20,6 @@ from mfsmooth import (
 )
 from mfsmooth.kalman import (
     BalancedSystem,
-    CovStep,
     FilterState,
     filter_periods,
     filter_step,
@@ -54,53 +53,68 @@ class TestFilterStep:
             T=np.array([[1.0]]), d=np.zeros(1), H=np.array([[1.0]]),
             y=np.array([2.0]),
         )
-        entry = filter_step(np.ones((1, 1)), per)
-        assert_allclose(entry.MFinv * (entry.cf @ entry.cf.T), [[2.0]])
-        assert_allclose(entry.cf @ entry.cf.T, [[4.0]])
+        step = filter_step(np.ones((1, 1)), per)
+        assert_allclose(step.MFinv * (step.cf @ step.cf.T), [[2.0]])
+        assert_allclose(step.cf @ step.cf.T, [[4.0]])
         # from P0 = 0 the period's own prediction gives a = 0, P = 1 again;
         # then one step through the same transition, into the second period
-        res = filter_periods([per, per], FilterState(np.zeros(1), np.zeros((1, 1))))
-        assert_allclose(res.steps[0].K, [[0.5]])
-        assert_allclose(res.a_filt[0], [1.0])
-        last = FilterState(res.a_filt[0], res.steps[0].entry.P_filt)
+        steps = filter_periods([per, per], FilterState(np.zeros(1), np.zeros((1, 1))))
+        assert_allclose(steps[0].K, [[0.5]])
+        assert_allclose(steps[0].a_filt, [1.0])
+        last = FilterState(steps[0].a_filt, steps[0].P_filt)
         assert_allclose(per.mats.T @ last.a + per.d, [1.0])
-        assert_array_equal(kalman._predict_cov(last.P, per.mats.T, per.noise.HHt), res.steps[1].entry.P_pred)
+        Tm = per.mats.T
+        assert_array_equal(kalman._sym(Tm @ last.P @ Tm.T + per.noise.HHt), steps[1].P_pred)
         # terminal smoothing leaves the filtered mean unchanged
-        states, _ = smooth_periods(res, np.zeros(1))
-        assert_array_equal(states[1], res.a_filt[1])
+        states, _ = smooth_periods(steps, np.zeros(1))
+        assert_array_equal(states[1], steps[1].a_filt)
 
     def test_open_last_record_meets_zero_adjoint(self):
-        # the last step keeps no gain; without an adjoint the smoother
-        # restarts there as from the zero adjoint of K = 0, L = I
+        # the last step keeps no filtered covariance and no gain; without an
+        # adjoint the smoother restarts there as from the zero adjoint of
+        # K = 0, L = I
         per = make_period(
             Z=np.array([[1.0]]), c=np.zeros(1), G=np.array([[1.0]]),
             T=np.array([[0.5]]), d=np.zeros(1), H=np.array([[1.0]]),
             y=np.array([2.0]),
         )
         init = FilterState(np.zeros(1), np.ones((1, 1)))
-        res = filter_periods([per, per], init)
-        last = res.steps[-1]
-        assert last.K is None and last.L is None
-        states, r = smooth_periods(res)
-        assert_array_equal(states[-1], res.a_filt[-1])
-        closed = dataclasses.replace(res, steps=[res.steps[0], CovStep(last.entry, np.zeros((1, 1)), np.eye(1))])
+        steps = filter_periods([per, per], init)
+        last = steps[-1]
+        assert last.P_filt is None and last.K is None and last.L is None
+        states, r = smooth_periods(steps)
+        assert_array_equal(states[-1], last.a_filt)
+        closed = [steps[0], dataclasses.replace(last, K=np.zeros((1, 1)), L=np.eye(1))]
         dense = smooth_periods(closed, np.zeros(1))
         assert_array_equal(states, dense[0])
         assert_array_equal(r, dense[1])
+        # given an adjoint, the smoother forms the last filtered covariance
+        # with the bits of the closed form, on a draw's per-period reference
+        inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
+        plan = plan_for(inst.params, inst.scheme, inst.data)
+        steps = filter_periods(per_period(inst.params, plan.agg, inst.data), plan.init)
+        last = steps[-1]
+        assert last.P_filt is None and last.K is None and last.L is None
+        r_init = np.random.default_rng(4).normal(size=len(last.a_filt))
+        states, _ = smooth_periods(steps, r_init)
+        assert_array_equal(states[-1], last.a_filt + kalman._sym(last.P_pred - last.MFinv @ last.M.T) @ r_init)
 
     def test_empty_observation_period(self):
         per = make_period(
             Z=np.zeros((0, 2)), c=np.zeros(0), G=np.zeros((0, 2)),
             T=np.eye(2), d=np.zeros(2), H=np.eye(2), y=np.zeros(0),
         )
-        entry = filter_step(np.eye(2), per)
-        assert entry.cf is None
-        assert_allclose(entry.P_filt, np.eye(2))
+        step = filter_step(np.eye(2), per)
+        assert step.cf is None and step.M is None
+        # closed by the next period, the filtered covariance is the predicted
+        # one, the identity from P0 = 0
         a0 = np.array([1.0, -1.0])
-        res = filter_periods([per], FilterState(a0, np.zeros((2, 2))))
-        assert_allclose(res.a_filt[0], a0)
-        assert res.v[0].shape == (0,)
-        assert_array_equal(res.w[0], 0.0)
+        steps = filter_periods([per, per], FilterState(a0, np.zeros((2, 2))))
+        assert steps[0].P_filt is steps[0].P_pred
+        assert_allclose(steps[0].P_filt, np.eye(2))
+        assert_allclose(steps[0].a_filt, a0)
+        assert steps[0].v.shape == (0,)
+        assert_array_equal(steps[0].w, 0.0)
 
     def test_singular_innovation_raises_with_period(self):
         per = make_period(
@@ -122,10 +136,11 @@ class TestFilterStep:
             Z = rng.normal(size=(n_obs, dim))
             periods.append(make_period(Z, np.zeros(n_obs), G, A, np.zeros(dim), H,
                                        rng.normal(size=n_obs), t))
-        res = filter_periods(periods, FilterState(np.zeros(dim), np.eye(dim)))
-        for step in res.steps:
-            assert np.max(np.abs(step.entry.P_filt - step.entry.P_filt.T)) == 0.0
-            assert np.max(np.abs(step.entry.P_pred - step.entry.P_pred.T)) == 0.0
+        steps = filter_periods(periods, FilterState(np.zeros(dim), np.eye(dim)))
+        for step in steps:
+            assert np.max(np.abs(step.P_pred - step.P_pred.T)) == 0.0
+        for step in steps[:-1]:
+            assert np.max(np.abs(step.P_filt - step.P_filt.T)) == 0.0
 
 
 def assert_close(got, ref, rtol=1e-13):
@@ -158,9 +173,11 @@ class TestMeanBand:
         records = per_period(params, plan.agg, data, stop)
         ref = filter_periods(records, plan.init)
         ref_states, _ = smooth_periods(ref, r_init)
-        last = ref.steps[t_b - 1].entry
-        assert_close([plan.system.last(solutions[0])], [ref.a_filt[t_b - 1]])
-        assert_close([plan.system.P_filt], [last.P_filt])
+        # t_b-1's step is the reference's open last one when it stops there
+        last = ref[t_b - 1]
+        P_filt = kalman._sym(last.P_pred - last.MFinv @ last.M.T) if last.P_filt is None else last.P_filt
+        assert_close([plan.system.last(solutions[0])], [last.a_filt])
+        assert_close([plan.system.P_filt], [P_filt])
         heads = [s[: per.mats.idx.head_size] for per, s in zip(records[t_b:], ref_states[t_b:])]
         assert_close([states], [*(s[: n - n_m] for s in ref_states[:t_b]), *heads])
         cells = [(t, v) for t in range(t_b) for v in range(n_m, n)]
@@ -222,7 +239,7 @@ class TestMeanBand:
         records = per_period(params, plan.agg, data)
         ref = filter_periods(records, plan.init)
         states, _ = smooth_periods(ref)
-        assert_close([plan.system.P_filt], [ref.steps[497].entry.P_filt], rtol=1e-12)
+        assert_close([plan.system.P_filt], [ref[497].P_filt], rtol=1e-12)
         got = [x_hat[per.t, per.mats.idx.head_vars()] for per in records]
         want = [s[: per.mats.idx.head_size] for per, s in zip(records, states)]
         assert_close(got[:498], want[:498], rtol=1e-12)
@@ -321,22 +338,6 @@ class TestWhitening:
         want = -np.bincount(system._win.ravel(), terms.ravel(), system.size)
         got = system.rhs(resid, agg) - system.rhs(np.zeros((t_b, n)), agg)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-class TestOpenLastFilteredCovariance:
-    def test_formed_only_when_read(self):
-        # a run over a list of periods never reads its last period's
-        # filtered covariance; read later it has the bits of the closed form
-        inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
-        plan = plan_for(inst.params, inst.scheme, inst.data)
-        records = per_period(inst.params, plan.agg, inst.data)
-        res = filter_periods(records, plan.init)
-        smooth_periods(res)
-        entry = res.steps[-1].entry
-        assert entry._P_filt is None
-        P = entry.P_filt
-        assert_array_equal(P, kalman._sym(entry.P_pred - entry.MFinv @ entry.M.T))
-        assert entry.P_filt is P
 
 
 class TestEdgeSystem:
@@ -596,10 +597,10 @@ class TestInnovationWhiteness:
             periods.append(make_period(
                 np.eye(dim), np.zeros(dim), np.zeros((dim, dim)),
                 A, np.zeros(dim), np.eye(dim), y, t))
-        res = filter_periods(periods, FilterState(np.zeros(dim), np.eye(dim)))
+        steps = filter_periods(periods, FilterState(np.zeros(dim), np.eye(dim)))
         # standardize each innovation by its predicted covariance
         std = []
-        for step, v in zip(res.steps, res.v):
-            std.append(scipy.linalg.solve_triangular(step.entry.cf, v, lower=True))
+        for step in steps:
+            std.append(scipy.linalg.solve_triangular(step.cf, step.v, lower=True))
         std = np.concatenate(std)
         assert abs(std.mean()) < 4.0 / np.sqrt(T * dim)

@@ -783,17 +783,21 @@ class TestLayoutReuse:
         # K's band storage (``BandLayout.kband``) reads every entry of every
         # period's window, all within kd = k - 1 of each other in K's order,
         # and z's diagonal from its place in the system's band storage, and
-        # zero (position 0) elsewhere, on this class's layouts
+        # elsewhere position 0 or one that no entry is scattered to, which
+        # hold zero, on this class's layouts and on a smaller one (n_q = 1),
+        # where a position taken for a row past K's last would be an entry's
         inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
         other_p = random_stable_params(5, 2, 3, np.random.default_rng(8))
         gap = AggregationScheme("custom", np.array([0.5, 0.0, 0.5]), 3)
-        cases = ((inst.params, inst.scheme), (other_p, inst.scheme), (inst.params, gap),
-                 (inst.params, SCHEMES["custom"]))
-        for params, scheme in cases:
-            system = plan_for(params, scheme, inst.data).system
+        small = make_instance(3, 1, 3, 18, 16, np.random.default_rng(3))
+        cases = ((inst.params, inst.scheme, inst.data), (other_p, inst.scheme, inst.data),
+                 (inst.params, gap, inst.data), (inst.params, SCHEMES["custom"], inst.data),
+                 (small.params, small.scheme, small.data))
+        for params, scheme, data in cases:
+            system = plan_for(params, scheme, data).system
             lay, kl = system.layout, system.kl
             nk, k = lay.kband.shape
-            assert (nk, k) == ((params.p + 1 + inst.data.pattern.t_balanced) * params.n_q, system.k)
+            assert (nk, k) == ((params.p + 1 + data.pattern.t_balanced) * params.n_q, system.k)
             kwin = np.searchsorted(lay.kpos, lay.win)
             assert_array_equal(lay.kpos[kwin], lay.win)
             a, b = np.broadcast_arrays(kwin[:, :, None], kwin[:, None, :])
@@ -803,4 +807,7 @@ class TestLayoutReuse:
             want[b, a - b] = 3 * kl * lay.kpos[b] + lay.kpos[a] + 2 * kl
             z = np.searchsorted(lay.kpos, lay.z)
             want[z, 0] = (3 * kl + 1) * lay.z + 2 * kl
-            assert_array_equal(lay.kband, want)
+            entry = want != 0
+            assert_array_equal(lay.kband[entry], want[entry])
+            rest = lay.kband[~entry]
+            assert not np.isin(rest[rest != 0], lay.flat).any()
