@@ -88,16 +88,6 @@ class TestFilterStep:
         dense = smooth_periods(closed, np.zeros(1))
         assert_array_equal(states, dense[0])
         assert_array_equal(r, dense[1])
-        # given an adjoint, the smoother forms the last filtered covariance
-        # with the bits of the closed form, on a draw's per-period reference
-        inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
-        plan = plan_for(inst.params, inst.scheme, inst.data)
-        steps = filter_periods(per_period(inst.params, plan.agg, inst.data), plan.init)
-        last = steps[-1]
-        assert last.P_filt is None and last.K is None and last.L is None
-        r_init = np.random.default_rng(4).normal(size=len(last.a_filt))
-        states, _ = smooth_periods(steps, r_init)
-        assert_array_equal(states[-1], last.a_filt + kalman._sym(last.P_pred - last.MFinv @ last.M.T) @ r_init)
 
     def test_empty_observation_period(self):
         per = make_period(
@@ -338,6 +328,21 @@ class TestWhitening:
         want = -np.bincount(system._win.ravel(), terms.ravel(), system.size)
         got = system.rhs(resid, agg) - system.rhs(np.zeros((t_b, n)), agg)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestOpenLastFilteredCovariance:
+    def test_formed_only_when_read(self):
+        # a run over a list of periods keeps no filtered covariance for its
+        # last period; given an adjoint, the smoother forms it with the bits
+        # of the closed form, on a draw's per-period reference
+        inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
+        plan = plan_for(inst.params, inst.scheme, inst.data)
+        steps = filter_periods(per_period(inst.params, plan.agg, inst.data), plan.init)
+        last = steps[-1]
+        assert last.P_filt is None and last.K is None and last.L is None
+        r_init = np.random.default_rng(4).normal(size=len(last.a_filt))
+        states, _ = smooth_periods(steps, r_init)
+        assert_array_equal(states[-1], last.a_filt + kalman._sym(last.P_pred - last.MFinv @ last.M.T) @ r_init)
 
 
 class TestEdgeSystem:
