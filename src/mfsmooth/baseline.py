@@ -5,8 +5,10 @@ the ragged-edge step they pass it, or in solving the edge's system after it
 (the adaptive backend).  What its draws share, both systems' factorizations
 included, is prepared once per (parameters, aggregation, pattern) by
 ``plan_for``.
-The reference step, ``dense_edge``, deliberately uses dense full-dimension
-companion products; the other backends exist to avoid exactly that cost.
+The reference step, ``dense_edge``, deliberately places the boundary in a
+dense stacked covariance (``compact_to_companion``) and uses dense
+full-dimension companion products; the other backends exist to avoid
+exactly that cost.
 """
 
 from __future__ import annotations
@@ -106,13 +108,12 @@ class Plan:
     """What every draw for one (parameters, aggregation, pattern) shares:
     the expanded aggregation, the initial quarterly state and the balanced
     sample's factorized system (``BalancedSystem``), which every backend
-    solves.  The edge backends continue from its filtered state at t_b-1
-    placed in the stacked one (``compact_to_companion``); the adaptive
-    backend solves the ragged edge's system (``EdgeSystem``), built from it
-    on that backend's first draw (``edge``).  ``scheme`` is the aggregation
-    argument as the caller passed it and ``init_key`` the
-    ``(init_mode, kappa)`` pair; with ``params`` they decide whether the
-    plan can be reused.
+    solves.  The edge backends' steps continue from its filtered state at
+    t_b-1; the adaptive backend solves the ragged edge's system
+    (``EdgeSystem``), built from it on that backend's first draw
+    (``edge``).  ``scheme`` is the aggregation argument as the caller
+    passed it and ``init_key`` the ``(init_mode, kappa)`` pair; with
+    ``params`` they decide whether the plan can be reused.
 
     ``_last`` holds the data object the plan last ran on and the data's
     parts of the two systems' right-hand sides, which every draw and
@@ -220,6 +221,18 @@ def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
     x[t_b:, :n_m][observed] = data.values[t_b:, :n_m][observed]
 
 
+def companion_mean(params: VarParams, data: MixedFreqData, a_q: np.ndarray) -> np.ndarray:
+    """The stacked (companion) mean at t_b-1: the known monthly values at
+    lags 0..p, and ``a_q``, the reduced run's filtered mean, at the
+    quarterly positions (``quarterly_state_index``)."""
+    n, p, t_b = params.n, params.p, data.pattern.t_balanced
+    a = np.zeros((p + 1, n))
+    a[:, : params.n_m] = data.values[t_b - 1 - p : t_b, : params.n_m][::-1]
+    a = a.reshape(-1)
+    a[quarterly_state_index(params)] = a_q
+    return a
+
+
 def compact_to_companion(params: VarParams, data: MixedFreqData, boundary: FilterState) -> FilterState:
     """The reduced run's last filtered state, at t_b-1, placed in the stacked
     (companion) state of the same period.
@@ -227,14 +240,10 @@ def compact_to_companion(params: VarParams, data: MixedFreqData, boundary: Filte
     The reduced mean and covariance ``boundary`` (``BalancedSystem.last``,
     ``BalancedSystem.P_filt``) go to the quarterly positions
     (``quarterly_state_index``); the known monthly values at lags 0..p fill
-    the rest of the mean, with zero variance.
+    the rest of the mean, with zero variance (``companion_mean``).
     """
-    n, p, t_b = params.n, params.p, data.pattern.t_balanced
+    a = companion_mean(params, data, boundary.a)
     qi = quarterly_state_index(params)
-    a = np.zeros((p + 1, n))
-    a[:, : params.n_m] = data.values[t_b - 1 - p : t_b, : params.n_m][::-1]
-    a = a.reshape(-1)
-    a[qi] = boundary.a
     P = np.zeros((len(a), len(a)))
     P[np.ix_(qi, qi)] = boundary.P
     return FilterState(a, P)
@@ -289,12 +298,14 @@ def companion_periods(
 
 
 def dense_edge(
-    params: VarParams, agg: Aggregation, data: MixedFreqData, start: FilterState, shocks: np.ndarray | None = None
+    params: VarParams, agg: Aggregation, data: MixedFreqData, boundary: FilterState, shocks: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Edge step of the reference backend: the stacked-form filter and
     smoother with dense companion products, covariance side included, from
-    the stacked state ``start`` at t_b-1, the intercepts less ``shocks``
-    when given (``companion_periods``)."""
+    ``boundary``, the balanced system's filtered state at t_b-1, placed in
+    the dense stacked state (``compact_to_companion``), the intercepts less
+    ``shocks`` when given (``companion_periods``)."""
+    start = compact_to_companion(params, data, boundary)
     steps = filter_periods(companion_periods(params, agg, data, data.pattern.t_balanced, shocks), start)
     states, r = smooth_periods(steps)
     return np.array([a[: params.n] for a in states]), r, max(step.cond for step in steps)
@@ -312,14 +323,15 @@ def smooth(
     """The balanced sample's system, the ragged edge, then the balanced
     path lifted by the edge's adjoint.
 
-    The balanced block is one solve of the plan's ``BalancedSystem``.  With
-    an ``edge`` step its filtered state at t_b-1 is placed in the stacked
-    state (``compact_to_companion``); ``edge(params, agg, data, start,
-    shocks)`` starts from that state and returns the smoothed (T - t_b, n)
-    edge rows, its adjoint for the stacked state predicted at t_b and the
-    worst condition ratio of its factors of F.  ``F1'`` carries that adjoint
-    back (``companion_to_compact``), and its quarterly positions lift the
-    balanced path, with no linear solve.  With ``edge=None`` (the adaptive
+    The balanced block is one solve of the plan's ``BalancedSystem``.  An
+    ``edge`` step receives its compact boundary, the filtered quarterly
+    state at t_b-1 (``BalancedSystem.last``, ``BalancedSystem.P_filt``):
+    ``edge(params, agg, data, boundary, shocks)`` continues from that state
+    in the stacked one, however it represents it, and returns the smoothed
+    (T - t_b, n) edge rows, its adjoint for the stacked state predicted at
+    t_b and the worst condition ratio of its factors of F.  ``F1'`` carries
+    that adjoint back (``companion_to_compact``), and its quarterly
+    positions lift the balanced path, with no linear solve.  With ``edge=None`` (the adaptive
     backend) the ragged edge is one solve of the plan's ``EdgeSystem``,
     whose multipliers give that adjoint directly.
 
@@ -341,8 +353,8 @@ def smooth(
     worst_cond = 0.0 if edge_system is None else edge_system.cond
     if edge is not None and T > t_b:
         shocks = None if noise is None else noise.shocks
-        start = compact_to_companion(params, data, FilterState(plan.system.last(solutions[0]), plan.system.P_filt))
-        heads, r_edge, worst_cond = edge(params, plan.agg, data, start, shocks)
+        boundary = FilterState(plan.system.last(solutions[0]), plan.system.P_filt)
+        heads, r_edge, worst_cond = edge(params, plan.agg, data, boundary, shocks)
         r = companion_to_compact(r_edge, params)[quarterly_state_index(params)]
     states, _ = run_smoother(periods, solutions, r_init=r)
     # allocated last: the result outlives the filter's working set, and placed

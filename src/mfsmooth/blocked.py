@@ -1,11 +1,20 @@
 """Blocked smoother: the stacked-form recursions over the ragged edge in
-block form, never multiplying out the transition's shift structure.  The
-prediction places one coefficient-block product, the gain is K = (Pi B; B)
-for the first np rows B of M F^-1, F is read from the rows of M = P Z', and
-the backward pass forms L'r = F1'r - Z'(K'r) (Durbin and Koopman 2002) from
-the boundary's adjoint step and Z's scatter, with no dense F1 or L.  Results
-match the reference backend numerically; only the arithmetic route differs.
-``blocked_edge`` is the edge step it passes to the shared ``baseline.smooth``.
+block form, never multiplying out the transition's shift structure and
+never forming the stacked state's n(p+1)-square covariance.
+
+The edge enters from the balanced system's compact boundary, whose
+covariance is zero outside the quarterly positions, so the switch period
+is predicted from the boundary's block at the quarterly lags.  From then on
+each predicted covariance is kept as its head rows P[:n] and its lag block
+P[n:, n:], which is the previous period's filtered top block as it is.
+M = P Z' is gathered from those two parts and F read from its rows; the
+next lag block is one downdate by U = C^-1 M' for the lower Cholesky factor
+C of F, and the gain is K = (Pi B; B) for the first np rows B of M F^-1.
+The backward pass forms L'r = F1'r - Z'(K'r) (Durbin and Koopman 2002) from
+the boundary's adjoint step and Z's scatter, with no dense F1 or L.
+Results match the reference backend numerically; only the arithmetic route
+differs.  ``blocked_edge`` is the edge step it passes to the shared
+``baseline.smooth``.
 """
 
 from __future__ import annotations
@@ -14,11 +23,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dtrtrs
 
-from .baseline import SmoothResult, companion_to_compact, smooth
+from .baseline import SmoothResult, companion_mean, companion_to_compact, smooth
 from .errors import SingularInnovationError
-from .kalman import FilterState, factorize_innovation
+from .kalman import FilterState, factorize_innovation, quarterly_state_index
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 
 # looked up here by perfbench/layertrace.py's SPANS table; ``baseline.smooth``
@@ -35,6 +44,7 @@ __all__ = [
     "blocked_M",
     "blocked_K",
     "blocked_predict",
+    "blocked_downdate",
     "blocked_smooth_r",
     "blocked_edge",
     "run_blocked",
@@ -46,9 +56,25 @@ def blocked_F(M: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.n
     return np.concatenate([M[o_t], lamqq_obs @ M[qcols]], axis=0)
 
 
-def blocked_M(P: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.ndarray) -> np.ndarray:
-    """M = P Z' assembled from column subsets, never touching zero columns."""
-    return np.concatenate([P[:, o_t], P[:, qcols] @ lamqq_obs.T], axis=1)
+def blocked_M(head: np.ndarray, lag: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.ndarray,
+              at: np.ndarray | None = None) -> np.ndarray:
+    """M = P Z' from the predicted covariance's head rows P[:n] and its lag
+    block P[n:, n:], reading only the columns Z reads: P's column j < n is
+    the head's row j, and below the head its column j >= n is the lag
+    block's row j - n.  With ``at``, ``lag`` holds the lag block's entries
+    at the positions ``at``, zero elsewhere."""
+    n, dim = head.shape
+    k0 = np.searchsorted(qcols, n)
+    hi = qcols[k0:] - n
+    rows = np.empty((len(qcols), dim))
+    rows[:k0] = head[qcols[:k0]]
+    rows[k0:, :n] = head[:, qcols[k0:]].T
+    if at is None:
+        rows[k0:, n:] = lag[hi]
+    else:
+        rows[k0:, n:] = 0.0
+        rows[k0:, n + at] = lag[np.searchsorted(at, hi)]
+    return np.concatenate([head[o_t].T, rows.T @ lamqq_obs.T], axis=1)
 
 
 def blocked_K(MFinv: np.ndarray, coeff_row: np.ndarray) -> np.ndarray:
@@ -63,24 +89,48 @@ def blocked_predict(
     pf_top: np.ndarray,
     coeff_row: np.ndarray,
     sigma: np.ndarray,
+    at: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """State prediction from the top-left block of the filtered covariance.
+    """State prediction from the first np positions of the filtered state:
+    the mean and the head rows P[:n] of the predicted covariance, whose lag
+    block P[n:, n:] is ``pf_top`` itself.
 
-    The product Pi P^{1:p,1:p} is formed once and placed in three blocks;
-    the lower-right block is copied, not recomputed.  No constant term in
-    this formulation; the caller adds the intercept.
+    The product Pi pf_top is formed once and placed in the head's lag
+    columns.  With ``at``, ``pf_top`` holds the entries at the positions
+    ``at``, zero elsewhere, and only Pi's columns ``at`` enter.  No
+    constant term in this formulation; the caller adds the intercept.
     """
     n, npp = coeff_row.shape
-    dim = npp + n
-    bracket = coeff_row @ pf_top
-    top_left = bracket @ coeff_row.T + sigma
-    P_next = np.empty((dim, dim))
-    P_next[:n, :n] = (top_left + top_left.T) / 2.0
-    P_next[:n, n:] = bracket
-    P_next[n:, :n] = bracket.T
-    P_next[n:, n:] = pf_top
-    a_next = np.concatenate([coeff_row @ a_filt[:npp], a_filt[:npp]])
-    return a_next, P_next
+    pi = coeff_row if at is None else coeff_row[:, at]
+    bracket = pi @ pf_top
+    top_left = bracket @ pi.T + sigma
+    head = np.zeros((n, n + npp))
+    head[:, :n] = (top_left + top_left.T) / 2.0
+    head[:, np.s_[n:] if at is None else n + at] = bracket
+    return np.concatenate([coeff_row @ a_filt[:npp], a_filt[:npp]]), head
+
+
+def blocked_downdate(head: np.ndarray, U: np.ndarray, lag: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    """The next lag block: the first np rows and columns of the filtered
+    covariance P - M F^-1 M', formed into one new array as P's block less
+    U'U, for U = C^-1 M[:np]' and the lower Cholesky factor C of F.  P's
+    block is read from its head rows and its lag block ``lag`` (with
+    ``at``, the lag block's entries at the positions ``at``, zero
+    elsewhere).  The result is exactly symmetric, with no symmetrizing
+    pass."""
+    n, npp = head.shape[0], U.shape[1]
+    # numpy forms A'A as one symmetric rank-k update (syrk) with its mirror
+    pf = U.T @ U
+    np.subtract(head[:, :npp], pf[:n], out=pf[:n])
+    np.subtract(head[:, n:npp].T, pf[n:, :n], out=pf[n:, :n])
+    low = pf[n:, n:]
+    if at is None:
+        np.subtract(lag[: npp - n, : npp - n], low, out=low)
+    else:
+        np.negative(low, out=low)
+        k = np.searchsorted(at, npp - n)
+        low[at[:k, None], at[:k]] += lag[:k, :k]
+    return pf
 
 
 def blocked_smooth_r(
@@ -116,56 +166,71 @@ def blocked_edge(
     params: VarParams,
     agg: Aggregation,
     data: MixedFreqData,
-    start: FilterState,
+    boundary: FilterState,
     shocks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Edge step of the blocked backend: the stacked-form filter and
-    smoother through block subsetting, from the stacked state ``start`` at
-    t_b-1, of whose covariance only the first np rows and columns reach the
-    prediction; each period's intercept is less its row of ``shocks``, a
-    draw's edge shocks, when given."""
+    smoother through block subsetting, from ``boundary``, the balanced
+    system's filtered quarterly state at t_b-1; each period's intercept is
+    less its row of ``shocks``, a draw's edge shocks, when given.
+
+    The stacked state at t_b-1 holds the known monthly values with zero
+    variance and the boundary at the quarterly positions, so the switch
+    period is predicted from the boundary's block at the quarterly lags
+    inside the first np positions.  No n(p+1)-square matrix is formed: each
+    period keeps its predicted covariance's head rows and lag block, and
+    forms the next lag block once, as one downdate (``blocked_downdate``).
+    """
     n, p = params.n, params.p
     npp = n * p
     dim = n * (p + 1)
     coeff_row = params.coeff_row
     qcols = agg.quarterly_state_cols(n, params.n_m)
-    a_filt, pf_top = start.a, start.P[:npp, :npp]
     t_b = data.pattern.t_balanced
     intercept = params.intercept - (np.zeros((data.T - t_b, n)) if shocks is None else shocks)
+    # the switch's lag block is the boundary's block at the quarterly lags
+    # inside the first np positions, ``at``; from the first downdate on it
+    # is a whole np x np array
+    at = quarterly_state_index(params)[: params.n_q * p]
+    a_filt = companion_mean(params, data, boundary.a)
+    lag = boundary.P[: len(at), : len(at)]
     records: list[BlockedRecord] = []
     worst_cond = 0.0
     for t in range(t_b, data.T):
-        a, P = blocked_predict(a_filt, pf_top, coeff_row, params.sigma(t))
+        a, head = blocked_predict(a_filt, lag, coeff_row, params.sigma(t), at)
         a[:n] += intercept[t - t_b]
         o_t = data.pattern.observed(t)
         q_rows = data.pattern.quarterly_rows(t)
         lamqq_obs = agg.lam_qq[q_rows]
         n_obs = len(o_t) + len(q_rows)
         if n_obs == 0:
-            a_filt, Finv_v = a, np.zeros(0)
-            pf_top = P[:npp, :npp]
+            a_filt, Finv_v, U = a, np.zeros(0), np.zeros((0, npp))
             K = np.zeros((dim, 0))
         else:
-            M = blocked_M(P, o_t, qcols, lamqq_obs)
+            M = blocked_M(head, lag, o_t, qcols, lamqq_obs, at)
             F = blocked_F(M, o_t, qcols, lamqq_obs)
             y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + q_rows]])
-            # one solve for F^-1 v and F^-1 M' over the rows the update reads
+            # C^-1 v and U = C^-1 M' over the rows the update reads, then
+            # F^-1 v and F^-1 M' from them
             rhs = np.empty((n_obs, 1 + npp), order="F")
             rhs[:, 0] = y - np.concatenate([a[o_t], lamqq_obs @ a[qcols]])
             rhs[:, 1:] = M[:npp].T
-            cf, cond = factorize_innovation(np.asfortranarray((F + F.T) / 2.0), t)
+            # F's Fortran-ordered transpose: the factor reads one triangle
+            cf, cond = factorize_innovation(F.T, t)
             worst_cond = max(worst_cond, cond)
-            sol, info = dpotrs(cf, rhs, lower=1, overwrite_b=1)
+            half, info = dtrtrs(cf, rhs, lower=1, overwrite_b=1)
             if info != 0:
                 raise SingularInnovationError(t)
-            Finv_v, MFinv_top = sol[:, 0], sol[:, 1:].T
+            sol, info = dtrtrs(cf, half, lower=1, trans=1)
+            if info != 0:
+                raise SingularInnovationError(t)
+            U, Finv_v = half[:, 1:], sol[:, 0]
             a_filt = a + M @ Finv_v
-            if t + 1 < data.T:
-                # only the next prediction reads the filtered covariance
-                pf_top = P[:npp, :npp] - MFinv_top @ M[:npp].T
-                pf_top = (pf_top + pf_top.T) / 2.0
-            K = blocked_K(MFinv_top, coeff_row)
-        records.append(BlockedRecord(a_filt[:n], P[:n].copy(), K, Finv_v, o_t, lamqq_obs))
+            K = blocked_K(sol[:, 1:].T, coeff_row)
+        if t + 1 < data.T:
+            # only the next prediction reads the filtered covariance
+            lag, at = blocked_downdate(head, U, lag, at), None
+        records.append(BlockedRecord(a_filt[:n], head, K, Finv_v, o_t, lamqq_obs))
 
     # backward pass over the ragged edge, with L'r = F1'r - Z'(K'r); the
     # last record's gain meets r = 0

@@ -784,8 +784,7 @@ def _quarterly_block(terms: list[np.ndarray], n_q: int, n: int, p: int) -> np.nd
 
 def quarterly_state_index(params: VarParams) -> np.ndarray:
     """Positions of the quarterly entries inside the stacked state."""
-    n = params.n
-    return np.concatenate([lag * n + params.n_m + np.arange(params.n_q) for lag in range(params.p + 1)])
+    return (params.n * np.arange(params.p + 1)[:, None] + params.n_m + np.arange(params.n_q)).ravel()
 
 
 def init_state(params: VarParams, mode: str = "stationary", kappa: float = 1e4) -> FilterState:

@@ -258,14 +258,14 @@ class ObservationPattern:
 
     def observed(self, t: int) -> np.ndarray:
         """O_t: indices of monthly variables observed at 0-based period t."""
-        return np.flatnonzero(self.observed_monthly[t])
+        return self.observed_monthly[t].nonzero()[0]
 
     def unobserved(self, t: int) -> np.ndarray:
         """U_t: indices of monthly variables unobserved at 0-based period t."""
         return np.flatnonzero(~self.observed_monthly[t])
 
     def quarterly_rows(self, t: int) -> np.ndarray:
-        return np.flatnonzero(self.quarterly_observed[t])
+        return self.quarterly_observed[t].nonzero()[0]
 
     @property
     def balanced(self) -> bool:

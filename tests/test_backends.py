@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -21,7 +22,7 @@ from mfsmooth import (
     skip_sampling,
 )
 from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_edge, plan_for
-from mfsmooth.blocked import blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
+from mfsmooth.blocked import blocked_downdate, blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
 from mfsmooth.kalman import (
     FilterState,
     filter_periods,
@@ -233,7 +234,7 @@ class TestTransitions:
         agg = build_aggregation(scheme, params.n_m, params.n_q, params.p)
         t_b, n_q = data.pattern.t_balanced, params.n_q
         res = reduced_filter_to_boundary(inst)
-        _, r_edge, _ = dense_edge(params, agg, data, compact_to_companion(params, data, res))
+        _, r_edge, _ = dense_edge(params, agg, data, res)
         r = companion_to_compact(r_edge, params)
         qi = quarterly_state_index(params)
         E = np.zeros((len(r), len(qi)))
@@ -287,6 +288,21 @@ def random_pred_cov(rng, dim):
     return B @ B.T / dim
 
 
+def from_blocks(head, lag):
+    """The dense predicted covariance from its head rows P[:n] and its lag
+    block P[n:, n:]."""
+    n = head.shape[0]
+    return np.vstack([head, np.hstack([head[:, n:].T, lag])])
+
+
+def dense_observation(agg, n, dim, o_t, q_rows):
+    """Z as a dense matrix over the stacked state."""
+    Z = np.zeros((len(o_t) + len(q_rows), dim))
+    Z[np.arange(len(o_t)), o_t] = 1.0
+    Z[len(o_t):, agg.quarterly_state_cols(n, agg.n_m)] = agg.lam_qq[q_rows]
+    return Z
+
+
 class TestBlockedOps:
     @pytest.mark.parametrize("n,n_q,p", [(4, 1, 3), (10, 1, 4), (10, 3, 3), (20, 3, 4)])
     def test_dense_equivalence(self, n, n_q, p):
@@ -311,7 +327,7 @@ class TestBlockedOps:
                 for lag in range(agg.p_q):
                     Z[len(o_t) + r, lag * n + n_m + j] = agg.weights[lag]
 
-            M = blocked_M(P, o_t, qcols, lamqq_obs)
+            M = blocked_M(P[:n], P[n:, n:], o_t, qcols, lamqq_obs)
             assert_allclose(M, P @ Z.T, rtol=1e-12, atol=1e-12)
 
             F = blocked_F(M, o_t, qcols, lamqq_obs)
@@ -323,7 +339,8 @@ class TestBlockedOps:
 
             a_filt = rng.normal(size=dim)
             pf = random_pred_cov(rng, n * p)
-            a_next, P_next = blocked_predict(a_filt, pf, params.coeff_row, params.sigma(0))
+            a_next, head = blocked_predict(a_filt, pf, params.coeff_row, params.sigma(0))
+            P_next = from_blocks(head, pf)
             Pf_full = np.zeros((dim, dim))
             Pf_full[: n * p, : n * p] = pf
             assert_allclose(P_next, F1 @ Pf_full @ F1.T + params.companion_noise_cov(0),
@@ -348,13 +365,14 @@ class TestBlockedOps:
         P = random_pred_cov(rng, 16)
         agg = build_aggregation(intra_quarterly_average(), 3, 1, 3)
         qcols = agg.quarterly_state_cols(4, 3)
-        M = blocked_M(P, np.arange(3), qcols, agg.lam_qq)
+        M = blocked_M(P[:4], P[4:, 4:], np.arange(3), qcols, agg.lam_qq)
         F = blocked_F(M, np.arange(3), qcols, agg.lam_qq)
         MFinv = M @ np.linalg.inv(F)
         K = blocked_K(MFinv, zero_row)
         assert_allclose(K[:4], 0.0)
         assert_array_equal(K[4:], MFinv[:12])
-        a_next, P_next = blocked_predict(np.ones(16), np.eye(12), zero_row, params.sigma(0))
+        a_next, head = blocked_predict(np.ones(16), np.eye(12), zero_row, params.sigma(0))
+        P_next = from_blocks(head, np.eye(12))
         assert_allclose(P_next[:4, :4], params.sigma(0))
         assert_allclose(P_next[:4, 4:], 0.0)
         assert_allclose(P_next[4:, 4:], np.eye(12))
@@ -374,6 +392,71 @@ class TestBlockedOps:
         monkeypatch.setattr(VarParams, "companion_transition", counted)
         draw_latent(inst.params, inst.scheme, inst.data, "blocked", seed=2)
         assert calls["companion_transition"] == 0
+
+    @pytest.mark.parametrize("seed,scheme", [(5, intra_quarterly_average()), (7, skip_sampling())])
+    def test_switch_head_matches_dense_prediction(self, seed, scheme):
+        """The switch period is predicted from the compact boundary's block
+        at the quarterly lags: its head rows are those of F1 P0 F1' + Q, for
+        P0 the boundary placed in the dense stacked covariance."""
+        inst = small_instance(seed, 4, 2, 3, 20, 17, scheme=scheme)
+        params, data = inst.params, inst.data
+        res = reduced_filter_to_boundary(inst)
+        start = compact_to_companion(params, data, res)
+        at = quarterly_state_index(params)[: params.n_q * params.p]
+        a, head = blocked_predict(start.a, res.P[: len(at), : len(at)], params.coeff_row, params.sigma(17), at)
+        F1 = params.companion_transition()
+        P = F1 @ start.P @ F1.T + params.companion_noise_cov(17)
+        assert_allclose(head, P[: params.n], rtol=1e-12, atol=1e-12)
+        assert_allclose(a, F1 @ start.a, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("switch", [False, True])
+    def test_downdate_matches_dense_filtered_block(self, switch):
+        """M from the head rows and the lag block is P Z', and the next lag
+        block, one downdate by U = C^-1 M' for the Cholesky factor C of F, is
+        the first np rows and columns of the dense P - M F^-1 M', exactly
+        symmetric; at the switch the lag block is the boundary's block at the
+        quarterly lags."""
+        inst = small_instance(3, 4, 2, 3, 20, 17)
+        params = inst.params
+        n, npp, dim = params.n, params.n * params.p, params.n * (params.p + 1)
+        agg = build_aggregation(inst.scheme, params.n_m, params.n_q, params.p)
+        if switch:
+            res = reduced_filter_to_boundary(inst)
+            at = quarterly_state_index(params)[: params.n_q * params.p]
+            lag = res.P[: len(at), : len(at)]
+            _, head = blocked_predict(np.zeros(dim), lag, params.coeff_row, params.sigma(17), at)
+            dense_lag = np.zeros((npp, npp))
+            dense_lag[np.ix_(at, at)] = lag
+            P = from_blocks(head, dense_lag)
+        else:
+            at = None
+            P = random_pred_cov(np.random.default_rng(4), dim)
+            head, lag = P[:n], P[n:, n:]
+        o_t, q_rows = np.array([0, 2]), np.array([1])
+        Z = dense_observation(agg, n, dim, o_t, q_rows)
+        M = blocked_M(head, lag, o_t, agg.quarterly_state_cols(n, params.n_m), agg.lam_qq[q_rows], at)
+        assert_allclose(M, P @ Z.T, rtol=1e-12, atol=1e-12)
+        F = Z @ P @ Z.T
+        U = np.linalg.solve(np.linalg.cholesky(F), M[:npp].T)
+        pf = blocked_downdate(head, U, lag, at)
+        assert_allclose(pf, (P - M @ np.linalg.solve(F, M.T))[:npp, :npp], rtol=1e-12, atol=1e-12)
+        assert np.array_equal(pf, pf.T)
+
+    def test_warm_paper_cell_draw_forms_no_dense_covariance(self):
+        # the edge keeps each period's head rows and one lag block, and enters
+        # from the compact boundary: a warm draw's traced peak stays below two
+        # (np)^2 arrays, which a dense n(p+1)-square covariance and its
+        # successor exceed
+        inst = make_instance(119, 1, 12, 500, 498, np.random.default_rng(0))
+        npp = inst.params.n * inst.params.p
+        draw_latent(inst.params, inst.scheme, inst.data, "blocked", seed=1)
+        tracemalloc.start()
+        try:
+            draw_latent(inst.params, inst.scheme, inst.data, "blocked", seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * npp**2 * 8, peak
 
 
 def cut_edge(cuts, t_b, T):

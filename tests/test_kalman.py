@@ -16,6 +16,7 @@ from mfsmooth import (
     kalman,
     oracle_joint,
     run_adaptive,
+    run_blocked,
     skip_sampling,
 )
 from mfsmooth.kalman import (
@@ -211,10 +212,10 @@ class TestMeanBand:
     ])
     def test_paper_cell(self, init_mode, time_varying, radius):
         """At the paper's cell, n = 120, p = 12, T = 500, T_b = 498, the
-        adaptive smoothed mean against the per-period reference, within
-        1e-12 relative on the balanced quarterly path and on the edge's latent
-        values, and the balanced system's last filtered covariance against
-        the reference's.  The instance's companion radius is 0.897
+        adaptive and blocked smoothed means against the per-period reference,
+        within 1e-12 relative on the balanced quarterly path and on the edge's
+        latent values, and the balanced system's last filtered covariance
+        against the reference's.  The instance's companion radius is 0.897
         (``np.linalg.eigvals``); lag i scaled by c**i scales it by c."""
         inst = make_instance(119, 1, 12, 500, 498, np.random.default_rng(1))
         data, prm = inst.data, inst.params
@@ -224,16 +225,17 @@ class TestMeanBand:
         if time_varying:
             chol = np.exp(0.2 * np.random.default_rng(2).standard_normal((500, 120)))[:, :, None] * chol
         params = VarParams(119, 1, 12, prm.intercept, lag_coeffs, chol)
-        x_hat = run_adaptive(params, inst.scheme, data, init_mode=init_mode).x_hat
         plan = plan_for(params, inst.scheme, data, init_mode)
         records = per_period(params, plan.agg, data)
         ref = filter_periods(records, plan.init)
         states, _ = smooth_periods(ref)
         assert_close([plan.system.P_filt], [ref[497].P_filt], rtol=1e-12)
-        got = [x_hat[per.t, per.mats.idx.head_vars()] for per in records]
         want = [s[: per.mats.idx.head_size] for per, s in zip(records, states)]
-        assert_close(got[:498], want[:498], rtol=1e-12)
-        assert_close(got[498:], want[498:], rtol=1e-12)
+        for run in (run_adaptive, run_blocked):
+            x_hat = run(params, inst.scheme, data, init_mode=init_mode).x_hat
+            got = [x_hat[per.t, per.mats.idx.head_vars()] for per in records]
+            assert_close(got[:498], want[:498], rtol=1e-12)
+            assert_close(got[498:], want[498:], rtol=1e-12)
 
     def test_no_quarterly_variables(self):
         inst = make_instance(4, 0, 3, 30, 28, np.random.default_rng(0))
