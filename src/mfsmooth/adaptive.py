@@ -1,18 +1,18 @@
 """Adaptive smoother: the ragged edge adds to the quarterly path exactly
 the monthly values still missing, so no full stacked formulation is ever
-built.  It is ``baseline.smooth`` with no edge step: after the balanced
-sample's system, which every backend solves, the edge's latent values are
-one solve of the plan's ``kalman.EdgeSystem``, a small dense saddle-point
-system on the balanced system's filtered state at t_b-1 that the plan
-factorizes on this backend's first draw.  ``RunStats.worst_cond`` is that
-system's 1/rcond.
+built.  It is ``baseline.smooth`` with the edge step
+``baseline.adaptive_edge``: after the balanced sample's system, which every
+backend solves, the edge's latent values are one solve of the plan's
+``kalman.EdgeSystem``, a small dense saddle-point system on the balanced
+system's filtered state at t_b-1 that the plan factorizes on this backend's
+first draw.  ``RunStats.worst_cond`` is that system's 1/rcond.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .baseline import SmoothResult, smooth
+from .baseline import SmoothResult, adaptive_edge, smooth
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
 
 # looked up here by perfbench/layertrace.py's SPANS table; ``baseline.smooth``
@@ -41,4 +41,4 @@ def run_adaptive(
     kappa: float = 1e4,
     noise: PseudoSample | None = None,
 ) -> SmoothResult:
-    return smooth(params, agg, data, init_mode, kappa, noise=noise)
+    return smooth(params, agg, data, adaptive_edge, init_mode, kappa, noise)

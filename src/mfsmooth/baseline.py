@@ -1,14 +1,15 @@
-"""The smoothing routine all backends share, and the reference edge step.
+"""The smoothing routine all backends share, and the reference and adaptive
+edge steps.
 
 ``smooth`` solves the balanced sample's system; the backends differ only in
-the ragged-edge step they pass it, or in solving the edge's system after it
-(the adaptive backend).  What its draws share, both systems' factorizations
-included, is prepared once per (parameters, aggregation, pattern) by
-``plan_for``.
+the ragged-edge step they pass it.  What their draws share, both systems'
+factorizations included, is prepared once per (parameters, aggregation,
+pattern) by ``plan_for``.
 The reference step, ``dense_edge``, deliberately places the boundary in a
 dense stacked covariance (``compact_to_companion``) and uses dense
 full-dimension companion products; the other backends exist to avoid
-exactly that cost.
+exactly that cost.  The adaptive one, ``adaptive_edge``, solves the plan's
+``EdgeSystem``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .systems import (
 if TYPE_CHECKING:
     from .simsmooth import PseudoSample
 
-__all__ = ["RunStats", "SmoothResult", "smooth", "dense_edge", "run_baseline",
+__all__ = ["RunStats", "SmoothResult", "smooth", "dense_edge", "adaptive_edge", "run_baseline",
            "compact_to_companion", "companion_to_compact"]
 
 
@@ -108,12 +109,12 @@ class Plan:
     """What every draw for one (parameters, aggregation, pattern) shares:
     the expanded aggregation, the initial quarterly state and the balanced
     sample's factorized system (``BalancedSystem``), which every backend
-    solves.  The edge backends' steps continue from its filtered state at
-    t_b-1; the adaptive backend solves the ragged edge's system
-    (``EdgeSystem``), built from it on that backend's first draw
-    (``edge``).  ``scheme`` is the aggregation argument as the caller
-    passed it and ``init_key`` the ``(init_mode, kappa)`` pair; with
-    ``params`` they decide whether the plan can be reused.
+    solves.  Every edge step continues from its filtered state at t_b-1;
+    the adaptive one (``adaptive_edge``) solves the ragged edge's system
+    (``EdgeSystem``), built from it on that step's first call (``edge``).
+    ``scheme`` is the aggregation argument as the caller passed it and
+    ``init_key`` the ``(init_mode, kappa)`` pair; with ``params`` they
+    decide whether the plan can be reused.
 
     ``_last`` holds the data object the plan last ran on and the data's
     parts of the two systems' right-hand sides, which every draw and
@@ -204,11 +205,10 @@ def plan_for(
 
 
 def fill_states(x: np.ndarray, states: np.ndarray, periods: list[Block]) -> None:
-    """Write the smoothed latent values (``run_smoother``) into x in one
-    assignment, at the (t, variable) positions of the blocks' ``cells``: the
-    balanced quarterly path, then the ragged edge's latent values when the
-    draw solved the edge's system."""
-    t, v = np.concatenate([block.mats.cells for block in periods], axis=1)
+    """Write the smoothed balanced quarterly path (``run_smoother``) into x
+    in one assignment, at the (t, variable) positions of the balanced
+    block's ``cells``."""
+    t, v = periods[0].mats.cells
     x[t, v] = states
 
 
@@ -298,65 +298,74 @@ def companion_periods(
 
 
 def dense_edge(
-    params: VarParams, agg: Aggregation, data: MixedFreqData, boundary: FilterState, shocks: np.ndarray | None = None
+    plan: Plan, data: MixedFreqData, boundary: FilterState, shocks: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Edge step of the reference backend: the stacked-form filter and
     smoother with dense companion products, covariance side included, from
     ``boundary``, the balanced system's filtered state at t_b-1, placed in
     the dense stacked state (``compact_to_companion``), the intercepts less
-    ``shocks`` when given (``companion_periods``)."""
+    ``shocks`` when given (``companion_periods``); the adjoint is ``F1' r``
+    at the quarterly positions (``companion_to_compact``)."""
+    params = plan.params
     start = compact_to_companion(params, data, boundary)
-    steps = filter_periods(companion_periods(params, agg, data, data.pattern.t_balanced, shocks), start)
+    steps = filter_periods(companion_periods(params, plan.agg, data, data.pattern.t_balanced, shocks), start)
     states, r = smooth_periods(steps)
+    r = companion_to_compact(r, params)[quarterly_state_index(params)]
     return np.array([a[: params.n] for a in states]), r, max(step.cond for step in steps)
+
+
+def adaptive_edge(
+    plan: Plan, data: MixedFreqData, boundary: FilterState, shocks: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Edge step of the adaptive backend: one solve of the plan's
+    ``EdgeSystem`` from the boundary's mean, on the data's right-hand side
+    (``Plan.edge_data``) plus the term of a draw's ``shocks`` when given
+    (``EdgeSystem.perturbation``); its multipliers are the adjoint."""
+    system = plan.edge(data.pattern)
+    rhs = plan.edge_data(data)
+    if shocks is not None:
+        rhs = rhs + system.perturbation(shocks)
+    heads, r = system.smoothed(system.solve(rhs, boundary.a))
+    return heads, r, system.cond
 
 
 def smooth(
     params: VarParams,
     agg: Aggregation | AggregationScheme,
     data: MixedFreqData,
+    edge: Callable[..., tuple[np.ndarray, np.ndarray, float]],
     init_mode: str = "stationary",
     kappa: float = 1e4,
-    edge: Callable[..., tuple[np.ndarray, np.ndarray, float]] | None = None,
     noise: PseudoSample | None = None,
 ) -> SmoothResult:
     """The balanced sample's system, the ragged edge, then the balanced
     path lifted by the edge's adjoint.
 
-    The balanced block is one solve of the plan's ``BalancedSystem``.  An
+    The balanced block is one solve of the plan's ``BalancedSystem``.  The
     ``edge`` step receives its compact boundary, the filtered quarterly
     state at t_b-1 (``BalancedSystem.last``, ``BalancedSystem.P_filt``):
-    ``edge(params, agg, data, boundary, shocks)`` continues from that state
-    in the stacked one, however it represents it, and returns the smoothed
-    (T - t_b, n) edge rows, its adjoint for the stacked state predicted at
-    t_b and the worst condition ratio of its factors of F.  ``F1'`` carries
-    that adjoint back (``companion_to_compact``), and its quarterly
-    positions lift the balanced path, with no linear solve.  With ``edge=None`` (the adaptive
-    backend) the ragged edge is one solve of the plan's ``EdgeSystem``,
-    whose multipliers give that adjoint directly.
+    ``edge(plan, data, boundary, shocks)`` returns the smoothed (T - t_b, n)
+    edge rows, the boundary's adjoint, of length (p+1) n_q, which lifts the
+    balanced path with no linear solve, and its worst condition
+    (``RunStats.worst_cond``).  A balanced sample (t_b = T) runs no step.
 
     The balanced system's right-hand side is the plan's at ``data``
     (``Plan.balanced``).  Without ``noise`` the result is the smoothed mean.
-    With ``noise``, a draw's perturbation (``simsmooth.simulate_path``), both
-    systems solve on right-hand sides that carry the model's own noise, and
-    the edge steps take its shocks in their intercepts: the result is then a
-    draw from the latent values' distribution given the data
+    With ``noise``, a draw's perturbation (``simsmooth.simulate_path``), the
+    balanced system solves on a right-hand side that carries the model's own
+    noise, and the edge step takes its shocks: the result is then a draw
+    from the latent values' distribution given the data
     (perturbation-optimization; Papandreou and Yuille 2010).
     """
     plan = plan_for(params, agg, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
-    edge_system = plan.edge(data.pattern) if edge is None and T > t_b else None
-    edge_block = None if edge_system is None else (edge_system, plan.edge_data(data))
-    periods = build_periods(data, plan.system, plan.balanced(data), edge_block, noise)
-    solutions = run_filter(periods)
-    heads = r = None
-    worst_cond = 0.0 if edge_system is None else edge_system.cond
-    if edge is not None and T > t_b:
-        shocks = None if noise is None else noise.shocks
-        boundary = FilterState(plan.system.last(solutions[0]), plan.system.P_filt)
-        heads, r_edge, worst_cond = edge(params, plan.agg, data, boundary, shocks)
-        r = companion_to_compact(r_edge, params)[quarterly_state_index(params)]
-    states, _ = run_smoother(periods, solutions, r_init=r)
+    periods = build_periods(data, plan.system, plan.balanced(data), noise)
+    u = run_filter(periods)
+    heads, r, worst_cond = None, None, 0.0
+    if T > t_b:
+        boundary = FilterState(plan.system.last(u), plan.system.P_filt)
+        heads, r, worst_cond = edge(plan, data, boundary, None if noise is None else noise.shocks)
+    states = run_smoother(periods, u, r)
     # allocated last: the result outlives the filter's working set, and placed
     # above it, it keeps that set's freed memory off the top of the heap, where
     # malloc would return it to the system for the next draw to fault back in
@@ -367,7 +376,7 @@ def smooth(
     fill_observed(x, data)
     stats = RunStats(compact_steps=t_b, factorizations=plan.pop_factorizations(),
                      worst_cond=worst_cond, init_jitter=int(plan.system.jitter))
-    if edge is None:
+    if edge is adaptive_edge:
         stats.adaptive_steps = T - t_b
     else:
         stats.companion_steps = T - t_b
@@ -383,4 +392,4 @@ def run_baseline(
     noise: PseudoSample | None = None,
 ) -> SmoothResult:
     """``smooth`` with the dense companion-form edge step."""
-    return smooth(params, agg, data, init_mode, kappa, dense_edge, noise)
+    return smooth(params, agg, data, dense_edge, init_mode, kappa, noise)

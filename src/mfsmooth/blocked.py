@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .baseline import SmoothResult, companion_mean, companion_to_compact, smooth
+from .baseline import Plan, SmoothResult, companion_mean, companion_to_compact, smooth
 from .errors import SingularInnovationError
 from .kalman import FilterState, factorize_innovation, quarterly_state_index
 from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
@@ -163,8 +163,7 @@ class BlockedRecord:
 
 
 def blocked_edge(
-    params: VarParams,
-    agg: Aggregation,
+    plan: Plan,
     data: MixedFreqData,
     boundary: FilterState,
     shocks: np.ndarray | None = None,
@@ -181,6 +180,7 @@ def blocked_edge(
     period keeps its predicted covariance's head rows and lag block, and
     forms the next lag block once, as one downdate (``blocked_downdate``).
     """
+    params, agg = plan.params, plan.agg
     n, p = params.n, params.p
     npp = n * p
     dim = n * (p + 1)
@@ -241,7 +241,7 @@ def blocked_edge(
         Ltr = blocked_smooth_r(companion_to_compact(r, params), -(rec.K.T @ r), rec.o_t, qcols, rec.lamqq_obs)
         heads[i] = rec.a_head + rec.P_head @ Ltr
         r = blocked_smooth_r(Ltr, rec.Finv_v, rec.o_t, qcols, rec.lamqq_obs)
-    return heads, r, worst_cond
+    return heads, companion_to_compact(r, params)[quarterly_state_index(params)], worst_cond
 
 
 def run_blocked(
@@ -252,4 +252,4 @@ def run_blocked(
     kappa: float = 1e4,
     noise: PseudoSample | None = None,
 ) -> SmoothResult:
-    return smooth(params, agg, data, init_mode, kappa, blocked_edge, noise)
+    return smooth(params, agg, data, blocked_edge, init_mode, kappa, noise)

@@ -56,7 +56,14 @@ def read_data_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
                 continue
             if len(row) != len(names):
                 raise ConfigurationError(f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}")
-            rows.append([np.nan if f.strip() == "" else float(f) for f in row])
+            rows.append([])
+            for name, f in zip(names, row):
+                try:
+                    rows[-1].append(float(f.strip() or "nan"))
+                except ValueError:
+                    raise ConfigurationError(f"{path}:{lineno}: column {name!r}: not a number: {f!r}") from None
+    if not rows:
+        raise ConfigurationError(f"{path}: no data rows, only a header")
     return np.array(rows, dtype=float), names
 
 

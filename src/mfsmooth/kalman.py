@@ -26,12 +26,12 @@ banded in time, and the observed aggregates are exact linear constraints
 on it: ``BalancedSystem`` solves for its mean as one banded saddle-point
 system that each plan factorizes once (Chan and Jeliazkov 2009; Chan, Poon
 and Zhu 2023).  Its solution's last state is the filtered state at the
-balanced sample's last period.  From that state and its covariance,
-``EdgeSystem`` solves for the latent values of the ragged edge, the
-monthly values still missing and the quarterly ones, as one small dense
-saddle-point system, whose multipliers include the adjoint that lifts the
-balanced path.  A draw solves both on right-hand sides that carry the
-model's own noise (``BalancedSystem.perturbation``, ``simsmooth``).
+balanced sample's last period, where every edge step starts.  From it,
+the adaptive backend's step solves for the ragged edge's latent values,
+the monthly values still missing and the quarterly ones, as one small
+dense saddle-point system (``EdgeSystem``), whose multipliers are the
+adjoint that lifts the balanced path.  A draw solves both on right-hand
+sides that carry the model's own noise (``simsmooth``).
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ class BalancedSystem:
     (``perturbation``, one normal per unknown of K) and is one ``dgbtrs``
     solve (``solve``), whose mean is the solution of the data's.  Its last
     state s_{t_b-1} is the filtered state at t_b-1, where the ragged edge
-    starts (``EdgeSystem`` or an edge step).  One more solve, on the unit
+    starts (the backend's edge step).  One more solve, on the unit
     vectors of that state's positions, gives its covariance ``P_filt`` and
     Cov(q_t, s_{t_b-1}), which lifts the edge's adjoint r onto the path:
     the smoothed path is the mean plus that covariance times r
@@ -508,8 +508,8 @@ class BalancedSystem:
 
 class EdgeSystem:
     """The ragged edge t_b..T-1 given the balanced sample, as one dense
-    saddle-point system that a plan factorizes once, on the adaptive
-    backend's first draw.
+    saddle-point system that a plan factorizes once, on the first call of
+    the adaptive backend's edge step (``baseline.adaptive_edge``).
 
     The unknowns z = (s, l) are the balanced system's last state
     s = (q_{t_b-1}, ..., q_{t_b-1-p}), k = (p+1) n_q values, and the latent
@@ -554,6 +554,7 @@ class EdgeSystem:
         col[: p + 1, n_m:] = np.arange(k).reshape(p + 1, n_q)[::-1]
         col[p + 1 + lt, lv] = np.arange(k, N)
         self.cells = np.stack([t_b + lt, lv])
+        self._at, self._shape = (lt, lv), (n_e, n)
 
         B = np.zeros((n_e, n, N))
         B[lt, lv, np.arange(k, N)] = 1.0
@@ -608,38 +609,27 @@ class EdgeSystem:
         return x
 
     def smoothed(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The edge's latent values in ``x``, at the positions ``cells``, and
-        the adjoint lam of the filtered state at t_b-1."""
-        return x[self.k : self.n_z], x[self.n_z + self.n_a :]
+        """The edge's (T - t_b, n) rows, the latent values in ``x`` at the
+        positions ``cells`` and zero elsewhere, and the adjoint lam of the
+        filtered state at t_b-1."""
+        heads = np.zeros(self._shape)
+        heads[self._at] = x[self.k : self.n_z]
+        return heads, x[self.n_z + self.n_a :]
 
 
-def run_filter(periods: list[Block]) -> list[np.ndarray]:
-    """The forward pass over a draw's blocks (``build_periods``): each
-    block's solution.  The balanced block is one solve of its
-    ``BalancedSystem`` (``mats``), and the ragged edge, when the draw has its
-    block, one solve of its ``EdgeSystem`` from that solve's last state."""
-    balanced, *edge = periods
-    u = balanced.mats.solve(balanced.rhs)
-    return [u, *(block.mats.solve(block.rhs, balanced.mats.last(u)) for block in edge)]
+def run_filter(periods: list[Block]) -> np.ndarray:
+    """The forward pass over a draw's one block (``build_periods``): one
+    solve of its ``BalancedSystem`` (``mats``)."""
+    (block,) = periods
+    return block.mats.solve(block.rhs)
 
 
-def run_smoother(
-    periods: list[Block], solutions: list[np.ndarray], r_init: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The smoothed latent values of a draw's blocks as one vector, in the
-    order of the blocks' ``cells``, and the adjoint of the filtered state at
-    t_b-1.
-
-    The balanced quarterly path is the balanced block's mean lifted by that
-    adjoint (``BalancedSystem.smoothed``).  With an edge block the adjoint is
-    the edge solve's lam, and the edge's latent values follow the path
-    (``EdgeSystem.smoothed``); without one it is ``r_init``, which a caller
-    that continued past t_b-1 hands back.
-    """
-    if len(periods) == 1:
-        return periods[0].mats.smoothed(solutions[0], r_init), r_init
-    tail, r = periods[1].mats.smoothed(solutions[1])
-    return np.concatenate([periods[0].mats.smoothed(solutions[0], r), tail]), r
+def run_smoother(periods: list[Block], u: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """The smoothed balanced quarterly path of a draw's block, at its
+    ``cells``: the solution ``u`` lifted by ``r``, the adjoint of the
+    filtered state at t_b-1 that the draw's edge step hands back
+    (``BalancedSystem.smoothed``)."""
+    return periods[0].mats.smoothed(u, r)
 
 
 def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:

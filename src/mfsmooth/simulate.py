@@ -110,8 +110,11 @@ def benchmark_pattern(n_m: int, n_q: int, T: int, t_balanced: int, recipe: str =
     The last T - t_balanced periods form the ragged edge: a few monthly
     variables are missing throughout it, the fully observed share is
     ceil(0.3 n), the rest are missing in the final period only.  Quarterly
-    values appear at every third month.
+    values appear at every third month.  A ``t_balanced`` outside 0..T
+    raises ``ConfigurationError``.
     """
+    if not 0 <= t_balanced <= T:
+        raise ConfigurationError(f"t_balanced = {t_balanced} is outside 0..T, T = {T}")
     n = n_m + n_q
     k_both = missing_both_count(n, recipe)
     k_full = math.ceil(0.3 * n)

@@ -8,9 +8,9 @@ monthly variable once unobserved staying so (``AdaptiveIndex``).  The full
 stacked (companion) formulation used by the reference smoother is built
 separately (``baseline.companion_periods``).  A draw runs on neither per
 period and takes any ragged edge: ``build_periods`` assembles the right-hand
-sides of the two systems a plan solves, the balanced sample's and the ragged
-edge's (``kalman.BalancedSystem``, ``kalman.EdgeSystem``), as a list of
-``Block``s.
+side of the balanced sample's system (``kalman.BalancedSystem``) as a draw's
+one ``Block``, and ``edge_residuals`` the data's part of the adaptive edge
+step's (``kalman.EdgeSystem``).
 
 State layout: ``p+1`` lag groups, each group ``(x_{U_t}, x_q)`` with the
 unobserved monthly indices ascending and the quarterly variables last.
@@ -29,7 +29,7 @@ from .errors import ConfigurationError
 from .model import Aggregation, MixedFreqData, VarParams
 
 if TYPE_CHECKING:
-    from .kalman import BalancedSystem, EdgeSystem
+    from .kalman import BalancedSystem
     from .simsmooth import PseudoSample
 
 __all__ = [
@@ -236,13 +236,11 @@ class PeriodSystem(NamedTuple):
 
 
 class Block(NamedTuple):
-    """A run of a draw's periods solved as one system: ``mats``, the plan's
-    system (``kalman.BalancedSystem`` over the balanced periods 0..t_b-1,
-    ``kalman.EdgeSystem`` over the ragged edge t_b..T-1), ``t`` its first
-    period, and the system's right-hand side for the draw (``rhs``; the
-    edge's without the rows of the balanced system's last state)."""
+    """A draw's balanced periods 0..t_b-1 solved as one system: ``mats``,
+    the plan's ``kalman.BalancedSystem``, ``t`` its first period, 0, and the
+    system's right-hand side for the draw (``rhs``)."""
 
-    mats: BalancedSystem | EdgeSystem
+    mats: BalancedSystem
     t: int
     rhs: np.ndarray
 
@@ -327,24 +325,11 @@ def build_periods(
     data: MixedFreqData,
     system: BalancedSystem,
     balanced: np.ndarray,
-    edge: tuple[EdgeSystem, np.ndarray] | None = None,
     noise: PseudoSample | None = None,
 ) -> list[Block]:
-    """A draw's blocks: the balanced block on ``system`` (the plan's
-    ``kalman.BalancedSystem``), then, with ``edge``, the ragged edge's block
-    on the plan's ``kalman.EdgeSystem`` given there.
-
-    Each block's right-hand side is the data's part that the plan keeps:
-    ``balanced`` (``baseline.Plan.balanced``) and the one given beside the
-    edge's system (``baseline.Plan.edge_data``).  With ``noise``, a draw's
-    perturbation (``simsmooth.simulate_path``), the balanced one gains
-    ``noise.balanced`` and the edge's the term of the edge periods' shocks,
-    the rows of ``noise.shocks`` (``EdgeSystem.perturbation``).
-    """
-    block = Block(system, 0, balanced if noise is None else balanced + noise.balanced)
-    if edge is None:
-        return [block]
-    mats, rhs = edge
-    if noise is not None:
-        rhs = rhs + mats.perturbation(noise.shocks)
-    return [block, Block(mats, data.pattern.t_balanced, rhs)]
+    """A draw's one block, on ``system``, the plan's
+    ``kalman.BalancedSystem`` for ``data``: its right-hand side is
+    ``balanced``, the data's part that the plan keeps
+    (``baseline.Plan.balanced``), plus ``noise.balanced`` with ``noise``, a
+    draw's perturbation (``simsmooth.simulate_path``)."""
+    return [Block(system, 0, balanced if noise is None else balanced + noise.balanced)]

@@ -21,8 +21,16 @@ from mfsmooth import (
     run_blocked,
     skip_sampling,
 )
-from mfsmooth.baseline import compact_to_companion, companion_to_compact, dense_edge, plan_for
-from mfsmooth.blocked import blocked_downdate, blocked_F, blocked_K, blocked_M, blocked_predict, blocked_smooth_r
+from mfsmooth.baseline import adaptive_edge, compact_to_companion, companion_to_compact, dense_edge, plan_for
+from mfsmooth.blocked import (
+    blocked_downdate,
+    blocked_edge,
+    blocked_F,
+    blocked_K,
+    blocked_M,
+    blocked_predict,
+    blocked_smooth_r,
+)
 from mfsmooth.kalman import (
     FilterState,
     filter_periods,
@@ -32,6 +40,7 @@ from mfsmooth.kalman import (
     smooth_periods,
 )
 from mfsmooth.model import AggregationScheme
+from mfsmooth.simsmooth import simulate_path
 from mfsmooth.simulate import make_instance
 from mfsmooth.systems import build_periods
 from test_model import random_params
@@ -188,7 +197,7 @@ def reduced_filter_to_boundary(inst):
     """The balanced block's solve's last state, the filtered state at t_b-1."""
     params, data = inst.params, inst.data
     plan = plan_for(params, inst.scheme, data)
-    (u,) = run_filter(build_periods(data, plan.system, plan.balanced(data)))
+    u = run_filter(build_periods(data, plan.system, plan.balanced(data)))
     return FilterState(plan.system.last(u), plan.system.P_filt)
 
 
@@ -234,12 +243,13 @@ class TestTransitions:
         agg = build_aggregation(scheme, params.n_m, params.n_q, params.p)
         t_b, n_q = data.pattern.t_balanced, params.n_q
         res = reduced_filter_to_boundary(inst)
-        _, r_edge, _ = dense_edge(params, agg, data, res)
-        r = companion_to_compact(r_edge, params)
+        plan = plan_for(params, scheme, data)
+        _, r_q, _ = dense_edge(plan, data, res)
         qi = quarterly_state_index(params)
+        r = np.zeros(params.n * (params.p + 1))
+        r[qi] = r_q
         E = np.zeros((len(r), len(qi)))
         E[qi, np.arange(len(qi))] = 1.0
-        plan = plan_for(params, scheme, data)
         records = per_period(params, agg, data, t_b)
         ref = filter_periods(records, plan.init)
         e = ref[-1]
@@ -248,8 +258,7 @@ class TestTransitions:
         ref_last = e.a_filt + e.P_pred @ ltr - e.HGt @ (K.T @ r)
         ref_path = [s[:n_q] for s in smooth_periods(ref, r[qi])[0]]
         periods = build_periods(data, plan.system, plan.balanced(data))
-        states, r_b = run_smoother(periods, run_filter(periods), r[qi])
-        assert_array_equal(r_b, r[qi])
+        states = run_smoother(periods, run_filter(periods), r_q)
         for got, want in ((states[-n_q:], ref_last[:n_q]), (states, ref_path)):
             got, want = np.ravel(got), np.ravel(want)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -502,10 +511,10 @@ def irregular_quarterly_cases(draw):
     return case[:7] + (np.array(quarterly, dtype=bool),) + case[8:]
 
 
-def check_against_joint_oracle(case):
-    """All backends within 1e-8 of ``oracle_joint``.  ``case`` is a
-    ``ragged_cases`` tuple; its quarterly entry is either a calendar offset
-    or a (T, n_q) observation mask."""
+def ragged_instance(case):
+    """The parameters, scheme, data and init mode of a ``ragged_cases``
+    tuple, whose quarterly entry is either a calendar offset or a (T, n_q)
+    observation mask."""
     n_m, n_q, p, weights, t_b, T, edge, quarterly, time_varying, init_mode, seed = case
     if weights is None:
         scheme = intra_quarterly_average()
@@ -528,9 +537,16 @@ def check_against_joint_oracle(case):
         params = VarParams(n_m, n_q, p, params.intercept, params.lag_coeffs, stack)
     assert inst.data.pattern.t_balanced == t_b
     assert_array_equal(inst.data.pattern.quarterly_observed, mask[:, n_m:])
-    oj = oracle_joint(params, scheme, inst.data, init_mode=init_mode)
+    return params, scheme, inst.data, init_mode
+
+
+def check_against_joint_oracle(case):
+    """All backends within 1e-8 of ``oracle_joint`` on a ``ragged_cases``
+    tuple (``ragged_instance``)."""
+    params, scheme, data, init_mode = ragged_instance(case)
+    oj = oracle_joint(params, scheme, data, init_mode=init_mode)
     for name, run in BACKENDS.items():
-        out = run(params, scheme, inst.data, init_mode=init_mode)
+        out = run(params, scheme, data, init_mode=init_mode)
         assert_allclose(out.x_hat, oj.mean, rtol=1e-8, atol=1e-8, err_msg=name)
 
 
@@ -567,3 +583,36 @@ class TestJointOracleProperty:
                    False, "diffuse-proxy", 8))
     def test_irregular_quarters_match_joint_oracle(self, case):
         check_against_joint_oracle(case)
+
+
+class TestEdgeSteps:
+    """The three backends' edge steps from one compact boundary, the
+    balanced system's filtered state at t_b-1: the same edge rows at the
+    edge system's latent cells and the same adjoint of that boundary, with
+    and without a draw's edge shocks."""
+
+    @pytest.mark.parametrize("case", [
+        (3, 1, 3, None, 6, 9, cut_edge((6, 9, 8), 6, 9), 0, False, "stationary", 11),
+        # series observed again after a gap: a non-monotone edge
+        (3, 1, 3, None, 6, 10, np.array([[0, 1, 1], [1, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=bool),
+         1, False, "stationary", 9),
+        (2, 1, 3, (1.0,), 6, 8, cut_edge((6, 8), 6, 8), 0, False, "stationary", 1),
+        (4, 0, 3, None, 6, 9, cut_edge((6, 9, 8, 9), 6, 9), 0, False, "stationary", 12),
+        (3, 2, 4, None, 7, 9, cut_edge((7, 9, 8), 7, 9), 2, True, "diffuse-proxy", 6),
+    ], ids=["monotone", "non-monotone", "skip-sampling", "no-quarterly", "time-varying"])
+    @pytest.mark.parametrize("drawn", [False, True], ids=["mean", "draw"])
+    def test_edge_steps_agree_from_one_boundary(self, case, drawn):
+        params, scheme, data, init_mode = ragged_instance(case)
+        plan = plan_for(params, scheme, data, init_mode)
+        u = run_filter(build_periods(data, plan.system, plan.balanced(data)))
+        boundary = FilterState(plan.system.last(u), plan.system.P_filt)
+        shocks = simulate_path(params, data, np.random.default_rng(1), plan.system).shocks if drawn else None
+        t_b, (t, v) = data.pattern.t_balanced, plan.edge(data.pattern).cells
+        want_heads, want_r, _ = adaptive_edge(plan, data, boundary, shocks)
+        assert want_r.shape == ((params.p + 1) * params.n_q,)
+        for step in (dense_edge, blocked_edge):
+            heads, r, _ = step(plan, data, boundary, shocks)
+            assert heads.shape == want_heads.shape == (data.T - t_b, params.n)
+            for got, want in ((heads[t - t_b, v], want_heads[t - t_b, v]), (r, want_r)):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0), step.__name__

@@ -34,6 +34,15 @@ class TestSimulate:
         res = run(["simulate", "--config", str(cfg)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("t_b", [40, -1, -3])
+    def test_t_balanced_outside_the_sample_exits_2(self, tmp_path, t_b):
+        cfg = tmp_path / "sim.cfg"
+        write_config(cfg, {"n_m": 4, "n_q": 1, "p": 3, "T": 30, "t_balanced": t_b})
+        res = run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert f"t_balanced = {t_b} is outside 0..T, T = 30" in res.output
+        assert not (tmp_path / "instance.cfg").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         res = run(["simulate", "--config", str(tmp_path / "none.cfg")])
         assert res.exit_code == 2
@@ -102,6 +111,24 @@ class TestSmooth:
         res = run(["smooth", str(data), str(params_path), "--out", str(tmp_path / "x.bin")])
         assert res.exit_code == 2
         assert "lacks chol_cov" in res.output
+
+    def test_header_only_data_exits_2(self, tmp_path):
+        data, params = simulate_instance(tmp_path)
+        data.write_text(data.read_text().splitlines()[0] + "\n")
+        res = run(["smooth", str(data), str(params), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert f"{data}: no data rows" in res.output
+
+    def test_non_numeric_cell_exits_2(self, tmp_path):
+        data, params = simulate_instance(tmp_path)
+        lines = data.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "abc"
+        lines[2] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n")
+        res = run(["smooth", str(data), str(params), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert f"{data}:3: column 'm2': not a number: 'abc'" in res.output
 
     def test_missing_data_file_exits_2(self, tmp_path):
         _, params = simulate_instance(tmp_path)

@@ -32,7 +32,7 @@ from mfsmooth.kalman import (
     stationary_companion_cov,
     stationary_quarterly_cov,
 )
-from mfsmooth.baseline import plan_for
+from mfsmooth.baseline import adaptive_edge, plan_for
 from mfsmooth.model import AggregationScheme, MixedFreqData
 from mfsmooth.simulate import benchmark_pattern, make_instance, random_stable_params
 from mfsmooth.systems import PeriodSystem, SystemMatrices, build_periods
@@ -147,17 +147,25 @@ class TestMeanBand:
 
     @staticmethod
     def passes(params, inst, edge, init_mode="stationary", r_init=None):
-        """The draw's periods through the ragged edge (``edge``) or to t_b-1,
-        restarted there from ``r_init``, against the per-period reference."""
+        """The draw's block and, with ``edge``, the adaptive edge step through
+        the ragged edge, or the block restarted at t_b-1 from ``r_init``,
+        against the per-period reference."""
         data = inst.data
         t_b, n_m, n = data.pattern.t_balanced, params.n_m, params.n
         stop = data.T if edge else t_b
         plan = plan_for(params, inst.scheme, data, init_mode)
-        periods = build_periods(data, plan.system, plan.balanced(data),
-                                (plan.edge(data.pattern), plan.edge_data(data)) if edge else None)
-        solutions = run_filter(periods)
-        states, _ = run_smoother(periods, solutions, r_init)
-        assert periods[0].mats is plan.system and len(solutions) == len(periods) == 1 + edge
+        periods = build_periods(data, plan.system, plan.balanced(data))
+        u = run_filter(periods)
+        assert len(periods) == 1 and periods[0].mats is plan.system
+        r, cells_at, edge_values = r_init, [plan.system.cells], []
+        if edge:
+            # the edge step's latent values at its system's cells, and the
+            # adjoint that lifts the balanced path
+            system = plan.edge(data.pattern)
+            rows, r, _ = adaptive_edge(plan, data, FilterState(plan.system.last(u), plan.system.P_filt))
+            cells_at.append(system.cells)
+            edge_values.append(rows[system.cells[0] - t_b, system.cells[1]])
+        states = run_smoother(periods, u, r)
         # the reference: the reduced filter and smoother period by period,
         # whose latent values are each period's head, its variables
         # ``head_vars``
@@ -167,14 +175,13 @@ class TestMeanBand:
         # t_b-1's step is the reference's open last one when it stops there
         last = ref[t_b - 1]
         P_filt = kalman._sym(last.P_pred - last.MFinv @ last.M.T) if last.P_filt is None else last.P_filt
-        assert_close([plan.system.last(solutions[0])], [last.a_filt])
+        assert_close([plan.system.last(u)], [last.a_filt])
         assert_close([plan.system.P_filt], [P_filt])
         heads = [s[: per.mats.idx.head_size] for per, s in zip(records[t_b:], ref_states[t_b:])]
-        assert_close([states], [*(s[: n - n_m] for s in ref_states[:t_b]), *heads])
+        assert_close([states, *edge_values], [*(s[: n - n_m] for s in ref_states[:t_b]), *heads])
         cells = [(t, v) for t in range(t_b) for v in range(n_m, n)]
         cells += [(per.t, v) for per in records[t_b:] for v in per.mats.idx.head_vars()]
-        assert_array_equal(np.concatenate([block.mats.cells for block in periods], axis=1).T,
-                           np.reshape(cells, (-1, 2)))
+        assert_array_equal(np.concatenate(cells_at, axis=1).T, np.reshape(cells, (-1, 2)))
         return plan
 
     @pytest.mark.parametrize("time_varying", [False, True])
@@ -254,7 +261,7 @@ class TestMeanBand:
         head = MixedFreqData.from_values(small.data.values[:21], 3, 1)
         plan = plan_for(small.params, small.scheme, head)
         periods = build_periods(head, plan.system, plan.balanced(head))
-        states, _ = run_smoother(periods, run_filter(periods))
+        states = run_smoother(periods, run_filter(periods))
         assert_allclose(states, oracle_joint(small.params, small.scheme, head).mean[:, 3], rtol=1e-12)
 
     def test_zero_pivot_raises_naming_its_period(self):

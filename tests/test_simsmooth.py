@@ -685,24 +685,24 @@ class TestDataPart:
         assert len(built) == 4 and all(arr is consts for arr in built)
 
     def test_warm_draw_forms_no_edge_residuals(self, monkeypatch):
-        # the edge block's data part is kept beside the balanced one: a warm
-        # adaptive draw forms only its shocks' term, and its period build
+        # the edge system's data part is kept beside the balanced one: a warm
+        # adaptive draw forms only its shocks' term, and its edge step
         # takes the plan's array
         scheme = SCHEMES["custom"]
         params, data = self.instance(scheme, True)
         formed, built = [], []
-        residuals, build = baseline.edge_residuals, baseline.build_periods
+        residuals, edge_data = baseline.edge_residuals, baseline.Plan.edge_data
 
         def counted(params, data):
             formed.append(data)
             return residuals(params, data)
 
-        def recorded(*args, **kwargs):
-            built.append(args[3])
-            return build(*args, **kwargs)
+        def recorded(plan, data):
+            built.append((plan.edge(data.pattern), edge_data(plan, data)))
+            return built[-1][1]
 
         monkeypatch.setattr(baseline, "edge_residuals", counted)
-        monkeypatch.setattr(baseline, "build_periods", recorded)
+        monkeypatch.setattr(baseline.Plan, "edge_data", recorded)
         draw_latent(params, scheme, data, "adaptive", seed=1)
         assert formed == [data]
         plan = plan_for(params, scheme, data)
@@ -712,9 +712,9 @@ class TestDataPart:
             draw_latent(params, scheme, data, "adaptive", seed=seed)
         draw_many(params, scheme, data, "adaptive", 2, seed=2)
         assert formed == []
+        assert len(built) == 4 and all(edge[0] is plan.edge(data.pattern) and edge[1] is part for edge in built)
         assert plan_for(params, scheme, data).edge_data(data) is part
         assert part.shape == (plan.edge(data.pattern).n_z + plan.edge(data.pattern).n_a,)
-        assert len(built) == 4 and all(edge[0] is plan.edge(data.pattern) and edge[1] is part for edge in built)
         # another data object on the pattern gets its own part
         other = data.replace_values(data.values * 1.5 + 0.25)
         draw_latent(params, scheme, other, "adaptive", seed=2)

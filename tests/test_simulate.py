@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from mfsmooth import VarParams
-from mfsmooth.simulate import COEF_SCALE, SPECTRAL_BOUND, _radius_bound, random_stable_params
+from mfsmooth import ConfigurationError, VarParams
+from mfsmooth.simulate import COEF_SCALE, SPECTRAL_BOUND, _radius_bound, make_instance, random_stable_params
 
 
 def eig_radius(coeff_row):
@@ -69,3 +69,9 @@ class TestRadiusBound:
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
         rescaled = random_stable_params(1, 1, 1, np.random.default_rng(235))
         assert eig_radius(rescaled.coeff_row) < SPECTRAL_BOUND
+
+
+@pytest.mark.parametrize("t_b", [40, -1, -3])
+def test_t_balanced_outside_the_sample_rejected(t_b):
+    with pytest.raises(ConfigurationError, match=f"t_balanced = {t_b} is outside 0..T, T = 30"):
+        make_instance(4, 1, 3, 30, t_b, np.random.default_rng(0))

@@ -99,7 +99,7 @@ def per_period(params, agg, data, stop=None):
     """Periods 0..stop-1 as one ``PeriodSystem`` each, every one built
     alone: its structural matrices and noise products, and y - c and d from
     ``constants`` on a group of one.  The reduced formulation period by
-    period, the reference for a draw's balanced and edge blocks."""
+    period, the reference for a draw's balanced block and edge system."""
     pattern = data.pattern
     stacks = lag_stacks(data.values, params.p, params.n_m)
     records = []
@@ -425,20 +425,20 @@ class TestExogVector:
         # a draw's periods: the balanced block's right-hand side is formed
         # from the residuals y_m - c_m and -d_q of the periods before t_b = 7
         # and the aggregates, the quarterly values at t = 2, 5; the edge
-        # block's from the VAR residuals at zero latent values of t = 7..11
+        # system's from the VAR residuals at zero latent values of t = 7..11
         # (t = 8, 10, 11 have o_prev != all) and the values at t = 8, 11
         t_b = data.pattern.t_balanced
         assert all(len(periods[t].mats.idx.o_prev) < 3 for t in (8, 10, 11))
         plan = plan_for(params, agg, data)
         edge = plan.edge(data.pattern)
-        built = build_periods(data, plan.system, plan.balanced(data), (edge, plan.edge_data(data)))
+        (built,) = build_periods(data, plan.system, plan.balanced(data))
         resid = np.array([np.concatenate([per.ymc[:3], -per.d[:1]]) for per in periods[:t_b]])
         want = plan.system.rhs(projected(plan.system, resid), values[[2, 5], 3])
-        assert np.abs(built[0].rhs - want).max() <= 1e-13 * np.abs(want).max()
-        assert (built[1].mats, built[1].t) == (edge, t_b)
+        assert (built.mats, built.t) == (plan.system, 0)
+        assert np.abs(built.rhs - want).max() <= 1e-13 * np.abs(want).max()
         ref = [direct_resid(params, values, t) for t in range(t_b, 12)]
         assert_allclose(edge_residuals(params, data), ref, rtol=1e-13, atol=1e-15)
-        assert_array_equal(built[1].rhs, edge.rhs(edge_residuals(params, data), values[[8, 11], 3]))
+        assert_array_equal(plan.edge_data(data), edge.rhs(edge_residuals(params, data), values[[8, 11], 3]))
 
     def test_presample_lags_are_zero(self, built):
         params, values, periods = built
@@ -518,7 +518,7 @@ class TestEdgeConstants:
     @pytest.mark.parametrize("n_m,n_q,p,T,t_b", [(5, 2, 4, 40, 36), (119, 1, 12, 60, 58)])
     def test_match_the_dense_products(self, n_m, n_q, p, T, t_b):
         """The reference's c and d (``constants``) against the dense products
-        with each edge period's C and D, and the edge block's residuals at
+        with each edge period's C and D, and the edge system's residuals at
         zero latent values against the VAR residual formed lag by lag."""
         inst = make_instance(n_m, n_q, p, T, t_b, np.random.default_rng(2))
         data = inst.data
