@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .baseline import SmoothResult, adaptive_edge, smooth
-from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
+from .model import AggregationScheme, MixedFreqData, VarParams
 
 # looked up here by perfbench/layertrace.py's SPANS table; ``baseline.smooth``
 # calls them through baseline
@@ -35,10 +35,10 @@ def mult_count(rows: int, inner: int) -> int:
 
 def run_adaptive(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    scheme: AggregationScheme,
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
     noise: PseudoSample | None = None,
 ) -> SmoothResult:
-    return smooth(params, agg, data, adaptive_edge, init_mode, kappa, noise)
+    return smooth(params, scheme, data, adaptive_edge, init_mode, kappa, noise)

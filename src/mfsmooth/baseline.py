@@ -85,15 +85,16 @@ class SmoothResult:
     stats: RunStats
 
 
-def prepare(params: VarParams, agg: Aggregation | AggregationScheme) -> Aggregation:
-    if isinstance(agg, AggregationScheme):
-        return build_aggregation(agg, params.n_m, params.n_q, params.p)
-    if (agg.n_m, agg.n_q, agg.p) != (params.n_m, params.n_q, params.p):
-        raise ConfigurationError("aggregation dimensions do not match the VAR parameters")
-    return agg
+def prepare(params: VarParams, scheme: AggregationScheme) -> Aggregation:
+    return build_aggregation(scheme, params.n_q, params.p)
 
 
 def check_pattern(params: VarParams, data: MixedFreqData) -> None:
+    if (params.n_m, params.n_q) != (data.n_m, data.n_q):
+        raise ConfigurationError(
+            f"parameters for n_m={params.n_m}, n_q={params.n_q} on data with "
+            f"n_m={data.n_m}, n_q={data.n_q}"
+        )
     if data.pattern.t_balanced < params.p + 1:
         raise ConfigurationError(
             f"need at least p+1={params.p + 1} balanced leading periods, "
@@ -112,9 +113,8 @@ class Plan:
     solves.  Every edge step continues from its filtered state at t_b-1;
     the adaptive one (``adaptive_edge``) solves the ragged edge's system
     (``EdgeSystem``), built from it on that step's first call (``edge``).
-    ``scheme`` is the aggregation argument as the caller passed it and
-    ``init_key`` the ``(init_mode, kappa)`` pair; with ``params`` they
-    decide whether the plan can be reused.
+    ``scheme`` is the caller's aggregation scheme and ``init_key`` the
+    ``(init_mode, kappa)`` pair; with ``params`` they decide reuse.
 
     ``_last`` holds the data object the plan last ran on and the data's
     parts of the two systems' right-hand sides, which every draw and
@@ -124,7 +124,7 @@ class Plan:
     """
 
     params: VarParams
-    scheme: Aggregation | AggregationScheme
+    scheme: AggregationScheme
     init_key: tuple[str, float]
     agg: Aggregation
     init: FilterState
@@ -174,7 +174,7 @@ class Plan:
 
 def plan_for(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    scheme: AggregationScheme,
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
@@ -193,13 +193,13 @@ def plan_for(
     pattern = data.pattern
     plan = pattern._plan
     init_key = (init_mode, kappa)
-    if plan is not None and plan.params is params and plan.scheme is agg and plan.init_key == init_key:
+    if plan is not None and plan.params is params and plan.scheme is scheme and plan.init_key == init_key:
         return plan
-    layout = plan.system.layout if plan is not None and plan.params.p == params.p and plan.scheme is agg else None
-    expanded = prepare(params, agg)
+    layout = plan.system.layout if plan is not None and plan.params.p == params.p and plan.scheme is scheme else None
+    expanded = prepare(params, scheme)
     check_pattern(params, data)
     init = init_state(params, init_mode, kappa)
-    plan = Plan(params, agg, init_key, expanded, init, BalancedSystem(params, expanded, pattern, init, layout))
+    plan = Plan(params, scheme, init_key, expanded, init, BalancedSystem(params, expanded, pattern, init, layout))
     object.__setattr__(pattern, "_plan", plan)
     return plan
 
@@ -331,7 +331,7 @@ def adaptive_edge(
 
 def smooth(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    scheme: AggregationScheme,
     data: MixedFreqData,
     edge: Callable[..., tuple[np.ndarray, np.ndarray, float]],
     init_mode: str = "stationary",
@@ -357,9 +357,9 @@ def smooth(
     from the latent values' distribution given the data
     (perturbation-optimization; Papandreou and Yuille 2010).
     """
-    plan = plan_for(params, agg, data, init_mode, kappa)
+    plan = plan_for(params, scheme, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
-    periods = build_periods(data, plan.system, plan.balanced(data), noise)
+    periods = build_periods(plan.system, plan.balanced(data), noise)
     u = run_filter(periods)
     heads, r, worst_cond = None, None, 0.0
     if T > t_b:
@@ -385,11 +385,11 @@ def smooth(
 
 def run_baseline(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    scheme: AggregationScheme,
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
     noise: PseudoSample | None = None,
 ) -> SmoothResult:
     """``smooth`` with the dense companion-form edge step."""
-    return smooth(params, agg, data, dense_edge, init_mode, kappa, noise)
+    return smooth(params, scheme, data, dense_edge, init_mode, kappa, noise)

@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dtrtrs
 from .baseline import Plan, SmoothResult, companion_mean, companion_to_compact, smooth
 from .errors import SingularInnovationError
 from .kalman import FilterState, factorize_innovation, quarterly_state_index
-from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
+from .model import AggregationScheme, MixedFreqData, VarParams
 
 # looked up here by perfbench/layertrace.py's SPANS table; ``baseline.smooth``
 # calls them through baseline
@@ -246,10 +246,10 @@ def blocked_edge(
 
 def run_blocked(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    scheme: AggregationScheme,
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
     noise: PseudoSample | None = None,
 ) -> SmoothResult:
-    return smooth(params, agg, data, blocked_edge, init_mode, kappa, noise)
+    return smooth(params, scheme, data, blocked_edge, init_mode, kappa, noise)

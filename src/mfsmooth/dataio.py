@@ -98,7 +98,7 @@ def scheme_from_config(config: dict) -> AggregationScheme:
         if "weights" not in config:
             raise ConfigurationError("aggregation = custom needs a 'weights' entry")
         weights = [float(w) for w in config["weights"].split(",")]
-        return AggregationScheme("custom", np.array(weights), len(weights))
+        return AggregationScheme(weights)
     raise ConfigurationError(f"unknown aggregation scheme {kind!r}")
 
 

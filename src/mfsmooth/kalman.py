@@ -564,7 +564,7 @@ class EdgeSystem:
         ae, aj = np.nonzero(pattern.quarterly_observed[t_b:])
         self.n_a = n_a = len(ae)
         A = np.zeros((n_a, N))
-        A[np.arange(n_a)[:, None], col[ae[:, None] + p + 1 - np.arange(agg.p_q), n_m + aj[:, None]]] = agg.weights
+        A[np.arange(n_a)[:, None], col[ae[:, None] + p + 1 - np.arange(agg.p_q), n_m + aj[:, None]]] = agg.scheme.weights
 
         # W^-1 B_t for K, and Sigma_t^-1 B_t for the right-hand side's product
         Ws = [params.chol(t) for t in range(t_b, T)]

@@ -152,56 +152,46 @@ class VarParams:
 class AggregationScheme:
     """How observed quarterly values aggregate the latent monthly series.
 
-    ``kind`` is ``"intra_quarterly_average"`` or ``"custom"``; ``weights`` has
-    one entry per included high-frequency lag (lag 0 first).
+    ``weights`` has one entry per included high-frequency lag (lag 0 first),
+    ``p_q`` of them; a private read-only copy, like ``VarParams``' arrays.
     """
 
-    kind: str
     weights: np.ndarray
-    p_q: int
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if self.p_q < 1 or weights.shape[0] != self.p_q:
-            raise ConfigurationError("weights length must equal p_q >= 1")
+        weights = np.array(self.weights, dtype=float).reshape(-1)
+        if len(weights) < 1:
+            raise ConfigurationError("aggregation needs at least one weight")
         if not np.isfinite(weights).all():
             raise ConfigurationError("aggregation weights have non-finite entries")
-        if self.kind == "intra_quarterly_average":
-            if self.p_q != 3 or not np.allclose(weights, 1.0 / 3.0):
-                raise ConfigurationError(
-                    "intra_quarterly_average requires p_q=3 and weights 1/3"
-                )
-        elif self.kind != "custom":
-            raise ConfigurationError(f"unknown aggregation kind {self.kind!r}")
+        weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def p_q(self) -> int:
+        return len(self.weights)
 
 
 def intra_quarterly_average() -> AggregationScheme:
-    return AggregationScheme("intra_quarterly_average", np.full(3, 1.0 / 3.0), 3)
+    return AggregationScheme(np.full(3, 1.0 / 3.0))
 
 
 def skip_sampling() -> AggregationScheme:
     """Quarterly value equals the quarter-end monthly latent value."""
-    return AggregationScheme("custom", np.ones(1), 1)
+    return AggregationScheme(np.ones(1))
 
 
 @dataclass(frozen=True)
 class Aggregation:
-    """Expanded aggregation matrices for a given (n_m, n_q, p)."""
+    """Expanded aggregation matrix of a scheme for n_q quarterly variables."""
 
     scheme: AggregationScheme
-    n_m: int
     n_q: int
-    p: int
     lam_qq: np.ndarray    # n_q x n_q*p_q, weights on the quarterly lags 0..p_q-1
 
     @property
     def p_q(self) -> int:
         return self.scheme.p_q
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.scheme.weights
 
     def quarterly_state_cols(self, n_state_group: int, offset: int) -> np.ndarray:
         """Columns of the nonzero quarterly entries inside a stacked state.
@@ -216,7 +206,7 @@ class Aggregation:
         return lags * n_state_group + offset + vars_
 
 
-def build_aggregation(scheme: AggregationScheme, n_m: int, n_q: int, p: int) -> Aggregation:
+def build_aggregation(scheme: AggregationScheme, n_q: int, p: int) -> Aggregation:
     """Expand an aggregation scheme to its ``lam_qq`` matrix."""
     if p < scheme.p_q:
         raise ConfigurationError(
@@ -224,29 +214,39 @@ def build_aggregation(scheme: AggregationScheme, n_m: int, n_q: int, p: int) -> 
         )
     lam_qq = np.zeros((n_q, scheme.p_q, n_q))
     lam_qq[np.arange(n_q), :, np.arange(n_q)] = scheme.weights
-    return Aggregation(scheme, n_m, n_q, p, lam_qq.reshape(n_q, n_q * scheme.p_q))
+    return Aggregation(scheme, n_q, lam_qq.reshape(n_q, n_q * scheme.p_q))
 
 
 @dataclass(frozen=True)
 class ObservationPattern:
     """Per-period monthly observation sets and quarterly observation flags.
 
-    The flag arrays are private read-only copies.  ``_plan`` holds the
-    prepared plan last built for this pattern (``baseline.plan_for``), which
-    every data object sharing the pattern reuses.
+    The (T, n_m) and (T, n_q) flag arrays are private read-only copies, and
+    ``T`` and ``t_balanced`` (T_b: the first period with a monthly value
+    missing, else T) derive from them.  ``_plan`` holds the prepared plan
+    last built for this pattern (``baseline.plan_for``), which every data
+    object sharing the pattern reuses.
     """
 
-    T: int
-    t_balanced: int                 # count of leading balanced periods (T_b)
-    observed_monthly: np.ndarray    # (T, n_m) bool
-    quarterly_observed: np.ndarray  # (T, n_q) bool
+    observed_monthly: np.ndarray
+    quarterly_observed: np.ndarray
+    t_balanced: int = field(init=False)
     _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("observed_monthly", "quarterly_observed"):
-            arr = np.array(getattr(self, name), dtype=bool)
+        obs_m = np.array(self.observed_monthly, dtype=bool)
+        obs_q = np.array(self.quarterly_observed, dtype=bool)
+        if obs_m.ndim != 2 or obs_q.ndim != 2 or len(obs_m) != len(obs_q):
+            raise ConfigurationError(f"flag arrays of shapes {obs_m.shape}, {obs_q.shape}: need one row per period")
+        for name, arr in (("observed_monthly", obs_m), ("quarterly_observed", obs_q)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        full = obs_m.all(axis=1)
+        object.__setattr__(self, "t_balanced", len(full) if full.all() else int(np.argmin(full)))
+
+    @property
+    def T(self) -> int:
+        return len(self.observed_monthly)
 
     @property
     def n_m(self) -> int:
@@ -283,18 +283,14 @@ class MixedFreqData:
     """
 
     values: np.ndarray  # (T, n) float, NaN where missing
-    n_m: int
-    n_q: int
-    pattern: ObservationPattern = field(default=None)  # type: ignore[assignment]
+    pattern: ObservationPattern
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.pattern is None:
-            raise ConfigurationError("use MixedFreqData.from_values to build data")
         observed = np.hstack([self.pattern.observed_monthly, self.pattern.quarterly_observed])
-        if self.pattern.n_m != self.n_m or values.shape != observed.shape:
+        if values.shape != observed.shape:
             raise ConfigurationError(f"values of shape {values.shape} do not fit the pattern")
         bad = (np.isnan(values) == observed) | np.isinf(values)
         if bad.any():
@@ -308,8 +304,15 @@ class MixedFreqData:
     @classmethod
     def from_values(cls, values: np.ndarray, n_m: int, n_q: int, min_balanced: int = 1) -> "MixedFreqData":
         values = np.asarray(values, dtype=float)
-        pattern = detect_pattern(values, n_m, n_q, min_balanced=min_balanced)
-        return cls(values, n_m, n_q, pattern)
+        return cls(values, detect_pattern(values, n_m, n_q, min_balanced=min_balanced))
+
+    @property
+    def n_m(self) -> int:
+        return self.pattern.n_m
+
+    @property
+    def n_q(self) -> int:
+        return self.pattern.n_q
 
     @property
     def T(self) -> int:
@@ -325,20 +328,19 @@ class MixedFreqData:
 
         The new matrix must be missing exactly where the original is.
         """
-        return MixedFreqData(values, self.n_m, self.n_q, self.pattern)
+        return MixedFreqData(values, self.pattern)
 
 
 def detect_pattern(values: np.ndarray, n_m: int, n_q: int, min_balanced: int = 1) -> ObservationPattern:
     """Derive the observation pattern of a data matrix.
 
-    NaN marks a missing value and infinite values are rejected.
-    ``t_balanced`` is maximal, the first period with a monthly value
-    missing, and at least ``min_balanced`` leading periods must be fully
-    observed in the monthly block.  Any pattern after t_balanced is accepted:
-    a monthly value may be missing and observed again later.
+    NaN marks a missing value and infinite values are rejected.  At least
+    ``min_balanced`` leading periods must be fully observed in the monthly
+    block (``ObservationPattern.t_balanced``).  Any pattern after t_balanced
+    is accepted: a monthly value may be missing and observed again later.
     """
     values = np.asarray(values, dtype=float)
-    T, n = values.shape
+    _, n = values.shape
     if n != n_m + n_q:
         raise ConfigurationError(f"data has {n} columns, expected {n_m + n_q}")
     if np.isinf(values).any():
@@ -346,13 +348,11 @@ def detect_pattern(values: np.ndarray, n_m: int, n_q: int, min_balanced: int = 1
         raise ConfigurationError(
             f"data value at t={t}, column {j} is infinite; NaN marks missing values"
         )
-    obs_m = ~np.isnan(values[:, :n_m])
-    obs_q = ~np.isnan(values[:, n_m:])
-    full = obs_m.all(axis=1)
-    t_balanced = int(np.argmin(full)) if not full.all() else T
-    if t_balanced < min_balanced:
+    observed = ~np.isnan(values)
+    pattern = ObservationPattern(observed[:, :n_m], observed[:, n_m:])
+    if pattern.t_balanced < min_balanced:
         raise ConfigurationError(
-            f"only {t_balanced} leading fully observed monthly periods, "
+            f"only {pattern.t_balanced} leading fully observed monthly periods, "
             f"need at least {min_balanced}"
         )
-    return ObservationPattern(T, t_balanced, obs_m, obs_q)
+    return pattern

@@ -19,7 +19,7 @@ from .kalman import (
     smooth_periods,
     stationary_companion_cov,
 )
-from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
+from .model import AggregationScheme, MixedFreqData, VarParams
 
 __all__ = ["oracle_smooth", "oracle_joint", "JointResult"]
 
@@ -55,14 +55,14 @@ def _companion_init(params: VarParams, init_mode: str, kappa: float) -> FilterSt
 
 def oracle_smooth(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    scheme: AggregationScheme,
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
     cap: int = STATE_CAP,
 ) -> SmoothResult:
     """Full stacked-form filter and smoother over every period."""
-    agg = prepare(params, agg)
+    agg = prepare(params, scheme)
     check_pattern(params, data)
     dim = params.n * (params.p + 1)
     if dim > cap:
@@ -95,7 +95,7 @@ class JointResult:
 
 def oracle_joint(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    scheme: AggregationScheme,
     data: MixedFreqData,
     init_mode: str = "stationary",
     kappa: float = 1e4,
@@ -114,7 +114,7 @@ def oracle_joint(
     covariance form ``C_xy V_y^-1 resid`` loses about ``kappa`` times the
     working precision to cancellation.
     """
-    agg = prepare(params, agg)
+    agg = prepare(params, scheme)
     check_pattern(params, data)
     n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
     T = data.T
@@ -149,7 +149,7 @@ def oracle_joint(
     # observation rows: selections of latents plus quarterly aggregates
     obs_rows = []
     y_obs = []
-    weights = agg.weights
+    weights = scheme.weights
     for t in range(T):
         for v in data.pattern.observed(t):
             obs_rows.append(A[(p + 1 + t) * n + v])

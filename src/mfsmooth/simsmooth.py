@@ -33,7 +33,7 @@ from .baseline import RunStats, plan_for, run_baseline
 from .blocked import run_blocked
 from .errors import ConfigurationError
 from .kalman import BalancedSystem
-from .model import Aggregation, AggregationScheme, MixedFreqData, VarParams
+from .model import AggregationScheme, MixedFreqData, VarParams
 
 # looked up here by perfbench/layertrace.py's SPANS table; ``gen_pseudo``
 # reaches it through ``plan_for``
@@ -90,18 +90,22 @@ def simulate_path(
 
 def gen_pseudo(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    scheme: AggregationScheme,
     data: MixedFreqData,
     rng: np.random.Generator,
     init_mode: str = "stationary",
     kappa: float = 1e4,
 ) -> PseudoSample:
     """A draw's perturbation on the plan for the arguments (``simulate_path``)."""
-    return simulate_path(params, data, rng, plan_for(params, agg, data, init_mode, kappa).system)
+    return simulate_path(params, data, rng, plan_for(params, scheme, data, init_mode, kappa).system)
 
 
 def _rng_for(master_seed: int, index: int) -> np.random.Generator:
-    key = np.array([np.uint64(master_seed & (2**64 - 1)), np.uint64(index)], dtype=np.uint64)
+    """The generator of draw ``index`` under ``master_seed``, a Philox keyed
+    by the pair; a seed outside 0..2**64-1 raises ``ConfigurationError``."""
+    if not 0 <= master_seed < 2**64:
+        raise ConfigurationError(f"seed {master_seed} is outside 0..2**64-1")
+    key = np.array([np.uint64(master_seed), np.uint64(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -124,7 +128,7 @@ def _rekeyed(master_seed: int) -> Callable[[int], np.random.Generator]:
 
 def draw_latent(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    scheme: AggregationScheme,
     data: MixedFreqData,
     backend: str = "adaptive",
     seed: int | None = None,
@@ -138,14 +142,14 @@ def draw_latent(
         rng = _rng_for(0 if seed is None else seed, 0)
     elif seed is not None:
         raise ConfigurationError("give a seed or a generator (rng), not both")
-    noise = gen_pseudo(params, agg, data, rng, init_mode, kappa)
-    result = BACKENDS[backend](params, agg, data, init_mode, kappa, noise)
+    noise = gen_pseudo(params, scheme, data, rng, init_mode, kappa)
+    result = BACKENDS[backend](params, scheme, data, init_mode, kappa, noise)
     return LatentDraw(result.x_hat, backend, result.stats)
 
 
 def draw_many(
     params: VarParams,
-    agg: Aggregation | AggregationScheme,
+    scheme: AggregationScheme,
     data: MixedFreqData,
     backend: str,
     n_draws: int,
@@ -163,5 +167,5 @@ def draw_many(
     out = np.empty((n_draws, data.T, params.n))
     keyed = _rekeyed(seed)
     for i in range(n_draws):
-        out[i] = draw_latent(params, agg, data, backend, rng=keyed(i), init_mode=init_mode, kappa=kappa).x
+        out[i] = draw_latent(params, scheme, data, backend, rng=keyed(i), init_mode=init_mode, kappa=kappa).x
     return out

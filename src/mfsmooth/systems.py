@@ -322,14 +322,13 @@ def edge_residuals(params: VarParams, data: MixedFreqData) -> np.ndarray:
 
 
 def build_periods(
-    data: MixedFreqData,
     system: BalancedSystem,
     balanced: np.ndarray,
     noise: PseudoSample | None = None,
 ) -> list[Block]:
     """A draw's one block, on ``system``, the plan's
-    ``kalman.BalancedSystem`` for ``data``: its right-hand side is
-    ``balanced``, the data's part that the plan keeps
+    ``kalman.BalancedSystem``: its right-hand side is ``balanced``, the
+    data's part that the plan keeps
     (``baseline.Plan.balanced``), plus ``noise.balanced`` with ``noise``, a
     draw's perturbation (``simsmooth.simulate_path``)."""
     return [Block(system, 0, balanced if noise is None else balanced + noise.balanced)]

@@ -147,7 +147,7 @@ def test_criterion_4_multiplication_counts():
 def test_criterion_5_golden_system_matrices():
     """Symbol-for-symbol system matrices for the 4-variable, p=3 example."""
     params = random_params(3, 1, 3, seed=12)
-    agg = build_aggregation(intra_quarterly_average(), 3, 1, 3)
+    agg = build_aggregation(intra_quarterly_average(), 1, 3)
     setup = (params, agg)
 
     bal = test_systems.TestBalancedRegime()

@@ -16,6 +16,7 @@ from mfsmooth import (
     draw_latent,
     intra_quarterly_average,
     oracle_joint,
+    oracle_smooth,
     run_adaptive,
     run_baseline,
     run_blocked,
@@ -193,11 +194,27 @@ def test_monthly_rows_volatility_change_matches_joint_oracle():
         assert_allclose(out.x_hat, oj.mean, rtol=1e-8, atol=1e-8, err_msg=name)
 
 
+@pytest.mark.parametrize("t_b", [27, 30])
+@pytest.mark.parametrize("split", [(3, 2), (2, 3), (5, 0), (4, 2)])
+def test_parameters_must_fit_the_data(t_b, split):
+    """Parameters whose monthly/quarterly split differs from the data's are
+    rejected by every backend, a draw and both oracles, on a ragged and on
+    a balanced sample, before any solve."""
+    inst = small_instance(1, 4, 1, 3, 30, t_b)
+    base = inst.params if sum(split) == 5 else random_params(*split, 3, seed=1)
+    params = VarParams(*split, 3, base.intercept, base.lag_coeffs, base.chol_cov)
+    want = f"parameters for n_m={split[0]}, n_q={split[1]} on data with n_m=4, n_q=1"
+    calls = [*BACKENDS.values(), draw_latent, oracle_smooth, oracle_joint]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=want):
+            call(params, inst.scheme, inst.data)
+
+
 def reduced_filter_to_boundary(inst):
     """The balanced block's solve's last state, the filtered state at t_b-1."""
     params, data = inst.params, inst.data
     plan = plan_for(params, inst.scheme, data)
-    u = run_filter(build_periods(data, plan.system, plan.balanced(data)))
+    u = run_filter(build_periods(plan.system, plan.balanced(data)))
     return FilterState(plan.system.last(u), plan.system.P_filt)
 
 
@@ -240,7 +257,7 @@ class TestTransitions:
         and the per-period smoother restarted from that adjoint."""
         inst = small_instance(seed, scheme=scheme)
         params, data = inst.params, inst.data
-        agg = build_aggregation(scheme, params.n_m, params.n_q, params.p)
+        agg = build_aggregation(scheme, params.n_q, params.p)
         t_b, n_q = data.pattern.t_balanced, params.n_q
         res = reduced_filter_to_boundary(inst)
         plan = plan_for(params, scheme, data)
@@ -257,7 +274,7 @@ class TestTransitions:
         ltr = (E - K @ e.Z).T @ r
         ref_last = e.a_filt + e.P_pred @ ltr - e.HGt @ (K.T @ r)
         ref_path = [s[:n_q] for s in smooth_periods(ref, r[qi])[0]]
-        periods = build_periods(data, plan.system, plan.balanced(data))
+        periods = build_periods(plan.system, plan.balanced(data))
         states = run_smoother(periods, run_filter(periods), r_q)
         for got, want in ((states[-n_q:], ref_last[:n_q]), (states, ref_path)):
             got, want = np.ravel(got), np.ravel(want)
@@ -308,7 +325,7 @@ def dense_observation(agg, n, dim, o_t, q_rows):
     """Z as a dense matrix over the stacked state."""
     Z = np.zeros((len(o_t) + len(q_rows), dim))
     Z[np.arange(len(o_t)), o_t] = 1.0
-    Z[len(o_t):, agg.quarterly_state_cols(n, agg.n_m)] = agg.lam_qq[q_rows]
+    Z[len(o_t):, agg.quarterly_state_cols(n, n - agg.n_q)] = agg.lam_qq[q_rows]
     return Z
 
 
@@ -318,7 +335,7 @@ class TestBlockedOps:
         rng = np.random.default_rng(n * 100 + n_q * 10 + p)
         n_m = n - n_q
         params = random_params(n_m, n_q, p, seed=n + p)
-        agg = build_aggregation(intra_quarterly_average(), n_m, n_q, p)
+        agg = build_aggregation(intra_quarterly_average(), n_q, p)
         dim = n * (p + 1)
         qcols = agg.quarterly_state_cols(n, n_m)
         F1 = params.companion_transition()
@@ -334,7 +351,7 @@ class TestBlockedOps:
             Z[len(o_t):, :] = 0.0
             for r, j in enumerate(q_rows):
                 for lag in range(agg.p_q):
-                    Z[len(o_t) + r, lag * n + n_m + j] = agg.weights[lag]
+                    Z[len(o_t) + r, lag * n + n_m + j] = agg.scheme.weights[lag]
 
             M = blocked_M(P[:n], P[n:, n:], o_t, qcols, lamqq_obs)
             assert_allclose(M, P @ Z.T, rtol=1e-12, atol=1e-12)
@@ -372,7 +389,7 @@ class TestBlockedOps:
         zero_row = np.zeros_like(params.coeff_row)
         rng = np.random.default_rng(0)
         P = random_pred_cov(rng, 16)
-        agg = build_aggregation(intra_quarterly_average(), 3, 1, 3)
+        agg = build_aggregation(intra_quarterly_average(), 1, 3)
         qcols = agg.quarterly_state_cols(4, 3)
         M = blocked_M(P[:4], P[4:, 4:], np.arange(3), qcols, agg.lam_qq)
         F = blocked_F(M, np.arange(3), qcols, agg.lam_qq)
@@ -428,7 +445,7 @@ class TestBlockedOps:
         inst = small_instance(3, 4, 2, 3, 20, 17)
         params = inst.params
         n, npp, dim = params.n, params.n * params.p, params.n * (params.p + 1)
-        agg = build_aggregation(inst.scheme, params.n_m, params.n_q, params.p)
+        agg = build_aggregation(inst.scheme, params.n_q, params.p)
         if switch:
             res = reduced_filter_to_boundary(inst)
             at = quarterly_state_index(params)[: params.n_q * params.p]
@@ -519,7 +536,7 @@ def ragged_instance(case):
     if weights is None:
         scheme = intra_quarterly_average()
     else:
-        scheme = AggregationScheme("custom", np.array(weights), len(weights))
+        scheme = AggregationScheme(np.array(weights))
     mask = np.ones((T, n_m + n_q), dtype=bool)
     mask[t_b:, :n_m] = edge
     if isinstance(quarterly, int):
@@ -604,7 +621,7 @@ class TestEdgeSteps:
     def test_edge_steps_agree_from_one_boundary(self, case, drawn):
         params, scheme, data, init_mode = ragged_instance(case)
         plan = plan_for(params, scheme, data, init_mode)
-        u = run_filter(build_periods(data, plan.system, plan.balanced(data)))
+        u = run_filter(build_periods(plan.system, plan.balanced(data)))
         boundary = FilterState(plan.system.last(u), plan.system.P_filt)
         shocks = simulate_path(params, data, np.random.default_rng(1), plan.system).shocks if drawn else None
         t_b, (t, v) = data.pattern.t_balanced, plan.edge(data.pattern).cells

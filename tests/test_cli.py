@@ -49,6 +49,15 @@ class TestSimulate:
 
 
 class TestSmooth:
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, seed):
+        data, params = simulate_instance(tmp_path)
+        out = tmp_path / "draws.bin"
+        res = run(["smooth", str(data), str(params), "--seed", seed, "--out", str(out)])
+        assert res.exit_code == 2
+        assert f"seed {seed} is outside 0..2**64-1" in res.output
+        assert not out.exists()
+
     def test_pipeline_and_compare(self, tmp_path):
         data, params = simulate_instance(tmp_path)
         out_a = tmp_path / "a.bin"

@@ -68,7 +68,7 @@ class TestConfig:
             read_config(path)
 
     def test_scheme_from_config(self):
-        assert scheme_from_config({}).kind == "intra_quarterly_average"
+        assert_array_equal(scheme_from_config({}).weights, np.full(3, 1.0 / 3.0))
         s = scheme_from_config({"aggregation": "skip_sampling"})
         assert s.p_q == 1
         c = scheme_from_config({"aggregation": "custom", "weights": "0.5, 0.25, 0.25"})

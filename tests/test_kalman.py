@@ -154,7 +154,7 @@ class TestMeanBand:
         t_b, n_m, n = data.pattern.t_balanced, params.n_m, params.n
         stop = data.T if edge else t_b
         plan = plan_for(params, inst.scheme, data, init_mode)
-        periods = build_periods(data, plan.system, plan.balanced(data))
+        periods = build_periods(plan.system, plan.balanced(data))
         u = run_filter(periods)
         assert len(periods) == 1 and periods[0].mats is plan.system
         r, cells_at, edge_values = r_init, [plan.system.cells], []
@@ -260,14 +260,14 @@ class TestMeanBand:
         small = make_instance(3, 1, 3, 24, 21, np.random.default_rng(6))
         head = MixedFreqData.from_values(small.data.values[:21], 3, 1)
         plan = plan_for(small.params, small.scheme, head)
-        periods = build_periods(head, plan.system, plan.balanced(head))
+        periods = build_periods(plan.system, plan.balanced(head))
         states = run_smoother(periods, run_filter(periods))
         assert_allclose(states, oracle_joint(small.params, small.scheme, head).mean[:, 3], rtol=1e-12)
 
     def test_zero_pivot_raises_naming_its_period(self):
         # zero aggregation weights: the first observed aggregate's row of the
         # system is zero
-        scheme = AggregationScheme("custom", np.zeros(1), 1)
+        scheme = AggregationScheme(np.zeros(1))
         inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(5), scheme=scheme)
         first = int(np.flatnonzero(inst.data.pattern.quarterly_observed[:, 0])[0])
         with pytest.raises(SingularInnovationError, match=f"t={first}") as err:
@@ -279,7 +279,7 @@ class TestMeanBand:
         init = init_state(inst.params)
         P = init.P.copy()
         P[0, :] = P[:, 0] = 0.0
-        agg = build_aggregation(inst.scheme, 3, 1, 3)
+        agg = build_aggregation(inst.scheme, 1, 3)
         assert BalancedSystem(inst.params, agg, inst.data.pattern, FilterState(init.a, P)).jitter
         assert not BalancedSystem(inst.params, agg, inst.data.pattern, init).jitter
 
@@ -394,7 +394,7 @@ class TestEdgeSystem:
         # zero aggregation weights and the quarterly variable observed only
         # at the edge: the balanced system has no aggregate, the edge's
         # aggregate row is zero
-        scheme = AggregationScheme("custom", np.zeros(1), 1)
+        scheme = AggregationScheme(np.zeros(1))
         mask = np.ones((18, 4), dtype=bool)
         mask[16:, 0] = False
         mask[:17, 3] = False

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mfsmooth
 from mfsmooth import (
     ConfigurationError,
     MixedFreqData,
+    ObservationPattern,
     VarParams,
     build_aggregation,
     detect_pattern,
+    draw_latent,
     intra_quarterly_average,
     skip_sampling,
 )
+from mfsmooth.baseline import plan_for
 from mfsmooth.model import AggregationScheme
 from mfsmooth.simulate import make_instance
 
@@ -115,15 +119,15 @@ class TestVarParams:
 
 class TestAggregation:
     def test_intra_quarterly_average_row(self):
-        agg = build_aggregation(intra_quarterly_average(), 3, 1, 3)
+        agg = build_aggregation(intra_quarterly_average(), 1, 3)
         assert_allclose(agg.lam_qq, np.full((1, 3), 1.0 / 3.0))
 
     def test_skip_sampling_is_identity(self):
-        agg = build_aggregation(skip_sampling(), 2, 2, 2)
+        agg = build_aggregation(skip_sampling(), 2, 2)
         assert_allclose(agg.lam_qq, np.eye(2))
 
     def test_two_quarterly_expansion(self):
-        agg = build_aggregation(intra_quarterly_average(), 2, 2, 4)
+        agg = build_aggregation(intra_quarterly_average(), 2, 4)
         expected = np.zeros((2, 6))
         for i in range(2):
             expected[i, [i, i + 2, i + 4]] = 1.0 / 3.0
@@ -131,7 +135,7 @@ class TestAggregation:
 
     def test_aggregating_simulated_path(self):
         # quarterly observation = average of the three latest latent values
-        agg = build_aggregation(intra_quarterly_average(), 2, 2, 3)
+        agg = build_aggregation(intra_quarterly_average(), 2, 3)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 4))  # rows t-2, t-1, t of (monthly, monthly, quarterly, quarterly)
         zq = x[::-1, 2:].reshape(-1)  # lag-major quarterly stack (x_q,t, x_q,t-1, x_q,t-2)
@@ -139,16 +143,52 @@ class TestAggregation:
 
     def test_p_below_p_q_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_aggregation(intra_quarterly_average(), 2, 1, 2)
+            build_aggregation(intra_quarterly_average(), 1, 2)
 
     def test_bad_custom_weights(self):
-        with pytest.raises(ConfigurationError):
-            AggregationScheme("intra_quarterly_average", np.array([0.5, 0.5]), 2)
+        with pytest.raises(ConfigurationError, match="at least one weight"):
+            AggregationScheme(np.array([]))
+
+    def test_p_q_is_the_weight_count(self):
+        assert AggregationScheme([0.5, 0.3, 0.2]).p_q == 3
+        assert (intra_quarterly_average().p_q, skip_sampling().p_q) == (3, 1)
+        with pytest.raises(TypeError):
+            AggregationScheme(np.ones(2), 2)
+
+    def test_weights_are_read_only(self):
+        scheme = intra_quarterly_average()
+        with pytest.raises(ValueError):
+            scheme.weights[0] = 1.0
+        assert_array_equal(scheme.weights, np.full(3, 1.0 / 3.0))
+
+    def test_caller_edit_changes_neither_scheme_nor_cached_plan(self):
+        """The scheme keeps a private copy of the caller's weights, so an
+        edit of that array after a draw leaves the scheme and the plan
+        prepared from it (``baseline.plan_for``) on the same weights."""
+        weights = np.array([0.5, 0.3, 0.2])
+        scheme = AggregationScheme(weights)
+        inst = make_instance(4, 1, 3, 30, 27, np.random.default_rng(1), scheme=scheme)
+        first = draw_latent(inst.params, scheme, inst.data, seed=3).x
+        weights[:] = [1.0, 0.0, 0.0]
+        assert_array_equal(scheme.weights, [0.5, 0.3, 0.2])
+        assert_array_equal(draw_latent(inst.params, scheme, inst.data, seed=3).x, first)
+        fresh = MixedFreqData.from_values(inst.data.values, 4, 1)
+        assert_array_equal(draw_latent(inst.params, AggregationScheme([0.5, 0.3, 0.2]), fresh, seed=3).x, first)
+
+    @pytest.mark.parametrize("entry", ["plan_for", "run_baseline", "run_blocked", "run_adaptive", "draw_latent",
+                                       "draw_many", "gen_pseudo", "oracle_smooth", "oracle_joint"])
+    def test_entry_points_take_no_expanded_aggregation(self, entry):
+        inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(0))
+        agg = build_aggregation(inst.scheme, 1, 3)
+        args = {"draw_many": ("adaptive", 1), "gen_pseudo": (np.random.default_rng(0),)}.get(entry, ())
+        fn = plan_for if entry == "plan_for" else getattr(mfsmooth, entry)
+        with pytest.raises(AttributeError):
+            fn(inst.params, agg, inst.data, *args)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(ConfigurationError, match="aggregation weights have non-finite entries"):
-            AggregationScheme("custom", np.array([0.5, bad]), 2)
+            AggregationScheme(np.array([0.5, bad]))
 
 
 class TestDetectPattern:
@@ -209,7 +249,37 @@ class TestDetectPattern:
         assert list(pat.quarterly_rows(3)) == []
 
 
+class TestObservationPattern:
+    def test_t_balanced_is_the_first_period_with_a_monthly_value_missing(self):
+        obs = np.ones((30, 4), dtype=bool)
+        obs[27:, 3] = False
+        obs[29, 1] = False
+        pattern = ObservationPattern(obs, np.zeros((30, 1), dtype=bool))
+        assert (pattern.T, pattern.t_balanced, pattern.n_m, pattern.n_q) == (30, 27, 4, 1)
+        assert not pattern.balanced
+        full = ObservationPattern(np.ones((30, 4), dtype=bool), np.ones((30, 0), dtype=bool))
+        assert (full.t_balanced, full.n_q, full.balanced) == (30, 0, True)
+
+    @pytest.mark.parametrize("rows_q", [29, 31])
+    def test_flag_row_counts_must_agree(self, rows_q):
+        with pytest.raises(ConfigurationError, match="one row per period"):
+            ObservationPattern(np.ones((30, 4), dtype=bool), np.ones((rows_q, 1), dtype=bool))
+
+    def test_derived_values_cannot_be_passed(self):
+        obs = np.ones((30, 4), dtype=bool)
+        with pytest.raises(TypeError):
+            ObservationPattern(30, 29, obs, np.ones((30, 1), dtype=bool))
+        with pytest.raises(TypeError):
+            ObservationPattern(obs, np.ones((30, 1), dtype=bool), t_balanced=29)
+
+
 class TestMixedFreqData:
+    def test_variable_counts_come_from_the_pattern(self):
+        data = make_instance(4, 1, 3, 30, 27, np.random.default_rng(1)).data
+        assert (data.n_m, data.n_q, data.n) == (4, 1, 5)
+        with pytest.raises(TypeError):
+            MixedFreqData(data.values, 4, 2, data.pattern)
+
     @pytest.mark.parametrize("where", ["values", "observed_monthly", "quarterly_observed"])
     def test_data_arrays_are_read_only(self, where):
         values = np.zeros((6, 3))
@@ -243,7 +313,7 @@ class TestMixedFreqData:
         values = data.values.copy()
         values[t, col] = value
         with pytest.raises(ConfigurationError, match=f"t={t}, column {col}: the pattern has it {state}"):
-            MixedFreqData(values, 4, 1, data.pattern)
+            MixedFreqData(values, data.pattern)
         with pytest.raises(ConfigurationError, match=f"t={t}, column {col}"):
             data.replace_values(values)
 

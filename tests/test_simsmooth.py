@@ -158,7 +158,7 @@ class TestSimulatePath:
         init = init_state(inst.params, "stationary")
         P = init.P.copy()
         P[0, :] = P[:, 0] = 0.0
-        agg = build_aggregation(inst.scheme, 3, 1, 3)
+        agg = build_aggregation(inst.scheme, 1, 3)
         for cov, jitter in ((P, True), (init.P, False)):
             system = kalman.BalancedSystem(inst.params, agg, inst.data.pattern, kalman.FilterState(init.a, cov))
             sim = simulate_path(inst.params, inst.data, np.random.default_rng(2), system)
@@ -261,11 +261,25 @@ class TestDraws:
     def test_rekeyed_generator_matches_a_new_one(self):
         # draw_many re-keys one generator per draw; after any use, each key
         # gives the normals of a new generator on it
-        for seed in (0, 1, -1, 2**63 + 5, 2**64 - 1):
+        for seed in (0, 1, 2**63 + 5, 2**64 - 1):
             keyed = _rekeyed(seed)
             for index in (0, 1, 7, 2**40, 1, 0):
                 got = keyed(index).standard_normal(1000)
                 assert_array_equal(got, _rng_for(seed, index).standard_normal(1000), (seed, index))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, inst, seed):
+        """A seed is one Philox key word: one outside 0..2**64-1 raises
+        instead of wrapping onto another seed's draws."""
+        with pytest.raises(ConfigurationError, match=f"seed {seed} is outside 0..2\\*\\*64-1"):
+            draw_latent(inst.params, inst.scheme, inst.data, seed=seed)
+        with pytest.raises(ConfigurationError, match=f"seed {seed} is outside"):
+            draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=seed)
+
+    def test_largest_seed_accepted(self, inst):
+        top = draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=2**64 - 1)
+        assert_array_equal(top[0], draw_latent(inst.params, inst.scheme, inst.data, seed=2**64 - 1).x)
+        assert not np.array_equal(top, draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=0))
 
 
 class TestDrawDistribution:
@@ -476,7 +490,7 @@ class TestPreparedPlan:
 SCHEMES = {
     "average": intra_quarterly_average(),
     "skip": skip_sampling(),
-    "custom": AggregationScheme("custom", np.array([0.4, 0.3, 0.2, 0.1]), 4),
+    "custom": AggregationScheme(np.array([0.4, 0.3, 0.2, 0.1])),
 }
 
 
@@ -671,7 +685,7 @@ class TestDataPart:
         build = baseline.build_periods
 
         def recorded(*args, **kwargs):
-            built.append(args[2])
+            built.append(args[1])
             return build(*args, **kwargs)
 
         monkeypatch.setattr(baseline, "build_periods", recorded)
@@ -760,7 +774,7 @@ class TestLayoutReuse:
         # the same scheme object, a custom scheme whose zero weight drops a
         # lag from the support, and one whose fourth weight adds one
         other_p = random_stable_params(5, 2, 3, np.random.default_rng(8))
-        gap = AggregationScheme("custom", np.array([0.5, 0.0, 0.5]), 3)
+        gap = AggregationScheme(np.array([0.5, 0.0, 0.5]))
         for params, scheme in ((other_p, inst.scheme), (inst.params, gap), (inst.params, SCHEMES["custom"])):
             prev = plan_for(self.successor(inst.params, 5), inst.scheme, data)
             plan = plan_for(params, scheme, data)
@@ -772,7 +786,7 @@ class TestLayoutReuse:
     def test_zero_weights_raise_after_a_plan(self):
         inst = make_instance(3, 1, 3, 18, 16, np.random.default_rng(5))
         plan = plan_for(inst.params, inst.scheme, inst.data)
-        zero = AggregationScheme("custom", np.zeros(1), 1)
+        zero = AggregationScheme(np.zeros(1))
         first = int(np.flatnonzero(inst.data.pattern.quarterly_observed[:, 0])[0])
         with pytest.raises(SingularInnovationError, match=f"t={first}") as err:
             plan_for(inst.params, zero, inst.data)
@@ -788,7 +802,7 @@ class TestLayoutReuse:
         # where a position taken for a row past K's last would be an entry's
         inst = make_instance(5, 2, 4, 40, 36, np.random.default_rng(3))
         other_p = random_stable_params(5, 2, 3, np.random.default_rng(8))
-        gap = AggregationScheme("custom", np.array([0.5, 0.0, 0.5]), 3)
+        gap = AggregationScheme(np.array([0.5, 0.0, 0.5]))
         small = make_instance(3, 1, 3, 18, 16, np.random.default_rng(3))
         cases = ((inst.params, inst.scheme, inst.data), (other_p, inst.scheme, inst.data),
                  (inst.params, gap, inst.data), (inst.params, SCHEMES["custom"], inst.data),

@@ -5,7 +5,15 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from mfsmooth import ConfigurationError, VarParams
-from mfsmooth.simulate import COEF_SCALE, SPECTRAL_BOUND, _radius_bound, make_instance, random_stable_params
+from mfsmooth.simulate import (
+    COEF_SCALE,
+    SPECTRAL_BOUND,
+    _radius_bound,
+    benchmark_pattern,
+    make_instance,
+    missing_both_count,
+    random_stable_params,
+)
 
 
 def eig_radius(coeff_row):
@@ -75,3 +83,15 @@ class TestRadiusBound:
 def test_t_balanced_outside_the_sample_rejected(t_b):
     with pytest.raises(ConfigurationError, match=f"t_balanced = {t_b} is outside 0..T, T = 30"):
         make_instance(4, 1, 3, 30, t_b, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("recipe, k_both", [("bracket", 3), ("fraction", 5)])
+def test_missingness_recipes_at_n_200(recipe, k_both):
+    """At n = 200 the bracket recipe leaves 3 monthly variables missing over
+    the whole edge, the fraction recipe ceil(0.025 * 200) = 5."""
+    assert missing_both_count(200, recipe) == k_both
+    mask = benchmark_pattern(198, 2, 30, 27, recipe)
+    edge = mask[27:, :198]
+    assert np.flatnonzero(~edge.any(axis=0)).tolist() == list(range(198 - k_both, 198))
+    assert mask[:27, :198].all()
+    assert edge[:, : math.ceil(0.3 * 200)].all()

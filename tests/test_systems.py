@@ -132,7 +132,7 @@ def loadings_stack(params, idx, q_rows, t):
 @pytest.fixture
 def setup():
     params = random_params(3, 1, 3, seed=12)
-    agg = build_aggregation(intra_quarterly_average(), 3, 1, 3)
+    agg = build_aggregation(intra_quarterly_average(), 1, 3)
     return params, agg
 
 
@@ -338,7 +338,7 @@ class TestCompactAndCompanion:
         params, agg = setup
         obs = np.ones((4, 3), dtype=bool)
         obs[3, 1:] = False
-        pattern = ObservationPattern(4, 3, obs, np.ones((4, 1), dtype=bool))
+        pattern = ObservationPattern(obs, np.ones((4, 1), dtype=bool))
         assert params.companion_transition().shape == (16, 16)
         Z = companion_observation(params, agg, pattern.observed(3), pattern.quarterly_rows(3))
         assert Z.shape == (2, 16)
@@ -429,9 +429,9 @@ class TestExogVector:
         # (t = 8, 10, 11 have o_prev != all) and the values at t = 8, 11
         t_b = data.pattern.t_balanced
         assert all(len(periods[t].mats.idx.o_prev) < 3 for t in (8, 10, 11))
-        plan = plan_for(params, agg, data)
+        plan = plan_for(params, agg.scheme, data)
         edge = plan.edge(data.pattern)
-        (built,) = build_periods(data, plan.system, plan.balanced(data))
+        (built,) = build_periods(plan.system, plan.balanced(data))
         resid = np.array([np.concatenate([per.ymc[:3], -per.d[:1]]) for per in periods[:t_b]])
         want = plan.system.rhs(projected(plan.system, resid), values[[2, 5], 3])
         assert (built.mats, built.t) == (plan.system, 0)
@@ -646,7 +646,7 @@ def ref_Z(params, agg, idx, q_rows):
             Z[: len(idx.o_t), lag * s + latent_pos] = params.lag_coeffs[lag - 1][np.ix_(idx.o_t, latent)]
     for r, j in enumerate(q_rows):
         for lag in range(agg.p_q):
-            Z[len(idx.o_t) + r, lag * s + len(idx.u_t) + j] = agg.weights[lag]
+            Z[len(idx.o_t) + r, lag * s + len(idx.u_t) + j] = agg.scheme.weights[lag]
     return Z
 
 
@@ -666,7 +666,7 @@ def ref_companion_observation(params, agg, o_t, q_rows):
         Z[r, v] = 1.0
     for r, j in enumerate(q_rows):
         for lag in range(agg.p_q):
-            Z[len(o_t) + r, lag * params.n + params.n_m + j] = agg.weights[lag]
+            Z[len(o_t) + r, lag * params.n + params.n_m + j] = agg.scheme.weights[lag]
     return Z
 
 
@@ -680,7 +680,7 @@ def ref_lam_qq(scheme, n_q):
 SCHEMES = {
     "average": lambda w: intra_quarterly_average(),
     "skip": lambda w: skip_sampling(),
-    "custom": lambda w: AggregationScheme("custom", np.array(w), 2),
+    "custom": lambda w: AggregationScheme(np.array(w)),
 }
 
 
@@ -691,7 +691,7 @@ def check_against_reference(n_m, n_q, p, latent, was_latent, q_obs, kind, weight
     ``latent`` and ``was_latent``, so the edge is monotone."""
     params = random_params(n_m, n_q, p, seed=seed)
     scheme = SCHEMES[kind](weights)
-    agg = build_aggregation(scheme, n_m, n_q, p)
+    agg = build_aggregation(scheme, n_q, p)
     latent = np.asarray(latent, dtype=bool)
     u_t = np.flatnonzero(latent)
     u_prev = np.flatnonzero(latent & np.asarray(was_latent, dtype=bool))
