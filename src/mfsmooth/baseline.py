@@ -101,7 +101,7 @@ def check_pattern(params: VarParams, data: MixedFreqData) -> None:
             f"found {data.pattern.t_balanced}"
         )
     k = params.chol_cov.shape[0]
-    if params.time_varying_cov and k < data.T:
+    if params.time_varying_cov and k != data.T:
         raise ConfigurationError(f"time-varying chol_cov has {k} factors, the data {data.T} periods")
 
 

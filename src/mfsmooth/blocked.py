@@ -10,6 +10,14 @@ P[n:, n:], which is the previous period's filtered top block as it is.
 M = P Z' is gathered from those two parts and F read from its rows; the
 next lag block is one downdate by U = C^-1 M' for the lower Cholesky factor
 C of F, and the gain is K = (Pi B; B) for the first np rows B of M F^-1.
+The downdate forms the dense np x np block only when a later period
+downdates it in turn.  The last period reads its lag block only through
+Pi pf and the block's quarterly rows, so that block stays in downdate form
+(``Downdate``): P's block less U'U, kept as this period's head rows, its
+lag block and U, from which Pi pf = Pi P_block - (Pi U')U and the rows are
+formed at a small share of the dense block's cost (Durbin and Koopman 2012,
+section 4.3).  At the switch P's lag block is the boundary's sparse block,
+so only Pi's columns at the quarterly lags enter.
 The backward pass forms L'r = F1'r - Z'(K'r) (Durbin and Koopman 2002) from
 the boundary's adjoint step and Z's scatter, with no dense F1 or L.
 Results match the reference backend numerically; only the arithmetic route
@@ -40,6 +48,7 @@ if TYPE_CHECKING:
     from .simsmooth import PseudoSample
 
 __all__ = [
+    "Downdate",
     "blocked_F",
     "blocked_M",
     "blocked_K",
@@ -56,24 +65,71 @@ def blocked_F(M: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.n
     return np.concatenate([M[o_t], lamqq_obs @ M[qcols]], axis=0)
 
 
-def blocked_M(head: np.ndarray, lag: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.ndarray,
-              at: np.ndarray | None = None) -> np.ndarray:
-    """M = P Z' from the predicted covariance's head rows P[:n] and its lag
-    block P[n:, n:], reading only the columns Z reads: P's column j < n is
-    the head's row j, and below the head its column j >= n is the lag
-    block's row j - n.  With ``at``, ``lag`` holds the lag block's entries
-    at the positions ``at``, zero elsewhere."""
+def _rows(head: np.ndarray, lag: np.ndarray | Downdate, idx: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``idx`` (ascending) of the predicted covariance P from its head
+    rows P[:n] and its lag block P[n:, n:]: P's row j < n is the head's row
+    j, and below the head its row j is the head's column j followed by the
+    lag block's row j - n.  With ``at``, ``lag`` holds the lag block's
+    entries at the positions ``at``, zero elsewhere, and the rows read below
+    the head lie in ``at``; a ``Downdate`` gives its rows itself."""
     n, dim = head.shape
-    k0 = np.searchsorted(qcols, n)
-    hi = qcols[k0:] - n
-    rows = np.empty((len(qcols), dim))
-    rows[:k0] = head[qcols[:k0]]
-    rows[k0:, :n] = head[:, qcols[k0:]].T
-    if at is None:
+    k0 = np.searchsorted(idx, n)
+    hi = idx[k0:] - n
+    rows = np.empty((len(idx), dim))
+    rows[:k0] = head[idx[:k0]]
+    rows[k0:, :n] = head[:, idx[k0:]].T
+    if isinstance(lag, Downdate):
+        rows[k0:, n:] = lag.rows(hi)
+    elif at is None:
         rows[k0:, n:] = lag[hi]
     else:
         rows[k0:, n:] = 0.0
         rows[k0:, n + at] = lag[np.searchsorted(at, hi)]
+    return rows
+
+
+@dataclass(frozen=True)
+class Downdate:
+    """A lag block in downdate form: the first np rows and columns of the
+    filtered covariance P - M F^-1 M', P's block less U'U, kept as its parts
+    (P's head rows, its lag block ``lag`` with ``at`` as in ``_rows``, and
+    U = C^-1 M[:np]') instead of the np x np array ``blocked_downdate``
+    forms.  The period after the last downdate reads its lag block only
+    through Pi pf and the quarterly rows, which the parts give at a small
+    share of the dense block's cost."""
+
+    head: np.ndarray
+    lag: np.ndarray
+    at: np.ndarray | None
+    U: np.ndarray
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows ``idx`` (ascending) of the block: P's rows less U[:, idx]'U."""
+        npp = self.U.shape[1]
+        return _rows(self.head, self.lag, idx, self.at)[:, :npp] - self.U[:, idx].T @ self.U
+
+    def times(self, pi: np.ndarray) -> np.ndarray:
+        """Pi pf = Pi P_block - (Pi U')U: Pi's first n columns meet P's head
+        rows, the others its rows below the head, read as the head's columns
+        and the lag block (with ``at``, only Pi's columns ``at`` enter)."""
+        n, npp = self.head.shape[0], self.U.shape[1]
+        out = pi[:, :n] @ self.head[:, :npp]
+        out[:, :n] += pi[:, n:] @ self.head[:, n:npp].T
+        if self.at is None:
+            out[:, n:] += pi[:, n:] @ self.lag[: npp - n, : npp - n]
+        else:
+            cols = n + self.at[: np.searchsorted(self.at, npp - n)]
+            out[:, cols] += pi[:, cols] @ self.lag[: len(cols), : len(cols)]
+        out -= (pi @ self.U.T) @ self.U
+        return out
+
+
+def blocked_M(head: np.ndarray, lag: np.ndarray | Downdate, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.ndarray,
+              at: np.ndarray | None = None) -> np.ndarray:
+    """M = P Z' from the predicted covariance's head rows P[:n] and its lag
+    block P[n:, n:] (an array, with ``at`` as in ``_rows``, or a
+    ``Downdate``), reading only the rows of P at the columns Z reads."""
+    rows = _rows(head, lag, qcols, at)
     return np.concatenate([head[o_t].T, rows.T @ lamqq_obs.T], axis=1)
 
 
@@ -86,7 +142,7 @@ def blocked_K(MFinv: np.ndarray, coeff_row: np.ndarray) -> np.ndarray:
 
 def blocked_predict(
     a_filt: np.ndarray,
-    pf_top: np.ndarray,
+    pf_top: np.ndarray | Downdate,
     coeff_row: np.ndarray,
     sigma: np.ndarray,
     at: np.ndarray | None = None,
@@ -97,12 +153,13 @@ def blocked_predict(
 
     The product Pi pf_top is formed once and placed in the head's lag
     columns.  With ``at``, ``pf_top`` holds the entries at the positions
-    ``at``, zero elsewhere, and only Pi's columns ``at`` enter.  No
-    constant term in this formulation; the caller adds the intercept.
+    ``at``, zero elsewhere, and only Pi's columns ``at`` enter.  A
+    ``Downdate`` forms the product from its parts, never the dense block.
+    No constant term in this formulation; the caller adds the intercept.
     """
     n, npp = coeff_row.shape
     pi = coeff_row if at is None else coeff_row[:, at]
-    bracket = pi @ pf_top
+    bracket = pf_top.times(pi) if isinstance(pf_top, Downdate) else pi @ pf_top
     top_left = bracket @ pi.T + sigma
     head = np.zeros((n, n + npp))
     head[:, :n] = (top_left + top_left.T) / 2.0
@@ -117,7 +174,8 @@ def blocked_downdate(head: np.ndarray, U: np.ndarray, lag: np.ndarray, at: np.nd
     block is read from its head rows and its lag block ``lag`` (with
     ``at``, the lag block's entries at the positions ``at``, zero
     elsewhere).  The result is exactly symmetric, with no symmetrizing
-    pass."""
+    pass.  The edge forms it only for a period that downdates it in turn;
+    the last period's block stays in downdate form (``Downdate``)."""
     n, npp = head.shape[0], U.shape[1]
     # numpy forms A'A as one symmetric rank-k update (syrk) with its mirror
     pf = U.T @ U
@@ -178,7 +236,8 @@ def blocked_edge(
     period is predicted from the boundary's block at the quarterly lags
     inside the first np positions.  No n(p+1)-square matrix is formed: each
     period keeps its predicted covariance's head rows and lag block, and
-    forms the next lag block once, as one downdate (``blocked_downdate``).
+    forms the next lag block once, as one downdate (``blocked_downdate``),
+    except for the last period, which reads it in downdate form.
     """
     params, agg = plan.params, plan.agg
     n, p = params.n, params.p
@@ -227,9 +286,13 @@ def blocked_edge(
             U, Finv_v = half[:, 1:], sol[:, 0]
             a_filt = a + M @ Finv_v
             K = blocked_K(sol[:, 1:].T, coeff_row)
-        if t + 1 < data.T:
-            # only the next prediction reads the filtered covariance
+        # only the next period reads the filtered covariance; the last one
+        # reads it only through Pi pf and its quarterly rows, which the
+        # downdate's parts give without the dense block
+        if t + 2 < data.T:
             lag, at = blocked_downdate(head, U, lag, at), None
+        elif t + 1 < data.T:
+            lag, at = Downdate(head, lag, at, U), None
         records.append(BlockedRecord(a_filt[:n], head, K, Finv_v, o_t, lamqq_obs))
 
     # backward pass over the ragged edge, with L'r = F1'r - Z'(K'r); the

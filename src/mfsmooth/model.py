@@ -79,6 +79,8 @@ class VarParams:
             chol_cov = chol_cov[None, :, :]
         if chol_cov.shape[1:] != (n, n):
             raise ConfigurationError(f"chol_cov trailing dims must be {(n, n)}")
+        if len(chol_cov) == 0:
+            raise ConfigurationError("chol_cov has no factors")
         arrays = {"intercept": intercept, "lag_coeffs": lag_coeffs, "chol_cov": chol_cov}
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():
@@ -89,10 +91,8 @@ class VarParams:
         coeff_row.setflags(write=False)
         object.__setattr__(self, "coeff_row", coeff_row)
         # the strict upper triangle, up to the 1e-8 that passes for zero: each
-        # entry's largest magnitude over the periods, in two reductions along
-        # the stack, then one (n, n) mask; no gather out of the stack
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        if np.maximum(chol_cov.max(axis=0), -chol_cov.min(axis=0))[upper].max(initial=0.0) > 1e-8:
+        # row's part read once, over all periods at once
+        if max((np.abs(chol_cov[:, i, i + 1:]).max() for i in range(n - 1)), default=0.0) > 1e-8:
             raise ConfigurationError("chol_cov factors must be lower-triangular")
         if np.any(np.diagonal(chol_cov, axis1=1, axis2=2) <= 0):
             raise ConfigurationError("chol_cov factors need strictly positive diagonals")
@@ -159,7 +159,9 @@ class AggregationScheme:
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float).reshape(-1)
+        weights = np.array(self.weights, dtype=float)
+        if weights.ndim != 1:
+            raise ConfigurationError(f"aggregation weights of shape {weights.shape}: need a 1-D array, one per lag")
         if len(weights) < 1:
             raise ConfigurationError("aggregation needs at least one weight")
         if not np.isfinite(weights).all():
@@ -238,6 +240,8 @@ class ObservationPattern:
         obs_q = np.array(self.quarterly_observed, dtype=bool)
         if obs_m.ndim != 2 or obs_q.ndim != 2 or len(obs_m) != len(obs_q):
             raise ConfigurationError(f"flag arrays of shapes {obs_m.shape}, {obs_q.shape}: need one row per period")
+        if obs_m.shape[1] == 0:
+            raise ConfigurationError("no monthly variable: the sampler needs n_m >= 1")
         for name, arr in (("observed_monthly", obs_m), ("quarterly_observed", obs_q)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

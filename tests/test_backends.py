@@ -14,6 +14,8 @@ from mfsmooth import (
     VarParams,
     build_aggregation,
     draw_latent,
+    draw_many,
+    gen_pseudo,
     intra_quarterly_average,
     oracle_joint,
     oracle_smooth,
@@ -24,6 +26,7 @@ from mfsmooth import (
 )
 from mfsmooth.baseline import adaptive_edge, compact_to_companion, companion_to_compact, dense_edge, plan_for
 from mfsmooth.blocked import (
+    Downdate,
     blocked_downdate,
     blocked_edge,
     blocked_F,
@@ -110,21 +113,20 @@ class TestCrossBackend:
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_time_varying_cov_length(self, name):
-        """A stack of factors shorter than the data is a usage error naming
-        both lengths; a longer one draws as its first T factors."""
+        """A stack of factors shorter or longer than the data is a usage
+        error naming both lengths, from the backend, a draw and a stack of
+        draws; exactly T factors draw."""
         inst = make_instance(4, 1, 3, 40, 38, np.random.default_rng(0))
-        p = inst.params
-        W = np.exp(0.3 * np.random.default_rng(1).standard_normal((41, p.n)))[:, :, None] * p.chol_cov
-
-        def stack(k):
-            return VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, W[:k])
-
-        with pytest.raises(ConfigurationError, match="39 factors, the data 40 periods"):
-            draw_latent(stack(39), inst.scheme, inst.data, name, seed=0)
-        with pytest.raises(ConfigurationError, match="39 factors, the data 40 periods"):
-            BACKENDS[name](stack(39), inst.scheme, inst.data)
-        assert_array_equal(draw_latent(stack(41), inst.scheme, inst.data, name, seed=0).x,
-                           draw_latent(stack(40), inst.scheme, inst.data, name, seed=0).x)
+        params, scheme, data = time_varying_stacks(inst)
+        for k in (39, 41):
+            want = f"{k} factors, the data 40 periods"
+            with pytest.raises(ConfigurationError, match=want):
+                draw_latent(params[k], scheme, data, name, seed=0)
+            with pytest.raises(ConfigurationError, match=want):
+                draw_many(params[k], scheme, data, name, 2)
+            with pytest.raises(ConfigurationError, match=want):
+                BACKENDS[name](params[k], scheme, data)
+        assert np.isfinite(draw_latent(params[40], scheme, data, name, seed=0).x).all()
 
     def test_worst_cond_covers_the_edge(self):
         """``RunStats.worst_cond`` takes the edge's condition: a tiny shock
@@ -208,6 +210,28 @@ def test_parameters_must_fit_the_data(t_b, split):
     for call in calls:
         with pytest.raises(ConfigurationError, match=want):
             call(params, inst.scheme, inst.data)
+
+
+def time_varying_stacks(inst):
+    """``inst``'s parameters with stacks of 39, 40 and 41 time-varying
+    factors (the data has 40 periods), its scheme and its data."""
+    p = inst.params
+    W = np.exp(0.3 * np.random.default_rng(1).standard_normal((41, p.n)))[:, :, None] * p.chol_cov
+    params = {k: VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, W[:k]) for k in (39, 40, 41)}
+    return params, inst.scheme, inst.data
+
+
+@pytest.mark.parametrize("k", [39, 41])
+def test_time_varying_cov_fits_the_data_at_every_entry_point(k):
+    """The plan, a perturbation and both oracles reject a stack of factors
+    shorter or longer than the data, as the backends and draws do
+    (``TestCrossBackend::test_time_varying_cov_length``)."""
+    inst = make_instance(4, 1, 3, 40, 38, np.random.default_rng(0))
+    params, scheme, data = time_varying_stacks(inst)
+    calls = [plan_for, oracle_smooth, oracle_joint, lambda *args: gen_pseudo(*args, np.random.default_rng(0))]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=f"{k} factors, the data 40 periods"):
+            call(params[k], scheme, data)
 
 
 def reduced_filter_to_boundary(inst):
@@ -435,13 +459,12 @@ class TestBlockedOps:
         assert_allclose(head, P[: params.n], rtol=1e-12, atol=1e-12)
         assert_allclose(a, F1 @ start.a, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("switch", [False, True])
-    def test_downdate_matches_dense_filtered_block(self, switch):
-        """M from the head rows and the lag block is P Z', and the next lag
-        block, one downdate by U = C^-1 M' for the Cholesky factor C of F, is
-        the first np rows and columns of the dense P - M F^-1 M', exactly
-        symmetric; at the switch the lag block is the boundary's block at the
-        quarterly lags."""
+    @staticmethod
+    def downdate_case(switch):
+        """A period's predicted covariance as its head rows and lag block (at
+        the switch, the boundary's block at the quarterly lags), the dense P
+        they stand for, the update's M, F and U = C^-1 M[:np]' for the
+        Cholesky factor C of F, and the period's observation loading Z."""
         inst = small_instance(3, 4, 2, 3, 20, 17)
         params = inst.params
         n, npp, dim = params.n, params.n * params.p, params.n * (params.p + 1)
@@ -461,12 +484,48 @@ class TestBlockedOps:
         o_t, q_rows = np.array([0, 2]), np.array([1])
         Z = dense_observation(agg, n, dim, o_t, q_rows)
         M = blocked_M(head, lag, o_t, agg.quarterly_state_cols(n, params.n_m), agg.lam_qq[q_rows], at)
-        assert_allclose(M, P @ Z.T, rtol=1e-12, atol=1e-12)
         F = Z @ P @ Z.T
         U = np.linalg.solve(np.linalg.cholesky(F), M[:npp].T)
+        return params, agg, head, lag, at, P, Z, M, F, U
+
+    @pytest.mark.parametrize("switch", [False, True])
+    def test_downdate_matches_dense_filtered_block(self, switch):
+        """M from the head rows and the lag block is P Z', and the next lag
+        block, one downdate by U = C^-1 M' for the Cholesky factor C of F, is
+        the first np rows and columns of the dense P - M F^-1 M', exactly
+        symmetric; at the switch the lag block is the boundary's block at the
+        quarterly lags."""
+        params, _, head, lag, at, P, Z, M, F, U = self.downdate_case(switch)
+        npp = params.n * params.p
+        assert_allclose(M, P @ Z.T, rtol=1e-12, atol=1e-12)
         pf = blocked_downdate(head, U, lag, at)
         assert_allclose(pf, (P - M @ np.linalg.solve(F, M.T))[:npp, :npp], rtol=1e-12, atol=1e-12)
         assert np.array_equal(pf, pf.T)
+
+    @pytest.mark.parametrize("switch", [False, True])
+    def test_downdate_form_matches_dense_filtered_block(self, switch):
+        """The lag block in downdate form, P's block less U'U kept as P's
+        head rows, its lag block and U, gives the next prediction's head rows
+        and the block's quarterly rows of the dense P - M F^-1 M' block."""
+        params, agg, head, lag, at, P, _, M, F, U = self.downdate_case(switch)
+        n, npp, dim = params.n, params.n * params.p, params.n * (params.p + 1)
+        pf = np.zeros((dim, dim))
+        pf[:npp, :npp] = (P - M @ np.linalg.solve(F, M.T))[:npp, :npp]
+        form = Downdate(head, lag, at, U)
+        F1 = params.companion_transition()
+        a = np.random.default_rng(5).normal(size=dim)
+        a_next, head_next = blocked_predict(a, form, params.coeff_row, params.sigma(18))
+        P_next = F1 @ pf @ F1.T + params.companion_noise_cov(18)
+        assert_allclose(head_next, P_next[:n], rtol=1e-12, atol=1e-12)
+        assert_allclose(a_next, F1 @ a, rtol=1e-12, atol=1e-12)
+        qcols = agg.quarterly_state_cols(n, params.n_m)
+        hi = qcols[qcols >= n] - n
+        assert len(hi) > 0
+        assert_allclose(form.rows(hi), pf[hi, :npp], rtol=1e-12, atol=1e-12)
+        # the next period's M reads those rows below its head rows
+        o_t, q_rows = np.array([1, 3]), np.array([0, 1])
+        M_next = blocked_M(head_next, form, o_t, qcols, agg.lam_qq[q_rows])
+        assert_allclose(M_next, P_next @ dense_observation(agg, n, dim, o_t, q_rows).T, rtol=1e-12, atol=1e-12)
 
     def test_warm_paper_cell_draw_forms_no_dense_covariance(self):
         # the edge keeps each period's head rows and one lag block, and enters
@@ -616,7 +675,13 @@ class TestEdgeSteps:
         (2, 1, 3, (1.0,), 6, 8, cut_edge((6, 8), 6, 8), 0, False, "stationary", 1),
         (4, 0, 3, None, 6, 9, cut_edge((6, 9, 8, 9), 6, 9), 0, False, "stationary", 12),
         (3, 2, 4, None, 7, 9, cut_edge((7, 9, 8), 7, 9), 2, True, "diffuse-proxy", 6),
-    ], ids=["monotone", "non-monotone", "skip-sampling", "no-quarterly", "time-varying"])
+        # one edge period: the blocked edge runs no downdate
+        (3, 1, 3, None, 8, 9, cut_edge((8, 9, 9), 8, 9), 0, False, "stationary", 13),
+        # seven edge periods at p = 3: dense lag blocks, then the last one in
+        # downdate form, after the boundary's block has shifted out
+        (3, 1, 3, None, 6, 13, cut_edge((6, 11, 13), 6, 13), 1, True, "stationary", 14),
+    ], ids=["monotone", "non-monotone", "skip-sampling", "no-quarterly", "time-varying", "one-period",
+            "long"])
     @pytest.mark.parametrize("drawn", [False, True], ids=["mean", "draw"])
     def test_edge_steps_agree_from_one_boundary(self, case, drawn):
         params, scheme, data, init_mode = ragged_instance(case)

@@ -7,7 +7,15 @@ from click.testing import CliRunner
 
 from mfsmooth import VarParams
 from mfsmooth.cli import main
-from mfsmooth.dataio import load_params, read_archive, save_params, write_archive, write_config
+from mfsmooth.dataio import (
+    load_params,
+    read_archive,
+    read_data_csv,
+    save_params,
+    write_archive,
+    write_config,
+    write_data_csv,
+)
 
 
 def run(args, **kw):
@@ -46,6 +54,14 @@ class TestSimulate:
     def test_missing_config_exits_2(self, tmp_path):
         res = run(["simulate", "--config", str(tmp_path / "none.cfg")])
         assert res.exit_code == 2
+
+    def test_no_monthly_variable_exits_2(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        write_config(cfg, {"n_m": 0, "n_q": 2, "p": 3, "T": 20, "t_balanced": 20})
+        res = run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "monthly variables, have 0" in res.output
+        assert not (tmp_path / "instance.cfg").exists()
 
 
 class TestSmooth:
@@ -95,6 +111,30 @@ class TestSmooth:
         res = run(["smooth", str(data), str(params_path), "--out", str(tmp_path / "x.bin")])
         assert res.exit_code == 2
         assert "17 factors, the data 18 periods" in res.output
+
+    def test_long_time_varying_cov_exits_2(self, tmp_path):
+        data, params_path = simulate_instance(tmp_path)
+        p = load_params(params_path)
+        save_params(params_path, VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs,
+                                           np.repeat(p.chol_cov, 19, axis=0)))
+        res = run(["smooth", str(data), str(params_path), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert "19 factors, the data 18 periods" in res.output
+
+    def test_no_monthly_variable_exits_2(self, tmp_path):
+        """Parameters with n_m = 0 on a quarterly-only data file: the data
+        read for them has no monthly variable."""
+        data, params_path = simulate_instance(tmp_path)
+        p = load_params(params_path)
+        save_params(params_path, VarParams(0, 1, p.p, p.intercept[-1:], p.lag_coeffs[:, -1:, -1:],
+                                           p.chol_cov[:, -1:, -1:]))
+        values, names = read_data_csv(data)
+        write_data_csv(data, values[:, -1:], names[-1:])
+        out = tmp_path / "x.bin"
+        res = run(["smooth", str(data), str(params_path), "--out", str(out)])
+        assert res.exit_code == 2
+        assert "no monthly variable" in res.output
+        assert not out.exists()
 
     def test_non_finite_weights_exit_2(self, tmp_path):
         data, params = simulate_instance(tmp_path)

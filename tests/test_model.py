@@ -68,6 +68,25 @@ class TestVarParams:
                 with pytest.raises(ConfigurationError, match="lower-triangular"):
                     VarParams(2, 1, 1, np.zeros(3), np.zeros((1, 3, 3)), W)
 
+    def test_upper_triangle_checked_at_every_position(self):
+        # every entry above the diagonal is read, in every period, and none
+        # below it
+        stack = np.tile(np.eye(4), (3, 1, 1))
+        for t in range(3):
+            for i in range(4):
+                for j in range(4):
+                    W = stack.copy()
+                    W[t, i, j] += 1e-7
+                    if j > i:
+                        with pytest.raises(ConfigurationError, match="lower-triangular"):
+                            VarParams(3, 1, 1, np.zeros(4), np.zeros((1, 4, 4)), W)
+                    else:
+                        VarParams(3, 1, 1, np.zeros(4), np.zeros((1, 4, 4)), W)
+
+    def test_rejects_an_empty_stack(self):
+        with pytest.raises(ConfigurationError, match="no factors"):
+            VarParams(2, 1, 1, np.zeros(3), np.zeros((1, 3, 3)), np.zeros((0, 3, 3)))
+
     @pytest.mark.parametrize("field", ["intercept", "lag_coeffs", "chol_cov"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, field, bad):
@@ -185,6 +204,13 @@ class TestAggregation:
         with pytest.raises(AttributeError):
             fn(inst.params, agg, inst.data, *args)
 
+    @pytest.mark.parametrize("weights", [0.5, [[0.5, 0.5]], np.ones((2, 2)) / 4, np.ones((1, 3, 1)) / 3])
+    def test_weights_must_be_one_dimensional(self, weights):
+        """Weights are one per lag: an array of any other rank is rejected,
+        not flattened into lags."""
+        with pytest.raises(ConfigurationError, match="need a 1-D array"):
+            AggregationScheme(weights)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(ConfigurationError, match="aggregation weights have non-finite entries"):
@@ -264,6 +290,23 @@ class TestObservationPattern:
     def test_flag_row_counts_must_agree(self, rows_q):
         with pytest.raises(ConfigurationError, match="one row per period"):
             ObservationPattern(np.ones((30, 4), dtype=bool), np.ones((rows_q, 1), dtype=bool))
+
+    def test_no_monthly_variable_rejected(self):
+        """Data with no monthly variable (n_m = 0) is rejected wherever it is
+        built: the pattern, pattern detection, the data object and a
+        simulated instance."""
+        values = np.random.default_rng(0).normal(size=(20, 2))
+        want = "no monthly variable"
+        with pytest.raises(ConfigurationError, match=want):
+            ObservationPattern(np.ones((20, 0), dtype=bool), np.ones((20, 2), dtype=bool))
+        with pytest.raises(ConfigurationError, match=want):
+            detect_pattern(values, 0, 2)
+        with pytest.raises(ConfigurationError, match=want):
+            MixedFreqData.from_values(values, 0, 2)
+        with pytest.raises(ConfigurationError, match=want):
+            make_instance(0, 2, 3, 20, 20, np.random.default_rng(0), mask=np.ones((20, 2), dtype=bool))
+        with pytest.raises(ConfigurationError, match="recipe needs 2 monthly variables, have 0"):
+            make_instance(0, 2, 3, 20, 18, np.random.default_rng(0))
 
     def test_derived_values_cannot_be_passed(self):
         obs = np.ones((30, 4), dtype=bool)
