@@ -91,8 +91,10 @@ class VarParams:
         coeff_row.setflags(write=False)
         object.__setattr__(self, "coeff_row", coeff_row)
         # the strict upper triangle, up to the 1e-8 that passes for zero: each
-        # row's part read once, over all periods at once
-        if max((np.abs(chol_cov[:, i, i + 1:]).max() for i in range(n - 1)), default=0.0) > 1e-8:
+        # entry's largest magnitude over the periods, in two reductions along
+        # the stack, then one (n, n) mask; no gather out of the stack
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        if np.maximum(chol_cov.max(axis=0), -chol_cov.min(axis=0))[upper].max(initial=0.0) > 1e-8:
             raise ConfigurationError("chol_cov factors must be lower-triangular")
         if np.any(np.diagonal(chol_cov, axis1=1, axis2=2) <= 0):
             raise ConfigurationError("chol_cov factors need strictly positive diagonals")

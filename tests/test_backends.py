@@ -683,7 +683,16 @@ class TestEdgeSteps:
     ], ids=["monotone", "non-monotone", "skip-sampling", "no-quarterly", "time-varying", "one-period",
             "long"])
     @pytest.mark.parametrize("drawn", [False, True], ids=["mean", "draw"])
-    def test_edge_steps_agree_from_one_boundary(self, case, drawn):
+    def test_edge_steps_agree_from_one_boundary(self, case, drawn, monkeypatch):
+        import mfsmooth.blocked
+        # the blocked edge forms a dense lag block for every period but the
+        # last two, and the last period reads its lag block in downdate form,
+        # built on a dense block once three or more periods run
+        downdates, forms = [], []
+        monkeypatch.setattr(mfsmooth.blocked, "blocked_downdate",
+                            lambda *args: downdates.append(blocked_downdate(*args)) or downdates[-1])
+        times = Downdate.times
+        monkeypatch.setattr(Downdate, "times", lambda dd, pi: forms.append(dd) or times(dd, pi))
         params, scheme, data, init_mode = ragged_instance(case)
         plan = plan_for(params, scheme, data, init_mode)
         u = run_filter(build_periods(plan.system, plan.balanced(data)))
@@ -698,3 +707,6 @@ class TestEdgeSteps:
             for got, want in ((heads[t - t_b, v], want_heads[t - t_b, v]), (r, want_r)):
                 assert got.shape == want.shape
                 assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0), step.__name__
+        edge = data.T - t_b
+        assert len(downdates) == max(edge - 2, 0)
+        assert [dd.at is None for dd in forms] == ([edge > 2] if edge > 1 else [])
