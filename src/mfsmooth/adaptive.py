@@ -3,9 +3,9 @@ the monthly values still missing, so no full stacked formulation is ever
 built.  It is ``baseline.smooth`` with the edge step
 ``baseline.adaptive_edge``: after the balanced sample's system, which every
 backend solves, the edge's latent values are one solve of the plan's
-``kalman.EdgeSystem``, a small dense saddle-point system on the balanced
-system's filtered state at t_b-1 that the plan factorizes on this backend's
-first draw.  ``RunStats.worst_cond`` is that system's 1/rcond.
+``kalman.EdgeSystem``, a saddle-point system over the edge periods' windows
+from the balanced system's filtered state at t_b-1, factorized on this
+backend's first draw.  ``RunStats.worst_cond`` is its 1/rcond.
 """
 
 from __future__ import annotations

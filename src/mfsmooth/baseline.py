@@ -42,7 +42,6 @@ from .systems import (
     build_periods,
     build_system_matrices,  # noqa: F401  bound for perfbench/layertrace.py's COUNTED table
     companion_observation,
-    edge_residuals,
 )
 
 if TYPE_CHECKING:
@@ -141,23 +140,19 @@ class Plan:
         as they are formed, and the observed aggregates: kept while ``data``
         is the same object, otherwise formed once and kept in its place."""
         if self._last is None or self._last[0] is not data:
-            n_m, t_b = data.n_m, data.pattern.t_balanced
             resid = balanced_constants(self.params, data, self.system.proj)
-            ts, qs = np.nonzero(data.pattern.quarterly_observed[:t_b])
-            object.__setattr__(self, "_last", (data, self.system.rhs(resid, data.values[ts, n_m + qs]), None))
+            agg = data.values[self.system.layout.agg_t, data.n_m + self.system.layout.agg_q]
+            object.__setattr__(self, "_last", (data, self.system.rhs(resid, agg), None))
         return self._last[1]
 
     def edge_data(self, data: MixedFreqData) -> np.ndarray:
-        """The edge system's right-hand side at ``data`` (``EdgeSystem.rhs``),
-        from the VAR residuals of the edge periods at zero latent values
-        (``edge_residuals``) and the observed edge aggregates: kept beside
-        ``balanced`` while ``data`` is the same object."""
+        """The edge system's right-hand side at ``data`` (``EdgeSystem.rhs``,
+        which forms each edge period's VAR residual at zero latent values and
+        reads the observed edge aggregates from the data's values): kept
+        beside ``balanced`` while ``data`` is the same object."""
         balanced = self.balanced(data)
         if self._last[2] is None:
-            n_m, t_b = data.n_m, data.pattern.t_balanced
-            ts, qs = np.nonzero(data.pattern.quarterly_observed[t_b:])
-            edge = self.edge(data.pattern).rhs(edge_residuals(self.params, data), data.values[t_b + ts, n_m + qs])
-            object.__setattr__(self, "_last", (data, balanced, edge))
+            object.__setattr__(self, "_last", (data, balanced, self.edge(data.pattern).rhs(data.values)))
         return self._last[2]
 
     def edge(self, pattern: ObservationPattern) -> EdgeSystem:

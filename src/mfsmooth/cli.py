@@ -16,9 +16,8 @@ from . import bench as bench_mod
 from . import dataio
 from .errors import MfsmoothError
 from .model import MixedFreqData
-from .simsmooth import BACKENDS, draw_many
+from .simsmooth import BACKENDS, _rng_for, draw_many
 from .simulate import make_instance
-from .simsmooth import _rng_for
 
 
 def _fail(message: str) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import struct
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,30 +103,26 @@ def scheme_from_config(config: dict) -> AggregationScheme:
     raise ConfigurationError(f"unknown aggregation scheme {kind!r}")
 
 
-def save_params(path: str | Path, params: VarParams) -> None:
-    np.savez(
-        path,
-        n_m=params.n_m,
-        n_q=params.n_q,
-        p=params.p,
-        intercept=params.intercept,
-        lag_coeffs=params.lag_coeffs,
-        chol_cov=params.chol_cov,
-    )
-
-
 PARAMS_KEYS = ("n_m", "n_q", "p", "intercept", "lag_coeffs", "chol_cov")
 
 
+def save_params(path: str | Path, params: VarParams) -> None:
+    np.savez(path, **{k: getattr(params, k) for k in PARAMS_KEYS})
+
+
 def load_params(path: str | Path) -> VarParams:
-    with np.load(path) as z:
-        missing = [k for k in PARAMS_KEYS if k not in z.files]
-        if missing:
-            raise ConfigurationError(f"{path}: parameter bundle lacks {', '.join(missing)}")
-        return VarParams(
-            int(z["n_m"]), int(z["n_q"]), int(z["p"]),
-            z["intercept"], z["lag_coeffs"], z["chol_cov"],
-        )
+    try:
+        with np.load(path) as z:
+            missing = [k for k in PARAMS_KEYS if k not in z.files]
+            if missing:
+                raise ConfigurationError(f"{path}: parameter bundle lacks {', '.join(missing)}")
+            dims, arrays = [z[k] for k in PARAMS_KEYS[:3]], [z[k] for k in PARAMS_KEYS[3:]]
+    except zipfile.BadZipFile as exc:
+        raise ConfigurationError(f"{path}: unreadable parameter bundle: {exc}") from None
+    bad = [k for k, d in zip(PARAMS_KEYS, dims) if d.ndim or d.dtype.kind not in "iu"]
+    if bad:
+        raise ConfigurationError(f"{path}: {', '.join(bad)} must be an integer scalar")
+    return VarParams(*(int(d) for d in dims), *arrays)
 
 
 @dataclass(frozen=True)

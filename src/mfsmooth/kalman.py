@@ -28,10 +28,10 @@ system that each plan factorizes once (Chan and Jeliazkov 2009; Chan, Poon
 and Zhu 2023).  Its solution's last state is the filtered state at the
 balanced sample's last period, where every edge step starts.  From it,
 the adaptive backend's step solves for the ragged edge's latent values,
-the monthly values still missing and the quarterly ones, as one small
-dense saddle-point system (``EdgeSystem``), whose multipliers are the
-adjoint that lifts the balanced path.  A draw solves both on right-hand
-sides that carry the model's own noise (``simsmooth``).
+the monthly values still missing and the quarterly ones, as one dense
+saddle-point system over the edge periods' windows (``EdgeSystem``), whose
+multipliers are the adjoint that lifts the balanced path.  A draw solves
+both on right-hand sides that carry the model's own noise (``simsmooth``).
 """
 
 from __future__ import annotations
@@ -331,10 +331,10 @@ class BalancedSystem:
     Gaussian with a precision banded in time, and the observed aggregates
     are exact linear constraints on them.  Period t's VAR residual is
     e_t = r_t + B s_t with s_t = (q_t, ..., q_{t-p}) its reduced state,
-    B = [E_q, -A_1[:, q], ..., -A_p[:, q]] and r_t the residual at zero
-    quarterly values (``systems.balanced_constants``); the initial stack
-    s_{-1} = a0 + L0 z is parametrized by a standard normal z through a
-    factor L0 of P0 (``initial_factor``), so P0 is never inverted.
+    B = [E_q, -A_1[:, q], ..., -A_p[:, q]] (``var_operator``) and r_t the
+    residual at zero quarterly values (``systems.balanced_constants``); the
+    initial stack s_{-1} = a0 + L0 z is parametrized by a standard normal z
+    through a factor L0 of P0 (``initial_factor``), so P0 is never inverted.
 
     The unknowns are the values in time order, z in the initial slots (its
     lag-i block in the slot of q_{-1-i}, so with L0 lower triangular each
@@ -370,7 +370,7 @@ class BalancedSystem:
 
     def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, init: FilterState,
                  layout: BandLayout | None = None):
-        n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
+        n_m, n_q, p = params.n_m, params.n_q, params.p
         t_b = pattern.t_balanced    # > p (``baseline.check_pattern``)
         self.layout = lay = BandLayout(agg, pattern, p) if layout is None else layout
         self.size, self.kl = N, kl = lay.size, lay.kl
@@ -387,9 +387,7 @@ class BalancedSystem:
         # the residuals are projected by ``proj`` = B' Sigma^-1 = (W'^-1 X)'
         # as they are formed; under a time-varying one they are whitened,
         # w_t = W_t^-1 r_t, and the term is G_t w_t with G_t = X_t' (``rhs``)
-        B = np.zeros((n, k))
-        B[n_m:, :n_q] = np.eye(n_q)
-        B[:, n_q:] = -params.lag_coeffs[:, :, n_m:].transpose(1, 0, 2).reshape(n, p * n_q)
+        B = var_operator(params, quarterly_state_index(params)).T
         if params.time_varying_cov:
             self._W = params.chol_cov[:t_b]
             X = _forward(self._W, B)
@@ -515,16 +513,15 @@ class EdgeSystem:
     s = (q_{t_b-1}, ..., q_{t_b-1-p}), k = (p+1) n_q values, and the latent
     values of each edge period in time order: its unobserved monthly values
     ascending, then its quarterly ones, at the panel's (t, variable)
-    positions ``cells``.  Period t's VAR residual is e_t = r_t + B_t z, with
-    B_t the identity on period t's latent values less the lag coefficients
-    on the latent values of t-1..t-p, one gather from ``coeff_row`` (lags in
-    the balanced sample fall in s), and r_t the residual at z = 0
-    (``systems.edge_residuals``).  Each period is whitened once by its factor
-    of Sigma_t, so K = sum_t B_t' Sigma_t^-1 B_t.  A holds
-    one row per observed edge aggregate, its weights on q_t..q_{t-p_q+1},
-    and J selects s from z.  With s given the balanced sample distributed as
-    N(u_s, P_filt) (``BalancedSystem.last``, ``BalancedSystem.P_filt``),
-    the mean solves
+    positions ``cells``.  Period t's VAR residual reads only its window, its
+    values at t..t-p: e_t = r_t + B_t z, with B_t the VAR's operator on the
+    window's unknowns (``var_operator``; lags in the balanced sample fall in
+    s) and r_t the operator on its known values less the intercept.  Each
+    period keeps Sigma_t^-1 B_t over its window's unknowns only, and
+    K = sum_t B_t' Sigma_t^-1 B_t.  A holds one row per observed edge
+    aggregate, its weights on q_t..q_{t-p_q+1}, and J selects s from z.  With
+    s given the balanced sample distributed as N(u_s, P_filt)
+    (``BalancedSystem.last``, ``BalancedSystem.P_filt``), the mean solves
 
         [[K, A', J'], [A, 0, 0], [J, 0, -P_filt]] (z, nu, lam)
             = (-sum_t B_t' Sigma_t^-1 r_t, y_agg, u_s),
@@ -555,28 +552,28 @@ class EdgeSystem:
         col[p + 1 + lt, lv] = np.arange(k, N)
         self.cells = np.stack([t_b + lt, lv])
         self._at, self._shape = (lt, lv), (n_e, n)
-
-        B = np.zeros((n_e, n, N))
-        B[lt, lv, np.arange(k, N)] = 1.0
-        for e in range(n_e):
-            lag = col[p + e : e : -1].ravel()    # times t-1..t-p, lag-major like coeff_row
-            B[e][:, lag[lag >= 0]] = -params.coeff_row[:, lag >= 0]
+        self._known, self._params = col < 0, params
         ae, aj = np.nonzero(pattern.quarterly_observed[t_b:])
         self.n_a = n_a = len(ae)
-        A = np.zeros((n_a, N))
-        A[np.arange(n_a)[:, None], col[ae[:, None] + p + 1 - np.arange(agg.p_q), n_m + aj[:, None]]] = agg.scheme.weights
-
-        # W^-1 B_t for K, and Sigma_t^-1 B_t for the right-hand side's product
-        Ws = [params.chol(t) for t in range(t_b, T)]
-        G = [solve_triangular(W, Bt, lower=True, check_finite=False) for W, Bt in zip(Ws, B)]
-        self._H = np.concatenate([solve_triangular(W, Gt, lower=True, trans="T", check_finite=False)
-                                  for W, Gt in zip(Ws, G)])
-        G = np.concatenate(G)
+        self._agg = (t_b + ae, n_m + aj)
         m = N + n_a
         M = np.zeros((m + k, m + k), order="F")
-        M[:N, :N] = G.T @ G
-        M[N:m, :N] = A
-        M[:N, N:m] = A.T
+
+        # period t's window is row t - t_b of col[_rows], its times t..t-p
+        # lag-major like the VAR's operator: ``_windows`` keeps the positions
+        # of its unknowns in z and (Sigma_t^-1 B_t)', and K sums B_t' Sigma_t^-1 B_t
+        self._rows = p + 1 + np.arange(n_e)[:, None] - np.arange(p + 1)
+        win = col[self._rows].reshape(n_e, -1)
+        e, slot = np.nonzero(win >= 0)
+        ends = np.cumsum(np.bincount(e, minlength=n_e))[:-1]
+        self._windows = []
+        for t, pos, Bt in zip(range(t_b, T), np.split(win[e, slot], ends), np.split(var_operator(params, slot), ends)):
+            SB, _ = dpotrs(params.chol(t), Bt.T, lower=1)
+            M[pos[:, None], pos] += Bt @ SB
+            self._windows.append((pos, SB.T))
+        M[N + np.arange(n_a)[:, None], col[ae[:, None] + p + 1 - np.arange(agg.p_q), n_m + aj[:, None]]] = \
+            agg.scheme.weights
+        M[:N, N:m] = M[N:m, :N].T
         M[m + np.arange(k), np.arange(k)] = M[np.arange(k), m + np.arange(k)] = 1.0
         M[m:, m:] = -P_filt
         anorm = np.abs(M).sum(axis=0).max()
@@ -591,16 +588,24 @@ class EdgeSystem:
         k, self.factorizations = self.factorizations, 0
         return k
 
-    def rhs(self, resid: np.ndarray, agg: np.ndarray) -> np.ndarray:
-        """The right-hand side's rows of z and nu given the edge residuals at
-        z = 0, an (T - t_b, n) array, and the observed edge aggregates in
-        order of period, then variable."""
-        return np.concatenate([-(resid.ravel() @ self._H), agg])
+    def rhs(self, values: np.ndarray) -> np.ndarray:
+        """The rows of z and nu at the (T, n) data ``values``: each edge period's
+        residual at z = 0, the operator on its window's known values less the
+        intercept, taken as ``perturbation`` takes shocks; then the aggregates."""
+        X = np.where(self._known, values[-len(self._known) :], 0.0)[self._rows]
+        b = self.perturbation(X[:, 0] - X[:, 1:].reshape(len(X), -1) @ self._params.coeff_row.T
+                              - self._params.intercept)
+        b[self.n_z :] = values[self._agg]
+        return b
 
     def perturbation(self, shocks: np.ndarray) -> np.ndarray:
-        """The term a draw's (T - t_b, n) edge shocks add to ``rhs`` as parts
-        of the residuals."""
-        return np.concatenate([-(shocks.ravel() @ self._H), np.zeros(self.n_a)])
+        """The rows of z and nu that a draw's (T - t_b, n) edge shocks e_t,
+        parts of the residuals, add to ``rhs``: -sum_t (Sigma_t^-1 B_t)' e_t,
+        each period's at its window's unknowns."""
+        b = np.zeros(self.n_z + self.n_a)
+        for e, (pos, SBt) in zip(shocks, self._windows):
+            b[pos] -= SBt @ e
+        return b
 
     def solve(self, rhs: np.ndarray, last: np.ndarray) -> np.ndarray:
         """The solution (z, nu, lam) given the rows of z and nu (``rhs``) and
@@ -775,6 +780,15 @@ def _quarterly_block(terms: list[np.ndarray], n_q: int, n: int, p: int) -> np.nd
 def quarterly_state_index(params: VarParams) -> np.ndarray:
     """Positions of the quarterly entries inside the stacked state."""
     return (params.n * np.arange(params.p + 1)[:, None] + params.n_m + np.arange(params.n_q)).ravel()
+
+
+def var_operator(params: VarParams, cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` of the VAR's operator [I, -coeff_row], which maps the
+    lag-major stack (x_t, ..., x_{t-p}) to x_t - sum_i A_i x_{t-i}, as rows."""
+    n = params.n
+    rows = -params.coeff_row.T[np.maximum(cols - n, 0)]
+    rows[cols < n] = np.eye(n)[cols[cols < n]]
+    return rows
 
 
 def init_state(params: VarParams, mode: str = "stationary", kappa: float = 1e4) -> FilterState:

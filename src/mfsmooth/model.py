@@ -32,6 +32,14 @@ __all__ = [
 ]
 
 
+def check_dimensions(n_m: int, n_q: int, p: int = 1) -> None:
+    """Reject a negative variable count or a lag order below 1."""
+    if n_m < 0 or n_q < 0:
+        raise ConfigurationError(f"variable counts must be >= 0, got n_m={n_m}, n_q={n_q}")
+    if p < 1:
+        raise ConfigurationError(f"lag order p must be >= 1, got p={p}")
+
+
 @dataclass(frozen=True)
 class VarParams:
     """Parameters of a monthly-frequency VAR(p) with mixed-frequency observation.
@@ -39,9 +47,9 @@ class VarParams:
     Attributes
     ----------
     n_m, n_q : int
-        Number of monthly and quarterly variables.
+        Number of monthly and quarterly variables, each >= 0.
     p : int
-        Lag order.
+        Lag order, >= 1.
     intercept : (n,) array
     lag_coeffs : (p, n, n) array
         One coefficient matrix per lag, lag 1 first.
@@ -64,6 +72,7 @@ class VarParams:
     coeff_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_dimensions(self.n_m, self.n_q, self.p)
         n = self.n_m + self.n_q
         intercept = np.array(self.intercept, dtype=float)
         lag_coeffs = np.array(self.lag_coeffs, dtype=float)
@@ -109,9 +118,7 @@ class VarParams:
 
     def chol(self, t: int) -> np.ndarray:
         """Lower-triangular factor W_t (0-based t)."""
-        if self.chol_cov.shape[0] == 1:
-            return self.chol_cov[0]
-        return self.chol_cov[t]
+        return self.chol_cov[t if self.time_varying_cov else 0]
 
     def sigma(self, t: int) -> np.ndarray:
         W = self.chol(t)
@@ -340,11 +347,12 @@ class MixedFreqData:
 def detect_pattern(values: np.ndarray, n_m: int, n_q: int, min_balanced: int = 1) -> ObservationPattern:
     """Derive the observation pattern of a data matrix.
 
-    NaN marks a missing value and infinite values are rejected.  At least
-    ``min_balanced`` leading periods must be fully observed in the monthly
-    block (``ObservationPattern.t_balanced``).  Any pattern after t_balanced
-    is accepted: a monthly value may be missing and observed again later.
+    NaN marks a missing value; infinite values and negative counts are
+    rejected.  At least ``min_balanced`` leading periods must be fully observed
+    in the monthly block (``ObservationPattern.t_balanced``); after them any
+    pattern is accepted: a monthly value may be missing and observed again.
     """
+    check_dimensions(n_m, n_q)
     values = np.asarray(values, dtype=float)
     _, n = values.shape
     if n != n_m + n_q:

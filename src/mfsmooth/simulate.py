@@ -15,6 +15,7 @@ from .model import (
     AggregationScheme,
     MixedFreqData,
     VarParams,
+    check_dimensions,
     intra_quarterly_average,
 )
 
@@ -70,6 +71,7 @@ def random_stable_params(n_m: int, n_q: int, p: int, rng: np.random.Generator) -
     The eigenvalues are computed only when ``_radius_bound`` cannot certify
     the radius below the bound; the certificate draws nothing from ``rng``.
     """
+    check_dimensions(n_m, n_q, p)
     n = n_m + n_q
     lag_coeffs = rng.normal(scale=COEF_SCALE / math.sqrt(n * p), size=(p, n, n))
     intercept = rng.normal(scale=0.1, size=n)

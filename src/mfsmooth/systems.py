@@ -9,8 +9,8 @@ stacked (companion) formulation used by the reference smoother is built
 separately (``baseline.companion_periods``).  A draw runs on neither per
 period and takes any ragged edge: ``build_periods`` assembles the right-hand
 side of the balanced sample's system (``kalman.BalancedSystem``) as a draw's
-one ``Block``, and ``edge_residuals`` the data's part of the adaptive edge
-step's (``kalman.EdgeSystem``).
+one ``Block``; the adaptive edge step's system (``kalman.EdgeSystem``) forms
+its own from the data.
 
 State layout: ``p+1`` lag groups, each group ``(x_{U_t}, x_q)`` with the
 unobserved monthly indices ascending and the quarterly variables last.
@@ -46,7 +46,6 @@ __all__ = [
     "build_system_matrices",
     "companion_observation",
     "balanced_constants",
-    "edge_residuals",
     "build_periods",
 ]
 
@@ -304,21 +303,6 @@ def balanced_constants(params: VarParams, data: MixedFreqData, proj: np.ndarray 
     for i in range(1, p + 1):
         out[i:] += terms[: t_b - i, i]
     return out
-
-
-def edge_residuals(params: VarParams, data: MixedFreqData) -> np.ndarray:
-    """The VAR residuals of periods t_b..T-1 at zero latent values,
-    x_t - intercept - sum_i A_i x_{t-i} with the latent values zero and the
-    observed monthly values from ``data``, as (T - t_b, n) rows: one product
-    over the edge periods' lag stacks."""
-    n_m, p, T, t_b = params.n_m, params.p, data.T, data.pattern.t_balanced
-    observed = data.pattern.observed_monthly
-    known = np.zeros((T - t_b + p, params.n))    # periods t_b-p..T-1
-    known[:, :n_m] = np.where(observed[t_b - p :], data.values[t_b - p :, :n_m], 0.0)
-    stack = np.concatenate([known[p - i : T - t_b + p - i] for i in range(1, p + 1)], axis=1)
-    resid = -(stack @ params.coeff_row.T) - params.intercept
-    resid[:, :n_m] += known[p:, :n_m]
-    return resid
 
 
 def build_periods(

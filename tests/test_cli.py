@@ -55,6 +55,19 @@ class TestSimulate:
         res = run(["simulate", "--config", str(tmp_path / "none.cfg")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("dims,message", [
+        ({"n_m": 4, "n_q": 1, "p": 0}, "p=0"),
+        ({"n_m": 4, "n_q": -1, "p": 3}, "n_m=4, n_q=-1"),
+        ({"n_m": -1, "n_q": 2, "p": 3}, "n_m=-1, n_q=2"),
+    ])
+    def test_nonsense_dimensions_exit_2(self, tmp_path, dims, message):
+        cfg = tmp_path / "sim.cfg"
+        write_config(cfg, {**dims, "T": 20, "t_balanced": 18})
+        res = run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert message in res.output
+        assert not (tmp_path / "instance.cfg").exists()
+
     def test_no_monthly_variable_exits_2(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         write_config(cfg, {"n_m": 0, "n_q": 2, "p": 3, "T": 20, "t_balanced": 20})
@@ -160,6 +173,22 @@ class TestSmooth:
         res = run(["smooth", str(data), str(params_path), "--out", str(tmp_path / "x.bin")])
         assert res.exit_code == 2
         assert "lacks chol_cov" in res.output
+
+    def test_truncated_params_exits_2(self, tmp_path):
+        data, params_path = simulate_instance(tmp_path)
+        params_path.write_bytes(params_path.read_bytes()[:-30])
+        res = run(["smooth", str(data), str(params_path), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert f"{params_path}: unreadable parameter bundle" in res.output
+
+    def test_non_scalar_dimension_in_params_exits_2(self, tmp_path):
+        data, params_path = simulate_instance(tmp_path)
+        with np.load(params_path) as z:
+            kept = {k: z[k] for k in z.files}
+        np.savez(params_path, **dict(kept, n_m=np.array([3, 3])))
+        res = run(["smooth", str(data), str(params_path), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert "n_m must be an integer scalar" in res.output
 
     def test_header_only_data_exits_2(self, tmp_path):
         data, params = simulate_instance(tmp_path)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -403,6 +404,23 @@ class TestEdgeSystem:
         with pytest.raises(SingularInnovationError, match="t=16") as err:
             draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=1)
         assert err.value.t == 16
+
+    def test_cold_draw_on_a_long_edge_keeps_only_the_windows(self):
+        # the paper cell with one monthly value missing at t = 100: every
+        # later period is edge (400 periods), and each keeps only its window,
+        # so a cold draw's traced peak stays below 100 MB; dense
+        # (T - t_b, n, N) blocks of the whole edge take 770 MB here
+        mask = benchmark_pattern(119, 1, 500, 498)
+        mask[100, 0] = False
+        inst = make_instance(119, 1, 12, 500, 498, np.random.default_rng(0), mask=mask)
+        assert inst.data.pattern.t_balanced == 100
+        tracemalloc.start()
+        try:
+            draw_latent(inst.params, inst.scheme, inst.data, "adaptive", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, peak
 
 
 class TestAgainstTextbookFilter:

@@ -29,6 +29,16 @@ def random_params(n_m, n_q, p, seed=0, scale=0.2):
 
 
 class TestVarParams:
+    @pytest.mark.parametrize("n_m,n_q,p,message", [
+        (-1, 3, 1, "n_m=-1, n_q=3"),     # n = 2 would fit the arrays below
+        (3, -1, 1, "n_m=3, n_q=-1"),
+        (1, 1, 0, "p=0"),
+        (1, 1, -1, "p=-1"),
+    ])
+    def test_rejects_nonsense_dimensions(self, n_m, n_q, p, message):
+        with pytest.raises(ConfigurationError, match=message):
+            VarParams(n_m, n_q, p, np.zeros(2), np.zeros((max(p, 0), 2, 2)), np.eye(2))
+
     def test_rejects_mismatched_lag_shapes(self):
         with pytest.raises(ConfigurationError):
             VarParams(2, 1, 2, np.zeros(3), np.zeros((3, 3, 3)), np.eye(3))
@@ -247,6 +257,14 @@ class TestDetectPattern:
         assert pat.t_balanced == 2
         assert [list(pat.unobserved(t)) for t in range(2, 7)] == [[1], [], [0], [2], [2]]
         assert list(pat.observed(3)) == [0, 1, 2]
+
+    @pytest.mark.parametrize("n_m,n_q", [(-1, 3), (3, -1)])
+    def test_negative_variable_counts_rejected(self, n_m, n_q):
+        # they sum to the two columns, which negative slicing would split
+        values = np.zeros((6, 2))
+        for call in (detect_pattern, MixedFreqData.from_values):
+            with pytest.raises(ConfigurationError, match=f"n_m={n_m}, n_q={n_q}"):
+                call(values, n_m, n_q)
 
     def test_min_balanced_enforced(self):
         values = np.zeros((6, 3))

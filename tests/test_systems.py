@@ -6,6 +6,8 @@ variables) and are written out entry by entry with a random coefficient
 matrix and Cholesky factor, so any indexing slip shows up exactly.
 """
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -35,7 +37,6 @@ from mfsmooth.systems import (
     build_adaptive_C,
     companion_observation,
     build_periods,
-    edge_residuals,
     build_system_matrices,
     PeriodNoise,
     PeriodSystem,
@@ -122,6 +123,18 @@ def direct_resid(params, values, t):
     for lag in range(1, min(params.p, t) + 1):
         r -= params.lag_coeffs[lag - 1] @ known[t - lag]
     return r
+
+
+def edge_residuals(edge, values):
+    """The edge periods' (T - t_b, n) VAR residuals at zero latent values
+    that ``EdgeSystem.rhs`` forms from the data ``values``, as it hands them
+    to the shocks' window product (``EdgeSystem.perturbation``)."""
+    formed = []
+    spy = copy.copy(edge)
+    spy.perturbation = lambda resid: formed.append(resid) or np.zeros(edge.n_z + edge.n_a)
+    spy.rhs(values)
+    (resid,) = formed
+    return resid
 
 
 def loadings_stack(params, idx, q_rows, t):
@@ -437,8 +450,9 @@ class TestExogVector:
         assert (built.mats, built.t) == (plan.system, 0)
         assert np.abs(built.rhs - want).max() <= 1e-13 * np.abs(want).max()
         ref = [direct_resid(params, values, t) for t in range(t_b, 12)]
-        assert_allclose(edge_residuals(params, data), ref, rtol=1e-13, atol=1e-15)
-        assert_array_equal(plan.edge_data(data), edge.rhs(edge_residuals(params, data), values[[8, 11], 3]))
+        assert_allclose(edge_residuals(edge, values), ref, rtol=1e-13, atol=1e-15)
+        assert_array_equal(plan.edge_data(data), edge.rhs(values))
+        assert_array_equal(edge.rhs(values)[edge.n_z :], values[[8, 11], 3])
 
     def test_presample_lags_are_zero(self, built):
         params, values, periods = built
@@ -525,7 +539,7 @@ class TestEdgeConstants:
         plan = plan_for(inst.params, inst.scheme, data)
         stacks = lag_stacks(data.values, p, n_m)
         edge = 0
-        for t, got in zip(range(t_b, T), edge_residuals(inst.params, data)):
+        for t, got in zip(range(t_b, T), edge_residuals(plan.edge(data.pattern), data.values)):
             idx = index_for_period(data.pattern, n_m, n_q, t)
             mats = build_system_matrices(inst.params, plan.agg, idx, data.pattern.quarterly_rows(t))
             X = stacks[T - 1 - t, idx.o_prev].reshape(-1)
