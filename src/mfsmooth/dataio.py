@@ -119,8 +119,7 @@ def load_params(path: str | Path) -> VarParams:
             dims, arrays = [z[k] for k in PARAMS_KEYS[:3]], [z[k] for k in PARAMS_KEYS[3:]]
     except zipfile.BadZipFile as exc:
         raise ConfigurationError(f"{path}: unreadable parameter bundle: {exc}") from None
-    bad = [k for k, d in zip(PARAMS_KEYS, dims) if d.ndim or d.dtype.kind not in "iu"]
-    if bad:
+    if bad := [k for k, d in zip(PARAMS_KEYS, dims) if d.ndim or d.dtype.kind not in "iu"]:
         raise ConfigurationError(f"{path}: {', '.join(bad)} must be an integer scalar")
     return VarParams(*(int(d) for d in dims), *arrays)
 

@@ -118,7 +118,9 @@ class VarParams:
 
     def chol(self, t: int) -> np.ndarray:
         """Lower-triangular factor W_t (0-based t)."""
-        return self.chol_cov[t if self.time_varying_cov else 0]
+        if self.chol_cov.shape[0] == 1:
+            return self.chol_cov[0]
+        return self.chol_cov[t]
 
     def sigma(self, t: int) -> np.ndarray:
         W = self.chol(t)

@@ -9,8 +9,7 @@ stacked (companion) formulation used by the reference smoother is built
 separately (``baseline.companion_periods``).  A draw runs on neither per
 period and takes any ragged edge: ``build_periods`` assembles the right-hand
 side of the balanced sample's system (``kalman.BalancedSystem``) as a draw's
-one ``Block``; the adaptive edge step's system (``kalman.EdgeSystem``) forms
-its own from the data.
+one ``Block``, and ``kalman.EdgeSystem`` forms the edge's from the data.
 
 State layout: ``p+1`` lag groups, each group ``(x_{U_t}, x_q)`` with the
 unobserved monthly indices ascending and the quarterly variables last.
