@@ -111,14 +111,23 @@ def save_params(path: str | Path, params: VarParams) -> None:
 
 
 def load_params(path: str | Path) -> VarParams:
-    try:
-        with np.load(path) as z:
-            missing = [k for k in PARAMS_KEYS if k not in z.files]
-            if missing:
-                raise ConfigurationError(f"{path}: parameter bundle lacks {', '.join(missing)}")
-            dims, arrays = [z[k] for k in PARAMS_KEYS[:3]], [z[k] for k in PARAMS_KEYS[3:]]
-    except zipfile.BadZipFile as exc:
-        raise ConfigurationError(f"{path}: unreadable parameter bundle: {exc}") from None
+    """The bundle ``save_params`` writes.  A file that cannot be opened
+    raises its ``OSError``; one that opens but is no readable bundle, a
+    ``ConfigurationError`` naming it."""
+    with open(path, "rb") as fh:
+        try:
+            bundle = np.load(fh)
+            if not isinstance(bundle, np.lib.npyio.NpzFile):
+                raise ConfigurationError(f"{path}: not a parameter bundle (.npz) but a single array")
+            with bundle as z:
+                missing = [k for k in PARAMS_KEYS if k not in z.files]
+                if missing:
+                    raise ConfigurationError(f"{path}: parameter bundle lacks {', '.join(missing)}")
+                dims, arrays = [z[k] for k in PARAMS_KEYS[:3]], [z[k] for k in PARAMS_KEYS[3:]]
+        # zipfile's RuntimeError (NotImplementedError among them) is a member
+        # it cannot extract: an unknown compression method or an encryption flag
+        except (zipfile.BadZipFile, RuntimeError, OSError, ValueError, EOFError) as exc:
+            raise ConfigurationError(f"{path}: unreadable parameter bundle: {exc}") from None
     if bad := [k for k, d in zip(PARAMS_KEYS, dims) if d.ndim or d.dtype.kind not in "iu"]:
         raise ConfigurationError(f"{path}: {', '.join(bad)} must be an integer scalar")
     return VarParams(*(int(d) for d in dims), *arrays)

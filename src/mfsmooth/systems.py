@@ -3,13 +3,17 @@
 One general builder covers the reduced (quarterly-stack) formulation and its
 ragged-edge extension in which the state is augmented, period by period, with
 exactly the currently-unobserved monthly variables.  The balanced case is the
-special case ``U_t = {}``.  This per-period form needs a monotone edge, a
-monthly variable once unobserved staying so (``AdaptiveIndex``).  The full
-stacked (companion) formulation used by the reference smoother is built
-separately (``baseline.companion_periods``).  A draw runs on neither per
-period and takes any ragged edge: ``build_periods`` assembles the right-hand
-side of the balanced sample's system (``kalman.BalancedSystem``) as a draw's
-one ``Block``, and ``kalman.EdgeSystem`` forms the edge's from the data.
+special case ``U_t = {}``.  That state is the companion state
+(x_t, ..., x_{t-p}) restricted to the variables latent at t, so the builder
+reads each period's T, D, C and Z off the companion transition F1
+(``VarParams.companion_transition``).  Its index sets (``AdaptiveIndex``)
+take a monotone edge, a monthly variable once unobserved staying so: the
+reference the tests run period by period.  The full stacked (companion)
+formulation used by the reference smoother is built separately
+(``baseline.companion_periods``).  A draw runs on neither per period and
+takes any ragged edge: ``build_periods`` assembles the right-hand side of the
+balanced sample's system (``kalman.BalancedSystem``) as a draw's one
+``Block``, and ``kalman.EdgeSystem`` forms the edge's from the data.
 
 State layout: ``p+1`` lag groups, each group ``(x_{U_t}, x_q)`` with the
 unobserved monthly indices ascending and the quarterly variables last.
@@ -36,10 +40,6 @@ __all__ = [
     "SystemMatrices",
     "PeriodSystem",
     "Block",
-    "build_adaptive_T",
-    "build_adaptive_D",
-    "build_adaptive_Z",
-    "build_adaptive_C",
     "adaptive_loadings",
     "PeriodNoise",
     "build_system_matrices",
@@ -92,83 +92,17 @@ class AdaptiveIndex:
         return np.concatenate([self.u_prev, self.n_m + np.arange(self.n_q)])
 
 
-def _coeffs(params: VarParams, rows: np.ndarray, cols: np.ndarray, exog: bool = False) -> np.ndarray:
-    """The lag 1..p coefficients of equations ``rows`` on variables ``cols``,
-    one gather from ``coeff_row`` (lag ``l``, variable j at column
-    ``(l - 1) * n + j``): lag-major like the state's lag groups, or with
-    ``exog`` variable-major like the exogenous regressors."""
-    lag = params.n * np.arange(params.p)
-    cols = cols[:, None] + lag if exog else lag[:, None] + cols
-    return params.coeff_row[np.ix_(rows, cols.ravel())]
-
-
-def _shifted(idx: AdaptiveIndex, p: int) -> np.ndarray:
-    """Where the t-1 head (U_{t-1}, then quarterly) sits in lag groups 1..p
-    of the current state, lag-major."""
-    pos = np.searchsorted(idx.head_vars(), idx.prev_head_vars())
-    return (idx.head_size * np.arange(1, p + 1)[:, None] + pos).ravel()
-
-
-def build_adaptive_T(params: VarParams, idx: AdaptiveIndex) -> np.ndarray:
-    """Transition mapping the t-1 state onto the (possibly larger) t state.
-
-    Top rows gather the lag coefficients restricted to the latent columns;
-    the lower block scatters ones that place each still-tracked component
-    one lag group down (the Kronecker selection structure).
-    """
-    p = params.p
-    s, sp = idx.head_size, idx.prev_head_size
-    T = np.zeros(((p + 1) * s, (p + 1) * sp))
-    T[:s, : p * sp] = _coeffs(params, idx.head_vars(), idx.prev_head_vars())
-    T[_shifted(idx, p), np.arange(p * sp)] = 1.0
-    return T
-
-
-def _newly_latent(idx: AdaptiveIndex, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lag identities of the variables observed at t-1 but unobserved
-    at t: their state rows in lag groups 1..p and the exogenous columns
-    (variable-major) those rows copy."""
-    newly = np.isin(idx.u_t, idx.o_prev)
-    lag = np.arange(1, p + 1)[:, None]
-    return lag * idx.head_size + np.flatnonzero(newly), np.searchsorted(idx.o_prev, idx.u_t[newly]) * p + lag - 1
-
-
-def build_adaptive_D(params: VarParams, idx: AdaptiveIndex) -> np.ndarray:
-    """Loadings of the state equation on lagged observed monthly data.
-
-    The lower rows scatter the lag identities of variables observed at t-1
-    but unobserved at t (the orthogonal-complement routing).
-    """
-    p = params.p
-    s = idx.head_size
-    D = np.zeros(((p + 1) * s, p * len(idx.o_prev)))
-    D[:s] = _coeffs(params, idx.head_vars(), idx.o_prev, exog=True)
-    D[_newly_latent(idx, p)] = 1.0
-    return D
-
-
-def build_adaptive_Z(
-    params: VarParams, agg: Aggregation, idx: AdaptiveIndex, q_rows: np.ndarray
-) -> np.ndarray:
-    """Observation loading on the current stacked state.
-
-    Monthly rows load lag coefficients only on components latent since t-1
-    (observed lags arrive through the exogenous block instead); quarterly
-    rows are ``lam_qq``'s, placed on the quarterly positions of lag groups
-    ``0..p_q-1``.
-    """
-    n_o = len(idx.o_t)
-    Z = np.zeros((n_o + len(q_rows), (params.p + 1) * idx.head_size))
-    Z[:n_o, _shifted(idx, params.p)] = _coeffs(params, idx.o_t, idx.prev_head_vars())
-    Z[n_o:, agg.quarterly_state_cols(idx.head_size, len(idx.u_t))] = agg.lam_qq[q_rows]
-    return Z
-
-
-def build_adaptive_C(params: VarParams, idx: AdaptiveIndex, q_rows: np.ndarray) -> np.ndarray:
-    """Observation loadings on lagged observed monthly data (quarterly rows zero)."""
-    C = np.zeros((len(idx.o_t) + len(q_rows), params.p * len(idx.o_prev)))
-    C[: len(idx.o_t)] = _coeffs(params, idx.o_t, idx.o_prev, exog=True)
-    return C
+def _companion_block(params: VarParams, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``params.companion_transition()[np.ix_(rows, cols)]`` for ascending
+    ``rows``, without the n(p+1)-square matrix: ``coeff_row`` on the first n
+    rows and np columns, and the shift's ones, F1[c + n, c], below."""
+    n, top = params.n, params.n * params.p
+    k = np.searchsorted(rows, n)
+    out = params.coeff_row[np.ix_(rows[:k], np.minimum(cols, top - 1))]
+    out[:, cols >= top] = 0.0
+    if k < len(rows):
+        out = np.vstack([out, rows[k:, None] - n == cols])
+    return out
 
 
 def adaptive_loadings(
@@ -249,13 +183,28 @@ def build_system_matrices(
     idx: AdaptiveIndex,
     q_rows: np.ndarray,
 ) -> SystemMatrices:
+    """Z, C, T and D of one period, read off the companion transition F1:
+    the state at t is the companion state restricted to ``cur``, at t-1 to
+    ``prev``, and the exogenous regressors are the companion coordinates
+    ``exog`` of the observed lags t-1..t-p.  Monthly rows of Z load the
+    lagged values the state carries from t-1; newly latent ones arrive
+    through D's ones and C instead."""
+    n, p, n_o = params.n, params.p, len(idx.o_t)
     q_rows = np.asarray(q_rows, dtype=int)
-    Z = build_adaptive_Z(params, agg, idx, q_rows)
-    C = build_adaptive_C(params, idx, q_rows)
-    T = build_adaptive_T(params, idx)
-    D = build_adaptive_D(params, idx)
+    groups = n * np.arange(p + 1)[:, None]
+    cur = (groups + idx.head_vars()).ravel()
+    prev = (groups + idx.prev_head_vars()).ravel()
+    exog = (idx.o_prev[:, None] + groups[:p].T).ravel()
+    T = _companion_block(params, cur, prev)
+    D = _companion_block(params, cur, exog)
+    C = np.zeros((n_o + len(q_rows), len(exog)))
+    C[:n_o] = _companion_block(params, idx.o_t, exog)
+    Z = np.zeros((n_o + len(q_rows), len(cur)))
+    held = np.isin(cur, prev + n)
+    Z[:n_o, held] = _companion_block(params, idx.o_t, cur[held] - n)
+    Z[n_o:, agg.quarterly_state_cols(idx.head_size, len(idx.u_t))] = agg.lam_qq[q_rows]
     c0 = np.zeros(Z.shape[0])
-    c0[: len(idx.o_t)] = params.intercept[idx.o_t]
+    c0[:n_o] = params.intercept[idx.o_t]
     d0 = np.zeros(T.shape[0])
     d0[: idx.head_size] = params.intercept[idx.head_vars()]
     return SystemMatrices(Z, C, T, D, c0, d0, idx=idx, q_rows=q_rows)

@@ -16,6 +16,7 @@ from mfsmooth.dataio import (
     write_config,
     write_data_csv,
 )
+from test_dataio import damaged_bundle
 
 
 def run(args, **kw):
@@ -180,6 +181,17 @@ class TestSmooth:
         res = run(["smooth", str(data), str(params_path), "--out", str(tmp_path / "x.bin")])
         assert res.exit_code == 2
         assert f"{params_path}: unreadable parameter bundle" in res.output
+
+    @pytest.mark.parametrize("how", ["npy", "method", "encrypted", "offset"])
+    def test_damaged_params_exits_2_naming_the_file(self, tmp_path, how):
+        # an .npy array, an unsupported compression method, an encryption
+        # flag and a central directory offset past the file's end
+        # (``damaged_bundle``)
+        data, params_path = simulate_instance(tmp_path)
+        bad = damaged_bundle(params_path, how)
+        res = run(["smooth", str(data), str(bad), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert f"error: {bad}: " in res.output
 
     def test_non_scalar_dimension_in_params_exits_2(self, tmp_path):
         data, params_path = simulate_instance(tmp_path)

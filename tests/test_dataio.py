@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -77,7 +79,51 @@ class TestConfig:
             scheme_from_config({"aggregation": "monthly_sum"})
 
 
+# where a bundle's zip records keep a field, and the bytes written there:
+# the first central-directory entry's compression method, a method zipfile
+# does not implement, and its flags, marked encrypted, and the end record's
+# offset of the central directory, past the file's end
+ZIP_FIELDS = {
+    "method": (b"PK\x01\x02", 10, (99).to_bytes(2, "little")),
+    "encrypted": (b"PK\x01\x02", 8, (1).to_bytes(2, "little")),
+    "offset": (b"PK\x05\x06", 16, (0xFFFFFFF0).to_bytes(4, "little")),
+}
+
+
+def damaged_bundle(path, how):
+    """A file that is no readable bundle, made from the bundle at ``path``:
+    with ``how`` "npy" one array saved beside it as .npy, else the bundle
+    with one ``ZIP_FIELDS`` field overwritten.  Returns its path."""
+    if how == "npy":
+        out = path.with_suffix(".npy")
+        np.save(out, np.zeros(3))
+        return out
+    record, field, value = ZIP_FIELDS[how]
+    raw = bytearray(path.read_bytes())
+    at = raw.index(record) + field
+    raw[at : at + len(value)] = value
+    path.write_bytes(bytes(raw))
+    return path
+
+
 class TestParams:
+    @pytest.mark.parametrize("how,message", [
+        ("npy", "not a parameter bundle"),
+        ("method", "unreadable parameter bundle"),
+        ("encrypted", "unreadable parameter bundle"),
+        ("offset", "unreadable parameter bundle"),
+    ])
+    def test_damaged_bundle_names_the_file(self, tmp_path, how, message):
+        path = tmp_path / "params.npz"
+        save_params(path, random_params(3, 1, 3, seed=5))
+        bad = damaged_bundle(path, how)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{bad}: {message}")):
+            load_params(bad)
+
+    def test_missing_file_raises_its_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_params(tmp_path / "none.npz")
+
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "params.npz"
         params = random_params(3, 2, 4, seed=5)

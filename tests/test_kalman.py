@@ -38,6 +38,7 @@ from mfsmooth.model import AggregationScheme, MixedFreqData
 from mfsmooth.simulate import benchmark_pattern, make_instance, random_stable_params
 from mfsmooth.systems import PeriodSystem, SystemMatrices, build_periods
 from test_model import random_params
+from test_simsmooth import affine_map
 from test_systems import period_noise, per_period, reference_smooth
 
 
@@ -222,8 +223,10 @@ class TestMeanBand:
         """At the paper's cell, n = 120, p = 12, T = 500, T_b = 498, the
         adaptive and blocked smoothed means against the per-period reference,
         within 1e-12 relative on the balanced quarterly path and on the edge's
-        latent values, and the balanced system's last filtered covariance
-        against the reference's.  The instance's companion radius is 0.897
+        latent values, the balanced system's last filtered covariance against
+        the reference's, and the adaptive draws' mean and covariance on the
+        last period's window against the reference's open last step, within
+        1e-10.  The instance's companion radius is 0.897
         (``np.linalg.eigvals``); lag i scaled by c**i scales it by c."""
         inst = make_instance(119, 1, 12, 500, 498, np.random.default_rng(1))
         data, prm = inst.data, inst.params
@@ -244,6 +247,17 @@ class TestMeanBand:
             got = [x_hat[per.t, per.mats.idx.head_vars()] for per in records]
             assert_close(got[:498], want[:498], rtol=1e-12)
             assert_close(got[498:], want[498:], rtol=1e-12)
+        # the draws' moments on the last period's state, its head at
+        # t = 499..487, from the adaptive draw's affine map in its 751
+        # normals: the smoothed moments there are the open last step's a_filt
+        # and P_pred - M F^-1 M'
+        last, head = ref[-1], records[-1].mats.idx.head_vars()
+        cells = (np.repeat(499 - np.arange(13), len(head)), np.tile(head, 13))
+        m, G = affine_map(params, inst.scheme, data, "adaptive", init_mode, cells)
+        P = kalman._sym(last.P_pred - last.MFinv @ last.M.T)
+        assert G.shape == (1092, 751)
+        assert np.abs(m - last.a_filt).max() <= 1e-10 * np.abs(last.a_filt).max()
+        assert np.abs(G @ G.T - P).max() <= 1e-10 * np.abs(P).max()
 
     def test_no_quarterly_variables(self):
         inst = make_instance(4, 0, 3, 30, 28, np.random.default_rng(0))

@@ -507,14 +507,15 @@ class FixedNormals:
         return out
 
 
-def affine_map(params, scheme, data, backend, init_mode="stationary"):
+def affine_map(params, scheme, data, backend, init_mode="stationary", cells=None):
     """(m, G) with a flattened draw from normals z equal to m + G z.
 
     A draw is affine in the generator's normals: its value at z = 0 is m and
     its change at each unit vector a column of G, so m is its mean and G G'
     its covariance.  It takes one normal per unknown of the balanced
     system's K, (p+1+t_b) n_q for z and the balanced path, and n for each
-    ragged-edge period."""
+    ragged-edge period.  With ``cells``, a (periods, variables) index pair,
+    the draw is kept only there."""
     t_b = data.pattern.t_balanced
     k = (params.p + 1 + t_b) * params.n_q + (data.T - t_b) * params.n
 
@@ -522,7 +523,7 @@ def affine_map(params, scheme, data, backend, init_mode="stationary"):
         rng = FixedNormals(z)
         x = draw_latent(params, scheme, data, backend, rng=rng, init_mode=init_mode).x
         assert rng.used == k
-        return x.reshape(-1)
+        return (x if cells is None else x[cells]).reshape(-1)
 
     m = draw(np.zeros(k))
     return m, np.column_stack([draw(e) - m for e in np.eye(k)])

@@ -1,9 +1,12 @@
-"""Structural tests for the per-period system builders.
+"""Structural tests for the per-period system, read off the companion
+transition (``build_system_matrices``), and a draw's blocks.
 
 The golden layouts cover the three regimes of the 4-variable, p=3 example
 (balanced period, one newly missing monthly variable, two missing monthly
 variables) and are written out entry by entry with a random coefficient
-matrix and Cholesky factor, so any indexing slip shows up exactly.
+matrix and Cholesky factor, so any indexing slip shows up exactly.  Loop
+builders, one lag and one variable at a time, specify every index set's
+matrices besides (``TestAgainstLoopBuilders``).
 """
 
 import copy
@@ -31,10 +34,6 @@ from mfsmooth.simulate import benchmark_pattern, make_instance
 from mfsmooth.systems import (
     AdaptiveIndex,
     adaptive_loadings,
-    build_adaptive_D,
-    build_adaptive_T,
-    build_adaptive_Z,
-    build_adaptive_C,
     companion_observation,
     build_periods,
     build_system_matrices,
@@ -86,13 +85,14 @@ def period_noise(G, H, Z):
 def constants(mats, ts, stacks):
     """c and d of the periods ``ts`` sharing ``mats``: one gather of their
     lag stacks, one product with C, and one with D's coefficient rows for
-    the head of d, whose lag identities copy their columns of the stacks."""
+    the head of d, whose lag identities, D's ones below the head, copy their
+    columns of the stacks."""
     X = stacks[(len(stacks) - 1 - ts)[:, None], mats.idx.o_prev].reshape(len(ts), -1)
     s = mats.idx.head_size
     d = np.zeros((len(ts), mats.D.shape[0]))
     d[:, :s] = X @ mats.D[:s].T + mats.d0[:s]
-    rows, cols = systems._newly_latent(mats.idx, stacks.shape[2])
-    d[:, rows] = X[:, cols]
+    rows, cols = np.nonzero(mats.D[s:])
+    d[:, s + rows] = X[:, cols]
     return X @ mats.C.T + mats.c0, d
 
 
@@ -153,6 +153,12 @@ def setup():
 BALANCED = AdaptiveIndex([], [0, 1, 2], [], [0, 1, 2], 3, 1)
 
 
+def example_mats(setup, idx, q_rows=()):
+    """The example's ``SystemMatrices`` at ``idx`` with quarterly rows ``q_rows``."""
+    params, agg = setup
+    return build_system_matrices(params, agg, idx, np.array(q_rows, dtype=int))
+
+
 def loadings(params, idx, q_rows, t):
     """G and H of one period (``adaptive_loadings`` of a stack of one)."""
     G, H = loadings_stack(params, idx, q_rows, t)
@@ -166,9 +172,9 @@ def Pi(params, lag, i, j):
 
 class TestBalancedRegime:
     def test_Z(self, setup):
-        params, agg = setup
+        params, _ = setup
         idx = BALANCED
-        Z = build_adaptive_Z(params, agg, idx, np.array([0]))
+        Z = example_mats(setup, idx, [0]).Z
         expected = np.zeros((4, 4))
         for i in (1, 2, 3):
             for lag in (1, 2, 3):
@@ -177,16 +183,15 @@ class TestBalancedRegime:
         assert_array_equal(Z, expected)
 
     def test_Z_quarterly_unobserved_drops_last_row(self, setup):
-        params, agg = setup
         idx = BALANCED
-        Z = build_adaptive_Z(params, agg, idx, np.array([], dtype=int))
-        full = build_adaptive_Z(params, agg, idx, np.array([0]))
+        Z = example_mats(setup, idx).Z
+        full = example_mats(setup, idx, [0]).Z
         assert_array_equal(Z, full[:3])
 
     def test_C(self, setup):
-        params, agg = setup
+        params, _ = setup
         idx = BALANCED
-        C = build_adaptive_C(params, idx, np.array([0]))
+        C = example_mats(setup, idx, [0]).C
         expected = np.zeros((4, 9))
         for i in (1, 2, 3):
             for j in (1, 2, 3):
@@ -197,7 +202,7 @@ class TestBalancedRegime:
     def test_T(self, setup):
         params, _ = setup
         idx = BALANCED
-        T = build_adaptive_T(params, idx)
+        T = example_mats(setup, idx).T
         expected = np.zeros((4, 4))
         for lag in (1, 2, 3):
             expected[0, lag - 1] = Pi(params, lag, 4, 4)
@@ -207,7 +212,7 @@ class TestBalancedRegime:
     def test_D(self, setup):
         params, _ = setup
         idx = BALANCED
-        D = build_adaptive_D(params, idx)
+        D = example_mats(setup, idx).D
         expected = np.zeros((4, 9))
         for j in (1, 2, 3):
             for lag in (1, 2, 3):
@@ -237,7 +242,7 @@ class TestOneMissingRegime:
 
     def test_T(self, setup, idx):
         params, _ = setup
-        T = build_adaptive_T(params, idx)
+        T = example_mats(setup, idx).T
         expected = np.zeros((8, 4))
         for lag in (1, 2, 3):
             expected[0, lag - 1] = Pi(params, lag, 3, 4)
@@ -247,7 +252,7 @@ class TestOneMissingRegime:
 
     def test_D(self, setup, idx):
         params, _ = setup
-        D = build_adaptive_D(params, idx)
+        D = example_mats(setup, idx).D
         expected = np.zeros((8, 9))
         for j in (1, 2, 3):
             for lag in (1, 2, 3):
@@ -258,8 +263,8 @@ class TestOneMissingRegime:
         assert_array_equal(D, expected)
 
     def test_Z(self, setup, idx):
-        params, agg = setup
-        Z = build_adaptive_Z(params, agg, idx, np.array([], dtype=int))
+        params, _ = setup
+        Z = example_mats(setup, idx).Z
         # newly-latent columns (variable 3 in every lag group) are all zero
         assert_array_equal(Z[:, [0, 2, 4, 6]], np.zeros((2, 4)))
         condensed = Z[:, [1, 3, 5, 7]]
@@ -290,7 +295,7 @@ class TestTwoMissingRegime:
 
     def test_T(self, setup, idx):
         params, _ = setup
-        T = build_adaptive_T(params, idx)
+        T = example_mats(setup, idx).T
         expected = np.zeros((12, 8))
         for row, i in enumerate((2, 3, 4)):
             for lag in (1, 2, 3):
@@ -304,7 +309,7 @@ class TestTwoMissingRegime:
 
     def test_D(self, setup, idx):
         params, _ = setup
-        D = build_adaptive_D(params, idx)
+        D = example_mats(setup, idx).D
         expected = np.zeros((12, 6))
         for row, i in enumerate((2, 3, 4)):
             for j in (1, 2):
@@ -315,8 +320,8 @@ class TestTwoMissingRegime:
         assert_array_equal(D, expected)
 
     def test_Z(self, setup, idx):
-        params, agg = setup
-        Z = build_adaptive_Z(params, agg, idx, np.array([], dtype=int))
+        params, _ = setup
+        Z = example_mats(setup, idx).Z
         assert Z.shape == (1, 12)
         # variable 2 is newly latent: those columns are zero in every group
         assert_array_equal(Z[:, [0, 3, 6, 9]], np.zeros((1, 4)))
@@ -329,7 +334,7 @@ class TestTwoMissingRegime:
 
     def test_C(self, setup, idx):
         params, _ = setup
-        C = build_adaptive_C(params, idx, np.array([], dtype=int))
+        C = example_mats(setup, idx).C
         expected = np.zeros((1, 6))
         for j in (1, 2):
             for lag in (1, 2, 3):
@@ -366,7 +371,7 @@ class TestCompactAndCompanion:
         params = random_params(3, 1, 3, seed=12)
         zeroed = type(params)(3, 1, 3, params.intercept, np.zeros((3, 4, 4)), params.chol(0))
         idx = BALANCED
-        Z = build_adaptive_Z(zeroed, agg, idx, np.array([], dtype=int))
+        Z = build_system_matrices(zeroed, agg, idx, np.array([], dtype=int)).Z
         assert_array_equal(Z, np.zeros((3, 4)))
 
 
@@ -599,8 +604,9 @@ def reference_smooth(params, plan, data):
     return x
 
 
-# Reference builders: the per-lag, per-variable loops the index-array
-# builders replaced, kept verbatim as the specification they must match.
+# Reference builders: the per-lag, per-variable loops that specify each
+# period's system, which ``build_system_matrices`` reads off the companion
+# transition and must match exactly.
 
 
 def ref_selection(idx):
@@ -725,7 +731,8 @@ def check_against_reference(n_m, n_q, p, latent, was_latent, q_obs, kind, weight
 
 
 class TestAgainstLoopBuilders:
-    """The index-array builders against the loop builders they replaced."""
+    """``build_system_matrices``, read off the companion transition, against
+    the loop builders, and its gather against the transition itself."""
 
     @pytest.mark.parametrize(
         "n_m, n_q, p, latent, was_latent, q_obs, kind",
@@ -757,6 +764,23 @@ class TestAgainstLoopBuilders:
             data.draw(st.lists(st.booleans(), min_size=n_q, max_size=n_q)), kind,
             weights=(data.draw(weight), data.draw(weight)), seed=data.draw(st.integers(0, 1000)),
         )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_companion_block_is_the_transitions(self, data):
+        """``systems._companion_block`` against ``companion_transition()`` at
+        ``np.ix_(rows, cols)``, bitwise: ascending rows over all n(p+1), the
+        shift's rows among them, and any columns, the last lag group's too."""
+        n_m, n_q, p = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2)), data.draw(st.integers(1, 4))
+        if n_m + n_q == 0:
+            n_m = 1
+        params = random_params(n_m, n_q, p, seed=data.draw(st.integers(0, 1000)))
+        dim = params.n * (p + 1)
+        rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+        cols = np.array(data.draw(st.lists(st.integers(0, dim - 1), max_size=2 * dim)), dtype=int)
+        got = systems._companion_block(params, rows, cols)
+        want = params.companion_transition()[np.ix_(rows, cols)]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_unsorted_index_set_rejected(self):
         with pytest.raises(ConfigurationError, match="strictly increasing"):
