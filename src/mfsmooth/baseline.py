@@ -80,7 +80,7 @@ class RunStats:
 
 @dataclass
 class SmoothResult:
-    x_hat: np.ndarray                     # (T, n) smoothed latent matrix
+    x_hat: np.ndarray                     # (T, n) smoothed latent matrix, or a batch's (m, T, n) draws
     stats: RunStats
 
 
@@ -207,13 +207,11 @@ def fill_states(x: np.ndarray, states: np.ndarray, periods: list[Block]) -> None
     x[t, v] = states
 
 
-def fill_observed(x: np.ndarray, data: MixedFreqData) -> None:
-    """Write the observed monthly values into x: the balanced periods' rows
-    whole, the ragged edge's through its pattern."""
-    n_m, t_b = data.n_m, data.pattern.t_balanced
-    x[:t_b, :n_m] = data.values[:t_b, :n_m]
-    observed = data.pattern.observed_monthly[t_b:]
-    x[t_b:, :n_m][observed] = data.values[t_b:, :n_m][observed]
+def fill_observed(x: np.ndarray, data: MixedFreqData, start: int = 0) -> None:
+    """Write the observed monthly values of periods start..T-1 into x, a
+    (T, n) panel or an (m, T, n) stack of them, through the pattern."""
+    n_m = data.n_m
+    np.copyto(x[..., start:, :n_m], data.values[start:, :n_m], where=data.pattern.observed_monthly[start:])
 
 
 def companion_mean(params: VarParams, data: MixedFreqData, a_q: np.ndarray) -> np.ndarray:
@@ -351,31 +349,54 @@ def smooth(
     noise, and the edge step takes its shocks: the result is then a draw
     from the latent values' distribution given the data
     (perturbation-optimization; Papandreou and Yuille 2010).
+
+    ``noise`` may also hold the perturbations of m draws, ``balanced`` as
+    the columns of an (N, m) array and ``shocks`` as an (m, T - t_b, n)
+    stack (``simsmooth.draw_many``).  Their balanced systems are then one
+    solve on the m columns, the edge step and the lift run per draw on its
+    column, and ``x_hat`` is the (m, T, n) stack of the draws.  A single
+    right-hand side is the batch of one, whose draw or mean is (T, n).
     """
     plan = plan_for(params, scheme, data, init_mode, kappa)
     T, t_b = data.T, data.pattern.t_balanced
     periods = build_periods(plan.system, plan.balanced(data), noise)
     u = run_filter(periods)
-    heads, r, worst_cond = None, None, 0.0
-    if T > t_b:
-        boundary = FilterState(plan.system.last(u), plan.system.P_filt)
-        heads, r, worst_cond = edge(plan, data, boundary, None if noise is None else noise.shocks)
-    states = run_smoother(periods, u, r)
+    # one solution and one edge's shocks per draw; the edge's condition is
+    # the same for every draw, as no draw's noise enters it
+    single = u.ndim == 1
+    if single:
+        cols, shocks = [u], [None if noise is None else noise.shocks]
+    else:
+        cols, shocks = u.T, noise.shocks
+    steps, worst_cond = [], 0.0
+    for u_i, shocks_i in zip(cols, shocks):
+        heads, r = None, None
+        if T > t_b:
+            boundary = FilterState(plan.system.last(u_i), plan.system.P_filt)
+            heads, r, worst_cond = edge(plan, data, boundary, shocks_i)
+        steps.append((heads, run_smoother(periods, u_i, r)))
     # allocated last: the result outlives the filter's working set, and placed
     # above it, it keeps that set's freed memory off the top of the heap, where
-    # malloc would return it to the system for the next draw to fault back in
-    x = np.zeros((T, params.n))
-    if heads is not None:
-        x[t_b:] = heads
-    fill_states(x, states, periods)
-    fill_observed(x, data)
+    # malloc would return it to the system for the next draw to fault back in.
+    # It starts as the data, one contiguous copy, which on memory not yet in
+    # cache costs less than writing the observed values in blocks and no more
+    # than a zero fill; this writes the balanced rows' observed values.  The
+    # quarterly path and the edge's rows overwrite the rest, then the edge's
+    # observed values are written again
+    x = np.empty((len(steps), T, params.n))
+    x[...] = data.values
+    for x_i, (heads, states) in zip(x, steps):
+        if heads is not None:
+            x_i[t_b:] = heads
+        fill_states(x_i, states, periods)
+    fill_observed(x, data, t_b)
     stats = RunStats(compact_steps=t_b, factorizations=plan.pop_factorizations(),
                      worst_cond=worst_cond, init_jitter=int(plan.system.jitter))
     if edge is adaptive_edge:
         stats.adaptive_steps = T - t_b
     else:
         stats.companion_steps = T - t_b
-    return SmoothResult(x, stats)
+    return SmoothResult(x[0] if single else x, stats)
 
 
 def run_baseline(

@@ -112,8 +112,9 @@ def save_params(path: str | Path, params: VarParams) -> None:
 
 def load_params(path: str | Path) -> VarParams:
     """The bundle ``save_params`` writes.  A file that cannot be opened
-    raises its ``OSError``; one that opens but is no readable bundle, a
-    ``ConfigurationError`` naming it."""
+    raises its ``OSError``; one that opens but is no readable bundle, or
+    whose arrays do not fit its dimensions, a ``ConfigurationError`` naming
+    it."""
     with open(path, "rb") as fh:
         try:
             bundle = np.load(fh)
@@ -130,7 +131,10 @@ def load_params(path: str | Path) -> VarParams:
             raise ConfigurationError(f"{path}: unreadable parameter bundle: {exc}") from None
     if bad := [k for k, d in zip(PARAMS_KEYS, dims) if d.ndim or d.dtype.kind not in "iu"]:
         raise ConfigurationError(f"{path}: {', '.join(bad)} must be an integer scalar")
-    return VarParams(*(int(d) for d in dims), *arrays)
+    try:
+        return VarParams(*(int(d) for d in dims), *arrays)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

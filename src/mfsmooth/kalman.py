@@ -452,7 +452,8 @@ class BalancedSystem:
         return k
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The solution for the right-hand side ``b``, which is left as it is."""
+        """The solution for the right-hand side ``b``, (N,) or one column per
+        right-hand side, which is left as it is."""
         if not self.size:
             return b
         x, _ = dgbtrs(self._lu, self.kl, self.kl, b, self._piv)
@@ -624,16 +625,17 @@ class EdgeSystem:
 
 def run_filter(periods: list[Block]) -> np.ndarray:
     """The forward pass over a draw's one block (``build_periods``): one
-    solve of its ``BalancedSystem`` (``mats``)."""
+    solve of its ``BalancedSystem`` (``mats``), on all of a batch's columns
+    at once."""
     (block,) = periods
     return block.mats.solve(block.rhs)
 
 
 def run_smoother(periods: list[Block], u: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
     """The smoothed balanced quarterly path of a draw's block, at its
-    ``cells``: the solution ``u`` lifted by ``r``, the adjoint of the
-    filtered state at t_b-1 that the draw's edge step hands back
-    (``BalancedSystem.smoothed``)."""
+    ``cells``: the draw's solution ``u``, its column of a batch's, lifted
+    by ``r``, the adjoint of the filtered state at t_b-1 that the draw's
+    edge step hands back (``BalancedSystem.smoothed``)."""
     return periods[0].mats.smoothed(u, r)
 
 

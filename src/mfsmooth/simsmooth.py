@@ -16,6 +16,9 @@ K's banded Cholesky factor (``kalman.BalancedSystem.perturbation``; Rue
 sides are formed once per data object (``baseline.Plan.balanced``,
 ``baseline.Plan.edge_data``).
 ``simulate_path`` draws the perturbation; no pseudo path is simulated.
+``draw_many`` smooths its draws as one batch: one balanced solve on all of
+their right-hand sides (``baseline.smooth``), then each draw's edge step,
+written in place into the stack it returns.
 
 Per-draw generators are keyed by (master seed, draw index) with a
 counter-based bit generator, so results do not depend on scheduling.
@@ -51,10 +54,12 @@ BACKENDS = {
 
 @dataclass(frozen=True)
 class PseudoSample:
-    """A draw's perturbation of the two systems' right-hand sides."""
+    """A draw's perturbation of the two systems' right-hand sides, or a
+    batch's, one column of ``balanced`` and one leading slice of ``shocks``
+    per draw (``draw_many``)."""
 
-    balanced: np.ndarray     # (N,) added to the balanced system's right-hand side
-    shocks: np.ndarray       # (T - t_b, n) W_t eta_t, added to the edge periods' VAR residuals
+    balanced: np.ndarray     # (N,) or (N, m) added to the balanced system's right-hand side
+    shocks: np.ndarray       # (T - t_b, n) or (m, T - t_b, n) W_t eta_t, added to the edge periods' VAR residuals
 
 
 @dataclass(frozen=True)
@@ -161,11 +166,25 @@ def draw_many(
     is ``draw_latent``'s with the generator ``_rng_for(seed, i)``, one
     generator re-keyed for each draw (``_rekeyed``).
 
+    The draws' perturbations (``simulate_path``) form one batch, which the
+    backend smooths in one call (``baseline.smooth``): one solve of the
+    balanced system on all of the batch's right-hand sides, then each
+    draw's edge step, written into its slice of the result.  The inputs
+    are checked as one draw's are, at any count: an unknown backend,
+    parameters that do not fit the data and a count that is not an integer
+    >= 0 raise ``ConfigurationError``.
+
     Returns an (n_draws, T, n) array."""
-    if n_draws < 0:
-        raise ConfigurationError(f"n_draws must be >= 0, got {n_draws}")
-    out = np.empty((n_draws, data.T, params.n))
+    if backend not in BACKENDS:
+        raise ConfigurationError(f"unknown backend {backend!r}")
+    if isinstance(n_draws, bool) or not isinstance(n_draws, (int, np.integer)) or n_draws < 0:
+        raise ConfigurationError(f"n_draws must be an integer >= 0, got {n_draws!r}")
     keyed = _rekeyed(seed)
+    system = plan_for(params, scheme, data, init_mode, kappa).system
+    balanced = np.empty((system.size, n_draws), order="F")
+    shocks = np.empty((n_draws, data.T - data.pattern.t_balanced, params.n))
     for i in range(n_draws):
-        out[i] = draw_latent(params, scheme, data, backend, rng=keyed(i), init_mode=init_mode, kappa=kappa).x
-    return out
+        noise = simulate_path(params, data, keyed(i), system)
+        balanced[:, i], shocks[i] = noise.balanced, noise.shocks
+    batch = PseudoSample(balanced, shocks)
+    return BACKENDS[backend](params, scheme, data, init_mode, kappa, batch).x_hat

@@ -170,7 +170,8 @@ class PeriodSystem(NamedTuple):
 class Block(NamedTuple):
     """A draw's balanced periods 0..t_b-1 solved as one system: ``mats``,
     the plan's ``kalman.BalancedSystem``, ``t`` its first period, 0, and the
-    system's right-hand side for the draw (``rhs``)."""
+    system's right-hand side for the draw (``rhs``), (N,), or (N, m) with
+    one column for each of a batch's m draws."""
 
     mats: BalancedSystem
     t: int
@@ -262,5 +263,11 @@ def build_periods(
     ``kalman.BalancedSystem``: its right-hand side is ``balanced``, the
     data's part that the plan keeps
     (``baseline.Plan.balanced``), plus ``noise.balanced`` with ``noise``, a
-    draw's perturbation (``simsmooth.simulate_path``)."""
-    return [Block(system, 0, balanced if noise is None else balanced + noise.balanced)]
+    draw's perturbation (``simsmooth.simulate_path``).  A batch's (N, m)
+    perturbations (``simsmooth.draw_many``) give the m draws' right-hand
+    sides as the columns of one (N, m) Fortran array."""
+    if noise is None:
+        return [Block(system, 0, balanced)]
+    # the sum's transpose: an (N,) perturbation's as it is, an (N, m) Fortran
+    # array's column by column, again in Fortran order
+    return [Block(system, 0, (noise.balanced.T + balanced).T)]

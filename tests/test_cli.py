@@ -117,6 +117,15 @@ class TestSmooth:
         assert res.exit_code == 2
         assert "n_draws" in res.output
 
+    def test_bundle_that_does_not_fit_its_dimensions_exits_2_naming_it(self, tmp_path):
+        data, params_path = simulate_instance(tmp_path)
+        p = load_params(params_path)
+        np.savez(params_path, n_m=4, n_q=1, p=3, intercept=p.intercept, lag_coeffs=p.lag_coeffs,
+                 chol_cov=p.chol_cov)
+        res = run(["smooth", str(data), str(params_path), "--out", str(tmp_path / "x.bin")])
+        assert res.exit_code == 2
+        assert f"{params_path}: intercept shape (4,) != (5,)" in res.output
+
     def test_short_time_varying_cov_exits_2(self, tmp_path):
         data, params_path = simulate_instance(tmp_path)
         p = load_params(params_path)

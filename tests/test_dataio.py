@@ -120,6 +120,14 @@ class TestParams:
         with pytest.raises(ConfigurationError, match=re.escape(f"{bad}: {message}")):
             load_params(bad)
 
+    def test_arrays_that_do_not_fit_the_dimensions_name_the_file(self, tmp_path):
+        path = tmp_path / "params.npz"
+        params = random_params(3, 1, 3, seed=5)
+        np.savez(path, n_m=4, n_q=1, p=3, intercept=params.intercept, lag_coeffs=params.lag_coeffs,
+                 chol_cov=params.chol_cov)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}: intercept shape (4,) != (5,)")):
+            load_params(path)
+
     def test_missing_file_raises_its_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_params(tmp_path / "none.npz")

@@ -251,12 +251,46 @@ class TestDraws:
         with pytest.raises(ConfigurationError, match="n_draws"):
             draw_many(inst.params, inst.scheme, inst.data, "adaptive", -1)
 
-    def test_draw_many_matches_serial_draw_latent(self, inst):
-        stack = draw_many(inst.params, inst.scheme, inst.data, "adaptive", 3, seed=21)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", ["default", "balanced", "no_quarterly", "time_varying", "six_period_edge"])
+    def test_draw_many_matches_serial_draw_latent(self, inst, backend, case):
+        # one batched smooth draws what one draw at a time does, bit for bit:
+        # its balanced solve on many columns, each draw's edge step alone
+        shapes = {"balanced": (3, 2, 3, 16, 16, 4), "no_quarterly": (4, 0, 3, 30, 28, 0),
+                  "six_period_edge": (4, 1, 3, 40, 34, 5)}
+        if case in shapes:
+            *shape, seed = shapes[case]
+            inst = make_instance(*shape, np.random.default_rng(seed))
+        params, scheme, data = inst.params, inst.scheme, inst.data
+        if case == "time_varying":
+            params = with_time_varying_cov(params, data.T, 6)
+        stack = draw_many(params, scheme, data, backend, 3, seed=21)
+        assert stack.shape == (3, data.T, params.n)
         for i in range(3):
-            single = draw_latent(inst.params, inst.scheme, inst.data, "adaptive",
-                                 rng=_rng_for(21, i))
+            single = draw_latent(params, scheme, data, backend, rng=_rng_for(21, i))
             assert_array_equal(stack[i], single.x)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_draws_do_not_depend_on_the_batch_size(self, inst, backend):
+        # the first draws of a large batch are a small batch's
+        many = draw_many(inst.params, inst.scheme, inst.data, backend, 40, seed=8)
+        assert_array_equal(many[:2], draw_many(inst.params, inst.scheme, inst.data, backend, 2, seed=8))
+
+    def test_draw_many_checks_its_inputs_at_any_count(self):
+        inst = make_instance(4, 1, 3, 30, 27, np.random.default_rng(0))
+        other = make_instance(3, 1, 3, 30, 27, np.random.default_rng(0))
+        for n_draws in (0, 2):
+            with pytest.raises(ConfigurationError, match="n_m=3, n_q=1 on data with n_m=4"):
+                draw_many(other.params, inst.scheme, inst.data, "adaptive", n_draws)
+            with pytest.raises(ConfigurationError, match="unknown backend 'nonsense'"):
+                draw_many(inst.params, inst.scheme, inst.data, "nonsense", n_draws)
+        for n_draws in (2.0, True, False, "2", None, np.int64(-1)):
+            with pytest.raises(ConfigurationError, match="n_draws must be an integer >= 0"):
+                draw_many(inst.params, inst.scheme, inst.data, "adaptive", n_draws)
+        for n_draws in (0, np.int64(0), np.int32(2)):
+            stack = draw_many(inst.params, inst.scheme, inst.data, "adaptive", n_draws, seed=3)
+            assert stack.shape == (int(n_draws), 30, 5)
+        assert_array_equal(stack[1], draw_latent(inst.params, inst.scheme, inst.data, rng=_rng_for(3, 1)).x)
 
     def test_rekeyed_generator_matches_a_new_one(self):
         # draw_many re-keys one generator per draw; after any use, each key
@@ -456,7 +490,8 @@ class TestPreparedPlan:
 
     def test_band_built_once_per_plan(self, monkeypatch):
         # the plan builds the balanced system once; every draw's balanced
-        # block is solved on it, and a cold and a warm draw agree bitwise
+        # block is solved on it, a draw_many call's in one solve, and a cold
+        # and a warm draw agree bitwise
         inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
         systems_built, solved = [], []
         system, run_filter = kalman.BalancedSystem, baseline.run_filter
@@ -476,7 +511,7 @@ class TestPreparedPlan:
             warm = draw_latent(inst.params, inst.scheme, inst.data, backend, seed=5)
             assert_array_equal(cold.x, warm.x)
         draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=5)
-        assert len(systems_built) == 1 and len(solved) == 2 * len(BACKENDS) + 2
+        assert len(systems_built) == 1 and len(solved) == 2 * len(BACKENDS) + 1
         assert all(mats is systems_built[0] for mats in solved)
         assert plan_for(inst.params, inst.scheme, inst.data).system is systems_built[0]
 
