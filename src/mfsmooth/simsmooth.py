@@ -107,7 +107,10 @@ def gen_pseudo(
 
 def _rng_for(master_seed: int, index: int) -> np.random.Generator:
     """The generator of draw ``index`` under ``master_seed``, a Philox keyed
-    by the pair; a seed outside 0..2**64-1 raises ``ConfigurationError``."""
+    by the pair; a seed that is not a non-bool integer (``np.integer``
+    accepted) in 0..2**64-1 raises ``ConfigurationError``."""
+    if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
+        raise ConfigurationError(f"seed must be an integer, got {master_seed!r}")
     if not 0 <= master_seed < 2**64:
         raise ConfigurationError(f"seed {master_seed} is outside 0..2**64-1")
     key = np.array([np.uint64(master_seed), np.uint64(index)], dtype=np.uint64)

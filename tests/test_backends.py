@@ -31,6 +31,7 @@ from mfsmooth.blocked import (
     blocked_edge,
     blocked_F,
     blocked_K,
+    blocked_last,
     blocked_M,
     blocked_predict,
     blocked_smooth_r,
@@ -384,8 +385,8 @@ class TestBlockedOps:
             assert_allclose(F, Z @ P @ Z.T, rtol=1e-12, atol=1e-12)
 
             MFinv = M @ np.linalg.inv((F + F.T) / 2.0)
-            K = blocked_K(MFinv, params.coeff_row)
-            assert_allclose(K, F1 @ MFinv, rtol=1e-10, atol=1e-10)
+            C = np.linalg.cholesky((F + F.T) / 2.0)
+            U = np.linalg.solve(C, M[: n * p].T)
 
             a_filt = rng.normal(size=dim)
             pf = random_pred_cov(rng, n * p)
@@ -403,9 +404,14 @@ class TestBlockedOps:
             assert_allclose(blocked_smooth_r(g, v, o_t, qcols, lamqq_obs), g + Z.T @ v,
                             rtol=1e-12, atol=1e-12)
 
-            assert_allclose(companion_to_compact(r, params), F1.T @ r, rtol=1e-12, atol=1e-12)
+            g = companion_to_compact(r, params)
+            assert_allclose(g, F1.T @ r, rtol=1e-12, atol=1e-12)
+            # the gain's adjoint product K'r, against the dense gain K = F1 M F^-1
+            K = F1 @ MFinv
+            KTr = blocked_K(C, U, g)
+            assert_allclose(KTr, K.T @ r, rtol=1e-10, atol=1e-10)
             # the backward pass's L'r without the dense L = F1 - K Z
-            Ltr = blocked_smooth_r(companion_to_compact(r, params), -(K.T @ r), o_t, qcols, lamqq_obs)
+            Ltr = blocked_smooth_r(g, -KTr, o_t, qcols, lamqq_obs)
             assert_allclose(Ltr, (F1 - K @ Z).T @ r, rtol=1e-10, atol=1e-10)
 
     def test_zero_coefficients(self):
@@ -418,9 +424,13 @@ class TestBlockedOps:
         M = blocked_M(P[:4], P[4:, 4:], np.arange(3), qcols, agg.lam_qq)
         F = blocked_F(M, np.arange(3), qcols, agg.lam_qq)
         MFinv = M @ np.linalg.inv(F)
-        K = blocked_K(MFinv, zero_row)
-        assert_allclose(K[:4], 0.0)
-        assert_array_equal(K[4:], MFinv[:12])
+        C = np.linalg.cholesky(F)
+        # the dense transition under zero coefficients: its shift rows only
+        F1 = np.zeros((16, 16))
+        F1[4:, :12] = np.eye(12)
+        r = rng.normal(size=16)
+        KTr = blocked_K(C, np.linalg.solve(C, M[:12].T), F1.T @ r)
+        assert_allclose(KTr, (F1 @ MFinv).T @ r, rtol=1e-10, atol=1e-10)
         a_next, head = blocked_predict(np.ones(16), np.eye(12), zero_row, params.sigma(0))
         P_next = from_blocks(head, np.eye(12))
         assert_allclose(P_next[:4, :4], params.sigma(0))
@@ -505,27 +515,40 @@ class TestBlockedOps:
     @pytest.mark.parametrize("switch", [False, True])
     def test_downdate_form_matches_dense_filtered_block(self, switch):
         """The lag block in downdate form, P's block less U'U kept as P's
-        head rows, its lag block and U, gives the next prediction's head rows
-        and the block's quarterly rows of the dense P - M F^-1 M' block."""
+        head rows, its lag block and U, gives the block's quarterly rows of
+        the dense P - M F^-1 M' block."""
         params, agg, head, lag, at, P, _, M, F, U = self.downdate_case(switch)
-        n, npp, dim = params.n, params.n * params.p, params.n * (params.p + 1)
-        pf = np.zeros((dim, dim))
-        pf[:npp, :npp] = (P - M @ np.linalg.solve(F, M.T))[:npp, :npp]
-        form = Downdate(head, lag, at, U)
-        F1 = params.companion_transition()
-        a = np.random.default_rng(5).normal(size=dim)
-        a_next, head_next = blocked_predict(a, form, params.coeff_row, params.sigma(18))
-        P_next = F1 @ pf @ F1.T + params.companion_noise_cov(18)
-        assert_allclose(head_next, P_next[:n], rtol=1e-12, atol=1e-12)
-        assert_allclose(a_next, F1 @ a, rtol=1e-12, atol=1e-12)
+        n, npp = params.n, params.n * params.p
+        pf = (P - M @ np.linalg.solve(F, M.T))[:npp, :npp]
         qcols = agg.quarterly_state_cols(n, params.n_m)
         hi = qcols[qcols >= n] - n
         assert len(hi) > 0
-        assert_allclose(form.rows(hi), pf[hi, :npp], rtol=1e-12, atol=1e-12)
-        # the next period's M reads those rows below its head rows
-        o_t, q_rows = np.array([1, 3]), np.array([0, 1])
-        M_next = blocked_M(head_next, form, o_t, qcols, agg.lam_qq[q_rows])
-        assert_allclose(M_next, P_next @ dense_observation(agg, n, dim, o_t, q_rows).T, rtol=1e-12, atol=1e-12)
+        assert_allclose(Downdate(head, lag, at, U).rows(hi), pf[hi], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("quarterly", [False, True], ids=["monthly-only", "aggregate"])
+    @pytest.mark.parametrize("form", ["boundary", "downdate", "switch-downdate"])
+    def test_last_period_reads_P_only_through_Z(self, form, quarterly):
+        """The last period's M[:n] and F (``blocked_last``), read from its lag
+        block at the rows and quarterly columns Z reads, are P[:n] Z' and
+        Z P Z' of the dense predicted covariance P: from the boundary's block
+        (a one-period edge) and from the downdate form, with no aggregate
+        observed and with one, whose weights reach lag 0 and lags >= 1."""
+        params, agg, head, lag, at, P, _, M, F, U = self.downdate_case(form != "downdate")
+        n, npp, dim = params.n, params.n * params.p, params.n * (params.p + 1)
+        t = 17
+        if form != "boundary":
+            pf = np.zeros((dim, dim))
+            pf[:npp, :npp] = (P - M @ np.linalg.solve(F, M.T))[:npp, :npp]
+            F1 = params.companion_transition()
+            P = F1 @ pf @ F1.T + params.companion_noise_cov(18)
+            lag, at, t = Downdate(head, lag, at, U), None, 18
+        o_t, q_rows = np.array([1, 3]), np.arange(params.n_q) if quarterly else np.array([], dtype=int)
+        Z = dense_observation(agg, n, dim, o_t, q_rows)
+        qcols = agg.quarterly_state_cols(n, params.n_m)
+        assert (qcols < n).any() and (qcols >= n).any()
+        M_head, F_last = blocked_last(lag, params.coeff_row, params.sigma(t), o_t, qcols, agg.lam_qq[q_rows], at)
+        assert_allclose(M_head, P[:n] @ Z.T, rtol=1e-12, atol=1e-12)
+        assert_allclose(F_last, Z @ P @ Z.T, rtol=1e-12, atol=1e-12)
 
     def test_warm_paper_cell_draw_forms_no_dense_covariance(self):
         # the edge keeps each period's head rows and one lag block, and enters
@@ -542,6 +565,9 @@ class TestBlockedOps:
         finally:
             tracemalloc.stop()
         assert peak < 2 * npp**2 * 8, peak
+        # nor a gain, nor the last period's head rows, U and M's rows below
+        # n: forming those put the peak at 10.6 MB
+        assert peak < 8 * 10**6, peak
 
 
 def cut_edge(cuts, t_b, T):
@@ -678,7 +704,9 @@ class TestEdgeSteps:
         # one edge period: the blocked edge runs no downdate
         (3, 1, 3, None, 8, 9, cut_edge((8, 9, 9), 8, 9), 0, False, "stationary", 13),
         # seven edge periods at p = 3: dense lag blocks, then the last one in
-        # downdate form, after the boundary's block has shifted out
+        # downdate form, after the boundary's block has shifted out; the last
+        # period observes the aggregate here and in the first two cases, and
+        # none in the skip-sampling, no-quarterly and time-varying ones
         (3, 1, 3, None, 6, 13, cut_edge((6, 11, 13), 6, 13), 1, True, "stationary", 14),
     ], ids=["monotone", "non-monotone", "skip-sampling", "no-quarterly", "time-varying", "one-period",
             "long"])
@@ -687,12 +715,14 @@ class TestEdgeSteps:
         import mfsmooth.blocked
         # the blocked edge forms a dense lag block for every period but the
         # last two, and the last period reads its lag block in downdate form,
-        # built on a dense block once three or more periods run
+        # built on a dense block once three or more periods run, at the rows
+        # Z reads in P's head: its observed monthly series and its observed
+        # aggregates' lag-0 positions, not all n
         downdates, forms = [], []
         monkeypatch.setattr(mfsmooth.blocked, "blocked_downdate",
                             lambda *args: downdates.append(blocked_downdate(*args)) or downdates[-1])
         times = Downdate.times
-        monkeypatch.setattr(Downdate, "times", lambda dd, pi: forms.append(dd) or times(dd, pi))
+        monkeypatch.setattr(Downdate, "times", lambda dd, pi: forms.append((dd, len(pi))) or times(dd, pi))
         params, scheme, data, init_mode = ragged_instance(case)
         plan = plan_for(params, scheme, data, init_mode)
         u = run_filter(build_periods(plan.system, plan.balanced(data)))
@@ -709,4 +739,7 @@ class TestEdgeSteps:
                 assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0), step.__name__
         edge = data.T - t_b
         assert len(downdates) == max(edge - 2, 0)
-        assert [dd.at is None for dd in forms] == ([edge > 2] if edge > 1 else [])
+        pattern = data.pattern
+        n_read = len(pattern.observed(data.T - 1)) + len(pattern.quarterly_rows(data.T - 1))
+        assert 0 < n_read < params.n
+        assert [(dd.at is None, k) for dd, k in forms] == ([(edge > 2, n_read)] if edge > 1 else [])

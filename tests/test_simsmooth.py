@@ -310,6 +310,21 @@ class TestDraws:
         with pytest.raises(ConfigurationError, match=f"seed {seed} is outside"):
             draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=seed)
 
+    @pytest.mark.parametrize("seed", [2.5, 2.9, 2.0, np.float64(1.0), True, False, "3"])
+    def test_seed_that_is_not_an_integer_rejected(self, inst, seed):
+        """A float, bool or string seed raises instead of being truncated or
+        read as another seed's draws (2.5 as 2, True as 1)."""
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            draw_latent(inst.params, inst.scheme, inst.data, "blocked", seed=seed)
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self, inst):
+        top = draw_latent(inst.params, inst.scheme, inst.data, seed=np.uint64(2**64 - 1)).x
+        assert_array_equal(top, draw_latent(inst.params, inst.scheme, inst.data, seed=2**64 - 1).x)
+        assert_array_equal(draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=np.int32(3)),
+                           draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=3))
+
     def test_largest_seed_accepted(self, inst):
         top = draw_many(inst.params, inst.scheme, inst.data, "adaptive", 2, seed=2**64 - 1)
         assert_array_equal(top[0], draw_latent(inst.params, inst.scheme, inst.data, seed=2**64 - 1).x)
