@@ -45,6 +45,7 @@ from .systems import (
 )
 
 if TYPE_CHECKING:
+    from .blocked import CovariancePass
     from .simsmooth import PseudoSample
 
 __all__ = ["RunStats", "SmoothResult", "smooth", "dense_edge", "adaptive_edge", "run_baseline",
@@ -58,9 +59,10 @@ class RunStats:
 
     - ``factorizations``: factorizations the plan computed for this draw:
       its balanced system's band LU and the band Cholesky factor of its K
-      (the perturbation's), and, on the adaptive backend's first draw, its
-      edge system's LU, so 3 on a cold adaptive draw; 0 when the plan was
-      warm;
+      (the perturbation's), on the adaptive backend's first draw its edge
+      system's LU, so 3 on a cold adaptive draw, and on the blocked
+      backend's first draw its covariance pass's factors of F, one per
+      edge period with an observation; 0 when the plan was warm;
     - ``worst_cond``: the edge's condition: the largest squared diagonal
       ratio of the edge step's factors of F (``blocked``, ``baseline``), or
       1/rcond of the edge system's LU (``adaptive``), a diagnostic with no
@@ -111,7 +113,10 @@ class Plan:
     sample's factorized system (``BalancedSystem``), which every backend
     solves.  Every edge step continues from its filtered state at t_b-1;
     the adaptive one (``adaptive_edge``) solves the ragged edge's system
-    (``EdgeSystem``), built from it on that step's first call (``edge``).
+    (``EdgeSystem``), built from it on that step's first call (``edge``),
+    and the blocked one (``blocked.blocked_edge``) runs its mean pass on
+    the edge's covariance pass (``blocked.CovariancePass``), likewise built
+    on that step's first call (``blocked_pass``).
     ``scheme`` is the caller's aggregation scheme and ``init_key`` the
     ``(init_mode, kappa)`` pair; with ``params`` they decide reuse.
 
@@ -131,6 +136,7 @@ class Plan:
     _last: tuple[MixedFreqData, np.ndarray, np.ndarray | None] | None = field(
         default=None, init=False, repr=False, compare=False)
     _edge: EdgeSystem | None = field(default=None, init=False, repr=False, compare=False)
+    _blocked: CovariancePass | None = field(default=None, init=False, repr=False, compare=False)
 
     def balanced(self, data: MixedFreqData) -> np.ndarray:
         """The balanced system's right-hand side at ``data``
@@ -162,9 +168,18 @@ class Plan:
             object.__setattr__(self, "_edge", EdgeSystem(self.params, self.agg, pattern, self.system.P_filt))
         return self._edge
 
+    def blocked_pass(self, pattern: ObservationPattern) -> CovariancePass:
+        """The blocked edge's covariance pass on the plan's ``pattern``,
+        built on the first call."""
+        if self._blocked is None:
+            from .blocked import CovariancePass    # blocked imports this module
+
+            object.__setattr__(self, "_blocked", CovariancePass(self.params, self.agg, pattern, self.system.P_filt))
+        return self._blocked
+
     def pop_factorizations(self) -> int:
         """Factorizations the plan computed since the last call."""
-        return self.system.pop_factorizations() + (0 if self._edge is None else self._edge.pop_factorizations())
+        return sum(part.pop_factorizations() for part in (self.system, self._edge, self._blocked) if part is not None)
 
 
 def plan_for(
@@ -180,7 +195,8 @@ def plan_for(
     aggregation are the same objects and ``(init_mode, kappa)`` is equal;
     otherwise a new plan is built and replaces it there.  A new plan
     factorizes the balanced system, which every backend shares; the
-    adaptive backend factorizes the edge's system on first use.  It takes
+    adaptive backend factorizes the edge's system on first use, and the
+    blocked backend its covariance pass's factors of F.  It takes
     the band layout of the plan it replaces (``BandLayout``) when p is the
     same and the aggregation the same object, as in a Gibbs sampler's
     iterations.

@@ -3,32 +3,44 @@ block form, never multiplying out the transition's shift structure,
 never forming the stacked state's n(p+1)-square covariance and forming
 only what the draw reads.
 
-The edge enters from the balanced system's compact boundary, whose
-covariance is zero outside the quarterly positions, so the switch period
-is predicted from the boundary's block at the quarterly lags.  From then on
-each predicted covariance is kept as its head rows P[:n] and its lag block
+The edge's covariance side reads neither the data nor a draw's shocks,
+only the parameters, the pattern and the balanced system's filtered
+covariance at t_b-1 (Durbin and Koopman 2002), so it is one pass per plan
+(``CovariancePass``, kept by ``Plan.blocked_pass``); a draw runs only the
+mean pass (``blocked_edge``).  A cold draw builds the pass and then runs
+the same mean pass as a warm one, so the two draw alike bit for bit.
+
+The covariance pass enters from the compact boundary, whose covariance is
+zero outside the quarterly positions, so the switch period is predicted
+from the boundary's block at the quarterly lags.  From then on each
+predicted covariance is kept as its head rows P[:n] and its lag block
 P[n:, n:], which is the previous period's filtered top block as it is.
 M = P Z' is gathered from those two parts and F read from its rows; the
 next lag block is one downdate by U = C^-1 M[:np]' for the lower Cholesky
 factor C of F.  The downdate forms the dense np x np block only when a
 later period downdates it in turn; the period before the last keeps it in
 downdate form (``Downdate``: this period's head rows, its lag block and U).
-No gain is formed: the backward pass needs only K'r = B' (F1'r)[:np] for
-K = (Pi B; B) and B = M[:np] F^-1, which is C^-T (U (F1'r)[:np]), one
-triangular solve on a vector (``blocked_K``), so the forward pass solves
-with C^-T on v alone.  The last period's smoothed row is its filtered
-mean's head, as r = 0 there, so it reads P only through Z: F = Z P Z' and
-M[:n] = P[:n] Z' from P's rows at the observed monthly positions and the
-quarterly ones its aggregates weigh (``blocked_last``), formed from the
-downdate form as Pi[R] pf = Pi[R] P_block - (Pi[R] U')U and the block's
-rows at the quarterly lags, with no head rows, no rows of M below n and
-no U (Durbin and Koopman 2012, section 4.3).  At the switch P's lag block
-is the boundary's sparse block, so only Pi's columns at the quarterly lags
-enter.  The backward pass forms L'r = F1'r - Z'(K'r) (Durbin and Koopman
-2002) from the boundary's adjoint step and Z's scatter, with no dense F1
-or L.  Results match the reference backend numerically; only the
-arithmetic route differs.  ``blocked_edge`` is the edge step it passes to
-the shared ``baseline.smooth``.
+The last period's smoothed row is its filtered mean's head, as r = 0
+there, so it reads P only through Z: F = Z P Z' and M[:n] = P[:n] Z' from
+P's rows at the observed monthly positions and the quarterly ones its
+aggregates weigh (``blocked_last``), formed from the downdate form as
+Pi[R] pf = Pi[R] P_block - (Pi[R] U')U and the block's rows at the
+quarterly lags, with no head rows and no rows of M below n (Durbin and
+Koopman 2012, section 4.3).  At the switch P's lag block is the
+boundary's sparse block, so only Pi's columns at the quarterly lags
+enter.  Each period keeps C, U (at the last period C^-1 M[:n]') and, for
+the backward pass, its head rows; M itself is not kept.
+
+The mean pass solves C x = v for each innovation v and updates the
+filtered mean's first k positions as a[:k] + U'x, which is a + M F^-1 v
+there, then solves C' f = x for f = F^-1 v.  No gain is formed: the
+backward pass needs only K'r = B' (F1'r)[:np] for K = (Pi B; B) and
+B = M[:np] F^-1, which is C^-T (U (F1'r)[:np]), one triangular solve on a
+vector (``blocked_K``), and forms L'r = F1'r - Z'(K'r) from the boundary's
+adjoint step and Z's scatter, with no dense F1 or L.  Results match the
+reference backend numerically; only the arithmetic route differs.
+``blocked_edge`` is the edge step it passes to the shared
+``baseline.smooth``.
 """
 
 from __future__ import annotations
@@ -40,9 +52,8 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .baseline import Plan, SmoothResult, companion_mean, companion_to_compact, smooth
-from .errors import SingularInnovationError
 from .kalman import FilterState, factorize_innovation, quarterly_state_index
-from .model import AggregationScheme, MixedFreqData, VarParams
+from .model import Aggregation, AggregationScheme, MixedFreqData, ObservationPattern, VarParams
 
 # looked up here by perfbench/layertrace.py's SPANS table; ``baseline.smooth``
 # calls them through baseline
@@ -54,10 +65,13 @@ if TYPE_CHECKING:
     from .simsmooth import PseudoSample
 
 __all__ = [
+    "CovariancePass",
+    "PassPeriod",
     "Downdate",
     "blocked_F",
     "blocked_M",
     "blocked_K",
+    "predict_mean",
     "blocked_predict",
     "blocked_last",
     "blocked_downdate",
@@ -152,21 +166,27 @@ def blocked_K(C: np.ndarray | None, U: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x
 
 
+def predict_mean(a_filt: np.ndarray, coeff_row: np.ndarray) -> np.ndarray:
+    """The predicted stacked mean F1 a from the first np positions of the
+    filtered mean: (Pi a[:np], a[:np]).  No constant term in this
+    formulation; the caller adds the intercept."""
+    npp = coeff_row.shape[1]
+    return np.concatenate([coeff_row @ a_filt[:npp], a_filt[:npp]])
+
+
 def blocked_predict(
-    a_filt: np.ndarray,
     pf_top: np.ndarray,
     coeff_row: np.ndarray,
     sigma: np.ndarray,
     at: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """State prediction from the first np positions of the filtered state:
-    the mean and the head rows P[:n] of the predicted covariance, whose lag
-    block P[n:, n:] is ``pf_top`` itself.
+) -> np.ndarray:
+    """The head rows P[:n] of the predicted covariance, whose lag block
+    P[n:, n:] is the filtered covariance's first np rows and columns
+    ``pf_top`` itself.
 
     The product Pi pf_top is formed once and placed in the head's lag
     columns.  With ``at``, ``pf_top`` holds the entries at the positions
     ``at``, zero elsewhere, and only Pi's columns ``at`` enter.
-    No constant term in this formulation; the caller adds the intercept.
     """
     n, npp = coeff_row.shape
     pi = coeff_row if at is None else coeff_row[:, at]
@@ -175,7 +195,7 @@ def blocked_predict(
     head = np.zeros((n, n + npp))
     head[:, :n] = (top_left + top_left.T) / 2.0
     head[:, np.s_[n:] if at is None else n + at] = bracket
-    return np.concatenate([coeff_row @ a_filt[:npp], a_filt[:npp]]), head
+    return head
 
 
 def blocked_last(
@@ -257,20 +277,72 @@ def blocked_smooth_r(
     return out
 
 
-@dataclass
-class BlockedRecord:
-    """What the backward pass reads of one edge period but the last: the
-    heads of the filtered mean and of the predicted covariance's rows,
-    U = C^-1 M[:np]' and the lower Cholesky factor C of F, from which
-    ``blocked_K`` forms the gain's adjoint product, and F^-1 v."""
+@dataclass(frozen=True)
+class PassPeriod:
+    """One edge period of the covariance pass: the data columns it observes
+    (``cols``: o_t, then the observed aggregates' columns), Z's parts, the
+    lower Cholesky factor C of F (None with no observation) and
+    U = C^-1 M[:k]', for k = np, or k = n at the last period, whose update
+    forms only the filtered mean's head.  ``head`` is the predicted
+    covariance's head rows P[:n], which the backward pass reads at every
+    period but the last (None there)."""
 
-    a_head: np.ndarray
-    P_head: np.ndarray
-    U: np.ndarray
-    C: np.ndarray | None
-    Finv_v: np.ndarray
+    cols: np.ndarray
     o_t: np.ndarray
     lamqq_obs: np.ndarray
+    head: np.ndarray | None
+    U: np.ndarray
+    C: np.ndarray | None
+
+
+class CovariancePass:
+    """The blocked edge's covariance side, which reads neither the data nor
+    a draw's shocks: per edge period (``periods``) its predicted head rows,
+    C and U (``PassPeriod``), from the balanced system's ``P_filt`` at
+    t_b-1, as the module's docstring sets out.  ``cond`` is the worst
+    squared diagonal ratio of the factors of F."""
+
+    def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, P_filt: np.ndarray):
+        n, npp, coeff_row = params.n, params.n * params.p, params.coeff_row
+        qcols = agg.quarterly_state_cols(n, params.n_m)
+        at = quarterly_state_index(params)[: params.n_q * params.p]
+        lag = P_filt[: len(at), : len(at)]
+        self.periods: list[PassPeriod] = []
+        self.cond = 0.0
+        self.factorizations = 0    # the factors of F, until ``pop_factorizations``
+        for t in range(pattern.t_balanced, pattern.T):
+            last = t + 1 == pattern.T
+            o_t, q_rows = pattern.observed(t), pattern.quarterly_rows(t)
+            lamqq_obs = agg.lam_qq[q_rows]
+            n_obs = len(o_t) + len(q_rows)
+            head = None if last else blocked_predict(lag, coeff_row, params.sigma(t), at)
+            U, cf = np.zeros((0, n if last else npp)), None
+            if n_obs:
+                if last:
+                    M, F = blocked_last(lag, coeff_row, params.sigma(t), o_t, qcols, lamqq_obs, at)
+                else:
+                    M = blocked_M(head, lag, o_t, qcols, lamqq_obs, at)
+                    F = blocked_F(M, o_t, qcols, lamqq_obs)
+                # F's Fortran-ordered transpose: the factor reads one triangle
+                cf, cond = factorize_innovation(F.T, t)
+                self.cond = max(self.cond, cond)
+                self.factorizations += 1
+                # M[:k]' is M's rows' Fortran-ordered view, solved in place;
+                # the factor's diagonal has no zero, so the solve cannot fail
+                U, _ = dtrtrs(cf, M[: U.shape[1]].T, lower=1, overwrite_b=1)
+            self.periods.append(PassPeriod(np.concatenate([o_t, params.n_m + q_rows]), o_t, lamqq_obs, head, U, cf))
+            # only the next period reads the filtered covariance; the last one
+            # reads it only through Pi[R] pf and its quarterly rows, which the
+            # downdate's parts give without the dense block
+            if t + 2 < pattern.T:
+                lag, at = blocked_downdate(head, U, lag, at), None
+            elif not last:
+                lag, at = Downdate(head, lag, at, U), None
+
+    def pop_factorizations(self) -> int:
+        """The factors of F on the first call, then 0."""
+        k, self.factorizations = self.factorizations, 0
+        return k
 
 
 def blocked_edge(
@@ -279,97 +351,46 @@ def blocked_edge(
     boundary: FilterState,
     shocks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Edge step of the blocked backend: the stacked-form filter and
-    smoother through block subsetting, from ``boundary``, the balanced
-    system's filtered quarterly state at t_b-1; each period's intercept is
-    less its row of ``shocks``, a draw's edge shocks, when given.
-
-    The stacked state at t_b-1 holds the known monthly values with zero
-    variance and the boundary at the quarterly positions, so the switch
-    period is predicted from the boundary's block at the quarterly lags
-    inside the first np positions.  No n(p+1)-square matrix and no gain is
-    formed: each period but the last keeps its predicted covariance's head
-    rows and lag block and forms the next lag block as one downdate
-    (``blocked_downdate``), or in downdate form (``Downdate``) before the
-    last period, which forms P only at the rows Z reads (``blocked_last``);
-    the backward pass reads K'r from U and C (``blocked_K``).
-    """
-    params, agg = plan.params, plan.agg
-    n, p = params.n, params.p
-    npp = n * p
-    dim = n * (p + 1)
-    coeff_row = params.coeff_row
-    qcols = agg.quarterly_state_cols(n, params.n_m)
-    t_b = data.pattern.t_balanced
+    """Edge step of the blocked backend: the mean pass of the stacked-form
+    filter and smoother on the plan's covariance pass
+    (``Plan.blocked_pass``), from ``boundary``'s mean, the balanced
+    system's filtered quarterly state at t_b-1 (its covariance is the
+    plan's ``P_filt``, which the covariance pass read); each period's
+    intercept is less its row of ``shocks``, a draw's edge shocks, when
+    given."""
+    params = plan.params
+    n, dim, t_b = params.n, params.n * (params.p + 1), data.pattern.t_balanced
+    qcols = plan.agg.quarterly_state_cols(n, params.n_m)
+    cov = plan.blocked_pass(data.pattern)
+    periods = cov.periods
     intercept = params.intercept - (np.zeros((data.T - t_b, n)) if shocks is None else shocks)
-    # the switch's lag block is the boundary's block at the quarterly lags
-    # inside the first np positions, ``at``; from the first downdate on it
-    # is a whole np x np array
-    at = quarterly_state_index(params)[: params.n_q * p]
     a_filt = companion_mean(params, data, boundary.a)
-    lag = boundary.P[: len(at), : len(at)]
-    records: list[BlockedRecord] = []
-    worst_cond = 0.0
-    for t in range(t_b, data.T):
-        last = t + 1 == data.T
-        o_t = data.pattern.observed(t)
-        q_rows = data.pattern.quarterly_rows(t)
-        lamqq_obs = agg.lam_qq[q_rows]
-        n_obs = len(o_t) + len(q_rows)
-        if not last:
-            a, head = blocked_predict(a_filt, lag, coeff_row, params.sigma(t), at)
-            if n_obs:
-                M = blocked_M(head, lag, o_t, qcols, lamqq_obs, at)
-                F = blocked_F(M, o_t, qcols, lamqq_obs)
+    heads = np.empty((len(periods), n))
+    Finv_v = []
+    for i, per in enumerate(periods):
+        a = predict_mean(a_filt, params.coeff_row)
+        a[:n] += intercept[i]
+        if per.C is None:
+            a_filt, f = a, np.zeros(0)
         else:
-            a = np.concatenate([coeff_row @ a_filt[:npp], a_filt[:npp]])
-            if n_obs:
-                M, F = blocked_last(lag, coeff_row, params.sigma(t), o_t, qcols, lamqq_obs, at)
-        a[:n] += intercept[t - t_b]
-        if n_obs == 0:
-            a_filt, Finv_v, U, cf = a, np.zeros(0), np.zeros((0, npp)), None
-        else:
-            y = np.concatenate([data.values[t, o_t], data.values[t, params.n_m + q_rows]])
-            # C^-1 v and, for a period the backward pass reads, U = C^-1 M'
-            # over the rows the update reads; then F^-1 v
-            rhs = np.empty((n_obs, 1 if last else 1 + npp), order="F")
-            rhs[:, 0] = y - np.concatenate([a[o_t], lamqq_obs @ a[qcols]])
-            if not last:
-                rhs[:, 1:] = M[:npp].T
-            # F's Fortran-ordered transpose: the factor reads one triangle
-            cf, cond = factorize_innovation(F.T, t)
-            worst_cond = max(worst_cond, cond)
-            half, info = dtrtrs(cf, rhs, lower=1, overwrite_b=1)
-            if info != 0:
-                raise SingularInnovationError(t)
-            Finv_v, info = dtrtrs(cf, half[:, 0], lower=1, trans=1)
-            if info != 0:
-                raise SingularInnovationError(t)
-            U = half[:, 1:]
-            a_filt = a + M @ Finv_v if not last else a[:n] + M @ Finv_v
-        if last:
-            break
-        # only the next period reads the filtered covariance; the last one
-        # reads it only through Pi[R] pf and its quarterly rows, which the
-        # downdate's parts give without the dense block
-        if t + 2 < data.T:
-            lag, at = blocked_downdate(head, U, lag, at), None
-        else:
-            lag, at = Downdate(head, lag, at, U), None
-        records.append(BlockedRecord(a_filt[:n], head, U, cf, Finv_v, o_t, lamqq_obs))
+            v = data.values[t_b + i, per.cols] - np.concatenate([a[per.o_t], per.lamqq_obs @ a[qcols]])
+            x, _ = dtrtrs(per.C, v, lower=1)
+            f, _ = dtrtrs(per.C, x, lower=1, trans=1)
+            a_filt = a[: per.U.shape[1]] + per.U.T @ x
+        heads[i] = a_filt[:n]
+        Finv_v.append(f)
 
     # backward pass over the ragged edge, with L'r = F1'r - Z'(K'r); r = 0
     # at the last period, whose smoothed row is its filtered mean's head
-    heads = np.empty((len(records) + 1, n))
-    heads[-1] = a_filt[:n]
-    r = blocked_smooth_r(np.zeros(dim), Finv_v, o_t, qcols, lamqq_obs)
-    for i in range(len(records) - 1, -1, -1):
-        rec = records[i]
+    per = periods[-1]
+    r = blocked_smooth_r(np.zeros(dim), Finv_v[-1], per.o_t, qcols, per.lamqq_obs)
+    for i in range(len(periods) - 2, -1, -1):
+        per = periods[i]
         g = companion_to_compact(r, params)
-        Ltr = blocked_smooth_r(g, -blocked_K(rec.C, rec.U, g), rec.o_t, qcols, rec.lamqq_obs)
-        heads[i] = rec.a_head + rec.P_head @ Ltr
-        r = blocked_smooth_r(Ltr, rec.Finv_v, rec.o_t, qcols, rec.lamqq_obs)
-    return heads, companion_to_compact(r, params)[quarterly_state_index(params)], worst_cond
+        Ltr = blocked_smooth_r(g, -blocked_K(per.C, per.U, g), per.o_t, qcols, per.lamqq_obs)
+        heads[i] += per.head @ Ltr
+        r = blocked_smooth_r(Ltr, Finv_v[i], per.o_t, qcols, per.lamqq_obs)
+    return heads, companion_to_compact(r, params)[quarterly_state_index(params)], cov.cond
 
 
 def run_blocked(

@@ -35,6 +35,7 @@ from mfsmooth.blocked import (
     blocked_M,
     blocked_predict,
     blocked_smooth_r,
+    predict_mean,
 )
 from mfsmooth.kalman import (
     FilterState,
@@ -390,7 +391,8 @@ class TestBlockedOps:
 
             a_filt = rng.normal(size=dim)
             pf = random_pred_cov(rng, n * p)
-            a_next, head = blocked_predict(a_filt, pf, params.coeff_row, params.sigma(0))
+            a_next = predict_mean(a_filt, params.coeff_row)
+            head = blocked_predict(pf, params.coeff_row, params.sigma(0))
             P_next = from_blocks(head, pf)
             Pf_full = np.zeros((dim, dim))
             Pf_full[: n * p, : n * p] = pf
@@ -431,7 +433,7 @@ class TestBlockedOps:
         r = rng.normal(size=16)
         KTr = blocked_K(C, np.linalg.solve(C, M[:12].T), F1.T @ r)
         assert_allclose(KTr, (F1 @ MFinv).T @ r, rtol=1e-10, atol=1e-10)
-        a_next, head = blocked_predict(np.ones(16), np.eye(12), zero_row, params.sigma(0))
+        head = blocked_predict(np.eye(12), zero_row, params.sigma(0))
         P_next = from_blocks(head, np.eye(12))
         assert_allclose(P_next[:4, :4], params.sigma(0))
         assert_allclose(P_next[:4, 4:], 0.0)
@@ -463,7 +465,8 @@ class TestBlockedOps:
         res = reduced_filter_to_boundary(inst)
         start = compact_to_companion(params, data, res)
         at = quarterly_state_index(params)[: params.n_q * params.p]
-        a, head = blocked_predict(start.a, res.P[: len(at), : len(at)], params.coeff_row, params.sigma(17), at)
+        a = predict_mean(start.a, params.coeff_row)
+        head = blocked_predict(res.P[: len(at), : len(at)], params.coeff_row, params.sigma(17), at)
         F1 = params.companion_transition()
         P = F1 @ start.P @ F1.T + params.companion_noise_cov(17)
         assert_allclose(head, P[: params.n], rtol=1e-12, atol=1e-12)
@@ -483,7 +486,7 @@ class TestBlockedOps:
             res = reduced_filter_to_boundary(inst)
             at = quarterly_state_index(params)[: params.n_q * params.p]
             lag = res.P[: len(at), : len(at)]
-            _, head = blocked_predict(np.zeros(dim), lag, params.coeff_row, params.sigma(17), at)
+            head = blocked_predict(lag, params.coeff_row, params.sigma(17), at)
             dense_lag = np.zeros((npp, npp))
             dense_lag[np.ix_(at, at)] = lag
             P = from_blocks(head, dense_lag)
@@ -743,3 +746,28 @@ class TestEdgeSteps:
         n_read = len(pattern.observed(data.T - 1)) + len(pattern.quarterly_rows(data.T - 1))
         assert 0 < n_read < params.n
         assert [(dd.at is None, k) for dd, k in forms] == ([(edge > 2, n_read)] if edge > 1 else [])
+
+    @pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time-varying"])
+    def test_one_covariance_pass_serves_other_data_and_shocks(self, time_varying):
+        """The blocked edge's covariance pass reads neither the data nor the
+        shocks: built on one data object, it serves a second one with other
+        values on the same pattern, each with two shock sets, and each
+        result agrees with the reference step from the same boundary."""
+        case = (3, 1, 3, None, 6, 10, cut_edge((6, 10, 8), 6, 10), 1, time_varying, "stationary", 15)
+        params, scheme, data, init_mode = ragged_instance(case)
+        plan = plan_for(params, scheme, data, init_mode)
+        cov = plan.blocked_pass(data.pattern)
+        other = data.replace_values(data.values * 1.5 + 0.25)
+        assert other.pattern is data.pattern
+        for d in (data, other):
+            u = run_filter(build_periods(plan.system, plan.balanced(d)))
+            boundary = FilterState(plan.system.last(u), plan.system.P_filt)
+            for seed in (1, 2):
+                shocks = simulate_path(params, d, np.random.default_rng(seed), plan.system).shocks
+                want_heads, want_r, want_cond = dense_edge(plan, d, boundary, shocks)
+                heads, r, cond = blocked_edge(plan, d, boundary, shocks)
+                for got, want in ((heads, want_heads), (r, want_r)):
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                assert cond == pytest.approx(want_cond, rel=1e-8)
+        assert plan._blocked is cov

@@ -19,7 +19,7 @@ from mfsmooth import (
     run_adaptive,
     skip_sampling,
 )
-from mfsmooth import baseline, kalman
+from mfsmooth import baseline, blocked, kalman
 from mfsmooth.baseline import plan_for
 from mfsmooth.kalman import init_state
 from mfsmooth.model import AggregationScheme
@@ -410,8 +410,11 @@ class TestPreparedPlan:
     def test_covariance_pass_once_per_plan(self, monkeypatch):
         # a plan factorizes while it is built: the balanced system's band LU
         # and its K's band Cholesky factor, then, on the adaptive backend's
-        # first draw, the edge system's LU; no factor of F; warm draws and
-        # draw_many pay none, a new parameter set pays again
+        # first draw, the edge system's LU, and on the blocked backend's
+        # first draw its covariance pass's factors of F, one per edge period
+        # (all three observe here; factorized through the blocked module's
+        # binding, not kalman's); the reduced filter factors no F; warm draws
+        # and draw_many pay none, a new parameter set pays again
         inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
         calls = []
         factorize, band_lu, edge_lu = kalman.factorize_innovation, kalman.dgbtrf, kalman.dgetrf
@@ -443,7 +446,7 @@ class TestPreparedPlan:
         warm = [draw_latent(inst.params, inst.scheme, inst.data, b, seed=2) for b in ("adaptive", "blocked")]
         draw_many(inst.params, inst.scheme, inst.data, "adaptive", 3, seed=2)
         assert calls == []
-        assert [d.stats.factorizations for d in warm] == [0, 0]
+        assert [d.stats.factorizations for d in warm] == [0, 3]
         p = inst.params
         fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
         draw_latent(fresh, inst.scheme, inst.data, "adaptive", seed=2)
@@ -487,6 +490,33 @@ class TestPreparedPlan:
         assert plan_for(fresh, inst.scheme, inst.data)._edge is built[0]
         draw_latent(p, inst.scheme, inst.data, "adaptive", seed=2)
         assert len(built) == 2
+
+    def test_covariance_pass_built_once_per_plan_by_the_blocked_backend(self, monkeypatch):
+        # adaptive and reference draws never build the blocked edge's
+        # covariance pass; the blocked backend's first draw on a plan builds
+        # it and counts its three factors of F, and every later blocked draw
+        # on the plan, draw_many's included, runs its mean pass on it
+        inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
+        built, taken = [], []
+        covariance_pass, blocked_pass = blocked.CovariancePass, baseline.Plan.blocked_pass
+        monkeypatch.setattr(blocked, "CovariancePass", lambda *args: built.append(covariance_pass(*args)) or built[-1])
+        monkeypatch.setattr(baseline.Plan, "blocked_pass",
+                            lambda plan, pattern: taken.append(blocked_pass(plan, pattern)) or taken[-1])
+        p = inst.params
+        for backend in ("adaptive", "baseline"):
+            fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
+            draw_latent(fresh, inst.scheme, inst.data, backend, seed=2)
+            assert built == [] and taken == [], backend
+        draws = [draw_latent(fresh, inst.scheme, inst.data, b, seed=2) for b in ("blocked", "blocked", "adaptive")]
+        assert [d.stats.factorizations for d in draws] == [3, 0, 1]
+        draw_many(fresh, inst.scheme, inst.data, "blocked", 3, seed=2)
+        draw_latent(fresh, inst.scheme, inst.data, "baseline", seed=2)
+        draw_latent(fresh, inst.scheme, inst.data, "blocked", seed=3)
+        assert len(built) == 1 and len(taken) == 6
+        assert all(cov is built[0] for cov in taken)
+        assert plan_for(fresh, inst.scheme, inst.data)._blocked is built[0]
+        draw_latent(p, inst.scheme, inst.data, "blocked", seed=2)
+        assert len(built) == 2 and taken[-1] is built[1]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cold_and_warm_plans_draw_alike(self, backend):
