@@ -163,9 +163,11 @@ class Plan:
 
     def edge(self, pattern: ObservationPattern) -> EdgeSystem:
         """The ragged edge's system on the plan's ``pattern``, built and
-        factorized on the first call."""
+        factorized on the first call on the edge's layout that the band
+        layout keeps (``BandLayout.edge``)."""
         if self._edge is None:
-            object.__setattr__(self, "_edge", EdgeSystem(self.params, self.agg, pattern, self.system.P_filt))
+            layout = self.system.layout.edge(self.agg, pattern)
+            object.__setattr__(self, "_edge", EdgeSystem(self.params, self.agg, pattern, self.system.P_filt, layout))
         return self._edge
 
     def blocked_pass(self, pattern: ObservationPattern) -> CovariancePass:

@@ -390,7 +390,13 @@ def blocked_edge(
         Ltr = blocked_smooth_r(g, -blocked_K(per.C, per.U, g), per.o_t, qcols, per.lamqq_obs)
         heads[i] += per.head @ Ltr
         r = blocked_smooth_r(Ltr, Finv_v[i], per.o_t, qcols, per.lamqq_obs)
-    return heads, companion_to_compact(r, params)[quarterly_state_index(params)], cov.cond
+    # the adjoint F1'r at the quarterly positions only: Pi's lagged quarterly
+    # columns times r[:n], plus r[n:] there; zero at lag p
+    qi = quarterly_state_index(params)
+    lagged = qi[: params.n_q * params.p]
+    r_q = np.zeros(len(qi))
+    r_q[: len(lagged)] = params.coeff_row[:, lagged].T @ r[:n] + r[n + lagged]
+    return heads, r_q, cov.cond
 
 
 def run_blocked(

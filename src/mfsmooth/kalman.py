@@ -39,9 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dpbtrf, dpotrf, dpotrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgetrf, dgetrs, dpbtrf, dpotrf, dpotrs, dtrtrs
 
 from .errors import InitializationError, SingularInnovationError
 from .model import Aggregation, ObservationPattern, VarParams
@@ -254,17 +253,20 @@ def _scatter(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
 
 class BandLayout:
     """Where a balanced system's unknowns and entries sit: this depends only
-    on the observation pattern, p and the aggregation weights' support, so a
-    plan on the same pattern, p and aggregation takes its predecessor's
-    (``baseline.plan_for``).
+    on the observation pattern, p and the aggregation, so a plan on the same
+    pattern, p and aggregation object takes its predecessor's
+    (``baseline.plan_for``), and with it the ragged edge's layout
+    (``edge``).
 
     Slot j holds time j - p - 1: its n_q values, then the multipliers of the
     aggregates observed then (rows ``agg``); period t's window ``win`` is its
-    reduced state (q_t, ..., q_{t-p}), and z is in the first p+1 slots.  A's
-    entries are the weights' support, widened for a period before p through
-    J_t's lower-triangular L0 block to every initial column up to its last.
-    ``flat`` is each entry's position in LAPACK band storage with kl more rows
-    for the pivoting's fill: (i, j) at j (ld - 1) + i + 2 kl, ld = 3 kl + 1.
+    reduced state (q_t, ..., q_{t-p}), and z is in the first p+1 slots.
+    ``lam`` holds each observed aggregate's weights on its period's window.
+    A's entries are the weights' support, widened for a period before p
+    through J_t's lower-triangular L0 block to every initial column up to
+    its last.  ``flat`` is each entry's position in LAPACK band storage with
+    kl more rows for the pivoting's fill: (i, j) at j (ld - 1) + i + 2 kl,
+    ld = 3 kl + 1.
 
     K, the block over z and the path (``kpos``, in slot order), has
     bandwidth kd = k - 1: period t's window is K's contiguous range from
@@ -287,12 +289,14 @@ class BandLayout:
         self.size = N = int(size.sum())
         qpos = first[:, None] + np.arange(n_q)
         self.path = qpos[p + 1 :]
+        self.cells = np.indices((t_b, n_q)).reshape(2, -1) + [[0], [pattern.n_m]]
         self.win = win = qpos[p + 1 + np.arange(t_b)[:, None] - np.arange(p + 1)].reshape(t_b, k)
         self.z = qpos[: p + 1].ravel()
         self.agg_t, self.agg_q = agg_t, agg_q = np.nonzero(qobs)
         self.agg = first[p + 1 + agg_t] + n_q + np.arange(len(agg_t)) - np.searchsorted(agg_t, agg_t)
-        support = np.zeros((len(agg_t), k), dtype=bool)
-        support[:, : agg.lam_qq.shape[1]] = agg.lam_qq[agg_q] != 0
+        self.lam = np.zeros((len(agg_t), k))
+        self.lam[:, : agg.lam_qq.shape[1]] = agg.lam_qq[agg_q]
+        support = self.lam != 0
         reach = np.logical_or.accumulate(support[:, ::-1], axis=1)[:, ::-1]
         self.ia, self.ja = ia, ja = np.nonzero(np.where(np.arange(k) >= (agg_t[:, None] + 1) * n_q, reach, support))
         a_rows, a_cols = self.agg[ia], win[agg_t[ia], ja]
@@ -317,6 +321,14 @@ class BandLayout:
             rows = np.lib.stride_tricks.sliding_window_view(np.append(kpos, np.full(k - 1, -1)), k)
             inside = (rows >= 0) & (rows - kpos[:, None] <= kl)
             self.kband = np.where(inside, rows + ((ld - 1) * kpos + 2 * kl)[:, None], 0)
+        self._edge: EdgeLayout | None = None
+
+    def edge(self, agg: Aggregation, pattern: ObservationPattern) -> EdgeLayout:
+        """The ragged edge's layout on the same pattern, p and aggregation,
+        built on the first call."""
+        if self._edge is None:
+            self._edge = EdgeLayout(agg, pattern, self.p)
+        return self._edge
 
     def period(self, i: int) -> int:
         """The period whose slot holds position ``i``."""
@@ -361,22 +373,25 @@ class BalancedSystem:
     (``perturbation``, one normal per unknown of K) and is one ``dgbtrs``
     solve (``solve``), whose mean is the solution of the data's.  Its last
     state s_{t_b-1} is the filtered state at t_b-1, where the ragged edge
-    starts (the backend's edge step).  One more solve, on the unit
-    vectors of that state's positions, gives its covariance ``P_filt`` and
-    Cov(q_t, s_{t_b-1}), which lifts the edge's adjoint r onto the path:
-    the smoothed path is the mean plus that covariance times r
-    (``smoothed``).
+    starts (the backend's edge step).  The hand-off is one more solve, on
+    the unit vectors of that state's positions (``unit_solve``): they are
+    zero outside the trailing rows, so the LU's forward pass runs over
+    those rows only and back substitution over all, bitwise a full solve.
+    Its rows at the last state are that state's covariance ``P_filt``, and
+    its rows on the path Cov(q_t, s_{t_b-1}), which lifts the edge's
+    adjoint r onto the path: the smoothed path is the mean plus that
+    covariance times r (``smoothed``).
     """
 
     def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, init: FilterState,
                  layout: BandLayout | None = None):
-        n_m, n_q, p = params.n_m, params.n_q, params.p
+        n_q, p = params.n_q, params.p
         t_b = pattern.t_balanced    # > p (``baseline.check_pattern``)
         self.layout = lay = BandLayout(agg, pattern, p) if layout is None else layout
         self.size, self.kl = N, kl = lay.size, lay.kl
         self._win, self._path, self._agg = lay.win, lay.path.ravel(), lay.agg
-        self.cells = np.indices((t_b, n_q)).reshape(2, -1) + [[0], [n_m]]
-        win, z_pos = lay.win, lay.z
+        self.cells = lay.cells
+        win = lay.win
         self.k = k = (p + 1) * n_q
         L0, self.jitter = initial_factor(init.P)
         self.n_normals = len(lay.kpos)
@@ -394,8 +409,11 @@ class BalancedSystem:
             self._G, self.proj = X.transpose(0, 2, 1), None
         else:
             self._W = self._G = None
-            X = solve_triangular(params.chol_cov[0], B, lower=True, check_finite=False)[None]
-            self.proj = solve_triangular(params.chol_cov[0], X[0], lower=True, trans="T", check_finite=False).T
+            # W' is W's Fortran-ordered view, an upper factor
+            Wt = params.chol_cov[0].T
+            X, _ = dtrtrs(Wt, B, lower=0, trans=1)
+            proj, _ = dtrtrs(Wt, X, lower=0)
+            X, self.proj = X[None], proj.T
 
         # periods 0..p-1 reach the initial stack: their window is m_t + J_t u
         # in the unknowns u, m_t the stack's mean and J_t = I but for L0
@@ -407,8 +425,7 @@ class BalancedSystem:
             m[t, j:] = init.a[: k - j]
         self._Jt = Jt = J.transpose(0, 2, 1)
         agg_t, lead = lay.agg_t, np.flatnonzero(lay.agg_t < p)
-        lam = np.zeros((len(agg_t), k))
-        lam[:, : agg.lam_qq.shape[1]] = agg.lam_qq[lay.agg_q]
+        lam = lay.lam.copy()
         g = np.zeros(len(agg_t))
         g[lead] = -np.einsum("ij,ij->i", lam[lead], m[agg_t[lead]])
         lam[lead] = np.matmul(lam[lead, None, :], J[agg_t[lead]])[:, 0]
@@ -420,8 +437,8 @@ class BalancedSystem:
         Kt[:] = X.transpose(0, 2, 1) @ X
         b_head = -Jt @ Kt[:p] @ m[:, :, None]
         Kt[:p] = Jt @ Kt[:p] @ J
-        vals[Kt.size : Kt.size + len(z_pos)] = 1.0
-        vals[Kt.size + len(z_pos) :] = np.tile(lam[lay.ia, lay.ja], 2)
+        vals[Kt.size : Kt.size + len(lay.z)] = 1.0
+        vals[Kt.size + len(lay.z) :] = np.tile(lam[lay.ia, lay.ja], 2)
         ld = 3 * kl + 1
         flat = _scatter(lay.flat, vals, ld * N)
         kband = flat[lay.kband].T    # K's lower band, before the LU overwrites it
@@ -436,14 +453,38 @@ class BalancedSystem:
                 raise SingularInnovationError(t, f"the balanced sample's precision K is not positive definite "
                                                  f"at period t={t}")
 
-        # the initial mean's part of the right-hand side, and the handoff
+        # the initial mean's part of the right-hand side, and the hand-off
         self._b = _scatter(win[:p], b_head, N)
         self._b[self._agg] += g
-        E = np.zeros((N, k))
-        E[win[-1], np.arange(k)] = 1.0
-        X = self.solve(E)
+        X = self.unit_solve(win[-1])
         self.P_filt = _sym(X[win[-1]])
         self._lift = X[self._path]
+
+    def unit_solve(self, pos: np.ndarray) -> np.ndarray:
+        """The solution on the unit vectors at the positions ``pos``, one
+        column each, bitwise a full ``solve``'s.
+
+        The columns are zero above row s0 = min(pos) - kl, and the band LU's
+        forward pass, whose pivots and multipliers reach kl rows below their
+        column, leaves those rows zero: it runs from s0 only, as one
+        ``dgbtrs`` on the trailing rows' multipliers under a unit upper
+        factor.  Back substitution through U runs over all N rows, one
+        ``dgbtrs`` with kl = 0 on the factor's U rows.  Each pass does what
+        the full solve's does on the rows it reaches."""
+        N, kl = self.size, self.kl
+        if not N:
+            return np.zeros((0, len(pos)))
+        s0 = max(int(pos.min()) - kl, 0)
+        L = np.zeros((2 * kl + 1, N - s0), order="F")
+        L[kl] = 1.0
+        L[kl + 1 :] = self._lu[2 * kl + 1 :, s0:]
+        Y = np.zeros((N - s0, len(pos)), order="F")
+        Y[pos - s0, np.arange(len(pos))] = 1.0
+        Y, _ = dgbtrs(L, kl, 0, Y, self._piv[s0:] - s0, overwrite_b=1)
+        X = np.zeros((N, len(pos)), order="F")
+        X[s0:] = Y
+        X, _ = dgbtrs(self._lu, 0, 2 * kl, X, self._piv, overwrite_b=1)
+        return X
 
     def pop_factorizations(self) -> int:
         """On the first call the factorizations the system computed, the band
@@ -505,6 +546,49 @@ class BalancedSystem:
         return path
 
 
+class EdgeLayout:
+    """Where the ragged edge's unknowns sit and what each edge period's
+    window reads (``EdgeSystem``): this depends only on the observation
+    pattern, p and the aggregation, so it is built once per band layout
+    (``BandLayout.edge``) and a plan takes it over with that.
+
+    ``col[i, v]`` is the unknown holding variable v at time t_b-1-p+i, or -1
+    for a known value (``known``); the latent edge values are in time order,
+    then variable, at the panel positions ``cells``.  Period t's window is
+    row t - t_b of ``col[rows]``, its times t..t-p lag-major like the VAR's
+    operator: ``pos`` holds, per edge period, the positions of its unknowns
+    in z, and ``ops`` those unknowns' places among the stacked positions any
+    window reads (``stack``).  ``agg`` is the observed edge aggregates'
+    (t, variable) positions and ``agg_cols`` the unknowns their weights
+    read, q_t..q_{t-p_q+1}.
+    """
+
+    def __init__(self, agg: Aggregation, pattern: ObservationPattern, p: int):
+        n_m, n_q = pattern.n_m, agg.n_q
+        n = n_m + n_q
+        t_b, T = pattern.t_balanced, pattern.T
+        n_e = T - t_b
+        self.k = k = (p + 1) * n_q
+        lt, lv = np.nonzero(np.hstack([~pattern.observed_monthly[t_b:], np.ones((n_e, n_q), dtype=bool)]))
+        self.n_z = N = k + len(lt)
+        col = np.full((p + 1 + n_e, n), -1)
+        col[: p + 1, n_m:] = np.arange(k).reshape(p + 1, n_q)[::-1]
+        col[p + 1 + lt, lv] = np.arange(k, N)
+        self.cells = np.stack([t_b + lt, lv])
+        self.at, self.shape = (lt, lv), (n_e, n)
+        self.known = col < 0
+        ae, aj = np.nonzero(pattern.quarterly_observed[t_b:])
+        self.n_a = len(ae)
+        self.agg = (t_b + ae, n_m + aj)
+        self.agg_cols = col[ae[:, None] + p + 1 - np.arange(agg.p_q), n_m + aj[:, None]]
+        self.rows = p + 1 + np.arange(n_e)[:, None] - np.arange(p + 1)
+        win = col[self.rows].reshape(n_e, -1)
+        e, slot = np.nonzero(win >= 0)
+        ends = np.cumsum(np.bincount(e, minlength=n_e))[:-1]
+        self.stack, inv = np.unique(slot, return_inverse=True)
+        self.pos, self.ops = np.split(win[e, slot], ends), np.split(inv, ends)
+
+
 class EdgeSystem:
     """The ragged edge t_b..T-1 given the balanced sample, as one dense
     saddle-point system that a plan factorizes once, on the first call of
@@ -532,54 +616,43 @@ class EdgeSystem:
     lam is the adjoint of the filtered state at t_b-1 that lifts the
     balanced path (``BalancedSystem.smoothed``).
 
+    Where the unknowns sit and what each window reads (``EdgeLayout``) is
+    the plan's predecessor's on the same pattern when given as ``layout``.
     LAPACK ``dgetrf`` factorizes the matrix; a zero pivot raises
     ``SingularInnovationError`` naming the first edge period.  ``cond`` is
     1/rcond of ``dgecon``, a diagnostic.  A draw is one ``dgetrs`` solve.
     """
 
-    def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, P_filt: np.ndarray):
-        n, n_m, n_q, p = params.n, params.n_m, params.n_q, params.p
-        t_b, T = pattern.t_balanced, pattern.T
-        n_e = T - t_b
-        self.k = k = (p + 1) * n_q
+    def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, P_filt: np.ndarray,
+                 layout: EdgeLayout | None = None):
+        self.layout = lay = EdgeLayout(agg, pattern, params.p) if layout is None else layout
+        k, N, n_a = lay.k, lay.n_z, lay.n_a
+        self.k, self.n_z, self.n_a, self.cells = k, N, n_a, lay.cells
+        self._params, self._at, self._shape = params, lay.at, lay.shape
         self.factorizations = 1    # the LU, until ``pop_factorizations``
-
-        # col[i, v]: the unknown holding variable v at time t_b-1-p+i, or -1
-        # for a known value; latent edge values in time order, then variable
-        lt, lv = np.nonzero(np.hstack([~pattern.observed_monthly[t_b:], np.ones((n_e, n_q), dtype=bool)]))
-        self.n_z = N = k + len(lt)
-        col = np.full((p + 1 + n_e, n), -1)
-        col[: p + 1, n_m:] = np.arange(k).reshape(p + 1, n_q)[::-1]
-        col[p + 1 + lt, lv] = np.arange(k, N)
-        self.cells = np.stack([t_b + lt, lv])
-        self._at, self._shape = (lt, lv), (n_e, n)
-        self._known, self._params = col < 0, params
-        ae, aj = np.nonzero(pattern.quarterly_observed[t_b:])
-        self.n_a = n_a = len(ae)
-        self._agg = (t_b + ae, n_m + aj)
         m = N + n_a
         M = np.zeros((m + k, m + k), order="F")
 
-        # period t's window is row t - t_b of col[_rows], its times t..t-p
-        # lag-major like the VAR's operator: ``_windows`` keeps the positions
-        # of its unknowns in z and (Sigma_t^-1 B_t)', and K sums B_t' Sigma_t^-1 B_t
-        self._rows = p + 1 + np.arange(n_e)[:, None] - np.arange(p + 1)
-        win = col[self._rows].reshape(n_e, -1)
-        e, slot = np.nonzero(win >= 0)
-        ends = np.cumsum(np.bincount(e, minlength=n_e))[:-1]
+        # per edge period (Sigma_t^-1 B_t)' over its window's unknowns, and K
+        # sums B_t' Sigma_t^-1 B_t.  Under a constant chol_cov each window's
+        # Sigma^-1 B_t' is a set of columns of Sigma^-1 B', for B the VAR's
+        # operator at the stacked positions any window reads: one ``dpotrs``
+        B = var_operator(params, lay.stack)
+        S = None if params.time_varying_cov else dpotrs(params.chol_cov[0], B.T, lower=1)[0].T
         self._windows = []
-        for t, pos, Bt in zip(range(t_b, T), np.split(win[e, slot], ends), np.split(var_operator(params, slot), ends)):
-            SB, _ = dpotrs(params.chol(t), Bt.T, lower=1)
-            M[pos[:, None], pos] += Bt @ SB
-            self._windows.append((pos, SB.T))
-        M[N + np.arange(n_a)[:, None], col[ae[:, None] + p + 1 - np.arange(agg.p_q), n_m + aj[:, None]]] = \
-            agg.scheme.weights
+        for t, pos, ops in zip(range(pattern.t_balanced, pattern.T), lay.pos, lay.ops):
+            Bt = B[ops]
+            SBt = dpotrs(params.chol(t), Bt.T, lower=1)[0].T if S is None else S[ops]
+            M[pos[:, None], pos] += Bt @ SBt.T
+            self._windows.append((pos, SBt))
+        M[N + np.arange(n_a)[:, None], lay.agg_cols] = agg.scheme.weights
         M[:N, N:m] = M[N:m, :N].T
         M[m + np.arange(k), np.arange(k)] = M[np.arange(k), m + np.arange(k)] = 1.0
         M[m:, m:] = -P_filt
         anorm = np.abs(M).sum(axis=0).max()
         self._lu, self._piv, info = dgetrf(M, overwrite_a=1)
         if info > 0:
+            t_b = pattern.t_balanced
             raise SingularInnovationError(t_b, f"the ragged edge's system is singular at period t={t_b}")
         rcond, _ = dgecon(self._lu, anorm)
         self.cond = 1.0 / rcond if rcond > 0 else np.inf
@@ -593,10 +666,11 @@ class EdgeSystem:
         """The rows of z and nu at the (T, n) data ``values``: each edge period's
         residual at z = 0, the operator on its window's known values less the
         intercept, taken as ``perturbation`` takes shocks; then the aggregates."""
-        X = np.where(self._known, values[-len(self._known) :], 0.0)[self._rows]
+        lay = self.layout
+        X = np.where(lay.known, values[-len(lay.known) :], 0.0)[lay.rows]
         b = self.perturbation(X[:, 0] - X[:, 1:].reshape(len(X), -1) @ self._params.coeff_row.T
                               - self._params.intercept)
-        b[self.n_z :] = values[self._agg]
+        b[self.n_z :] = values[lay.agg]
         return b
 
     def perturbation(self, shocks: np.ndarray) -> np.ndarray:

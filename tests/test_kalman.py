@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dgbtrs
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mfsmooth import (
@@ -38,7 +39,7 @@ from mfsmooth.model import AggregationScheme, MixedFreqData
 from mfsmooth.simulate import benchmark_pattern, make_instance, random_stable_params
 from mfsmooth.systems import PeriodSystem, SystemMatrices, build_periods
 from test_model import random_params
-from test_simsmooth import affine_map
+from test_simsmooth import SCHEMES, affine_map, with_time_varying_cov
 from test_systems import period_noise, per_period, reference_smooth
 
 
@@ -297,6 +298,90 @@ class TestMeanBand:
         agg = build_aggregation(inst.scheme, 1, 3)
         assert BalancedSystem(inst.params, agg, inst.data.pattern, FilterState(init.a, P)).jitter
         assert not BalancedSystem(inst.params, agg, inst.data.pattern, init).jitter
+
+
+class TestColdPlan:
+    """What a new plan builds from new parameters, against direct forms:
+    the hand-off from the trailing rows (``BalancedSystem.unit_solve``)
+    and, under a constant chol_cov, K's band storage and the system's."""
+
+    @pytest.mark.parametrize("n_q", [0, 1, 2, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("time_varying", [False, True])
+    @pytest.mark.parametrize("t_b", [5, 29])
+    def test_hand_off_is_a_full_solve_bit_for_bit(self, n_q, scheme, time_varying, t_b):
+        # p = 4, so t_b = 5 is the shortest balanced sample, p+1, and 29 the
+        # longest with an edge, T-1; P_filt and the lift against one dgbtrs on
+        # the unit vectors at the last state's positions with the same factor
+        inst = make_instance(3, n_q, 4, 30, t_b, np.random.default_rng(n_q), scheme=SCHEMES[scheme])
+        params = with_time_varying_cov(inst.params, 30, 2) if time_varying else inst.params
+        system = plan_for(params, inst.scheme, inst.data).system
+        last, path = system.layout.win[-1], system.layout.path.ravel()
+        assert system.P_filt.shape == (system.k, system.k) and system._lift.shape == (t_b * n_q, system.k)
+        if not n_q:
+            assert system.size == 0 and system._lift.shape == (0, 0)
+            return
+        E = np.zeros((system.size, system.k))
+        E[last, np.arange(system.k)] = 1.0
+        full, info = dgbtrs(system._lu, system.kl, system.kl, E, system._piv)
+        assert info == 0
+        assert_array_equal(system.P_filt, kalman._sym(full[last]))
+        assert_array_equal(system._lift, full[path])
+
+    @pytest.mark.parametrize("n_q", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("t_b", [5, 8, 37])
+    def test_constant_k_matches_the_stacked_terms(self, monkeypatch, n_q, scheme, t_b):
+        # K's lower band storage (what dpbtrf factorizes) and the system's
+        # band storage (what dgbtrf factorizes) against every period's term
+        # stacked and summed by position: X'X from p on, J_t' X'X J_t before
+        # it, z's prior and A's entries, the aggregates before p read through
+        # J_t; t_b = 5 is the shortest balanced sample
+        inst = make_instance(3, n_q, 4, 40, t_b, np.random.default_rng(n_q + 3), scheme=SCHEMES[scheme])
+        params, p, k = inst.params, 4, 5 * n_q
+        captured = {}
+        band_lu, band_chol = kalman.dgbtrf, kalman.dpbtrf
+
+        def lu(ab, *args, **kwargs):
+            captured["system"] = ab.copy()
+            return band_lu(ab, *args, **kwargs)
+
+        def chol(ab, **kwargs):
+            captured["K"] = ab.copy()
+            return band_chol(ab, **kwargs)
+
+        monkeypatch.setattr(kalman, "dgbtrf", lu)
+        monkeypatch.setattr(kalman, "dpbtrf", chol)
+        plan = plan_for(params, inst.scheme, inst.data)
+        lay, N, kl = plan.system.layout, plan.system.size, plan.system.kl
+        assert (lay.agg_t < p).any()
+        # the reference: the whitened operator, each period's term over its
+        # window, the early ones through J_t, summed by np.bincount
+        B = kalman.var_operator(params, quarterly_state_index(params)).T
+        X = scipy.linalg.solve_triangular(params.chol_cov[0], B, lower=True)
+        L0 = kalman.initial_factor(plan.init.P)[0]
+        J = np.tile(np.eye(k), (t_b, 1, 1))
+        for t in range(p):
+            J[t, (t + 1) * n_q :, (t + 1) * n_q :] = L0[: k - (t + 1) * n_q, : k - (t + 1) * n_q]
+        XJ = X @ J
+        Kt = XJ.transpose(0, 2, 1) @ XJ
+        lam = lay.lam.copy()
+        early = lay.agg_t < p
+        lam[early] = np.matmul(lam[early, None], J[lay.agg_t[early]])[:, 0]
+        ld = 3 * kl + 1
+        win, z = lay.win, lay.z
+        a_rows, a_cols = lay.agg[lay.ia], win[lay.agg_t[lay.ia], lay.ja]
+        at = np.concatenate([
+            ((ld - 1) * win[:, None, :] + win[:, :, None]).ravel(), ld * z,
+            (ld - 1) * a_cols + a_rows, (ld - 1) * a_rows + a_cols]) + 2 * kl
+        vals = np.concatenate([Kt.ravel(), np.ones(len(z)), np.tile(lam[lay.ia, lay.ja], 2)])
+        want = np.bincount(at, vals, ld * N)
+        scale = np.abs(want).max()
+        got = captured["system"].T.ravel()
+        assert np.abs(got - want).max() <= 1e-14 * scale
+        want_k = want[lay.kband].T
+        assert captured["K"].shape == want_k.shape
+        assert np.abs(captured["K"] - want_k).max() <= 1e-14 * scale
 
 
 class TestWhitening:

@@ -412,9 +412,10 @@ class TestPreparedPlan:
         # and its K's band Cholesky factor, then, on the adaptive backend's
         # first draw, the edge system's LU, and on the blocked backend's
         # first draw its covariance pass's factors of F, one per edge period
-        # (all three observe here; factorized through the blocked module's
-        # binding, not kalman's); the reduced filter factors no F; warm draws
-        # and draw_many pay none, a new parameter set pays again
+        # (all three observe here, factorized through the blocked module's
+        # binding, which is counted beside kalman's); the reduced filter
+        # factors no F; warm draws and draw_many pay none, a new parameter
+        # set pays again
         inst = make_instance(4, 1, 3, 60, 57, np.random.default_rng(3))
         calls = []
         factorize, band_lu, edge_lu = kalman.factorize_innovation, kalman.dgbtrf, kalman.dgetrf
@@ -437,6 +438,7 @@ class TestPreparedPlan:
             return band_chol(*args, **kwargs)
 
         monkeypatch.setattr(kalman, "factorize_innovation", counted)
+        monkeypatch.setattr(blocked, "factorize_innovation", counted)
         monkeypatch.setattr(kalman, "dgbtrf", counted_lu)
         monkeypatch.setattr(kalman, "dgetrf", counted_edge_lu)
         monkeypatch.setattr(kalman, "dpbtrf", counted_chol)
@@ -444,13 +446,18 @@ class TestPreparedPlan:
         assert calls == ["band", "chol", "edge"] and cold.stats.factorizations == 3
         del calls[:]
         warm = [draw_latent(inst.params, inst.scheme, inst.data, b, seed=2) for b in ("adaptive", "blocked")]
-        draw_many(inst.params, inst.scheme, inst.data, "adaptive", 3, seed=2)
-        assert calls == []
+        assert calls == [57, 58, 59]
         assert [d.stats.factorizations for d in warm] == [0, 3]
+        del calls[:]
+        for b in ("adaptive", "blocked"):
+            draw_latent(inst.params, inst.scheme, inst.data, b, seed=3)
+        draw_many(inst.params, inst.scheme, inst.data, "adaptive", 3, seed=2)
+        draw_many(inst.params, inst.scheme, inst.data, "blocked", 3, seed=2)
+        assert calls == []
         p = inst.params
         fresh = VarParams(p.n_m, p.n_q, p.p, p.intercept, p.lag_coeffs, p.chol_cov)
-        draw_latent(fresh, inst.scheme, inst.data, "adaptive", seed=2)
-        assert len(calls) == cold.stats.factorizations
+        draw_latent(fresh, inst.scheme, inst.data, "blocked", seed=2)
+        assert calls == ["band", "chol", 57, 58, 59]
 
     def test_failed_k_factor_raises_naming_its_period(self, monkeypatch):
         # a K that dpbtrf cannot factorize raises, naming the period whose
@@ -844,14 +851,26 @@ class TestLayoutReuse:
         params = with_time_varying_cov(inst.params, 40, 3) if time_varying else inst.params
         scheme, data = inst.scheme, inst.data
         first = plan_for(params, scheme, data)
+        edge_layout = first.edge(data.pattern).layout
         params = self.successor(params, 4)
         plan = plan_for(params, scheme, data)
         assert plan is not first and plan.system.layout is first.system.layout
+        # the edge's layout rides with the band layout it was built beside
+        assert plan.edge(data.pattern).layout is edge_layout
         fresh_data = MixedFreqData.from_values(data.values.copy(), data.n_m, data.n_q)
         fresh = plan_for(params, scheme, fresh_data)
         assert fresh.system.layout is not first.system.layout
-        for name in ("_lu", "_piv", "P_filt"):
+        for name in ("_lu", "_piv", "P_filt", "_lift", "_C"):
             assert_array_equal(getattr(plan.system, name), getattr(fresh.system, name))
+        fresh_edge = fresh.edge(fresh_data.pattern)
+        assert fresh_edge.layout is not edge_layout
+        for name, value in vars(edge_layout).items():
+            other = getattr(fresh_edge.layout, name)
+            parts = zip(value, other, strict=True) if isinstance(value, (tuple, list)) else [(value, other)]
+            for a, b in parts:
+                assert_array_equal(a, b, err_msg=name)
+        for name in ("_lu", "_piv", "cond"):
+            assert_array_equal(getattr(plan.edge(data.pattern), name), getattr(fresh_edge, name))
         for backend in BACKENDS:
             assert_array_equal(draw_latent(params, scheme, data, backend, seed=5).x,
                                draw_latent(params, scheme, fresh_data, backend, seed=5).x)
