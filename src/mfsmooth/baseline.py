@@ -232,15 +232,15 @@ def fill_observed(x: np.ndarray, data: MixedFreqData, start: int = 0) -> None:
     np.copyto(x[..., start:, :n_m], data.values[start:, :n_m], where=data.pattern.observed_monthly[start:])
 
 
-def companion_mean(params: VarParams, data: MixedFreqData, a_q: np.ndarray) -> np.ndarray:
+def companion_mean(params: VarParams, data: MixedFreqData, a_q: np.ndarray, qi: np.ndarray) -> np.ndarray:
     """The stacked (companion) mean at t_b-1: the known monthly values at
     lags 0..p, and ``a_q``, the reduced run's filtered mean, at the
-    quarterly positions (``quarterly_state_index``)."""
+    quarterly positions ``qi`` (``quarterly_state_index``)."""
     n, p, t_b = params.n, params.p, data.pattern.t_balanced
     a = np.zeros((p + 1, n))
     a[:, : params.n_m] = data.values[t_b - 1 - p : t_b, : params.n_m][::-1]
     a = a.reshape(-1)
-    a[quarterly_state_index(params)] = a_q
+    a[qi] = a_q
     return a
 
 
@@ -253,8 +253,8 @@ def compact_to_companion(params: VarParams, data: MixedFreqData, boundary: Filte
     (``quarterly_state_index``); the known monthly values at lags 0..p fill
     the rest of the mean, with zero variance (``companion_mean``).
     """
-    a = companion_mean(params, data, boundary.a)
     qi = quarterly_state_index(params)
+    a = companion_mean(params, data, boundary.a, qi)
     P = np.zeros((len(a), len(a)))
     P[np.ix_(qi, qi)] = boundary.P
     return FilterState(a, P)

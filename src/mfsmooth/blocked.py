@@ -15,21 +15,29 @@ zero outside the quarterly positions, so the switch period is predicted
 from the boundary's block at the quarterly lags.  From then on each
 predicted covariance is kept as its head rows P[:n] and its lag block
 P[n:, n:], which is the previous period's filtered top block as it is.
-M = P Z' is gathered from those two parts and F read from its rows; the
-next lag block is one downdate by U = C^-1 M[:np]' for the lower Cholesky
-factor C of F.  The downdate forms the dense np x np block only when a
-later period downdates it in turn; the period before the last keeps it in
-downdate form (``Downdate``: this period's head rows, its lag block and U).
-The last period's smoothed row is its filtered mean's head, as r = 0
-there, so it reads P only through Z: F = Z P Z' and M[:n] = P[:n] Z' from
-P's rows at the observed monthly positions and the quarterly ones its
-aggregates weigh (``blocked_last``), formed from the downdate form as
+Z P's first np columns are formed row-wise from those two parts (the
+rows of P at the columns Z reads), F is read from them and
+U = C^-1 M[:np]' for M = P Z' and the lower Cholesky factor C of F comes
+from one right-side triangular solve on their Fortran-ordered transpose
+M[:np], with no transposing copy (``blocked_M``).  The next lag block is
+one downdate by U.  The downdate forms the dense np x np block only when
+a later period downdates it in turn; the period before the last keeps it
+in downdate form (``Downdate``: this period's head rows, its lag block
+and U).  The last period's smoothed row is its filtered mean's head, as
+r = 0 there, so it reads P only through Z: F = Z P Z' and M[:n] = P[:n] Z'
+from P's rows at the observed monthly positions and the quarterly ones
+its aggregates weigh (``blocked_last``), formed from the downdate form as
 Pi[R] pf = Pi[R] P_block - (Pi[R] U')U and the block's rows at the
 quarterly lags, with no head rows and no rows of M below n (Durbin and
 Koopman 2012, section 4.3).  At the switch P's lag block is the
 boundary's sparse block, so only Pi's columns at the quarterly lags
-enter.  Each period keeps C, U (at the last period C^-1 M[:n]') and, for
-the backward pass, its head rows; M itself is not kept.
+enter.  Each period keeps C, U and, for the backward pass, its head rows;
+the last two keep no head rows and only U's first n columns
+(C^-1 M[:n]'), and the period before the last keeps instead two small
+products with F1' on R = (0..n-1, n + S), the positions at which the
+last period's predicted state is read, for S the lagged quarterly
+positions its Z reads, less n: UF = (U Pi', U[:, S]) and
+HF = (P[:n, :np] Pi', P[:n, S]).  M itself is not kept.
 
 The mean pass solves C x = v for each innovation v and updates the
 filtered mean's first k positions as a[:k] + U'x, which is a + M F^-1 v
@@ -37,10 +45,19 @@ there, then solves C' f = x for f = F^-1 v.  No gain is formed: the
 backward pass needs only K'r = B' (F1'r)[:np] for K = (Pi B; B) and
 B = M[:np] F^-1, which is C^-T (U (F1'r)[:np]), one triangular solve on a
 vector (``blocked_K``), and forms L'r = F1'r - Z'(K'r) from the boundary's
-adjoint step and Z's scatter, with no dense F1 or L.  Results match the
-reference backend numerically; only the arithmetic route differs.
-``blocked_edge`` is the edge step it passes to the shared
-``baseline.smooth``.
+adjoint step and Z's scatter, with no dense F1 or L.  The last two
+periods read no np-wide array but Pi, once: the period before the last
+takes its own predicted head and the lag part of the last period's from
+one product of Pi with two columns, forms its filtered mean only at the
+head and at S, and gives the last period's predicted state at R as
+F1 a + UF'x there.  Going back, the last period's adjoint Z'f is zero
+below the head but at n + S, so U (F1'r)[:np] = UF r[R], and the head's
+P[:n] L'r = HF r[R] - U[:, :n]' UF r[R], as P[:n] Z' = U[:, :n]' C'.  F1'r
+is formed in full only for an earlier period; on a two-period edge the
+boundary's adjoint reads it at the head and the lagged quarterly
+positions, from Pi's columns there.  Results match the reference
+backend numerically; only the arithmetic route differs.  ``blocked_edge``
+is the edge step it passes to the shared ``baseline.smooth``.
 """
 
 from __future__ import annotations
@@ -49,6 +66,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dtrtrs
 
 from .baseline import Plan, SmoothResult, companion_mean, companion_to_compact, smooth
@@ -146,11 +164,14 @@ class Downdate:
 
 def blocked_M(head: np.ndarray, lag: np.ndarray, o_t: np.ndarray, qcols: np.ndarray, lamqq_obs: np.ndarray,
               at: np.ndarray | None = None) -> np.ndarray:
-    """M = P Z' from the predicted covariance's head rows P[:n] and its lag
-    block P[n:, n:] (with ``at`` as in ``_rows``), reading only the rows of
-    P at the columns Z reads."""
+    """M[:np] for M = P Z', from the predicted covariance's head rows P[:n]
+    and its lag block P[n:, n:] (with ``at`` as in ``_rows``), reading only
+    the rows of P at the columns Z reads: the Fortran-ordered transpose of
+    Z P's first np columns, which are formed row-wise, with no transposing
+    copy."""
+    npp = head.shape[1] - head.shape[0]
     rows = _rows(head, lag, qcols, at)
-    return np.concatenate([head[o_t].T, rows.T @ lamqq_obs.T], axis=1)
+    return np.concatenate([head[o_t, :npp], lamqq_obs @ rows[:, :npp]]).T
 
 
 def blocked_K(C: np.ndarray | None, U: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -282,10 +303,15 @@ class PassPeriod:
     """One edge period of the covariance pass: the data columns it observes
     (``cols``: o_t, then the observed aggregates' columns), Z's parts, the
     lower Cholesky factor C of F (None with no observation) and
-    U = C^-1 M[:k]', for k = np, or k = n at the last period, whose update
-    forms only the filtered mean's head.  ``head`` is the predicted
+    U = C^-1 M[:k]', for k = np, or k = n at the last two periods, whose
+    updates form only the filtered mean's head.  ``head`` is the predicted
     covariance's head rows P[:n], which the backward pass reads at every
-    period but the last (None there)."""
+    period but the last two (None there).
+
+    The period before the last keeps ``UF`` and ``HF``: its full U and its
+    head rows' first np columns times F1'[:np, R], for R the positions the
+    last period's predicted state is read at (``CovariancePass.R``), that
+    is (U Pi', U[:, S]) and (P[:n, :np] Pi', P[:n, S])."""
 
     cols: np.ndarray
     o_t: np.ndarray
@@ -293,6 +319,19 @@ class PassPeriod:
     head: np.ndarray | None
     U: np.ndarray
     C: np.ndarray | None
+    UF: np.ndarray | None = None
+    HF: np.ndarray | None = None
+
+    def innovation(self, y: np.ndarray, a_obs: np.ndarray, a_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x = C^-1 v and f = F^-1 v = C^-T x for the innovation v of the
+        data row ``y``, from the predicted mean at o_t (``a_obs``) and at the
+        quarterly columns (``a_q``); both empty with no observation."""
+        if self.C is None:
+            return np.zeros(0), np.zeros(0)
+        v = y[self.cols] - np.concatenate([a_obs, self.lamqq_obs @ a_q])
+        x, _ = dtrtrs(self.C, v, lower=1)
+        f, _ = dtrtrs(self.C, x, lower=1, trans=1)
+        return x, f
 
 
 class CovariancePass:
@@ -300,18 +339,29 @@ class CovariancePass:
     a draw's shocks: per edge period (``periods``) its predicted head rows,
     C and U (``PassPeriod``), from the balanced system's ``P_filt`` at
     t_b-1, as the module's docstring sets out.  ``cond`` is the worst
-    squared diagonal ratio of the factors of F."""
+    squared diagonal ratio of the factors of F.
+
+    It also keeps the index work of the mean pass: the quarterly columns
+    Z reads (``qcols``, lag-major, lag 0 first), the stacked state's
+    quarterly positions (``qi``) and those at lags 0..p-1 (``lagged``),
+    with Pi's columns there (``pi_lagged``), and S, the positions below
+    the head that the last period's Z reads, less n (``S``), so that
+    R = (0..n-1, n + S) (``R``)."""
 
     def __init__(self, params: VarParams, agg: Aggregation, pattern: ObservationPattern, P_filt: np.ndarray):
         n, npp, coeff_row = params.n, params.n * params.p, params.coeff_row
-        qcols = agg.quarterly_state_cols(n, params.n_m)
-        at = quarterly_state_index(params)[: params.n_q * params.p]
+        self.qcols = qcols = agg.quarterly_state_cols(n, params.n_m)
+        self.qi = quarterly_state_index(params)
+        self.lagged = at = self.qi[: params.n_q * params.p]
+        self.pi_lagged = coeff_row[:, at]
+        self.S = S = qcols[params.n_q:] - n
+        self.R = np.concatenate([np.arange(n), n + S])
         lag = P_filt[: len(at), : len(at)]
         self.periods: list[PassPeriod] = []
         self.cond = 0.0
         self.factorizations = 0    # the factors of F, until ``pop_factorizations``
         for t in range(pattern.t_balanced, pattern.T):
-            last = t + 1 == pattern.T
+            last, pen = t + 1 == pattern.T, t + 2 == pattern.T
             o_t, q_rows = pattern.observed(t), pattern.quarterly_rows(t)
             lamqq_obs = agg.lam_qq[q_rows]
             n_obs = len(o_t) + len(q_rows)
@@ -327,16 +377,25 @@ class CovariancePass:
                 cf, cond = factorize_innovation(F.T, t)
                 self.cond = max(self.cond, cond)
                 self.factorizations += 1
-                # M[:k]' is M's rows' Fortran-ordered view, solved in place;
-                # the factor's diagonal has no zero, so the solve cannot fail
-                U, _ = dtrtrs(cf, M[: U.shape[1]].T, lower=1, overwrite_b=1)
-            self.periods.append(PassPeriod(np.concatenate([o_t, params.n_m + q_rows]), o_t, lamqq_obs, head, U, cf))
+                # each M is Fortran-ordered, solved in place; the factor's
+                # diagonal has no zero, so neither solve can fail
+                if last:
+                    U, _ = dtrtrs(cf, M.T, lower=1, overwrite_b=1)
+                else:
+                    U = dtrsm(1.0, cf, M, side=1, lower=1, trans_a=1, overwrite_b=1).T
+            cols = np.concatenate([o_t, params.n_m + q_rows])
+            if pen:
+                UF = np.concatenate([U @ coeff_row.T, U[:, S]], axis=1)
+                HF = np.concatenate([head[:, :npp] @ coeff_row.T, head[:, S]], axis=1)
+                self.periods.append(PassPeriod(cols, o_t, lamqq_obs, None, U[:, :n].copy(), cf, UF, HF))
+            else:
+                self.periods.append(PassPeriod(cols, o_t, lamqq_obs, head, U, cf))
             # only the next period reads the filtered covariance; the last one
             # reads it only through Pi[R] pf and its quarterly rows, which the
             # downdate's parts give without the dense block
             if t + 2 < pattern.T:
                 lag, at = blocked_downdate(head, U, lag, at), None
-            elif not last:
+            elif pen:
                 lag, at = Downdate(head, lag, at, U), None
 
     def pop_factorizations(self) -> int:
@@ -359,32 +418,72 @@ def blocked_edge(
     intercept is less its row of ``shocks``, a draw's edge shocks, when
     given."""
     params = plan.params
-    n, dim, t_b = params.n, params.n * (params.p + 1), data.pattern.t_balanced
-    qcols = plan.agg.quarterly_state_cols(n, params.n_m)
+    n, npp, n_q, t_b = params.n, params.n * params.p, params.n_q, data.pattern.t_balanced
+    pi = params.coeff_row
     cov = plan.blocked_pass(data.pattern)
-    periods = cov.periods
-    intercept = params.intercept - (np.zeros((data.T - t_b, n)) if shocks is None else shocks)
-    a_filt = companion_mean(params, data, boundary.a)
-    heads = np.empty((len(periods), n))
+    qcols, S, periods = cov.qcols, cov.S, cov.periods
+    m = len(periods)
+    y = data.values[t_b:]
+    intercept = params.intercept - (np.zeros((m, n)) if shocks is None else shocks)
+    a_filt = companion_mean(params, data, boundary.a, cov.qi)
+    heads = np.empty((m, n))
     Finv_v = []
-    for i, per in enumerate(periods):
-        a = predict_mean(a_filt, params.coeff_row)
+    for i, per in enumerate(periods[:-2]):
+        a = predict_mean(a_filt, pi)
         a[:n] += intercept[i]
-        if per.C is None:
-            a_filt, f = a, np.zeros(0)
-        else:
-            v = data.values[t_b + i, per.cols] - np.concatenate([a[per.o_t], per.lamqq_obs @ a[qcols]])
-            x, _ = dtrtrs(per.C, v, lower=1)
-            f, _ = dtrtrs(per.C, x, lower=1, trans=1)
-            a_filt = a[: per.U.shape[1]] + per.U.T @ x
+        x, f = per.innovation(y[i], a[per.o_t], a[qcols])
+        a_filt = a[:npp] + per.U.T @ x
         heads[i] = a_filt[:n]
         Finv_v.append(f)
+    # the last period's predicted mean, read at its head and at n + S only
+    b = a_filt[:npp]
+    if m == 1:
+        a_head, a_S = pi @ b + intercept[-1], b[S]
+    else:
+        # the period before the last reads Pi once, for its own prediction
+        # and the lag part of the last one's, and forms its filtered mean
+        # only at the head and at S; the last period's predicted head is
+        # Pi times that filtered mean, A_1 a[:n] + lag part + (U Pi')'x
+        pen = periods[-2]
+        shifted = np.zeros((npp, 2))
+        shifted[:, 0] = b
+        shifted[n:, 1] = b[: npp - n]
+        own, lag_part = (pi @ shifted).T
+        a = np.concatenate([own + intercept[-2], b])
+        x, f = pen.innovation(y[-2], a[pen.o_t], a[qcols])
+        heads[-2] = a[:n] + pen.U.T @ x
+        Finv_v.append(f)
+        ux = pen.UF.T @ x
+        a_head = pi[:, :n] @ a[:n] + lag_part + ux[:n] + intercept[-1]
+        a_S = a[S] + ux[n:]
+    last = periods[-1]
+    x, f = last.innovation(y[-1], a_head[last.o_t], np.concatenate([a_head[qcols[:n_q]], a_S]))
+    heads[-1] = a_head + last.U.T @ x
+    Finv_v.append(f)
 
     # backward pass over the ragged edge, with L'r = F1'r - Z'(K'r); r = 0
     # at the last period, whose smoothed row is its filtered mean's head
-    per = periods[-1]
-    r = blocked_smooth_r(np.zeros(dim), Finv_v[-1], per.o_t, qcols, per.lamqq_obs)
-    for i in range(len(periods) - 2, -1, -1):
+    r = blocked_smooth_r(np.zeros(n + npp), Finv_v[-1], last.o_t, qcols, last.lamqq_obs)
+    if m > 1:
+        # r is zero below the head but at n + S, so F1'r's first np
+        # positions are F1'[:np, R] r[R], which the kept UF and HF carry
+        # into K'r = C^-T (U F1'r) and the head's P[:n] L'r, with
+        # P[:n] Z' K'r = U[:, :n]' (U F1'r)
+        rho = r[cov.R]
+        u = pen.UF @ rho
+        KTr = u if pen.C is None else dtrtrs(pen.C, u, lower=1, trans=1)[0]
+        heads[-2] += pen.HF @ rho - pen.U.T @ u
+        if m > 2:
+            g = companion_to_compact(r, params)
+        else:
+            # F1'r only where the boundary's adjoint reads it: the head and
+            # the lagged quarterly positions below np (it is zero from np on)
+            g = np.zeros(n + npp)
+            g[:n] = pi[:, :n].T @ r[:n] + r[n: 2 * n]
+            low = cov.lagged[n_q:]
+            g[low] = cov.pi_lagged[:, n_q:].T @ r[:n] + r[n + low]
+        r = blocked_smooth_r(g, Finv_v[-2] - KTr, pen.o_t, qcols, pen.lamqq_obs)
+    for i in range(m - 3, -1, -1):
         per = periods[i]
         g = companion_to_compact(r, params)
         Ltr = blocked_smooth_r(g, -blocked_K(per.C, per.U, g), per.o_t, qcols, per.lamqq_obs)
@@ -392,10 +491,8 @@ def blocked_edge(
         r = blocked_smooth_r(Ltr, Finv_v[i], per.o_t, qcols, per.lamqq_obs)
     # the adjoint F1'r at the quarterly positions only: Pi's lagged quarterly
     # columns times r[:n], plus r[n:] there; zero at lag p
-    qi = quarterly_state_index(params)
-    lagged = qi[: params.n_q * params.p]
-    r_q = np.zeros(len(qi))
-    r_q[: len(lagged)] = params.coeff_row[:, lagged].T @ r[:n] + r[n + lagged]
+    r_q = np.zeros(len(cov.qi))
+    r_q[: len(cov.lagged)] = cov.pi_lagged.T @ r[:n] + r[n + cov.lagged]
     return heads, r_q, cov.cond
 
 

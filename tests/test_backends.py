@@ -46,7 +46,7 @@ from mfsmooth.kalman import (
     smooth_periods,
 )
 from mfsmooth.model import AggregationScheme
-from mfsmooth.simsmooth import simulate_path
+from mfsmooth.simsmooth import _rng_for, simulate_path
 from mfsmooth.simulate import make_instance
 from mfsmooth.systems import build_periods
 from test_model import random_params
@@ -379,8 +379,9 @@ class TestBlockedOps:
                 for lag in range(agg.p_q):
                     Z[len(o_t) + r, lag * n + n_m + j] = agg.scheme.weights[lag]
 
+            # M's first np rows, the only ones the edge reads
             M = blocked_M(P[:n], P[n:, n:], o_t, qcols, lamqq_obs)
-            assert_allclose(M, P @ Z.T, rtol=1e-12, atol=1e-12)
+            assert_allclose(M, (P @ Z.T)[: n * p], rtol=1e-12, atol=1e-12)
 
             F = blocked_F(M, o_t, qcols, lamqq_obs)
             assert_allclose(F, Z @ P @ Z.T, rtol=1e-12, atol=1e-12)
@@ -408,8 +409,9 @@ class TestBlockedOps:
 
             g = companion_to_compact(r, params)
             assert_allclose(g, F1.T @ r, rtol=1e-12, atol=1e-12)
-            # the gain's adjoint product K'r, against the dense gain K = F1 M F^-1
-            K = F1 @ MFinv
+            # the gain's adjoint product K'r, against the dense gain K = F1 M F^-1,
+            # which reads only M's first np rows: F1's last n columns are zero
+            K = F1[:, : n * p] @ MFinv
             KTr = blocked_K(C, U, g)
             assert_allclose(KTr, K.T @ r, rtol=1e-10, atol=1e-10)
             # the backward pass's L'r without the dense L = F1 - K Z
@@ -432,7 +434,7 @@ class TestBlockedOps:
         F1[4:, :12] = np.eye(12)
         r = rng.normal(size=16)
         KTr = blocked_K(C, np.linalg.solve(C, M[:12].T), F1.T @ r)
-        assert_allclose(KTr, (F1 @ MFinv).T @ r, rtol=1e-10, atol=1e-10)
+        assert_allclose(KTr, (F1[:, :12] @ MFinv).T @ r, rtol=1e-10, atol=1e-10)
         head = blocked_predict(np.eye(12), zero_row, params.sigma(0))
         P_next = from_blocks(head, np.eye(12))
         assert_allclose(P_next[:4, :4], params.sigma(0))
@@ -476,7 +478,7 @@ class TestBlockedOps:
     def downdate_case(switch):
         """A period's predicted covariance as its head rows and lag block (at
         the switch, the boundary's block at the quarterly lags), the dense P
-        they stand for, the update's M, F and U = C^-1 M[:np]' for the
+        they stand for, the update's M[:np], F and U = C^-1 M[:np]' for the
         Cholesky factor C of F, and the period's observation loading Z."""
         inst = small_instance(3, 4, 2, 3, 20, 17)
         params = inst.params
@@ -498,21 +500,21 @@ class TestBlockedOps:
         Z = dense_observation(agg, n, dim, o_t, q_rows)
         M = blocked_M(head, lag, o_t, agg.quarterly_state_cols(n, params.n_m), agg.lam_qq[q_rows], at)
         F = Z @ P @ Z.T
-        U = np.linalg.solve(np.linalg.cholesky(F), M[:npp].T)
+        U = np.linalg.solve(np.linalg.cholesky(F), M.T)
         return params, agg, head, lag, at, P, Z, M, F, U
 
     @pytest.mark.parametrize("switch", [False, True])
     def test_downdate_matches_dense_filtered_block(self, switch):
-        """M from the head rows and the lag block is P Z', and the next lag
-        block, one downdate by U = C^-1 M' for the Cholesky factor C of F, is
-        the first np rows and columns of the dense P - M F^-1 M', exactly
-        symmetric; at the switch the lag block is the boundary's block at the
-        quarterly lags."""
+        """M's first np rows, from the head rows and the lag block, are
+        those of P Z', and the next lag block, one downdate by U = C^-1 M'
+        for the Cholesky factor C of F, is the first np rows and columns of
+        the dense P - M F^-1 M', exactly symmetric; at the switch the lag
+        block is the boundary's block at the quarterly lags."""
         params, _, head, lag, at, P, Z, M, F, U = self.downdate_case(switch)
         npp = params.n * params.p
-        assert_allclose(M, P @ Z.T, rtol=1e-12, atol=1e-12)
+        assert_allclose(M, (P @ Z.T)[:npp], rtol=1e-12, atol=1e-12)
         pf = blocked_downdate(head, U, lag, at)
-        assert_allclose(pf, (P - M @ np.linalg.solve(F, M.T))[:npp, :npp], rtol=1e-12, atol=1e-12)
+        assert_allclose(pf, P[:npp, :npp] - M @ np.linalg.solve(F, M.T), rtol=1e-12, atol=1e-12)
         assert np.array_equal(pf, pf.T)
 
     @pytest.mark.parametrize("switch", [False, True])
@@ -522,7 +524,7 @@ class TestBlockedOps:
         the dense P - M F^-1 M' block."""
         params, agg, head, lag, at, P, _, M, F, U = self.downdate_case(switch)
         n, npp = params.n, params.n * params.p
-        pf = (P - M @ np.linalg.solve(F, M.T))[:npp, :npp]
+        pf = P[:npp, :npp] - M @ np.linalg.solve(F, M.T)
         qcols = agg.quarterly_state_cols(n, params.n_m)
         hi = qcols[qcols >= n] - n
         assert len(hi) > 0
@@ -541,7 +543,7 @@ class TestBlockedOps:
         t = 17
         if form != "boundary":
             pf = np.zeros((dim, dim))
-            pf[:npp, :npp] = (P - M @ np.linalg.solve(F, M.T))[:npp, :npp]
+            pf[:npp, :npp] = P[:npp, :npp] - M @ np.linalg.solve(F, M.T)
             F1 = params.companion_transition()
             P = F1 @ pf @ F1.T + params.companion_noise_cov(18)
             lag, at, t = Downdate(head, lag, at, U), None, 18
@@ -771,3 +773,91 @@ class TestEdgeSteps:
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
                 assert cond == pytest.approx(want_cond, rel=1e-8)
         assert plan._blocked is cov
+
+
+class TestPeriodBeforeLast:
+    """The blocked edge's period before the last reads Pi once and U and its
+    head rows only through the covariance pass's small products (``UF``,
+    ``HF``), and on a two-period edge the boundary's adjoint reads F1'r
+    only at the head and the lagged quarterly positions.  Each case is
+    (ragged case, (observations of the period before the last, of the last
+    period, aggregates the last period observes))."""
+
+    CASES = [
+        ((3, 1, 3, None, 6, 8, np.array([[0, 0, 0], [1, 1, 0]], dtype=bool), 2, False, "stationary", 21),
+         (0, 3, 1)),
+        ((3, 1, 3, None, 6, 8, np.array([[0, 1, 1], [0, 0, 0]], dtype=bool), 1, True, "stationary", 22),
+         (3, 0, 0)),
+        ((3, 1, 3, None, 6, 8, np.array([[0, 1, 1], [1, 0, 1]], dtype=bool), 1, False, "diffuse-proxy", 23),
+         (3, 2, 0)),
+        ((4, 0, 3, None, 6, 8, np.array([[0, 1, 1, 1], [1, 0, 1, 0]], dtype=bool), 0, False, "stationary", 24),
+         (3, 2, 0)),
+        # p_q = 1: the last period's Z reads no lag below the head (S is empty)
+        ((3, 1, 3, (1.0,), 6, 8, np.array([[0, 1, 1], [1, 1, 0]], dtype=bool), 2, False, "stationary", 25),
+         (2, 3, 1)),
+        # p_q = p: the last period's aggregates reach lag p-1, the widest S
+        ((3, 2, 4, (0.4, 0.3, 0.2, 0.1), 7, 9, np.array([[0, 1, 1], [1, 0, 1]], dtype=bool), 0, True,
+          "stationary", 26), (2, 4, 2)),
+        # the earlier period runs as before: dense F1'r and K'r through U
+        ((3, 1, 3, None, 6, 9, cut_edge((6, 9, 8), 6, 9), 0, True, "stationary", 27), (2, 2, 1)),
+    ]
+    IDS = ["before-last-unobserved", "last-unobserved", "last-no-aggregate", "no-quarterly", "skip-sampling",
+           "widest-S", "three-period"]
+
+    @pytest.mark.parametrize("case,counts", CASES, ids=IDS)
+    def test_matches_reference_step(self, case, counts):
+        params, scheme, data, init_mode = ragged_instance(case)
+        pattern, T = data.pattern, data.T
+        assert counts == (len(pattern.observed(T - 2)) + len(pattern.quarterly_rows(T - 2)),
+                          len(pattern.observed(T - 1)) + len(pattern.quarterly_rows(T - 1)),
+                          len(pattern.quarterly_rows(T - 1)))
+        plan = plan_for(params, scheme, data, init_mode)
+        u = run_filter(build_periods(plan.system, plan.balanced(data)))
+        boundary = FilterState(plan.system.last(u), plan.system.P_filt)
+        drawn = simulate_path(params, data, np.random.default_rng(1), plan.system).shocks
+        for shocks in (None, drawn):
+            want_heads, want_r, want_cond = dense_edge(plan, data, boundary, shocks)
+            heads, r, cond = blocked_edge(plan, data, boundary, shocks)
+            for got, want in ((heads, want_heads), (r, want_r)):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+            assert cond == pytest.approx(want_cond, rel=1e-8)
+
+    @pytest.mark.parametrize("case,counts", CASES, ids=IDS)
+    def test_cold_warm_and_batched_draws_alike(self, case, counts):
+        params, scheme, data, init_mode = ragged_instance(case)
+        cold = draw_latent(params, scheme, data, "blocked", seed=3, init_mode=init_mode)
+        warm = draw_latent(params, scheme, data, "blocked", seed=3, init_mode=init_mode)
+        assert cold.stats.factorizations > 0 and warm.stats.factorizations == 0
+        assert_array_equal(cold.x, warm.x)
+        many = draw_many(params, scheme, data, "blocked", 3, seed=3, init_mode=init_mode)
+        for i, x in enumerate(many):
+            one = draw_latent(params, scheme, data, "blocked", rng=_rng_for(3, i), init_mode=init_mode)
+            assert_array_equal(x, one.x)
+
+    def test_two_period_edge_forms_no_full_adjoint(self, monkeypatch):
+        """A warm draw on a two-period edge forms F1'r in full
+        (``companion_to_compact``) and K'r through U (``blocked_K``) at no
+        period; on a three-period edge the period before the last forms
+        F1'r for the first one, which forms both.  Every name perfbench's
+        layer table times in ``blocked`` stays defined there."""
+        import mfsmooth.blocked
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from layertrace import SPANS
+
+        for mod, name, _ in SPANS:
+            if mod == "blocked":
+                assert callable(getattr(mfsmooth.blocked, name, None)), name
+        calls = Counter()
+        for name in ("companion_to_compact", "blocked_K"):
+            step = getattr(mfsmooth.blocked, name)
+            monkeypatch.setattr(mfsmooth.blocked, name,
+                                lambda *args, _step=step, _name=name: calls.update([_name]) or _step(*args))
+        for T, want in ((8, {}), (9, {"companion_to_compact": 2, "blocked_K": 1})):
+            case = (3, 1, 3, None, 6, T, cut_edge((6, T, 7), 6, T), 0, False, "stationary", 31)
+            params, scheme, data, _ = ragged_instance(case)
+            draw_latent(params, scheme, data, "blocked", seed=1)
+            calls.clear()
+            draw_latent(params, scheme, data, "blocked", seed=2)
+            assert calls == Counter(want), T
